@@ -16,8 +16,12 @@
 // style, and defaults to one worker per CPU. Results are byte-identical
 // for any -jobs value.
 //
-// For performance work, -cpuprofile and -memprofile write pprof profiles
-// of the whole experiment (inspect with `go tool pprof`):
+// The scenario flags hawksim takes (-schedulers, -fail-nodes, -msg-loss, …;
+// see `hawkexp -h`) overlay that scenario on every simulator run of the
+// selected experiment; an experiment that sweeps a scenario dimension
+// itself (multisched, faults, robustness, churn) ignores that part of the
+// overlay. For performance work, -cpuprofile and -memprofile write pprof
+// profiles of the whole experiment (inspect with `go tool pprof`):
 //
 //	hawkexp -exp fig5 -cpuprofile cpu.prof -memprofile mem.prof
 package main
@@ -27,12 +31,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/hawk"
+	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
@@ -50,91 +53,13 @@ var (
 	traceOut    = flag.String("trace-out", "", "write the synthetic Google trace at the current -numjobs/-seed to this hawk-trace file and exit")
 	fullProto   = flag.Bool("fullproto", false, "run fig16-17 at the paper's full prototype scale (3300 jobs, sec->ms; takes tens of minutes)")
 
-	// Dynamic-cluster scenario flags, overlaid on every simulator run of
-	// the selected experiment (see hawk.ChurnSpec / hawk.Heterogeneity).
-	failNodes = flag.Int("fail-nodes", 0, "fail this many random nodes at -fail-at (0 = no failures)")
-	failAt    = flag.Float64("fail-at", 0, "simulated seconds at which -fail-nodes nodes fail")
-	recoverAt = flag.Float64("recover-at", 0, "simulated seconds at which failed nodes recover (0 = never)")
-	speedSkew = flag.Float64("speed-skew", 0, "fraction of nodes running at -slow-speed (0 = homogeneous)")
-	slowSpeed = flag.Float64("slow-speed", 0.5, "speed factor of the skewed nodes (1 = nominal)")
+	// The scenario overlay applied to every simulator run of the selected
+	// experiment (see internal/cliflags).
+	scenario = cliflags.Register(flag.CommandLine)
 
-	// Profiling, mirroring cmd/hawksim: macro-experiment profiles can be
-	// captured directly instead of reconstructing the sweep as a
-	// benchmark.
 	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfFlag = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-
-	// Multi-scheduler overlay (see hawk.SchedulerSpec); the multisched
-	// experiment sweeps the count itself and ignores these.
-	schedulers     = flag.Int("schedulers", 0, "run every simulation with this many concurrent schedulers (0 or 1 = exact single scheduler)")
-	schedFailAt    = flag.Float64("scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
-	schedRecoverAt = flag.Float64("scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
-
-	// Gray-failure overlay (see hawk.FaultSpec); the faults experiment
-	// sweeps the loss probability itself and ignores these.
-	netDelay       = flag.Float64("net-delay", 0, "one-way network delay per message leg in seconds (0 = default)")
-	msgLoss        = flag.Float64("msg-loss", 0, "drop probability applied to every message class in every run (0 = lossless)")
-	jitter         = flag.Float64("jitter", 0, "extra uniform [0,jitter) delay per message leg in seconds")
-	straggleAt     = flag.Float64("straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down")
-	straggleNodes  = flag.Int("straggle-nodes", 0, "slow down this many random nodes at -straggle-at (0 = no stragglers)")
-	straggleFactor = flag.Float64("straggle-factor", 4, "slowdown factor of the straggling nodes (tasks stretch by this)")
-	speculate      = flag.Bool("speculate", false, "speculatively re-execute straggling short tasks (first completion wins)")
-	faultRetries   = flag.Int("fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss)")
 )
-
-// scenario assembles the Churn/Heterogeneity/Schedulers overlay from the
-// flags.
-func scenario() (*hawk.ChurnSpec, *hawk.Heterogeneity, *hawk.SchedulerSpec) {
-	var events []hawk.ChurnEvent
-	if *failNodes > 0 {
-		events = append(events, hawk.ChurnEvent{At: *failAt, Kind: hawk.ChurnFail, Count: *failNodes})
-		if *recoverAt > 0 {
-			events = append(events, hawk.ChurnEvent{At: *recoverAt, Kind: hawk.ChurnRecover, Count: *failNodes})
-		}
-	}
-	if *schedFailAt > 0 {
-		events = append(events, hawk.SchedulerChurn(0, *schedFailAt, *schedRecoverAt)...)
-	}
-	var churn *hawk.ChurnSpec
-	if len(events) > 0 {
-		churn = &hawk.ChurnSpec{Events: events}
-	}
-	var hetero *hawk.Heterogeneity
-	if *speedSkew > 0 {
-		hetero = &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: *speedSkew, Speed: *slowSpeed}}}
-	}
-	var spec *hawk.SchedulerSpec
-	if *schedulers > 0 {
-		spec = &hawk.SchedulerSpec{Count: *schedulers}
-	}
-	return churn, hetero, spec
-}
-
-// faultOverlay assembles the gray-failure scenario from the injection
-// flags, or nil when none are set.
-func faultOverlay() *hawk.FaultSpec {
-	// Zero means unset; non-zero values (including invalid negatives) are
-	// passed through so Config.Normalize can reject them with a real error.
-	if *msgLoss == 0 && *jitter == 0 && *straggleNodes == 0 && !*speculate {
-		return nil
-	}
-	f := &hawk.FaultSpec{
-		ProbeLoss:  *msgLoss,
-		ReplyLoss:  *msgLoss,
-		StealLoss:  *msgLoss,
-		AssignLoss: *msgLoss,
-		CommitLoss: *msgLoss,
-		Jitter:     *jitter,
-		MaxRetries: *faultRetries,
-		Speculate:  *speculate,
-	}
-	if *straggleNodes != 0 {
-		f.Stragglers = []hawk.StragglerEvent{
-			{At: *straggleAt, Count: *straggleNodes, Factor: *straggleFactor},
-		}
-	}
-	return f
-}
 
 type experiment struct {
 	id   string
@@ -183,33 +108,12 @@ func realMain() int {
 		}
 		return 0
 	}
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := cliflags.StartProfiles(*cpuProfFlag, *memProfFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
+		return 1
 	}
-	if *memProfFlag != "" {
-		defer func() {
-			f, err := os.Create(*memProfFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hawkexp: writing heap profile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 	if !hawk.Registered(*policyFlag) {
 		fmt.Fprintf(os.Stderr, "hawkexp: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
 		return 2
@@ -221,9 +125,10 @@ func realMain() int {
 	}
 	sc.Policy = *policyFlag
 	sc.TracePath = *traceFlag
-	sc.Churn, sc.Heterogeneity, sc.Schedulers = scenario()
-	sc.Faults = faultOverlay()
-	sc.NetworkDelay = *netDelay
+	var overlay hawk.Config
+	scenario.Apply(&overlay)
+	sc.Churn, sc.Heterogeneity, sc.Schedulers = overlay.Churn, overlay.Heterogeneity, overlay.Schedulers
+	sc.Faults, sc.NetworkDelay = overlay.Faults, overlay.NetworkDelay
 	if *traceOut != "" {
 		t, err := experiments.GoogleTrace(sc)
 		if err != nil {

@@ -19,8 +19,10 @@
 // regardless of trace length; combine with -dump to still persist every
 // job's outcome as CSV.
 //
-// For performance work, -cpuprofile and -memprofile write pprof profiles
-// of the run (inspect with `go tool pprof`):
+// The scenario flags (multi-scheduler model, churn, heterogeneity, gray
+// failures) are shared with hawkexp and defined in internal/cliflags;
+// `hawksim -h` documents them. For performance work, -cpuprofile and
+// -memprofile write pprof profiles of the run (inspect with `go tool pprof`):
 //
 //	hawksim -workload google -nodes 15000 -jobs 20000 -cpuprofile cpu.prof -memprofile mem.prof
 package main
@@ -30,11 +32,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/hawk"
+	"repro/internal/cliflags"
 )
 
 var (
@@ -57,30 +58,8 @@ var (
 	seedFlag      = flag.Int64("seed", 42, "random seed")
 	listPolFlag   = flag.Bool("list-policies", false, "list registered scheduling policies and exit")
 
-	// Multi-scheduler model flags (§4.10).
-	schedulersFlag   = flag.Int("schedulers", 0, "concurrent schedulers with stale snapshots (0 or 1 = exact single-scheduler model)")
-	snapIntervalFlag = flag.Float64("snapshot-interval", 0, "seconds between scheduler snapshot refreshes (0 = default)")
-	schedFailAtFlag  = flag.Float64("scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
-	schedRecAtFlag   = flag.Float64("scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
-
-	// Dynamic-cluster scenario flags.
-	failNodesFlag = flag.Int("fail-nodes", 0, "fail this many random nodes at -fail-at (0 = no failures)")
-	failAtFlag    = flag.Float64("fail-at", 0, "simulated seconds at which -fail-nodes nodes fail")
-	recoverAtFlag = flag.Float64("recover-at", 0, "simulated seconds at which failed nodes recover (0 = never)")
-	downAtFlag    = flag.Float64("central-down", 0, "simulated seconds at which the centralized scheduler goes down (0 = never)")
-	upAtFlag      = flag.Float64("central-up", 0, "simulated seconds at which the centralized scheduler recovers (0 = never)")
-	speedSkewFlag = flag.Float64("speed-skew", 0, "fraction of nodes running at -slow-speed (0 = homogeneous)")
-	slowSpeedFlag = flag.Float64("slow-speed", 0.5, "speed factor of the skewed nodes (1 = nominal)")
-
-	// Gray-failure injection flags.
-	netDelayFlag       = flag.Float64("net-delay", 0, "one-way network delay per message leg in seconds (0 = default)")
-	msgLossFlag        = flag.Float64("msg-loss", 0, "drop probability applied to every message class (0 = lossless)")
-	jitterFlag         = flag.Float64("jitter", 0, "extra uniform [0,jitter) delay per message leg in seconds")
-	straggleAtFlag     = flag.Float64("straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down")
-	straggleNodesFlag  = flag.Int("straggle-nodes", 0, "slow down this many random nodes at -straggle-at (0 = no stragglers)")
-	straggleFactorFlag = flag.Float64("straggle-factor", 4, "slowdown factor of the straggling nodes (tasks stretch by this)")
-	speculateFlag      = flag.Bool("speculate", false, "speculatively re-execute straggling short tasks (first completion wins)")
-	faultRetriesFlag   = flag.Int("fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss)")
+	// -schedulers, -fail-nodes, -msg-loss, … (see internal/cliflags).
+	scenario = cliflags.Register(flag.CommandLine)
 
 	traceOutFlag = flag.String("trace-out", "", "write the workload to this hawk-trace file (gzip by .gz suffix) before running")
 	streamFlag   = flag.Bool("stream", false, "discard per-job reports; aggregate into bounded reservoirs (for multi-million-task traces)")
@@ -99,43 +78,25 @@ func main() {
 // realMain holds the body so deferred profile writers run before the
 // process exits (os.Exit skips defers in main).
 func realMain() int {
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := cliflags.StartProfiles(*cpuProfFlag, *memProfFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
+		return 1
 	}
-	if *memProfFlag != "" {
-		defer func() {
-			f, err := os.Create(*memProfFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hawksim: writing heap profile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 	if *listPolFlag {
 		for _, name := range hawk.Policies() {
 			fmt.Println(name)
 		}
 		return 0
 	}
-	trace, streamFile, err := loadWorkload()
+	trace, file, err := loadWorkload()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
 		return 1
+	}
+	if file != nil {
+		defer func() { file.Close() }()
 	}
 	name := *policyFlag
 	if *modeFlag != "" {
@@ -154,32 +115,26 @@ func realMain() int {
 		return 2
 	}
 	if *traceOutFlag != "" {
-		if err := writeTraceOut(trace, streamFile); err != nil {
+		// A format conversion when the input was itself a trace file.
+		var out hawk.Source = file
+		if file == nil {
+			out = hawk.NewTraceSource(trace)
+		}
+		if err := hawk.SaveTraceSource(*traceOutFlag, out); err != nil {
 			fmt.Fprintf(os.Stderr, "hawksim: writing %s: %v\n", *traceOutFlag, err)
 			return 1
 		}
 		fmt.Printf("wrote workload to %s\n", *traceOutFlag)
+		if file != nil {
+			// A stream is consumed once; the run needs a fresh one.
+			file.Close()
+			if file, err = hawk.OpenTraceSource(*traceFlag); err != nil {
+				fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
+				return 1
+			}
+		}
 	}
-	cfg := hawk.Config{
-		Policy:                 name,
-		NumNodes:               *nodesFlag,
-		Cutoff:                 *cutoffFlag,
-		ShortPartitionFraction: *partFlag,
-		ProbeRatio:             *probesFlag,
-		StealCap:               *stealCapFlag,
-		DisableStealing:        *noStealFlag,
-		DisablePartition:       *noPartFlag,
-		DisableCentral:         *noCentralFlag,
-		MisestimateLo:          *misLoFlag,
-		MisestimateHi:          *misHiFlag,
-		NetworkDelay:           *netDelayFlag,
-		Schedulers:             schedulerSpec(),
-		Churn:                  churnSpec(),
-		Heterogeneity:          heterogeneitySpec(),
-		Faults:                 faultSpec(),
-		Seed:                   *seedFlag,
-		DiscardJobReports:      *streamFlag,
-	}
+	cfg := buildConfig(name)
 	// On a streamed run -dump rides the job sink, so per-job rows land on
 	// disk at completion and the report never holds them.
 	var sink *hawk.JobCSVSink
@@ -192,14 +147,8 @@ func realMain() int {
 		cfg.JobSink = sink.Sink
 	}
 	var res *hawk.Report
-	if streamFile {
-		src, serr := hawk.OpenTraceSource(*traceFlag)
-		if serr != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: %v\n", serr)
-			return 1
-		}
-		res, err = hawk.SimulateSource(src, cfg)
-		src.Close()
+	if file != nil {
+		res, err = hawk.SimulateSource(file, cfg)
 	} else {
 		res, err = hawk.Simulate(trace, cfg)
 	}
@@ -231,108 +180,60 @@ func realMain() int {
 	return 0
 }
 
-// schedulerSpec maps -schedulers/-snapshot-interval onto a SchedulerSpec,
-// or nil when the flags are unset (the exact single-scheduler model).
-func schedulerSpec() *hawk.SchedulerSpec {
-	if *schedulersFlag <= 0 {
-		return nil
+// buildConfig assembles the run configuration from the parsed flags.
+func buildConfig(policyName string) hawk.Config {
+	cfg := hawk.Config{
+		Policy:                 policyName,
+		NumNodes:               *nodesFlag,
+		Cutoff:                 *cutoffFlag,
+		ShortPartitionFraction: *partFlag,
+		ProbeRatio:             *probesFlag,
+		StealCap:               *stealCapFlag,
+		DisableStealing:        *noStealFlag,
+		DisablePartition:       *noPartFlag,
+		DisableCentral:         *noCentralFlag,
+		MisestimateLo:          *misLoFlag,
+		MisestimateHi:          *misHiFlag,
+		Seed:                   *seedFlag,
+		DiscardJobReports:      *streamFlag,
 	}
-	return &hawk.SchedulerSpec{Count: *schedulersFlag, SnapshotInterval: *snapIntervalFlag}
-}
-
-// churnSpec assembles the scripted scenario from the failure/outage flags,
-// or nil when none are set (the static fast path).
-func churnSpec() *hawk.ChurnSpec {
-	var events []hawk.ChurnEvent
-	if *failNodesFlag > 0 {
-		events = append(events, hawk.ChurnEvent{At: *failAtFlag, Kind: hawk.ChurnFail, Count: *failNodesFlag})
-		if *recoverAtFlag > 0 {
-			events = append(events, hawk.ChurnEvent{At: *recoverAtFlag, Kind: hawk.ChurnRecover, Count: *failNodesFlag})
-		}
-	}
-	if *downAtFlag > 0 {
-		events = append(events, hawk.ChurnEvent{At: *downAtFlag, Kind: hawk.ChurnCentralDown})
-		if *upAtFlag > 0 {
-			events = append(events, hawk.ChurnEvent{At: *upAtFlag, Kind: hawk.ChurnCentralUp})
-		}
-	}
-	if *schedFailAtFlag > 0 {
-		events = append(events, hawk.SchedulerChurn(0, *schedFailAtFlag, *schedRecAtFlag)...)
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	return &hawk.ChurnSpec{Events: events}
-}
-
-// faultSpec assembles the gray-failure scenario from the injection flags,
-// or nil when none are set (no fault state, static fast path).
-func faultSpec() *hawk.FaultSpec {
-	// Zero means unset; non-zero values (including invalid negatives) are
-	// passed through so Config.Normalize can reject them with a real error.
-	if *msgLossFlag == 0 && *jitterFlag == 0 && *straggleNodesFlag == 0 && !*speculateFlag {
-		return nil
-	}
-	f := &hawk.FaultSpec{
-		ProbeLoss:  *msgLossFlag,
-		ReplyLoss:  *msgLossFlag,
-		StealLoss:  *msgLossFlag,
-		AssignLoss: *msgLossFlag,
-		CommitLoss: *msgLossFlag,
-		Jitter:     *jitterFlag,
-		MaxRetries: *faultRetriesFlag,
-		Speculate:  *speculateFlag,
-	}
-	if *straggleNodesFlag != 0 {
-		f.Stragglers = []hawk.StragglerEvent{
-			{At: *straggleAtFlag, Count: *straggleNodesFlag, Factor: *straggleFactorFlag},
-		}
-	}
-	return f
-}
-
-// heterogeneitySpec maps -speed-skew/-slow-speed onto a one-class spec.
-func heterogeneitySpec() *hawk.Heterogeneity {
-	if *speedSkewFlag <= 0 {
-		return nil
-	}
-	return &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: *speedSkewFlag, Speed: *slowSpeedFlag}}}
+	scenario.Apply(&cfg)
+	return cfg
 }
 
 // loadWorkload resolves -trace/-workload. It returns either a materialized
-// trace (synthetic generation, legacy CSV) or stream=true for a hawk-trace
-// file, which the run then opens and decodes job by job instead of loading.
-func loadWorkload() (t *hawk.Trace, stream bool, err error) {
+// trace (synthetic generation, legacy CSV) or the opened hawk-trace file,
+// which the run decodes job by job instead of loading; the caller closes it.
+func loadWorkload() (*hawk.Trace, *hawk.FileSource, error) {
 	if *traceFlag != "" {
-		src, err := hawk.OpenTraceSource(*traceFlag)
+		file, err := hawk.OpenTraceSource(*traceFlag)
 		if err == nil {
-			src.Close() // probe only; the run reopens to stream
-			return nil, true, nil
+			return nil, file, nil
 		}
 		if !errors.Is(err, hawk.ErrNotStreamTrace) {
-			return nil, false, err
+			return nil, nil, err
 		}
 		t, err := hawk.LoadTraceFile(*traceFlag)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if *cutoffFlag > 0 {
 			t.Cutoff = *cutoffFlag
 		}
 		if t.Cutoff == 0 {
-			return nil, false, fmt.Errorf("legacy CSV traces carry no cutoff; pass -cutoff")
+			return nil, nil, fmt.Errorf("legacy CSV traces carry no cutoff; pass -cutoff")
 		}
 		if *partFlag > 0 {
 			t.ShortPartitionFraction = *partFlag
 		}
-		return t, false, nil
+		return t, nil, nil
 	}
 	if *workloadFlag == "motivation" {
-		return hawk.MotivationWorkload(*seedFlag), false, nil
+		return hawk.MotivationWorkload(*seedFlag), nil, nil
 	}
 	spec, err := hawk.SpecByName(*workloadFlag)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	ia := *iaFlag
 	if ia <= 0 {
@@ -342,22 +243,7 @@ func loadWorkload() (t *hawk.Trace, stream bool, err error) {
 		NumJobs:          *jobsFlag,
 		MeanInterArrival: ia,
 		Seed:             *seedFlag,
-	}), false, nil
-}
-
-// writeTraceOut dumps the resolved workload to -trace-out in the
-// hawk-trace stream format (a format conversion when the input was itself
-// a trace file).
-func writeTraceOut(t *hawk.Trace, streamFile bool) error {
-	if streamFile {
-		src, err := hawk.OpenTraceSource(*traceFlag)
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		return hawk.SaveTraceSource(*traceOutFlag, src)
-	}
-	return hawk.SaveTraceSource(*traceOutFlag, hawk.NewTraceSource(t))
+	}), nil, nil
 }
 
 func defaultInterArrival(name string) float64 {

@@ -1,0 +1,124 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/hawk"
+)
+
+// parseArgs resets every hawksim flag to its default and parses argv, as a
+// fresh process would.
+func parseArgs(t *testing.T, argv ...string) {
+	t.Helper()
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the test binary's own flags share the command line
+		}
+		if err := f.Value.Set(f.DefValue); err != nil {
+			t.Fatalf("resetting -%s: %v", f.Name, err)
+		}
+	})
+	if err := flag.CommandLine.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// base is the Config of a flagless run under the named policy: hawksim
+// passes its -probes, -stealcap, -nodes and -seed defaults explicitly.
+func base(policy string) hawk.Config {
+	return hawk.Config{Policy: policy, NumNodes: 15000, ProbeRatio: 2, StealCap: 10, Seed: 42}
+}
+
+// The argv -> Config mapping is a contract: bench/hawkbench runs hawksim as
+// a child process and compares its report byte for byte against an
+// in-process run of the Config it expects these exact flags to build. The
+// first four cases are that benchmark's invocations (workloads.go).
+func TestBuildConfig(t *testing.T) {
+	io := []string{"-trace", "t.trace", "-seed", "7", "-dump", "d.csv", "-json", "r.json", "-nodes", "15000"}
+	seeded := func(policy string) hawk.Config { c := base(policy); c.Seed = 7; return c }
+	for _, c := range []struct {
+		name string
+		argv []string
+		want func() hawk.Config
+	}{
+		{"defaults", nil, func() hawk.Config { return base("hawk") }},
+		{"google_stream", append(io, "-policy", "hawk", "-stream"), func() hawk.Config {
+			c := seeded("hawk")
+			c.DiscardJobReports = true
+			return c
+		}},
+		{"multisched_stale", append(io, "-policy", "hawk", "-schedulers", "10", "-snapshot-interval", "60", "-stream"), func() hawk.Config {
+			c := seeded("hawk")
+			c.DiscardJobReports = true
+			c.Schedulers = &hawk.SchedulerSpec{Count: 10, SnapshotInterval: 60}
+			return c
+		}},
+		{"sparrow_retained_gz", append(io, "-policy", "sparrow"), func() hawk.Config { return seeded("sparrow") }},
+		{"churn_faults", append(io, "-policy", "hawk", "-stream", "-fail-nodes", "750", "-fail-at", "20000",
+			"-recover-at", "60000", "-msg-loss", "0.01", "-jitter", "0.001", "-fault-retries", "8"), func() hawk.Config {
+			c := seeded("hawk")
+			c.DiscardJobReports = true
+			c.Churn = &hawk.ChurnSpec{Events: []hawk.ChurnEvent{
+				{At: 20000, Kind: hawk.ChurnFail, Count: 750},
+				{At: 60000, Kind: hawk.ChurnRecover, Count: 750},
+			}}
+			c.Faults = &hawk.FaultSpec{
+				ProbeLoss: 0.01, ReplyLoss: 0.01, StealLoss: 0.01, AssignLoss: 0.01, CommitLoss: 0.01,
+				Jitter: 0.001, MaxRetries: 8,
+			}
+			return c
+		}},
+		{"all flags", []string{
+			"-policy", "split", "-nodes", "500", "-cutoff", "90", "-partition", "0.2", "-probes", "3",
+			"-stealcap", "5", "-nosteal", "-nopartition", "-nocentral", "-mislo", "0.5", "-mishi", "1.5",
+			"-seed", "9", "-stream",
+			"-schedulers", "4", "-snapshot-interval", "30", "-scheduler-fail-at", "100", "-scheduler-recover-at", "200",
+			"-fail-nodes", "20", "-fail-at", "300", "-recover-at", "400", "-central-down", "500", "-central-up", "600",
+			"-speed-skew", "0.3", "-slow-speed", "0.25",
+			"-net-delay", "0.002", "-msg-loss", "0.05", "-jitter", "0.001", "-straggle-at", "700",
+			"-straggle-nodes", "30", "-straggle-factor", "6", "-speculate", "-fault-retries", "5",
+		}, func() hawk.Config {
+			return hawk.Config{
+				Policy: "split", NumNodes: 500, Cutoff: 90, ShortPartitionFraction: 0.2, ProbeRatio: 3,
+				StealCap: 5, DisableStealing: true, DisablePartition: true, DisableCentral: true,
+				MisestimateLo: 0.5, MisestimateHi: 1.5, Seed: 9, DiscardJobReports: true,
+				NetworkDelay: 0.002,
+				Schedulers:   &hawk.SchedulerSpec{Count: 4, SnapshotInterval: 30},
+				Churn: &hawk.ChurnSpec{Events: []hawk.ChurnEvent{
+					{At: 300, Kind: hawk.ChurnFail, Count: 20},
+					{At: 400, Kind: hawk.ChurnRecover, Count: 20},
+					{At: 500, Kind: hawk.ChurnCentralDown},
+					{At: 600, Kind: hawk.ChurnCentralUp},
+					{At: 100, Kind: hawk.ChurnSchedFail, Node: 0},
+					{At: 200, Kind: hawk.ChurnSchedRecover, Node: 0},
+				}},
+				Heterogeneity: &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: 0.3, Speed: 0.25}}},
+				Faults: &hawk.FaultSpec{
+					ProbeLoss: 0.05, ReplyLoss: 0.05, StealLoss: 0.05, AssignLoss: 0.05, CommitLoss: 0.05,
+					Jitter: 0.001, MaxRetries: 5, Speculate: true,
+					Stragglers: []hawk.StragglerEvent{{At: 700, Count: 30, Factor: 6}},
+				},
+			}
+		}},
+		// Zero means unset, but an invalid negative must reach Normalize,
+		// which rejects it, rather than being swallowed as "unset".
+		{"negative loss passes through", []string{"-msg-loss", "-0.5"}, func() hawk.Config {
+			c := base("hawk")
+			c.Faults = &hawk.FaultSpec{ProbeLoss: -0.5, ReplyLoss: -0.5, StealLoss: -0.5, AssignLoss: -0.5, CommitLoss: -0.5}
+			return c
+		}},
+		// Knobs of a plane whose enabling flag is unset leave the plane off.
+		{"dependent knobs alone", []string{"-fail-at", "10", "-recover-at", "20", "-snapshot-interval", "5",
+			"-slow-speed", "0.1", "-fault-retries", "9", "-straggle-at", "3"}, func() hawk.Config { return base("hawk") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			parseArgs(t, c.argv...)
+			if got, want := buildConfig(*policyFlag), c.want(); !reflect.DeepEqual(got, want) {
+				t.Errorf("argv %v\n got %+v\nwant %+v", c.argv, got, want)
+			}
+		})
+	}
+}

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/randdist"
+)
 
 func TestClaimSemantics(t *testing.T) {
 	v := NewClusterView(NewPartition(10, 0.2))
@@ -153,5 +157,89 @@ func TestCentralQueueSyncFrom(t *testing.T) {
 	local.SyncFrom(truth)
 	if got, want := local.Waiting(2, 2), truth.Waiting(2, 2); got != want {
 		t.Fatalf("re-sync: Waiting(2) = %g, want %g", got, want)
+	}
+}
+
+// refClaims is the claim rule as ClusterView.Claim carried it before the
+// ClaimTable kernel existed, kept as the differential oracle.
+type refClaims struct {
+	ver map[int]uint64
+	by  map[int]int32
+	cur uint64
+}
+
+func (r *refClaims) claim(id int, by int32, sinceVer uint64) bool {
+	if r.ver[id] > sinceVer && r.by[id] != by {
+		return false
+	}
+	r.cur++
+	r.ver[id], r.by[id] = r.cur, by
+	return true
+}
+
+// applyClaimOps replays a byte string as claims by four schedulers over
+// eight nodes against the kernel (directly, and through a view) and the
+// oracle. Each scheduler's snapshot version advances only when the op says
+// "refresh", so stale and fresh claims both occur.
+func applyClaimOps(t *testing.T, ops []byte) {
+	const nodes, scheds = 8, 4
+	table := NewClaimTable(nodes)
+	view := NewClusterView(NewPartition(nodes, 0.25))
+	view.EnableClaims()
+	ref := &refClaims{ver: map[int]uint64{}, by: map[int]int32{}}
+	var snap [scheds]uint64
+	for i, op := range ops {
+		id, by := int(op&7), int32(op>>3&3)
+		if op&0x20 != 0 {
+			snap[by] = table.Version()
+		}
+		before := table.Version()
+		want := ref.claim(id, by, snap[by])
+		if got := table.Claim(id, by, snap[by]); got != want {
+			t.Fatalf("op %d: ClaimTable.Claim(%d, %d, %d) = %v, oracle says %v", i, id, by, snap[by], got, want)
+		}
+		if got := view.Claim(id, by, snap[by]); got != want {
+			t.Fatalf("op %d: ClusterView.Claim(%d, %d, %d) = %v, oracle says %v", i, id, by, snap[by], got, want)
+		}
+		after := table.Version()
+		if want && after != before+1 || !want && after != before {
+			t.Fatalf("op %d: version %d -> %d on a claim that returned %v", i, before, after, want)
+		}
+		if after != ref.cur || view.ClaimVersion() != ref.cur {
+			t.Fatalf("op %d: versions diverged: table %d, view %d, oracle %d", i, after, view.ClaimVersion(), ref.cur)
+		}
+		// A scheduler never conflicts with itself, however stale it is.
+		if !want && ref.by[id] == by {
+			t.Fatalf("op %d: scheduler %d conflicted with its own claim on node %d", i, by, id)
+		}
+	}
+}
+
+func TestClaimTableDifferential(t *testing.T) {
+	src := randdist.New(5)
+	for trial := 0; trial < 300; trial++ {
+		ops := make([]byte, src.Intn(80))
+		for i := range ops {
+			ops[i] = byte(src.Intn(256))
+		}
+		applyClaimOps(t, ops)
+	}
+}
+
+func FuzzClaimTable(f *testing.F) {
+	f.Add([]byte{0x00, 0x08, 0x28, 0x08, 0x10})
+	f.Add([]byte{0x07, 0x0f, 0x17, 0x3f, 0x07})
+	f.Fuzz(applyClaimOps)
+}
+
+func TestClaimZeroAllocs(t *testing.T) {
+	v := NewClusterView(NewPartition(16, 0.25))
+	v.EnableClaims()
+	i := 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		v.Claim(i%16, int32(i%3), v.ClaimVersion())
+		i++
+	}); allocs != 0 {
+		t.Errorf("Claim allocated %v times per call", allocs)
 	}
 }

@@ -38,9 +38,8 @@ type ClusterView struct {
 	generalAlive []int32 // alive ids in the general partition (unordered)
 	pos          []int32 // node id -> index within its side's alive list
 
-	// Claim state; nil/unused until EnableClaims (see claims.go).
-	claims   []claimRec
-	claimVer uint64
+	// Claim state; nil until EnableClaims (see claims.go).
+	claims *ClaimTable
 }
 
 // NewClusterView returns a static view of the partition: full membership,

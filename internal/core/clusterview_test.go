@@ -19,13 +19,13 @@ func TestStaticViewSamplesLikePartition(t *testing.T) {
 		var a, b []int
 		switch trial % 3 {
 		case 0:
-			a = p.SampleAll(srcA, k)
+			a = p.SampleAllInto(nil, srcA, k)
 			b = v.SampleAllInto(nil, srcB, k)
 		case 1:
-			a = p.SampleGeneral(srcA, k)
+			a = p.SampleGeneralInto(nil, srcA, k)
 			b = v.SampleGeneralInto(nil, srcB, k)
 		case 2:
-			a = p.SampleShort(srcA, k)
+			a = p.SampleShortInto(nil, srcA, k)
 			b = v.SampleShortInto(nil, srcB, k)
 		}
 		if len(a) != len(b) {

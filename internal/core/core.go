@@ -135,14 +135,9 @@ func (p Partition) IsGeneral(id int) bool { return id >= p.shortOnly }
 // GeneralID returns the node id of the i-th general-partition node.
 func (p Partition) GeneralID(i int) int { return p.shortOnly + i }
 
-// SampleGeneral returns k distinct random general-partition node ids.
-func (p Partition) SampleGeneral(src *randdist.Source, k int) []int {
-	return p.SampleGeneralInto(nil, src, k)
-}
-
 // SampleGeneralInto appends k distinct random general-partition node ids to
-// dst and returns the extended slice, drawing identically to SampleGeneral.
-// Zero heap allocations in steady state when dst has capacity; the
+// dst and returns the extended slice (pass nil to allocate). Zero heap
+// allocations in steady state when dst has capacity; the
 // simulator threads a per-run scratch buffer through here on every probe
 // placement and steal attempt.
 //
@@ -160,14 +155,8 @@ func (p Partition) SampleGeneralInto(dst []int, src *randdist.Source, k int) []i
 	return dst
 }
 
-// SampleAll returns k distinct random node ids from the whole cluster
-// (short jobs may be probed anywhere, §3.4).
-func (p Partition) SampleAll(src *randdist.Source, k int) []int {
-	return p.SampleAllInto(nil, src, k)
-}
-
-// SampleAllInto is the scratch-buffer form of SampleAll; see
-// SampleGeneralInto.
+// SampleAllInto appends k distinct random node ids from the whole cluster
+// (short jobs may be probed anywhere, §3.4); see SampleGeneralInto.
 //
 //hawk:hotpath
 func (p Partition) SampleAllInto(dst []int, src *randdist.Source, k int) []int {
@@ -177,15 +166,9 @@ func (p Partition) SampleAllInto(dst []int, src *randdist.Source, k int) []int {
 	return src.SampleWithoutReplacementInto(dst, p.numNodes, k)
 }
 
-// SampleShort returns k distinct random short-partition node ids, used by
-// policies that confine short jobs to the reserved partition (the §4.6
-// split-cluster baseline).
-func (p Partition) SampleShort(src *randdist.Source, k int) []int {
-	return p.SampleShortInto(nil, src, k)
-}
-
-// SampleShortInto is the scratch-buffer form of SampleShort; see
-// SampleGeneralInto.
+// SampleShortInto appends k distinct random short-partition node ids, used
+// by policies that confine short jobs to the reserved partition (the §4.6
+// split-cluster baseline); see SampleGeneralInto.
 //
 //hawk:hotpath
 func (p Partition) SampleShortInto(dst []int, src *randdist.Source, k int) []int {

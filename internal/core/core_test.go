@@ -154,12 +154,12 @@ func TestPartitionProperty(t *testing.T) {
 		if p.GeneralNodes() < 1 {
 			return false
 		}
-		for _, id := range p.SampleGeneral(src, 10) {
+		for _, id := range p.SampleGeneralInto(nil, src, 10) {
 			if !p.IsGeneral(id) {
 				return false
 			}
 		}
-		for _, id := range p.SampleAll(src, 10) {
+		for _, id := range p.SampleAllInto(nil, src, 10) {
 			if id < 0 || id >= n {
 				return false
 			}

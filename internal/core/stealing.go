@@ -19,17 +19,11 @@ func NewStealPolicy() StealPolicy {
 	return StealPolicy{Cap: DefaultStealCap, Enabled: true}
 }
 
-// Candidates returns the node ids a thief should contact, in contact order:
-// up to Cap distinct random live members of the general partition, excluding
+// CandidatesInto appends the node ids a thief should contact, in contact
+// order, to dst (pass nil to allocate) and returns the extended slice: up
+// to Cap distinct random live members of the general partition, excluding
 // the thief itself when it happens to be sampled (a node cannot steal from
-// its own queue).
-func (s StealPolicy) Candidates(v *ClusterView, src *randdist.Source, thiefID int) []int {
-	return s.CandidatesInto(nil, v, src, thiefID)
-}
-
-// CandidatesInto is the scratch-buffer form of Candidates: it appends the
-// contact list to dst and returns the extended slice, drawing identically
-// to Candidates. With a reused per-simulation buffer the default steal
+// its own queue). With a reused per-simulation buffer the default steal
 // path stays allocation-free (as does the random-position ablation's, via
 // RandomShortIndicesInto). Victims come from the view, so a dynamic view
 // never hands a thief a dead node; a static view draws identically to
@@ -101,30 +95,18 @@ func EligibleGroup(executingLong bool, isLong []bool) (start, end int, ok bool) 
 	return start, end, end > start
 }
 
-// RandomShortIndices returns count indices of short entries drawn uniformly
-// at random from the whole queue. It implements the alternative stealing
-// choice the paper argues *against* (§3.6): "If short tasks were stolen
-// from random positions in server queues that would likely end up focusing
-// on too many jobs at the same time while failing to improve most." The
-// ablation experiments use it to quantify that design argument.
-// The returned indices are sorted in increasing order.
-//
-// It is the allocating convenience form of RandomShortIndicesInto and draws
-// the identical value sequence.
-func RandomShortIndices(isLong []bool, count int, src *randdist.Source) []int {
-	picks, _ := RandomShortIndicesInto(nil, nil, isLong, count, src)
-	return picks
-}
-
-// RandomShortIndicesInto is the scratch-buffer form of RandomShortIndices:
-// it appends the picked queue indices to dst and returns the extended slice
-// alongside the (possibly grown) shorts workspace, which the caller retains
-// for the next call. When both buffers have capacity the call performs zero
-// heap allocations, so the random-position ablation sweeps are as
-// allocation-free as the default Figure 3 rule; the simulator threads both
-// buffers through per-simulation scratch. Draw-for-draw identical to
-// RandomShortIndices: the sample is taken into dst and remapped in place,
-// consuming exactly the same random values.
+// RandomShortIndicesInto appends count indices of short entries, drawn
+// uniformly at random from the whole queue and sorted in increasing order,
+// to dst, and returns the extended slice alongside the (possibly grown)
+// shorts workspace, which the caller retains for the next call. It
+// implements the alternative stealing choice the paper argues *against*
+// (§3.6): "If short tasks were stolen from random positions in server
+// queues that would likely end up focusing on too many jobs at the same
+// time while failing to improve most." The ablation experiments use it to
+// quantify that design argument. When both buffers have capacity the call
+// performs zero heap allocations, so the random-position ablation sweeps
+// are as allocation-free as the default Figure 3 rule; the simulator
+// threads both buffers through per-simulation scratch.
 //
 //hawk:hotpath
 func RandomShortIndicesInto(dst, shorts []int, isLong []bool, count int, src *randdist.Source) (picks, shortsBuf []int) {

@@ -96,7 +96,7 @@ func TestStealPolicyCandidates(t *testing.T) {
 	src := randdist.New(1)
 	for trial := 0; trial < 100; trial++ {
 		thief := trial % 100
-		cands := pol.Candidates(NewClusterView(p), src, thief)
+		cands := pol.CandidatesInto(nil, NewClusterView(p), src, thief)
 		if len(cands) > 10 {
 			t.Fatalf("got %d candidates, cap is 10", len(cands))
 		}
@@ -119,10 +119,10 @@ func TestStealPolicyCandidates(t *testing.T) {
 func TestStealPolicyDisabled(t *testing.T) {
 	p := NewPartition(100, 0.2)
 	src := randdist.New(2)
-	if c := (StealPolicy{Cap: 10, Enabled: false}).Candidates(NewClusterView(p), src, 0); c != nil {
+	if c := (StealPolicy{Cap: 10, Enabled: false}).CandidatesInto(nil, NewClusterView(p), src, 0); c != nil {
 		t.Fatalf("disabled policy returned candidates: %v", c)
 	}
-	if c := (StealPolicy{Cap: 0, Enabled: true}).Candidates(NewClusterView(p), src, 0); c != nil {
+	if c := (StealPolicy{Cap: 0, Enabled: true}).CandidatesInto(nil, NewClusterView(p), src, 0); c != nil {
 		t.Fatalf("zero cap returned candidates: %v", c)
 	}
 }
@@ -131,7 +131,7 @@ func TestStealPolicyCapLargerThanPartition(t *testing.T) {
 	p := NewPartition(10, 0.5) // 5 general nodes
 	pol := StealPolicy{Cap: 50, Enabled: true}
 	src := randdist.New(3)
-	cands := pol.Candidates(NewClusterView(p), src, 7) // thief inside general partition
+	cands := pol.CandidatesInto(nil, NewClusterView(p), src, 7) // thief inside general partition
 	if len(cands) != 4 {
 		t.Fatalf("want all 4 other general nodes, got %d (%v)", len(cands), cands)
 	}
@@ -149,7 +149,7 @@ func TestRandomShortIndices(t *testing.T) {
 	L, S := true, false
 	flags := []bool{S, L, S, S, L, S}
 	for trial := 0; trial < 200; trial++ {
-		idx := RandomShortIndices(flags, 3, src)
+		idx, _ := RandomShortIndicesInto(nil, nil, flags, 3, src)
 		if len(idx) != 3 {
 			t.Fatalf("got %d indices, want 3", len(idx))
 		}
@@ -163,22 +163,22 @@ func TestRandomShortIndices(t *testing.T) {
 		}
 	}
 	// Requesting more than available clamps.
-	if idx := RandomShortIndices(flags, 10, src); len(idx) != 4 {
+	if idx, _ := RandomShortIndicesInto(nil, nil, flags, 10, src); len(idx) != 4 {
 		t.Fatalf("clamped pick = %d, want all 4 shorts", len(idx))
 	}
 	// No shorts: nothing to pick.
-	if idx := RandomShortIndices([]bool{L, L}, 2, src); idx != nil {
+	if idx, _ := RandomShortIndicesInto(nil, nil, []bool{L, L}, 2, src); idx != nil {
 		t.Fatalf("picked from all-long queue: %v", idx)
 	}
-	if idx := RandomShortIndices(flags, 0, src); idx != nil {
+	if idx, _ := RandomShortIndicesInto(nil, nil, flags, 0, src); idx != nil {
 		t.Fatalf("count 0 should pick nothing: %v", idx)
 	}
 }
 
-// RandomShortIndicesInto must draw identically to RandomShortIndices —
-// pick for pick across arbitrary flag patterns and counts, leaving the two
-// sources in the same state — and must not allocate once its buffers have
-// capacity. The simulator's random-position ablation threads scratch
+// RandomShortIndicesInto must draw identically with reused scratch buffers
+// and with fresh (nil) ones — pick for pick across arbitrary flag patterns
+// and counts, leaving the two sources in the same state — and must not
+// allocate once its buffers have capacity. The simulator's random-position ablation threads scratch
 // buffers through it, and the golden-report pin only covers one operating
 // point; this covers the distribution.
 func TestRandomShortIndicesIntoEquivalence(t *testing.T) {
@@ -192,7 +192,7 @@ func TestRandomShortIndicesIntoEquivalence(t *testing.T) {
 			flags[i] = pattern.Float64() < 0.4
 		}
 		count := pattern.Intn(len(flags) + 3)
-		want := RandomShortIndices(flags, count, alloc)
+		want, _ := RandomShortIndicesInto(nil, nil, flags, count, alloc)
 		picks, shorts = RandomShortIndicesInto(picks[:0], shorts[:0], flags, count, into)
 		if len(picks) != len(want) {
 			t.Fatalf("trial %d: len = %d, want %d", trial, len(picks), len(want))

@@ -131,9 +131,9 @@ func (p *sparePool[E]) put(s []event[E]) {
 }
 
 const (
-	// nbuckets is the fan-out per rung. 128 keeps a rung at ~3 KiB of
-	// slice headers while giving span/128 resolution per level; two
-	// levels resolve a window 16k-fold.
+	// nbuckets is the fan-out per rung. 64 keeps a rung at ~1.5 KiB of
+	// slice headers while giving span/64 resolution per level; two
+	// levels resolve a window 4k-fold.
 	nbuckets = 64
 	nbF      = float64(nbuckets)
 
@@ -163,7 +163,7 @@ const (
 	// smallTopPromote is the overflow-tier size at or below which
 	// re-windowing skips the rung machinery and promotes the whole tier
 	// as one sorted run: sorting ~a bucket's worth of events is cheaper
-	// than fanning them across 128 buckets and draining those. This is
+	// than fanning them across nbuckets buckets and draining those. This is
 	// the common regime for shallow queues (a lightly loaded engine
 	// oscillates between a near-empty top and an empty bottom).
 	smallTopPromote = 2 * spillThreshold

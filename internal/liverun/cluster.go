@@ -44,6 +44,7 @@ type cluster struct {
 	parkedJobs  []*jobRuntime    // jobs whose live pool was narrower than their task count
 
 	stealAttempts  atomic.Int64
+	stealContacts  atomic.Int64
 	stealSuccesses atomic.Int64
 	entriesStolen  atomic.Int64
 	cancels        atomic.Int64
@@ -64,7 +65,7 @@ type cluster struct {
 	// a scheduler's or the central scheduler's lock.
 	mscheds   []*liveScheduler
 	msMu      sync.Mutex
-	msLive    []int32
+	msLive    *core.SchedulerSet
 	msPending []centralItem
 
 	placementConflicts  atomic.Int64
@@ -95,9 +96,7 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 
 	c.view = core.NewClusterView(c.part)
 	if cfg.Heterogeneity != nil {
-		// Seed+2, matching the simulator, so both engines agree on which
-		// node is slow.
-		c.view.SetSpeeds(cfg.Heterogeneity.Factors(slots, cfg.Seed+2))
+		c.view.SetSpeeds(cfg.Heterogeneity.Factors(slots, cfg.Seed+policy.SeedSpeeds))
 	}
 	if cfg.Churn != nil && len(cfg.Churn.Events) > 0 {
 		// Before any goroutine can observe the view: membership tracking
@@ -122,10 +121,10 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 	}
 	if spec := cfg.Schedulers; spec != nil {
 		if c.central != nil {
-			c.central.claims = make([]claimRec, slots)
+			c.central.claims = core.NewClaimTable(slots)
 		}
 		c.mscheds = make([]*liveScheduler, spec.Count)
-		c.msLive = make([]int32, 0, spec.Count)
+		c.msLive = core.NewSchedulerSet(spec.Count)
 		interval := time.Duration(spec.SnapshotInterval * float64(time.Second))
 		for i := range c.mscheds {
 			ls := &liveScheduler{id: int32(i), c: c, alive: true, snapAt: time.Now()}
@@ -133,7 +132,6 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 				ls.local = core.NewCentralQueue(pol.CentralPool().IDs(c.part))
 			}
 			c.mscheds[i] = ls
-			c.msLive = append(c.msLive, int32(i))
 			go ls.run(interval)
 		}
 	}
@@ -172,23 +170,13 @@ func (c *cluster) latency() {
 }
 
 // submit routes one job per the policy's decision: to the centralized
-// scheduler or to a distributed scheduler. Jobs hash-partition over the
-// live schedulers in the multi-scheduler model (matching the simulator's
-// owner hash) and round-robin otherwise.
+// scheduler (whose placeTask delegates to the owning scheduler in the
+// multi-scheduler model) or to a distributed scheduler. Jobs
+// hash-partition over the live schedulers in the multi-scheduler model and
+// round-robin otherwise.
 func (c *cluster) submit(jr *jobRuntime, seq int) {
-	dec := c.pol.Route(policy.JobInfo{
-		ID: jr.job.ID, Tasks: jr.job.NumTasks(), Estimate: jr.est, Long: jr.long,
-	})
+	dec := c.pol.Route(jr.info())
 	if dec.Action == policy.ActionCentral {
-		if c.mscheds != nil {
-			go func() {
-				for i := 0; i < jr.job.NumTasks(); i++ {
-					dur := time.Duration(jr.job.Durations[i] * float64(time.Second))
-					c.placeCentralMS(jr, dur, i)
-				}
-			}()
-			return
-		}
 		go c.central.schedule(jr)
 		return
 	}
@@ -323,10 +311,7 @@ func (c *cluster) recoverNode(id int) {
 		c.resendProbe(jr)
 	}
 	for _, jr := range parked {
-		dec := c.pol.Route(policy.JobInfo{
-			ID: jr.job.ID, Tasks: jr.job.NumTasks(), Estimate: jr.est, Long: jr.long,
-		})
-		go c.dscheds[0].schedule(jr, dec.Pool)
+		go c.dscheds[0].schedule(jr, c.pol.Route(jr.info()).Pool)
 	}
 }
 
@@ -353,9 +338,7 @@ func (c *cluster) rerouteEntry(e entry) {
 // its decision pool, or parks the job until the next recovery when the
 // pool has no live member.
 func (c *cluster) resendProbe(jr *jobRuntime) {
-	dec := c.pol.Route(policy.JobInfo{
-		ID: jr.job.ID, Tasks: jr.job.NumTasks(), Estimate: jr.est, Long: jr.long,
-	})
+	dec := c.pol.Route(jr.info())
 	c.viewMu.Lock()
 	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, 1)
 	if len(ids) == 0 {
@@ -428,11 +411,9 @@ type centralScheduler struct {
 	outage    time.Duration
 	backlog   []centralItem
 
-	// Claim state of the multi-scheduler commit protocol (sched.go); nil
-	// on a single-scheduler run. claims is indexed by node id; claimVer is
-	// the global version a snapshot validates against.
-	claims   []claimRec
-	claimVer uint64
+	// claims is the multi-scheduler commit protocol's claim table
+	// (sched.go); nil on a single-scheduler run.
+	claims *core.ClaimTable
 }
 
 func newCentralScheduler(c *cluster, nodeIDs []int) *centralScheduler {
@@ -492,29 +473,23 @@ func (s *centralScheduler) snapshotInto(local *core.CentralQueue) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	local.SyncFrom(s.q)
-	return s.claimVer
+	return s.claims.Version()
 }
 
 // tryCommit is the multi-scheduler commit: scheduler `by`, holding a
-// snapshot taken at claim version sinceVer, claims nodeID and publishes the
+// snapshot taken at claim version sinceVer, claims nodeID
+// (core.ClaimTable.Claim, the simulator's rule) and publishes the
 // placement's load into the authoritative queue. It fails — a placement
-// conflict — when another scheduler claimed the node after the snapshot,
-// or when the node has left the queue (failed) unseen.
+// conflict — on a lost claim, or when the node has left the queue (failed)
+// unseen.
 func (s *centralScheduler) tryCommit(nodeID int, by int32, sinceVer uint64, est float64) bool {
-	c := s.c
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.q.Waiting(nodeID, c.nowSeconds()) < 0 {
-		return false // node no longer tracked: it failed since the snapshot
-	}
-	cl := &s.claims[nodeID]
-	if cl.ver > sinceVer && cl.by != by {
+	now := s.c.nowSeconds()
+	if s.q.Waiting(nodeID, now) < 0 || !s.claims.Claim(nodeID, by, sinceVer) {
 		return false
 	}
-	s.claimVer++
-	cl.ver = s.claimVer
-	cl.by = by
-	s.q.AddLoad(nodeID, c.nowSeconds(), est)
+	s.q.AddLoad(nodeID, now, est)
 	return true
 }
 
@@ -634,6 +609,11 @@ type jobRuntime struct {
 	// Nil/zero unless the run speculates.
 	completed  []bool
 	specThresh time.Duration
+}
+
+// info is the job as the policy's Route sees it.
+func (j *jobRuntime) info() policy.JobInfo {
+	return policy.JobInfo{ID: j.job.ID, Tasks: j.job.NumTasks(), Estimate: j.est, Long: j.long}
 }
 
 func newJobRuntime(job *workload.Job, long bool, submitted time.Time) *jobRuntime {

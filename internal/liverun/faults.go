@@ -10,28 +10,22 @@ import (
 	"repro/internal/randdist"
 )
 
-// The live engine's gray-failure plane, mirroring internal/sim/faults.go
-// with real timers in place of virtual-clock events. Message loss is
-// decided at send time from the dedicated Seed+5 fault stream; a dropped
-// transmission sleeps out its exponential backoff in the sender's
-// goroutine and re-sends. One deliberate difference from the simulator:
-// after MaxRetries the live engine escalates to a reliable final send
-// instead of degrading (probe fallback to central, parked placement) — a
-// goroutine that abandoned its send would lose the task it carries. The
-// engines agree on drop and retry accounting and differ only in the
-// exhausted tail, so FallbacksToCentral stays zero here.
+// The live engine's gray-failure plane: the rules of policy.FaultSpec on
+// real timers instead of virtual-clock events. Message loss is decided at
+// send time from the dedicated fault stream; a dropped transmission sleeps
+// out its FaultSpec.Backoff in the sender's goroutine and re-sends, and the
+// send after MaxRetries is reliable (the one engine divergence — see
+// policy.FaultSpec).
 //
 // Stragglers broadcast a slow factor to their node monitors, which re-time
 // any in-flight sleep (nodeMonitor.sleepTask). Speculation duplicates a
 // probe-scheduled task still incomplete specThresh after it started; the
-// first completion wins on the job's per-task bitmap, and — the second
-// engine difference — the loser runs to completion (only node failure can
-// interrupt a live sleep), counted as SpeculativeWasted like the
-// simulator's cancelled copies.
+// first completion wins on the job's per-task bitmap, and the loser runs to
+// completion (only node failure can interrupt a live sleep).
 type faultPlane struct {
 	spec policy.FaultSpec
 	mu   sync.Mutex       // guards src
-	src  *randdist.Source // the Seed+5 fault stream, matching the simulator
+	src  *randdist.Source // the Seed+SeedFaults stream
 
 	drops struct {
 		probes, replies, steals, assigns, commits atomic.Int64
@@ -46,7 +40,7 @@ type faultPlane struct {
 }
 
 func newFaultPlane(spec policy.FaultSpec, seed int64) *faultPlane {
-	return &faultPlane{spec: spec, src: randdist.New(seed + 5)}
+	return &faultPlane{spec: spec, src: randdist.New(seed + policy.SeedFaults)}
 }
 
 // drop draws one loss decision, counting a hit against the class counter.
@@ -74,16 +68,10 @@ func (f *faultPlane) jitterDelay() time.Duration {
 	return time.Duration(j * float64(time.Second))
 }
 
-// backoff is the timeout before retry attempt k (1-based): RetryBackoff
-// doubling per attempt, matching the simulator's retryDelay.
-func (f *faultPlane) backoff(attempt int) time.Duration {
-	return time.Duration(f.spec.RetryBackoff * float64(int64(1)<<(attempt-1)) * float64(time.Second))
-}
-
 // lossySend models transmitting one scheduler message over the lossy
 // plane: each dropped transmission times out and re-sends after its
 // backoff, up to MaxRetries, after which the final send is delivered
-// reliably (see the package comment on the escalation difference).
+// reliably (the engine divergence stated on policy.FaultSpec).
 // timeouts is nil for the assignment classes, which count retries only.
 func (c *cluster) lossySend(p float64, class, timeouts, retries *atomic.Int64) {
 	f := c.faults
@@ -98,7 +86,7 @@ func (c *cluster) lossySend(p float64, class, timeouts, retries *atomic.Int64) {
 			timeouts.Add(1)
 		}
 		retries.Add(1)
-		time.Sleep(f.backoff(attempt))
+		time.Sleep(time.Duration(f.spec.Backoff(attempt) * float64(time.Second)))
 	}
 }
 
@@ -187,16 +175,4 @@ func (c *cluster) armSpeculation(jr *jobRuntime, dur time.Duration, handle, orig
 		c.latency()
 		c.nodes[ids[0]].enqueue(entry{job: jr, dur: dur, handle: handle, spec: true})
 	})
-}
-
-// specThreshold is a job's speculation delay threshold: the nearest-rank
-// percentile of its task durations, matching the simulator's
-// faultState.threshold.
-func specThreshold(pct float64, durations []float64) time.Duration {
-	sorted := append([]float64(nil), durations...)
-	sort.Float64s(sorted)
-	rank := int(float64(len(sorted))*pct/100+0.5) - 1
-	rank = max(rank, 0)
-	rank = min(rank, len(sorted)-1)
-	return time.Duration(sorted[rank] * float64(time.Second))
 }

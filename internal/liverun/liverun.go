@@ -92,7 +92,8 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		jr := newJobRuntime(job, long, time.Now())
 		if f := cfg.Faults; f != nil && f.Speculate {
 			jr.completed = make([]bool, job.NumTasks())
-			jr.specThresh = specThreshold(f.SpeculatePercentile, job.Durations)
+			thresh, _ := f.SpeculationThreshold(job.Durations, nil)
+			jr.specThresh = time.Duration(thresh * float64(time.Second))
 		}
 		jr.onDone = func(runtime time.Duration) {
 			results[idx] = policy.JobReport{
@@ -118,6 +119,7 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		Jobs:            results,
 		Makespan:        time.Since(start).Seconds(),
 		StealAttempts:   c.stealAttempts.Load(),
+		StealContacts:   c.stealContacts.Load(),
 		StealSuccesses:  c.stealSuccesses.Load(),
 		EntriesStolen:   c.entriesStolen.Load(),
 		Cancels:         c.cancels.Load(),
@@ -143,9 +145,7 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		res.CentralOutageSeconds = c.central.outageTotal().Seconds()
 	}
 	if f := c.faults; f != nil {
-		// FallbacksToCentral stays zero: the live engine escalates an
-		// exhausted send to a reliable one instead of degrading (see the
-		// faultPlane comment on the engine difference).
+		// FallbacksToCentral stays zero here; see policy.FaultSpec.
 		res.MessagesDropped = &policy.MessageDrops{
 			Probes:  f.drops.probes.Load(),
 			Replies: f.drops.replies.Load(),

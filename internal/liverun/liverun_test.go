@@ -135,6 +135,10 @@ func TestLiveHawkSteals(t *testing.T) {
 	if res.StealAttempts == 0 {
 		t.Fatal("no steal attempts in a congested hawk cluster")
 	}
+	// Every attempt contacts at least one victim, as in the simulator.
+	if res.StealContacts < res.StealAttempts {
+		t.Fatalf("%d victim contacts for %d steal attempts", res.StealContacts, res.StealAttempts)
+	}
 }
 
 // The live engine executes registry policies the simulator also runs; the

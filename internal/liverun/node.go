@@ -331,7 +331,7 @@ func (n *nodeMonitor) trySteal() bool {
 	if c.dynamicView {
 		c.viewMu.Lock()
 	}
-	candidates := c.steal.Candidates(c.view, n.src, n.id)
+	candidates := c.steal.CandidatesInto(nil, c.view, n.src, n.id)
 	if c.dynamicView {
 		c.viewMu.Unlock()
 	}
@@ -341,6 +341,7 @@ func (n *nodeMonitor) trySteal() bool {
 	}
 	c.stealAttempts.Add(1)
 	for _, id := range candidates {
+		c.stealContacts.Add(1)
 		if f := c.faults; f != nil && f.drop(f.spec.StealLoss, &f.drops.steals) {
 			// The contact was lost; stealing is opportunistic, so the
 			// thief simply moves on to its next candidate victim.

@@ -21,14 +21,6 @@ import (
 // Everything hangs off cluster.mscheds, nil unless Config.Schedulers is
 // set, so a single-scheduler run never takes the extra locks.
 
-// claimRec is the per-node claim record of the live commit protocol: the
-// global claim version at the last successful claim and the scheduler that
-// made it. Guarded by centralScheduler.mu.
-type claimRec struct {
-	ver uint64
-	by  int32
-}
-
 // liveScheduler is one concurrent scheduler: an independent mirror of the
 // central waiting-time queue plus the snapshot bookkeeping the claim
 // protocol validates against.
@@ -89,15 +81,6 @@ func (ls *liveScheduler) run(interval time.Duration) {
 	}
 }
 
-// schedule places every task of a centrally routed job through the
-// optimistic claim/commit path.
-func (ls *liveScheduler) schedule(jr *jobRuntime) {
-	for i := 0; i < jr.job.NumTasks(); i++ {
-		dur := time.Duration(jr.job.Durations[i] * float64(time.Second))
-		ls.placeTask(jr, dur, i)
-	}
-}
-
 // placeTask runs the optimistic placement loop for one task: assign on the
 // stale mirror, claim against the shared truth, and on conflict back off
 // and retry — refreshing the snapshot once the configured retries are
@@ -135,7 +118,7 @@ func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int
 		// server, so the retry naturally spreads to another one.
 		c.placementConflicts.Add(1)
 		attempt++
-		if attempt > c.cfg.Schedulers.MaxRetries {
+		if c.cfg.Schedulers.RetriesExhausted(attempt) {
 			ls.refresh()
 			attempt = 0
 			continue
@@ -147,18 +130,13 @@ func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int
 	}
 }
 
-// pickScheduler hash-partitions a job id over the live schedulers (the
-// simulator's Fibonacci hash, so both engines agree on the owner for a
-// given live set), or returns -1 when none is live. Caller must not hold
-// msMu.
+// pickScheduler returns the job's owner among the live schedulers
+// (core.SchedulerSet.Owner — the rule the simulator runs), or -1 when none
+// is live. Caller must not hold msMu.
 func (c *cluster) pickScheduler(jobID int) int32 {
 	c.msMu.Lock()
 	defer c.msMu.Unlock()
-	if len(c.msLive) == 0 {
-		return -1
-	}
-	h := uint64(uint32(jobID)) * 0x9e3779b97f4a7c15
-	return c.msLive[(h>>33)%uint64(len(c.msLive))]
+	return c.msLive.Owner(jobID)
 }
 
 // placeCentralMS routes one central task via a live scheduler, parking it
@@ -211,12 +189,7 @@ func (c *cluster) failScheduler(id int) {
 	ls.alive = false
 	ls.mu.Unlock()
 	c.msMu.Lock()
-	for i, v := range c.msLive {
-		if v == int32(id) {
-			c.msLive = append(c.msLive[:i], c.msLive[i+1:]...)
-			break
-		}
-	}
+	c.msLive.Fail(int32(id))
 	c.msMu.Unlock()
 	c.schedulerFailures.Add(1)
 }
@@ -234,13 +207,7 @@ func (c *cluster) recoverScheduler(id int) {
 	ls.alive = true
 	ls.mu.Unlock()
 	c.msMu.Lock()
-	i := 0
-	for i < len(c.msLive) && c.msLive[i] < int32(id) {
-		i++
-	}
-	c.msLive = append(c.msLive, 0)
-	copy(c.msLive[i+1:], c.msLive[i:])
-	c.msLive[i] = int32(id)
+	c.msLive.Recover(int32(id))
 	pending := c.msPending
 	c.msPending = nil
 	c.msMu.Unlock()

@@ -83,14 +83,14 @@ type Config struct {
 	Churn *ChurnSpec `json:"churn,omitempty"`
 	// Heterogeneity assigns per-node speed factors (task durations scale
 	// by 1/speed at the executing node). Nil is a homogeneous cluster.
-	// Node-to-class assignment draws from Seed+2, shared by both engines.
+	// Node-to-class assignment draws from the Seed+SeedSpeeds stream.
 	Heterogeneity *Heterogeneity `json:"heterogeneity,omitempty"`
 	// Faults turns on the gray-failure injection plane: seeded per-class
 	// message loss, delay jitter, scripted mid-run stragglers, and the
 	// timeout/retry/speculation defenses (see FaultSpec). Nil (the
 	// default) is a reliable network — engines keep their fast paths and
 	// byte-identical output. All fault randomness draws from a dedicated
-	// stream (Seed+5), composable with Churn, Heterogeneity, and
+	// stream (Seed+SeedFaults), composable with Churn, Heterogeneity, and
 	// Schedulers.
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// Seed drives all randomness (probe placement, steal victims,
@@ -112,6 +112,19 @@ type Config struct {
 	// (default 100, §2.3/§4.2). Simulator only.
 	UtilizationInterval float64 `json:"utilizationInterval,omitempty"`
 }
+
+// Per-stream seed offsets. An engine's main stream (probe placement, steal
+// victims) is seeded with Config.Seed itself; every other source of
+// randomness gets its own stream at Seed plus one of these, so turning a
+// scenario plane on never shifts the draws of another, and both engines
+// agree on, e.g., which nodes are slow.
+const (
+	SeedEstimator  = 1 // mis-estimation factor draws
+	SeedSpeeds     = 2 // Heterogeneity node-to-class assignment
+	SeedChurn      = 3 // random churn picks
+	SeedReservoirs = 4 // streamed-report reservoir sampling
+	SeedFaults     = 5 // the fault plane: loss, jitter, retry targets, stragglers
+)
 
 // Option mutates a Config under construction; see NewConfig.
 type Option func(*Config)

@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The gray-failure injection plane. Where ChurnSpec scripts fail-stop
@@ -50,9 +51,20 @@ type StragglerEvent struct {
 
 // FaultSpec configures the gray-failure injection plane and its defenses.
 // All randomness (loss draws, jitter, retry-target sampling, straggler
-// picks) comes from a dedicated stream derived from Config.Seed, so a
+// picks) comes from a dedicated stream (Config.Seed + SeedFaults), so a
 // fault-free run draws the exact same main-stream sequence as one that
 // never set the spec.
+//
+// Both engines run the same rules — the loss classes, Backoff and
+// SpeculationThreshold below — and differ in exactly one place, the
+// exhausted-retry tail. The simulator degrades: a probe chain past
+// MaxRetries falls back to the central queue (FallbacksToCentral) and an
+// exhausted assignment parks until the next node recovery. The live engine
+// escalates instead: the send after the last retry is delivered reliably,
+// because a goroutine that abandoned its send would lose the task it
+// carries — so FallbacksToCentral stays 0 there. (A live speculation loser
+// also runs out its sleep rather than being cancelled; both engines count
+// it as SpeculativeWasted.)
 type FaultSpec struct {
 	// ProbeLoss is the drop probability of a scheduler-to-node probe
 	// message. A dropped probe times out at the scheduler and is re-sent to
@@ -119,6 +131,25 @@ func (m *MessageDrops) Total() int64 {
 		return 0
 	}
 	return m.Probes + m.Replies + m.Steals + m.Assigns + m.Commits
+}
+
+// Backoff returns the timeout in seconds before retry attempt k (1-based)
+// of a dropped message: RetryBackoff, doubling per attempt.
+func (f FaultSpec) Backoff(attempt int) float64 {
+	return f.RetryBackoff * float64(int64(1)<<(attempt-1))
+}
+
+// SpeculationThreshold returns a job's speculation delay threshold in
+// seconds — the nearest-rank SpeculatePercentile of its task durations —
+// together with the sort scratch (durations copied into scratch[:0] and
+// sorted), which a caller on a hot path retains for its next call.
+func (f FaultSpec) SpeculationThreshold(durations, scratch []float64) (float64, []float64) {
+	scratch = append(scratch[:0], durations...)
+	slices.Sort(scratch)
+	rank := int(float64(len(scratch))*f.SpeculatePercentile/100+0.5) - 1
+	rank = max(rank, 0)
+	rank = min(rank, len(scratch)-1)
+	return scratch[rank], scratch
 }
 
 // probability reports whether p is a valid probability: in [0, 1] and not

@@ -70,13 +70,8 @@ func (p Pool) Contains(part core.Partition, id int) bool {
 	}
 }
 
-// Sample draws k distinct random live node ids from the pool.
-func (p Pool) Sample(view *core.ClusterView, src *randdist.Source, k int) []int {
-	return p.SampleInto(nil, view, src, k)
-}
-
-// SampleInto is the scratch-buffer form of Sample: it appends the sampled
-// ids to dst and returns the extended slice, drawing identically to Sample.
+// SampleInto draws k distinct random live node ids from the pool, appends
+// them to dst (pass nil to allocate) and returns the extended slice.
 // The simulator threads a per-run buffer through here so probe placement
 // performs zero heap allocations in steady state. On a static view the
 // draws are bit-identical to sampling the Partition directly.

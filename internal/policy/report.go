@@ -66,7 +66,7 @@ type Report struct {
 	Cancels        int64  `json:"cancels"`
 	TasksExecuted  int64  `json:"tasksExecuted"`
 	StealAttempts  int64  `json:"stealAttempts"`  // idle transitions that tried to steal
-	StealContacts  int64  `json:"stealContacts"`  // victim nodes contacted (simulator only)
+	StealContacts  int64  `json:"stealContacts"`  // victim nodes contacted
 	StealSuccesses int64  `json:"stealSuccesses"` // attempts that stole a group
 	EntriesStolen  int64  `json:"entriesStolen"`  // queue entries moved by stealing
 	CentralAssigns int64  `json:"centralAssigns"`

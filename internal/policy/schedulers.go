@@ -45,6 +45,14 @@ type SchedulerSpec struct {
 	RetryBackoff float64 `json:"retryBackoff,omitempty"`
 }
 
+// RetriesExhausted reports whether a placement that has now conflicted
+// `conflicts` times has used up its retry budget: conflicts 1..MaxRetries
+// retry against the stale snapshot after RetryBackoff, and conflict
+// MaxRetries+1 forces a snapshot refresh and places against fresh state.
+func (s SchedulerSpec) RetriesExhausted(conflicts int) bool {
+	return conflicts > s.MaxRetries
+}
+
 // normalize validates the spec and resolves its defaults; numSchedulers and
 // networkDelay are the already-resolved Config values the defaults key off.
 func (s SchedulerSpec) normalize(numSchedulers int, networkDelay float64) (SchedulerSpec, error) {

@@ -108,9 +108,6 @@ func (s *Source) Poisson(mean float64) int {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // SampleWithoutReplacement returns k distinct uniform values from [0, n).
 // If k >= n it returns a full permutation. It is the allocating convenience
 // form of SampleWithoutReplacementInto and draws the identical value

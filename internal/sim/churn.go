@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/policy"
-
 // Scripted cluster-churn handling: node failures and recoveries, central
 // scheduler outages, and the re-routing of work lost with a failed node.
 // Everything in this file is off the hot path — it runs only when a
@@ -194,9 +192,7 @@ func (s *simulation) recoverNode(id int32, now float64) {
 		}
 	}
 	s.drainCentralBacklog()
-	if s.flt != nil {
-		s.drainStarved()
-	}
+	s.drainStarved()
 	s.attemptSteal(&s.nodes[id])
 }
 
@@ -213,20 +209,14 @@ func (s *simulation) resendProbe(jidx int32) {
 		return
 	}
 	js := &s.jobs[jidx]
-	dec := s.pol.Route(policy.JobInfo{
-		ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long,
-	})
+	dec := s.pol.Route(js.info())
 	s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, 1)
 	if len(s.nodeIDs) == 0 {
 		s.lostProbes = append(s.lostProbes, jidx)
 		return
 	}
 	s.res.ProbesSent++
-	if s.flt != nil {
-		s.sendProbe(jidx, int32(s.nodeIDs[0]))
-		return
-	}
-	s.eng.After(s.cfg.NetworkDelay, simEvent{kind: evProbeArrive, ref: int32(s.nodeIDs[0]), jidx: jidx})
+	s.sendProbe(jidx, int32(s.nodeIDs[0]), 0)
 }
 
 // centralUnavailable reports whether central placement must park: the
@@ -256,11 +246,7 @@ func (s *simulation) assignCentralTask(jidx, tidx int32) {
 	}
 	nodeID, _ := s.central.Assign(s.eng.Now(), s.jobs[jidx].estimate)
 	s.res.CentralAssigns++
-	if s.flt != nil {
-		s.sendAssign(int32(nodeID), jidx, tidx, 0, false)
-		return
-	}
-	s.eng.After(s.cfg.NetworkDelay, simEvent{kind: evTaskArrive, ref: int32(nodeID), jidx: jidx, aux: tidx})
+	s.sendAssign(int32(nodeID), jidx, tidx, 0, false, 0)
 }
 
 // parkCentral appends one placement to the central backlog.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"slices"
-
 	"repro/internal/policy"
 	"repro/internal/randdist"
 )
@@ -13,7 +11,7 @@ import (
 // draws the exact same main-stream random sequence as before, so golden
 // reports stay byte-identical. All fault randomness (loss draws, jitter,
 // retry-target and straggler sampling) comes from a dedicated stream seeded
-// with Config.Seed+5.
+// with Config.Seed+policy.SeedFaults.
 //
 // Loss is decided omnisciently at send time: a dropped message schedules
 // the timeout/retry event that will notice it instead of an arrival, and a
@@ -26,7 +24,7 @@ import (
 // faultState is the per-run fault-plane bookkeeping.
 type faultState struct {
 	spec policy.FaultSpec
-	src  *randdist.Source // the dedicated Seed+5 stream
+	src  *randdist.Source // the dedicated Seed+SeedFaults stream
 	// drops is the per-class drop accounting the report points at.
 	drops policy.MessageDrops
 	// slow is the per-node straggler multiplier (1 = nominal speed),
@@ -69,7 +67,7 @@ type specDup struct {
 func newFaultState(spec policy.FaultSpec, seed int64, slots int) *faultState {
 	f := &faultState{
 		spec: spec,
-		src:  randdist.New(seed + 5),
+		src:  randdist.New(seed + policy.SeedFaults),
 		slow: make([]float64, slots),
 		fin:  make([]float64, slots),
 	}
@@ -77,23 +75,6 @@ func newFaultState(spec policy.FaultSpec, seed int64, slots int) *faultState {
 		f.slow[i] = 1
 	}
 	return f
-}
-
-// retryDelay is the exponential backoff before retry attempt k (1-based):
-// RetryBackoff, doubling per attempt.
-func (f *faultState) retryDelay(attempt int) float64 {
-	return f.spec.RetryBackoff * float64(int64(1)<<(attempt-1))
-}
-
-// threshold computes a job's speculation delay threshold: the configured
-// nearest-rank percentile of its task-duration distribution.
-func (f *faultState) threshold(durations []float64) float64 {
-	f.durScratch = append(f.durScratch[:0], durations...)
-	slices.Sort(f.durScratch)
-	rank := int(float64(len(f.durScratch))*f.spec.SpeculatePercentile/100+0.5) - 1
-	rank = max(rank, 0)
-	rank = min(rank, len(f.durScratch)-1)
-	return f.durScratch[rank]
 }
 
 // findDup returns the index of the outstanding duplicate record for the
@@ -135,23 +116,36 @@ func (s *simulation) faultDrop(p float64, counter *int64) bool {
 	return true
 }
 
-// sendProbe dispatches one batch-sampling probe under the fault plane: a
-// dropped send schedules the scheduler-side timeout that will retry it
-// toward a fresh node.
-func (s *simulation) sendProbe(jidx, nodeID int32) {
-	if s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
-		s.eng.After(s.flt.retryDelay(1), simEvent{kind: evProbeTimeout, ref: -1, jidx: jidx, flags: 1 << evfAttemptShift})
+// The three send helpers below are the only places a scheduler message is
+// put on the wire, first send and re-send alike. Each draws the class's
+// loss decision when the fault plane is on — a dropped send schedules the
+// timeout that will retry it as attempt+1 after its Backoff — and otherwise
+// delivers after the leg's delay; with no fault plane that is exactly the
+// reliable NetworkDelay send.
+
+// sendProbe dispatches one batch-sampling probe; a dropped one times out at
+// the scheduler, which retries toward a fresh node.
+//
+//hawk:hotpath
+func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
+	if s.flt != nil && s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
+		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
+			kind: evProbeTimeout, ref: -1, jidx: jidx,
+			flags: uint8(attempt+1) << evfAttemptShift,
+		})
 		return
 	}
 	s.eng.After(s.msgDelay(), simEvent{kind: evProbeArrive, ref: nodeID, jidx: jidx})
 }
 
-// sendReply issues (or re-issues, continuing attempt) node nodeID's
-// task-request round trip for job jidx under the fault plane: a drop
-// schedules the node-side timeout, a delivery draws two jittered legs.
+// sendReply issues node nodeID's task-request round trip for job jidx (two
+// legs); a dropped one times out at the node, which holds its slot and
+// re-issues it.
+//
+//hawk:hotpath
 func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int) {
-	if s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
-		s.eng.After(s.flt.retryDelay(attempt+1), simEvent{
+	if s.flt != nil && s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
+		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
 			kind: evProbeTimeout, gen: gen, ref: nodeID, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
@@ -160,21 +154,25 @@ func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int)
 	s.eng.After(s.msgDelay()+s.msgDelay(), simEvent{kind: evProbeReply, gen: gen, ref: nodeID, jidx: jidx})
 }
 
-// sendAssign dispatches one placed central task to its node under the
-// fault plane; commit marks the multi-scheduler commit leg, a distinct
-// message class. A dropped send retries toward the same node — its queue
-// load was already charged by the assignment.
-func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bool) {
-	p, cnt, cls := s.flt.spec.AssignLoss, &s.flt.drops.Assigns, evfCentral
-	if commit {
-		p, cnt, cls = s.flt.spec.CommitLoss, &s.flt.drops.Commits, evfCentral|evfCommit
-	}
-	if s.faultDrop(p, cnt) {
-		s.eng.After(s.flt.retryDelay(1), simEvent{
-			kind: evAssignRetry, ref: nodeID, jidx: jidx, aux: tidx, sched: sched,
-			flags: cls | 1<<evfAttemptShift,
-		})
-		return
+// sendAssign dispatches one placed central task to its node; commit marks
+// the multi-scheduler commit leg, a distinct message class. A dropped send
+// retries toward the same node — its queue load was already charged by the
+// assignment.
+//
+//hawk:hotpath
+func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bool, attempt int) {
+	if s.flt != nil {
+		p, cnt, cls := s.flt.spec.AssignLoss, &s.flt.drops.Assigns, evfCentral
+		if commit {
+			p, cnt, cls = s.flt.spec.CommitLoss, &s.flt.drops.Commits, evfCentral|evfCommit
+		}
+		if s.faultDrop(p, cnt) {
+			s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
+				kind: evAssignRetry, ref: nodeID, jidx: jidx, aux: tidx, sched: sched,
+				flags: cls | uint8(attempt+1)<<evfAttemptShift,
+			})
+			return
+		}
 	}
 	s.eng.After(s.msgDelay(), simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
 }
@@ -211,21 +209,14 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 	}
 	s.res.ProbeRetries++
 	js := &s.jobs[ev.jidx]
-	dec := s.pol.Route(policy.JobInfo{ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long})
+	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
 		s.lostProbes = append(s.lostProbes, ev.jidx)
 		return
 	}
 	s.res.ProbesSent++
-	if s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
-		s.eng.After(s.flt.retryDelay(attempt+1), simEvent{
-			kind: evProbeTimeout, ref: -1, jidx: ev.jidx,
-			flags: uint8(attempt+1) << evfAttemptShift,
-		})
-		return
-	}
-	s.eng.After(s.msgDelay(), simEvent{kind: evProbeArrive, ref: int32(s.flt.ids[0]), jidx: ev.jidx})
+	s.sendProbe(ev.jidx, int32(s.flt.ids[0]), attempt)
 }
 
 // fallbackProbe degrades one abandoned probe chain after its retries
@@ -256,14 +247,14 @@ func (s *simulation) fallbackProbe(jidx int32) {
 // retry chain.
 func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 	js := &s.jobs[jidx]
-	dec := s.pol.Route(policy.JobInfo{ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long})
+	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
 		s.flt.starved = append(s.flt.starved, centralRef{jidx: jidx, tidx: tidx})
 		return
 	}
 	if s.faultDrop(s.flt.spec.AssignLoss, &s.flt.drops.Assigns) {
-		s.eng.After(s.flt.retryDelay(attempt+1), simEvent{
+		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
 			kind: evAssignRetry, ref: -1, jidx: jidx, aux: tidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
@@ -288,17 +279,7 @@ func (s *simulation) assignRetryTick(ev simEvent) {
 		s.directPlace(ev.jidx, ev.aux, attempt)
 		return
 	}
-	p, cnt := s.flt.spec.AssignLoss, &s.flt.drops.Assigns
-	if ev.flags&evfCommit != 0 {
-		p, cnt = s.flt.spec.CommitLoss, &s.flt.drops.Commits
-	}
-	if s.faultDrop(p, cnt) {
-		next := ev
-		next.flags = ev.flags&(evfCentral|evfSpec|evfCommit) | uint8(attempt+1)<<evfAttemptShift
-		s.eng.After(s.flt.retryDelay(attempt+1), next)
-		return
-	}
-	s.eng.After(s.msgDelay(), simEvent{kind: evTaskArrive, sched: ev.sched, ref: ev.ref, jidx: ev.jidx, aux: ev.aux})
+	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, attempt)
 }
 
 // drainStarved re-places fault-plane parked tasks after a node recovery.
@@ -354,7 +335,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 		s.maybeFreeJob(ev.jidx)
 		return
 	}
-	dec := s.pol.Route(policy.JobInfo{ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long})
+	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 || int32(s.flt.ids[0]) == ev.ref {
 		// No live host (or the sample landed on the straggler itself): skip.

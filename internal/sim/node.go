@@ -214,11 +214,7 @@ func (n *node) advance(s *simulation) {
 		gen = s.dyn.epoch[n.id]
 		s.dyn.run[n.id] = runRef{jidx: head.jidx, task: -1, probeWait: true}
 	}
-	if s.flt != nil {
-		s.sendReply(n.id, gen, head.jidx, 0)
-		return
-	}
-	s.eng.After(2*s.cfg.NetworkDelay, simEvent{kind: evProbeReply, gen: gen, ref: n.id, jidx: head.jidx})
+	s.sendReply(n.id, gen, head.jidx, 0)
 }
 
 // probeReply handles the scheduler's answer to this node's task request:

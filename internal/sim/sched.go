@@ -26,9 +26,8 @@ import (
 type multiSched struct {
 	spec   policy.SchedulerSpec
 	scheds []schedState
-	// live lists the live scheduler ids in ascending order; jobs
-	// hash-partition over it (pickOwner).
-	live []int32
+	// live is the live-scheduler set jobs hash-partition over.
+	live *core.SchedulerSet
 	// pendingJobs parks whole jobs submitted while no scheduler was live;
 	// pendingCentral parks single central tasks, pendingProbes jobs whose
 	// probe re-send found no scheduler, pendingReplies probe round trips
@@ -98,7 +97,7 @@ func (s *simulation) initMultiSched() {
 	s.ms = &multiSched{
 		spec:   spec,
 		scheds: make([]schedState, spec.Count),
-		live:   make([]int32, 0, spec.Count),
+		live:   core.NewSchedulerSet(spec.Count),
 	}
 	s.view.EnableClaims()
 	pool := s.pol.CentralPool()
@@ -112,43 +111,7 @@ func (s *simulation) initMultiSched() {
 		if s.central != nil {
 			sd.local = core.NewCentralQueue(pool.IDs(s.part))
 		}
-		s.ms.live = append(s.ms.live, int32(i))
 	}
-}
-
-// pickOwner hash-partitions a job id over the live schedulers, or returns
-// -1 when none is live. Fibonacci hashing rather than a modulo of the raw
-// id: trace ids are often sequential, and a multiplicative hash spreads
-// them evenly across any scheduler count without consuming randomness.
-//
-//hawk:hotpath
-func (m *multiSched) pickOwner(jobID int) int32 {
-	if len(m.live) == 0 {
-		return -1
-	}
-	h := uint64(uint32(jobID)) * 0x9e3779b97f4a7c15
-	return m.live[(h>>33)%uint64(len(m.live))]
-}
-
-// removeLive deletes id from the sorted live list.
-func (m *multiSched) removeLive(id int32) {
-	for i, v := range m.live {
-		if v == id {
-			m.live = append(m.live[:i], m.live[i+1:]...)
-			return
-		}
-	}
-}
-
-// insertLive inserts id into the sorted live list.
-func (m *multiSched) insertLive(id int32) {
-	i := 0
-	for i < len(m.live) && m.live[i] < id {
-		i++
-	}
-	m.live = append(m.live, 0)
-	copy(m.live[i+1:], m.live[i:])
-	m.live[i] = id
 }
 
 // mirrorTaskStarted reflects a task start into the placing scheduler's
@@ -236,7 +199,7 @@ func (s *simulation) snapRefreshTick(k int32, gen uint8, now float64) {
 //
 //hawk:hotpath
 func (s *simulation) msAssignOwner(idx int32) bool {
-	owner := s.ms.pickOwner(s.jobs[idx].id)
+	owner := s.ms.live.Owner(s.jobs[idx].id)
 	if owner < 0 {
 		s.ms.pendingJobs = append(s.ms.pendingJobs, idx)
 		return false
@@ -253,7 +216,7 @@ func (s *simulation) ensureOwner(jidx int32) bool {
 	if s.ms.scheds[js.owner].alive {
 		return true
 	}
-	owner := s.ms.pickOwner(s.jobs[jidx].id)
+	owner := s.ms.live.Owner(js.id)
 	if owner < 0 {
 		return false
 	}
@@ -303,7 +266,7 @@ func (s *simulation) placeCentral(jidx, tidx int32, attempt int8) {
 	// mirrored load, which is exactly what we want: the retry will pick a
 	// different server, and the phantom load washes out at the next sync.
 	s.res.PlacementConflicts++
-	if int(attempt) >= s.ms.spec.MaxRetries {
+	if s.ms.spec.RetriesExhausted(int(attempt) + 1) {
 		s.refreshSched(int32(k), now)
 		nodeID, _ = sd.local.Assign(now, estimate)
 		if !s.view.Claim(nodeID, int32(k), sd.snapVer) {
@@ -326,13 +289,7 @@ func (s *simulation) commitCentral(k uint8, nodeID int, jidx, tidx int32, now fl
 	s.central.AddLoad(nodeID, now, s.jobs[jidx].estimate)
 	s.res.CentralAssigns++
 	s.res.SnapshotStalenessSeconds += now - sd.snapAt
-	if s.flt != nil {
-		s.sendAssign(int32(nodeID), jidx, tidx, k, true)
-		return
-	}
-	s.eng.After(s.cfg.NetworkDelay, simEvent{
-		kind: evTaskArrive, sched: k, ref: int32(nodeID), jidx: jidx, aux: tidx,
-	})
+	s.sendAssign(int32(nodeID), jidx, tidx, k, true, 0)
 }
 
 // schedRetryTick is the evSchedRetry handler: the oldest conflicted
@@ -364,23 +321,15 @@ func (s *simulation) schedRetryTick(k int32, gen uint8) {
 // round trip), or parks until a scheduler recovers; either way the node's
 // slot stays held, like any probe awaiting its reply.
 func (s *simulation) msReplyReady(ev simEvent) bool {
-	js := &s.jobs[ev.jidx]
-	if s.ms.scheds[js.owner].alive {
+	if s.ms.scheds[s.jobs[ev.jidx].owner].alive {
 		return true
 	}
-	owner := s.ms.pickOwner(s.jobs[ev.jidx].id)
-	if owner < 0 {
+	if !s.ensureOwner(ev.jidx) {
 		s.ms.pendingReplies = append(s.ms.pendingReplies, replyRef{node: ev.ref, jidx: ev.jidx, gen: ev.gen})
 		return false
 	}
-	js.owner = uint8(owner)
-	s.res.SchedulerReassigned++
 	s.res.ProbesLost++
-	if s.flt != nil {
-		s.sendReply(ev.ref, ev.gen, ev.jidx, 0)
-		return false
-	}
-	s.eng.After(2*s.cfg.NetworkDelay, simEvent{kind: evProbeReply, gen: ev.gen, ref: ev.ref, jidx: ev.jidx})
+	s.sendReply(ev.ref, ev.gen, ev.jidx, 0)
 	return false
 }
 
@@ -399,7 +348,7 @@ func (s *simulation) failScheduler(id int32) {
 	sd.armed = false
 	sd.placed = 0
 	s.res.SchedulerFailures++
-	s.ms.removeLive(id)
+	s.ms.live.Fail(id)
 	retries := sd.retryQ[sd.retryHead:]
 	for _, r := range retries {
 		if s.centralUnavailable() {
@@ -422,7 +371,7 @@ func (s *simulation) recoverScheduler(id int32, now float64) {
 	}
 	sd.alive = true
 	s.res.SchedulerRecoveries++
-	s.ms.insertLive(id)
+	s.ms.live.Recover(id)
 	s.refreshSched(id, now)
 	sd.placed = 0
 	sd.armed = true
@@ -451,11 +400,7 @@ func (s *simulation) recoverScheduler(id int32, now float64) {
 			if s.dyn != nil && s.dyn.epoch[r.node] != r.gen {
 				continue // the node failed while parked; its probe was re-sent then
 			}
-			if s.flt != nil {
-				s.sendReply(r.node, r.gen, r.jidx, 0)
-				continue
-			}
-			s.eng.After(2*s.cfg.NetworkDelay, simEvent{kind: evProbeReply, gen: r.gen, ref: r.node, jidx: r.jidx})
+			s.sendReply(r.node, r.gen, r.jidx, 0)
 		}
 	}
 }

@@ -106,6 +106,13 @@ type jobState struct {
 	owner uint8
 }
 
+// info is the job as the policy's Route sees it.
+//
+//hawk:hotpath
+func (js *jobState) info() policy.JobInfo {
+	return policy.JobInfo{ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long}
+}
+
 // nextTask hands out the next unassigned task index — a task lost to a
 // node failure first, else the next fresh one — or reports that all tasks
 // are placed (the probe is cancelled).
@@ -310,7 +317,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		meta:       meta,
 		totalJobs:  meta.NumJobs,
 		classifier: core.Classifier{Cutoff: cfg.Cutoff},
-		estimator:  core.NewEstimator(cfg.MisestimateLo, cfg.MisestimateHi, cfg.Seed+1),
+		estimator:  core.NewEstimator(cfg.MisestimateLo, cfg.MisestimateHi, cfg.Seed+policy.SeedEstimator),
 		src:        randdist.New(cfg.Seed),
 		res:        &policy.Report{Engine: "sim", Policy: pol.String(), Config: cfg},
 	}
@@ -361,7 +368,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	if cfg.DiscardJobReports {
 		// Jobs retention is off: aggregate into bounded reservoirs instead
 		// of the per-job slice, so report memory is O(1) too.
-		s.res.Streamed = policy.NewStreamedStats(policy.DefaultReservoirSize, cfg.Seed+4)
+		s.res.Streamed = policy.NewStreamedStats(policy.DefaultReservoirSize, cfg.Seed+policy.SeedReservoirs)
 	} else {
 		// Every job produces exactly one JobReport; reserving the slice up
 		// front keeps jobCompleted off the allocator's growth path.
@@ -380,13 +387,13 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	// transitions or speed heterogeneity.
 	s.view = core.NewClusterView(s.part)
 	if cfg.Heterogeneity != nil {
-		s.view.SetSpeeds(cfg.Heterogeneity.Factors(s.slots, cfg.Seed+2))
+		s.view.SetSpeeds(cfg.Heterogeneity.Factors(s.slots, cfg.Seed+policy.SeedSpeeds))
 		s.speeds = s.view.Speeds()
 	}
 	if churnHasMembership(cfg.Churn) {
 		s.view.EnableMembership()
 		s.dyn = &dynState{epoch: make([]uint8, s.slots), run: make([]runRef, s.slots)}
-		s.churnSrc = randdist.New(cfg.Seed + 3)
+		s.churnSrc = randdist.New(cfg.Seed + policy.SeedChurn)
 	}
 
 	if pool := pol.CentralPool(); pool != policy.PoolNone {
@@ -634,7 +641,7 @@ func (s *simulation) submit(job *workload.Job) {
 	js.trueLong = s.classifier.IsLong(job.AvgTaskDuration())
 	js.outage = s.centralDown
 	if s.flt != nil && s.flt.spec.Speculate {
-		js.specThresh = s.flt.threshold(job.Durations)
+		js.specThresh, s.flt.durScratch = s.flt.spec.SpeculationThreshold(job.Durations, s.flt.durScratch)
 	}
 	s.routeJob(idx)
 }
@@ -645,9 +652,7 @@ func (s *simulation) submit(job *workload.Job) {
 //hawk:hotpath
 func (s *simulation) routeJob(idx int32) {
 	js := &s.jobs[idx]
-	dec := s.pol.Route(policy.JobInfo{
-		ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long,
-	})
+	dec := s.pol.Route(js.info())
 	if s.ms != nil && !s.msAssignOwner(idx) {
 		return // no live scheduler; parked until one recovers
 	}
@@ -698,14 +703,8 @@ func (s *simulation) routeJob(idx int32) {
 func (s *simulation) probeJob(idx int32, nodeIDs []int) {
 	s.res.ProbesSent += int64(len(nodeIDs))
 	s.jobs[idx].probes += int32(len(nodeIDs))
-	if s.flt != nil {
-		for _, id := range nodeIDs {
-			s.sendProbe(idx, int32(id))
-		}
-		return
-	}
 	for _, id := range nodeIDs {
-		s.eng.After(s.cfg.NetworkDelay, simEvent{kind: evProbeArrive, ref: int32(id), jidx: idx})
+		s.sendProbe(idx, int32(id), 0)
 	}
 }
 
@@ -734,13 +733,7 @@ func (s *simulation) centralJob(idx int32) {
 	for i := range js.durations {
 		nodeID, _ := s.central.Assign(now, js.estimate)
 		s.res.CentralAssigns++
-		if s.flt != nil {
-			s.sendAssign(int32(nodeID), idx, int32(i), 0, false)
-			continue
-		}
-		s.eng.After(s.cfg.NetworkDelay, simEvent{
-			kind: evTaskArrive, ref: int32(nodeID), jidx: idx, aux: int32(i),
-		})
+		s.sendAssign(int32(nodeID), idx, int32(i), 0, false, 0)
 	}
 }
 
