@@ -152,16 +152,19 @@ func realMain() int {
 	} else {
 		res, err = hawk.Simulate(trace, cfg)
 	}
+	if sink != nil {
+		// Close before looking at err: a run that fails must still flush
+		// the rows of the jobs that did complete.
+		if cerr := sink.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("writing %s: %w", *dumpFlag, cerr))
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
 		return 1
 	}
 	printResult(trace, res)
 	if sink != nil {
-		if err := sink.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: writing %s: %v\n", *dumpFlag, err)
-			return 1
-		}
 		fmt.Printf("wrote per-job results to %s\n", *dumpFlag)
 	} else if *dumpFlag != "" {
 		if err := hawk.SaveResultsCSV(*dumpFlag, res); err != nil {

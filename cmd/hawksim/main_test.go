@@ -2,7 +2,11 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,5 +124,56 @@ func TestBuildConfig(t *testing.T) {
 				t.Errorf("argv %v\n got %+v\nwant %+v", c.argv, got, want)
 			}
 		})
+	}
+}
+
+// A streamed run that fails must still leave a whole -dump CSV: one
+// parseable row per job that completed before the failure. (The sink used to
+// be closed on the success path only, cutting the file mid-row at a buffer
+// boundary.) A central outage that never ends is the failure: every long
+// job waits forever and the run ends in the deadlock diagnosis.
+func TestFailedStreamedRunFlushesDump(t *testing.T) {
+	dir := t.TempDir()
+	dump := filepath.Join(dir, "jobs.csv")
+	parseArgs(t, "-workload", "google", "-jobs", "300", "-stream", "-dump", dump, "-central-down", "1")
+
+	errFile, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	realStderr := os.Stderr
+	os.Stderr = errFile
+	code := realMain()
+	os.Stderr = realStderr
+	if err := errFile.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.ReadFile(errFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if code != 1 {
+		t.Errorf("exit code %d, want 1; stderr: %s", code, stderr)
+	}
+	m := regexp.MustCompile(`hawksim: sim: deadlock — (\d+) of 300 jobs completed; \d+ central placements backlogged`).FindSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("stderr lacks the deadlock diagnosis: %s", stderr)
+	}
+	completed, _ := strconv.Atoi(string(m[1]))
+	if completed == 0 {
+		t.Fatal("no job completed before the deadlock; the scenario no longer exercises the sink")
+	}
+	f, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := hawk.ReadResultsCSV(f)
+	if err != nil {
+		t.Fatalf("the dump of a failed run does not parse: %v", err)
+	}
+	if len(rows) != completed {
+		t.Errorf("dump has %d rows, want one per completed job (%d)", len(rows), completed)
 	}
 }

@@ -47,9 +47,15 @@ type Report struct {
 	Config Config `json:"config"`
 
 	Jobs []JobReport `json:"jobs"`
-	// Makespan is the completion time of the last job in seconds:
-	// simulated time for the simulator, wall-clock time for the live
-	// engine.
+	// Makespan is how long the run took, in seconds, under one of two
+	// definitions. A simulator run with any scenario plane configured
+	// (Churn, Schedulers, Faults) reports the completion time of the last
+	// job. A plain simulator run reports the time of the last drained
+	// event, which includes the trailing utilization tick — the first
+	// multiple of UtilizationInterval at or after the last completion
+	// (13000 s for a last completion at 12900.06 s in the hawk golden). The
+	// live engine reports wall-clock time from start to the last job's
+	// completion.
 	Makespan float64 `json:"makespan"`
 	// Utilization is the periodically sampled fraction of busy slots
 	// (simulator only).

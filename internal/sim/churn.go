@@ -8,7 +8,7 @@ package sim
 // the churn-free fast path never enters here (simulation.dyn == nil).
 
 // dynState is the per-node dynamic-cluster bookkeeping, allocated only
-// when the scenario scripts membership transitions.
+// when the scenario scripts membership transitions or injects faults.
 type dynState struct {
 	// epoch counts a node's incarnations: bumped on every failure, so an
 	// evProbeReply/evTaskDone stamped with an older epoch is recognizably
@@ -20,6 +20,10 @@ type dynState struct {
 	// run describes what a busy node is doing, so a failure knows exactly
 	// which work to re-route; valid only while the node is busy.
 	run []runRef
+}
+
+func newDynState(slots int) *dynState {
+	return &dynState{epoch: make([]uint8, slots), run: make([]runRef, slots)}
 }
 
 // runRef identifies the work occupying a node's slot. A negative jidx
@@ -36,12 +40,6 @@ type runRef struct {
 	// probeWait marks the probe request/response round trip: the slot is
 	// held but no task has been handed out yet.
 	probeWait bool
-}
-
-// centralRef is one parked central placement: a whole job (tidx < 0,
-// parked at submission) or a single task (parked on re-route).
-type centralRef struct {
-	jidx, tidx int32
 }
 
 // failRandomNodes applies a count-based ChurnFail: count live nodes picked
@@ -70,11 +68,10 @@ func (s *simulation) recoverRandomNodes(now float64, count int) {
 }
 
 // failNode removes one node from the cluster: membership, the central
-// queue's server set, and every piece of work the node held. Queued and
-// in-flight probes are re-sent to live nodes; queued and running centrally
-// placed tasks are re-assigned; a task that was mid-execution re-executes
-// from scratch elsewhere (its elapsed time is lost work). Failing a dead
-// node is a no-op.
+// queue's server set, and every piece of work the node held. Queued work
+// goes back where it came from (reroute); a task that was mid-execution
+// re-executes from scratch elsewhere (its elapsed time is lost work).
+// Failing a dead node is a no-op.
 func (s *simulation) failNode(id int32, now float64) {
 	if !s.view.Alive(int(id)) {
 		return
@@ -102,14 +99,13 @@ func (s *simulation) failNode(id int32, now float64) {
 			// A cancelled speculation loser held the slot; nothing to
 			// re-route (the in-flight cancellation goes stale with the epoch).
 		case r.probeWait:
-			// The request/response round trip dies with the node; the
-			// scheduler re-probes a live one.
-			s.res.ProbesLost++
-			s.resendProbe(r.jidx)
+			// The request/response round trip dies with the node; its probe
+			// goes back like a queued one.
+			s.reroute(entry{jidx: r.jidx, tidx: -1})
 		case r.central:
 			s.res.TasksReexecuted++
 			s.res.WorkLostSeconds += now - r.start
-			s.centralReassign(r.jidx, r.task)
+			s.centralTask(r.jidx, r.task)
 		case r.spec:
 			// A running speculative duplicate dies. Normally its original
 			// keeps running and the duplicate is simply wasted; if the
@@ -146,26 +142,33 @@ func (s *simulation) failNode(id int32, now float64) {
 		}
 	}
 	for _, e := range n.queue[n.head:] {
-		switch {
-		case e.flags&entrySpec != 0:
-			s.specAbandon(e.jidx, e.tidx)
-		case e.flags&entryDirect != 0:
-			s.directPlace(e.jidx, e.tidx, 0)
-		case e.flags&entryTask != 0:
-			s.centralReassign(e.jidx, e.tidx)
-		default:
-			s.res.ProbesLost++
-			s.resendProbe(e.jidx)
-		}
+		s.reroute(e)
 	}
 	n.queue = n.queue[:0]
 	n.head = 0
 }
 
+// reroute sends a queue entry whose node is dead — failed under it, or
+// failed while the entry was in flight toward it — back where it came from:
+// a speculative duplicate resolves against its original, a direct task is
+// re-sent to a fresh node, a central task returns to the central scheduler,
+// and a probe is lost and re-sent.
+func (s *simulation) reroute(e entry) {
+	switch {
+	case e.flags&entrySpec != 0:
+		s.specAbandon(e.jidx, e.tidx)
+	case e.flags&entryDirect != 0:
+		s.directPlace(e.jidx, e.tidx, 0)
+	case e.flags&entryTask != 0:
+		s.centralTask(e.jidx, e.tidx)
+	default:
+		s.res.ProbesLost++
+		s.resendProbe(e.jidx)
+	}
+}
+
 // recoverNode returns one node to the cluster, idle with an empty queue,
-// and releases work waiting on capacity: probes that found no live pool
-// node, jobs parked for pool width, and — via the central queue — any
-// backlog the recovered server can now absorb. Like any node that runs
+// and releases the work that waited for capacity. Like any node that runs
 // dry, the recovered node immediately attempts one randomized steal.
 // Recovering a live node is a no-op.
 func (s *simulation) recoverNode(id int32, now float64) {
@@ -177,101 +180,57 @@ func (s *simulation) recoverNode(id int32, now float64) {
 	if s.central != nil && s.pol.CentralPool().Contains(s.part, int(id)) {
 		s.central.Add(int(id), now)
 	}
-	if len(s.lostProbes) > 0 {
-		pending := s.lostProbes
-		s.lostProbes = nil
-		for _, jidx := range pending {
-			s.resendProbe(jidx)
-		}
-	}
-	if len(s.parkedJobs) > 0 {
-		pending := s.parkedJobs
-		s.parkedJobs = nil
-		for _, jidx := range pending {
-			s.routeJob(jidx)
-		}
-	}
-	s.drainCentralBacklog()
-	s.drainStarved()
+	s.release(nodeRecovered)
 	s.attemptSteal(&s.nodes[id])
 }
 
 // resendProbe sends one replacement batch-sampling probe for the job to a
-// live node of its decision pool. With no live pool node the job waits in
-// lostProbes for the next recovery. In the multi-scheduler model the
-// re-send needs a live owner to answer the eventual task request — with
-// none, the job waits in pendingProbes for a scheduler recovery — and it
-// deliberately samples the truth view, not the owner's snapshot: a re-send
+// live node of its decision pool, or waits for one to recover. In the
+// multi-scheduler model the re-send needs a live owner to answer the
+// eventual task request — with none, it waits for a scheduler recovery — and
+// it deliberately samples the truth view, not the owner's snapshot: a re-send
 // aimed at a stale member could bounce between dead nodes indefinitely.
 func (s *simulation) resendProbe(jidx int32) {
 	if s.ms != nil && !s.ensureOwner(jidx) {
-		s.ms.pendingProbes = append(s.ms.pendingProbes, jidx)
+		s.park(waitSchedProbe, waiting{jidx: jidx, tidx: -1})
 		return
 	}
 	js := &s.jobs[jidx]
 	dec := s.pol.Route(js.info())
 	s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, 1)
 	if len(s.nodeIDs) == 0 {
-		s.lostProbes = append(s.lostProbes, jidx)
+		s.park(waitLostProbe, waiting{jidx: jidx, tidx: -1})
 		return
 	}
 	s.res.ProbesSent++
 	s.sendProbe(jidx, int32(s.nodeIDs[0]), 0)
 }
 
-// centralUnavailable reports whether central placement must park: the
+// centralUnavailable reports whether central placement must wait: the
 // scheduler is scripted down, or churn has removed its every live server.
 // Both compares are no-ops on a static run.
 func (s *simulation) centralUnavailable() bool {
 	return s.centralDown || s.central.Len() == 0
 }
 
-// centralReassign re-places one task through the central scheduler, or
-// parks it while the scheduler is unavailable.
-func (s *simulation) centralReassign(jidx, tidx int32) {
-	if s.centralUnavailable() {
-		s.parkCentral(jidx, tidx)
-		return
-	}
-	s.assignCentralTask(jidx, tidx)
-}
-
-// assignCentralTask runs one §3.7 assignment for a single task — through
-// the owning scheduler's claim/commit path when the multi-scheduler model
-// is on.
-func (s *simulation) assignCentralTask(jidx, tidx int32) {
-	if s.ms != nil {
-		s.placeCentralOwned(jidx, tidx)
-		return
-	}
-	nodeID, _ := s.central.Assign(s.eng.Now(), s.jobs[jidx].estimate)
-	s.res.CentralAssigns++
-	s.sendAssign(int32(nodeID), jidx, tidx, 0, false, 0)
-}
-
-// parkCentral appends one placement to the central backlog.
-func (s *simulation) parkCentral(jidx, tidx int32) {
-	s.backlog = append(s.backlog, centralRef{jidx: jidx, tidx: tidx})
-	s.res.CentralDeferred++
-}
-
-// drainCentralBacklog releases parked central placements in arrival order
-// once the scheduler is back (and has at least one live server).
-func (s *simulation) drainCentralBacklog() {
-	if s.central == nil || len(s.backlog) == 0 || s.centralUnavailable() {
-		return
-	}
-	pending := s.backlog
-	s.backlog = nil
-	for _, p := range pending {
-		if p.tidx < 0 {
-			js := &s.jobs[p.jidx]
-			for i := range js.durations {
-				s.assignCentralTask(p.jidx, int32(i))
-			}
-			continue
-		}
-		s.assignCentralTask(p.jidx, p.tidx)
+// centralTask places one task with the §3.7 assignment, or makes it wait
+// while the scheduler is unavailable. In the multi-scheduler model the
+// assignment is the owning scheduler's claim/commit path, re-hashing a dead
+// owner first and waiting when no scheduler is live.
+//
+//hawk:hotpath
+func (s *simulation) centralTask(jidx, tidx int32) {
+	switch {
+	case s.centralUnavailable():
+		s.park(waitCentral, waiting{jidx: jidx, tidx: tidx})
+	case s.ms == nil:
+		nodeID, _ := s.central.Assign(s.eng.Now(), s.jobs[jidx].estimate)
+		s.res.CentralAssigns++
+		s.sendAssign(int32(nodeID), jidx, tidx, 0, false, 0)
+	case s.ensureOwner(jidx):
+		s.placeCentral(jidx, tidx, 0)
+	default:
+		s.park(waitSchedTask, waiting{jidx: jidx, tidx: tidx})
 	}
 }
 
@@ -285,12 +244,12 @@ func (s *simulation) centralOutageStart(now float64) {
 }
 
 // centralOutageEnd closes a scripted outage, accounts its duration, and
-// drains the backlog.
+// releases the placements that waited for it.
 func (s *simulation) centralOutageEnd(now float64) {
 	if !s.centralDown {
 		return
 	}
 	s.centralDown = false
 	s.res.CentralOutageSeconds += now - s.centralDownSince
-	s.drainCentralBacklog()
+	s.release(centralRestored)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -151,22 +152,83 @@ func TestCentralOutage(t *testing.T) {
 	}
 }
 
-// An outage that the script never closes is accounted to the end of the
-// run, and the backlog deadlock is reported with its cause.
-func TestCentralOutageNeverEnds(t *testing.T) {
-	tr := churnTrace(t)
-	cfg := policy.Config{
-		NumNodes: 1200, Policy: "hawk", Seed: 9,
-		Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{
-			{At: 50, Kind: policy.ChurnCentralDown},
-		}},
+// A scenario that strands work must end in the deadlock diagnosis, never a
+// hang, and the diagnosis must say what is waiting and how much of it: one
+// case per kind of wait a validated scenario can strand. Each want lists the
+// detail clauses in the order the error carries them — the exact phrases, so
+// the table-generated message cannot drift from what operators grep for.
+func TestDeadlockDiagnosis(t *testing.T) {
+	const (
+		central   = "central placements backlogged (scenario never restored the central scheduler?)"
+		exhausted = "placements gave up after exhausting fault retries"
+		scheduler = "placements waiting for a live scheduler (scenario never recovered one?)"
+	)
+	small := workload.Generate(workload.Google(), workload.GenConfig{
+		NumJobs: 40, MeanInterArrival: 0.5, Seed: 11,
+	})
+	totalLoss := &policy.FaultSpec{ProbeLoss: 1, ReplyLoss: 1, AssignLoss: 1, MaxRetries: 2}
+	bothSchedulersFail := []policy.ChurnEvent{
+		{At: 20, Kind: policy.ChurnSchedFail, Node: 0},
+		{At: 20, Kind: policy.ChurnSchedFail, Node: 1},
 	}
-	_, err := Run(tr, cfg)
-	if err == nil {
-		t.Fatal("want deadlock error: long jobs can never place")
+	for _, c := range []struct {
+		name  string
+		trace *workload.Trace
+		cfg   policy.Config
+		want  []string
+	}{
+		// An outage the script never closes: long jobs can never place.
+		{"central outage never ends", churnTrace(t), policy.Config{
+			NumNodes: 1200, Policy: "hawk", Seed: 9,
+			Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: 50, Kind: policy.ChurnCentralDown}}},
+		}, []string{central}},
+		// Total message loss: retry chains are bounded, exhausted
+		// placements wait, and the quiescent queue surfaces them.
+		{"total loss, sparrow", small, policy.Config{NumNodes: 300, Policy: "sparrow", Seed: 1, Faults: totalLoss}, []string{exhausted}},
+		{"total loss, hawk", small, policy.Config{NumNodes: 300, Policy: "hawk", Seed: 1, Faults: totalLoss}, []string{exhausted}},
+		{"total loss, centralized", small, policy.Config{NumNodes: 300, Policy: "centralized", Seed: 1, Faults: totalLoss}, []string{exhausted}},
+		// Every scheduler fails for good: the four scheduler-wait kinds
+		// (jobs, central tasks, probes, probe replies) sum into one clause.
+		{"schedulers never recover", goldenTrace(), policy.Config{
+			NumNodes: 1200, Policy: "hawk", Seed: 9, Schedulers: &policy.SchedulerSpec{Count: 2},
+			Churn: &policy.ChurnSpec{Events: bothSchedulersFail},
+		}, []string{scheduler}},
+		{"outage, then schedulers never recover", goldenTrace(), policy.Config{
+			NumNodes: 1200, Policy: "hawk", Seed: 9, Schedulers: &policy.SchedulerSpec{Count: 2},
+			Churn: &policy.ChurnSpec{Events: append([]policy.ChurnEvent{{At: 5, Kind: policy.ChurnCentralDown}}, bothSchedulersFail...)},
+		}, []string{central, scheduler}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(c.trace, c.cfg)
+			if err == nil {
+				t.Fatal("the stranded scenario completed")
+			}
+			pattern := `^sim: deadlock — \d+ of \d+ jobs completed`
+			for _, clause := range c.want {
+				pattern += `; ([1-9]\d*) ` + regexp.QuoteMeta(clause)
+			}
+			if !regexp.MustCompile(pattern + "$").MatchString(err.Error()) {
+				t.Errorf("want the deadlock diagnosis with clauses %q and counts > 0, got: %v", c.want, err)
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "backlogged") {
-		t.Errorf("deadlock error should name the central backlog, got: %v", err)
+}
+
+// Every wait kind must say who releases it, how it resumes and how it is
+// diagnosed: a kind added without its table row would otherwise strand work
+// silently.
+func TestWaitKindTableComplete(t *testing.T) {
+	used := map[waitClause]bool{}
+	for k, kind := range waitKinds {
+		if kind.releasedBy == 0 || kind.resume == nil || int(kind.clause) >= len(waitClauses) {
+			t.Errorf("wait kind %d: incomplete table row %+v", k, kind)
+		}
+		used[kind.clause] = true
+	}
+	for c, text := range waitClauses {
+		if !used[waitClause(c)] || !strings.Contains(text, "%d") {
+			t.Errorf("deadlock clause %d (%q) is unused or reports no count", c, text)
+		}
 	}
 }
 

@@ -7,31 +7,31 @@ import (
 )
 
 // The simulator's typed-event union. Every discrete event a run executes is
-// one flat simEvent value stored directly in the engine's heap — there are
+// one flat simEvent value stored directly in the engine's queue — there are
 // no per-event closures, so scheduling an event allocates nothing, and the
-// payload carries no pointers, so the heap's backing array is opaque to the
-// garbage collector. The payload is deliberately compact (16 bytes: three
-// int32 refs and three tag bytes): every heap sift copies it, so its size
-// is a direct multiplier on the engine's dominant loop. Job state lives in
-// the simulation's flat jobs arena and events refer to it by int32 index;
-// even a task's duration is carried as a task index (aux) into the job's
-// duration slice rather than as a float64.
+// payload carries no pointers, so the queue's backing arrays are opaque to
+// the garbage collector. The payload is deliberately compact (16 bytes: three
+// int32 refs and three tag bytes): the queue copies it on every insert, sort
+// and pop, so its size is a direct multiplier on the engine's dominant loop.
+// Job state lives in the simulation's flat jobs arena and events refer to it
+// by int32 index; even a task's duration is carried as a task index (aux)
+// into the job's duration slice rather than as a float64.
 type evKind uint8
 
 const (
 	// evSubmit: the next trace job arrives at its scheduler (ref = the
 	// job's position in submission order). The handler chains the
 	// following submission, so at most one submit event is ever pending —
-	// the event heap holds in-flight state, never the unsubmitted trace.
+	// the event queue holds in-flight state, never the unsubmitted trace.
 	evSubmit evKind = iota
 	// evProbeArrive: a batch-sampling probe reaches the queue of node
 	// ref after one network delay (jidx). If the node failed while the
-	// probe was in flight, the probe is lost and re-sent to a live node.
+	// probe was in flight, the probe goes back to its sender (reroute).
 	evProbeArrive
 	// evTaskArrive: a centrally placed task reaches the queue of node
 	// ref after one network delay (jidx; aux = task index within the
 	// job, which determines its duration). If the node failed in flight,
-	// the task is re-assigned by the central scheduler.
+	// the task goes back to its sender (reroute).
 	evTaskArrive
 	// evProbeReply: the scheduler's answer to node ref's task request
 	// lands after the request/response round trip (jidx). gen pins the
@@ -52,10 +52,10 @@ const (
 	// and empty (ref < 0: recover aux random dead nodes).
 	evNodeRecover
 	// evCentralDown: scripted churn — the centralized scheduler goes
-	// offline; central placements queue in a backlog.
+	// offline; central placements wait (waitCentral).
 	evCentralDown
 	// evCentralUp: scripted churn — the centralized scheduler returns
-	// and drains its backlog.
+	// and releases them.
 	evCentralUp
 	// evSnapRefresh: scheduler ref refreshes its stale cluster snapshot
 	// (multi-scheduler model). The chain is activity-gated: it re-arms
@@ -87,7 +87,7 @@ const (
 	// (or, with evfCommit, the multi-scheduler commit) to the same node
 	// ref — its queue load was already charged (jidx, aux = task index,
 	// attempt in flags). ref < 0: re-run a direct placement toward a fresh
-	// node. Exhausted retries park the task (parkedFaults).
+	// node. Exhausted retries park the task (waitExhausted).
 	evAssignRetry
 	// evTaskDirect: a directly sent task (central-queue-free fallback, or
 	// a speculative duplicate when evfSpec is set) reaches the queue of
@@ -156,30 +156,19 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 	case evSubmit:
 		s.submitNext(ev.ref)
 	case evProbeArrive:
+		e := entry{flags: longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: -1, enq: now}
 		if s.dyn != nil && !s.view.Alive(int(ev.ref)) {
-			// The destination failed while the probe was in flight; the
-			// sender notices and re-probes a live node.
-			s.res.ProbesLost++
-			s.resendProbe(ev.jidx)
+			s.reroute(e) // the destination failed while the probe was in flight
 			return
 		}
-		js := &s.jobs[ev.jidx]
-		s.nodes[ev.ref].enqueue(s, entry{flags: longFlag(js.long), jidx: ev.jidx, tidx: -1, enq: now})
+		s.nodes[ev.ref].enqueue(s, e)
 	case evTaskArrive:
+		e := entry{flags: entryTask | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, sched: ev.sched, enq: now}
 		if s.dyn != nil && !s.view.Alive(int(ev.ref)) {
-			// The destination failed in flight; the central scheduler
-			// re-assigns the task to a live server.
-			s.centralReassign(ev.jidx, ev.aux)
+			s.reroute(e) // the destination failed while the task was in flight
 			return
 		}
-		js := &s.jobs[ev.jidx]
-		s.nodes[ev.ref].enqueue(s, entry{
-			flags: entryTask | longFlag(js.long),
-			jidx:  ev.jidx,
-			tidx:  ev.aux,
-			sched: ev.sched,
-			enq:   now,
-		})
+		s.nodes[ev.ref].enqueue(s, e)
 	case evProbeReply:
 		if s.dyn != nil && ev.gen != s.dyn.epoch[ev.ref] {
 			return // stale: the node failed mid-round-trip; re-routed at failure time
@@ -243,7 +232,7 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 // submitNext submits the pending decoded job (submission-order position
 // pos), pulling the next job from the source and chaining its submit
 // event. Only one submit event is ever pending and only one undecoded job
-// is ever held, which is what keeps the engine's peak heap length — and,
+// is ever held, which is what keeps the engine's peak queue length — and,
 // on a streamed run, the decoded workload — proportional to in-flight
 // state instead of to the trace length. The chain runs on the engine's
 // reserved sequence numbers (position+1), reproducing the tie-break rank
@@ -294,8 +283,8 @@ func (s *simulation) sampleTick(now float64) {
 	}
 	if s.eng.Pending() == 0 {
 		// Nothing else is scheduled: every in-flight message and running
-		// task is an event, so an empty heap means the remaining jobs are
-		// stuck in a backlog no future event can release (a scenario that
+		// task is an event, so an empty queue means the remaining jobs are
+		// waiting for a recovery no future event brings (a scenario that
 		// never restores capacity). Stop the sampler so the engine drains
 		// and run reports the deadlock instead of ticking forever.
 		return

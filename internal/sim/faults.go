@@ -17,8 +17,8 @@ import (
 // the timeout/retry event that will notice it instead of an arrival, and a
 // delivered message schedules no timer at all. Every in-flight or failed
 // message is therefore represented by exactly one pending event, which
-// keeps the quiescent-heap deadlock detector exact — an all-drop scenario
-// exhausts its bounded retry chains, parks, drains the heap, and surfaces
+// keeps the quiescent-queue deadlock detector exact — an all-drop scenario
+// exhausts its bounded retry chains, parks, drains the queue, and surfaces
 // as the deadlock error rather than ticking forever.
 
 // faultState is the per-run fault-plane bookkeeping.
@@ -39,10 +39,6 @@ type faultState struct {
 	// task); resolved records are swap-removed, so the scan is O(in-flight
 	// speculation), not O(trace).
 	dups []specDup
-	// starved parks tasks whose retry chain exhausted or whose direct
-	// placement found no live node; drained on node recovery, and surfaced
-	// in the deadlock report otherwise.
-	starved []centralRef
 	// ids is the fault plane's sampling scratch (retry targets, duplicate
 	// hosts, straggler picks) — never aliased with simulation.nodeIDs,
 	// whose probe/steal uses can be live when a fault path samples.
@@ -212,7 +208,7 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
-		s.lostProbes = append(s.lostProbes, ev.jidx)
+		s.park(waitLostProbe, waiting{jidx: ev.jidx, tidx: -1})
 		return
 	}
 	s.res.ProbesSent++
@@ -220,9 +216,8 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 }
 
 // fallbackProbe degrades one abandoned probe chain after its retries
-// exhaust: the job's next unserved task is placed through the central
-// queue (or sent directly on a policy without one) instead of probed for —
-// graceful degradation, never a hang.
+// exhaust: the job's next unserved task is placed (placeTask) instead of
+// probed for — graceful degradation, never a hang.
 func (s *simulation) fallbackProbe(jidx int32) {
 	js := &s.jobs[jidx]
 	js.probes--
@@ -234,8 +229,14 @@ func (s *simulation) fallbackProbe(jidx int32) {
 		return
 	}
 	s.res.FallbacksToCentral++
+	s.placeTask(jidx, tidx)
+}
+
+// placeTask places one task outside the probe protocol: through the central
+// queue if the policy has one, else straight to a sampled node.
+func (s *simulation) placeTask(jidx, tidx int32) {
 	if s.central != nil {
-		s.centralReassign(jidx, tidx)
+		s.centralTask(jidx, tidx)
 		return
 	}
 	s.directPlace(jidx, tidx, 0)
@@ -250,7 +251,7 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
-		s.flt.starved = append(s.flt.starved, centralRef{jidx: jidx, tidx: tidx})
+		s.park(waitExhausted, waiting{jidx: jidx, tidx: tidx})
 		return
 	}
 	if s.faultDrop(s.flt.spec.AssignLoss, &s.flt.drops.Assigns) {
@@ -264,13 +265,13 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 }
 
 // assignRetryTick handles evAssignRetry: a dropped task placement's
-// backoff expired. Exhausted chains park in starved — re-placed on the
-// next node recovery, and surfaced in the deadlock report if nothing ever
-// drains them (the bounded terminal state of an all-drop scenario).
+// backoff expired. Exhausted chains wait (waitExhausted) — re-placed on the
+// next node recovery, and surfaced in the deadlock report if none ever
+// comes (the bounded terminal state of an all-drop scenario).
 func (s *simulation) assignRetryTick(ev simEvent) {
 	attempt := int(ev.flags >> evfAttemptShift)
 	if attempt > s.flt.spec.MaxRetries {
-		s.flt.starved = append(s.flt.starved, centralRef{jidx: ev.jidx, tidx: ev.aux})
+		s.park(waitExhausted, waiting{jidx: ev.jidx, tidx: ev.aux})
 		return
 	}
 	s.res.AssignRetries++
@@ -282,41 +283,20 @@ func (s *simulation) assignRetryTick(ev simEvent) {
 	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, attempt)
 }
 
-// drainStarved re-places fault-plane parked tasks after a node recovery.
-func (s *simulation) drainStarved() {
-	if s.flt == nil || len(s.flt.starved) == 0 {
-		return
-	}
-	pending := s.flt.starved
-	s.flt.starved = nil
-	for _, p := range pending {
-		if s.central != nil {
-			s.centralReassign(p.jidx, p.tidx)
-		} else {
-			s.directPlace(p.jidx, p.tidx, 0)
-		}
-	}
-}
-
 // taskDirectArrive handles evTaskDirect: a directly sent task (fallback
 // placement or speculative duplicate) reaches its node's queue. Direct
 // tasks carry no central-queue feedback.
 func (s *simulation) taskDirectArrive(ev simEvent, now float64) {
-	if !s.view.Alive(int(ev.ref)) {
-		// The destination failed in flight.
-		if ev.flags&evfSpec != 0 {
-			s.specAbandon(ev.jidx, ev.aux)
-		} else {
-			s.directPlace(ev.jidx, ev.aux, 0)
-		}
-		return
-	}
-	js := &s.jobs[ev.jidx]
-	flags := entryTask | entryDirect | longFlag(js.long)
+	flags := entryTask | entryDirect | longFlag(s.jobs[ev.jidx].long)
 	if ev.flags&evfSpec != 0 {
 		flags |= entrySpec
 	}
-	s.nodes[ev.ref].enqueue(s, entry{flags: flags, jidx: ev.jidx, tidx: ev.aux, enq: now})
+	e := entry{flags: flags, jidx: ev.jidx, tidx: ev.aux, enq: now}
+	if !s.view.Alive(int(ev.ref)) {
+		s.reroute(e) // the destination failed in flight
+		return
+	}
+	s.nodes[ev.ref].enqueue(s, e)
 }
 
 // specLaunchTick handles evSpecLaunch: the speculation timer armed when the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -185,30 +184,6 @@ func TestFaultDefensesEngage(t *testing.T) {
 	}
 	if len(res.Jobs) != tr.Len() {
 		t.Fatalf("completed %d of %d jobs", len(res.Jobs), tr.Len())
-	}
-}
-
-// Total message loss must terminate with the deadlock diagnosis, never
-// hang: retry chains are bounded, exhausted placements park, and the
-// quiescent heap surfaces them in the error detail.
-func TestFaultAllDropTerminates(t *testing.T) {
-	tr := workload.Generate(workload.Google(), workload.GenConfig{
-		NumJobs: 40, MeanInterArrival: 0.5, Seed: 11,
-	})
-	for _, pol := range []string{"sparrow", "hawk", "centralized"} {
-		_, err := Run(tr, policy.Config{
-			NumNodes: 300, Policy: pol, Seed: 1,
-			Faults: &policy.FaultSpec{ProbeLoss: 1, ReplyLoss: 1, AssignLoss: 1, MaxRetries: 2},
-		})
-		if err == nil {
-			t.Fatalf("%s: total loss completed the trace", pol)
-		}
-		if !strings.Contains(err.Error(), "deadlock") {
-			t.Fatalf("%s: want deadlock diagnosis, got %v", pol, err)
-		}
-		if !strings.Contains(err.Error(), "exhausting fault retries") {
-			t.Fatalf("%s: deadlock detail omits the starved placements: %v", pol, err)
-		}
 	}
 }
 

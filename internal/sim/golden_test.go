@@ -112,6 +112,39 @@ func goldenCases() (*workload.Trace, map[string]policy.Config) {
 		},
 	}
 	cases["hawk-speculation"] = spec
+
+	// Composed scenarios that reach the wait kinds the single-plane cases
+	// above never park in (see the wait-kind table in docs/ARCHITECTURE.md).
+	// A 30 s window with both schedulers failed, under the hawk-churn node
+	// script: jobs, central tasks, probe re-sends and probe replies all wait
+	// for a live scheduler and drain on the recoveries.
+	blackout := churn
+	blackout.Schedulers = &policy.SchedulerSpec{Count: 2}
+	blackout.Churn = &policy.ChurnSpec{Events: append([]policy.ChurnEvent{
+		{At: 20, Kind: policy.ChurnSchedFail, Node: 0},
+		{At: 20, Kind: policy.ChurnSchedFail, Node: 1},
+		{At: 50, Kind: policy.ChurnSchedRecover, Node: 0},
+		{At: 50, Kind: policy.ChurnSchedRecover, Node: 1},
+	}, churn.Churn.Events...)}
+	cases["hawk-sched2-blackout"] = blackout
+
+	// The hawk-msgloss mix with one retry, node churn and a central outage:
+	// assign chains exhaust into waitExhausted, the node recovery inside the
+	// outage resumes them into waitCentral, central-up releases that, and the
+	// second recovery releases what exhausted its retries after that (the
+	// recovery is split in two because nothing else ever would).
+	lossy := msgloss
+	lossyFaults := *msgloss.Faults
+	lossyFaults.MaxRetries = 1
+	lossy.Faults = &lossyFaults
+	lossy.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{
+		{At: 30, Kind: policy.ChurnFail, Count: 60},
+		{At: 40, Kind: policy.ChurnCentralDown},
+		{At: 120, Kind: policy.ChurnRecover, Count: 30},
+		{At: 160, Kind: policy.ChurnCentralUp},
+		{At: 200, Kind: policy.ChurnRecover, Count: 30},
+	}}
+	cases["hawk-lossy-churn"] = lossy
 	return goldenTrace(), cases
 }
 

@@ -28,15 +28,6 @@ type multiSched struct {
 	scheds []schedState
 	// live is the live-scheduler set jobs hash-partition over.
 	live *core.SchedulerSet
-	// pendingJobs parks whole jobs submitted while no scheduler was live;
-	// pendingCentral parks single central tasks, pendingProbes jobs whose
-	// probe re-send found no scheduler, pendingReplies probe round trips
-	// whose scheduler died with no survivor. All drain on the next
-	// scheduler recovery.
-	pendingJobs    []int32
-	pendingCentral []centralRef
-	pendingProbes  []int32
-	pendingReplies []replyRef
 }
 
 // schedState is one distributed scheduler.
@@ -80,14 +71,6 @@ type schedState struct {
 type schedRetry struct {
 	jidx, tidx int32
 	attempt    int8
-}
-
-// replyRef is a parked probe round trip: node held its slot for a task
-// request whose scheduler died with no live survivor. gen pins the node's
-// incarnation so a node failure while parked invalidates the reply.
-type replyRef struct {
-	node, jidx int32
-	gen        uint8
 }
 
 // initMultiSched builds the per-scheduler state: every scheduler starts
@@ -177,7 +160,7 @@ func (s *simulation) touchSched(k uint8) {
 // failed since), the run is over, or the scheduler placed nothing in the
 // last interval (dormant; touchSched re-arms it on the next placement).
 // The dormancy gate is what lets a stuck scenario drain: an armed chain
-// would keep the event heap non-empty and the utilization sampler ticking
+// would keep the event queue non-empty and the utilization sampler ticking
 // forever instead of reporting the deadlock.
 func (s *simulation) snapRefreshTick(k int32, gen uint8, now float64) {
 	sd := &s.ms.scheds[k]
@@ -201,7 +184,7 @@ func (s *simulation) snapRefreshTick(k int32, gen uint8, now float64) {
 func (s *simulation) msAssignOwner(idx int32) bool {
 	owner := s.ms.live.Owner(s.jobs[idx].id)
 	if owner < 0 {
-		s.ms.pendingJobs = append(s.ms.pendingJobs, idx)
+		s.park(waitSchedJob, waiting{jidx: idx, tidx: -1})
 		return false
 	}
 	s.jobs[idx].owner = uint8(owner)
@@ -223,17 +206,6 @@ func (s *simulation) ensureOwner(jidx int32) bool {
 	js.owner = uint8(owner)
 	s.res.SchedulerReassigned++
 	return true
-}
-
-// placeCentralOwned places one central task via the job's owning scheduler,
-// re-hashing a dead owner first and parking the task when no scheduler is
-// live. The multi-scheduler counterpart of assignCentralTask.
-func (s *simulation) placeCentralOwned(jidx, tidx int32) {
-	if !s.ensureOwner(jidx) {
-		s.ms.pendingCentral = append(s.ms.pendingCentral, centralRef{jidx: jidx, tidx: tidx})
-		return
-	}
-	s.placeCentral(jidx, tidx, 0)
 }
 
 // placeCentral runs one optimistic placement by the job's owning scheduler:
@@ -309,7 +281,7 @@ func (s *simulation) schedRetryTick(k int32, gen uint8) {
 		sd.retryHead = 0
 	}
 	if s.centralUnavailable() {
-		s.parkCentral(r.jidx, r.tidx)
+		s.park(waitCentral, waiting{jidx: r.jidx, tidx: r.tidx})
 		return
 	}
 	s.placeCentral(r.jidx, r.tidx, r.attempt)
@@ -325,7 +297,7 @@ func (s *simulation) msReplyReady(ev simEvent) bool {
 		return true
 	}
 	if !s.ensureOwner(ev.jidx) {
-		s.ms.pendingReplies = append(s.ms.pendingReplies, replyRef{node: ev.ref, jidx: ev.jidx, gen: ev.gen})
+		s.park(waitSchedReply, waiting{jidx: ev.jidx, tidx: -1, node: ev.ref, gen: ev.gen})
 		return false
 	}
 	s.res.ProbesLost++
@@ -349,13 +321,8 @@ func (s *simulation) failScheduler(id int32) {
 	sd.placed = 0
 	s.res.SchedulerFailures++
 	s.ms.live.Fail(id)
-	retries := sd.retryQ[sd.retryHead:]
-	for _, r := range retries {
-		if s.centralUnavailable() {
-			s.parkCentral(r.jidx, r.tidx)
-			continue
-		}
-		s.placeCentralOwned(r.jidx, r.tidx)
+	for _, r := range sd.retryQ[sd.retryHead:] {
+		s.centralTask(r.jidx, r.tidx)
 	}
 	sd.retryQ = sd.retryQ[:0]
 	sd.retryHead = 0
@@ -376,31 +343,5 @@ func (s *simulation) recoverScheduler(id int32, now float64) {
 	sd.placed = 0
 	sd.armed = true
 	s.eng.After(s.ms.spec.SnapshotInterval, simEvent{kind: evSnapRefresh, ref: id, gen: sd.epoch})
-	if jobs := s.ms.pendingJobs; len(jobs) > 0 {
-		s.ms.pendingJobs = nil
-		for _, jidx := range jobs {
-			s.routeJob(jidx)
-		}
-	}
-	if tasks := s.ms.pendingCentral; len(tasks) > 0 {
-		s.ms.pendingCentral = nil
-		for _, t := range tasks {
-			s.centralReassign(t.jidx, t.tidx)
-		}
-	}
-	if probes := s.ms.pendingProbes; len(probes) > 0 {
-		s.ms.pendingProbes = nil
-		for _, jidx := range probes {
-			s.resendProbe(jidx)
-		}
-	}
-	if replies := s.ms.pendingReplies; len(replies) > 0 {
-		s.ms.pendingReplies = nil
-		for _, r := range replies {
-			if s.dyn != nil && s.dyn.epoch[r.node] != r.gen {
-				continue // the node failed while parked; its probe was re-sent then
-			}
-			s.sendReply(r.node, r.gen, r.jidx, 0)
-		}
-	}
+	s.release(schedulerRecovered)
 }

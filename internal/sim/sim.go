@@ -15,7 +15,7 @@
 // arena indexed by node id, per-job state lives in one dense []jobState
 // arena, and queue entries and events refer to jobs by int32 arena index
 // instead of by pointer. Trace submission is lazy — each submit event
-// chains the next — so the event heap's working set is bounded by
+// chains the next — so the event queue's working set is bounded by
 // in-flight messages and running tasks, not by the trace length. See the
 // README's Performance section.
 //
@@ -215,18 +215,8 @@ type simulation struct {
 
 	centralDown      bool
 	centralDownSince float64
-	// backlog parks central placements (whole jobs at submission, single
-	// tasks on re-route) while the centralized scheduler is down or has no
-	// live servers; drained on central-up and node recovery.
-	backlog []centralRef
-	// parkedJobs holds probe-routed jobs whose live pool was narrower than
-	// their task count at submission; re-routed on node recovery.
-	parkedJobs []int32
-	// lostProbes holds jobs whose probe re-send found no live pool node;
-	// retried on node recovery.
-	lostProbes []int32
-	churnIDs   []int // scratch for random churn picks
-	deadIDs    []int // scratch for enumerating dead nodes
+	churnIDs         []int // scratch for random churn picks
+	deadIDs          []int // scratch for enumerating dead nodes
 
 	// Per-simulation scratch buffers. The simulation is single-threaded
 	// and each use fully overwrites its buffer before reading, so reusing
@@ -245,6 +235,10 @@ type simulation struct {
 	stolen     []entry
 	shortIdx   []int
 	shortPos   []int
+
+	// waits holds every piece of work that cannot be placed right now, one
+	// FIFO per reason (see waitlist.go).
+	waits [numWaitKinds][]waiting
 }
 
 // Run simulates the trace under the configuration, executing the policy
@@ -333,7 +327,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	}
 	s.slots = cfg.TotalSlots()
 
-	// The heap holds flat simEvent records. Submission is lazily chained
+	// The queue holds flat simEvent records. Submission is lazily chained
 	// (one pending submit at a time), so peak pending events track
 	// in-flight state: one completion or probe round-trip per busy slot,
 	// messages in their 0.5 ms network flight, the submit chain, and the
@@ -341,13 +335,13 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	// Pre-size with that bound, but never beyond what the whole trace
 	// could possibly keep pending at once (tiny traces on huge clusters).
 	// The hint is about avoiding growth copies in the hot loop; either
-	// way the heap grows on demand if a burst exceeds it.
-	heapHint := s.slots + 64
+	// way the queue grows on demand if a burst exceeds it.
+	queueHint := s.slots + 64
 	if meta.TotalTasks > 0 {
 		traceBound := 2 + meta.NumJobs + 3*int(meta.TotalTasks)
-		heapHint = min(heapHint, traceBound)
+		queueHint = min(queueHint, traceBound)
 	}
-	s.eng = eventq.New(s.dispatch, heapHint, eventq.WithBackend(engineBackend))
+	s.eng = eventq.New(s.dispatch, queueHint, eventq.WithBackend(engineBackend))
 
 	// One flat arena per hot structure: node and job state become
 	// sequential array indexing instead of 15k–170k individually
@@ -392,7 +386,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	}
 	if churnHasMembership(cfg.Churn) {
 		s.view.EnableMembership()
-		s.dyn = &dynState{epoch: make([]uint8, s.slots), run: make([]runRef, s.slots)}
+		s.dyn = newDynState(s.slots)
 		s.churnSrc = randdist.New(cfg.Seed + policy.SeedChurn)
 	}
 
@@ -414,7 +408,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 			// incarnation machinery, so a fault run always carries dynState —
 			// but membership stays static, keeping probe sampling on the
 			// dense fast path.
-			s.dyn = &dynState{epoch: make([]uint8, s.slots), run: make([]runRef, s.slots)}
+			s.dyn = newDynState(s.slots)
 		}
 	}
 
@@ -509,24 +503,16 @@ func (s *simulation) run() (*policy.Report, error) {
 		return nil, fmt.Errorf("sim: job sink: %w", s.sinkErr)
 	}
 	if s.jobsDone != s.totalJobs {
+		// Whatever never completed is waiting for a recovery the scenario
+		// never scripted; say what and how much, clause by clause.
+		var stranded [len(waitClauses)]int
+		for k := range waitKinds {
+			stranded[waitKinds[k].clause] += len(s.waits[k])
+		}
 		detail := ""
-		if n := len(s.backlog); n > 0 {
-			detail += fmt.Sprintf("; %d central placements backlogged (scenario never restored the central scheduler?)", n)
-		}
-		if n := len(s.parkedJobs); n > 0 {
-			detail += fmt.Sprintf("; %d jobs parked for pool capacity (scenario never recovered enough nodes?)", n)
-		}
-		if n := len(s.lostProbes); n > 0 {
-			detail += fmt.Sprintf("; %d probes waiting for a live pool node", n)
-		}
-		if s.flt != nil {
-			if n := len(s.flt.starved); n > 0 {
-				detail += fmt.Sprintf("; %d placements gave up after exhausting fault retries", n)
-			}
-		}
-		if s.ms != nil {
-			if n := len(s.ms.pendingJobs) + len(s.ms.pendingProbes) + len(s.ms.pendingReplies) + len(s.ms.pendingCentral); n > 0 {
-				detail += fmt.Sprintf("; %d placements waiting for a live scheduler (scenario never recovered one?)", n)
+		for c, n := range stranded {
+			if n > 0 {
+				detail += "; " + fmt.Sprintf(waitClauses[c], n)
 			}
 		}
 		return nil, fmt.Errorf("sim: deadlock — %d of %d jobs completed%s", s.jobsDone, s.totalJobs, detail)
@@ -680,7 +666,7 @@ func (s *simulation) routeJob(idx int32) {
 			// shrunk the pool below that, so park the job until nodes
 			// recover. The feasibility margin makes this unreachable for
 			// validated scenarios — it is the belt to that suspender.
-			s.parkedJobs = append(s.parkedJobs, idx)
+			s.park(waitPoolWidth, waiting{jidx: idx, tidx: -1})
 			return
 		}
 		if s.perJobFeas && s.dyn == nil && poolSize < len(js.durations) {
@@ -712,28 +698,16 @@ func (s *simulation) probeJob(idx int32, nodeIDs []int) {
 // task goes to the server with the smallest estimated waiting time, which
 // is then bumped by the job's estimated task runtime. While the central
 // scheduler is scripted down (or churn has removed its every server) the
-// whole job parks in the backlog instead.
+// whole job waits instead.
 //
 //hawk:hotpath
 func (s *simulation) centralJob(idx int32) {
 	if s.centralUnavailable() {
-		s.parkCentral(idx, -1)
+		s.park(waitCentral, waiting{jidx: idx, tidx: -1})
 		return
 	}
-	js := &s.jobs[idx]
-	if s.ms != nil {
-		// Multi-scheduler model: every task goes through the owning
-		// scheduler's optimistic claim/commit path.
-		for i := range js.durations {
-			s.placeCentral(idx, int32(i), 0)
-		}
-		return
-	}
-	now := s.eng.Now()
-	for i := range js.durations {
-		nodeID, _ := s.central.Assign(now, js.estimate)
-		s.res.CentralAssigns++
-		s.sendAssign(int32(nodeID), idx, int32(i), 0, false, 0)
+	for i := range s.jobs[idx].durations {
+		s.centralTask(idx, int32(i))
 	}
 }
 
