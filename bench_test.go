@@ -351,7 +351,7 @@ func BenchmarkChurnScale(b *testing.B) {
 // BenchmarkMultiScheduler is BenchmarkLargeCluster's operating point run
 // under the distributed multi-scheduler model: ten schedulers with stale
 // snapshots sharing the 12000-node cluster, so the optimistic claim/commit
-// machinery — per-scheduler queue mirrors, SyncFrom rebuilds on every
+// machinery — per-scheduler queue mirrors, SyncFrom copies on every
 // snapshot refresh, claim-version checks, conflicted-placement retries —
 // runs at scale on top of the ordinary event dispatch. A coarse snapshot
 // cadence keeps the schedulers in the mutually-stale regime where conflicts
@@ -406,8 +406,11 @@ func BenchmarkFaultInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkCentralQueue measures the §3.7 priority queue in isolation at
-// cluster scale.
+// BenchmarkCentralQueue runs a whole simulation under the fully centralized
+// policy at cluster scale, so every task goes through the §3.7 priority
+// queue — on top of trace replay, the event queue and the node model. The
+// queue on its own is timed call by call in internal/core
+// (BenchmarkCentralQueue{Assign,Started,Finished,Cycle,SyncFrom}).
 func BenchmarkCentralQueue(b *testing.B) {
 	trace := workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs: 500, MeanInterArrival: 1, Seed: 1,

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // CentralQueue is the centralized scheduler's data structure (§3.7): a
 // priority queue of <server, waiting time> tuples kept sorted by waiting
 // time. The waiting time of a server is the sum of the estimated execution
@@ -26,32 +28,39 @@ package core
 //
 // Assign compares the two roots' true waiting times and picks the smaller,
 // so assignments are exactly min-waiting at every instant.
+//
+// Layout: the whole queue is three pointer-free arrays — one server record
+// per node id and the two heaps' slots, each slot carrying its ordering key
+// inline — so a comparison reads two adjacent 16-byte slots instead of
+// chasing two pointers, the garbage collector never scans the queue, and a
+// queue is copied by copying the arrays (SyncFrom).
 type CentralQueue struct {
 	now float64
-	// servers is indexed by node id (nil = node not tracked). Node ids are
-	// dense per partition, so a slice lookup replaces the obvious map: the
-	// queue is rebuilt for every simulation in a sweep, and a map would
-	// cost one allocation per server plus bucket churn on every rebuild.
-	servers []*serverState
-	// states is the backing arena the servers pointers index into; kept so
-	// SyncFrom can rebuild the queue in place without reallocating it.
-	states  []serverState
-	count   int        // tracked servers (non-nil entries)
+	// servers is indexed by node id; pos < 0 marks a node the queue does
+	// not track. Node ids are dense per partition, so a slice lookup
+	// replaces the obvious map.
+	servers []server
+	count   int        // tracked servers
 	running serverHeap // key: runEnd + queued
 	idle    serverHeap // key: queued
 }
 
-type serverState struct {
-	nodeID  int
-	runEnd  float64 // estimated completion instant of the running long task
-	queued  float64 // summed estimates of queued long tasks
-	heapIdx int
-	inRun   bool
+// server is one node's waiting-time state plus where its slot sits. Its
+// size is pinned here for hawklint and by TestCentralQueueLayout at run
+// time: SyncFrom copies one per node id on every snapshot refresh.
+//
+//hawk:size=24
+//hawk:nopointers
+type server struct {
+	runEnd float64 // estimated completion instant of the running long task
+	queued float64 // summed estimates of queued long tasks
+	pos    int32   // index of the server's slot in its heap; < 0 = untracked
+	inRun  bool    // which heap: running (true) or idle
 }
 
-// key returns the heap ordering key for the heap the server currently
-// occupies.
-func (s *serverState) key() float64 {
+// key returns the ordering key for the heap the server occupies. Every
+// mutation of runEnd, queued or inRun re-seats the server's slot with it.
+func (s *server) key() float64 {
 	if s.inRun {
 		return s.runEnd + s.queued
 	}
@@ -59,7 +68,7 @@ func (s *serverState) key() float64 {
 }
 
 // waiting returns the true waiting time at instant now.
-func (s *serverState) waiting(now float64) float64 {
+func (s *server) waiting(now float64) float64 {
 	w := s.queued
 	if s.runEnd > now {
 		w += s.runEnd - now
@@ -68,39 +77,56 @@ func (s *serverState) waiting(now float64) float64 {
 }
 
 // NewCentralQueue builds a queue over the given node ids, all initially
-// idle (zero waiting time). Server state is allocated as one block — three
-// allocations total regardless of cluster size.
+// idle (zero waiting time): four allocations regardless of cluster size.
+// NewCentralQueue(nil) is an empty queue ready to be a SyncFrom target.
 func NewCentralQueue(nodeIDs []int) *CentralQueue {
 	maxID := -1
 	for _, id := range nodeIDs {
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
 	}
-	q := &CentralQueue{
-		servers: make([]*serverState, maxID+1),
-		count:   len(nodeIDs),
-	}
-	q.states = make([]serverState, len(nodeIDs))
-	q.idle.items = make([]*serverState, 0, len(nodeIDs))
-	for i, id := range nodeIDs {
-		s := &q.states[i]
-		s.nodeID = id
-		q.servers[id] = s
-		q.idle.push(s)
+	q := &CentralQueue{}
+	q.grow(maxID + 1)
+	for _, id := range nodeIDs {
+		q.Add(id, 0)
 	}
 	return q
+}
+
+// grow extends the id space to n node ids, the new ones untracked, and
+// reserves room for n slots in each heap. A server sits in one heap at a
+// time, so until the id space grows again no push and no SyncFrom from a
+// queue this size reallocates — a mirror following a truth whose running
+// heap fills up over a run would otherwise regrow by append's 1.25× on
+// refresh after refresh.
+func (q *CentralQueue) grow(n int) {
+	if n <= len(q.servers) {
+		return
+	}
+	q.servers = slices.Grow(q.servers, n-len(q.servers))
+	for len(q.servers) < n {
+		q.servers = append(q.servers, server{pos: -1})
+	}
+	q.running = slices.Grow(q.running, n-len(q.running))
+	q.idle = slices.Grow(q.idle, n-len(q.idle))
 }
 
 // Len returns the number of servers tracked.
 func (q *CentralQueue) Len() int { return q.count }
 
 // lookup returns the tracked server for nodeID, or nil.
-func (q *CentralQueue) lookup(nodeID int) *serverState {
-	if nodeID < 0 || nodeID >= len(q.servers) {
+func (q *CentralQueue) lookup(nodeID int) *server {
+	if nodeID < 0 || nodeID >= len(q.servers) || q.servers[nodeID].pos < 0 {
 		return nil
 	}
-	return q.servers[nodeID]
+	return &q.servers[nodeID]
+}
+
+// heapOf returns the heap s's slot sits in.
+func (q *CentralQueue) heapOf(s *server) *serverHeap {
+	if s.inRun {
+		return &q.running
+	}
+	return &q.idle
 }
 
 //hawk:hotpath
@@ -110,45 +136,38 @@ func (q *CentralQueue) advance(now float64) {
 	}
 	// Migrate expired running roots: their tasks should have finished by
 	// their estimate; their waiting no longer decays.
-	for q.running.len() > 0 {
-		root := q.running.peek()
-		if root.runEnd > q.now {
+	for len(q.running) > 0 {
+		node := q.running[0].node
+		s := &q.servers[node]
+		if s.runEnd > q.now {
 			break
 		}
-		q.running.remove(root)
-		root.inRun = false
-		q.idle.push(root)
+		q.running.remove(q.servers, 0)
+		s.inRun = false
+		q.idle.push(q.servers, slot{key: s.queued, node: node})
 	}
 }
 
-// best returns the server with the smallest true waiting time at q.now.
+// best returns the node with the smallest true waiting time at q.now; the
+// queue must track at least one server.
 //
 //hawk:hotpath
-func (q *CentralQueue) best() *serverState {
-	var r, i *serverState
-	if q.running.len() > 0 {
-		r = q.running.peek()
-	}
-	if q.idle.len() > 0 {
-		i = q.idle.peek()
-	}
+func (q *CentralQueue) best() int {
 	switch {
-	case r == nil:
-		return i
-	case i == nil:
-		return r
+	case len(q.running) == 0:
+		return int(q.idle[0].node)
+	case len(q.idle) == 0:
+		return int(q.running[0].node)
 	}
-	wr, wi := r.waiting(q.now), i.waiting(q.now)
+	r, i := int(q.running[0].node), int(q.idle[0].node)
+	wr, wi := q.servers[r].waiting(q.now), q.servers[i].waiting(q.now)
 	if wr != wi {
 		if wr < wi {
 			return r
 		}
 		return i
 	}
-	if r.nodeID < i.nodeID {
-		return r
-	}
-	return i
+	return min(r, i)
 }
 
 // Assign places one task with the given estimated duration on the server
@@ -162,11 +181,12 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 		panic("core: Assign on empty CentralQueue")
 	}
 	q.advance(now)
-	s := q.best()
+	nodeID = q.best()
+	s := &q.servers[nodeID]
 	waiting = s.waiting(q.now)
 	s.queued += estDuration
-	q.fix(s)
-	return s.nodeID, waiting
+	q.heapOf(s).fix(q.servers, int(s.pos), s.key())
+	return nodeID, waiting
 }
 
 // AddLoad bumps a specific server's queued-work estimate without choosing
@@ -184,50 +204,27 @@ func (q *CentralQueue) AddLoad(nodeID int, now, estDuration float64) {
 	}
 	q.advance(now)
 	s.queued += estDuration
-	q.fix(s)
+	q.heapOf(s).fix(q.servers, int(s.pos), s.key())
 }
 
-// SyncFrom rebuilds this queue as a copy of src: same clock, same tracked
-// servers, same per-server waiting state. This is the snapshot-refresh
-// primitive of the multi-scheduler model — a scheduler's stale local queue
-// catches up to the shared authoritative queue in one O(n) pass (bulk
-// heapify, no per-server sift) and allocates nothing once its arenas have
-// grown to src's size. The two queues share no memory afterwards.
+// SyncFrom makes this queue a copy of src: same clock, same tracked
+// servers, same per-server waiting state. This is the snapshot primitive of
+// the multi-scheduler model — how a scheduler's mirror is created and how
+// its stale copy catches up to the shared authoritative queue — and it is
+// three array copies: nothing in the representation points anywhere, and a
+// copy of a heap's slots is the same heap, so there is nothing to rebuild.
+// The mirror's decisions match what any other arrangement of the same
+// servers would give (see serverHeap). It allocates only when src's id
+// space is larger than any this queue has held, and the two queues share no
+// memory afterwards.
+//
+//hawk:hotpath
 func (q *CentralQueue) SyncFrom(src *CentralQueue) {
-	q.now = src.now
-	if cap(q.servers) < len(src.servers) {
-		q.servers = make([]*serverState, len(src.servers))
-	} else {
-		q.servers = q.servers[:len(src.servers)]
-		for i := range q.servers {
-			q.servers[i] = nil
-		}
-	}
-	if cap(q.states) < src.count {
-		q.states = make([]serverState, src.count)
-	} else {
-		q.states = q.states[:src.count]
-	}
-	q.running.items = q.running.items[:0]
-	q.idle.items = q.idle.items[:0]
-	i := 0
-	for id, ss := range src.servers {
-		if ss == nil {
-			continue
-		}
-		st := &q.states[i]
-		i++
-		*st = *ss
-		q.servers[id] = st
-		if st.inRun {
-			q.running.items = append(q.running.items, st)
-		} else {
-			q.idle.items = append(q.idle.items, st)
-		}
-	}
-	q.count = src.count
-	q.running.heapify()
-	q.idle.heapify()
+	q.now, q.count = src.now, src.count
+	q.grow(len(src.servers))
+	q.servers = append(q.servers[:0], src.servers...)
+	q.running = append(q.running[:0], src.running...)
+	q.idle = append(q.idle[:0], src.idle...)
 }
 
 // TaskStarted records that a previously assigned task began executing on
@@ -254,7 +251,7 @@ func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration flo
 	if s.queued < 0 {
 		s.queued = 0
 	}
-	q.moveTo(s, true, q.now+runDuration)
+	q.moveTo(nodeID, true, q.now+runDuration)
 }
 
 // TaskFinished records that the running task on nodeID completed at instant
@@ -262,44 +259,23 @@ func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration flo
 //
 //hawk:hotpath
 func (q *CentralQueue) TaskFinished(nodeID int, now float64) {
-	if q == nil {
-		return
-	}
-	s := q.lookup(nodeID)
-	if s == nil {
+	if q == nil || q.lookup(nodeID) == nil {
 		return
 	}
 	q.advance(now)
-	q.moveTo(s, false, q.now)
+	q.moveTo(nodeID, false, q.now)
 }
 
-// moveTo places the server in the requested heap with the new runEnd.
+// moveTo places the tracked server in the requested heap with the new
+// runEnd.
 //
 //hawk:hotpath
-func (q *CentralQueue) moveTo(s *serverState, running bool, runEnd float64) {
-	if s.inRun {
-		q.running.remove(s)
-	} else {
-		q.idle.remove(s)
-	}
+func (q *CentralQueue) moveTo(nodeID int, running bool, runEnd float64) {
+	s := &q.servers[nodeID]
+	q.heapOf(s).remove(q.servers, int(s.pos))
 	s.runEnd = runEnd
 	s.inRun = running && runEnd > q.now
-	if s.inRun {
-		q.running.push(s)
-	} else {
-		q.idle.push(s)
-	}
-}
-
-// fix restores heap order after s's key changed in place.
-//
-//hawk:hotpath
-func (q *CentralQueue) fix(s *serverState) {
-	if s.inRun {
-		q.running.fix(s)
-	} else {
-		q.idle.fix(s)
-	}
+	q.heapOf(s).push(q.servers, slot{key: s.key(), node: int32(nodeID)})
 }
 
 // Remove stops tracking nodeID — the node left the cluster (failure or
@@ -312,12 +288,8 @@ func (q *CentralQueue) Remove(nodeID int) bool {
 	if s == nil {
 		return false
 	}
-	if s.inRun {
-		q.running.remove(s)
-	} else {
-		q.idle.remove(s)
-	}
-	q.servers[nodeID] = nil
+	q.heapOf(s).remove(q.servers, int(s.pos))
+	s.pos = -1
 	q.count--
 	return true
 }
@@ -325,22 +297,15 @@ func (q *CentralQueue) Remove(nodeID int) bool {
 // Add starts (or resumes) tracking nodeID as an idle server with zero
 // waiting time at instant now — the node joined or rejoined the cluster.
 // It reports whether the node was newly added (false if already tracked).
+// A node id the queue has seen before costs no allocation.
 func (q *CentralQueue) Add(nodeID int, now float64) bool {
-	if nodeID < 0 {
-		return false
-	}
-	if q.lookup(nodeID) != nil {
+	if nodeID < 0 || q.lookup(nodeID) != nil {
 		return false
 	}
 	q.advance(now)
-	if nodeID >= len(q.servers) {
-		grown := make([]*serverState, nodeID+1)
-		copy(grown, q.servers)
-		q.servers = grown
-	}
-	s := &serverState{nodeID: nodeID, runEnd: q.now}
-	q.servers[nodeID] = s
-	q.idle.push(s)
+	q.grow(nodeID + 1)
+	q.servers[nodeID] = server{runEnd: q.now}
+	q.idle.push(q.servers, slot{node: int32(nodeID)})
 	q.count++
 	return true
 }
@@ -352,7 +317,7 @@ func (q *CentralQueue) MinWaiting(now float64) float64 {
 		return 0
 	}
 	q.advance(now)
-	return q.best().waiting(q.now)
+	return q.servers[q.best()].waiting(q.now)
 }
 
 // Waiting returns the waiting time of a specific server at instant now, or
@@ -371,120 +336,125 @@ func (q *CentralQueue) Waiting(nodeID int, now float64) float64 {
 func (q *CentralQueue) Waitings(now float64) []float64 {
 	q.advance(now)
 	out := make([]float64, 0, q.count)
-	for _, s := range q.servers {
-		if s != nil {
+	for i := range q.servers {
+		if s := &q.servers[i]; s.pos >= 0 {
 			out = append(out, s.waiting(q.now))
 		}
 	}
 	return out
 }
 
-// serverHeap is an indexed binary heap of servers ordered by key() with
-// nodeID tie-breaking for determinism. Like internal/eventq's event heap it
-// is hand-rolled rather than built on container/heap: the heap sits on
-// CentralQueue.Assign's hot path, and container/heap both moves elements
-// through interface{} and pays an indirect call per comparison and swap.
-// Only the root is ever observed (best/advance), and (key, nodeID) is a
-// strict total order over members, so any valid heap arrangement yields
-// identical scheduling decisions.
-type serverHeap struct {
-	items []*serverState
+// slot is one heap entry: a server and the key it is ordered by, stored
+// inline so sifting compares slots in place. The key is the server's key()
+// as of its last mutation — the same float expression a comparison would
+// recompute, so ordering is bit-identical to recomputing it. Size pinned
+// for hawklint and by TestCentralQueueLayout: every sift step moves one.
+//
+//hawk:size=16
+//hawk:nopointers
+type slot struct {
+	key  float64
+	node int32
 }
 
-func (h *serverHeap) len() int           { return len(h.items) }
-func (h *serverHeap) peek() *serverState { return h.items[0] }
-
-func (h *serverHeap) less(i, j int) bool {
-	ki, kj := h.items[i].key(), h.items[j].key()
-	if ki != kj {
-		return ki < kj
+// less orders slots by key with node id breaking ties: a strict total order
+// over a heap's members.
+func (a slot) less(b slot) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h.items[i].nodeID < h.items[j].nodeID
+	return a.node < b.node
 }
 
-func (h *serverHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIdx = i
-	h.items[j].heapIdx = j
-}
+// serverHeap is an indexed binary min-heap of slots; every method takes the
+// server array so it can keep each moved server's pos pointing at its slot.
+// Like internal/eventq's event heap it is hand-rolled rather than built on
+// container/heap, which moves elements through interface{} and pays an
+// indirect call per comparison and swap. Sifting moves a hole instead of
+// swapping: one slot write and one pos write per level.
+//
+// Only the root is ever observed (best, advance); every other access is by
+// node id through pos. Since less is a strict total order the root is the
+// same server in every valid arrangement of the same members, so scheduling
+// decisions do not depend on the arrangement — which is why SyncFrom may
+// copy a heap as it stands and why the sift order is free to differ from
+// container/heap's.
+type serverHeap []slot
 
 //hawk:hotpath
-func (h *serverHeap) push(s *serverState) {
-	s.heapIdx = len(h.items)
-	h.items = append(h.items, s)
-	h.siftUp(s.heapIdx)
+func (h *serverHeap) push(srv []server, s slot) {
+	*h = append(*h, s)
+	h.up(srv, len(*h)-1, s)
 }
 
-//hawk:hotpath
-func (h *serverHeap) remove(s *serverState) {
-	i := s.heapIdx
-	n := len(h.items) - 1
-	if i != n {
-		h.swap(i, n)
-	}
-	h.items[n] = nil // drop the reference so a departed server can be collected
-	h.items = h.items[:n]
-	if i != n {
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
-	}
-}
-
-// fix restores heap order around position s after s's key changed in place.
+// remove deletes the slot at position i; the caller owns the removed
+// server's pos.
 //
 //hawk:hotpath
-func (h *serverHeap) fix(s *serverState) {
-	if !h.siftDown(s.heapIdx) {
-		h.siftUp(s.heapIdx)
+func (h *serverHeap) remove(srv []server, i int) {
+	n := len(*h) - 1
+	last := (*h)[n]
+	*h = (*h)[:n]
+	if i != n {
+		h.seat(srv, i, last)
 	}
 }
 
-// heapify establishes heap order over items filled in arbitrary order (the
-// classic bottom-up build): O(n) total, versus O(n log n) for pushing one by
-// one. SyncFrom uses it to rebuild a mirrored queue in one pass.
-func (h *serverHeap) heapify() {
-	for i, s := range h.items {
-		s.heapIdx = i
-	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
+// fix re-seats the slot at position i after its server's key changed.
+//
 //hawk:hotpath
-func (h *serverHeap) siftUp(i int) {
+func (h serverHeap) fix(srv []server, i int, key float64) {
+	h.seat(srv, i, slot{key: key, node: h[i].node})
+}
+
+// seat writes s into the heap given a hole at position i, sifting the hole
+// up or down to where s belongs.
+//
+//hawk:hotpath
+func (h serverHeap) seat(srv []server, i int, s slot) {
+	if i > 0 && s.less(h[(i-1)/2]) {
+		h.up(srv, i, s)
+	} else {
+		h.down(srv, i, s)
+	}
+}
+
+// up moves the hole at i towards the root until s may sit in it.
+//
+//hawk:hotpath
+func (h serverHeap) up(srv []server, i int, s slot) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		if !s.less(h[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h[i] = h[parent]
+		srv[h[i].node].pos = int32(i)
 		i = parent
 	}
+	h[i] = s
+	srv[s.node].pos = int32(i)
 }
 
-// siftDown reports whether it moved the element, mirroring container/heap's
-// down so fix and remove sift up only when no downward motion occurred.
+// down moves the hole at i towards the leaves until s may sit in it.
 //
 //hawk:hotpath
-func (h *serverHeap) siftDown(i int) bool {
-	start := i
-	n := len(h.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
+func (h serverHeap) down(srv []server, i int, s slot) {
+	for n := len(h); ; {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		j := left
-		if right := left + 1; right < n && h.less(right, left) {
-			j = right
+		if right := child + 1; right < n && h[right].less(h[child]) {
+			child = right
 		}
-		if !h.less(j, i) {
+		if !h[child].less(s) {
 			break
 		}
-		h.swap(i, j)
-		i = j
+		h[i] = h[child]
+		srv[h[i].node].pos = int32(i)
+		i = child
 	}
-	return i > start
+	h[i] = s
+	srv[s.node].pos = int32(i)
 }

@@ -1,0 +1,186 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// The central queue's rung of the measurement ladder: each call of the
+// steady-state cycle and the snapshot copy, timed on their own at the
+// cluster sizes the experiments use (a test cluster, the paper's 15 k
+// headline, Figure 6's 170 k). The root package's BenchmarkCentralQueue and
+// BenchmarkMultiScheduler run whole simulations on top of this layer;
+// bench/hawkbench's core.cq_* metrics time the same cycle from outside.
+
+var cqBenchSizes = []struct {
+	name string
+	n    int
+}{{"1k", 1000}, {"15k", 15000}, {"170k", 170000}}
+
+const (
+	cqBenchBusy  = 0.9 // share of servers with a running task
+	cqBenchBatch = 256 // calls per timed phase
+)
+
+// cqCycler drives a queue through its steady state: the earliest running
+// tasks finish, each is replaced by a task assigned to the least-waiting
+// server, which starts it. Task estimates are exponential (mean 1000 s), so
+// heap keys are spread the way a trace spreads them.
+type cqCycler struct {
+	q   *CentralQueue
+	rng *rand.Rand
+	now float64
+	// running orders the in-flight tasks by completion instant (slot.key).
+	// It borrows the package's own typed heap so the bookkeeping allocates
+	// nothing and allocs/op reads the queue's; pos is the position index
+	// serverHeap insists on maintaining, which nothing here reads.
+	running serverHeap
+	pos     []server
+	ends    []slot
+	ests    []float64
+	nodes   []int
+}
+
+func newCQCycler(n int) *cqCycler {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	busy := int(cqBenchBusy * float64(n))
+	batch := min(cqBenchBatch, n-busy)
+	c := &cqCycler{
+		q: NewCentralQueue(ids), rng: rand.New(rand.NewSource(1)),
+		running: make(serverHeap, 0, busy), pos: make([]server, n),
+		ends: make([]slot, batch), ests: make([]float64, batch), nodes: make([]int, batch),
+	}
+	for len(c.running) < busy {
+		est := c.rng.ExpFloat64() * 1000
+		id, _ := c.q.Assign(0, est)
+		c.q.TaskStarted(id, 0, est, est)
+		c.running.push(c.pos, slot{key: est, node: int32(id)})
+	}
+	for range 2 * busy / batch { // turn the population over twice
+		c.cycle()
+	}
+	return c
+}
+
+// cycle finishes one batch of tasks and places their replacements,
+// returning the time spent inside each of the three calls. The bookkeeping
+// that picks what finishes next runs outside the timed phases.
+func (c *cqCycler) cycle() (finished, assign, started time.Duration) {
+	for i := range c.ends {
+		c.ends[i] = c.running[0]
+		c.running.remove(c.pos, 0)
+		c.ests[i] = c.rng.ExpFloat64() * 1000
+	}
+	t0 := time.Now()
+	for _, t := range c.ends {
+		c.now = t.key
+		c.q.TaskFinished(int(t.node), c.now)
+	}
+	t1 := time.Now()
+	for i, est := range c.ests {
+		c.nodes[i], _ = c.q.Assign(c.now, est)
+	}
+	t2 := time.Now()
+	for i, est := range c.ests {
+		c.q.TaskStarted(c.nodes[i], c.now, est, est)
+	}
+	t3 := time.Now()
+	for i, est := range c.ests {
+		c.running.push(c.pos, slot{key: c.now + est, node: int32(c.nodes[i])})
+	}
+	return t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
+}
+
+// benchCQPhase reports ns/op for the phases of the cycle that pick selects,
+// one op being one call (Cycle: one finish + assign + start).
+func benchCQPhase(b *testing.B, pick func(finished, assign, started time.Duration) time.Duration) {
+	for _, size := range cqBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			c := newCQCycler(size.n)
+			var spent time.Duration
+			ops := 0
+			b.ResetTimer()
+			for ops < b.N {
+				spent += pick(c.cycle())
+				ops += len(c.ends)
+			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(ops), "ns/op")
+		})
+	}
+}
+
+func BenchmarkCentralQueueAssign(b *testing.B) {
+	benchCQPhase(b, func(_, assign, _ time.Duration) time.Duration { return assign })
+}
+
+func BenchmarkCentralQueueStarted(b *testing.B) {
+	benchCQPhase(b, func(_, _, started time.Duration) time.Duration { return started })
+}
+
+func BenchmarkCentralQueueFinished(b *testing.B) {
+	benchCQPhase(b, func(finished, _, _ time.Duration) time.Duration { return finished })
+}
+
+func BenchmarkCentralQueueCycle(b *testing.B) {
+	benchCQPhase(b, func(f, a, s time.Duration) time.Duration { return f + a + s })
+}
+
+// BenchmarkCentralQueueSyncFrom is one snapshot refresh: a warmed mirror
+// catching up to a 90 %-busy truth. MB/s counts the bytes of the three
+// arrays copied.
+func BenchmarkCentralQueueSyncFrom(b *testing.B) {
+	for _, size := range cqBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			truth := newCQCycler(size.n).q
+			mirror := NewCentralQueue(nil)
+			mirror.SyncFrom(truth)
+			b.SetBytes(int64(len(truth.servers))*24 + int64(truth.Len())*16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				mirror.SyncFrom(truth)
+			}
+		})
+	}
+}
+
+// TestCentralQueueZeroAlloc pins the queue's steady state at zero
+// allocations per operation, the runtime half of the //hawk:hotpath
+// annotations in centralqueue.go (hawklint's hotalloc analyzer proves the
+// allocating constructs absent; this proves the compiler agreed). The
+// Remove→Add pair is the membership path: a recovered node reuses its
+// record in the server array, where the pointer-based queue allocated a
+// fresh one per recovery.
+func TestCentralQueueZeroAlloc(t *testing.T) {
+	c := newCQCycler(1000)
+	q := c.q
+	mirror := NewCentralQueue(nil)
+	mirror.SyncFrom(q)
+	now := c.now
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"assign-start-finish cycle", func() {
+			now += 0.5
+			id, _ := q.Assign(now, 3)
+			q.TaskStarted(id, now, 3, 4)
+			q.TaskFinished(id, now+1)
+		}},
+		{"AddLoad", func() { q.AddLoad(7, now, 1) }},
+		{"SyncFrom into a warmed mirror", func() { mirror.SyncFrom(q) }},
+		{"Remove then Add", func() {
+			if !q.Remove(17) || !q.Add(17, now) {
+				t.Fatal("node 17 was not tracked")
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(200, tc.op); allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", tc.name, allocs)
+		}
+	}
+}

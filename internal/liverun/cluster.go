@@ -129,7 +129,9 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 		for i := range c.mscheds {
 			ls := &liveScheduler{id: int32(i), c: c, alive: true, snapAt: time.Now()}
 			if c.central != nil {
-				ls.local = core.NewCentralQueue(pol.CentralPool().IDs(c.part))
+				// Born the way it is refreshed: as a copy of the truth.
+				ls.local = core.NewCentralQueue(nil)
+				ls.snapVer = c.central.snapshotInto(ls.local)
 			}
 			c.mscheds[i] = ls
 			go ls.run(interval)

@@ -83,7 +83,6 @@ func (s *simulation) initMultiSched() {
 		live:   core.NewSchedulerSet(spec.Count),
 	}
 	s.view.EnableClaims()
-	pool := s.pol.CentralPool()
 	for i := range s.ms.scheds {
 		sd := &s.ms.scheds[i]
 		sd.alive = true
@@ -92,7 +91,10 @@ func (s *simulation) initMultiSched() {
 			sd.view = s.view.SnapshotInto(nil)
 		}
 		if s.central != nil {
-			sd.local = core.NewCentralQueue(pool.IDs(s.part))
+			// A mirror is born the way it is refreshed: as a copy of
+			// the truth.
+			sd.local = core.NewCentralQueue(nil)
+			sd.local.SyncFrom(s.central)
 		}
 	}
 }
