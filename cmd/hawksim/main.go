@@ -90,6 +90,13 @@ func realMain() int {
 		}
 		return 0
 	}
+	if sameFile(*traceFlag, *traceOutFlag) {
+		// The run decodes -trace job by job, so creating -trace-out over it
+		// would truncate the input while it is still being read.
+		fmt.Fprintf(os.Stderr, "hawksim: -trace %q and -trace-out %q name the same file; write the conversion somewhere else\n",
+			*traceFlag, *traceOutFlag)
+		return 2
+	}
 	trace, file, err := loadWorkload()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
@@ -181,6 +188,14 @@ func realMain() int {
 		fmt.Printf("wrote report to %s\n", *jsonFlag)
 	}
 	return 0
+}
+
+// sameFile reports whether both paths exist and name one file, through
+// whatever links or relative spellings.
+func sameFile(a, b string) bool {
+	ai, aerr := os.Stat(a)
+	bi, berr := os.Stat(b)
+	return aerr == nil && berr == nil && os.SameFile(ai, bi)
 }
 
 // buildConfig assembles the run configuration from the parsed flags.

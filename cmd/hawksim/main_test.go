@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -127,17 +128,12 @@ func TestBuildConfig(t *testing.T) {
 	}
 }
 
-// A streamed run that fails must still leave a whole -dump CSV: one
-// parseable row per job that completed before the failure. (The sink used to
-// be closed on the success path only, cutting the file mid-row at a buffer
-// boundary.) A central outage that never ends is the failure: every long
-// job waits forever and the run ends in the deadlock diagnosis.
-func TestFailedStreamedRunFlushesDump(t *testing.T) {
-	dir := t.TempDir()
-	dump := filepath.Join(dir, "jobs.csv")
-	parseArgs(t, "-workload", "google", "-jobs", "300", "-stream", "-dump", dump, "-central-down", "1")
-
-	errFile, err := os.Create(filepath.Join(dir, "stderr"))
+// runMain runs hawksim in-process on argv and returns its exit code and
+// what it wrote to standard error.
+func runMain(t *testing.T, argv ...string) (int, []byte) {
+	t.Helper()
+	parseArgs(t, argv...)
+	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,18 @@ func TestFailedStreamedRunFlushesDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code, stderr
+}
 
+// A streamed run that fails must still leave a whole -dump CSV: one
+// parseable row per job that completed before the failure. (The sink used to
+// be closed on the success path only, cutting the file mid-row at a buffer
+// boundary.) A central outage that never ends is the failure: every long
+// job waits forever and the run ends in the deadlock diagnosis.
+func TestFailedStreamedRunFlushesDump(t *testing.T) {
+	dir := t.TempDir()
+	dump := filepath.Join(dir, "jobs.csv")
+	code, stderr := runMain(t, "-workload", "google", "-jobs", "300", "-stream", "-dump", dump, "-central-down", "1")
 	if code != 1 {
 		t.Errorf("exit code %d, want 1; stderr: %s", code, stderr)
 	}
@@ -175,5 +182,77 @@ func TestFailedStreamedRunFlushesDump(t *testing.T) {
 	}
 	if len(rows) != completed {
 		t.Errorf("dump has %d rows, want one per completed job (%d)", len(rows), completed)
+	}
+}
+
+// saveTrace writes a jobs-job google hawk-trace to dir/name and returns its
+// path and bytes.
+func saveTrace(t *testing.T, name string, jobs int) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	src := hawk.NewGeneratorSource(hawk.Google(), hawk.GenConfig{NumJobs: jobs, MeanInterArrival: 2.3, Seed: 3})
+	if err := hawk.SaveTraceSource(path, src); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// -trace-out used to create its file while the -trace source still had the
+// same file open for reading: the input was cut to whatever the reader had
+// buffered and the run died on a short record. However the two paths are
+// spelled, that is refused up front and the input is left alone.
+func TestTraceOutOntoTraceIsRefused(t *testing.T) {
+	path, raw := saveTrace(t, "in.trace", 200)
+	alias := filepath.Join(filepath.Dir(path), ".", "sub", "..", "in.trace")
+	if err := os.Mkdir(filepath.Join(filepath.Dir(path), "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{path, alias} {
+		code, stderr := runMain(t, "-trace", path, "-trace-out", out)
+		if code != 2 {
+			t.Errorf("-trace-out %s: exit code %d, want 2; stderr: %s", out, code, stderr)
+		}
+		if !bytes.Contains(stderr, []byte("-trace ")) || !bytes.Contains(stderr, []byte("-trace-out ")) {
+			t.Errorf("-trace-out %s: the message does not name both flags: %s", out, stderr)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, raw) {
+			t.Fatalf("-trace-out %s: the input trace changed from %d to %d bytes", out, len(raw), len(after))
+		}
+	}
+	// A different file is still a conversion followed by a run.
+	out := filepath.Join(t.TempDir(), "out.trace.gz")
+	if code, stderr := runMain(t, "-trace", path, "-trace-out", out, "-nodes", "2000"); code != 0 {
+		t.Errorf("converting to another file: exit code %d; stderr: %s", code, stderr)
+	}
+}
+
+// A trace that is malformed only past the last job its header promises must
+// fail the run with the source's own diagnosis, as it fails hawkgen -in.
+func TestMalformedTraceTailFailsTheRun(t *testing.T) {
+	extra, raw := saveTrace(t, "extra.trace", 60)
+	if err := os.WriteFile(extra, append(raw, "99,1e9,1.5\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crc, raw := saveTrace(t, "crc.trace.gz", 60)
+	raw[len(raw)-8] ^= 0xff // first byte of the gzip trailer's CRC-32
+	if err := os.WriteFile(crc, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, want string }{
+		{extra, "more records than the 60 jobs the header promised"},
+		{crc, "gzip: invalid checksum"},
+	} {
+		code, stderr := runMain(t, "-trace", c.path, "-policy", "sparrow", "-nodes", "2000")
+		if code == 0 || !bytes.Contains(stderr, []byte(c.want)) {
+			t.Errorf("%s: exit code %d, stderr %q; want a failure saying %q", filepath.Base(c.path), code, stderr, c.want)
+		}
 	}
 }

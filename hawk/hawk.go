@@ -328,7 +328,9 @@ type (
 	// Config.JobSink counterpart of WriteResultsCSV); see NewJobCSVSink.
 	JobCSVSink = policy.JobCSVSink
 	// StreamedStats is a Report's bounded-memory aggregate (class counts
-	// plus reservoir samples), present when WithDiscardedJobReports ran.
+	// plus runtime reservoirs), present when WithDiscardedJobReports ran.
+	// The queue-wait reservoirs are on every simulator Report:
+	// Report.WaitReservoir.
 	StreamedStats = policy.StreamedStats
 )
 

@@ -96,11 +96,13 @@ type Config struct {
 	// Seed drives all randomness (probe placement, steal victims,
 	// mis-estimation draws). Equal seeds give identical simulator runs.
 	Seed int64 `json:"seed"`
-	// DiscardJobReports drops the per-job Report.Jobs slice (and the raw
-	// per-entry wait slices): per-class percentiles are instead aggregated
-	// into bounded reservoirs (Report.Streamed), so report memory stays
-	// O(1) however long the workload. Meant for streamed full-scale runs;
-	// combine with JobSink to still persist every job. Simulator only.
+	// DiscardJobReports drops the per-job Report.Jobs slice: per-class job
+	// counts and runtime percentiles are instead aggregated into bounded
+	// reservoirs (Report.Streamed), so report memory stays O(1) however
+	// long the workload, where a retaining run's is O(jobs). (The per-entry
+	// queueing waits are bounded either way; see Report.Waits.) Meant for
+	// streamed full-scale runs; combine with JobSink to still persist every
+	// job. Simulator only.
 	DiscardJobReports bool `json:"discardJobReports,omitempty"`
 	// JobSink, when set, receives every completed job's JobReport in
 	// completion order as the run executes. A non-nil error aborts the run

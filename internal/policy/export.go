@@ -3,11 +3,38 @@ package policy
 import (
 	"bufio"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 )
+
+// resultsHeader names the columns of the per-job results format.
+const resultsHeader = "jobID,submitTime,runtime,tasks,long,trueLong,estimate\n"
+
+// appendJobRow appends j's results row, newline included, to buf. Numbers
+// and booleans never contain a comma, a quote or a line break, so the row
+// is what encoding/csv would write and needs none of its quoting.
+//
+//hawk:hotpath
+func appendJobRow(buf []byte, j JobReport) []byte {
+	buf = strconv.AppendInt(buf, int64(j.ID), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendFloat(buf, j.SubmitTime, 'g', -1, 64)
+	buf = append(buf, ',')
+	buf = strconv.AppendFloat(buf, j.Runtime, 'g', -1, 64)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(j.Tasks), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendBool(buf, j.Long)
+	buf = append(buf, ',')
+	buf = strconv.AppendBool(buf, j.TrueLong)
+	buf = append(buf, ',')
+	buf = strconv.AppendFloat(buf, j.Estimate, 'g', -1, 64)
+	buf = append(buf, '\n')
+	return buf
+}
 
 // WriteResultsCSV exports per-job outcomes as CSV with a header row:
 //
@@ -17,30 +44,13 @@ import (
 // engine-independent: both the simulator and the live engine fill every
 // column.
 func WriteResultsCSV(w io.Writer, r *Report) error {
-	bw := bufio.NewWriter(w)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write([]string{"jobID", "submitTime", "runtime", "tasks", "long", "trueLong", "estimate"}); err != nil {
-		return err
-	}
+	s, _ := NewJobCSVSink(w) // never fails, see there
 	for _, j := range r.Jobs {
-		rec := []string{
-			strconv.Itoa(j.ID),
-			strconv.FormatFloat(j.SubmitTime, 'g', -1, 64),
-			strconv.FormatFloat(j.Runtime, 'g', -1, 64),
-			strconv.Itoa(j.Tasks),
-			strconv.FormatBool(j.Long),
-			strconv.FormatBool(j.TrueLong),
-			strconv.FormatFloat(j.Estimate, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("policy: writing job %d: %w", j.ID, err)
+		if err := s.Sink(j); err != nil {
+			return err
 		}
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return s.Flush()
 }
 
 // JobCSVSink streams per-job outcomes to CSV row by row, in the exact
@@ -50,21 +60,17 @@ func WriteResultsCSV(w io.Writer, r *Report) error {
 // needs O(1) memory. Rows buffer through a bufio.Writer; call Close (or
 // Flush) when the run returns.
 type JobCSVSink struct {
-	bw *bufio.Writer
-	cw *csv.Writer
-	f  *os.File // owned file when created by CreateJobCSVSink, else nil
-	// rec is the reused row buffer; Sink fully overwrites it each call.
-	rec [7]string
+	bw  *bufio.Writer
+	f   *os.File // owned file when created by CreateJobCSVSink, else nil
+	row []byte   // the reused row buffer; Sink overwrites it each call
 }
 
-// NewJobCSVSink starts a CSV stream on w, writing the header row
-// immediately. Pass sink.Sink as Config.JobSink.
+// NewJobCSVSink starts a CSV stream on w, beginning with the header row.
+// Pass sink.Sink as Config.JobSink. The error is always nil: the header
+// only reaches the buffer, and what w refuses surfaces at Flush.
 func NewJobCSVSink(w io.Writer) (*JobCSVSink, error) {
-	s := &JobCSVSink{bw: bufio.NewWriter(w)}
-	s.cw = csv.NewWriter(s.bw)
-	if err := s.cw.Write([]string{"jobID", "submitTime", "runtime", "tasks", "long", "trueLong", "estimate"}); err != nil {
-		return nil, err
-	}
+	s := &JobCSVSink{bw: bufio.NewWriter(w), row: make([]byte, 0, 128)}
+	s.bw.WriteString(resultsHeader)
 	return s, nil
 }
 
@@ -75,38 +81,22 @@ func CreateJobCSVSink(path string) (*JobCSVSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewJobCSVSink(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
+	s, _ := NewJobCSVSink(f) // never fails, see there
 	s.f = f
 	return s, nil
 }
 
 // Sink appends one job row. It has the Config.JobSink signature.
 func (s *JobCSVSink) Sink(j JobReport) error {
-	s.rec[0] = strconv.Itoa(j.ID)
-	s.rec[1] = strconv.FormatFloat(j.SubmitTime, 'g', -1, 64)
-	s.rec[2] = strconv.FormatFloat(j.Runtime, 'g', -1, 64)
-	s.rec[3] = strconv.Itoa(j.Tasks)
-	s.rec[4] = strconv.FormatBool(j.Long)
-	s.rec[5] = strconv.FormatBool(j.TrueLong)
-	s.rec[6] = strconv.FormatFloat(j.Estimate, 'g', -1, 64)
-	if err := s.cw.Write(s.rec[:]); err != nil {
+	s.row = appendJobRow(s.row[:0], j)
+	if _, err := s.bw.Write(s.row); err != nil {
 		return fmt.Errorf("policy: writing job %d: %w", j.ID, err)
 	}
 	return nil
 }
 
 // Flush drains buffered rows to the underlying writer.
-func (s *JobCSVSink) Flush() error {
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
-		return err
-	}
-	return s.bw.Flush()
-}
+func (s *JobCSVSink) Flush() error { return s.bw.Flush() }
 
 // Close flushes and, when the sink owns its file, closes it.
 func (s *JobCSVSink) Close() error {
@@ -120,17 +110,22 @@ func (s *JobCSVSink) Close() error {
 	return err
 }
 
-// SaveResultsCSV writes per-job outcomes to path.
-func SaveResultsCSV(path string, r *Report) error {
+// writeFile creates path, has write fill it, and closes it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteResultsCSV(f, r); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// SaveResultsCSV writes per-job outcomes to path.
+func SaveResultsCSV(path string, r *Report) error {
+	return writeFile(path, func(w io.Writer) error { return WriteResultsCSV(w, r) })
 }
 
 // ReadResultsCSV parses a file written by WriteResultsCSV back into job
@@ -144,43 +139,22 @@ func ReadResultsCSV(r io.Reader) ([]JobReport, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("policy: empty results file")
 	}
-	out := make([]JobReport, 0, len(recs)-1)
+	out := make([]JobReport, len(recs)-1)
 	for i, rec := range recs[1:] {
 		if len(rec) != 7 {
 			return nil, fmt.Errorf("policy: results row %d has %d fields, want 7", i+2, len(rec))
 		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad id: %w", i+2, err)
+		j, errs := &out[i], [7]error{}
+		j.ID, errs[0] = strconv.Atoi(rec[0])
+		j.SubmitTime, errs[1] = strconv.ParseFloat(rec[1], 64)
+		j.Runtime, errs[2] = strconv.ParseFloat(rec[2], 64)
+		j.Tasks, errs[3] = strconv.Atoi(rec[3])
+		j.Long, errs[4] = strconv.ParseBool(rec[4])
+		j.TrueLong, errs[5] = strconv.ParseBool(rec[5])
+		j.Estimate, errs[6] = strconv.ParseFloat(rec[6], 64)
+		if err := errors.Join(errs[:]...); err != nil {
+			return nil, fmt.Errorf("policy: results row %d: %w", i+2, err)
 		}
-		submit, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad submit: %w", i+2, err)
-		}
-		runtime, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad runtime: %w", i+2, err)
-		}
-		tasks, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad tasks: %w", i+2, err)
-		}
-		long, err := strconv.ParseBool(rec[4])
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad long flag: %w", i+2, err)
-		}
-		trueLong, err := strconv.ParseBool(rec[5])
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad trueLong flag: %w", i+2, err)
-		}
-		est, err := strconv.ParseFloat(rec[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("policy: results row %d: bad estimate: %w", i+2, err)
-		}
-		out = append(out, JobReport{
-			ID: id, SubmitTime: submit, Runtime: runtime,
-			Tasks: tasks, Long: long, TrueLong: trueLong, Estimate: est,
-		})
 	}
 	return out, nil
 }

@@ -1,11 +1,12 @@
 package policy
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/stats"
 )
@@ -36,6 +37,14 @@ type JobReport struct {
 // engine, so experiments, benchmarks, and CLIs compare engines
 // apples-to-apples. Engine-specific fields are zero where an engine does
 // not produce them.
+//
+// What a run leaves behind is sized by what a reader can use: O(jobs) when
+// it retains per-job reports (Jobs), O(1) when it discards them
+// (Config.DiscardJobReports: Streamed), and in neither mode O(queue
+// entries) — the per-entry queueing waits go to one bounded store, the
+// Waits reservoirs. Those moved here from StreamedStats, which had them on
+// discarding runs only; the unbounded Report.ShortEntryWaits/LongEntryWaits
+// slices a retaining run used to fill instead are deleted.
 type Report struct {
 	// Engine names the engine that produced the report: "sim" for the
 	// discrete-event simulator, "live" for the goroutine prototype.
@@ -157,29 +166,46 @@ type Report struct {
 	// (one per affected node per event).
 	StragglerSlowdowns int64 `json:"stragglerSlowdowns,omitempty"`
 
-	// Per-entry queueing waits (time from arrival at a node to the slot
-	// opening), split by the owning job's class. Diagnostics for the
-	// head-of-line-blocking analyses (simulator only).
-	ShortEntryWaits []float64 `json:"-"`
-	LongEntryWaits  []float64 `json:"-"`
+	// Waits samples the per-entry queueing waits (time from arrival at a
+	// node to the slot opening) by the owning job's class, short then long:
+	// diagnostics for the head-of-line-blocking analyses. A reservoir holds
+	// every wait, in arrival order, until DefaultReservoirSize of them have
+	// come, and a uniform sample after. Simulator only; nil on a live report.
+	Waits [2]*stats.Reservoir `json:"-"`
 
 	// Streamed holds the bounded-memory aggregates of a run with
-	// Config.DiscardJobReports set: per-class job counts and reservoir
-	// samples standing in for the Jobs slice and the wait slices (which
-	// are then empty). Nil on a run retaining per-job reports.
+	// Config.DiscardJobReports set: per-class job counts and runtime
+	// reservoirs standing in for the Jobs slice (which is then empty). Nil
+	// on a run retaining per-job reports.
 	Streamed *StreamedStats `json:"streamed,omitempty"`
 }
 
-// DefaultReservoirSize is the per-class reservoir capacity used when
-// Config.DiscardJobReports turns on streamed aggregation: percentiles stay
+// NewWaitReservoirs builds the Report.Waits pair with the given per-class
+// capacity, on the sub-seeds after NewStreamedStats' two (seed+2, seed+3).
+func NewWaitReservoirs(capacity int, seed int64) [2]*stats.Reservoir {
+	return [2]*stats.Reservoir{stats.NewReservoir(capacity, seed+2), stats.NewReservoir(capacity, seed+3)}
+}
+
+// WaitReservoir returns the queue-wait reservoir for the class.
+//
+//hawk:hotpath
+func (r *Report) WaitReservoir(long bool) *stats.Reservoir {
+	if long {
+		return r.Waits[1]
+	}
+	return r.Waits[0]
+}
+
+// DefaultReservoirSize is the per-class capacity of the simulator's
+// reservoirs (Report.Waits; the StreamedStats runtimes): percentiles stay
 // exact up to this many samples per class and become tight estimates
 // beyond, while report memory stays constant.
 const DefaultReservoirSize = 4096
 
 // StreamedStats aggregates per-job outcomes with O(1) memory: class
-// counts and fixed-capacity uniform reservoirs of the runtimes and queue
-// waits. It stands in for Report.Jobs on runs that discard per-job
-// reports; Report.Percentile and Report.Summary consult it transparently.
+// counts and fixed-capacity uniform reservoirs of the runtimes. It stands
+// in for Report.Jobs on runs that discard per-job reports;
+// Report.Percentile and Report.Summary consult it transparently.
 type StreamedStats struct {
 	ShortJobs int64 `json:"shortJobs"`
 	LongJobs  int64 `json:"longJobs"`
@@ -192,19 +218,16 @@ type StreamedStats struct {
 
 	shortRuntimes *stats.Reservoir
 	longRuntimes  *stats.Reservoir
-	shortWaits    *stats.Reservoir
-	longWaits     *stats.Reservoir
 }
 
 // NewStreamedStats builds the aggregate with the given per-class reservoir
-// capacity. The four reservoirs draw from consecutive sub-seeds so the
-// aggregate is a pure function of (capacity, seed, observation sequence).
+// capacity. The reservoirs draw from consecutive sub-seeds (seed for short,
+// seed+1 for long) so the aggregate is a pure function of (capacity, seed,
+// observation sequence).
 func NewStreamedStats(capacity int, seed int64) *StreamedStats {
 	return &StreamedStats{
 		shortRuntimes: stats.NewReservoir(capacity, seed),
 		longRuntimes:  stats.NewReservoir(capacity, seed+1),
-		shortWaits:    stats.NewReservoir(capacity, seed+2),
-		longWaits:     stats.NewReservoir(capacity, seed+3),
 	}
 }
 
@@ -229,31 +252,12 @@ func (st *StreamedStats) ObserveJob(j JobReport) {
 	}
 }
 
-// ObserveWait folds one queue-entry wait into the aggregate.
-//
-//hawk:hotpath
-func (st *StreamedStats) ObserveWait(w float64, long bool) {
-	if long {
-		st.longWaits.Add(w)
-	} else {
-		st.shortWaits.Add(w)
-	}
-}
-
 // RuntimeReservoir returns the runtime reservoir for the class.
 func (st *StreamedStats) RuntimeReservoir(long bool) *stats.Reservoir {
 	if long {
 		return st.longRuntimes
 	}
 	return st.shortRuntimes
-}
-
-// WaitReservoir returns the queue-wait reservoir for the class.
-func (st *StreamedStats) WaitReservoir(long bool) *stats.Reservoir {
-	if long {
-		return st.longWaits
-	}
-	return st.shortWaits
 }
 
 // runtimes returns per-class runtimes selected by sel. It counts the
@@ -383,27 +387,49 @@ type jsonReport struct {
 
 // WriteJSON writes the report as indented JSON, including the utilization
 // samples, so runs from either engine can be archived and diffed with
-// standard tooling.
+// standard tooling. The bytes are those of a json.Encoder with
+// SetIndent("", "  ") over the whole report, but memory is O(one job): the
+// report is marshalled once with Jobs emptied, and the jobs are spliced
+// into that shell one element at a time through a reused buffer.
 func (r *Report) WriteJSON(w io.Writer) error {
 	jr := jsonReport{Report: *r, UtilizationSamples: r.Utilization.Samples()}
+	jr.Jobs = nil
 	if med := r.Utilization.Median(); !math.IsNaN(med) {
 		jr.MedianUtilization = med
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jr)
+	shell, err := json.MarshalIndent(jr, "", "  ")
+	if err != nil {
+		return err
+	}
+	// A raw newline cannot occur inside a JSON string, so with its indent
+	// this matches the top-level key and nothing else.
+	const jobsKey = "\n  \"jobs\": "
+	head, tail, _ := bytes.Cut(shell, []byte(jobsKey+"null"))
+	var job bytes.Buffer
+	enc := json.NewEncoder(&job)
+	enc.SetIndent("    ", "  ")
+	bw := bufio.NewWriter(w) // keeps its first write error for Flush to report
+	bw.Write(head)
+	bw.WriteString(jobsKey)
+	before, after := "[\n    ", "[]"
+	if r.Jobs == nil {
+		after = "null"
+	}
+	for i := range r.Jobs {
+		job.Reset()
+		if err := enc.Encode(&r.Jobs[i]); err != nil {
+			return err
+		}
+		bw.WriteString(before)
+		bw.Write(bytes.TrimSuffix(job.Bytes(), []byte("\n"))) // Encode ends every value with one
+		before, after = ",\n    ", "\n  ]"
+	}
+	bw.WriteString(after)
+	bw.Write(tail)
+	bw.WriteByte('\n')
+	return bw.Flush()
 }
 
 // SaveReportJSON writes the full report to path as JSON, the file-level
 // counterpart of SaveResultsCSV.
-func SaveReportJSON(path string, r *Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func SaveReportJSON(path string, r *Report) error { return writeFile(path, r.WriteJSON) }

@@ -1,0 +1,179 @@
+package policy
+
+import (
+	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"io"
+	"math"
+	"runtime"
+	"strconv"
+	"testing"
+)
+
+// encodeWhole is the WriteJSON this package had before it streamed: one
+// Encoder over the whole report. It is the byte-for-byte oracle.
+func encodeWhole(w io.Writer, r *Report) error {
+	jr := jsonReport{Report: *r, UtilizationSamples: r.Utilization.Samples()}
+	if med := r.Utilization.Median(); !math.IsNaN(med) {
+		jr.MedianUtilization = med
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jr)
+}
+
+// syntheticJobs returns n job reports with every field exercised, floats
+// with long and short spellings, and an occasional outage mark.
+func syntheticJobs(n int) []JobReport {
+	jobs := make([]JobReport, n)
+	for i := range jobs {
+		jobs[i] = JobReport{
+			ID: i, SubmitTime: float64(i) * 2.3, Runtime: 1e-7 + float64(i%977)*1234.56789,
+			Tasks: 1 + i%4113, Long: i%10 == 0, TrueLong: i%9 == 0, Estimate: float64(i%53) / 3,
+			DuringOutage: i%101 == 0,
+		}
+	}
+	return jobs
+}
+
+func retainedReport(jobs []JobReport) *Report {
+	r := &Report{
+		Engine: "sim", Policy: "sparrow", Config: Config{Policy: "sparrow", NumNodes: 15000, Seed: 7},
+		Jobs: jobs, Makespan: 123456.5, ProbesSent: 2170000, TasksExecuted: 1085000, Events: 9e6,
+		Waits: NewWaitReservoirs(DefaultReservoirSize, 7),
+	}
+	for i := 0; i < 40; i++ {
+		r.Utilization.AddAt(float64(100*i), float64(i%7)/7)
+	}
+	return r
+}
+
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	streamed := retainedReport(nil)
+	streamed.Streamed = NewStreamedStats(DefaultReservoirSize, 7)
+	for _, j := range syntheticJobs(500) {
+		streamed.Streamed.ObserveJob(j)
+	}
+	// A string that spells the splice marker must stay a string.
+	sidecars := retainedReport(syntheticJobs(3))
+	sidecars.Config.Policy = "x\n  \"jobs\": null"
+	sidecars.Config.Schedulers = &SchedulerSpec{Count: 4, SnapshotInterval: 30}
+	sidecars.Config.Faults = &FaultSpec{ProbeLoss: 0.01, MaxRetries: 8}
+	sidecars.Config.Churn = &ChurnSpec{Events: []ChurnEvent{{At: 5, Kind: ChurnFail, Count: 3}}}
+	sidecars.NodeFailures, sidecars.NodeRecoveries, sidecars.TasksReexecuted, sidecars.ProbesLost = 1, 2, 3, 4
+	sidecars.WorkLostSeconds, sidecars.CentralDeferred, sidecars.CentralOutageSeconds = 5.5, 6, 7.5
+	sidecars.PlacementConflicts, sidecars.ConflictRetries, sidecars.SnapshotRefreshes = 8, 9, 10
+	sidecars.SnapshotStalenessSeconds, sidecars.SchedulerFailures, sidecars.SchedulerRecoveries = 11.5, 12, 13
+	sidecars.SchedulerReassigned, sidecars.ProbeTimeouts, sidecars.ProbeRetries, sidecars.AssignRetries = 14, 15, 16, 17
+	sidecars.FallbacksToCentral, sidecars.SpeculativeLaunches, sidecars.SpeculativeWins = 18, 19, 20
+	sidecars.SpeculativeWasted, sidecars.StragglerSlowdowns = 21, 22
+	sidecars.MessagesDropped = &MessageDrops{Probes: 1, Replies: 2, Steals: 3, Assigns: 4, Commits: 5}
+
+	for name, r := range map[string]*Report{
+		"nil jobs":     retainedReport(nil),
+		"empty jobs":   retainedReport([]JobReport{}),
+		"one job":      retainedReport(syntheticJobs(1)),
+		"10000 jobs":   retainedReport(syntheticJobs(10000)),
+		"streamed":     streamed,
+		"all sidecars": sidecars,
+		"live":         {Engine: "live", Policy: "hawk", Jobs: syntheticJobs(2)},
+	} {
+		var got, want bytes.Buffer
+		if err := encodeWhole(&want, r); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		if err := r.WriteJSON(&got); err != nil {
+			t.Fatalf("%s: WriteJSON: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteJSON differs from the whole-report Encoder (%d vs %d bytes)", name, got.Len(), want.Len())
+		}
+	}
+
+	// What encoding/json refuses, both refuse, with the same words.
+	nan := retainedReport(syntheticJobs(3))
+	nan.Jobs[1].Runtime = math.NaN()
+	want, got := encodeWhole(io.Discard, nan), nan.WriteJSON(io.Discard)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("NaN runtime: WriteJSON error %v, the Encoder's %v", got, want)
+	}
+}
+
+// raceDetector is set by race_test.go when the race detector is compiled in.
+var raceDetector bool
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Writing the report must cost O(one job), not a multiple of the file: the
+// whole-report Encoder allocated about 28 MB for these 20 000 jobs.
+func TestWriteJSONAllocBound(t *testing.T) {
+	if raceDetector {
+		t.Skip("under the race detector sync.Pool drops entries, so encoding/json allocates its encoder state anew for most jobs")
+	}
+	r := retainedReport(syntheticJobs(20000))
+	var err error
+	got := allocatedBytes(func() { err = r.WriteJSON(io.Discard) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got >= 1<<20 {
+		t.Errorf("WriteJSON of 20 000 jobs allocated %d bytes, want below 1 MiB", got)
+	}
+}
+
+// The one row formatter writes what encoding/csv writes, for values at the
+// edges of every column's formatting.
+func TestJobRowMatchesEncodingCSV(t *testing.T) {
+	jobs := append(syntheticJobs(200),
+		JobReport{ID: -1, SubmitTime: math.Inf(1), Runtime: math.NaN(), Tasks: 0, Estimate: math.Inf(-1)},
+		JobReport{ID: math.MaxInt64, SubmitTime: 1e21, Runtime: 5e-324, Tasks: math.MaxInt32, Long: true, TrueLong: true, Estimate: 0.1},
+	)
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	cw.Write([]string{"jobID", "submitTime", "runtime", "tasks", "long", "trueLong", "estimate"})
+	for _, j := range jobs {
+		cw.Write([]string{
+			strconv.Itoa(j.ID),
+			strconv.FormatFloat(j.SubmitTime, 'g', -1, 64),
+			strconv.FormatFloat(j.Runtime, 'g', -1, 64),
+			strconv.Itoa(j.Tasks),
+			strconv.FormatBool(j.Long),
+			strconv.FormatBool(j.TrueLong),
+			strconv.FormatFloat(j.Estimate, 'g', -1, 64),
+		})
+	}
+	cw.Flush()
+	var got bytes.Buffer
+	if err := WriteResultsCSV(&got, &Report{Jobs: jobs}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("WriteResultsCSV differs from encoding/csv:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+}
+
+func TestJobCSVSinkZeroAllocs(t *testing.T) {
+	sink, err := NewJobCSVSink(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := syntheticJobs(512)
+	i := 0
+	allocs := testing.AllocsPerRun(4096, func() {
+		if err := sink.Sink(jobs[i%len(jobs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("JobCSVSink.Sink allocated %v times per job, want 0", allocs)
+	}
+}

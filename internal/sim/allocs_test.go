@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -15,11 +17,10 @@ import (
 // in both the Figure 3 and random-position forms (Hawk), and central
 // assignment (§3.7).
 //
-// The only amortized-growth slices left on the path are the wait
-// observations; their backing arrays are pre-grown here so the measurement
-// sees the steady state rather than a growth step. The utilization sampler
-// is pushed past the horizon for the same reason (its series lives in
-// internal/stats and cannot be pre-grown from here).
+// The only amortized-growth slice left on the path is the utilization
+// series, so its sampler is pushed past the horizon (the series lives in
+// internal/stats and cannot be pre-grown from here). The per-entry waits go
+// to fixed-capacity reservoirs and need no such care.
 //
 // hawklint's hotalloc analyzer guards the same property at vet time: the
 // functions these paths run through are annotated //hawk:hotpath (see
@@ -34,8 +35,6 @@ func steadyStateSim(t *testing.T, tr *workload.Trace, cfg policy.Config, warm in
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.res.ShortEntryWaits = make([]float64, 0, 1<<21)
-	s.res.LongEntryWaits = make([]float64, 0, 1<<21)
 	for i := 0; i < warm; i++ {
 		if !s.eng.Step() {
 			t.Fatalf("simulation drained after %d warm-up events — enlarge the trace", i)
@@ -144,4 +143,46 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		measureSteadySteps(t, s, 40000)
 	})
+}
+
+// sparrowRunAlloc runs jobs Google jobs under Sparrow and returns the bytes
+// the run allocated and the probes it sent.
+func sparrowRunAlloc(t *testing.T, jobs int, discard bool) (uint64, int64) {
+	t.Helper()
+	src := workload.NewGeneratorSource(workload.Google(), workload.GenConfig{
+		NumJobs: jobs, MeanInterArrival: 2.3, Seed: 11,
+	})
+	cfg := policy.Config{NumNodes: 15000, Policy: "sparrow", Seed: 9, DiscardJobReports: discard}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunSource(src, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("RunSource(%d jobs): %v", jobs, err)
+	}
+	if !discard && len(res.Jobs) != jobs {
+		t.Fatalf("run retained %d job reports, want %d", len(res.Jobs), jobs)
+	}
+	return after.TotalAlloc - before.TotalAlloc, res.ProbesSent
+}
+
+// TestRetainedRunReportIsOJobs pins what keeping per-job reports costs: the
+// Jobs slice, and nothing per queue entry. The same run with the reports
+// discarded makes the same decisions and the same engine allocations, so
+// the difference between the two is what retention allocates. Sparrow sends
+// two probes per task, about 55 queue entries per job here; when each
+// entry's wait was appended to a slice that difference was 40 bytes per
+// probe and grew fourfold from the short run to the long one.
+func TestRetainedRunReportIsOJobs(t *testing.T) {
+	for _, jobs := range []int{5000, 20000} {
+		retained, probes := sparrowRunAlloc(t, jobs, false)
+		discarded, _ := sparrowRunAlloc(t, jobs, true)
+		extra := int64(retained) - int64(discarded)
+		budget := int64(jobs)*int64(unsafe.Sizeof(policy.JobReport{})) + 64<<10
+		t.Logf("%d jobs, %d probes: retaining reports allocates %d B more than discarding them (budget %d B)", jobs, probes, extra, budget)
+		if extra > budget {
+			t.Errorf("%d jobs: retaining reports allocates %d B, %.1f B per probe; want at most the Jobs slice (%d B)",
+				jobs, extra, float64(extra)/float64(probes), budget)
+		}
+	}
 }

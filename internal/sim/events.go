@@ -263,6 +263,10 @@ func (s *simulation) submitNext(pos int32) {
 		s.pending = nxt
 		s.submitted++
 		s.eng.AtReserved(nxt.SubmitTime, uint64(next)+1, simEvent{kind: evSubmit, ref: next})
+	} else if err := workload.SourceErr(s.source); err != nil {
+		// That was the last job, and a file source has looked past it.
+		s.failRun(err)
+		return
 	}
 	s.submit(job)
 }

@@ -154,16 +154,33 @@ func goldenTrace() *workload.Trace {
 	})
 }
 
+// runPinned is Run with wait reservoirs too large to overflow. A reservoir
+// that has not overflowed holds every value in arrival order, so its
+// Values() is the raw per-entry wait sequence the goldens were generated
+// with, and production needs no switch that turns retention back on.
+func runPinned(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
+	s, err := newSimulation(trace, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.res.Waits = policy.NewWaitReservoirs(1<<16, 0)
+	return s.run()
+}
+
 func marshalPinned(t *testing.T, res *policy.Report) []byte {
 	t.Helper()
+	short, long := res.WaitReservoir(false).Values(), res.WaitReservoir(true).Values()
+	if n := res.WaitReservoir(false).Count() + res.WaitReservoir(true).Count(); n != int64(len(short)+len(long)) {
+		t.Fatalf("a wait reservoir overflowed: saw %d waits, holds %d; run through runPinned, or enlarge its capacity", n, len(short)+len(long))
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
 	err := enc.Encode(pinnedReport{
 		Report:             res,
 		UtilizationSamples: res.Utilization.Samples(),
-		ShortEntryWaits:    res.ShortEntryWaits,
-		LongEntryWaits:     res.LongEntryWaits,
+		ShortEntryWaits:    short,
+		LongEntryWaits:     long,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +198,7 @@ func TestReportsMatchGolden(t *testing.T) {
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(trace, cfg)
+			res, err := runPinned(trace, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,12 +237,12 @@ func TestBackendsProduceIdenticalReports(t *testing.T) {
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			engineBackend = eventq.BackendLadder
-			ladder, err := Run(trace, cfg)
+			ladder, err := runPinned(trace, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			engineBackend = eventq.BackendHeap
-			heap, err := Run(trace, cfg)
+			heap, err := runPinned(trace, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

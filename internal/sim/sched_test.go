@@ -19,7 +19,7 @@ func TestSingleSchedulerEquivalence(t *testing.T) {
 	trace := goldenTrace()
 	cfg := policy.Config{NumNodes: 1200, Seed: 9, Policy: "hawk"}
 	cfg.Schedulers = &policy.SchedulerSpec{Count: 1}
-	res, err := Run(trace, cfg)
+	res, err := runPinned(trace, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestMultiSchedulerConflictAccounting(t *testing.T) {
 // (trace, config, seed) — two identical runs, identical bytes.
 func TestMultiSchedulerDeterminism(t *testing.T) {
 	trace := goldenTrace()
-	a, err := Run(trace, multiSchedConfig(4))
+	a, err := runPinned(trace, multiSchedConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(trace, multiSchedConfig(4))
+	b, err := runPinned(trace, multiSchedConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSchedulerChurnWithNodeChurn(t *testing.T) {
 		{At: 70, Kind: policy.ChurnSchedRecover, Node: 2},
 	}}
 	run := func() []byte {
-		res, err := Run(trace, cfg)
+		res, err := runPinned(trace, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -359,6 +359,9 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		arenaCap = streamArenaHint
 	}
 	s.jobs = make([]jobState, 0, arenaCap)
+	// Queue entries outnumber jobs (two probes per task under batch
+	// sampling), so on every run their waits go to bounded reservoirs.
+	s.res.Waits = policy.NewWaitReservoirs(policy.DefaultReservoirSize, cfg.Seed+policy.SeedReservoirs)
 	if cfg.DiscardJobReports {
 		// Jobs retention is off: aggregate into bounded reservoirs instead
 		// of the per-job slice, so report memory is O(1) too.
@@ -799,16 +802,7 @@ func (s *simulation) jobCompleted(idx int32, now float64) {
 //
 //hawk:hotpath
 func (s *simulation) observeWait(e entry, now float64) {
-	w := now - e.enq
-	if s.res.Streamed != nil {
-		s.res.Streamed.ObserveWait(w, e.long())
-		return
-	}
-	if e.long() {
-		s.res.LongEntryWaits = append(s.res.LongEntryWaits, w)
-	} else {
-		s.res.ShortEntryWaits = append(s.res.ShortEntryWaits, w)
-	}
+	s.res.WaitReservoir(e.long()).Add(now - e.enq)
 }
 
 //hawk:hotpath

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -324,5 +328,63 @@ func TestStreamingSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if len(src.free) == 0 && len(s.freeSlots) == 0 {
 		t.Fatal("neither the source pool nor the slot free list was ever used")
+	}
+}
+
+// saveGoogleTrace writes a small hawk-trace to dir/name and returns its
+// path and bytes.
+func saveGoogleTrace(t *testing.T, name string) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	gcfg := workload.GenConfig{NumJobs: 40, MeanInterArrival: 1, Seed: 5}
+	if err := workload.SaveSource(path, workload.NewGeneratorSource(workload.Google(), gcfg)); err != nil {
+		t.Fatalf("SaveSource: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// runFile simulates the trace file at path and returns the run's error.
+func runFile(t *testing.T, path string) error {
+	t.Helper()
+	src, err := workload.OpenSource(path)
+	if err != nil {
+		t.Fatalf("OpenSource: %v", err)
+	}
+	defer src.Close()
+	_, err = RunSource(src, policy.Config{NumNodes: 2000, Policy: "sparrow", Seed: 1})
+	return err
+}
+
+// The simulator pulls exactly Meta.NumJobs jobs, so what follows the last
+// of them in a file is the file source's to check, and the source's verdict
+// the simulator's to ask for once it has pulled that job. These two files
+// used to run to a normal report while hawkgen -in rejected them.
+func TestRunRejectsRecordPastPromisedCount(t *testing.T) {
+	path, raw := saveGoogleTrace(t, "extra.trace")
+	if err := runFile(t, path); err != nil {
+		t.Fatalf("the well-formed trace fails: %v", err)
+	}
+	if err := os.WriteFile(path, append(raw, "99,1e9,1.5\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runFile(t, path)
+	if err == nil || !strings.Contains(err.Error(), "more records than the 40 jobs the header promised") {
+		t.Fatalf("a record past jobs=40 was not diagnosed by the source: %v", err)
+	}
+}
+
+func TestRunRejectsCorruptGzipTrailer(t *testing.T) {
+	path, raw := saveGoogleTrace(t, "crc.trace.gz")
+	raw[len(raw)-8] ^= 0xff // first byte of the trailer's CRC-32
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runFile(t, path)
+	if !errors.Is(err, gzip.ErrChecksum) {
+		t.Fatalf("a flipped gzip trailer byte was not diagnosed: %v", err)
 	}
 }

@@ -121,3 +121,29 @@ func TestReservoirEdgeCases(t *testing.T) {
 		t.Error("Values returned the backing array, not a copy")
 	}
 }
+
+// The stats rung of the measurement ladder. Below capacity Add is an append
+// into the preallocated array; above it, one splitmix64 draw and a modulo.
+// The simulator calls it once per queue entry.
+func BenchmarkReservoirAdd(b *testing.B) {
+	b.Run("below-capacity", func(b *testing.B) {
+		r := NewReservoir(1<<16, 1)
+		b.ReportAllocs()
+		for b.Loop() {
+			if len(r.values) == cap(r.values) {
+				r.values = r.values[:0] // empty it in place and keep filling
+			}
+			r.Add(1.5)
+		}
+	})
+	b.Run("above-capacity", func(b *testing.B) {
+		r := NewReservoir(4096, 1)
+		for i := 0; i < 4096; i++ {
+			r.Add(1.5)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			r.Add(1.5)
+		}
+	})
+}

@@ -263,6 +263,30 @@ func TestFileSourceErrors(t *testing.T) {
 	}
 }
 
+// A consumer that stops at Meta.NumJobs must not have to pull once more to
+// learn the file was longer: the verdict is in Err with the last job.
+func TestFileSourceChecksEndWithLastJob(t *testing.T) {
+	const head = "#hawk-trace v=1 name=\"t\" cutoff=10 frac=0.1 jobs=2 maxtasks=1 tasks=2\n"
+	for body, want := range map[string]string{
+		head + "0,0,1,5\n1,1,1,5\n":          "",
+		head + "0,0,1,5\n1,1,1,5\n2,2,1,5\n": "more records than the 2 jobs",
+	} {
+		fs, err := OpenSource(writeStream(t, t.TempDir(), body))
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			if j, ok := fs.Next(); !ok || j.ID != i || fs.Err() != nil && i == 0 {
+				t.Fatalf("job %d: got %v, %v, Err %v", i, j, ok, fs.Err())
+			}
+		}
+		if err := fs.Err(); (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("after the last promised job Err() = %v, want %q", err, want)
+		}
+		fs.Close()
+	}
+}
+
 func TestParseStreamHeaderErrors(t *testing.T) {
 	cases := []string{
 		"not a header",

@@ -246,7 +246,11 @@ func parseStreamHeader(line string) (Meta, error) {
 func (s *FileSource) Meta() Meta { return s.meta }
 
 // Next decodes and returns the next job record. It returns (nil, false) at
-// end of stream or on a decode error; check Err to distinguish.
+// end of stream or on a decode error; check Err to distinguish. A consumer
+// that stops at Meta.NumJobs never makes the call that would reach the end
+// of the file, so on decoding the last promised record Next reads on itself:
+// Err is then already set if more records follow or the gzip trailer does
+// not verify.
 func (s *FileSource) Next() (*Job, bool) {
 	if s.done {
 		return nil, false
@@ -288,6 +292,9 @@ func (s *FileSource) Next() (*Job, bool) {
 	}
 	s.prev = j.SubmitTime
 	s.n++
+	if s.n == s.meta.NumJobs {
+		s.Next() // a clean end of file, or a diagnosis in Err
+	}
 	return j, true
 }
 
