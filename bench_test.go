@@ -8,7 +8,7 @@ package repro
 //	go test -bench=. -benchmem
 //
 // prints the same rows/series the paper reports. cmd/hawkexp runs the full
-// 20000-job versions; EXPERIMENTS.md records paper-vs-measured values.
+// 20000-job versions (README "Commands").
 
 import (
 	"fmt"
@@ -390,13 +390,11 @@ func BenchmarkFaultInjection(b *testing.B) {
 	trace := workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs: 3000, MeanInterArrival: 0.5, Seed: 13,
 	})
-	faults := &policy.FaultSpec{
-		ProbeLoss: 0.01, ReplyLoss: 0.01, StealLoss: 0.01,
-		AssignLoss: 0.01, CommitLoss: 0.01, Jitter: 0.001, MaxRetries: 8,
-	}
+	faults := policy.UniformLoss(0.01)
+	faults.Jitter, faults.MaxRetries = 0.001, 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(trace, policy.Config{NumNodes: 12000, Policy: "hawk", Seed: 5, Faults: faults})
+		res, err := sim.Run(trace, policy.Config{NumNodes: 12000, Policy: "hawk", Seed: 5, Faults: &faults})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Command hawkexp reproduces the paper's tables and figures. Each
-// experiment prints the rows or curve series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// experiment prints the rows or curve series the paper reports (README
+// "Commands").
 //
 // Usage:
 //
@@ -20,8 +20,10 @@
 // see `hawkexp -h`) overlay that scenario on every simulator run of the
 // selected experiment; an experiment that sweeps a scenario dimension
 // itself (multisched, faults, robustness, churn) ignores that part of the
-// overlay. For performance work, -cpuprofile and -memprofile write pprof
-// profiles of the whole experiment (inspect with `go tool pprof`):
+// overlay, and one that builds its own fixed configuration (fig1, fig16-17)
+// says on stderr which flags it ignored. For performance work, -cpuprofile
+// and -memprofile write pprof profiles of the whole experiment (inspect with
+// `go tool pprof`):
 //
 //	hawkexp -exp fig5 -cpuprofile cpu.prof -memprofile mem.prof
 package main
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"time"
 
@@ -123,12 +126,10 @@ func realMain() int {
 		sc = experiments.QuickScale()
 		sc.Seed = *seedFlag
 	}
-	sc.Policy = *policyFlag
 	sc.TracePath = *traceFlag
-	var overlay hawk.Config
-	scenario.Apply(&overlay)
-	sc.Churn, sc.Heterogeneity, sc.Schedulers = overlay.Churn, overlay.Heterogeneity, overlay.Schedulers
-	sc.Faults, sc.NetworkDelay = overlay.Faults, overlay.NetworkDelay
+	scenario.Apply(&sc.Overlay)
+	overlaid := !reflect.DeepEqual(sc.Overlay, hawk.Config{})
+	sc.Overlay.Policy = *policyFlag
 	if *traceOut != "" {
 		t, err := experiments.GoogleTrace(sc)
 		if err != nil {
@@ -141,13 +142,6 @@ func realMain() int {
 		}
 		fmt.Printf("wrote %d jobs to %s\n", t.Len(), *traceOut)
 		return 0
-	}
-	// -jobs used to mean the synthetic trace size (now -numjobs); catch
-	// scripts written against the old meaning rather than silently running
-	// the default-sized trace with an absurd worker bound.
-	if *jobsFlag > 256 {
-		fmt.Fprintf(os.Stderr, "hawkexp: -jobs is the worker-pool bound (got %d); trace size moved to -numjobs\n", *jobsFlag)
-		return 2
 	}
 	sc.Workers = *jobsFlag
 	ids := map[string]experiment{}
@@ -168,8 +162,9 @@ func realMain() int {
 	}
 	for _, id := range toRun {
 		e := ids[id]
-		if (sc.Churn != nil || sc.Heterogeneity != nil) && (id == "fig1" || id == "fig16-17") {
-			fmt.Fprintf(os.Stderr, "hawkexp: note: %s builds its own fixed configuration; the -fail-nodes/-speed-skew overlay does not apply to it\n", id)
+		if overlaid && (id == "fig1" || id == "fig16-17") {
+			fmt.Fprintf(os.Stderr, "hawkexp: note: %s builds its own fixed configuration; ignoring %s\n",
+				id, strings.Join(scenarioFlagsSet(), " "))
 		}
 		fmt.Printf("=== %s — %s\n", e.id, e.desc)
 		start := time.Now()
@@ -180,6 +175,19 @@ func realMain() int {
 		fmt.Printf("--- %s done in %v\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// scenarioFlagsSet names the scenario flags given on the command line.
+func scenarioFlagsSet() []string {
+	shared := flag.NewFlagSet("", flag.ContinueOnError)
+	cliflags.Register(shared)
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if shared.Lookup(f.Name) != nil {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 func runTable1(sc experiments.Scale) error {

@@ -1,0 +1,118 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bin is the hawkexp binary TestMain builds once: exit codes and the
+// stdout/stderr split are what the tests below are about.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "hawkexp-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(dir, "hawkexp")
+	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building hawkexp: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// hawkexp runs the binary on argv and returns its exit code and output.
+func hawkexp(t *testing.T, argv ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var o, e bytes.Buffer
+	cmd := exec.Command(bin, argv...)
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("hawkexp %v: %v", argv, err)
+	}
+	return cmd.ProcessState.ExitCode(), o.String(), e.String()
+}
+
+func TestListPrintsEveryExperimentOnce(t *testing.T) {
+	code, stdout, _ := hawkexp(t, "-list")
+	if code != 0 {
+		t.Fatalf("-list exited %d", code)
+	}
+	listed := map[string]int{}
+	for _, line := range strings.Split(stdout, "\n")[1:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]]++
+		}
+	}
+	for _, e := range registry() {
+		if listed[e.id] != 1 {
+			t.Errorf("-list names %q %d times, want once", e.id, listed[e.id])
+		}
+	}
+	if len(listed) != len(registry()) {
+		t.Errorf("-list names %d ids, the registry has %d:\n%s", len(listed), len(registry()), stdout)
+	}
+}
+
+func TestUnknownExperimentExits2(t *testing.T) {
+	code, _, stderr := hawkexp(t, "-exp", "fig99")
+	if code != 2 || !strings.Contains(stderr, `unknown experiment "fig99"`) {
+		t.Errorf("exit code %d, stderr %q; want 2 and the unknown-experiment message", code, stderr)
+	}
+}
+
+func TestTable1PrintsTheFourWorkloads(t *testing.T) {
+	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-numjobs", "500")
+	if code != 0 {
+		t.Fatalf("exit code %d; stderr: %s", code, stderr)
+	}
+	for _, w := range []string{"google", "cloudera", "facebook", "yahoo"} {
+		if n := strings.Count(stdout, "\n"+w+" "); n != 1 {
+			t.Errorf("table1 has %d %s rows, want 1:\n%s", n, w, stdout)
+		}
+	}
+}
+
+// fig1 builds its own fixed configuration. Whatever part of the scenario
+// overlay the command line asked for, the run says it was ignored and names
+// the flags — -schedulers, the fault flags and -net-delay used to be dropped
+// without a word.
+func TestFixedConfigExperimentNamesIgnoredOverlay(t *testing.T) {
+	for _, c := range []struct{ argv, want []string }{
+		{[]string{"-msg-loss", "0.01"}, []string{"-msg-loss"}},
+		{[]string{"-schedulers", "4"}, []string{"-schedulers"}},
+		{[]string{"-net-delay", "0.001"}, []string{"-net-delay"}},
+		{[]string{"-fail-nodes", "10", "-fail-at", "5", "-speed-skew", "0.2"}, []string{"-fail-nodes", "-fail-at", "-speed-skew"}},
+	} {
+		code, _, stderr := hawkexp(t, append([]string{"-exp", "fig1"}, c.argv...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d; stderr: %s", c.argv, code, stderr)
+		}
+		if !strings.Contains(stderr, "fig1 builds its own fixed configuration") {
+			t.Errorf("%v: no ignored-overlay note on stderr: %q", c.argv, stderr)
+		}
+		for _, f := range c.want {
+			if !strings.Contains(stderr, " "+f) {
+				t.Errorf("%v: the note does not name %s: %q", c.argv, f, stderr)
+			}
+		}
+	}
+	// Knobs whose enabling flag is unset build no overlay: nothing was ignored.
+	if _, _, stderr := hawkexp(t, "-exp", "fig1", "-fail-at", "5", "-fault-retries", "9"); stderr != "" {
+		t.Errorf("dependent knobs alone: unexpected stderr %q", stderr)
+	}
+}

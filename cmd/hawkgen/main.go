@@ -29,7 +29,7 @@ import (
 var (
 	workloadFlag = flag.String("workload", "google", "workload: google, cloudera, facebook, yahoo, motivation")
 	jobsFlag     = flag.Int("jobs", 20000, "number of jobs")
-	iaFlag       = flag.Float64("ia", 2.3, "mean inter-arrival time (seconds)")
+	iaFlag       = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	seedFlag     = flag.Int64("seed", 42, "random seed")
 	outFlag      = flag.String("out", "", "write the trace to this file")
 	formatFlag   = flag.String("format", "auto", "-out format: stream (hawk-trace), legacy (bare CSV), auto (stream for .gz/.trace suffixes)")
@@ -104,9 +104,14 @@ func obtainTrace() (*hawk.Trace, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	ia := *iaFlag
+	if ia <= 0 {
+		// The rate hawksim and hawkexp generate this workload at.
+		ia = spec.CalibratedInterArrival()
+	}
 	t := hawk.Generate(spec, hawk.GenConfig{
 		NumJobs:          *jobsFlag,
-		MeanInterArrival: *iaFlag,
+		MeanInterArrival: ia,
 		Seed:             *seedFlag,
 	})
 	cutoff := *cutoffFlag

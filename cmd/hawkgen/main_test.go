@@ -35,3 +35,24 @@ func TestConvertInPlace(t *testing.T) {
 		t.Errorf("the trace converted onto itself differs: %d jobs, want %d", got.Len(), want.Len())
 	}
 }
+
+// With no -ia, hawkgen generates each workload at its calibrated arrival
+// rate — the trace hawksim -workload simulates — not at google's 2.3 s for
+// all four (which made a yahoo trace 3x more loaded than hawksim's).
+func TestDefaultInterArrivalIsTheWorkloadsCalibratedRate(t *testing.T) {
+	for _, spec := range hawk.AllSpecs() {
+		if err := flag.CommandLine.Parse([]string{"-in", "", "-workload", spec.Name, "-jobs", "200", "-ia", "0"}); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := obtainTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ia := spec.CalibratedInterArrival()
+		want := hawk.Generate(spec, hawk.GenConfig{NumJobs: 200, MeanInterArrival: ia, Seed: 42})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the default trace is not the one generated at %g s (last submission %.0f s, want %.0f s)",
+				spec.Name, ia, got.MakespanLowerBound(), want.MakespanLowerBound())
+		}
+	}
+}

@@ -45,7 +45,6 @@ var (
 	iaFlag        = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	nodesFlag     = flag.Int("nodes", 15000, "cluster size")
 	policyFlag    = flag.String("policy", "hawk", "scheduling policy: "+strings.Join(hawk.Policies(), ", "))
-	modeFlag      = flag.String("mode", "", "deprecated alias for -policy")
 	cutoffFlag    = flag.Float64("cutoff", 0, "long/short cutoff seconds (0 = trace default)")
 	partFlag      = flag.Float64("partition", 0, "short-partition fraction (0 = trace default)")
 	probesFlag    = flag.Int("probes", 2, "probes per task")
@@ -105,20 +104,8 @@ func realMain() int {
 	if file != nil {
 		defer func() { file.Close() }()
 	}
-	name := *policyFlag
-	if *modeFlag != "" {
-		policySet := false
-		flag.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" })
-		if policySet && *modeFlag != *policyFlag {
-			fmt.Fprintf(os.Stderr, "hawksim: conflicting -policy %q and deprecated -mode %q; drop -mode\n",
-				*policyFlag, *modeFlag)
-			return 2
-		}
-		fmt.Fprintln(os.Stderr, "hawksim: -mode is deprecated; use -policy")
-		name = *modeFlag
-	}
-	if !hawk.Registered(name) {
-		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (registered: %v)\n", name, hawk.Policies())
+	if !hawk.Registered(*policyFlag) {
+		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
 		return 2
 	}
 	if *traceOutFlag != "" {
@@ -141,7 +128,7 @@ func realMain() int {
 			}
 		}
 	}
-	cfg := buildConfig(name)
+	cfg := buildConfig(*policyFlag)
 	// On a streamed run -dump rides the job sink, so per-job rows land on
 	// disk at completion and the report never holds them.
 	var sink *hawk.JobCSVSink
@@ -255,27 +242,13 @@ func loadWorkload() (*hawk.Trace, *hawk.FileSource, error) {
 	}
 	ia := *iaFlag
 	if ia <= 0 {
-		ia = defaultInterArrival(spec.Name)
+		ia = spec.CalibratedInterArrival()
 	}
 	return hawk.Generate(spec, hawk.GenConfig{
 		NumJobs:          *jobsFlag,
 		MeanInterArrival: ia,
 		Seed:             *seedFlag,
 	}), nil, nil
-}
-
-func defaultInterArrival(name string) float64 {
-	switch name {
-	case "google":
-		return 2.3
-	case "cloudera":
-		return 1.5
-	case "facebook":
-		return 1.0
-	case "yahoo":
-		return 7.5
-	}
-	return 2.3
 }
 
 // printResult prints the run's headline numbers. trace is nil when the

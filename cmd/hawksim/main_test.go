@@ -128,6 +128,23 @@ func TestBuildConfig(t *testing.T) {
 	}
 }
 
+// -ia 0 (the default) generates each workload at its calibrated arrival rate,
+// the same one hawkgen and hawkexp use.
+func TestDefaultInterArrival(t *testing.T) {
+	for _, spec := range hawk.AllSpecs() {
+		parseArgs(t, "-workload", spec.Name, "-jobs", "200")
+		got, _, err := loadWorkload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ia := spec.CalibratedInterArrival()
+		want := hawk.Generate(spec, hawk.GenConfig{NumJobs: 200, MeanInterArrival: ia, Seed: 42})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the default trace is not the one generated at %g s", spec.Name, ia)
+		}
+	}
+}
+
 // runMain runs hawksim in-process on argv and returns its exit code and
 // what it wrote to standard error.
 func runMain(t *testing.T, argv ...string) (int, []byte) {

@@ -10,7 +10,7 @@
 //     "centralized", and "split" are registered implementations, and
 //     hawk.Register plugs new policies into both engines without engine
 //     changes;
-//   - one shared hawk.Config (functional options, validation, defaults
+//   - one shared hawk.Config (a struct literal; validation, defaults
 //     resolved once) consumed by every engine;
 //   - one hawk.Report result schema with CSV and JSON export, so engines
 //     compare apples-to-apples.
@@ -40,7 +40,7 @@
 //
 //   - README.md — the user's tour: quickstart, sweeps, streaming traces,
 //     the scenario planes (churn, heterogeneity, gray failures, the
-//     multi-scheduler model) with their options and counters, the measured
+//     multi-scheduler model) with their Config fields and counters, the measured
 //     performance trajectory, commands, testing, static analysis.
 //   - docs/ARCHITECTURE.md — the implementer's map: the policy/engine
 //     split, the protocol kernels both engines call (and the one place the

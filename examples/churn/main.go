@@ -26,8 +26,8 @@ func main() {
 		NumJobs: 1200, MeanInterArrival: 0.5, Seed: 7,
 	})
 
-	stable, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7)))
+	cluster := hawk.Config{Policy: "hawk", NumNodes: 3000, Seed: 7}
+	stable, err := hawk.Simulate(trace, cluster)
 	if err != nil {
 		log.Fatalf("stable run failed: %v", err)
 	}
@@ -35,15 +35,15 @@ func main() {
 	// The scenario: 200 random nodes (6.7% of the cluster) fail at t=100 s
 	// while the centralized scheduler goes down; the scheduler returns at
 	// t=400 s and the nodes trickle back in two waves.
-	churned, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7),
-		hawk.WithChurn(
-			hawk.ChurnEvent{At: 100, Kind: hawk.ChurnFail, Count: 200},
-			hawk.ChurnEvent{At: 100, Kind: hawk.ChurnCentralDown},
-			hawk.ChurnEvent{At: 400, Kind: hawk.ChurnCentralUp},
-			hawk.ChurnEvent{At: 500, Kind: hawk.ChurnRecover, Count: 100},
-			hawk.ChurnEvent{At: 700, Kind: hawk.ChurnRecover, Count: 100},
-		)))
+	scenario := cluster
+	scenario.Churn = &hawk.ChurnSpec{Events: []hawk.ChurnEvent{
+		{At: 100, Kind: hawk.ChurnFail, Count: 200},
+		{At: 100, Kind: hawk.ChurnCentralDown},
+		{At: 400, Kind: hawk.ChurnCentralUp},
+		{At: 500, Kind: hawk.ChurnRecover, Count: 100},
+		{At: 700, Kind: hawk.ChurnRecover, Count: 100},
+	}}
+	churned, err := hawk.Simulate(trace, scenario)
 	if err != nil {
 		log.Fatalf("churn run failed: %v", err)
 	}
@@ -51,10 +51,10 @@ func main() {
 	// The multi-scheduler scenario: five concurrent schedulers with 30 s
 	// snapshot staleness, scheduler 2 failing at t=150 s and rejoining at
 	// t=450 s. Jobs it owned re-hash to the survivors.
-	multi, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7),
-		hawk.WithSchedulerSpec(hawk.SchedulerSpec{Count: 5, SnapshotInterval: 30}),
-		hawk.WithChurn(hawk.SchedulerChurn(2, 150, 450)...)))
+	scenario = cluster
+	scenario.Schedulers = &hawk.SchedulerSpec{Count: 5, SnapshotInterval: 30}
+	scenario.Churn = &hawk.ChurnSpec{Events: hawk.SchedulerChurn(2, 150, 450)}
+	multi, err := hawk.Simulate(trace, scenario)
 	if err != nil {
 		log.Fatalf("multi-scheduler run failed: %v", err)
 	}

@@ -22,8 +22,8 @@ func main() {
 		NumJobs: 1200, MeanInterArrival: 0.5, Seed: 7,
 	})
 
-	clean, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7)))
+	cluster := hawk.Config{Policy: "hawk", NumNodes: 3000, Seed: 7}
+	clean, err := hawk.Simulate(trace, cluster)
 	if err != nil {
 		log.Fatalf("clean run failed: %v", err)
 	}
@@ -32,13 +32,11 @@ func main() {
 	// delivered messages pick up to 1 ms of extra delay. MaxRetries 8
 	// keeps a full retry-chain exhaustion (p^9) out of reach, so the
 	// damage shows up as retries and latency rather than fallbacks.
-	lossy, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7),
-		hawk.WithFaults(hawk.FaultSpec{
-			ProbeLoss: 0.02, ReplyLoss: 0.02, StealLoss: 0.02,
-			AssignLoss: 0.02, CommitLoss: 0.02,
-			Jitter: 0.001, MaxRetries: 8,
-		})))
+	plane := hawk.UniformLoss(0.02)
+	plane.Jitter, plane.MaxRetries = 0.001, 8
+	scenario := cluster
+	scenario.Faults = &plane
+	lossy, err := hawk.Simulate(trace, scenario)
 	if err != nil {
 		log.Fatalf("lossy run failed: %v", err)
 	}
@@ -47,13 +45,15 @@ func main() {
 	// down 8x at t=100 s and recover at t=600 s, with speculative
 	// re-execution duplicating any probe-scheduled task still running past
 	// the 95th percentile of its job's task durations.
-	straggle, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(3000), hawk.WithSeed(7),
-		hawk.WithStragglers(
-			hawk.StragglerEvent{At: 100, Count: 300, Factor: 8},
-			hawk.StragglerEvent{At: 600, Count: 300, Factor: 1},
-		),
-		hawk.WithSpeculation(95)))
+	scenario = cluster
+	scenario.Faults = &hawk.FaultSpec{
+		Stragglers: []hawk.StragglerEvent{
+			{At: 100, Count: 300, Factor: 8},
+			{At: 600, Count: 300, Factor: 1},
+		},
+		Speculate: true, SpeculatePercentile: 95,
+	}
+	straggle, err := hawk.Simulate(trace, scenario)
 	if err != nil {
 		log.Fatalf("straggler run failed: %v", err)
 	}

@@ -43,10 +43,10 @@ func main() {
 		1000*trace.MeanTaskDuration(), trace.MakespanLowerBound())
 
 	for _, policy := range []string{"sparrow", "hawk"} {
-		res, err := hawk.RunLive(trace, hawk.NewConfig(policy,
-			hawk.WithNodes(*nodesFlag),
-			hawk.WithSchedulers(10),
-			hawk.WithSeed(*seedFlag)))
+		res, err := hawk.RunLive(trace, hawk.Config{
+			Policy: policy, NumNodes: *nodesFlag, Seed: *seedFlag,
+			Schedulers: &hawk.SchedulerSpec{Count: 10},
+		})
 		if err != nil {
 			log.Fatalf("live run failed: %v", err)
 		}

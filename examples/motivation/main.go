@@ -1,7 +1,7 @@
 // Motivation reproduces the paper's §2.3 motivation in miniature: on a
 // highly loaded cluster with a heterogeneous *workload* (a mix of short
 // and long jobs — not heterogeneous hardware; for per-node speed factors
-// see examples/churn and hawk.WithSpeedSkew), a purely distributed
+// see Config.Heterogeneity), a purely distributed
 // scheduler (Sparrow) lets short jobs queue behind long ones, inflating
 // their runtimes by orders of magnitude — even though idle servers exist.
 //
@@ -23,8 +23,7 @@ func main() {
 	trace := hawk.MotivationWorkload(7)
 
 	for _, policy := range []string{"sparrow", "hawk"} {
-		res, err := hawk.Simulate(trace, hawk.NewConfig(policy,
-			hawk.WithNodes(15000), hawk.WithSeed(7)))
+		res, err := hawk.Simulate(trace, hawk.Config{Policy: policy, NumNodes: 15000, Seed: 7})
 		if err != nil {
 			log.Fatalf("simulation failed: %v", err)
 		}

@@ -29,8 +29,7 @@ func main() {
 	// A 15000-node cluster is highly loaded (but not saturated) under
 	// this arrival rate — the regime where scheduling policy matters most.
 	for _, policy := range []string{"sparrow", "hawk"} {
-		res, err := hawk.Simulate(trace, hawk.NewConfig(policy,
-			hawk.WithNodes(15000), hawk.WithSeed(1)))
+		res, err := hawk.Simulate(trace, hawk.Config{Policy: policy, NumNodes: 15000, Seed: 1})
 		if err != nil {
 			log.Fatalf("simulation failed: %v", err)
 		}

@@ -12,12 +12,15 @@
 // execution consume real time. Both consume the same Config and produce
 // the same Report, so results compare apples-to-apples.
 //
-// Runs schedule against a dynamic cluster model: a Config can script node
-// failures and recoveries, central-scheduler outages, and heterogeneous
-// node speeds (WithChurn, WithSpeedSkew) — both engines replay the same
-// scenario, re-routing lost work, and the Report's churn counters account
-// for the damage. With no scenario configured the cluster is static and
-// engines keep their fast paths.
+// A run is described by one Config literal. Its zero value is the paper's
+// default for every knob (§4.1), resolved once by Normalize when an engine
+// starts, and the resolved value is the "config" block of the Report. The
+// same literal scripts a dynamic cluster — node failures and recoveries,
+// central-scheduler outages, heterogeneous node speeds, concurrent
+// schedulers, a lossy network (the Churn, Heterogeneity, Schedulers and
+// Faults fields) — which both engines replay, re-routing lost work, with
+// the Report's counters accounting for the damage. A nil scenario field is
+// a static, reliable cluster and engines keep their fast paths.
 //
 // The four schedulers the paper studies — "sparrow", "hawk", "centralized",
 // "split" — are registered policies; list them with Policies, validate a
@@ -27,8 +30,7 @@
 //	trace := hawk.Generate(hawk.Google(), hawk.GenConfig{
 //		NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1,
 //	})
-//	report, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-//		hawk.WithNodes(15000), hawk.WithSeed(1)))
+//	report, err := hawk.Simulate(trace, hawk.Config{Policy: "hawk", NumNodes: 15000, Seed: 1})
 //	if err != nil {
 //		log.Fatal(err)
 //	}
@@ -64,8 +66,6 @@ type (
 	// Config is the engine-agnostic run configuration shared by
 	// Simulate and RunLive.
 	Config = policy.Config
-	// Option is a functional option for NewConfig.
-	Option = policy.Option
 	// Report is the unified result schema every engine produces.
 	Report = policy.Report
 	// JobReport is one job's outcome within a Report.
@@ -98,8 +98,8 @@ type (
 	// SchedulerSpec turns on the distributed multi-scheduler model (§4.10):
 	// N concurrent schedulers, each placing against its own stale cluster
 	// snapshot with optimistic claim/commit and bounded conflict retries,
-	// jobs hash-partitioned across the live schedulers. Install it with
-	// WithSchedulers(n) or WithSchedulerSpec; the Report's
+	// jobs hash-partitioned across the live schedulers. Set it as
+	// Config.Schedulers (Count alone is enough); the Report's
 	// PlacementConflicts / ConflictRetries / SnapshotStalenessSeconds
 	// counters quantify the contention.
 	SchedulerSpec = policy.SchedulerSpec
@@ -108,11 +108,11 @@ type (
 	// per-message-class loss, bounded delay jitter, scripted mid-run
 	// stragglers, and the defenses against them — probe timeouts with
 	// bounded exponential-backoff retries, graceful degradation to the
-	// central queue, and optional speculative re-execution. Install it with
-	// WithFaults or the per-knob options (WithMessageLoss, WithJitter,
-	// WithStragglers, WithSpeculation); the Report's MessagesDropped /
-	// ProbeRetries / FallbacksToCentral / Speculative* counters quantify
-	// the damage and the defenses' work. Both engines replay the same
+	// central queue, and optional speculative re-execution. Set it as
+	// Config.Faults (UniformLoss builds the common "every message class at
+	// p" spec); the Report's MessagesDropped / ProbeRetries /
+	// FallbacksToCentral / Speculative* counters quantify the damage and
+	// the defenses' work. Both engines replay the same
 	// spec; a config without one carries no fault state at all.
 	FaultSpec = policy.FaultSpec
 	// StragglerEvent is one scripted slowdown of a FaultSpec: at time At,
@@ -142,7 +142,7 @@ const (
 const MaxSchedulers = policy.MaxSchedulers
 
 // SchedulerChurn builds the churn events scripting one scheduler's failure
-// and (when recoverAt > failAt) recovery, for use with WithChurn.
+// and (when recoverAt > failAt) recovery, for a ChurnSpec's Events.
 func SchedulerChurn(scheduler int, failAt, recoverAt float64) []ChurnEvent {
 	return policy.SchedulerChurn(scheduler, failAt, recoverAt)
 }
@@ -183,43 +183,9 @@ func ParsePolicy(name string) (Policy, error) { return policy.ParsePolicy(name) 
 // inspect policy decisions directly.
 func NewPolicy(name string, cfg Config) (Policy, error) { return policy.New(name, cfg) }
 
-// NewConfig builds a Config for the named policy from functional options;
-// see the package example. Zero/omitted knobs resolve to the paper's
-// defaults at run time.
-func NewConfig(policyName string, opts ...Option) Config {
-	return policy.NewConfig(policyName, opts...)
-}
-
-// Functional options for NewConfig.
-var (
-	WithNodes                  = policy.WithNodes
-	WithSlotsPerNode           = policy.WithSlotsPerNode
-	WithSchedulers             = policy.WithSchedulers
-	WithSchedulerSpec          = policy.WithSchedulerSpec
-	WithSchedulerChurn         = policy.WithSchedulerChurn
-	WithCutoff                 = policy.WithCutoff
-	WithShortPartitionFraction = policy.WithShortPartitionFraction
-	WithProbeRatio             = policy.WithProbeRatio
-	WithStealCap               = policy.WithStealCap
-	WithoutStealing            = policy.WithoutStealing
-	WithRandomPositionStealing = policy.WithRandomPositionStealing
-	WithoutPartition           = policy.WithoutPartition
-	WithoutCentral             = policy.WithoutCentral
-	WithNetworkDelay           = policy.WithNetworkDelay
-	WithMisestimation          = policy.WithMisestimation
-	WithChurn                  = policy.WithChurn
-	WithHeterogeneity          = policy.WithHeterogeneity
-	WithSpeedSkew              = policy.WithSpeedSkew
-	WithFaults                 = policy.WithFaults
-	WithMessageLoss            = policy.WithMessageLoss
-	WithJitter                 = policy.WithJitter
-	WithStragglers             = policy.WithStragglers
-	WithSpeculation            = policy.WithSpeculation
-	WithSeed                   = policy.WithSeed
-	WithUtilizationInterval    = policy.WithUtilizationInterval
-	WithDiscardedJobReports    = policy.WithDiscardedJobReports
-	WithJobSink                = policy.WithJobSink
-)
+// UniformLoss returns the FaultSpec that drops every message class (probe,
+// reply, steal, assign, commit) with probability p and sets nothing else.
+func UniformLoss(p float64) FaultSpec { return policy.UniformLoss(p) }
 
 // Engine runs a trace under a configuration and produces a Report. Both
 // Simulate and RunLive satisfy it, so experiment drivers can be written
@@ -235,7 +201,7 @@ func Simulate(trace *Trace, cfg Config) (*Report, error) { return sim.Run(trace,
 // from the source one submit event at a time and finished job state is
 // recycled, so peak memory is O(in-flight jobs + cluster size) however
 // long the trace. For the same job stream the report is byte-identical to
-// Simulate; combine with WithDiscardedJobReports (and optionally a
+// Simulate; combine with Config.DiscardJobReports (and optionally a
 // NewJobCSVSink) to keep the report itself O(1) too.
 func SimulateSource(src Source, cfg Config) (*Report, error) { return sim.RunSource(src, cfg) }
 
@@ -328,7 +294,7 @@ type (
 	// Config.JobSink counterpart of WriteResultsCSV); see NewJobCSVSink.
 	JobCSVSink = policy.JobCSVSink
 	// StreamedStats is a Report's bounded-memory aggregate (class counts
-	// plus runtime reservoirs), present when WithDiscardedJobReports ran.
+	// plus runtime reservoirs), present when Config.DiscardJobReports ran.
 	// The queue-wait reservoirs are on every simulator Report:
 	// Report.WaitReservoir.
 	StreamedStats = policy.StreamedStats
@@ -380,8 +346,8 @@ var (
 // to LoadTraceFile for legacy bare-CSV traces.
 var ErrNotStreamTrace = workload.ErrNotStreamTrace
 
-// NewJobCSVSink starts a streaming per-job CSV export on w; pass
-// sink.Sink to WithJobSink. CreateJobCSVSink is the file convenience.
+// NewJobCSVSink starts a streaming per-job CSV export on w; set
+// Config.JobSink to sink.Sink. CreateJobCSVSink is the file convenience.
 var (
 	NewJobCSVSink    = policy.NewJobCSVSink
 	CreateJobCSVSink = policy.CreateJobCSVSink

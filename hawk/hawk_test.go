@@ -28,11 +28,11 @@ func smallTrace() *hawk.Trace {
 // Both engines consume the same Config and produce the same Report schema.
 func TestEnginesShareConfigAndReport(t *testing.T) {
 	trace := smallTrace()
-	cfg := hawk.NewConfig("hawk",
-		hawk.WithNodes(20),
-		hawk.WithSchedulers(3),
-		hawk.WithNetworkDelay((50 * time.Microsecond).Seconds()),
-		hawk.WithSeed(1))
+	cfg := hawk.Config{
+		Policy: "hawk", NumNodes: 20, Seed: 1,
+		Schedulers:   &hawk.SchedulerSpec{Count: 3},
+		NetworkDelay: (50 * time.Microsecond).Seconds(),
+	}
 
 	simRep, err := hawk.Simulate(trace, cfg)
 	if err != nil {
@@ -74,9 +74,10 @@ func TestEngineFuncType(t *testing.T) {
 	trace := smallTrace()
 	engines := map[string]hawk.Engine{"sim": hawk.Simulate, "live": hawk.RunLive}
 	for name, run := range engines {
-		rep, err := run(trace, hawk.NewConfig("sparrow",
-			hawk.WithNodes(20), hawk.WithSeed(1),
-			hawk.WithNetworkDelay((50*time.Microsecond).Seconds())))
+		rep, err := run(trace, hawk.Config{
+			Policy: "sparrow", NumNodes: 20, Seed: 1,
+			NetworkDelay: (50 * time.Microsecond).Seconds(),
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -112,13 +113,11 @@ func TestRegisterCustomPolicy(t *testing.T) {
 	trace := hawk.Generate(hawk.Google(), hawk.GenConfig{
 		NumJobs: 300, MeanInterArrival: 1, Seed: 3,
 	})
-	custom, err := hawk.Simulate(trace, hawk.NewConfig("nosteal-hawk",
-		hawk.WithNodes(2000), hawk.WithSeed(4)))
+	custom, err := hawk.Simulate(trace, hawk.Config{Policy: "nosteal-hawk", NumNodes: 2000, Seed: 4})
 	if err != nil {
 		t.Fatalf("custom policy run: %v", err)
 	}
-	builtin, err := hawk.Simulate(trace, hawk.NewConfig("hawk",
-		hawk.WithNodes(2000), hawk.WithSeed(4), hawk.WithoutStealing()))
+	builtin, err := hawk.Simulate(trace, hawk.Config{Policy: "hawk", NumNodes: 2000, Seed: 4, DisableStealing: true})
 	if err != nil {
 		t.Fatalf("builtin run: %v", err)
 	}
@@ -173,7 +172,7 @@ func TestRunSweepMatchesSerialSimulate(t *testing.T) {
 	for _, pol := range []string{"sparrow", "hawk", "centralized", "split"} {
 		pts = append(pts, hawk.SweepPoint{
 			Trace:  trace,
-			Config: hawk.NewConfig(pol, hawk.WithNodes(20), hawk.WithSeed(9)),
+			Config: hawk.Config{Policy: pol, NumNodes: 20, Seed: 9},
 		})
 	}
 	reports, err := hawk.RunSweep(context.Background(), hawk.Sweep{Points: pts, Jobs: 4})
@@ -202,7 +201,7 @@ func TestSweepCustomEngine(t *testing.T) {
 		return &hawk.Report{Engine: "fake"}, nil
 	}
 	reports, err := hawk.RunSweep(context.Background(), hawk.Sweep{
-		Points: []hawk.SweepPoint{{Trace: smallTrace(), Config: hawk.NewConfig("hawk", hawk.WithNodes(5))}},
+		Points: []hawk.SweepPoint{{Trace: smallTrace(), Config: hawk.Config{Policy: "hawk", NumNodes: 5}}},
 		Engine: eng,
 		Jobs:   1,
 	})
@@ -215,7 +214,7 @@ func TestDeriveSeedReExport(t *testing.T) {
 	if hawk.DeriveSeed(1, 0) == hawk.DeriveSeed(1, 1) {
 		t.Error("adjacent indices should derive different seeds")
 	}
-	pts := hawk.SeededPoints(smallTrace(), hawk.NewConfig("hawk", hawk.WithNodes(5)), 3, 4)
+	pts := hawk.SeededPoints(smallTrace(), hawk.Config{Policy: "hawk", NumNodes: 5}, 3, 4)
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -231,14 +230,16 @@ func TestDeriveSeedReExport(t *testing.T) {
 // back through the shared Report schema.
 func TestScenarioAPIOnBothEngines(t *testing.T) {
 	tr := smallTrace()
-	cfg := hawk.NewConfig("hawk",
-		hawk.WithNodes(20), hawk.WithSchedulers(2), hawk.WithSeed(3),
-		hawk.WithNetworkDelay(0.0001),
-		hawk.WithSpeedSkew(0.5, 0.5),
-		hawk.WithChurn(
-			hawk.ChurnEvent{At: 0.05, Kind: hawk.ChurnFail, Count: 3},
-			hawk.ChurnEvent{At: 0.2, Kind: hawk.ChurnRecover, Count: 3},
-		))
+	cfg := hawk.Config{
+		Policy: "hawk", NumNodes: 20, Seed: 3,
+		Schedulers:    &hawk.SchedulerSpec{Count: 2},
+		NetworkDelay:  0.0001,
+		Heterogeneity: &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: 0.5, Speed: 0.5}}},
+		Churn: &hawk.ChurnSpec{Events: []hawk.ChurnEvent{
+			{At: 0.05, Kind: hawk.ChurnFail, Count: 3},
+			{At: 0.2, Kind: hawk.ChurnRecover, Count: 3},
+		}},
+	}
 	for name, engine := range map[string]hawk.Engine{"sim": hawk.Simulate, "live": hawk.RunLive} {
 		res, err := engine(tr, cfg)
 		if err != nil {
@@ -257,13 +258,33 @@ func TestScenarioAPIOnBothEngines(t *testing.T) {
 // engine before the run starts.
 func TestScenarioFeasibilityRejected(t *testing.T) {
 	tr := smallTrace()
-	cfg := hawk.NewConfig("sparrow",
-		hawk.WithNodes(4), hawk.WithSeed(1),
-		hawk.WithChurn(hawk.ChurnEvent{At: 0.01, Kind: hawk.ChurnFail, Count: 3}))
+	cfg := hawk.Config{
+		Policy: "sparrow", NumNodes: 4, Seed: 1,
+		Churn: &hawk.ChurnSpec{Events: []hawk.ChurnEvent{{At: 0.01, Kind: hawk.ChurnFail, Count: 3}}},
+	}
 	if _, err := hawk.Simulate(tr, cfg); err == nil {
 		t.Error("sim accepted a pool-starving scenario")
 	}
 	if _, err := hawk.RunLive(tr, cfg); err == nil {
 		t.Error("live accepted a pool-starving scenario")
+	}
+}
+
+// So is the fault plane: UniformLoss is the one-call spec for a lossy
+// network, every job still completes, and the drops come back per message
+// class through the shared Report schema.
+func TestUniformLossDropsEveryClass(t *testing.T) {
+	trace := hawk.Generate(hawk.Google(), hawk.GenConfig{NumJobs: 300, MeanInterArrival: 1, Seed: 3})
+	loss := hawk.UniformLoss(0.05)
+	res, err := hawk.Simulate(trace, hawk.Config{Policy: "hawk", NumNodes: 2000, Seed: 4, Faults: &loss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != trace.Len() {
+		t.Fatalf("completed %d of %d jobs", len(res.Jobs), trace.Len())
+	}
+	d := res.MessagesDropped
+	if d == nil || d.Probes == 0 || d.Replies == 0 || d.Steals == 0 || d.Assigns == 0 {
+		t.Errorf("a 5%% lossy plane dropped %+v; want drops in every single-scheduler class", d)
 	}
 }

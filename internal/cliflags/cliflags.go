@@ -88,16 +88,14 @@ func (s *Scenario) Apply(cfg *hawk.Config) {
 		cfg.Heterogeneity = &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: s.speedSkew, Speed: s.slowSpeed}}}
 	}
 	if s.msgLoss != 0 || s.jitter != 0 || s.straggleNodes != 0 || s.speculate {
-		cfg.Faults = &hawk.FaultSpec{
-			ProbeLoss: s.msgLoss, ReplyLoss: s.msgLoss, StealLoss: s.msgLoss,
-			AssignLoss: s.msgLoss, CommitLoss: s.msgLoss,
-			Jitter: s.jitter, MaxRetries: s.faultRetries, Speculate: s.speculate,
-		}
+		f := hawk.UniformLoss(s.msgLoss)
+		f.Jitter, f.MaxRetries, f.Speculate = s.jitter, s.faultRetries, s.speculate
 		if s.straggleNodes != 0 {
-			cfg.Faults.Stragglers = []hawk.StragglerEvent{
+			f.Stragglers = []hawk.StragglerEvent{
 				{At: s.straggleAt, Count: s.straggleNodes, Factor: s.straggleFactor},
 			}
 		}
+		cfg.Faults = &f
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
+
+	"repro/hawk"
 )
 
 // The flag names are an interface: scripts, the README and bench/hawkbench
@@ -24,6 +27,23 @@ func TestRegisterDefinesTheScenarioFlags(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("scenario flags = %v\nwant %v", got, want)
+	}
+}
+
+// -msg-loss p is hawk.UniformLoss(p) plus the fault flags Apply owns; the
+// other planes stay nil, so the run keeps its static fast paths.
+func TestApplyMsgLossIsUniformLoss(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	sc := Register(fs)
+	if err := fs.Parse([]string{"-msg-loss", "0.02", "-jitter", "0.001", "-fault-retries", "6", "-speculate"}); err != nil {
+		t.Fatal(err)
+	}
+	var got hawk.Config
+	sc.Apply(&got)
+	f := hawk.UniformLoss(0.02)
+	f.Jitter, f.MaxRetries, f.Speculate = 0.001, 6, true
+	if want := (hawk.Config{Faults: &f}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Apply = %+v (faults %+v)\nwant faults %+v and nothing else", got, got.Faults, f)
 	}
 }
 

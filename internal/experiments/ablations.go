@@ -8,17 +8,14 @@ import (
 
 // The paper justifies two design choices in prose without dedicated
 // figures; the drivers below turn those arguments into measurable
-// ablations (DESIGN.md lists them as extensions).
+// ablations.
 
 // StealPositionRow quantifies §3.6's argument for stealing the first
 // consecutive group of short tasks behind a long task rather than short
 // tasks from random queue positions.
 type StealPositionRow struct {
-	Policy   string // "figure3-group" or "random-positions"
-	ShortP50 float64
-	ShortP90 float64
-	LongP50  float64
-	LongP90  float64
+	Policy string // "figure3-group" or "random-positions"
+	Ratios
 	// FocusJobsPerSteal approximates how many distinct jobs a steal
 	// touches: entries stolen per successful steal (the paper's concern
 	// is random stealing "focusing on too many jobs at the same time").
@@ -48,11 +45,7 @@ func AblationStealPosition(sc Scale) ([]StealPositionRow, error) {
 	rows := make([]StealPositionRow, 0, len(names))
 	for i, name := range names {
 		r := reports[i+1]
-		s50, s90, l50, l90 := ratiosFor(t, r, rs, t.Cutoff)
-		row := StealPositionRow{
-			Policy:   name,
-			ShortP50: s50, ShortP90: s90, LongP50: l50, LongP90: l90,
-		}
+		row := StealPositionRow{Policy: name, Ratios: ratiosFor(t, r, rs, t.Cutoff)}
 		if r.StealSuccesses > 0 {
 			row.EntriesPerSteal = float64(r.EntriesStolen) / float64(r.StealSuccesses)
 		}
@@ -97,10 +90,10 @@ func AblationProbeRatio(sc Scale) ([]ProbeRatioPoint, error) {
 		base := reports[pi*len(ratios)+1] // ratio 2, the normalization baseline
 		for ri, ratio := range ratios {
 			r := reports[pi*len(ratios)+ri]
-			s50, s90, _, _ := ratiosFor(t, r, base, t.Cutoff)
+			rt := ratiosFor(t, r, base, t.Cutoff)
 			points = append(points, ProbeRatioPoint{
 				Ratio: ratio, Policy: pol,
-				ShortP50: s50, ShortP90: s90,
+				ShortP50: rt.ShortP50, ShortP90: rt.ShortP90,
 				Probes: r.ProbesSent,
 			})
 		}

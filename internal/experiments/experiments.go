@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2.3 and §4). Each driver builds the workload, runs the
 // schedulers under comparison, and returns the rows or curve series the
-// paper reports. EXPERIMENTS.md records paper-vs-measured values.
+// paper reports; cmd/hawkexp prints them (README "Commands").
 //
 // Rows and figure points go straight into golden CSV/JSON reports, so
 // every driver must produce identical output run to run; hawklint's
@@ -32,36 +32,22 @@ type Scale struct {
 	// Runs averages metrics over this many seeds where the paper does
 	// (Figure 14 averages ten runs). Zero means one run.
 	Runs int
-	// Policy is the registry name of the candidate policy the comparison
-	// figures evaluate against their baselines. Empty means "hawk", the
-	// paper's system; cmd/hawkexp threads its -policy flag through here.
-	Policy string
 	// Workers bounds how many simulations a sweep-shaped driver runs
 	// concurrently (every figure fans its independent runs out over
 	// internal/sweep). Zero means one worker per available CPU;
 	// cmd/hawkexp threads its -jobs flag through here. Results are
 	// byte-identical for any worker count, including 1 (serial).
 	Workers int
-	// Churn, when set, applies a scripted cluster-churn scenario to every
-	// simulator run a driver launches (cmd/hawkexp threads its
-	// -fail-nodes/-fail-at flags through here). Nil runs the static
-	// cluster of the paper's baseline evaluation.
-	Churn *policy.ChurnSpec
-	// Heterogeneity, when set, applies per-node speed factors to every
-	// simulator run (the -speed-skew flag).
-	Heterogeneity *policy.Heterogeneity
-	// Schedulers, when set, runs every simulation under the multi-scheduler
-	// model (the -schedulers flag). SchedulerSweep ignores it — the
-	// scheduler count is that experiment's swept axis.
-	Schedulers *policy.SchedulerSpec
-	// Faults, when set, runs every simulation under the gray-failure
-	// injection plane (the -msg-loss/-jitter/-straggle-*/-speculate
-	// flags). RobustnessFaults ignores it — message loss is that
-	// experiment's swept axis.
-	Faults *policy.FaultSpec
-	// NetworkDelay, when nonzero, overrides the per-message-leg network
-	// delay of every simulation (the -net-delay flag, seconds).
-	NetworkDelay float64
+	// Overlay is the part of a run description the caller, not the driver,
+	// chooses; cmd/hawkexp fills it from -policy and the scenario flags
+	// (cliflags.Apply). Its Policy is the candidate the comparison figures
+	// evaluate against their baselines (empty means "hawk", the paper's
+	// system). Its scenario planes — Churn, Heterogeneity, Schedulers,
+	// Faults, NetworkDelay — apply to every simulator run whose own config
+	// leaves that plane unset; a driver that sweeps a plane itself clears
+	// it here first. The zero Overlay is the static, reliable cluster of
+	// the paper's baseline evaluation. Other fields are ignored.
+	Overlay policy.Config
 	// TracePath, when set, replays a recorded hawk-trace file in place of
 	// the synthetic Google trace in every experiment built on GoogleTrace
 	// (cmd/hawkexp threads its -trace flag through here). Multi-workload
@@ -70,60 +56,41 @@ type Scale struct {
 	TracePath string
 }
 
-// apply overlays the scale's cluster scenario on one run configuration,
-// leaving configs that script their own scenario untouched.
+// apply lays the overlay's scenario planes under one run configuration,
+// leaving the planes the config scripts itself untouched.
 func (s Scale) apply(cfg policy.Config) policy.Config {
+	o := s.Overlay
 	if cfg.Churn == nil {
-		cfg.Churn = s.Churn
+		cfg.Churn = o.Churn
 	}
 	if cfg.Heterogeneity == nil {
-		cfg.Heterogeneity = s.Heterogeneity
+		cfg.Heterogeneity = o.Heterogeneity
 	}
 	if cfg.Schedulers == nil {
-		cfg.Schedulers = s.Schedulers
+		cfg.Schedulers = o.Schedulers
 	}
 	if cfg.Faults == nil {
-		cfg.Faults = s.Faults
+		cfg.Faults = o.Faults
 	}
 	if cfg.NetworkDelay == 0 {
-		cfg.NetworkDelay = s.NetworkDelay
+		cfg.NetworkDelay = o.NetworkDelay
 	}
 	return cfg
 }
 
 // PolicyName returns the candidate policy, defaulting to "hawk".
 func (s Scale) PolicyName() string {
-	if s.Policy == "" {
+	if s.Overlay.Policy == "" {
 		return "hawk"
 	}
-	return s.Policy
+	return s.Overlay.Policy
 }
 
-// DefaultScale is the scale used by cmd/hawkexp and EXPERIMENTS.md.
+// DefaultScale is the scale cmd/hawkexp runs at without -quick.
 func DefaultScale() Scale { return Scale{NumJobs: 20000, Seed: 42, Runs: 10} }
 
 // QuickScale is a reduced scale for benchmarks and smoke tests.
 func QuickScale() Scale { return Scale{NumJobs: 4000, Seed: 42, Runs: 3} }
-
-// meanInterArrival returns the calibrated mean job inter-arrival time
-// (seconds) for a workload spec: the rate at which the second-smallest
-// cluster size of the paper's sweep for that workload sits just above
-// ~0.9 offered load, reproducing the paper's "overloaded at the smallest
-// size, highly loaded at the next" regime.
-func meanInterArrival(spec workload.Spec) float64 {
-	switch spec.Name {
-	case "google":
-		return 2.3 // 15,000 nodes ~0.87 median utilization
-	case "cloudera":
-		return 1.5 // 20,000 nodes highly loaded
-	case "facebook":
-		return 1.0 // 90,000 nodes highly loaded
-	case "yahoo":
-		return 7.5 // 7,000 nodes highly loaded
-	default:
-		return 2.3
-	}
-}
 
 // NodeSweep returns the cluster sizes (in nodes) the paper sweeps for a
 // workload (Figures 5, 6).
@@ -156,7 +123,7 @@ func GoogleTrace(sc Scale) (*workload.Trace, error) {
 	}
 	return workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs:          sc.NumJobs,
-		MeanInterArrival: meanInterArrival(workload.Google()),
+		MeanInterArrival: workload.Google().CalibratedInterArrival(),
 		Seed:             sc.Seed,
 	}), nil
 }
@@ -167,7 +134,7 @@ func GoogleTrace(sc Scale) (*workload.Trace, error) {
 func TraceFor(spec workload.Spec, sc Scale) *workload.Trace {
 	t := workload.Generate(spec, workload.GenConfig{
 		NumJobs:          sc.NumJobs,
-		MeanInterArrival: meanInterArrival(spec),
+		MeanInterArrival: spec.CalibratedInterArrival(),
 		Seed:             sc.Seed,
 	})
 	sweep := NodeSweep(spec.Name)
@@ -188,8 +155,8 @@ func TraceFor(spec workload.Spec, sc Scale) *workload.Trace {
 // runConfigs fans a set of simulator runs on a shared trace out over one
 // bounded worker pool and returns the reports in config order. Every
 // sweep-shaped driver funnels through here (or runPairs), so a single
-// Scale.Workers knob bounds the whole figure's parallelism and a single
-// Scale scenario (churn/heterogeneity) overlays every run.
+// Scale.Workers knob bounds the whole figure's parallelism and the single
+// Scale.Overlay underlies every run.
 func runConfigs(t *workload.Trace, cfgs []policy.Config, sc Scale) ([]*policy.Report, error) {
 	pts := make([]sweep.Point, len(cfgs))
 	for i, cfg := range cfgs {
@@ -229,22 +196,26 @@ func runPair(t *workload.Trace, nodes int, candidate, baseline string, sc Scale)
 	return pairs[0][0], pairs[0][1], nil
 }
 
+// Ratios is the group every normalized figure plots: the candidate's p50 and
+// p90 runtime over the baseline's, per job class.
+type Ratios struct {
+	ShortP50, ShortP90, LongP50, LongP90 float64
+}
+
 // RatioPoint is one x-position of a "candidate normalized to baseline"
 // figure: percentile runtime ratios per job class, plus the baseline's
 // median cluster utilization (the dotted context line in the figures).
 type RatioPoint struct {
-	X            float64 // sweep variable (nodes, cutoff, cap, ...)
-	ShortP50     float64 // candidate p50 / baseline p50, short jobs
-	ShortP90     float64
-	LongP50      float64
-	LongP90      float64
+	X float64 // sweep variable (nodes, cutoff, cap, ...)
+	Ratios
 	BaselineUtil float64
 }
 
-// ratiosFor computes the RatioPoint percentile ratios for two results over
-// a common trace, classifying jobs by exact estimate at the given cutoff so
-// both sides use identical job sets.
-func ratiosFor(t *workload.Trace, cand, base *policy.Report, cutoff float64) (shortP50, shortP90, longP50, longP90 float64) {
+// ratiosFor computes the percentile ratios for two results over a common
+// trace, classifying jobs by exact estimate at the given cutoff so both
+// sides use identical job sets. Report.Jobs is engine-independent, so the
+// live prototype's reports go through here too.
+func ratiosFor(t *workload.Trace, cand, base *policy.Report, cutoff float64) Ratios {
 	candRT := allRuntimes(cand)
 	baseRT := allRuntimes(base)
 	// Iterate the trace, not a classification map: trace order is fixed, so
@@ -266,11 +237,12 @@ func ratiosFor(t *workload.Trace, cand, base *policy.Report, cutoff float64) (sh
 			baseShort = append(baseShort, b)
 		}
 	}
-	shortP50 = stats.Ratio(stats.Percentile(candShort, 50), stats.Percentile(baseShort, 50))
-	shortP90 = stats.Ratio(stats.Percentile(candShort, 90), stats.Percentile(baseShort, 90))
-	longP50 = stats.Ratio(stats.Percentile(candLong, 50), stats.Percentile(baseLong, 50))
-	longP90 = stats.Ratio(stats.Percentile(candLong, 90), stats.Percentile(baseLong, 90))
-	return shortP50, shortP90, longP50, longP90
+	return Ratios{
+		ShortP50: stats.Ratio(stats.Percentile(candShort, 50), stats.Percentile(baseShort, 50)),
+		ShortP90: stats.Ratio(stats.Percentile(candShort, 90), stats.Percentile(baseShort, 90)),
+		LongP50:  stats.Ratio(stats.Percentile(candLong, 50), stats.Percentile(baseLong, 50)),
+		LongP90:  stats.Ratio(stats.Percentile(candLong, 90), stats.Percentile(baseLong, 90)),
+	}
 }
 
 func allRuntimes(r *policy.Report) map[int]float64 {

@@ -262,10 +262,7 @@ func TestRatiosForAlignsJobSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s50, s90, l50, l90 := ratiosFor(tr, res, res, tr.Cutoff)
-	for _, v := range []float64{s50, s90, l50, l90} {
-		if v != 1 {
-			t.Fatalf("self-ratio = %v, want 1", v)
-		}
+	if got := ratiosFor(tr, res, res, tr.Cutoff); got != (Ratios{1, 1, 1, 1}) {
+		t.Fatalf("self-ratios = %+v, want all 1", got)
 	}
 }

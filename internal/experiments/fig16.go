@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/liverun"
 	"repro/internal/policy"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -62,13 +61,8 @@ func QuickFig16Config() Fig16Config {
 // Sparrow in the live prototype and in the simulator, per job class.
 type Fig16Point struct {
 	LoadFactor float64
-	Impl       RatioQuad
-	Sim        RatioQuad
-}
-
-// RatioQuad bundles the four percentile ratios the figures plot.
-type RatioQuad struct {
-	ShortP50, ShortP90, LongP50, LongP90 float64
+	Impl       Ratios
+	Sim        Ratios
 }
 
 // Fig16And17 runs the prototype and the simulator on the same scaled trace
@@ -101,11 +95,10 @@ func Fig16And17(cfg Fig16Config) ([]Fig16Point, error) {
 			return nil, fmt.Errorf("fig16 sim k=%.2f: %w", k, err)
 		}
 
-		s50, s90, l50, l90 := ratiosFor(t, simHawk, simSparrow, t.Cutoff)
 		points = append(points, Fig16Point{
 			LoadFactor: k,
-			Impl:       liveRatios(t, implHawk, implSparrow),
-			Sim:        RatioQuad{ShortP50: s50, ShortP90: s90, LongP50: l50, LongP90: l90},
+			Impl:       ratiosFor(t, implHawk, implSparrow, t.Cutoff),
+			Sim:        ratiosFor(t, simHawk, simSparrow, t.Cutoff),
 		})
 	}
 	return points, nil
@@ -124,26 +117,4 @@ func buildPrototypeTrace(cfg Fig16Config) *workload.Trace {
 		capTasks = 1
 	}
 	return full.CapTasks(capTasks).Scale(cfg.DurationScale, 1)
-}
-
-func liveRatios(t *workload.Trace, cand, base *policy.Report) RatioQuad {
-	classes := make(map[int]bool, t.Len())
-	for _, j := range t.Jobs {
-		classes[j.ID] = j.AvgTaskDuration() >= t.Cutoff
-	}
-	collect := func(r *policy.Report, long bool) []float64 {
-		var out []float64
-		for _, j := range r.Jobs {
-			if classes[j.ID] == long {
-				out = append(out, j.Runtime)
-			}
-		}
-		return out
-	}
-	return RatioQuad{
-		ShortP50: stats.Ratio(stats.Percentile(collect(cand, false), 50), stats.Percentile(collect(base, false), 50)),
-		ShortP90: stats.Ratio(stats.Percentile(collect(cand, false), 90), stats.Percentile(collect(base, false), 90)),
-		LongP50:  stats.Ratio(stats.Percentile(collect(cand, true), 50), stats.Percentile(collect(base, true), 50)),
-		LongP90:  stats.Ratio(stats.Percentile(collect(cand, true), 90), stats.Percentile(collect(base, true), 90)),
-	}
 }

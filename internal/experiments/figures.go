@@ -120,13 +120,9 @@ func Fig5(sc Scale) ([]Fig5Point, error) {
 }
 
 func ratioPoint(t *workload.Trace, cand, base *policy.Report, x float64) RatioPoint {
-	s50, s90, l50, l90 := ratiosFor(t, cand, base, t.Cutoff)
 	return RatioPoint{
 		X:            x,
-		ShortP50:     s50,
-		ShortP90:     s90,
-		LongP50:      l50,
-		LongP90:      l90,
+		Ratios:       ratiosFor(t, cand, base, t.Cutoff),
 		BaselineUtil: base.Utilization.MedianUpTo(t.MakespanLowerBound()),
 	}
 }
@@ -181,11 +177,8 @@ func Fig6(sc Scale) ([]Fig6Series, error) {
 // Fig7Row is one bar group of Figure 7: a Hawk ablation normalized to full
 // Hawk at 15000 nodes on the Google trace.
 type Fig7Row struct {
-	Variant  string // "w/o centralized", "w/o partition", "w/o stealing"
-	ShortP50 float64
-	ShortP90 float64
-	LongP50  float64
-	LongP90  float64
+	Variant string // "w/o centralized", "w/o partition", "w/o stealing"
+	Ratios
 }
 
 // Fig7 runs the component breakdown: disabling each of Hawk's mechanisms in
@@ -210,40 +203,28 @@ func Fig7(sc Scale) ([]Fig7Row, error) {
 	full := reports[0]
 	rows := make([]Fig7Row, 0, len(names))
 	for i, name := range names {
-		s50, s90, l50, l90 := ratiosFor(t, reports[i+1], full, t.Cutoff)
-		rows = append(rows, Fig7Row{Variant: name, ShortP50: s50, ShortP90: s90, LongP50: l50, LongP90: l90})
+		rows = append(rows, Fig7Row{Variant: name, Ratios: ratiosFor(t, reports[i+1], full, t.Cutoff)})
 	}
 	return rows, nil
 }
 
 // Fig8And9 compares Hawk to the fully centralized scheduler across cluster
 // sizes on the Google trace (Figure 8: short jobs; Figure 9: long jobs).
-func Fig8And9(sc Scale) ([]RatioPoint, error) {
-	t, err := GoogleTrace(sc)
-	if err != nil {
-		return nil, err
-	}
-	nodeSweep := NodeSweep("google")
-	pairs, err := runPairs(t, nodeSweep, sc.PolicyName(), "centralized", sc)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]RatioPoint, 0, len(nodeSweep))
-	for i, nodes := range nodeSweep {
-		points = append(points, ratioPoint(t, pairs[i][0], pairs[i][1], float64(nodes)))
-	}
-	return points, nil
-}
+func Fig8And9(sc Scale) ([]RatioPoint, error) { return googleNodeSweep(sc, "centralized") }
 
 // Fig10And11 compares Hawk to the split cluster across cluster sizes on the
 // Google trace (Figure 10: short jobs; Figure 11: long jobs).
-func Fig10And11(sc Scale) ([]RatioPoint, error) {
+func Fig10And11(sc Scale) ([]RatioPoint, error) { return googleNodeSweep(sc, "split") }
+
+// googleNodeSweep normalizes the candidate policy to the named baseline at
+// every cluster size of the Google node sweep.
+func googleNodeSweep(sc Scale, baseline string) ([]RatioPoint, error) {
 	t, err := GoogleTrace(sc)
 	if err != nil {
 		return nil, err
 	}
 	nodeSweep := NodeSweep("google")
-	pairs, err := runPairs(t, nodeSweep, sc.PolicyName(), "split", sc)
+	pairs, err := runPairs(t, nodeSweep, sc.PolicyName(), baseline, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -276,9 +257,9 @@ func Fig12And13(sc Scale) ([]RatioPoint, error) {
 	rs := reports[0]
 	points := make([]RatioPoint, 0, len(cutoffs))
 	for i, cutoff := range cutoffs {
-		s50, s90, l50, l90 := ratiosFor(t, reports[i+1], rs, cutoff)
 		points = append(points, RatioPoint{
-			X: cutoff, ShortP50: s50, ShortP90: s90, LongP50: l50, LongP90: l90,
+			X:            cutoff,
+			Ratios:       ratiosFor(t, reports[i+1], rs, cutoff),
 			BaselineUtil: rs.Utilization.MedianUpTo(t.MakespanLowerBound()),
 		})
 	}
@@ -335,9 +316,9 @@ func Fig14(sc Scale) ([]Fig14Point, error) {
 			rh := reports[runs+ri*runs+run]
 			// Classify by exact estimates: "the set of jobs classified
 			// as long when no mis-estimations are present".
-			_, _, l50, l90 := ratiosFor(t, rh, sparrow[run], t.Cutoff)
-			sum50 += l50
-			sum90 += l90
+			r := ratiosFor(t, rh, sparrow[run], t.Cutoff)
+			sum50 += r.LongP50
+			sum90 += r.LongP90
 		}
 		points = append(points, Fig14Point{
 			Lo: rg[0], Hi: rg[1],
@@ -351,11 +332,8 @@ func Fig14(sc Scale) ([]Fig14Point, error) {
 // Fig15Point is one stealing-cap setting of Figure 15: Hawk with the given
 // cap normalized to Hawk with cap 1, short jobs.
 type Fig15Point struct {
-	Cap      int
-	ShortP50 float64
-	ShortP90 float64
-	LongP50  float64
-	LongP90  float64
+	Cap int
+	Ratios
 }
 
 // Fig15 sweeps the maximum number of nodes contacted per steal attempt.
@@ -377,8 +355,7 @@ func Fig15(sc Scale) ([]Fig15Point, error) {
 	base := reports[0] // cap 1, the figure's normalization baseline
 	points := make([]Fig15Point, 0, len(caps))
 	for i, stealCap := range caps {
-		s50, s90, l50, l90 := ratiosFor(t, reports[i], base, t.Cutoff)
-		points = append(points, Fig15Point{Cap: stealCap, ShortP50: s50, ShortP90: s90, LongP50: l50, LongP90: l90})
+		points = append(points, Fig15Point{Cap: stealCap, Ratios: ratiosFor(t, reports[i], base, t.Cutoff)})
 	}
 	return points, nil
 }

@@ -55,8 +55,8 @@ func TestFig8And9Directions(t *testing.T) {
 	// Paper: long jobs are slightly better centralized (Figure 9), and
 	// both schedulers converge on light clusters. Our centralized
 	// baseline observes exact queue state with zero scheduling latency,
-	// so — as recorded in EXPERIMENTS.md — it serves short jobs better
-	// than the paper's; we assert Hawk stays competitive (bounded worse)
+	// so it serves short jobs better than the paper's; we assert Hawk
+	// stays competitive (bounded worse)
 	// rather than strictly better under load.
 	for _, p := range pts {
 		if !math.IsNaN(p.LongP50) && p.LongP50 < 0.85 {
@@ -149,7 +149,7 @@ func TestFig16And17Tiny(t *testing.T) {
 	// trace; agreement within a loose band is the §4.10 claim ("the
 	// simulation and implementation experiments agree and show similar
 	// trends") — at this tiny scale we only require sanity.
-	for name, q := range map[string]RatioQuad{"impl": p.Impl, "sim": p.Sim} {
+	for name, q := range map[string]Ratios{"impl": p.Impl, "sim": p.Sim} {
 		for metric, v := range map[string]float64{
 			"shortP50": q.ShortP50, "shortP90": q.ShortP90,
 			"longP50": q.LongP50, "longP90": q.LongP90,

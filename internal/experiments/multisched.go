@@ -64,7 +64,7 @@ type MultiSchedRow struct {
 func SchedulerSweep(sc Scale) ([]MultiSchedRow, error) {
 	// The scheduler count is this experiment's swept axis; a CLI -schedulers
 	// overlay must not override it (and would corrupt the n=1 baseline).
-	sc.Schedulers = nil
+	sc.Overlay.Schedulers = nil
 	t, err := GoogleTrace(sc)
 	if err != nil {
 		return nil, err

@@ -44,20 +44,15 @@ type OutageRow struct {
 // scheduler is scripted down over the middle ~40% of the arrival window,
 // for the candidate policy with stealing and with stealing disabled.
 func RobustnessOutage(sc Scale) ([]OutageRow, error) {
-	// The driver scripts its own outage; a CLI churn overlay (Scale.Churn)
-	// must not leak into the variants and muddy the comparison.
-	sc.Churn = nil
+	// The driver scripts its own outage; a CLI churn overlay must not leak
+	// into the variants and muddy the comparison.
+	sc.Overlay.Churn = nil
 	t, err := GoogleTrace(sc)
 	if err != nil {
 		return nil, err
 	}
 	const nodes = 15000
-	last := 0.0
-	for _, j := range t.Jobs {
-		if j.SubmitTime > last {
-			last = j.SubmitTime
-		}
-	}
+	last := t.MakespanLowerBound()
 	downAt, upAt := 0.3*last, 0.7*last
 	churn := &policy.ChurnSpec{Events: []policy.ChurnEvent{
 		{At: downAt, Kind: policy.ChurnCentralDown},
@@ -112,18 +107,13 @@ func RobustnessChurn(sc Scale) ([]ChurnRow, error) {
 	// The churned-vs-stable comparison defines both scenarios itself: the
 	// stable baseline must stay churn-free even when the CLI sets a churn
 	// overlay for the other experiments.
-	sc.Churn = nil
+	sc.Overlay.Churn = nil
 	t, err := GoogleTrace(sc)
 	if err != nil {
 		return nil, err
 	}
 	const nodes = 15000
-	last := 0.0
-	for _, j := range t.Jobs {
-		if j.SubmitTime > last {
-			last = j.SubmitTime
-		}
-	}
+	last := t.MakespanLowerBound()
 	// Four waves: fail 300 random nodes (2% of the cluster), recover them
 	// half a wave later.
 	const waveNodes = 300
@@ -186,8 +176,8 @@ var FaultLossSweep = []float64{0, 0.01, 0.02, 0.05, 0.10}
 // central queue instead of hanging.
 func RobustnessFaults(sc Scale) ([]FaultRow, error) {
 	// The loss probability is this experiment's swept axis; a CLI fault
-	// overlay (Scale.Faults) must not leak into the points.
-	sc.Faults = nil
+	// overlay must not leak into the points.
+	sc.Overlay.Faults = nil
 	t, err := GoogleTrace(sc)
 	if err != nil {
 		return nil, err
@@ -205,10 +195,9 @@ func RobustnessFaults(sc Scale) ([]FaultRow, error) {
 				// MaxRetries 8 keeps a full retry-chain exhaustion (p^9)
 				// out of reach even at 10% loss, so every point measures
 				// degradation rather than starvation.
-				cfg.Faults = &policy.FaultSpec{
-					ProbeLoss: loss, ReplyLoss: loss, StealLoss: loss,
-					AssignLoss: loss, CommitLoss: loss, MaxRetries: 8,
-				}
+				f := policy.UniformLoss(loss)
+				f.MaxRetries = 8
+				cfg.Faults = &f
 			}
 			cfgs = append(cfgs, cfg)
 		}

@@ -128,136 +128,6 @@ const (
 	SeedFaults     = 5 // the fault plane: loss, jitter, retry targets, stragglers
 )
 
-// Option mutates a Config under construction; see NewConfig.
-type Option func(*Config)
-
-// NewConfig builds a Config for the named policy from functional options:
-//
-//	cfg := policy.NewConfig("hawk", policy.WithNodes(15000), policy.WithSeed(42))
-//
-// Defaults are still resolved by Normalize at run time, so an option left
-// out means "paper default", exactly as for a zero struct field.
-func NewConfig(policyName string, opts ...Option) Config {
-	c := Config{Policy: policyName}
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-// WithNodes sets the cluster size.
-func WithNodes(n int) Option { return func(c *Config) { c.NumNodes = n } }
-
-// WithSlotsPerNode sets the execution slots per node.
-func WithSlotsPerNode(s int) Option { return func(c *Config) { c.SlotsPerNode = s } }
-
-// WithSchedulers sets the distributed scheduler count and, for n > 1,
-// turns on the multi-scheduler model in both engines (stale snapshots,
-// optimistic claim/commit, hash-partitioned jobs — see SchedulerSpec). Use
-// WithSchedulerSpec to also tune the snapshot cadence and retry policy.
-func WithSchedulers(n int) Option {
-	return func(c *Config) {
-		c.NumSchedulers = n
-		c.Schedulers = &SchedulerSpec{Count: n}
-	}
-}
-
-// WithSchedulerSpec installs a full multi-scheduler spec (count, snapshot
-// interval, conflict-retry policy).
-func WithSchedulerSpec(spec SchedulerSpec) Option {
-	return func(c *Config) {
-		s := spec
-		c.Schedulers = &s
-		if s.Count > 0 {
-			c.NumSchedulers = s.Count
-		}
-	}
-}
-
-// WithSchedulerChurn appends a scheduler fail/recover pair to the run's
-// churn script (recoverAt <= failAt: the scheduler never recovers).
-func WithSchedulerChurn(scheduler int, failAt, recoverAt float64) Option {
-	return func(c *Config) {
-		if c.Churn == nil {
-			c.Churn = &ChurnSpec{}
-		}
-		c.Churn.Events = append(c.Churn.Events, SchedulerChurn(scheduler, failAt, recoverAt)...)
-	}
-}
-
-// WithCutoff sets the long/short cutoff in seconds.
-func WithCutoff(sec float64) Option { return func(c *Config) { c.Cutoff = sec } }
-
-// WithShortPartitionFraction sets the reserved short-partition fraction.
-func WithShortPartitionFraction(f float64) Option {
-	return func(c *Config) { c.ShortPartitionFraction = f }
-}
-
-// WithProbeRatio sets the batch-sampling probes-per-task ratio.
-func WithProbeRatio(r int) Option { return func(c *Config) { c.ProbeRatio = r } }
-
-// WithStealCap bounds the nodes contacted per steal attempt.
-func WithStealCap(n int) Option { return func(c *Config) { c.StealCap = n } }
-
-// WithoutStealing disables randomized work stealing.
-func WithoutStealing() Option { return func(c *Config) { c.DisableStealing = true } }
-
-// WithRandomPositionStealing enables the §3.6 random-position ablation.
-func WithRandomPositionStealing() Option {
-	return func(c *Config) { c.StealRandomPositions = true }
-}
-
-// WithoutPartition disables the reserved short partition.
-func WithoutPartition() Option { return func(c *Config) { c.DisablePartition = true } }
-
-// WithoutCentral replaces centralized long-job placement with probing.
-func WithoutCentral() Option { return func(c *Config) { c.DisableCentral = true } }
-
-// WithNetworkDelay sets the one-way message delay in seconds.
-func WithNetworkDelay(sec float64) Option { return func(c *Config) { c.NetworkDelay = sec } }
-
-// WithMisestimation sets the uniform mis-estimation factor range of §4.8.
-func WithMisestimation(lo, hi float64) Option {
-	return func(c *Config) { c.MisestimateLo, c.MisestimateHi = lo, hi }
-}
-
-// WithChurn scripts cluster transitions: node failures/recoveries and
-// central-scheduler outages. Events fire in listed order for equal times.
-func WithChurn(events ...ChurnEvent) Option {
-	return func(c *Config) { c.Churn = &ChurnSpec{Events: events} }
-}
-
-// WithHeterogeneity assigns per-node speed classes; any fraction not
-// covered runs at the nominal speed 1.
-func WithHeterogeneity(classes ...SpeedClass) Option {
-	return func(c *Config) { c.Heterogeneity = &Heterogeneity{Classes: classes} }
-}
-
-// WithSpeedSkew is the one-knob heterogeneity shorthand: fraction of the
-// cluster runs at the given speed factor, the rest at 1.
-func WithSpeedSkew(fraction, speed float64) Option {
-	return WithHeterogeneity(SpeedClass{Fraction: fraction, Speed: speed})
-}
-
-// WithSeed sets the seed driving all randomness.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithDiscardedJobReports drops per-job reports in favor of bounded
-// reservoir aggregates (Report.Streamed), keeping report memory O(1) on
-// full-scale streamed runs. Simulator only.
-func WithDiscardedJobReports() Option { return func(c *Config) { c.DiscardJobReports = true } }
-
-// WithJobSink streams every completed job's report to sink in completion
-// order as the run executes. Simulator only.
-func WithJobSink(sink func(JobReport) error) Option {
-	return func(c *Config) { c.JobSink = sink }
-}
-
-// WithUtilizationInterval sets the simulator's utilization sampling period.
-func WithUtilizationInterval(sec float64) Option {
-	return func(c *Config) { c.UtilizationInterval = sec }
-}
-
 // TotalSlots is the number of single-slot FIFO queues an engine runs: the
 // requested node count times the slots per node. An unset SlotsPerNode
 // counts as the default 1, so the method is meaningful before Normalize.

@@ -114,6 +114,13 @@ type FaultSpec struct {
 	SpeculatePercentile float64 `json:"speculatePercentile,omitempty"`
 }
 
+// UniformLoss returns the spec that drops every message class (probe, reply,
+// steal, assign, commit) with the same probability p and sets nothing else;
+// callers add jitter, retries, or stragglers on the returned value.
+func UniformLoss(p float64) FaultSpec {
+	return FaultSpec{ProbeLoss: p, ReplyLoss: p, StealLoss: p, AssignLoss: p, CommitLoss: p}
+}
+
 // MessageDrops counts dropped messages by class; the Report carries it as
 // a nil-able pointer so fault-free reports serialize byte-identically to
 // runs that predate the fault plane.
@@ -223,61 +230,4 @@ func (f FaultSpec) injectsNothing() bool {
 	return f.ProbeLoss == 0 && f.ReplyLoss == 0 && f.StealLoss == 0 &&
 		f.AssignLoss == 0 && f.CommitLoss == 0 && f.Jitter == 0 &&
 		len(f.Stragglers) == 0 && !f.Speculate
-}
-
-// WithFaults installs a full gray-failure spec (per-class loss, jitter,
-// stragglers, retry policy, speculation).
-func WithFaults(spec FaultSpec) Option {
-	return func(c *Config) {
-		f := spec
-		f.Stragglers = append([]StragglerEvent(nil), spec.Stragglers...)
-		c.Faults = &f
-	}
-}
-
-// WithMessageLoss sets one uniform drop probability across every message
-// class (probe, reply, steal, assign, commit).
-func WithMessageLoss(p float64) Option {
-	return func(c *Config) {
-		if c.Faults == nil {
-			c.Faults = &FaultSpec{}
-		}
-		c.Faults.ProbeLoss = p
-		c.Faults.ReplyLoss = p
-		c.Faults.StealLoss = p
-		c.Faults.AssignLoss = p
-		c.Faults.CommitLoss = p
-	}
-}
-
-// WithJitter sets the maximum extra per-leg message delay in seconds.
-func WithJitter(sec float64) Option {
-	return func(c *Config) {
-		if c.Faults == nil {
-			c.Faults = &FaultSpec{}
-		}
-		c.Faults.Jitter = sec
-	}
-}
-
-// WithStragglers appends scripted mid-run node slowdowns to the fault spec.
-func WithStragglers(events ...StragglerEvent) Option {
-	return func(c *Config) {
-		if c.Faults == nil {
-			c.Faults = &FaultSpec{}
-		}
-		c.Faults.Stragglers = append(c.Faults.Stragglers, events...)
-	}
-}
-
-// WithSpeculation enables speculative re-execution of straggling short
-// tasks at the given delay-threshold percentile (0 selects the default 95).
-func WithSpeculation(percentile float64) Option {
-	return func(c *Config) {
-		if c.Faults == nil {
-			c.Faults = &FaultSpec{}
-		}
-		c.Faults.Speculate = true
-		c.Faults.SpeculatePercentile = percentile
-	}
 }

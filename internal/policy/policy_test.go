@@ -195,39 +195,24 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
-func TestNewConfigOptions(t *testing.T) {
-	cfg := policy.NewConfig("split",
-		policy.WithNodes(100),
-		policy.WithSlotsPerNode(2),
-		policy.WithSchedulers(5),
-		policy.WithCutoff(700),
-		policy.WithShortPartitionFraction(0.3),
-		policy.WithProbeRatio(3),
-		policy.WithStealCap(7),
-		policy.WithoutStealing(),
-		policy.WithRandomPositionStealing(),
-		policy.WithoutPartition(),
-		policy.WithoutCentral(),
-		policy.WithNetworkDelay(0.001),
-		policy.WithMisestimation(0.5, 1.5),
-		policy.WithSeed(9),
-		policy.WithUtilizationInterval(50),
-	)
-	want := policy.Config{
-		Policy: "split", NumNodes: 100, SlotsPerNode: 2, NumSchedulers: 5,
-		Cutoff: 700, ShortPartitionFraction: 0.3, ProbeRatio: 3, StealCap: 7,
-		DisableStealing: true, StealRandomPositions: true, DisablePartition: true,
-		DisableCentral: true, NetworkDelay: 0.001, MisestimateLo: 0.5,
-		MisestimateHi: 1.5, Seed: 9, UtilizationInterval: 50,
+// UniformLoss is "every message class at p": every *Loss field of FaultSpec
+// (a sixth class added later is caught here) and nothing else, so callers
+// layer jitter, retries and stragglers on a value that carries only loss.
+func TestUniformLoss(t *testing.T) {
+	var want policy.FaultSpec
+	v := reflect.ValueOf(&want).Elem()
+	classes := 0
+	for i := 0; i < v.NumField(); i++ {
+		if strings.HasSuffix(v.Type().Field(i).Name, "Loss") {
+			v.Field(i).SetFloat(0.25)
+			classes++
+		}
 	}
-	// WithSchedulers(n) now also opts into the multi-scheduler model; the
-	// spec pointer is checked separately from the comparable remainder.
-	if cfg.Schedulers == nil || cfg.Schedulers.Count != 5 {
-		t.Errorf("WithSchedulers(5) did not install the scheduler spec: %+v", cfg.Schedulers)
+	if classes != 5 {
+		t.Fatalf("FaultSpec has %d *Loss fields, want the five message classes", classes)
 	}
-	cfg.Schedulers = nil
-	if !reflect.DeepEqual(cfg, want) {
-		t.Errorf("NewConfig = %+v, want %+v", cfg, want)
+	if got := policy.UniformLoss(0.25); !reflect.DeepEqual(got, want) {
+		t.Errorf("UniformLoss(0.25) = %+v, want %+v", got, want)
 	}
 }
 

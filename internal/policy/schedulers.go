@@ -85,8 +85,7 @@ func (s SchedulerSpec) normalize(numSchedulers int, networkDelay float64) (Sched
 
 // SchedulerChurn builds the churn events scripting one scheduler's failure
 // at failAt and, when recoverAt > failAt, its recovery — the scheduler-side
-// analogue of a node fail/recover pair, for use with WithChurn or a
-// ChurnSpec literal.
+// analogue of a node fail/recover pair, for a ChurnSpec literal's Events.
 func SchedulerChurn(scheduler int, failAt, recoverAt float64) []ChurnEvent {
 	evs := []ChurnEvent{{At: failAt, Kind: ChurnSchedFail, Node: scheduler}}
 	if recoverAt > failAt {

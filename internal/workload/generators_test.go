@@ -121,10 +121,15 @@ func TestMotivationWorkload(t *testing.T) {
 }
 
 func TestSpecByName(t *testing.T) {
-	for _, name := range []string{"google", "cloudera", "facebook", "yahoo"} {
+	// The second column is the calibrated arrival rate every tool generates
+	// the workload at; the experiments' load regimes depend on these values.
+	for name, ia := range map[string]float64{"google": 2.3, "cloudera": 1.5, "facebook": 1.0, "yahoo": 7.5} {
 		spec, err := SpecByName(name)
 		if err != nil || spec.Name != name {
 			t.Fatalf("SpecByName(%s) = %v, %v", name, spec.Name, err)
+		}
+		if got := spec.CalibratedInterArrival(); got != ia {
+			t.Errorf("%s: CalibratedInterArrival = %g, want %g", name, got, ia)
 		}
 	}
 	if _, err := SpecByName("nope"); err == nil {

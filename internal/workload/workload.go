@@ -145,6 +145,12 @@ type Stats struct {
 // ComputeStats classifies jobs by cutoff (average task duration >= cutoff is
 // long) and computes Table 1/2 statistics.
 func ComputeStats(t *Trace, cutoff float64) Stats {
+	return computeStats(t, func(_ *Job, avg float64) bool { return avg >= cutoff })
+}
+
+// computeStats is the Table 1/2 characterization under any long/short
+// predicate; avg is the job's average task duration.
+func computeStats(t *Trace, isLong func(j *Job, avg float64) bool) Stats {
 	var s Stats
 	var longTS, totalTS float64
 	var longTasks int
@@ -155,7 +161,7 @@ func ComputeStats(t *Trace, cutoff float64) Stats {
 		totalTS += ts
 		s.TotalTasks += j.NumTasks()
 		avg := j.AvgTaskDuration()
-		if avg >= cutoff {
+		if isLong(j, avg) {
 			s.LongJobs++
 			longTS += ts
 			longTasks += j.NumTasks()
