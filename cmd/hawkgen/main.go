@@ -17,7 +17,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -78,7 +77,9 @@ func writeTrace(t *hawk.Trace) error {
 
 func obtainTrace() (*hawk.Trace, float64, error) {
 	if *inFlag != "" {
-		t, err := loadTrace(*inFlag)
+		// Either format, whole: the statistics and the legacy writer both
+		// need the trace in memory.
+		t, err := hawk.LoadTraceFile(*inFlag)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -119,20 +120,6 @@ func obtainTrace() (*hawk.Trace, float64, error) {
 		cutoff = spec.Cutoff
 	}
 	return t, cutoff, nil
-}
-
-// loadTrace reads either trace format, materialized (hawkgen's statistics
-// and the legacy writer both need the whole trace in memory).
-func loadTrace(path string) (*hawk.Trace, error) {
-	src, err := hawk.OpenTraceSource(path)
-	if err == nil {
-		defer src.Close()
-		return hawk.MaterializeSource(src)
-	}
-	if !errors.Is(err, hawk.ErrNotStreamTrace) {
-		return nil, err
-	}
-	return hawk.LoadTraceFile(path)
 }
 
 func printStats(t *hawk.Trace, cutoff float64) {

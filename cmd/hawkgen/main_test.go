@@ -27,7 +27,7 @@ func TestConvertInPlace(t *testing.T) {
 	if err := writeTrace(tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadTrace(path)
+	got, err := hawk.LoadTraceFile(path)
 	if err != nil {
 		t.Fatalf("the trace converted onto itself no longer loads: %v", err)
 	}

@@ -14,10 +14,10 @@
 // -trace accepts both the hawk-trace stream format (written by -trace-out
 // or hawkgen; gzip by ".gz" suffix), which is decoded job by job as the
 // simulation runs, and the legacy bare-CSV format (which carries no cutoff;
-// pass -cutoff). With -stream the run keeps no per-job reports — class
-// counts and percentile reservoirs only — so memory stays O(in-flight)
-// regardless of trace length; combine with -dump to still persist every
-// job's outcome as CSV.
+// pass -cutoff); a synthetic -workload is generated job by job the same
+// way. With -stream the run keeps no per-job reports — class counts and
+// percentile reservoirs only — so memory stays O(in-flight) regardless of
+// trace length; -dump persists every job's outcome as CSV either way.
 //
 // The scenario flags (multi-scheduler model, churn, heterogeneity, gray
 // failures) are shared with hawkexp and defined in internal/cliflags;
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -96,43 +97,36 @@ func realMain() int {
 			*traceFlag, *traceOutFlag)
 		return 2
 	}
-	trace, file, err := loadWorkload()
+	src, err := openWorkload()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
 		return 1
 	}
-	if file != nil {
-		defer func() { file.Close() }()
-	}
+	defer closeSource(src)
 	if !hawk.Registered(*policyFlag) {
 		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
 		return 2
 	}
 	if *traceOutFlag != "" {
-		// A format conversion when the input was itself a trace file.
-		var out hawk.Source = file
-		if file == nil {
-			out = hawk.NewTraceSource(trace)
+		// A source is consumed once, so the copy drains an instance of its
+		// own (a format conversion when the input was itself a trace file).
+		out, err := openWorkload()
+		if err == nil {
+			err = hawk.SaveTraceSource(*traceOutFlag, out)
+			closeSource(out)
 		}
-		if err := hawk.SaveTraceSource(*traceOutFlag, out); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "hawksim: writing %s: %v\n", *traceOutFlag, err)
 			return 1
 		}
 		fmt.Printf("wrote workload to %s\n", *traceOutFlag)
-		if file != nil {
-			// A stream is consumed once; the run needs a fresh one.
-			file.Close()
-			if file, err = hawk.OpenTraceSource(*traceFlag); err != nil {
-				fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
-				return 1
-			}
-		}
 	}
 	cfg := buildConfig(*policyFlag)
-	// On a streamed run -dump rides the job sink, so per-job rows land on
-	// disk at completion and the report never holds them.
+	// -dump rides the job sink: per-job rows land on disk at completion, in
+	// the order a retained report would list them, whether or not the
+	// report keeps them too.
 	var sink *hawk.JobCSVSink
-	if *streamFlag && *dumpFlag != "" {
+	if *dumpFlag != "" {
 		sink, err = hawk.CreateJobCSVSink(*dumpFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
@@ -140,12 +134,7 @@ func realMain() int {
 		}
 		cfg.JobSink = sink.Sink
 	}
-	var res *hawk.Report
-	if file != nil {
-		res, err = hawk.SimulateSource(file, cfg)
-	} else {
-		res, err = hawk.Simulate(trace, cfg)
-	}
+	res, err := hawk.SimulateSource(src, cfg)
 	if sink != nil {
 		// Close before looking at err: a run that fails must still flush
 		// the rows of the jobs that did complete.
@@ -157,14 +146,8 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
 		return 1
 	}
-	printResult(trace, res)
+	printResult(res)
 	if sink != nil {
-		fmt.Printf("wrote per-job results to %s\n", *dumpFlag)
-	} else if *dumpFlag != "" {
-		if err := hawk.SaveResultsCSV(*dumpFlag, res); err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: writing %s: %v\n", *dumpFlag, err)
-			return 1
-		}
 		fmt.Printf("wrote per-job results to %s\n", *dumpFlag)
 	}
 	if *jsonFlag != "" {
@@ -206,68 +189,56 @@ func buildConfig(policyName string) hawk.Config {
 	return cfg
 }
 
-// loadWorkload resolves -trace/-workload. It returns either a materialized
-// trace (synthetic generation, legacy CSV) or the opened hawk-trace file,
-// which the run decodes job by job instead of loading; the caller closes it.
-func loadWorkload() (*hawk.Trace, *hawk.FileSource, error) {
+// openWorkload resolves -trace/-workload to a fresh source over the
+// workload; closeSource releases it.
+func openWorkload() (hawk.Source, error) {
 	if *traceFlag != "" {
-		file, err := hawk.OpenTraceSource(*traceFlag)
-		if err == nil {
-			return nil, file, nil
-		}
-		if !errors.Is(err, hawk.ErrNotStreamTrace) {
-			return nil, nil, err
-		}
-		t, err := hawk.LoadTraceFile(*traceFlag)
+		src, err := hawk.OpenTrace(*traceFlag)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if *cutoffFlag > 0 {
-			t.Cutoff = *cutoffFlag
+		if src.Meta().Cutoff == 0 && *cutoffFlag <= 0 {
+			closeSource(src)
+			return nil, fmt.Errorf("legacy CSV traces carry no cutoff; pass -cutoff")
 		}
-		if t.Cutoff == 0 {
-			return nil, nil, fmt.Errorf("legacy CSV traces carry no cutoff; pass -cutoff")
-		}
-		if *partFlag > 0 {
-			t.ShortPartitionFraction = *partFlag
-		}
-		return t, nil, nil
+		return src, nil
 	}
 	if *workloadFlag == "motivation" {
-		return hawk.MotivationWorkload(*seedFlag), nil, nil
+		return hawk.NewTraceSource(hawk.MotivationWorkload(*seedFlag)), nil
 	}
 	spec, err := hawk.SpecByName(*workloadFlag)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ia := *iaFlag
 	if ia <= 0 {
 		ia = spec.CalibratedInterArrival()
 	}
-	return hawk.Generate(spec, hawk.GenConfig{
+	return hawk.NewGeneratorSource(spec, hawk.GenConfig{
 		NumJobs:          *jobsFlag,
 		MeanInterArrival: ia,
 		Seed:             *seedFlag,
-	}), nil, nil
+	}), nil
 }
 
-// printResult prints the run's headline numbers. trace is nil when the
-// workload streamed from a file; ClassSummary reads whichever store the
-// run kept (per-job reports, or the -stream reservoirs).
-func printResult(trace *hawk.Trace, res *hawk.Report) {
+// closeSource closes a source that holds a file.
+func closeSource(src hawk.Source) {
+	if c, ok := src.(io.Closer); ok {
+		c.Close()
+	}
+}
+
+// printResult prints the run's headline numbers. ClassSummary reads
+// whichever store the run kept (per-job reports, or the -stream reservoirs).
+func printResult(res *hawk.Report) {
 	short := res.ClassSummary(false)
 	long := res.ClassSummary(true)
 	fmt.Printf("policy: %s  jobs: %d  makespan: %.0f s  events: %d\n",
 		res.Policy, short.Count+long.Count, res.Makespan, res.Events)
 	fmt.Printf("short jobs: %s\n", short)
 	fmt.Printf("long jobs:  %s\n", long)
-	if trace != nil {
-		fmt.Printf("median utilization (arrival window): %.1f%%  max: %.1f%%\n",
-			100*res.Utilization.MedianUpTo(trace.MakespanLowerBound()), 100*res.Utilization.Max())
-	} else {
-		fmt.Printf("median utilization: %.1f%%  max: %.1f%%\n",
-			100*res.Utilization.Median(), 100*res.Utilization.Max())
-	}
+	fmt.Printf("median utilization (arrival window): %.1f%%  max: %.1f%%\n",
+		100*res.Utilization.MedianUpTo(res.LastSubmit), 100*res.Utilization.Max())
 	fmt.Printf("probes: %d  cancels: %d  tasks: %d  central assigns: %d\n",
 		res.ProbesSent, res.Cancels, res.TasksExecuted, res.CentralAssigns)
 	fmt.Printf("steals: attempts=%d contacts=%d successes=%d entries=%d\n",

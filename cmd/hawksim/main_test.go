@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -133,7 +134,11 @@ func TestBuildConfig(t *testing.T) {
 func TestDefaultInterArrival(t *testing.T) {
 	for _, spec := range hawk.AllSpecs() {
 		parseArgs(t, "-workload", spec.Name, "-jobs", "200")
-		got, _, err := loadWorkload()
+		src, err := openWorkload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := hawk.MaterializeSource(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,23 +154,38 @@ func TestDefaultInterArrival(t *testing.T) {
 // what it wrote to standard error.
 func runMain(t *testing.T, argv ...string) (int, []byte) {
 	t.Helper()
-	parseArgs(t, argv...)
-	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	realStderr := os.Stderr
-	os.Stderr = errFile
-	code := realMain()
-	os.Stderr = realStderr
-	if err := errFile.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stderr, err := os.ReadFile(errFile.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
+	code, _, stderr := runMainOut(t, argv...)
 	return code, stderr
+}
+
+// runMainOut is runMain that also returns standard output.
+func runMainOut(t *testing.T, argv ...string) (code int, stdout, stderr []byte) {
+	t.Helper()
+	parseArgs(t, argv...)
+	dir := t.TempDir()
+	files := [2]*os.File{}
+	for i, name := range []string{"stdout", "stderr"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = f
+	}
+	realStdout, realStderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	code = realMain()
+	os.Stdout, os.Stderr = realStdout, realStderr
+	var out [2][]byte
+	for i, f := range files {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if out[i], err = os.ReadFile(f.Name()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return code, out[0], out[1]
 }
 
 // A streamed run that fails must still leave a whole -dump CSV: one
@@ -199,6 +219,70 @@ func TestFailedStreamedRunFlushesDump(t *testing.T) {
 	}
 	if len(rows) != completed {
 		t.Errorf("dump has %d rows, want one per completed job (%d)", len(rows), completed)
+	}
+}
+
+// A retained run's -dump rides the same sink, so it keeps the same promise.
+// It used to be written from the report once the run had succeeded, and a
+// failed run left no file at all.
+func TestFailedRetainedRunFlushesDump(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "jobs.csv")
+	code, stderr := runMain(t, "-workload", "google", "-jobs", "300", "-dump", dump, "-central-down", "1")
+	m := regexp.MustCompile(`deadlock — (\d+) of 300 jobs completed`).FindSubmatch(stderr)
+	if code != 1 || m == nil {
+		t.Fatalf("exit code %d, want 1 and the deadlock diagnosis; stderr: %s", code, stderr)
+	}
+	f, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := hawk.ReadResultsCSV(f)
+	if err != nil {
+		t.Fatalf("the dump of a failed run does not parse: %v", err)
+	}
+	if completed, _ := strconv.Atoi(string(m[1])); completed == 0 || len(rows) != completed {
+		t.Errorf("dump has %d rows, want one per completed job (%d, which must not be 0)", len(rows), completed)
+	}
+}
+
+// One workload, two forms, one answer: a run over a generated workload and a
+// run over the trace file -trace-out wrote of it print the same result lines.
+// (The file form used to print the whole-run utilization median, 6.5 % here,
+// where the generated form printed the arrival-window one, 96.9 %: the last
+// submit time was only known from a *Trace.) A headerless legacy CSV of the
+// same jobs, given the cutoff its format cannot carry, is a third form.
+func TestSameWorkloadSameResultLines(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "t.trace.gz")
+	code, stdout, stderr := runMainOut(t, "-workload", "google", "-jobs", "300", "-nodes", "2000", "-trace-out", file)
+	if code != 0 {
+		t.Fatalf("generated run: exit code %d; stderr: %s", code, stderr)
+	}
+	wrote, want, ok := bytes.Cut(stdout, []byte("\n"))
+	if !ok || !bytes.HasPrefix(wrote, []byte("wrote workload to ")) {
+		t.Fatalf("stdout does not start with the -trace-out line:\n%s", stdout)
+	}
+	if !bytes.Contains(want, []byte("median utilization (arrival window)")) {
+		t.Fatalf("no arrival-window utilization line:\n%s", want)
+	}
+	legacy := filepath.Join(dir, "legacy.csv")
+	spec := hawk.Google()
+	tr := hawk.Generate(spec, hawk.GenConfig{NumJobs: 300, MeanInterArrival: spec.CalibratedInterArrival(), Seed: 42})
+	if err := hawk.SaveTraceFile(legacy, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{
+		{"-trace", file, "-nodes", "2000"},
+		{"-trace", legacy, "-nodes", "2000", "-cutoff", fmt.Sprint(spec.Cutoff), "-partition", fmt.Sprint(spec.ShortPartitionFraction)},
+	} {
+		code, got, stderr := runMainOut(t, argv...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d; stderr: %s", argv, code, stderr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v prints\n%s\nthe generated workload printed\n%s", argv, got, want)
+		}
 	}
 }
 

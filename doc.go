@@ -18,11 +18,12 @@
 // Two engines execute policies: hawk.Simulate, the trace-driven
 // discrete-event simulator of the paper's evaluation (§4.1), and
 // hawk.RunLive, a goroutine-per-node prototype runtime in which messages
-// and task execution consume real time (§3.8, §4.10). hawk.SimulateSource
-// is the simulator's streaming entry point: it consumes a hawk.Source —
-// an in-memory trace adapter, an on-demand synthetic generator, or a
-// hawk-trace file reader — decoding each job only when it submits, so a
-// multi-million-task trace runs in memory proportional to in-flight work.
+// and task execution consume real time (§3.8, §4.10). The simulator takes
+// its workload one way, hawk.SimulateSource over a hawk.Source — a trace
+// already in memory (which is all hawk.Simulate adds), an on-demand
+// synthetic generator, or a trace file reader — pulling each job only when
+// it submits, so a multi-million-task trace runs in memory proportional to
+// in-flight work.
 //
 // # What is reproduced
 //

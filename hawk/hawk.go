@@ -194,14 +194,16 @@ func UniformLoss(p float64) FaultSpec { return policy.UniformLoss(p) }
 type Engine = sweep.Engine
 
 // Simulate runs the trace-driven discrete-event simulator (§4.1). Runs are
-// deterministic for a given (trace, config) pair.
+// deterministic for a given (trace, config) pair. It is
+// SimulateSource(NewTraceSource(trace), cfg), after checking every job of
+// the trace against the cluster before the first event.
 func Simulate(trace *Trace, cfg Config) (*Report, error) { return sim.Run(trace, cfg) }
 
-// SimulateSource runs the simulator on a streamed workload: jobs decode
-// from the source one submit event at a time and finished job state is
-// recycled, so peak memory is O(in-flight jobs + cluster size) however
-// long the trace. For the same job stream the report is byte-identical to
-// Simulate; combine with Config.DiscardJobReports (and optionally a
+// SimulateSource runs the simulator on a workload source: jobs are pulled
+// one submit event at a time and finished job state is recycled, so the
+// engine holds O(in-flight jobs + cluster size) however long the trace, and
+// the report depends on the job stream alone, not on what kind of source
+// yields it. Combine with Config.DiscardJobReports (and optionally a
 // NewJobCSVSink) to keep the report itself O(1) too.
 func SimulateSource(src Source, cfg Config) (*Report, error) { return sim.RunSource(src, cfg) }
 
@@ -274,14 +276,14 @@ type (
 	// WorkloadStats is the Table 1/2 characterization of a trace.
 	WorkloadStats = workload.Stats
 
-	// Source streams a workload job by job in submit-time order, with its
-	// size and defaults known up front (Meta) — the input SimulateSource
-	// consumes without ever materializing the trace.
+	// Source yields a workload job by job in submit-time order, with its
+	// size and defaults known up front (Meta) — the one input the simulator
+	// consumes; a Trace is the source that happens to be in memory.
 	Source = workload.Source
 	// WorkloadMeta is a Source's up-front metadata: exact job count, task
 	// bounds, and the trace-level defaults.
 	WorkloadMeta = workload.Meta
-	// TraceSource adapts an in-memory Trace to the Source interface.
+	// TraceSource serves an in-memory Trace as a Source.
 	TraceSource = workload.TraceSource
 	// GeneratorSource streams a synthetic workload draw-for-draw identical
 	// to Generate, holding O(in-flight) jobs instead of the whole trace.
@@ -332,6 +334,10 @@ var (
 	// OpenTraceSource opens a hawk-trace file (gzip by ".gz" suffix) for
 	// streaming; it reads only the header before the first job decodes.
 	OpenTraceSource = workload.OpenSource
+	// OpenTrace opens a trace file in either on-disk format: a hawk-trace
+	// file streams (a *FileSource; Close it), a headerless legacy CSV is
+	// read whole and carries no name, cutoff or partition fraction.
+	OpenTrace = workload.Open
 	// SaveTraceSource drains a Source to a hawk-trace file (gzip by ".gz"
 	// suffix), recycling jobs as it writes.
 	SaveTraceSource = workload.SaveSource
@@ -340,11 +346,6 @@ var (
 	// SourceErr returns a source's streaming error, if it exposes one.
 	SourceErr = workload.SourceErr
 )
-
-// ErrNotStreamTrace reports that a file lacks the hawk-trace header.
-// Callers that accept both formats match it with errors.Is and fall back
-// to LoadTraceFile for legacy bare-CSV traces.
-var ErrNotStreamTrace = workload.ErrNotStreamTrace
 
 // NewJobCSVSink starts a streaming per-job CSV export on w; set
 // Config.JobSink to sink.Sink. CreateJobCSVSink is the file convenience.

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/policy"
 	"repro/internal/stats"
@@ -110,16 +111,17 @@ func NodeSweep(name string) []int {
 }
 
 // GoogleTrace returns the Google workload at the given scale: the default
-// synthetic trace, or — when the scale names a recorded hawk-trace file —
-// that recording, materialized so the sweep's runs can share it.
+// synthetic trace, or — when the scale names a recorded trace file — that
+// recording, materialized so the sweep's runs can share it. The recording
+// must say its own cutoff, which a headerless legacy CSV cannot.
 func GoogleTrace(sc Scale) (*workload.Trace, error) {
 	if sc.TracePath != "" {
-		src, err := workload.OpenSource(sc.TracePath)
-		if err != nil {
-			return nil, err
+		t, err := workload.LoadFile(sc.TracePath)
+		if err == nil && t.Cutoff == 0 {
+			err = fmt.Errorf("experiments: trace %s carries no cutoff (a legacy CSV?); convert it first: hawkgen -in %s -cutoff C -out x.trace.gz",
+				sc.TracePath, sc.TracePath)
 		}
-		defer src.Close()
-		return workload.Materialize(src)
+		return t, err
 	}
 	return workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs:          sc.NumJobs,

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"math"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -264,5 +267,34 @@ func TestRatiosForAlignsJobSets(t *testing.T) {
 	}
 	if got := ratiosFor(tr, res, res, tr.Cutoff); got != (Ratios{1, 1, 1, 1}) {
 		t.Fatalf("self-ratios = %+v, want all 1", got)
+	}
+}
+
+// A recorded trace replaces the synthetic one whichever on-disk format it is
+// in, as long as it says its cutoff. A headerless legacy CSV cannot, and
+// hawkexp has no -cutoff, so the error has to name the way out; it used to be
+// "workload: missing #hawk-trace header".
+func TestGoogleTraceFromAFile(t *testing.T) {
+	want, err := GoogleTrace(Scale{NumJobs: 200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	recorded := filepath.Join(dir, "g.trace.gz")
+	if err := workload.SaveSource(recorded, workload.NewTraceSource(want)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := GoogleTrace(Scale{TracePath: recorded})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("the recorded trace does not come back as it was saved (err %v)", err)
+	}
+	legacy := filepath.Join(dir, "legacy.csv")
+	if err := workload.SaveFile(legacy, want); err != nil {
+		t.Fatal(err)
+	}
+	_, err = GoogleTrace(Scale{TracePath: legacy})
+	if err == nil || !strings.Contains(err.Error(), "carries no cutoff") ||
+		!strings.Contains(err.Error(), "hawkgen -in "+legacy+" -cutoff") {
+		t.Errorf("a legacy CSV must fail naming the missing cutoff and the hawkgen conversion, got: %v", err)
 	}
 }

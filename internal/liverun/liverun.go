@@ -54,20 +54,12 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		return nil, err
 	}
 
-	// The live engine classifies exactly, so only each job's true route
-	// is checked. The margin is the scenario's worst-case concurrent
-	// failures, mirroring the simulator's pre-flight. The check runs on a
-	// static view of the full membership, before the cluster (and its
-	// churn controller) starts — the live view is mutated concurrently
-	// once goroutines are up.
-	cls := core.Classifier{Cutoff: cfg.Cutoff}
-	preflight := core.NewClusterView(core.NewPartition(cfg.TotalSlots(), pol.ShortPartitionFraction()))
-	if err := policy.CheckFeasibility(trace, pol, preflight, cfg.Churn.MaxConcurrentFailures(),
-		func(j *workload.Job) []bool {
-			return []bool{cls.IsLong(j.AvgTaskDuration())}
-		}); err != nil {
+	// The pre-flight runs before the cluster (and its churn controller)
+	// starts: the live view is mutated concurrently once goroutines are up.
+	if err := policy.CheckTraceFeasibility(trace, cfg, pol); err != nil {
 		return nil, err
 	}
+	cls := core.Classifier{Cutoff: cfg.Cutoff}
 
 	c := newCluster(cfg, pol)
 	defer c.stopAll()
@@ -118,6 +110,7 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		Config:          cfg,
 		Jobs:            results,
 		Makespan:        time.Since(start).Seconds(),
+		LastSubmit:      trace.MakespanLowerBound(),
 		StealAttempts:   c.stealAttempts.Load(),
 		StealContacts:   c.stealContacts.Load(),
 		StealSuccesses:  c.stealSuccesses.Load(),

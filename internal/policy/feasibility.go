@@ -2,79 +2,95 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// CheckFeasibility verifies, before any engine starts work, that every
-// route the policy can take for every job is executable: a probe-scheduled
-// job needs a candidate pool at least as wide as its task count (with
-// batch sampling one probe yields at most one task, so a wider job could
-// never finish — callers should scale traces down first with
-// workload.Trace.CapTasks, as the paper does for its 100-node prototype),
-// and a central route needs a declared central pool.
+// routeRoom resolves one routing decision against the cluster: the widest
+// job the route can place, or an error for a central route the policy
+// declares no pool for.
+func routeRoom(dec Decision, pol Policy, part core.Partition, margin int) (int, error) {
+	if dec.Action != ActionCentral {
+		return dec.Pool.width(part) - margin, nil
+	}
+	if pol.CentralPool() == PoolNone {
+		return 0, fmt.Errorf("policy: %q routes jobs centrally but declares no central pool", pol.String())
+	}
+	return math.MaxInt, nil
+}
+
+// CheckFeasibility is the feasibility rule, for one job: every route the
+// policy can take for it must be executable. A job routed to a probe pool
+// needs tasks ≤ pool width − margin (with batch sampling one probe yields at
+// most one task, so a wider job could never finish — scale traces down first
+// with workload.Trace.CapTasks, as the paper does for its 100-node
+// prototype), and a central route needs a declared central pool. Width is
+// the pool's full membership; margin is the scenario's worst-case concurrent
+// failures (ChurnSpec.MaxConcurrentFailures), so a churn script that could
+// shrink a pool below the widest job is rejected instead of deadlocking the
+// run: re-routing keeps probes alive across failures, but batch sampling
+// needs one live candidate per task at submission. With exact estimates the
+// job's route follows job.Long; bothClasses says mis-estimation can flip it.
 //
-// The check runs against the cluster view's full membership minus the
-// scenario's worst-case concurrent failures (failureMargin, from
-// ChurnSpec.MaxConcurrentFailures): a churn script that could shrink a
-// probe pool below the widest job is rejected up front — re-routing keeps
-// probes alive across failures, but batch sampling still needs one live
-// candidate per task at submission time. Pass margin 0 for a static run.
-//
-// classes returns the job classifications to check. Engines with exact
-// estimates pass the single true class; the simulator passes both classes
-// when mis-estimation can flip a job's class at runtime.
-func CheckFeasibility(trace *workload.Trace, pol Policy, view *core.ClusterView, failureMargin int, classes func(*workload.Job) []bool) error {
-	hasCentral := pol.CentralPool() != PoolNone
-	for _, j := range trace.Jobs {
-		for _, long := range classes(j) {
-			dec := pol.Route(JobInfo{
-				ID: j.ID, Tasks: j.NumTasks(), Estimate: j.AvgTaskDuration(), Long: long,
-			})
-			switch dec.Action {
-			case ActionCentral:
-				if !hasCentral {
-					return fmt.Errorf("policy: %q routes jobs centrally but declares no central pool", pol.String())
-				}
-			default:
-				n := dec.Pool.Size(view) - failureMargin
-				if j.NumTasks() > n {
-					if failureMargin > 0 {
-						return fmt.Errorf("policy: job %d with %d tasks exceeds the %q probe pool's %d nodes surviving worst-case churn (%d concurrent failures); shrink the scenario or cap tasks",
-							j.ID, j.NumTasks(), dec.Pool, n, failureMargin)
-					}
-					return fmt.Errorf("policy: job %d with %d tasks exceeds the %d-node %q probe pool; cap tasks first",
-						j.ID, j.NumTasks(), n, dec.Pool)
-				}
+// The rule is applied to every job before the run by whoever holds a whole
+// trace (CheckTraceFeasibility), and by the simulator to each job as it is
+// pulled, when metadata alone could not settle it (CheckFeasibilityMeta).
+func CheckFeasibility(job JobInfo, bothClasses bool, pol Policy, part core.Partition, margin int) error {
+	for _, long := range [2]bool{false, true} {
+		if long != job.Long && !bothClasses {
+			continue
+		}
+		dec := pol.Route(JobInfo{ID: job.ID, Tasks: job.Tasks, Estimate: job.Estimate, Long: long})
+		room, err := routeRoom(dec, pol, part, margin)
+		if err != nil {
+			return err
+		}
+		if job.Tasks > room {
+			if margin > 0 {
+				return fmt.Errorf("policy: job %d with %d tasks exceeds the %q probe pool's %d nodes surviving worst-case churn (%d concurrent failures); shrink the scenario or cap tasks",
+					job.ID, job.Tasks, dec.Pool, room, margin)
 			}
+			return fmt.Errorf("policy: job %d with %d tasks exceeds the %d-node %q probe pool; cap tasks first",
+				job.ID, job.Tasks, room, dec.Pool)
 		}
 	}
 	return nil
 }
 
-// CheckFeasibilityMeta is the streaming counterpart of CheckFeasibility:
-// it checks a workload's up-front metadata without materializing any job.
-// Structural errors — a central route with no declared central pool — are
-// definitive and returned. The probe-pool width check uses the
-// conservative Meta.MaxTasks bound under both classifications; when that
-// bound fails the result is not a verdict (the widest job might route
-// centrally), so the check returns perJob=true and the engine re-checks
-// each job against its actual route at submission.
-func CheckFeasibilityMeta(m workload.Meta, pol Policy, view *core.ClusterView, failureMargin int) (perJob bool, err error) {
-	hasCentral := pol.CentralPool() != PoolNone
-	for _, long := range []bool{false, true} {
-		dec := pol.Route(JobInfo{ID: 0, Tasks: m.MaxTasks, Estimate: 1, Long: long})
-		switch dec.Action {
-		case ActionCentral:
-			if !hasCentral {
-				return false, fmt.Errorf("policy: %q routes jobs centrally but declares no central pool", pol.String())
-			}
-		default:
-			if m.MaxTasks > dec.Pool.Size(view)-failureMargin {
-				perJob = true
-			}
+// CheckTraceFeasibility applies the rule to every job of a trace before an
+// engine starts work, under the run's normalized configuration and the
+// policy built from it.
+func CheckTraceFeasibility(t *workload.Trace, cfg Config, pol Policy) error {
+	part := core.NewPartition(cfg.TotalSlots(), pol.ShortPartitionFraction())
+	margin := cfg.Churn.MaxConcurrentFailures()
+	cls := core.Classifier{Cutoff: cfg.Cutoff}
+	for _, j := range t.Jobs {
+		avg := j.AvgTaskDuration()
+		job := JobInfo{ID: j.ID, Tasks: j.NumTasks(), Estimate: avg, Long: cls.IsLong(avg)}
+		if err := CheckFeasibility(job, !cfg.ExactEstimates(), pol, part, margin); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// CheckFeasibilityMeta asks the rule of a workload's up-front metadata,
+// without any job in hand. A central route with no declared central pool is
+// definitive and returned. The width check uses the conservative
+// Meta.MaxTasks bound under both classes; when that bound fails the result
+// is not a verdict (the widest job might route centrally), so the check
+// returns perJob=true and the engine applies CheckFeasibility to each job
+// it pulls.
+func CheckFeasibilityMeta(m workload.Meta, pol Policy, part core.Partition, margin int) (perJob bool, err error) {
+	for _, long := range [2]bool{false, true} {
+		dec := pol.Route(JobInfo{ID: 0, Tasks: m.MaxTasks, Estimate: 1, Long: long})
+		room, err := routeRoom(dec, pol, part, margin)
+		if err != nil {
+			return false, err
+		}
+		perJob = perJob || m.MaxTasks > room
 	}
 	return perJob, nil
 }

@@ -27,21 +27,27 @@ func (p Pool) Size(view *core.ClusterView) int {
 	}
 }
 
+// width returns the pool's node count under the static partition: its full
+// membership, which is what Size reports until churn removes a node.
+func (p Pool) width(part core.Partition) int {
+	switch p {
+	case PoolAll:
+		return part.NumNodes()
+	case PoolGeneral:
+		return part.GeneralNodes()
+	case PoolShort:
+		return part.ShortOnlyNodes()
+	default:
+		return 0
+	}
+}
+
 // IDs enumerates the pool's node ids under the static partition in
 // increasing order — the full membership the pool starts from, regardless
 // of later churn (engines apply membership transitions on top, e.g. via
 // CentralQueue.Remove/Add).
 func (p Pool) IDs(part core.Partition) []int {
-	size := 0
-	switch p {
-	case PoolAll:
-		size = part.NumNodes()
-	case PoolGeneral:
-		size = part.GeneralNodes()
-	case PoolShort:
-		size = part.ShortOnlyNodes()
-	}
-	ids := make([]int, size)
+	ids := make([]int, p.width(part))
 	for i := range ids {
 		if p == PoolGeneral {
 			ids[i] = part.GeneralID(i)

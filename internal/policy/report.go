@@ -66,6 +66,9 @@ type Report struct {
 	// live engine reports wall-clock time from start to the last job's
 	// completion.
 	Makespan float64 `json:"makespan"`
+	// LastSubmit is the submit time of the last job the engine took: the end
+	// of the arrival window, the deadline to give Utilization.MedianUpTo.
+	LastSubmit float64 `json:"-"`
 	// Utilization is the periodically sampled fraction of busy slots
 	// (simulator only).
 	Utilization stats.UtilizationSeries `json:"-"`

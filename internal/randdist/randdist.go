@@ -89,25 +89,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.rng.NormFloat64()*sigma + mu)
 }
 
-// Poisson returns a Poisson-distributed count with the given mean,
-// using inversion by sequential search for small means and the
-// exponential-gap method otherwise.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	// Exponential inter-arrival gaps: count arrivals in one unit of time.
-	count := 0
-	t := 0.0
-	for {
-		t += s.rng.ExpFloat64() / mean
-		if t > 1 {
-			return count
-		}
-		count++
-	}
-}
-
 // SampleWithoutReplacement returns k distinct uniform values from [0, n).
 // If k >= n it returns a full permutation. It is the allocating convenience
 // form of SampleWithoutReplacementInto and draws the identical value

@@ -110,29 +110,6 @@ func quickSelectMedian(vals []float64) float64 {
 	return sorted[len(sorted)/2]
 }
 
-func TestPoissonMean(t *testing.T) {
-	src := New(6)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += src.Poisson(4)
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-4) > 0.1 {
-		t.Fatalf("Poisson(4) mean = %v, want ~4", mean)
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	src := New(7)
-	if v := src.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-	if v := src.Poisson(-1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", v)
-	}
-}
-
 func TestSampleWithoutReplacementProperties(t *testing.T) {
 	src := New(8)
 	check := func(n, k uint16) bool {

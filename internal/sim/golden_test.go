@@ -17,7 +17,10 @@ import (
 // that generated the files under testdata/golden. The serialized form
 // includes everything a run produces — per-job reports, every counter, the
 // event count, utilization samples, and the per-entry queueing waits — so
-// any behavioral drift, however small, fails the diff.
+// any behavioral drift, however small, fails the diff. Run is RunSource over
+// the trace's own source, so the goldens pin the one engine path there is —
+// job-slot recycling included — and each is replayed from a hawk-trace file
+// of the same jobs as well, whose source pools and reuses its Jobs.
 //
 // Regenerate (only when output is *meant* to change, with justification):
 //
@@ -159,7 +162,10 @@ func goldenTrace() *workload.Trace {
 // Values() is the raw per-entry wait sequence the goldens were generated
 // with, and production needs no switch that turns retention back on.
 func runPinned(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
-	s, err := newSimulation(trace, cfg)
+	return runPinnedSim(newSimulation(trace, cfg))
+}
+
+func runPinnedSim(s *simulation, err error) (*policy.Report, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -196,6 +202,10 @@ func TestReportsMatchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	file := filepath.Join(t.TempDir(), "golden.trace.gz")
+	if err := workload.SaveSource(file, workload.NewTraceSource(trace)); err != nil {
+		t.Fatal(err)
+	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			res, err := runPinned(trace, cfg)
@@ -219,6 +229,17 @@ func TestReportsMatchGolden(t *testing.T) {
 					"The simulator must stay byte-identical across perf work; if this "+
 					"change is intentional, regenerate with SIM_UPDATE_GOLDEN=1 and say why in the PR.",
 					name)
+			}
+			src, err := workload.OpenSource(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if res, err = runPinnedSim(newSimulationSource(src, cfg)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalPinned(t, res), want) {
+				t.Fatalf("%s: the same jobs pulled from a hawk-trace file give a different report", name)
 			}
 		})
 	}

@@ -77,6 +77,29 @@ func TestLazySubmissionBoundsEventHeap(t *testing.T) {
 	}
 }
 
+// Job-state slots recycle on every run, so the arena tracks the peak number
+// of jobs in flight whatever the source: Run used to size it to the trace.
+// The point is loaded, not overloaded (the 15 000-node Google point scaled
+// to 6 000 nodes), where in-flight jobs do not grow with the trace.
+func TestArenaBoundedOnEveryRun(t *testing.T) {
+	tr := workload.Generate(workload.Google(), workload.GenConfig{
+		NumJobs: 8000, MeanInterArrival: 5.75, Seed: 11,
+	})
+	s, err := newSimulation(tr, policy.Config{NumNodes: 6000, Policy: "hawk", Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("arena holds %d slots after %d jobs", len(s.jobs), len(res.Jobs))
+	if len(res.Jobs) != tr.Len() || len(s.jobs) > tr.Len()/8 {
+		t.Errorf("completed %d of %d jobs in an arena of %d slots, want every job and at most %d slots",
+			len(res.Jobs), tr.Len(), len(s.jobs), tr.Len()/8)
+	}
+}
+
 // An unsorted trace must schedule identically to its time-sorted form: the
 // submitOrder permutation exists precisely so lazy chaining reproduces the
 // eager heap's (submit time, trace position) ordering.

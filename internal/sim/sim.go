@@ -21,17 +21,16 @@
 //
 // # Streaming
 //
-// Run consumes a materialized workload.Trace; RunSource consumes any
-// workload.Source, pulling the next job from the iterator only when its
-// submit event fires. On a streamed run (any non-adapter source) the jobs
+// Every run pulls its workload from a workload.Source, one job per submit
+// event; Run is RunSource over the source a Trace already is. The jobs
 // arena doubles as a free list: a slot is recycled — and the decoded Job
-// handed back to a pooling source for reuse — as soon as its last probe is
-// accounted for and its report has been emitted, so peak live heap is
-// O(in-flight jobs + cluster), independent of trace length
-// (TestStreamedRunHeapStaysBounded pins this). Report memory streams too:
-// Config.JobSink emits each report at completion and
-// Config.DiscardJobReports replaces the Jobs slice with bounded reservoir
-// aggregates.
+// handed back to a source that pools them — as soon as its last probe is
+// accounted for and its report has been emitted, so what the engine holds
+// is O(in-flight jobs + cluster), independent of trace length
+// (TestStreamedRunHeapStaysBounded pins this for a source that holds
+// nothing either). Report memory streams too: Config.JobSink emits each
+// report at completion and Config.DiscardJobReports replaces the Jobs
+// slice with bounded reservoir aggregates.
 //
 // Every run must be a pure function of (workload, config, seed) — the
 // golden report tests depend on it — so hawklint's determinism analyzer
@@ -50,9 +49,9 @@ import (
 	"repro/internal/workload"
 )
 
-// streamArenaHint caps the initial jobs-arena capacity on a streamed run:
-// the arena grows to the peak in-flight job count on demand, so the hint
-// only avoids early growth copies without committing trace-sized memory.
+// streamArenaHint caps the initial jobs-arena capacity: the arena grows to
+// the peak in-flight job count on demand, so the hint only avoids early
+// growth copies without committing trace-sized memory.
 const streamArenaHint = 1024
 
 // engineBackend selects the event-queue implementation behind every run.
@@ -64,8 +63,7 @@ const streamArenaHint = 1024
 var engineBackend = eventq.BackendLadder
 
 // jobState tracks one job while it runs. States live in the simulation's
-// flat jobs arena and are referenced everywhere by int32 index (on a
-// materialized run, the trace position; on a streamed run, a recycled
+// flat jobs arena and are referenced everywhere by int32 index (a recycled
 // free-list slot); the struct itself caches exactly what the hot paths
 // read — the duration slice for task hand-out and the classification bits —
 // so serving a probe reply touches one arena slot and one duration.
@@ -78,11 +76,11 @@ type jobState struct {
 	estimate float64
 	// submit and id cache the Job fields the report needs, so completion
 	// reporting (and the multi-scheduler owner hash) never touches the
-	// decoded Job — which a streamed run recycles when the slot frees.
+	// decoded Job — which goes back to a pooling source when the slot frees.
 	submit float64
 	id     int
 	// ref is the decoded job backing durations; handed back to a recycling
-	// source when the slot frees (streaming runs only).
+	// source when the slot frees.
 	ref *workload.Job
 	// probes counts outstanding probe chains for the job: incremented per
 	// probe sent (plus one per failure-recovered task awaiting a re-sent
@@ -148,40 +146,33 @@ type simulation struct {
 	// up-front metadata (exact job count, task bounds, defaults).
 	source workload.Source
 	meta   workload.Meta
-	// trace is the in-memory trace when the source is a Trace adapter, nil
-	// on a genuinely streamed run. Adapter runs keep the exact per-job
-	// feasibility pre-flight and never recycle job memory (the trace owns
-	// it); streamed runs are the converse.
-	trace *workload.Trace
-	// recycler hands finished jobs back to a pooling source (streamed runs
-	// only; nil otherwise).
+	// recycler hands finished jobs back to a source that pools them; nil
+	// for one that does not (a trace's jobs stay its own).
 	recycler workload.Recycler
-	// streaming is true when the run must bound its memory by in-flight
-	// work: job-state slots recycle through freeSlots and decoded Jobs
-	// return to the source.
-	streaming bool
 	// pending is the next decoded job, waiting for its submit event to
 	// fire — the stream stays exactly one job ahead of simulated time.
 	pending *workload.Job
-	// freeSlots lists recyclable jobs-arena indices (streamed runs).
+	// freeSlots lists recyclable jobs-arena indices.
 	freeSlots []int32
 	// failErr aborts the run: a mid-stream source failure or an infeasible
-	// streamed job stops the submit chain and surfaces from run.
+	// job stops the submit chain and surfaces from run.
 	failErr error
 	// sinkErr is the first error returned by cfg.JobSink, reported after
 	// the run drains.
 	sinkErr error
 	// perJobFeas marks that the metadata feasibility check was
-	// inconclusive (conservative MaxTasks bound failed), so each streamed
-	// job is re-checked against its actual route at submission.
+	// inconclusive (conservative MaxTasks bound failed), so the rule is
+	// applied to each job as it is pulled, with feasMargin — the scenario's
+	// worst-case concurrent failures — taken off every probe pool.
 	perJobFeas bool
+	feasMargin int
 
 	// nodes is the node arena: one dense value slice, index = node id.
 	nodes []node
 	// jobs is the job-state arena, indexed by the int32 jidx carried in
-	// events and queue entries. Slots are appended at submission; on a
-	// streamed run a completed slot returns to freeSlots for reuse, so the
-	// arena's length tracks peak in-flight jobs, not the trace.
+	// events and queue entries. Slots are appended at submission and a
+	// completed slot returns to freeSlots for reuse, so the arena's length
+	// tracks peak in-flight jobs, not the trace.
 	jobs []jobState
 
 	totalJobs   int   // exact number of jobs the source will yield
@@ -243,9 +234,10 @@ type simulation struct {
 
 // Run simulates the trace under the configuration, executing the policy
 // named by cfg.Policy, and returns the collected metrics. Runs are
-// deterministic for a given (trace, config) pair. It is the materialized
-// convenience form of RunSource: the trace is adapted to a Source and run
-// on the identical engine path, producing identical reports.
+// deterministic for a given (trace, config) pair. It is RunSource over
+// workload.NewTraceSource(trace), after the two checks only a whole trace
+// allows before the first event: structural validity, and the feasibility
+// rule applied to every job.
 func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	s, err := newSimulation(trace, cfg)
 	if err != nil {
@@ -254,13 +246,12 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	return s.run()
 }
 
-// RunSource simulates a streamed workload: jobs are decoded from src one
-// submit event at a time, so together with job-slot recycling the peak
-// live heap is O(in-flight jobs + slots) regardless of trace length. The
-// source must yield jobs in non-decreasing submit-time order (its Meta
-// must say Sorted) and its Meta.NumJobs must be exact. Runs are
-// deterministic for a given (source stream, config) pair and — for the
-// same job stream — byte-identical to Run.
+// RunSource simulates a workload: jobs are pulled from src one submit event
+// at a time, so together with job-slot recycling what the engine holds is
+// O(in-flight jobs + slots) regardless of trace length. The source must
+// yield jobs in non-decreasing submit-time order (its Meta must say Sorted)
+// and its Meta.NumJobs must be exact. Runs are deterministic for a given
+// (job stream, config) pair, whatever kind of source yields the stream.
 func RunSource(src workload.Source, cfg policy.Config) (*policy.Report, error) {
 	s, err := newSimulationSource(src, cfg)
 	if err != nil {
@@ -269,11 +260,10 @@ func RunSource(src workload.Source, cfg policy.Config) (*policy.Report, error) {
 	return s.run()
 }
 
-// newSimulation validates an in-memory trace and builds the simulation on
-// the Trace-adapter source. Split from run so tests can inspect engine
-// state.
+// newSimulation checks an in-memory trace and builds the simulation on its
+// TraceSource. Split from run so tests can inspect engine state.
 func newSimulation(trace *workload.Trace, cfg policy.Config) (*simulation, error) {
-	// Config errors take precedence over trace errors (and the adapter's
+	// Config errors take precedence over trace errors (and the source's
 	// Meta scan must not run on a structurally invalid trace).
 	if _, err := cfg.Normalize(trace); err != nil {
 		return nil, err
@@ -281,7 +271,16 @@ func newSimulation(trace *workload.Trace, cfg policy.Config) (*simulation, error
 	if err := trace.Validate(); err != nil {
 		return nil, err
 	}
-	return newSimulationSource(workload.NewTraceSource(trace), cfg)
+	s, err := newSimulationSource(workload.NewTraceSource(trace), cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Nothing has run yet: hold every job to the feasibility rule now
+	// rather than as each is pulled.
+	if err := policy.CheckTraceFeasibility(trace, s.cfg, s.pol); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // newSimulationSource validates the inputs and builds the arenas and event
@@ -315,16 +314,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		src:        randdist.New(cfg.Seed),
 		res:        &policy.Report{Engine: "sim", Policy: pol.String(), Config: cfg},
 	}
-	if ts, ok := src.(interface{ Trace() *workload.Trace }); ok {
-		// Trace-adapter mode: the jobs are retained by their owner, so the
-		// run must not recycle them — and the exact job list is available
-		// for the precise feasibility pre-flight.
-		s.trace = ts.Trace()
-	}
-	s.streaming = s.trace == nil
-	if s.streaming {
-		s.recycler, _ = src.(workload.Recycler)
-	}
+	s.recycler, _ = src.(workload.Recycler)
 	s.slots = cfg.TotalSlots()
 
 	// The queue holds flat simEvent records. Submission is lazily chained
@@ -350,15 +340,9 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	for i := range s.nodes {
 		s.nodes[i].id = int32(i)
 	}
-	// The job arena starts at the full job count on a materialized run
-	// (slots are never recycled, so submission appends never re-allocate)
-	// but stays small on a streamed one, growing only to the peak
-	// in-flight job count.
-	arenaCap := meta.NumJobs
-	if s.streaming && arenaCap > streamArenaHint {
-		arenaCap = streamArenaHint
-	}
-	s.jobs = make([]jobState, 0, arenaCap)
+	// The job arena starts small and grows only to the peak in-flight job
+	// count: completed slots are recycled.
+	s.jobs = make([]jobState, 0, min(meta.NumJobs, streamArenaHint))
 	// Queue entries outnumber jobs (two probes per task under batch
 	// sampling), so on every run their waits go to bounded reservoirs.
 	s.res.Waits = policy.NewWaitReservoirs(policy.DefaultReservoirSize, cfg.Seed+policy.SeedReservoirs)
@@ -415,7 +399,11 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		}
 	}
 
-	if err := s.checkFeasibility(); err != nil {
+	// The feasibility rule, as far as metadata can take it: the widest
+	// job's bound either clears every route now or leaves the question to
+	// each job as it is pulled (see submit).
+	s.feasMargin = cfg.Churn.MaxConcurrentFailures()
+	if s.perJobFeas, err = policy.CheckFeasibilityMeta(meta, pol, s.part, s.feasMargin); err != nil {
 		return nil, err
 	}
 
@@ -537,38 +525,8 @@ func (s *simulation) run() (*policy.Report, error) {
 	return s.res, nil
 }
 
-// checkFeasibility runs the pre-flight check. With exact estimates each
-// job's true class determines its route; under mis-estimation a job's
-// class can flip at runtime, so both routes must be feasible. The margin
-// is the scenario's worst-case concurrent failures, so a churn script that
-// could starve a probe pool is rejected before the run. Adapter runs check
-// every job exactly; streamed runs check the metadata's conservative
-// MaxTasks bound, falling back to a per-job check at submission when that
-// bound is inconclusive (see routeJob).
-func (s *simulation) checkFeasibility() error {
-	margin := s.cfg.Churn.MaxConcurrentFailures()
-	if s.trace != nil {
-		exact := s.cfg.ExactEstimates()
-		return policy.CheckFeasibility(s.trace, s.pol, s.view, margin,
-			func(j *workload.Job) []bool {
-				if exact {
-					return []bool{s.classifier.IsLong(j.AvgTaskDuration())}
-				}
-				return []bool{false, true}
-			})
-	}
-	perJob, err := policy.CheckFeasibilityMeta(s.meta, s.pol, s.view, margin)
-	if err != nil {
-		return err
-	}
-	s.perJobFeas = perJob
-	return nil
-}
-
 // allocSlot returns a jobs-arena index for a newly submitted job: a
-// recycled slot when one is free, else a fresh append. On a materialized
-// run slots never recycle and the arena was pre-sized to the job count, so
-// the append never re-allocates.
+// recycled slot when one is free, else a fresh append.
 //
 //hawk:hotpath
 func (s *simulation) allocSlot() int32 {
@@ -584,14 +542,10 @@ func (s *simulation) allocSlot() int32 {
 // maybeFreeJob recycles idx's arena slot once nothing can reference it
 // again: the job has completed AND no probe chain is outstanding (a probe
 // cancellation may arrive after the last task finishes elsewhere). The
-// decoded Job goes back to the source's pool. Materialized runs keep every
-// slot live — the report and the trace own the memory.
+// decoded Job goes back to the source's pool, if it keeps one.
 //
 //hawk:hotpath
 func (s *simulation) maybeFreeJob(idx int32) {
-	if !s.streaming {
-		return
-	}
 	js := &s.jobs[idx]
 	if js.probes != 0 || int(js.finished) != len(js.durations) {
 		return
@@ -632,6 +586,15 @@ func (s *simulation) submit(job *workload.Job) {
 	if s.flt != nil && s.flt.spec.Speculate {
 		js.specThresh, s.flt.durScratch = s.flt.spec.SpeculationThreshold(job.Durations, s.flt.durScratch)
 	}
+	s.res.LastSubmit = job.SubmitTime
+	if s.perJobFeas {
+		// The same rule, with the same message, a whole trace is held to
+		// before the run (policy.CheckTraceFeasibility).
+		if err := policy.CheckFeasibility(js.info(), !s.cfg.ExactEstimates(), s.pol, s.part, s.feasMargin); err != nil {
+			s.failRun(err)
+			return
+		}
+	}
 	s.routeJob(idx)
 }
 
@@ -670,13 +633,6 @@ func (s *simulation) routeJob(idx int32) {
 			// recover. The feasibility margin makes this unreachable for
 			// validated scenarios — it is the belt to that suspender.
 			s.park(waitPoolWidth, waiting{jidx: idx, tidx: -1})
-			return
-		}
-		if s.perJobFeas && s.dyn == nil && poolSize < len(js.durations) {
-			// Streamed run whose metadata bound was inconclusive: this job
-			// really is too wide for its probe pool on a static cluster —
-			// the same condition the exact pre-flight rejects up front.
-			s.failRun(fmt.Errorf("sim: job %d has %d tasks but its probe pool has only %d nodes", js.id, len(js.durations), poolSize)) //hawk:allow fatal-abort path, runs at most once per run
 			return
 		}
 		k := core.NumProbes(len(js.durations), s.cfg.ProbeRatio, poolSize)

@@ -44,37 +44,19 @@ import (
 // liverun.Run both satisfy it (as do the hawk package's re-exports).
 type Engine func(*workload.Trace, policy.Config) (*policy.Report, error)
 
-// SourceEngine executes one streamed run: a workload source under a
-// configuration. sim.RunSource satisfies it.
-type SourceEngine func(workload.Source, policy.Config) (*policy.Report, error)
-
-// SourceFactory opens a fresh workload Source for one run. Sweep points
-// run concurrently and a Source is stateful (a single decode cursor), so a
-// streamed point carries a factory instead of a Source: each execution
-// gets its own instance, keeping runs share-nothing.
-type SourceFactory func() (workload.Source, error)
-
-// Point is one run of a sweep: either a materialized Trace or a streamed
-// Source factory (exactly one must be set). Points may share a *Trace:
-// engines treat traces as read-only.
+// Point is one run of a sweep. Points may share a *Trace: engines treat
+// traces as read-only.
 type Point struct {
-	Trace *workload.Trace
-	// Source, when set, streams the point's workload through the sweep's
-	// SourceEngine instead of materializing a trace, so a sweep over a
-	// full-scale workload holds only each running point's in-flight jobs.
-	Source SourceFactory
+	Trace  *workload.Trace
 	Config policy.Config
 }
 
 // Sweep is a set of independent runs plus execution options.
 type Sweep struct {
 	Points []Point
-	// Engine executes each trace point; nil selects the discrete-event
+	// Engine executes each point; nil selects the discrete-event
 	// simulator.
 	Engine Engine
-	// SourceEngine executes each streamed point; nil selects the
-	// simulator's streaming entry point (sim.RunSource).
-	SourceEngine SourceEngine
 	// Jobs bounds how many points run concurrently. Zero or negative
 	// means one worker per available CPU (runtime.GOMAXPROCS).
 	Jobs int
@@ -88,12 +70,8 @@ func (s Sweep) Run(ctx context.Context) ([]*policy.Report, error) {
 	if eng == nil {
 		eng = sim.Run
 	}
-	srcEng := s.SourceEngine
-	if srcEng == nil {
-		srcEng = sim.RunSource
-	}
 	reports, err := Map(ctx, s.Points, s.Jobs, func(_ context.Context, i int, p Point) (*policy.Report, error) {
-		r, err := s.runPoint(p, eng, srcEng)
+		r, err := eng(p.Trace, p.Config)
 		if err != nil {
 			return nil, fmt.Errorf("sweep point %d (policy %q, %d nodes, seed %d): %w",
 				i, p.Config.Policy, p.Config.NumNodes, p.Config.Seed, err)
@@ -104,24 +82,6 @@ func (s Sweep) Run(ctx context.Context) ([]*policy.Report, error) {
 		return nil, err
 	}
 	return reports, nil
-}
-
-// runPoint dispatches one point to the engine matching its workload form.
-func (s Sweep) runPoint(p Point, eng Engine, srcEng SourceEngine) (*policy.Report, error) {
-	if p.Source != nil {
-		if p.Trace != nil {
-			return nil, fmt.Errorf("point sets both Trace and Source")
-		}
-		src, err := p.Source()
-		if err != nil {
-			return nil, err
-		}
-		if closer, ok := src.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
-		return srcEng(src, p.Config)
-	}
-	return eng(p.Trace, p.Config)
 }
 
 // Run executes a sweep; it is the package-level spelling of Sweep.Run for

@@ -126,12 +126,15 @@ func SaveFile(path string, t *Trace) error {
 	return f.Close()
 }
 
-// LoadFile reads a trace from path.
+// LoadFile reads the trace file at path, in either on-disk format (see
+// Open), into memory.
 func LoadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	src, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCSV(f)
+	if c, ok := src.(io.Closer); ok {
+		defer c.Close()
+	}
+	return Materialize(src)
 }

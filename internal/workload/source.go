@@ -32,10 +32,11 @@ type Meta struct {
 	Sorted bool
 }
 
-// Source is a pull iterator over a trace's jobs in submission order. It is
-// the streaming counterpart of Trace: the simulator decodes the next job
-// only when its submit event fires, so peak memory is bounded by in-flight
-// work rather than trace length.
+// Source is a pull iterator over a trace's jobs in submission order, and
+// the one form in which the simulator takes a workload: it pulls the next
+// job only when its submit event fires, so what a run holds of the workload
+// is bounded by in-flight work rather than trace length. A Trace is the
+// source that happens to be in memory (NewTraceSource).
 //
 // Contract: Next returns the next job and true, or nil and false after the
 // last job. A source that can fail mid-stream (e.g. a file reader) should
@@ -144,11 +145,6 @@ func (s *TraceSource) Next() (*Job, bool) {
 	return s.t.Jobs[i], true
 }
 
-// Trace returns the underlying in-memory trace. The simulator uses this to
-// detect adapter mode: trace-backed jobs are retained by their owner, so
-// slot recycling must not scavenge their Durations.
-func (s *TraceSource) Trace() *Trace { return s.t }
-
 // Materialize drains src into an in-memory Trace, validating the result.
 // It is the bridge back from streaming to the eager call sites (workload
 // statistics, trace transforms); by definition it costs O(trace) memory.
@@ -178,10 +174,6 @@ func Materialize(src Source) (*Trace, error) {
 	}
 	return t, nil
 }
-
-// Counted reports how many jobs have been yielded so far; exposed for
-// progress reporting by long-running CLI conversions.
-func (s *TraceSource) Counted() int { return s.next }
 
 var _ Source = (*TraceSource)(nil)
 

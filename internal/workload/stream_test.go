@@ -52,33 +52,45 @@ func drainSource(t *testing.T, src Source) []*Job {
 	return out
 }
 
-// The streamed generator must reproduce Generate exactly: same jobs, same
-// order, same submit times, for every spec — with recycling exercised so
-// reuse of Job objects is proven not to corrupt the stream.
+// Every kind of source over one workload yields the same Meta and the same
+// jobs in the same order as Generate, for every spec — the generator with
+// recycling exercised, so reuse of Job objects is proven not to corrupt the
+// stream; the file plain and gzipped, opened as a run would open it. This is
+// what makes "same jobs, same config, same report" a property of the
+// simulator's one input path rather than of each source.
 func TestGeneratorSourceEquivalence(t *testing.T) {
 	for _, spec := range AllSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg := genCfg(300)
 			want := Generate(spec, cfg)
-			src := NewGeneratorSource(spec, cfg)
-			m := src.Meta()
-			if m.NumJobs != want.Len() {
-				t.Fatalf("meta jobs = %d, want %d", m.NumJobs, want.Len())
+			sources := map[string]Source{
+				"TraceSource":     NewTraceSource(want),
+				"GeneratorSource": NewGeneratorSource(spec, cfg),
 			}
-			wm := want.Meta()
-			if m.MaxTasks != wm.MaxTasks || m.TotalTasks != wm.TotalTasks {
-				t.Fatalf("meta sizes = (%d, %d), want (%d, %d)", m.MaxTasks, m.TotalTasks, wm.MaxTasks, wm.TotalTasks)
+			for _, name := range []string{"t.trace", "t.trace.gz"} {
+				path := filepath.Join(t.TempDir(), name)
+				if err := SaveSource(path, NewGeneratorSource(spec, cfg)); err != nil {
+					t.Fatal(err)
+				}
+				src, err := Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer src.(*FileSource).Close()
+				sources[name] = src
 			}
-			if m.Cutoff != want.Cutoff || m.ShortPartitionFraction != want.ShortPartitionFraction || m.Name != want.Name {
-				t.Fatalf("meta defaults mismatch: %+v", m)
-			}
-			got := drainSource(t, src)
-			if len(got) != want.Len() {
-				t.Fatalf("streamed %d jobs, want %d", len(got), want.Len())
-			}
-			for i := range got {
-				if !jobEqual(got[i], want.Jobs[i]) {
-					t.Fatalf("job %d differs: %+v != %+v", i, got[i], want.Jobs[i])
+			for name, src := range sources {
+				if m, wm := src.Meta(), want.Meta(); m != wm {
+					t.Errorf("%s: meta = %+v, want %+v", name, m, wm)
+				}
+				got := drainSource(t, src)
+				if len(got) != want.Len() {
+					t.Fatalf("%s: yielded %d jobs, want %d", name, len(got), want.Len())
+				}
+				for i := range got {
+					if !jobEqual(got[i], want.Jobs[i]) {
+						t.Fatalf("%s: job %d differs: %+v != %+v", name, i, got[i], want.Jobs[i])
+					}
 				}
 			}
 		})
@@ -144,8 +156,8 @@ func TestTraceSourceSortedNoOrder(t *testing.T) {
 			t.Fatalf("job %d differs", i)
 		}
 	}
-	if src.Counted() != tr.Len() {
-		t.Fatalf("Counted = %d, want %d", src.Counted(), tr.Len())
+	if len(got) != tr.Len() {
+		t.Fatalf("yielded %d jobs, want %d", len(got), tr.Len())
 	}
 }
 
@@ -195,6 +207,25 @@ func TestOpenSourceLegacyFallback(t *testing.T) {
 	_, err := OpenSource(path)
 	if err == nil || !strings.Contains(err.Error(), "hawk-trace") {
 		t.Fatalf("want ErrNotStreamTrace, got %v", err)
+	}
+	// Open is that caller: the jobs come back, and the Meta says nothing the
+	// format does not carry.
+	src, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Generate(Yahoo(), genCfg(10))
+	got := drainSource(t, src)
+	for i := range want.Jobs {
+		if len(got) != want.Len() || !jobEqual(got[i], want.Jobs[i]) {
+			t.Fatalf("Open(legacy CSV) yielded %d jobs, job %d differs from what was saved", len(got), i)
+		}
+	}
+	if m := src.Meta(); m.Name != "" || m.Cutoff != 0 || m.ShortPartitionFraction != 0 || m.NumJobs != 10 {
+		t.Errorf("Open(legacy CSV) meta = %+v, want only the sizes set", m)
+	}
+	if _, err := Open(filepath.Join(dir, "missing.csv")); err == nil {
+		t.Error("Open of a missing file succeeded")
 	}
 }
 

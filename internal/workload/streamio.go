@@ -25,7 +25,7 @@ import (
 // job count and size bounds are known before the first record is decoded.
 
 // ErrNotStreamTrace reports that a file lacks the hawk-trace header and is
-// presumably a legacy headerless CSV; callers fall back to LoadFile.
+// presumably a legacy headerless CSV; Open falls back to ReadCSV on it.
 var ErrNotStreamTrace = errors.New("workload: missing #hawk-trace header")
 
 const streamHeaderMagic = "#hawk-trace"
@@ -168,6 +168,32 @@ func OpenSource(path string) (*FileSource, error) {
 	s.cr.FieldsPerRecord = -1 // variable-length records
 	s.cr.ReuseRecord = true
 	return s, nil
+}
+
+// Open opens a trace file in either on-disk format, the only code that
+// knows there are two: a hawk-trace file streams as a *FileSource (Close it
+// when done), a headerless legacy CSV is read whole and served from memory.
+// The legacy format carries no name, cutoff or partition fraction, so that
+// source's Meta leaves them zero. LoadFile is Open for callers that want the
+// whole trace in memory.
+func Open(path string) (Source, error) {
+	fs, err := OpenSource(path)
+	if err == nil {
+		return fs, nil
+	}
+	if !errors.Is(err, ErrNotStreamTrace) {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := ReadCSV(f)
+	if err != nil {
+		return nil, err
+	}
+	return NewTraceSource(t), nil
 }
 
 // parseStreamHeader decodes the #hawk-trace header line. Values are

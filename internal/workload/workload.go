@@ -7,16 +7,18 @@
 // generators reproduce the published marginals: Table 1's long-job and
 // task-second shares and Figure 4's task-duration / tasks-per-job CDFs.
 //
-// Workloads come in two forms. Trace materializes every job up front;
-// Source streams them one at a time in submission order with the trace's
-// size and defaults known up front (Meta), so a consumer's memory is
-// bounded by in-flight work. Three sources cover the spectrum:
-// TraceSource adapts an in-memory Trace, GeneratorSource synthesizes jobs
-// on demand draw-for-draw identical to Generate, and FileSource decodes
-// the on-disk hawk-trace format (gzipped CSV with a metadata header; see
-// SaveSource/OpenSource) chunk by chunk. Sources that implement Recycler
-// pool decoded jobs handed back by the consumer, closing the loop to zero
-// steady-state allocation.
+// A Trace holds every job in memory, for the code that needs the whole
+// workload at once (statistics, transforms, sweeps that share one trace). A
+// Source yields the same jobs one at a time in submission order with the
+// trace's size and defaults known up front (Meta), and is what a run
+// consumes. Three sources cover the spectrum: TraceSource serves an
+// in-memory Trace, GeneratorSource synthesizes jobs on demand draw-for-draw
+// identical to Generate, and FileSource decodes the on-disk hawk-trace
+// format (gzipped CSV with a metadata header; see SaveSource/OpenSource)
+// record by record; Open picks between FileSource and a TraceSource over a
+// legacy headerless CSV. Sources that implement Recycler pool decoded jobs
+// handed back by the consumer, closing the loop to zero steady-state
+// allocation.
 package workload
 
 import (
@@ -186,20 +188,6 @@ func computeStats(t *Trace, isLong func(j *Job, avg float64) bool) Stats {
 		s.AvgTaskDurRatio = (longDurSum / float64(s.LongJobs)) / (shortDurSum / float64(shortJobs))
 	}
 	return s
-}
-
-// SplitByCutoff partitions the per-job values of f into (short, long) slices
-// by the cutoff classification, for the Figure 4 per-class CDFs.
-func SplitByCutoff(t *Trace, cutoff float64, f func(*Job) float64) (short, long []float64) {
-	for _, j := range t.Jobs {
-		v := f(j)
-		if j.AvgTaskDuration() >= cutoff {
-			long = append(long, v)
-		} else {
-			short = append(short, v)
-		}
-	}
-	return short, long
 }
 
 // Scale returns a copy of the trace with all task durations multiplied by

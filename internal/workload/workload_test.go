@@ -85,14 +85,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestSplitByCutoff(t *testing.T) {
-	tr := &Trace{Jobs: []*Job{job(1, 0, 10), job(2, 0, 1000)}}
-	short, long := SplitByCutoff(tr, 100, func(j *Job) float64 { return float64(j.NumTasks()) })
-	if len(short) != 1 || len(long) != 1 {
-		t.Fatalf("split = %d/%d", len(short), len(long))
-	}
-}
-
 func TestScale(t *testing.T) {
 	tr := &Trace{
 		Cutoff:                 1000,
