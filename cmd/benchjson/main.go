@@ -1,13 +1,13 @@
 // Command benchjson converts `go test -bench` output into a stable JSON
 // document and compares two such documents for performance regressions.
-// CI uses it for the benchmark-regression gate: every push to main uploads
-// a BENCH_<sha>.json artifact, and every pull request re-runs the
-// benchmarks on the base branch and fails if ns/op regresses by more than
-// a threshold (see .github/workflows/ci.yml).
+// CI uses it for the gate over the in-package layer rungs: every push to
+// main uploads a BENCH_<sha>.json artifact, and every pull request re-runs
+// the rungs on the base branch and fails if ns/op regresses by more than a
+// threshold (see .github/workflows/ci.yml).
 //
 // Convert (reads stdin or a file, writes stdout or -o):
 //
-//	go test -bench='SimulatorThroughput|CentralQueue' -benchmem -count=5 -run='^$' . |
+//	go test -bench='CentralQueue|StealScan' -benchmem -count=5 -run='^$' ./internal/core ./internal/sim |
 //	    benchjson -sha "$GITHUB_SHA" -o BENCH_$GITHUB_SHA.json
 //
 // Compare (exit status 1 on regression):

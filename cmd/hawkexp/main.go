@@ -43,13 +43,17 @@ import (
 	"repro/internal/stats"
 )
 
+// defaults is the scale a run without -quick uses: the -numjobs, -seed and
+// -runs defaults.
+var defaults = experiments.DefaultScale()
+
 var (
-	expFlag     = flag.String("exp", "", "experiment id (table1, table2, fig1, fig4, fig5, fig6, fig7, fig8-9, fig10-11, fig12-13, fig14, fig15, fig16-17, robustness, churn, faults, multisched) or 'all'")
+	expFlag     = flag.String("exp", "", "experiment id ("+strings.Join(ids(), ", ")+") or 'all'")
 	listFlag    = flag.Bool("list", false, "list experiment ids and exit")
-	numJobsFlag = flag.Int("numjobs", 20000, "synthetic trace size in jobs")
+	numJobsFlag = flag.Int("numjobs", defaults.NumJobs, "synthetic trace size in jobs")
 	jobsFlag    = flag.Int("jobs", 0, "max concurrent simulations (0 = one per CPU)")
-	seedFlag    = flag.Int64("seed", 42, "random seed")
-	runsFlag    = flag.Int("runs", 10, "runs to average where the paper averages (fig14)")
+	seedFlag    = flag.Int64("seed", defaults.Seed, "random seed")
+	runsFlag    = flag.Int("runs", defaults.Runs, "runs to average where the paper averages (fig14)")
 	quickFlag   = flag.Bool("quick", false, "use the reduced quick scale (fewer jobs, fewer runs)")
 	policyFlag  = flag.String("policy", "hawk", "candidate policy for the comparison figures; one of: "+strings.Join(hawk.Policies(), ", "))
 	traceFlag   = flag.String("trace", "", "replay this recorded hawk-trace file instead of the synthetic Google trace (experiments built on the Google workload)")
@@ -85,11 +89,22 @@ func registry() []experiment {
 		{"fig14", "Figure 14: mis-estimation sensitivity", runFig14},
 		{"fig15", "Figure 15: stealing-attempt cap sensitivity", runFig15},
 		{"fig16-17", "Figures 16-17: implementation vs simulation (live prototype)", runFig1617},
+		{"ablation-steal", "§3.6 ablation: Figure 3's group stealing vs stealing from random queue positions", runAblationSteal},
+		{"ablation-probes", "§4.1 ablation: batch-sampling probe ratio 1-4 (the paper fixes 2)", runAblationProbes},
 		{"robustness", "Central-scheduler outage: stealing keeps the general partition utilized (§4 resilience)", runRobustness},
 		{"churn", "Rolling node failures: re-execution and lost work under churn", runChurn},
 		{"faults", "Message-loss sweep 0-10%: latency degradation under a lossy RPC plane", runFaults},
 		{"multisched", "Scheduler-count sweep 1-100: claim conflicts and latency vs distributed schedulers (§4.10)", runMultiSched},
 	}
+}
+
+// ids lists the registry's experiment ids in -list order.
+func ids() []string {
+	var out []string
+	for _, e := range registry() {
+		out = append(out, e.id)
+	}
+	return out
 }
 
 func main() {
@@ -144,27 +159,20 @@ func realMain() int {
 		return 0
 	}
 	sc.Workers = *jobsFlag
-	ids := map[string]experiment{}
-	order := []string{}
+	var toRun []experiment
 	for _, e := range regs {
-		ids[e.id] = e
-		order = append(order, e.id)
-	}
-	var toRun []string
-	if *expFlag == "all" {
-		toRun = order
-	} else {
-		if _, ok := ids[*expFlag]; !ok {
-			fmt.Fprintf(os.Stderr, "hawkexp: unknown experiment %q (use -list)\n", *expFlag)
-			return 2
+		if *expFlag == "all" || *expFlag == e.id {
+			toRun = append(toRun, e)
 		}
-		toRun = []string{*expFlag}
 	}
-	for _, id := range toRun {
-		e := ids[id]
-		if overlaid && (id == "fig1" || id == "fig16-17") {
+	if len(toRun) == 0 {
+		fmt.Fprintf(os.Stderr, "hawkexp: unknown experiment %q (use -list)\n", *expFlag)
+		return 2
+	}
+	for _, e := range toRun {
+		if overlaid && (e.id == "fig1" || e.id == "fig16-17") {
 			fmt.Fprintf(os.Stderr, "hawkexp: note: %s builds its own fixed configuration; ignoring %s\n",
-				id, strings.Join(scenarioFlagsSet(), " "))
+				e.id, strings.Join(scenarioFlagsSet(), " "))
 		}
 		fmt.Printf("=== %s — %s\n", e.id, e.desc)
 		start := time.Now()
@@ -387,6 +395,31 @@ func runFig1617(sc experiments.Scale) error {
 			p.LoadFactor,
 			p.Impl.ShortP50, p.Impl.ShortP90, p.Impl.LongP50, p.Impl.LongP90,
 			p.Sim.ShortP50, p.Sim.ShortP90, p.Sim.LongP50, p.Sim.LongP90)
+	}
+	return nil
+}
+
+func runAblationSteal(sc experiments.Scale) error {
+	rows, err := experiments.AblationStealPosition(sc)
+	if err != nil {
+		return err
+	}
+	fmt.Println("stealing rule    | short p50 p90 | long p50 p90 | entries/steal  (hawk / sparrow, 15000 nodes)")
+	for _, r := range rows {
+		fmt.Printf("%-16s | %.2f %.2f | %.2f %.2f | %.2f\n",
+			r.Policy, r.ShortP50, r.ShortP90, r.LongP50, r.LongP90, r.EntriesPerSteal)
+	}
+	return nil
+}
+
+func runAblationProbes(sc experiments.Scale) error {
+	pts, err := experiments.AblationProbeRatio(sc)
+	if err != nil {
+		return err
+	}
+	fmt.Println("policy  ratio | short p50 p90 | probes sent  (normalized to the policy's ratio 2, 15000 nodes)")
+	for _, p := range pts {
+		fmt.Printf("%-7s %5d | %.2f %.2f | %d\n", p.Policy, p.Ratio, p.ShortP50, p.ShortP90, p.Probes)
 	}
 	return nil
 }

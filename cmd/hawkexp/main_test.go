@@ -87,6 +87,36 @@ func TestTable1PrintsTheFourWorkloads(t *testing.T) {
 	}
 }
 
+// The two design-argument ablations are reachable from the command (they
+// were `go test -bench` only), and at -quick print the numbers the root
+// package's BenchmarkAblation* reported at the same scale and seed before it
+// was deleted.
+func TestAblationsPrintThePinnedRows(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		rows []string
+	}{
+		{"ablation-steal", []string{
+			"figure3-group    | 0.29 0.36 |",
+			"random-positions | 0.29 0.37 |",
+		}},
+		{"ablation-probes", []string{
+			"sparrow     1 | 7.56 ", "sparrow     2 | 1.00 1.00 |", "sparrow     3 | 0.55 ", "sparrow     4 | 0.40 ",
+			"hawk        1 | 3.77 ", "hawk        2 | 1.00 1.00 |", "hawk        3 | 0.80 ", "hawk        4 | 0.74 ",
+		}},
+	} {
+		code, stdout, stderr := hawkexp(t, "-exp", c.id, "-quick")
+		if code != 0 {
+			t.Fatalf("%s: exit code %d; stderr: %s", c.id, code, stderr)
+		}
+		for _, row := range c.rows {
+			if !strings.Contains(stdout, "\n"+row) {
+				t.Errorf("%s: no row starting %q:\n%s", c.id, row, stdout)
+			}
+		}
+	}
+}
+
 // fig1 builds its own fixed configuration. Whatever part of the scenario
 // overlay the command line asked for, the run says it was ignored and names
 // the flags — -schedulers, the fault flags and -net-delay used to be dropped

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,9 +12,11 @@ import (
 // TestVettoolEndToEnd builds the hawklint binary and drives it through the
 // real `go vet -vettool` protocol — the -flags/-V=full probes, export-data
 // importing, per-package .cfg invocations — which the analysistest-based
-// unit tests in internal/lint never touch. The clean package must pass;
-// the deliberately-broken selftest fixture must fail with at least one
-// finding from every analyzer (the same negative control CI runs).
+// unit tests in internal/lint never touch. The whole tree must pass, so a
+// hot-path allocation or a map range in any annotated package fails tier-1
+// (`go test ./...`) and not only CI's hawklint step; the deliberately-broken
+// selftest fixture must fail with at least one finding from every analyzer
+// (the same negative control CI runs).
 func TestVettoolEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet; skipped in -short mode (CI's hawklint step covers it)")
@@ -35,9 +39,28 @@ func TestVettoolEndToEnd(t *testing.T) {
 		return string(out), err
 	}
 
-	// A fully annotated package with no violations must come back clean.
-	if out, err := run("./internal/eventq/"); err != nil {
-		t.Errorf("clean package failed: %v\n%s", err, out)
+	// go test re-uses a cached pass until a file this process read changes,
+	// and it is go vet, a child, that reads the tree: stat every Go file so
+	// an edit anywhere in the module re-runs the test.
+	err = filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != repoRoot && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// testdata/ is outside ./..., so the broken fixtures are not in this run.
+	if out, err := run("./..."); err != nil {
+		t.Errorf("hawklint findings in the tree: %v\n%s", err, out)
 	}
 
 	// The broken fixture must fail, with every analyzer represented.

@@ -41,8 +41,8 @@
 //
 //   - README.md — the user's tour: quickstart, sweeps, streaming traces,
 //     the scenario planes (churn, heterogeneity, gray failures, the
-//     multi-scheduler model) with their Config fields and counters, the measured
-//     performance trajectory, commands, testing, static analysis.
+//     multi-scheduler model) with their Config fields and counters,
+//     commands, what guards what (testing), static analysis.
 //   - docs/ARCHITECTURE.md — the implementer's map: the policy/engine
 //     split, the protocol kernels both engines call (and the one place the
 //     engines deliberately differ), the data-oriented simulator core, the
@@ -51,7 +51,8 @@
 //   - `hawksim -h` / `hawkexp -h` — the command-line flags; the scenario
 //     flags are one shared set (internal/cliflags).
 //   - bench/README.md — the end-to-end benchmark (BENCHMARK.json);
-//     internal/lint/doc.go — the //hawk: directive grammar hawklint checks.
+//     CHANGES.md — what each PR measured; internal/lint/doc.go — the
+//     //hawk: directive grammar hawklint checks.
 //
 // # Layout
 //
@@ -68,7 +69,6 @@
 // traces; internal/experiments reproduces every table and figure of the
 // paper on top of the sweep layer; internal/lint is hawklint. cmd/hawksim,
 // cmd/hawkexp, and cmd/hawkgen are the command-line entry points
-// (internal/cliflags is what the first two share), and the benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
-// evaluation at a reduced scale.
+// (internal/cliflags is what the first two share); `hawkexp -exp all -quick`
+// regenerates the paper's evaluation; bench/ is the end-to-end benchmark.
 package repro

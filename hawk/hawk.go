@@ -39,8 +39,14 @@
 // The underlying implementation lives in internal/policy (API types and
 // built-in policies, assembled from the internal/core primitives),
 // internal/sim, and internal/liverun; this package re-exports the stable
-// surface. Every exported symbol here carries a doc comment; hawklint's
-// exporteddoc analyzer enforces it:
+// surface. A name is re-exported if and only if cmd/, examples/ or a README
+// snippet uses it, or a user cannot write a call to a re-exported function,
+// a Config literal, or a Policy, Source or Config.JobSink of their own
+// without spelling it: a parameter or result type, a struct a literal must
+// name, an enum constant. A type that only ever arrives as a field of
+// something returned (a Report's MessagesDropped, a Decision's Action) is
+// read through its owner and has no alias here. Every exported symbol
+// carries a doc comment; hawklint's exporteddoc analyzer enforces it:
 //
 //hawk:exporteddoc
 package hawk
@@ -76,8 +82,6 @@ type (
 	JobInfo = policy.JobInfo
 	// Pool identifies a candidate node set relative to the partition.
 	Pool = policy.Pool
-	// Action is the placement kind a Decision requests.
-	Action = policy.Action
 
 	// ChurnSpec scripts dynamic cluster membership for a run: node
 	// failures and recoveries plus central-scheduler outages, replayed
@@ -88,8 +92,6 @@ type (
 	ChurnSpec = policy.ChurnSpec
 	// ChurnEvent is one scripted cluster transition of a ChurnSpec.
 	ChurnEvent = policy.ChurnEvent
-	// ChurnKind names a ChurnEvent's transition.
-	ChurnKind = policy.ChurnKind
 	// Heterogeneity assigns per-node speed factors: a task of duration d
 	// takes d/speed seconds on its executing node.
 	Heterogeneity = policy.Heterogeneity
@@ -119,14 +121,7 @@ type (
 	// Count random nodes (or the specific Node) run Factor times slower,
 	// stretching their in-flight and future tasks; Factor 1 recovers.
 	StragglerEvent = policy.StragglerEvent
-	// MessageDrops breaks a Report's dropped messages down by class
-	// (probes, task-request replies, steal contacts, central assignments,
-	// multi-scheduler commits).
-	MessageDrops = policy.MessageDrops
 )
-
-// MaxFaultRetries bounds FaultSpec.MaxRetries.
-const MaxFaultRetries = policy.MaxFaultRetries
 
 // Churn event kinds.
 const (
@@ -137,9 +132,6 @@ const (
 	ChurnSchedFail    = policy.ChurnSchedFail
 	ChurnSchedRecover = policy.ChurnSchedRecover
 )
-
-// MaxSchedulers bounds SchedulerSpec.Count.
-const MaxSchedulers = policy.MaxSchedulers
 
 // SchedulerChurn builds the churn events scripting one scheduler's failure
 // and (when recoverAt > failAt) recovery, for a ChurnSpec's Events.
@@ -170,18 +162,6 @@ func Policies() []string { return policy.Policies() }
 // Registered reports whether a policy name is in the registry without
 // instantiating it — the right check for validating a flag value.
 func Registered(name string) bool { return policy.Registered(name) }
-
-// ParsePolicy resolves a policy name to a default-configured instance, so
-// ParsePolicy(name).String() == name for every built-in. It errors on
-// unknown names, listing the registered ones. It instantiates the factory
-// with a zero Config, so for pure flag validation — where a custom factory
-// might reject a zero config — prefer Registered.
-func ParsePolicy(name string) (Policy, error) { return policy.ParsePolicy(name) }
-
-// NewPolicy instantiates a registered policy for a run configuration.
-// Engines call this internally; it is exported for tests and tools that
-// inspect policy decisions directly.
-func NewPolicy(name string, cfg Config) (Policy, error) { return policy.New(name, cfg) }
 
 // UniformLoss returns the FaultSpec that drops every message class (probe,
 // reply, steal, assign, commit) with probability p and sets nothing else.
@@ -245,16 +225,12 @@ func SeededPoints(t *Trace, cfg Config, base int64, n int) []SweepPoint {
 	return sweep.SeededPoints(t, cfg, base, n)
 }
 
-// WriteResultsCSV exports a report's per-job outcomes as CSV.
-func WriteResultsCSV(w io.Writer, r *Report) error {
-	return policy.WriteResultsCSV(w, r)
-}
-
-// SaveResultsCSV writes a report's per-job outcomes to path.
+// SaveResultsCSV writes a report's per-job outcomes to path as CSV.
 func SaveResultsCSV(path string, r *Report) error { return policy.SaveResultsCSV(path, r) }
 
-// ReadResultsCSV parses a file written by WriteResultsCSV back into job
-// reports (the scalar Report fields are not part of the format).
+// ReadResultsCSV parses a file written by SaveResultsCSV or a JobCSVSink
+// back into job reports (the scalar Report fields are not part of the
+// format).
 func ReadResultsCSV(r io.Reader) ([]JobReport, error) { return policy.ReadResultsCSV(r) }
 
 // SaveReportJSON writes the full report (resolved config, jobs, counters,
@@ -293,22 +269,15 @@ type (
 	FileSource = workload.FileSource
 
 	// JobCSVSink streams per-job outcomes to CSV as a run executes (the
-	// Config.JobSink counterpart of WriteResultsCSV); see NewJobCSVSink.
+	// Config.JobSink counterpart of SaveResultsCSV); see NewJobCSVSink.
 	JobCSVSink = policy.JobCSVSink
-	// StreamedStats is a Report's bounded-memory aggregate (class counts
-	// plus runtime reservoirs), present when Config.DiscardJobReports ran.
-	// The queue-wait reservoirs are on every simulator Report:
-	// Report.WaitReservoir.
-	StreamedStats = policy.StreamedStats
 )
 
-// Synthetic workload generators for the paper's four traces (§4.1) and the
-// §2.3 motivation scenario, plus trace statistics and CSV I/O.
+// Synthetic workload generators — the Google trace by name, all four of the
+// paper's traces (§4.1) through AllSpecs and SpecByName, and the §2.3
+// motivation scenario — plus trace statistics and CSV I/O.
 var (
 	Google                     = workload.Google
-	Cloudera                   = workload.ClouderaC
-	Facebook                   = workload.Facebook
-	Yahoo                      = workload.Yahoo
 	AllSpecs                   = workload.AllSpecs
 	SpecByName                 = workload.SpecByName
 	Generate                   = workload.Generate
@@ -343,8 +312,6 @@ var (
 	SaveTraceSource = workload.SaveSource
 	// MaterializeSource drains a Source into an in-memory Trace.
 	MaterializeSource = workload.Materialize
-	// SourceErr returns a source's streaming error, if it exposes one.
-	SourceErr = workload.SourceErr
 )
 
 // NewJobCSVSink starts a streaming per-job CSV export on w; set

@@ -149,21 +149,6 @@ func (noStealHawk) Route(j hawk.JobInfo) hawk.Decision {
 	return hawk.Decision{Action: hawk.ActionProbe, Pool: hawk.PoolAll}
 }
 
-func TestParsePolicyReExport(t *testing.T) {
-	for _, name := range []string{"sparrow", "hawk", "centralized", "split"} {
-		p, err := hawk.ParsePolicy(name)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", name, err)
-		}
-		if p.String() != name {
-			t.Errorf("ParsePolicy(%q).String() = %q", name, p.String())
-		}
-	}
-	if _, err := hawk.ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
-
 // RunSweep fans independent runs over a worker pool; results come back in
 // point order and match serial Simulate calls exactly.
 func TestRunSweepMatchesSerialSimulate(t *testing.T) {

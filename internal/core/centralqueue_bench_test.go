@@ -9,9 +9,9 @@ import (
 // The central queue's rung of the measurement ladder: each call of the
 // steady-state cycle and the snapshot copy, timed on their own at the
 // cluster sizes the experiments use (a test cluster, the paper's 15 k
-// headline, Figure 6's 170 k). The root package's BenchmarkCentralQueue and
-// BenchmarkMultiScheduler run whole simulations on top of this layer;
-// bench/hawkbench's core.cq_* metrics time the same cycle from outside.
+// headline, Figure 6's 170 k). Whole runs on top of this layer are
+// bench/hawkbench's multisched_stale workload, and its core.cq_* metrics time
+// the same cycle from outside.
 
 var cqBenchSizes = []struct {
 	name string

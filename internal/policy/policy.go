@@ -184,13 +184,3 @@ func New(name string, cfg Config) (Policy, error) {
 	}
 	return f(cfg)
 }
-
-// ParsePolicy resolves a policy name to a default-configured instance of
-// that policy, so p.String() round-trips the name for every built-in. It
-// instantiates the factory with a zero Config; custom factories that
-// reject some configurations should not be probed this way — use
-// Registered for pure name validation (the CLIs do). Engines build their
-// own instance from the run's resolved Config.
-func ParsePolicy(name string) (Policy, error) {
-	return New(name, Config{})
-}

@@ -46,20 +46,22 @@ func TestPoliciesListsBuiltins(t *testing.T) {
 	}
 }
 
+// Resolving a name to a policy is New; under the zero Config every built-in
+// reports the name it was registered under.
 func TestParsePolicyStringRoundTrip(t *testing.T) {
 	for _, name := range builtins {
-		p, err := policy.ParsePolicy(name)
+		p, err := policy.New(name, policy.Config{})
 		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", name, err)
+			t.Fatalf("New(%q): %v", name, err)
 		}
 		if p.String() != name {
-			t.Errorf("ParsePolicy(%q).String() = %q", name, p.String())
+			t.Errorf("New(%q).String() = %q", name, p.String())
 		}
 	}
 }
 
 func TestParsePolicyUnknown(t *testing.T) {
-	_, err := policy.ParsePolicy("no-such-policy")
+	_, err := policy.New("no-such-policy", policy.Config{})
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}

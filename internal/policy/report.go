@@ -296,18 +296,6 @@ func (r *Report) LongRuntimes() []float64 {
 	return r.runtimes(func(j JobReport) bool { return j.Long })
 }
 
-// TrueShortRuntimes returns runtimes of jobs that are short under exact
-// estimates (regardless of how mis-estimation classified them).
-func (r *Report) TrueShortRuntimes() []float64 {
-	return r.runtimes(func(j JobReport) bool { return !j.TrueLong })
-}
-
-// TrueLongRuntimes returns runtimes of jobs that are long under exact
-// estimates.
-func (r *Report) TrueLongRuntimes() []float64 {
-	return r.runtimes(func(j JobReport) bool { return j.TrueLong })
-}
-
 // OutageShortRuntimes returns runtimes of short-classified jobs submitted
 // while the centralized scheduler was scripted down.
 func (r *Report) OutageShortRuntimes() []float64 {

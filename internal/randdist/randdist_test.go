@@ -320,4 +320,14 @@ func TestSampleIntoZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state sampling allocated %v times per op, want 0", allocs)
 	}
+	// The benchmark's draws (bench_test.go), at every size it runs.
+	for _, size := range sampleSizes {
+		buf = src.SampleWithoutReplacementInto(buf[:0], size.n, sampleK)
+		allocs := testing.AllocsPerRun(200, func() {
+			buf = src.SampleWithoutReplacementInto(buf[:0], size.n, sampleK)
+		})
+		if allocs != 0 {
+			t.Errorf("%d of %d: %v allocs per call, want 0", sampleK, size.n, allocs)
+		}
+	}
 }

@@ -66,9 +66,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 
 	t.Run("steal", func(t *testing.T) {
-		// The BenchmarkLargeCluster regime scaled down: mixed trace under
-		// load so idle nodes steal constantly (candidate sampling,
-		// eligible-group scans, queue surgery, enqueueFront).
+		// A mixed trace under load, so idle nodes steal constantly
+		// (candidate sampling, eligible-group scans, queue surgery,
+		// enqueueFront); BenchmarkStealScan times the same path.
 		tr := workload.Generate(workload.Google(), workload.GenConfig{
 			NumJobs: 1500, MeanInterArrival: 0.5, Seed: 13,
 		})

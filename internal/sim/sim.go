@@ -16,8 +16,8 @@
 // arena, and queue entries and events refer to jobs by int32 arena index
 // instead of by pointer. Trace submission is lazy — each submit event
 // chains the next — so the event queue's working set is bounded by
-// in-flight messages and running tasks, not by the trace length. See the
-// README's Performance section.
+// in-flight messages and running tasks, not by the trace length. See
+// docs/ARCHITECTURE.md, "The data-oriented simulator core".
 //
 // # Streaming
 //

@@ -1,0 +1,50 @@
+package workload
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// The decode rung of the measurement ladder: what it costs to turn a
+// hawk-trace file back into jobs, the way a run reads one — Next, then
+// Recycle once the job is done with — for a 4 000-job Google trace (about
+// 110 000 tasks, 2 MB plain). One op is the whole file, opened and closed;
+// MB/s counts the file's bytes on disk, so the two forms are not comparable
+// by it, and jobs/s is.
+func BenchmarkFileSourceNext(b *testing.B) {
+	tr := Generate(Google(), GenConfig{NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1})
+	for _, form := range []struct{ name, file string }{
+		{"plain", "google.trace"},
+		{"gz", "google.trace.gz"},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), form.file)
+			if err := SaveSource(path, NewTraceSource(tr)); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(fi.Size())
+			b.ReportAllocs()
+			for b.Loop() {
+				src, err := OpenSource(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs := 0
+				for j, ok := src.Next(); ok; j, ok = src.Next() {
+					src.Recycle(j)
+					jobs++
+				}
+				if err := src.Err(); err != nil || jobs != tr.Len() {
+					b.Fatalf("decoded %d of %d jobs: %v", jobs, tr.Len(), err)
+				}
+				src.Close()
+			}
+			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}

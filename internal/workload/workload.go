@@ -244,24 +244,6 @@ func (t *Trace) CapTasks(maxTasks int) *Trace {
 	return out
 }
 
-// Sample returns a copy containing the first n jobs by submission order,
-// with submission times preserved. Used to take the 3300-job Google sample
-// of §4.10.
-func (t *Trace) Sample(n int) *Trace {
-	if n > len(t.Jobs) {
-		n = len(t.Jobs)
-	}
-	cp := &Trace{
-		Name:                   t.Name,
-		Cutoff:                 t.Cutoff,
-		ShortPartitionFraction: t.ShortPartitionFraction,
-	}
-	jobs := append([]*Job(nil), t.Jobs...)
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].SubmitTime < jobs[j].SubmitTime })
-	cp.Jobs = jobs[:n]
-	return cp
-}
-
 // rescaleArrivals multiplies all submission times so that the mean
 // inter-arrival time equals target. Helper for generators.
 func rescaleArrivals(jobs []*Job, targetMeanInterArrival float64, src *randdist.Source) {

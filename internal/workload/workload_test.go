@@ -157,20 +157,6 @@ func TestCapTasksProperty(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	tr := &Trace{Jobs: []*Job{job(1, 30, 1), job(2, 10, 1), job(3, 20, 1)}}
-	s := tr.Sample(2)
-	if s.Len() != 2 {
-		t.Fatalf("sample size %d", s.Len())
-	}
-	if s.Jobs[0].ID != 2 || s.Jobs[1].ID != 3 {
-		t.Fatalf("sample should be earliest jobs, got %d,%d", s.Jobs[0].ID, s.Jobs[1].ID)
-	}
-	if tr.Sample(10).Len() != 3 {
-		t.Fatal("oversized sample should clamp")
-	}
-}
-
 func TestWithArrivals(t *testing.T) {
 	tr := &Trace{Jobs: []*Job{job(1, 100, 1), job(2, 200, 1)}}
 	out := tr.WithArrivals(5, 1)
