@@ -8,8 +8,11 @@
 //	hawkexp -exp fig5 [-numjobs 20000] [-seed 42] [-runs 10]
 //	hawkexp -exp fig6 -jobs 8    # fan the sweep over 8 workers
 //	hawkexp -exp all -quick
-//	hawkexp -trace-out google.trace.gz -numjobs 20000   # record the trace
-//	hawkexp -exp fig5 -trace google.trace.gz            # replay it
+//	hawkexp -exp fig5 -trace google.trace.gz   # replay a recorded trace
+//
+// Recording is hawkgen's job: hawkgen -workload google -jobs N -seed S -out
+// google.trace.gz writes the trace a hawkexp run at -numjobs N -seed S
+// generates.
 //
 // Every experiment is a sweep of independent simulations, fanned out over
 // a bounded worker pool (internal/sweep); -jobs bounds the pool, make
@@ -57,7 +60,6 @@ var (
 	quickFlag   = flag.Bool("quick", false, "use the reduced quick scale (fewer jobs, fewer runs)")
 	policyFlag  = flag.String("policy", "hawk", "candidate policy for the comparison figures; one of: "+strings.Join(hawk.Policies(), ", "))
 	traceFlag   = flag.String("trace", "", "replay this recorded hawk-trace file instead of the synthetic Google trace (experiments built on the Google workload)")
-	traceOut    = flag.String("trace-out", "", "write the synthetic Google trace at the current -numjobs/-seed to this hawk-trace file and exit")
 	fullProto   = flag.Bool("fullproto", false, "run fig16-17 at the paper's full prototype scale (3300 jobs, sec->ms; takes tens of minutes)")
 
 	// The scenario overlay applied to every simulator run of the selected
@@ -116,7 +118,7 @@ func main() {
 // process exits (os.Exit skips defers in main).
 func realMain() int {
 	regs := registry()
-	if *listFlag || (*expFlag == "" && *traceOut == "") {
+	if *listFlag || *expFlag == "" {
 		fmt.Println("experiments:")
 		for _, e := range regs {
 			fmt.Printf("  %-9s %s\n", e.id, e.desc)
@@ -145,19 +147,6 @@ func realMain() int {
 	scenario.Apply(&sc.Overlay)
 	overlaid := !reflect.DeepEqual(sc.Overlay, hawk.Config{})
 	sc.Overlay.Policy = *policyFlag
-	if *traceOut != "" {
-		t, err := experiments.GoogleTrace(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
-			return 1
-		}
-		if err := hawk.SaveTraceSource(*traceOut, hawk.NewTraceSource(t)); err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: writing %s: %v\n", *traceOut, err)
-			return 1
-		}
-		fmt.Printf("wrote %d jobs to %s\n", t.Len(), *traceOut)
-		return 0
-	}
 	sc.Workers = *jobsFlag
 	var toRun []experiment
 	for _, e := range regs {

@@ -1,26 +1,25 @@
-// Command hawkgen generates synthetic workload traces, converts between
-// the on-disk trace formats, and prints Table 1/2 characterization.
+// Command hawkgen generates synthetic workload traces, gives a trace from
+// an outside tool its header, and prints Table 1/2 characterization.
 //
 // Usage:
 //
-//	hawkgen -workload google -jobs 20000 -out google.csv
+//	hawkgen -workload google -jobs 20000 -out google.trace
 //	hawkgen -workload google -jobs 1000000 -out google.trace.gz
-//	hawkgen -stats -in google.csv -cutoff 1129
+//	hawkgen -stats -in google.trace
 //	hawkgen -in legacy.csv -cutoff 1129 -out google.trace.gz -stats=false
 //
-// Two formats are supported. The hawk-trace stream format (gzip by ".gz"
-// suffix) carries a header with the workload's cutoff, partition fraction,
-// and size, so hawksim/hawkexp can stream it without flags; the legacy
-// bare-CSV format carries jobs only and needs -cutoff on load. -out picks
-// the format by suffix (override with -format); converting between the two
-// is just -in plus -out.
+// -out writes the hawk-trace format whatever the file is called (gzip by
+// ".gz" suffix): a header line with the workload's cutoff, partition
+// fraction and size, then one record per job, so hawksim and hawkexp stream
+// it without flags. -in also reads a headerless CSV of the same records,
+// which carries no cutoff and needs -cutoff; with -out that is the
+// conversion.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/hawk"
 )
@@ -30,8 +29,7 @@ var (
 	jobsFlag     = flag.Int("jobs", 20000, "number of jobs")
 	iaFlag       = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	seedFlag     = flag.Int64("seed", 42, "random seed")
-	outFlag      = flag.String("out", "", "write the trace to this file")
-	formatFlag   = flag.String("format", "auto", "-out format: stream (hawk-trace), legacy (bare CSV), auto (stream for .gz/.trace suffixes)")
+	outFlag      = flag.String("out", "", "write the trace to this hawk-trace file (gzip by .gz suffix)")
 	inFlag       = flag.String("in", "", "read a trace from this file (hawk-trace or legacy CSV) instead of generating")
 	cutoffFlag   = flag.Float64("cutoff", 0, "cutoff for the by-cutoff statistics (0 = workload/header default)")
 	statsFlag    = flag.Bool("stats", true, "print workload statistics")
@@ -45,7 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *outFlag != "" {
-		if err := writeTrace(t); err != nil {
+		if err := hawk.SaveTraceSource(*outFlag, hawk.NewTraceSource(t)); err != nil {
 			fmt.Fprintf(os.Stderr, "hawkgen: writing %s: %v\n", *outFlag, err)
 			os.Exit(1)
 		}
@@ -56,29 +54,9 @@ func main() {
 	}
 }
 
-// writeTrace saves t in the format -format selects (by suffix on "auto").
-func writeTrace(t *hawk.Trace) error {
-	format := *formatFlag
-	if format == "auto" {
-		if strings.HasSuffix(*outFlag, ".gz") || strings.HasSuffix(*outFlag, ".trace") {
-			format = "stream"
-		} else {
-			format = "legacy"
-		}
-	}
-	switch format {
-	case "stream":
-		return hawk.SaveTraceSource(*outFlag, hawk.NewTraceSource(t))
-	case "legacy":
-		return hawk.SaveTraceFile(*outFlag, t)
-	}
-	return fmt.Errorf("unknown -format %q (stream, legacy, auto)", *formatFlag)
-}
-
 func obtainTrace() (*hawk.Trace, float64, error) {
 	if *inFlag != "" {
-		// Either format, whole: the statistics and the legacy writer both
-		// need the trace in memory.
+		// Either format, whole: the statistics need the trace in memory.
 		t, err := hawk.LoadTraceFile(*inFlag)
 		if err != nil {
 			return nil, 0, err

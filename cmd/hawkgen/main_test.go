@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -24,7 +27,7 @@ func TestConvertInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeTrace(tr); err != nil {
+	if err := hawk.SaveTraceSource(path, hawk.NewTraceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := hawk.LoadTraceFile(path)
@@ -53,6 +56,44 @@ func TestDefaultInterArrivalIsTheWorkloadsCalibratedRate(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: the default trace is not the one generated at %g s (last submission %.0f s, want %.0f s)",
 				spec.Name, ia, got.MakespanLowerBound(), want.MakespanLowerBound())
+		}
+	}
+}
+
+// A workload is recorded by hawkgen -out (from a materialized Trace) or by
+// hawksim -trace-out (job by job, before the run), and for one (workload,
+// jobs, seed) the two write the same bytes, plain and gzipped — which is why
+// hawkexp, whose synthetic trace is hawkgen's, records nothing itself.
+func TestOutMatchesHawksimTraceOut(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), ".", "../hawksim").CombinedOutput(); err != nil {
+		t.Fatalf("building hawkgen and hawksim: %v\n%s", err, out)
+	}
+	for _, c := range []struct{ workload, ext string }{
+		{"google", ".trace"},
+		{"google", ".trace.gz"},
+		{"yahoo", ".trace.gz"}, // a workload whose calibrated arrival rate is not google's
+	} {
+		gen := filepath.Join(dir, "gen-"+c.workload+c.ext)
+		sim := filepath.Join(dir, "sim-"+c.workload+c.ext)
+		for _, cmd := range []*exec.Cmd{
+			exec.Command(filepath.Join(dir, "hawkgen"), "-workload", c.workload, "-jobs", "300", "-seed", "7", "-stats=false", "-out", gen),
+			exec.Command(filepath.Join(dir, "hawksim"), "-workload", c.workload, "-jobs", "300", "-seed", "7", "-stream", "-trace-out", sim),
+		} {
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
+			}
+		}
+		a, err := os.ReadFile(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s%s: hawkgen -out wrote %d bytes, hawksim -trace-out %d, and they differ", c.workload, c.ext, len(a), len(b))
 		}
 	}
 }

@@ -268,8 +268,19 @@ func TestSameWorkloadSameResultLines(t *testing.T) {
 	}
 	legacy := filepath.Join(dir, "legacy.csv")
 	spec := hawk.Google()
-	tr := hawk.Generate(spec, hawk.GenConfig{NumJobs: 300, MeanInterArrival: spec.CalibratedInterArrival(), Seed: 42})
-	if err := hawk.SaveTraceFile(legacy, tr); err != nil {
+	// Nothing in the repo writes that format: it is a hawk-trace file
+	// without its first line.
+	plain := filepath.Join(dir, "t.trace")
+	src := hawk.NewGeneratorSource(spec, hawk.GenConfig{NumJobs: 300, MeanInterArrival: spec.CalibratedInterArrival(), Seed: 42})
+	if err := hawk.SaveTraceSource(plain, src); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, records, _ := bytes.Cut(raw, []byte("\n"))
+	if err := os.WriteFile(legacy, records, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, argv := range [][]string{

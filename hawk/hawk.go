@@ -45,7 +45,9 @@
 // without spelling it: a parameter or result type, a struct a literal must
 // name, an enum constant. A type that only ever arrives as a field of
 // something returned (a Report's MessagesDropped, a Decision's Action) is
-// read through its owner and has no alias here. Every exported symbol
+// read through its owner and has no alias here; neither has the file reader
+// behind OpenTrace, which arrives as a Source and is released through
+// io.Closer. Every exported symbol
 // carries a doc comment; hawklint's exporteddoc analyzer enforces it:
 //
 //hawk:exporteddoc
@@ -237,7 +239,7 @@ func ReadResultsCSV(r io.Reader) ([]JobReport, error) { return policy.ReadResult
 // utilization samples) to path as JSON.
 func SaveReportJSON(path string, r *Report) error { return policy.SaveReportJSON(path, r) }
 
-// Workload surface: traces, synthetic generators, and trace I/O, re-exported
+// Workload surface: traces, synthetic generators, and sources, re-exported
 // so a quickstart can be written against this package alone.
 type (
 	// Trace is an ordered set of jobs plus workload-level defaults
@@ -264,9 +266,6 @@ type (
 	// GeneratorSource streams a synthetic workload draw-for-draw identical
 	// to Generate, holding O(in-flight) jobs instead of the whole trace.
 	GeneratorSource = workload.GeneratorSource
-	// FileSource streams jobs from a hawk-trace file (see SaveTraceSource)
-	// with chunked decode; Close it when done.
-	FileSource = workload.FileSource
 
 	// JobCSVSink streams per-job outcomes to CSV as a run executes (the
 	// Config.JobSink counterpart of SaveResultsCSV); see NewJobCSVSink.
@@ -275,7 +274,7 @@ type (
 
 // Synthetic workload generators — the Google trace by name, all four of the
 // paper's traces (§4.1) through AllSpecs and SpecByName, and the §2.3
-// motivation scenario — plus trace statistics and CSV I/O.
+// motivation scenario — plus trace statistics.
 var (
 	Google                     = workload.Google
 	AllSpecs                   = workload.AllSpecs
@@ -284,15 +283,14 @@ var (
 	MotivationWorkload         = workload.MotivationWorkload
 	ComputeStats               = workload.ComputeStats
 	ComputeStatsByConstruction = workload.ComputeStatsByConstruction
-	WriteTraceCSV              = workload.WriteCSV
-	ReadTraceCSV               = workload.ReadCSV
-	LoadTraceFile              = workload.LoadFile
-	SaveTraceFile              = workload.SaveFile
 )
 
-// Streaming workload sources and the hawk-trace file format: build a
-// Source from an in-memory trace, a synthetic spec, or a trace file, feed
-// it to SimulateSource, and convert between forms without materializing.
+// Workload sources and trace files: build a Source from an in-memory trace,
+// a synthetic spec, or a trace file, feed it to SimulateSource, and convert
+// between forms without materializing. A trace file has one way out —
+// SaveTraceSource, which writes the hawk-trace format (a header carrying the
+// cutoff, partition fraction and sizes, then one record per job) — and one
+// way in, OpenTrace, which also reads a headerless CSV of the same records.
 var (
 	// NewTraceSource adapts a Trace to a Source (sorting an index view,
 	// not the trace, when submit times are out of order).
@@ -300,13 +298,15 @@ var (
 	// NewGeneratorSource streams the synthetic workload Generate(spec,
 	// cfg) would produce, job for job, in O(in-flight) memory.
 	NewGeneratorSource = workload.NewGeneratorSource
-	// OpenTraceSource opens a hawk-trace file (gzip by ".gz" suffix) for
-	// streaming; it reads only the header before the first job decodes.
-	OpenTraceSource = workload.OpenSource
-	// OpenTrace opens a trace file in either on-disk format: a hawk-trace
-	// file streams (a *FileSource; Close it), a headerless legacy CSV is
-	// read whole and carries no name, cutoff or partition fraction.
+	// OpenTrace opens a trace file (gzip by ".gz" suffix). A hawk-trace
+	// file streams: only its header is read before the first job decodes,
+	// and the Source holds the file — release it through io.Closer. A
+	// headerless legacy CSV is read whole and carries no name, cutoff or
+	// partition fraction.
 	OpenTrace = workload.Open
+	// LoadTraceFile is OpenTrace, materialized and closed, for callers that
+	// want the whole Trace.
+	LoadTraceFile = workload.LoadFile
 	// SaveTraceSource drains a Source to a hawk-trace file (gzip by ".gz"
 	// suffix), recycling jobs as it writes.
 	SaveTraceSource = workload.SaveSource

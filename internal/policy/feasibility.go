@@ -80,10 +80,12 @@ func CheckTraceFeasibility(t *workload.Trace, cfg Config, pol Policy) error {
 // without any job in hand. A central route with no declared central pool is
 // definitive and returned. The width check uses the conservative
 // Meta.MaxTasks bound under both classes; when that bound fails the result
-// is not a verdict (the widest job might route centrally), so the check
-// returns perJob=true and the engine applies CheckFeasibility to each job
-// it pulls.
+// is not a verdict (the widest job might route centrally), and when the
+// source does not know its bound (MaxTasks 0) there is nothing to check, so
+// either way the check returns perJob=true and the engine applies
+// CheckFeasibility to each job it pulls.
 func CheckFeasibilityMeta(m workload.Meta, pol Policy, part core.Partition, margin int) (perJob bool, err error) {
+	perJob = m.MaxTasks == 0
 	for _, long := range [2]bool{false, true} {
 		dec := pol.Route(JobInfo{ID: 0, Tasks: m.MaxTasks, Estimate: 1, Long: long})
 		room, err := routeRoom(dec, pol, part, margin)

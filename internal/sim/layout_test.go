@@ -141,79 +141,3 @@ func TestUnsortedTraceMatchesSorted(t *testing.T) {
 		}
 	}
 }
-
-// enqueueFront on a non-empty thief queue must preserve order (stolen
-// entries first, then the previously queued ones) and reuse the backing
-// array instead of allocating a fresh merged slice.
-func TestEnqueueFrontNonEmptyQueue(t *testing.T) {
-	s := &simulation{} // advance is a no-op while the node is busy
-	mk := func(jidx int32) entry { return entry{jidx: jidx} }
-	queued := func(n *node) []int32 {
-		var ids []int32
-		for _, e := range n.queue[n.head:] {
-			ids = append(ids, e.jidx)
-		}
-		return ids
-	}
-	check := func(t *testing.T, n *node, want ...int32) {
-		t.Helper()
-		got := queued(n)
-		if len(got) != len(want) {
-			t.Fatalf("queue = %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("queue = %v, want %v", got, want)
-			}
-		}
-	}
-
-	t.Run("head room", func(t *testing.T) {
-		// Two popped slots at the front: the stolen entries must land in
-		// them without touching the live region.
-		n := &node{busy: true, queue: []entry{mk(0), mk(1), mk(2), mk(3)}, head: 2}
-		before := &n.queue[0]
-		n.enqueueFront(s, []entry{mk(10), mk(11)})
-		check(t, n, 10, 11, 2, 3)
-		if &n.queue[0] != before {
-			t.Error("head-room path reallocated the queue")
-		}
-	})
-
-	t.Run("shift in place", func(t *testing.T) {
-		// No popped prefix, but spare capacity: live entries must slide
-		// up within the same backing array.
-		n := &node{busy: true}
-		n.queue = make([]entry, 0, 8)
-		n.queue = append(n.queue, mk(2), mk(3))
-		before := &n.queue[0]
-		n.enqueueFront(s, []entry{mk(10), mk(11), mk(12)})
-		check(t, n, 10, 11, 12, 2, 3)
-		if &n.queue[0] != before {
-			t.Error("in-place shift reallocated the queue")
-		}
-	})
-
-	t.Run("grow once", func(t *testing.T) {
-		n := &node{busy: true, queue: []entry{mk(2), mk(3)}}
-		n.queue = n.queue[:2:2] // no spare capacity
-		n.enqueueFront(s, []entry{mk(10)})
-		check(t, n, 10, 2, 3)
-	})
-
-	t.Run("steady state allocates nothing", func(t *testing.T) {
-		n := &node{busy: true}
-		n.queue = make([]entry, 0, 16)
-		n.queue = append(n.queue, mk(1), mk(2), mk(3), mk(4))
-		n.head = 0
-		es := []entry{mk(20), mk(21)}
-		allocs := testing.AllocsPerRun(100, func() {
-			n.enqueueFront(s, es)
-			// Restore the pre-steal shape without allocating.
-			n.head += int32(len(es))
-		})
-		if allocs != 0 {
-			t.Errorf("enqueueFront allocated %v times per merge with spare capacity", allocs)
-		}
-	})
-}

@@ -113,39 +113,19 @@ func (n *node) enqueue(s *simulation, e entry) {
 	n.advance(s)
 }
 
-// enqueueFront pushes entries to the head of the queue, preserving their
-// order. Stolen groups land at the thief's head so they run before anything
-// else already queued there (the thief is idle when it steals, so in
-// practice the queue is empty). Every path reuses the queue's backing array
-// when it has capacity; es is the caller's scratch buffer and is copied
-// from, never retained.
+// enqueueFront hands a stolen group to the thief, in order. A node steals
+// only once it has run dry — finishSlot after an advance that found nothing,
+// recoverNode on a node failNode emptied — so the group becomes the queue,
+// in the backing array the node already owns; es is the caller's scratch
+// buffer and is copied from, never retained.
 //
 //hawk:hotpath
 func (n *node) enqueueFront(s *simulation, es []entry) {
-	live := n.queueLen()
-	switch {
-	case live == 0:
-		// The common case — the thief stole because it ran dry.
-		n.queue = append(n.queue[:0], es...)
-		n.head = 0
-	case int(n.head) >= len(es):
-		// The popped prefix has room: place the entries right before head.
-		n.head -= int32(len(es))
-		copy(n.queue[n.head:], es)
-	case cap(n.queue) >= live+len(es):
-		// Shift the live entries up in place (copy is memmove, so the
-		// overlapping ranges are safe) and fill the front.
-		n.queue = n.queue[:live+len(es)]
-		copy(n.queue[len(es):], n.queue[n.head:int(n.head)+live])
-		copy(n.queue, es)
-		n.head = 0
-	default:
-		// Capacity exhausted: one growth allocation sized for both.
-		merged := make([]entry, live+len(es))
-		copy(merged, es)
-		copy(merged[len(es):], n.queue[n.head:])
-		n.queue, n.head = merged, 0
+	if n.queueLen() != 0 {
+		panic("sim: steal by a node with a non-empty queue")
 	}
+	n.queue = append(n.queue[:0], es...)
+	n.head = 0
 	n.advance(s)
 }
 

@@ -75,7 +75,10 @@ func TestStreamedFileMatchesMaterialized(t *testing.T) {
 // run, a source job by job as it is pulled, by the same rule. The churn rows
 // used to be rejected as a Trace and accepted from a file or a generator
 // (the pulled-job check skipped the failure margin), ending in <nil> or a
-// deadlock diagnosis depending on when the failures landed.
+// deadlock diagnosis depending on when the failures landed. Nor does it
+// depend on what the source knows up front: Meta documents 0 as "bound
+// unknown", and a source of the user's own that says so used to skip the rule
+// altogether and end in a bare "sim: deadlock".
 func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 	gcfg := workload.GenConfig{NumJobs: 50, MeanInterArrival: 2, Seed: 1}
 	tr := workload.Generate(workload.Google(), gcfg)
@@ -117,6 +120,7 @@ func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 			forms := map[string]workload.Source{
 				"TraceSource":     workload.NewTraceSource(tr),
 				"GeneratorSource": workload.NewGeneratorSource(workload.Google(), gcfg),
+				"bounds unknown":  unknownBounds{workload.NewTraceSource(tr)},
 			}
 			for _, path := range files {
 				src, err := workload.OpenSource(path)
@@ -137,6 +141,16 @@ func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unknownBounds is a source that does not know its widest job or its task
+// total before it has yielded them.
+type unknownBounds struct{ workload.Source }
+
+func (u unknownBounds) Meta() workload.Meta {
+	m := u.Source.Meta()
+	m.MaxTasks, m.TotalTasks = 0, 0
+	return m
 }
 
 func TestDiscardedJobReportsAggregates(t *testing.T) {

@@ -48,3 +48,32 @@ func BenchmarkFileSourceNext(b *testing.B) {
 		})
 	}
 }
+
+// The encode rung, hawkbench's workload.encode_s in isolation: the same trace
+// through SaveSource — WriteSource into a file, behind a gzip writer for the
+// ".gz" name. One op is the whole file, created and closed; MB/s counts its
+// bytes on disk, as above.
+func BenchmarkWriteSource(b *testing.B) {
+	src := NewTraceSource(Generate(Google(), GenConfig{NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1}))
+	for _, form := range []struct{ name, file string }{
+		{"plain", "google.trace"},
+		{"gz", "google.trace.gz"},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), form.file)
+			b.ReportAllocs()
+			for b.Loop() {
+				src.next = 0
+				if err := SaveSource(path, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(fi.Size())
+			b.ReportMetric(float64(src.meta.NumJobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}

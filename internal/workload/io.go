@@ -5,38 +5,45 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 )
 
-// CSV trace format, one job per record:
+// The job record — one line per job, the grammar both on-disk forms share:
 //
 //	jobID,submitTime,numTasks,dur0,dur1,...,durN-1[,L]
 //
 // matching the tuples the paper's simulator consumes (§4.1): "(jobID, job
 // submission time, number of tasks in the job, duration of each task)". A
-// trailing "L" marks jobs that are long by construction.
+// trailing "L" marks jobs that are long by construction; floats are strconv
+// 'g'/-1, which round-trips exactly. Behind a header line the records are a
+// hawk-trace file (streamio.go), the only format written; without one they
+// are the legacy CSV of an outside tool, which Open still reads.
+//
+// Every field is a number or the letter L — never a comma, a quote or a line
+// break — so appendJobRecord writes what encoding/csv would (a test holds it
+// to that) with none of its quoting and no []string per job. Reading stays
+// on encoding/csv: a file is outside input and may be quoted.
 
-// WriteCSV serializes the trace.
-func WriteCSV(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	cw := csv.NewWriter(bw)
-	rec := make([]string, 0, 64)
-	for _, j := range t.Jobs {
-		rec = appendJobRecord(rec[:0], j)
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("workload: writing job %d: %w", j.ID, err)
-		}
+// appendJobRecord appends j's record, newline included, to buf.
+func appendJobRecord(buf []byte, j *Job) []byte {
+	buf = strconv.AppendInt(buf, int64(j.ID), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendFloat(buf, j.SubmitTime, 'g', -1, 64)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(len(j.Durations)), 10)
+	for _, d := range j.Durations {
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, d, 'g', -1, 64)
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
+	if j.ConstructedLong {
+		buf = append(buf, ",L"...)
 	}
-	return bw.Flush()
+	buf = append(buf, '\n')
+	return buf
 }
 
-// ReadCSV parses a trace written by WriteCSV. Name, Cutoff and
-// ShortPartitionFraction are not part of the format; callers set them after
+// ReadCSV parses a headerless file of job records. Name, Cutoff and
+// ShortPartitionFraction are not part of that format; callers set them after
 // loading (or use the defaults from the generating Spec).
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(bufio.NewReader(r))
@@ -62,7 +69,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// parseJobFields decodes one CSV record (WriteCSV format) into j, reusing
+// parseJobFields decodes one job record (grammar above) into j, reusing
 // j.Durations' backing array when it has capacity, and checks the per-job
 // invariants Validate would: non-negative submit time and durations, at
 // least one task. Shared by the materializing and streaming readers.
@@ -111,19 +118,6 @@ func parseJobFields(rec []string, j *Job) error {
 	}
 	j.ID, j.SubmitTime, j.ConstructedLong = id, submit, long
 	return nil
-}
-
-// SaveFile writes the trace to path.
-func SaveFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteCSV(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // LoadFile reads the trace file at path, in either on-disk format (see

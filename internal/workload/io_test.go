@@ -10,13 +10,22 @@ import (
 	"testing/quick"
 )
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2, Seed: 4})
+// legacyCSV returns tr as the headerless CSV outside tools hand in. Nothing
+// in the repo writes that format; it is a hawk-trace file without its first
+// line.
+func legacyCSV(t *testing.T, tr *Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
+	if err := WriteSource(&buf, NewTraceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	_, records, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	return records
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	tr := Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2, Seed: 4})
+	got, err := ReadCSV(bytes.NewReader(legacyCSV(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +74,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 				ConstructedLong: i%3 == 0,
 			})
 		}
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, tr); err != nil {
-			return false
-		}
-		got, err := ReadCSV(&buf)
+		got, err := ReadCSV(bytes.NewReader(legacyCSV(t, tr)))
 		if err != nil {
 			return false
 		}
@@ -127,7 +132,7 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.csv")
 	tr := Generate(Yahoo(), GenConfig{NumJobs: 50, MeanInterArrival: 1, Seed: 6})
-	if err := SaveFile(path, tr); err != nil {
+	if err := os.WriteFile(path, legacyCSV(t, tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)

@@ -22,7 +22,9 @@ type Meta struct {
 	// NumJobs is the exact number of jobs the source will yield.
 	NumJobs int
 	// MaxTasks is the largest per-job task count the source will yield,
-	// or 0 if unknown. Used for up-front feasibility checks.
+	// or 0 if unknown. A known bound can settle the feasibility rule before
+	// the run (policy.CheckFeasibilityMeta); 0 settles nothing, and every
+	// job is then held to the rule as the engine pulls it.
 	MaxTasks int
 	// TotalTasks is the total task count across all jobs, or 0 if unknown.
 	// Used to size the simulator's event heap.

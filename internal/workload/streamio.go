@@ -12,8 +12,8 @@ import (
 	"strings"
 )
 
-// Streaming trace file format ("hawk-trace"): a header line carrying the
-// Meta, followed by one CSV record per job in the WriteCSV format,
+// Trace file format ("hawk-trace"), the one format written: a header line
+// carrying the Meta, followed by one job record per line (grammar in io.go),
 // gzip-compressed when the path ends in ".gz":
 //
 //	#hawk-trace v=1 name="google" cutoff=1129 frac=0.17 jobs=50000 maxtasks=4113 tasks=1352384
@@ -21,8 +21,9 @@ import (
 //
 // Records must be in non-decreasing submit-time order — the writer
 // enforces it, the reader verifies it — so a reader can feed the simulator
-// directly without buffering. Unlike the legacy headerless format, the
-// job count and size bounds are known before the first record is decoded.
+// directly without buffering. Unlike a headerless legacy CSV, the cutoff,
+// the job count and the size bounds are known before the first record is
+// decoded.
 
 // ErrNotStreamTrace reports that a file lacks the hawk-trace header and is
 // presumably a legacy headerless CSV; Open falls back to ReadCSV on it.
@@ -45,8 +46,7 @@ func WriteSource(w io.Writer, src Source) error {
 		m.NumJobs, m.MaxTasks, m.TotalTasks); err != nil {
 		return err
 	}
-	cw := csv.NewWriter(bw)
-	rec, prev, count := make([]string, 0, 64), 0.0, 0
+	rec, prev, count := make([]byte, 0, 1024), 0.0, 0
 	recycler, _ := src.(Recycler)
 	for {
 		j, ok := src.Next()
@@ -58,7 +58,7 @@ func WriteSource(w io.Writer, src Source) error {
 		}
 		prev = j.SubmitTime
 		rec = appendJobRecord(rec[:0], j)
-		if err := cw.Write(rec); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("workload: writing job %d: %w", j.ID, err)
 		}
 		count++
@@ -72,26 +72,7 @@ func WriteSource(w io.Writer, src Source) error {
 	if count != m.NumJobs {
 		return fmt.Errorf("workload: source yielded %d jobs, meta promised %d", count, m.NumJobs)
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
 	return bw.Flush()
-}
-
-// appendJobRecord appends j's CSV fields (WriteCSV format) to rec.
-func appendJobRecord(rec []string, j *Job) []string {
-	rec = append(rec,
-		strconv.Itoa(j.ID),
-		strconv.FormatFloat(j.SubmitTime, 'g', -1, 64),
-		strconv.Itoa(len(j.Durations)))
-	for _, d := range j.Durations {
-		rec = append(rec, strconv.FormatFloat(d, 'g', -1, 64))
-	}
-	if j.ConstructedLong {
-		rec = append(rec, "L")
-	}
-	return rec
 }
 
 // SaveSource writes src to path in the hawk-trace format, gzipped when the
@@ -137,59 +118,71 @@ type FileSource struct {
 	free []*Job
 }
 
-// OpenSource opens a hawk-trace file for streaming (gzip inferred from a
-// ".gz" suffix). It reads only the header: job records decode lazily via
-// Next. Returns ErrNotStreamTrace (wrapped) when the header is absent.
-func OpenSource(path string) (*FileSource, error) {
+// openFile opens the trace file at path — through gzip when the name ends in
+// ".gz", a rule about files and not about either format, applied here only —
+// and takes the first line off it, which is what tells the formats apart.
+// The FileSource owns the handles (Close releases them) and will decode
+// records from rest, the file after that line, once it has a Meta.
+func openFile(path string) (s *FileSource, rest *bufio.Reader, first string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, "", err
 	}
-	s := &FileSource{f: f}
+	s = &FileSource{f: f}
 	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
 		if s.gz, err = gzip.NewReader(f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("workload: %s: %w", path, err)
+			return nil, nil, "", fmt.Errorf("workload: %s: %w", path, err)
 		}
 		r = s.gz
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	header, err := br.ReadString('\n')
-	if err != nil && err != io.EOF {
+	rest = bufio.NewReaderSize(r, 1<<16)
+	if first, err = rest.ReadString('\n'); err != nil && err != io.EOF {
 		s.Close()
-		return nil, fmt.Errorf("workload: %s: reading header: %w", path, err)
+		return nil, nil, "", fmt.Errorf("workload: %s: reading header: %w", path, err)
 	}
-	if s.meta, err = parseStreamHeader(header); err != nil {
+	s.cr = csv.NewReader(rest)
+	s.cr.FieldsPerRecord = -1 // variable-length records
+	s.cr.ReuseRecord = true
+	return s, rest, first, nil
+}
+
+// OpenSource opens a hawk-trace file for streaming (gzip inferred from a
+// ".gz" suffix). It reads only the header: job records decode lazily via
+// Next. Returns ErrNotStreamTrace (wrapped) when the header is absent.
+func OpenSource(path string) (*FileSource, error) {
+	s, _, first, err := openFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if s.meta, err = parseStreamHeader(first); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("workload: %s: %w", path, err)
 	}
-	s.cr = csv.NewReader(br)
-	s.cr.FieldsPerRecord = -1 // variable-length records
-	s.cr.ReuseRecord = true
 	return s, nil
 }
 
 // Open opens a trace file in either on-disk format, the only code that
 // knows there are two: a hawk-trace file streams as a *FileSource (Close it
-// when done), a headerless legacy CSV is read whole and served from memory.
-// The legacy format carries no name, cutoff or partition fraction, so that
-// source's Meta leaves them zero. LoadFile is Open for callers that want the
-// whole trace in memory.
+// when done), a headerless legacy CSV is read whole and served from memory,
+// either of them gzipped when the path ends in ".gz". The legacy format
+// carries no name, cutoff or partition fraction, so that source's Meta
+// leaves them zero. LoadFile is Open for callers that want the whole trace
+// in memory.
 func Open(path string) (Source, error) {
-	fs, err := OpenSource(path)
-	if err == nil {
-		return fs, nil
-	}
-	if !errors.Is(err, ErrNotStreamTrace) {
-		return nil, err
-	}
-	f, err := os.Open(path)
+	s, rest, first, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t, err := ReadCSV(f)
+	if s.meta, err = parseStreamHeader(first); err == nil {
+		return s, nil
+	}
+	defer s.Close()
+	if !errors.Is(err, ErrNotStreamTrace) {
+		return nil, fmt.Errorf("workload: %s: %w", path, err)
+	}
+	t, err := ReadCSV(io.MultiReader(strings.NewReader(first), rest))
 	if err != nil {
 		return nil, err
 	}

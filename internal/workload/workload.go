@@ -14,11 +14,13 @@
 // consumes. Three sources cover the spectrum: TraceSource serves an
 // in-memory Trace, GeneratorSource synthesizes jobs on demand draw-for-draw
 // identical to Generate, and FileSource decodes the on-disk hawk-trace
-// format (gzipped CSV with a metadata header; see SaveSource/OpenSource)
-// record by record; Open picks between FileSource and a TraceSource over a
-// legacy headerless CSV. Sources that implement Recycler pool decoded jobs
-// handed back by the consumer, closing the loop to zero steady-state
-// allocation.
+// format (a metadata header, then one record per job, gzipped by ".gz"
+// suffix) record by record. A workload reaches disk one way — SaveSource,
+// which writes hawk-trace and nothing else — and comes back one way: Open,
+// which also reads the headerless CSV of the same records that outside tools
+// produce (whole, as a TraceSource). Sources that implement Recycler pool
+// decoded jobs handed back by the consumer, closing the loop to zero
+// steady-state allocation.
 package workload
 
 import (
