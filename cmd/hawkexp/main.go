@@ -144,7 +144,10 @@ func realMain() int {
 		sc.Seed = *seedFlag
 	}
 	sc.TracePath = *traceFlag
-	scenario.Apply(&sc.Overlay)
+	if err := scenario.Apply(&sc.Overlay); err != nil {
+		fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
+		return 2
+	}
 	overlaid := !reflect.DeepEqual(sc.Overlay, hawk.Config{})
 	sc.Overlay.Policy = *policyFlag
 	sc.Workers = *jobsFlag

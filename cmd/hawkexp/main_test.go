@@ -75,6 +75,19 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	}
 }
 
+// hawkexp takes hawksim's scenario flags and refuses what hawksim refuses:
+// -snapshot-interval without -schedulers ran every figure on the
+// single-scheduler model without saying so.
+func TestSnapshotIntervalNeedsSchedulers(t *testing.T) {
+	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-numjobs", "500", "-snapshot-interval", "60")
+	if code != 2 || !strings.Contains(stderr, "-snapshot-interval 60") || !strings.Contains(stderr, "-schedulers") {
+		t.Errorf("exit code %d, stderr %q; want 2 and a message naming both flags", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("a refused command line still ran: %q", stdout)
+	}
+}
+
 func TestTable1PrintsTheFourWorkloads(t *testing.T) {
 	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-numjobs", "500")
 	if code != 0 {

@@ -107,6 +107,11 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
 		return 2
 	}
+	cfg, err := buildConfig(*policyFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
+		return 2
+	}
 	if *traceOutFlag != "" {
 		// A source is consumed once, so the copy drains an instance of its
 		// own (a format conversion when the input was itself a trace file).
@@ -121,7 +126,6 @@ func realMain() int {
 		}
 		fmt.Printf("wrote workload to %s\n", *traceOutFlag)
 	}
-	cfg := buildConfig(*policyFlag)
 	// -dump rides the job sink: per-job rows land on disk at completion, in
 	// the order a retained report would list them, whether or not the
 	// report keeps them too.
@@ -169,7 +173,7 @@ func sameFile(a, b string) bool {
 }
 
 // buildConfig assembles the run configuration from the parsed flags.
-func buildConfig(policyName string) hawk.Config {
+func buildConfig(policyName string) (hawk.Config, error) {
 	cfg := hawk.Config{
 		Policy:                 policyName,
 		NumNodes:               *nodesFlag,
@@ -185,8 +189,7 @@ func buildConfig(policyName string) hawk.Config {
 		Seed:                   *seedFlag,
 		DiscardJobReports:      *streamFlag,
 	}
-	scenario.Apply(&cfg)
-	return cfg
+	return cfg, scenario.Apply(&cfg)
 }
 
 // openWorkload resolves -trace/-workload to a fresh source over the

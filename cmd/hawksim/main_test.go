@@ -116,16 +116,49 @@ func TestBuildConfig(t *testing.T) {
 			c.Faults = &hawk.FaultSpec{ProbeLoss: -0.5, ReplyLoss: -0.5, StealLoss: -0.5, AssignLoss: -0.5, CommitLoss: -0.5}
 			return c
 		}},
-		// Knobs of a plane whose enabling flag is unset leave the plane off.
-		{"dependent knobs alone", []string{"-fail-at", "10", "-recover-at", "20", "-snapshot-interval", "5",
+		// Knobs of a plane whose enabling flag is unset leave the plane off
+		// (-snapshot-interval is not among them: see
+		// TestSnapshotIntervalNeedsSchedulers).
+		{"dependent knobs alone", []string{"-fail-at", "10", "-recover-at", "20",
 			"-slow-speed", "0.1", "-fault-retries", "9", "-straggle-at", "3"}, func() hawk.Config { return base("hawk") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			parseArgs(t, c.argv...)
-			if got, want := buildConfig(*policyFlag), c.want(); !reflect.DeepEqual(got, want) {
+			got, err := buildConfig(*policyFlag)
+			if err != nil {
+				t.Fatalf("argv %v: %v", c.argv, err)
+			}
+			if want := c.want(); !reflect.DeepEqual(got, want) {
 				t.Errorf("argv %v\n got %+v\nwant %+v", c.argv, got, want)
 			}
 		})
+	}
+}
+
+// The multisched_stale command with -schedulers forgotten used to run the
+// exact single-scheduler model without a word, while its sibling
+// -scheduler-fail-at without -schedulers failed Normalize. It is refused
+// before anything is opened for writing, and the message names both flags.
+func TestSnapshotIntervalNeedsSchedulers(t *testing.T) {
+	dir := t.TempDir()
+	outs := []string{filepath.Join(dir, "r.json"), filepath.Join(dir, "d.csv"), filepath.Join(dir, "w.trace")}
+	code, stderr := runMain(t, "-workload", "google", "-jobs", "50", "-nodes", "500", "-policy", "hawk",
+		"-snapshot-interval", "60", "-json", outs[0], "-dump", outs[1], "-trace-out", outs[2])
+	if code != 2 {
+		t.Errorf("exit code %d, want 2; stderr: %s", code, stderr)
+	}
+	if !bytes.Contains(stderr, []byte("-snapshot-interval 60")) || !bytes.Contains(stderr, []byte("-schedulers")) {
+		t.Errorf("the message does not name both flags: %s", stderr)
+	}
+	for _, path := range outs {
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s was written by a run that was refused", filepath.Base(path))
+		}
+	}
+	code, stdout, stderr := runMainOut(t, "-workload", "google", "-jobs", "50", "-nodes", "500", "-policy", "hawk",
+		"-schedulers", "2", "-snapshot-interval", "60")
+	if code != 0 || !bytes.Contains(stdout, []byte("schedulers: n=2")) {
+		t.Errorf("with -schedulers 2: exit code %d, stdout %s, stderr %s", code, stdout, stderr)
 	}
 }
 

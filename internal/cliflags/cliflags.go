@@ -31,7 +31,7 @@ func Register(fs *flag.FlagSet) *Scenario {
 	s := &Scenario{}
 	// Multi-scheduler model (§4.10).
 	fs.IntVar(&s.schedulers, "schedulers", 0, "concurrent schedulers with stale snapshots (0 or 1 = exact single-scheduler model)")
-	fs.Float64Var(&s.snapshotInterval, "snapshot-interval", 0, "seconds between scheduler snapshot refreshes (0 = default)")
+	fs.Float64Var(&s.snapshotInterval, "snapshot-interval", 0, "seconds between scheduler snapshot refreshes (0 = default; requires -schedulers)")
 	fs.Float64Var(&s.schedFailAt, "scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
 	fs.Float64Var(&s.schedRecoverAt, "scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
 	// Dynamic cluster: churn, central outage, heterogeneity.
@@ -59,11 +59,15 @@ func Register(fs *flag.FlagSet) *Scenario {
 // flags is set stays nil, which keeps the run on the engines' static fast
 // paths. Zero means unset for the fault flags; non-zero values, invalid
 // negatives included, pass through so Config.Normalize rejects them with a
-// real error.
-func (s *Scenario) Apply(cfg *hawk.Config) {
+// real error. -snapshot-interval without -schedulers is an error here, where
+// the flags still have names: the run would be the exact single-scheduler
+// model, which takes no snapshots, and nothing downstream could tell.
+func (s *Scenario) Apply(cfg *hawk.Config) error {
 	cfg.NetworkDelay = s.netDelay
 	if s.schedulers > 0 {
 		cfg.Schedulers = &hawk.SchedulerSpec{Count: s.schedulers, SnapshotInterval: s.snapshotInterval}
+	} else if s.snapshotInterval != 0 {
+		return fmt.Errorf("-snapshot-interval %g requires -schedulers: without it the run is the single-scheduler model, which takes no snapshots", s.snapshotInterval)
 	}
 	var events []hawk.ChurnEvent
 	if s.failNodes > 0 {
@@ -97,6 +101,7 @@ func (s *Scenario) Apply(cfg *hawk.Config) {
 		}
 		cfg.Faults = &f
 	}
+	return nil
 }
 
 // StartProfiles starts a CPU profile to cpuPath and arranges a heap profile

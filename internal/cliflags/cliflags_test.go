@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/hawk"
@@ -39,11 +40,48 @@ func TestApplyMsgLossIsUniformLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got hawk.Config
-	sc.Apply(&got)
+	if err := sc.Apply(&got); err != nil {
+		t.Fatal(err)
+	}
 	f := hawk.UniformLoss(0.02)
 	f.Jitter, f.MaxRetries, f.Speculate = 0.001, 6, true
 	if want := (hawk.Config{Faults: &f}); !reflect.DeepEqual(got, want) {
 		t.Errorf("Apply = %+v (faults %+v)\nwant faults %+v and nothing else", got, got.Faults, f)
+	}
+}
+
+// -snapshot-interval configures a plane only -schedulers switches on. Alone
+// it used to be dropped, and the run was the single-scheduler model; it is
+// an error that names both flags, whatever its sign.
+func TestApplySnapshotIntervalNeedsSchedulers(t *testing.T) {
+	for _, c := range []struct {
+		argv []string
+		want *hawk.SchedulerSpec // nil = an error naming both flags
+	}{
+		{[]string{"-snapshot-interval", "60"}, nil},
+		{[]string{"-snapshot-interval", "-1"}, nil},
+		{[]string{"-schedulers", "0", "-snapshot-interval", "60"}, nil},
+		{[]string{"-schedulers", "10", "-snapshot-interval", "60"}, &hawk.SchedulerSpec{Count: 10, SnapshotInterval: 60}},
+		{[]string{"-schedulers", "10"}, &hawk.SchedulerSpec{Count: 10}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		sc := Register(fs)
+		if err := fs.Parse(c.argv); err != nil {
+			t.Fatal(err)
+		}
+		var got hawk.Config
+		err := sc.Apply(&got)
+		if c.want != nil {
+			if err != nil || !reflect.DeepEqual(got.Schedulers, c.want) {
+				t.Errorf("%v: Schedulers = %+v, err %v; want %+v", c.argv, got.Schedulers, err, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%v: Apply built %+v, want an error", c.argv, got)
+		} else if msg := err.Error(); !strings.Contains(msg, "-snapshot-interval") || !strings.Contains(msg, "-schedulers") {
+			t.Errorf("%v: the error does not name both flags: %v", c.argv, err)
+		}
 	}
 }
 

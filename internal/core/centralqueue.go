@@ -23,11 +23,34 @@ import "slices"
 //     time-invariant. A member whose runEnd slips into the past has true
 //     waiting = queued >= key - now, so it can only be *under*-estimated
 //     while buried in the heap — the root therefore stays the true minimum
-//     of the heap, and expired roots are lazily migrated out.
+//     of the heap once expired roots are migrated out.
 //   - the idle heap holds the rest, keyed by queued (time-invariant).
 //
 // Assign compares the two roots' true waiting times and picks the smaller,
 // so assignments are exactly min-waiting at every instant.
+//
+// The queue settles when somebody looks. Every method that takes now moves
+// the clock (advance), but only the two that observe a root — Assign and
+// MinWaiting — first run settle, which migrates expired running roots to
+// the idle heap until the running root R is unexpired. TaskStarted,
+// TaskFinished, AddLoad, Add and Remove re-seat one server by its own
+// record, Waiting and Waitings read records, and SyncFrom copies whatever
+// stands, so none of them migrates anybody else's: a mirror that hears
+// only its own tasks between two snapshots (§4.10) pays nothing for the
+// expiries a SyncFrom is about to overwrite. The answers are those of a
+// queue that migrated on every call. R is the same server either way: the
+// unexpired minimum of a superset that contains it. A server X that such a
+// queue would hold idle and this one still holds in the running heap has
+// (key_R, id_R) < (key_X, id_X) and runEnd_X <= now, hence waiting(R) =
+// key_R - now <= key_X - now <= queued_X = waiting(X), a tie falling to R
+// by node id — X is not the answer wherever it sits, which is the argument
+// above for a server that expires while buried. Every idle member with a
+// larger (queued, id) than X loses to R the same way, so the idle root's
+// absence changes nothing, and a mirror copied from an unsettled truth
+// finishes the migration with its own settle. (In floats as on paper,
+// unless now - runEnd_X and key_X - key_R are both within rounding of zero
+// at the instant of an Assign; the eager queue kept as the test oracle has
+// the same caveat for buried servers.)
 //
 // Layout: the whole queue is three pointer-free arrays — one server record
 // per node id and the two heaps' slots, each slot carrying its ordering key
@@ -129,13 +152,22 @@ func (q *CentralQueue) heapOf(s *server) *serverHeap {
 	return &q.idle
 }
 
+// advance moves the queue's clock to now; the clock never runs backwards.
+//
 //hawk:hotpath
 func (q *CentralQueue) advance(now float64) {
 	if now > q.now {
 		q.now = now
 	}
-	// Migrate expired running roots: their tasks should have finished by
-	// their estimate; their waiting no longer decays.
+}
+
+// settle migrates expired running roots to the idle heap — their tasks
+// should have finished by their estimate, so their waiting no longer decays
+// — until the running root is unexpired. Only a caller about to look at the
+// roots (best) needs it; see the type comment.
+//
+//hawk:hotpath
+func (q *CentralQueue) settle() {
 	for len(q.running) > 0 {
 		node := q.running[0].node
 		s := &q.servers[node]
@@ -181,6 +213,7 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 		panic("core: Assign on empty CentralQueue")
 	}
 	q.advance(now)
+	q.settle()
 	nodeID = q.best()
 	s := &q.servers[nodeID]
 	waiting = s.waiting(q.now)
@@ -317,6 +350,7 @@ func (q *CentralQueue) MinWaiting(now float64) float64 {
 		return 0
 	}
 	q.advance(now)
+	q.settle()
 	return q.servers[q.best()].waiting(q.now)
 }
 
@@ -373,7 +407,7 @@ func (a slot) less(b slot) bool {
 // indirect call per comparison and swap. Sifting moves a hole instead of
 // swapping: one slot write and one pos write per level.
 //
-// Only the root is ever observed (best, advance); every other access is by
+// Only the root is ever observed (best, settle); every other access is by
 // node id through pos. Since less is a strict total order the root is the
 // same server in every valid arrangement of the same members, so scheduling
 // decisions do not depend on the arrangement — which is why SyncFrom may

@@ -95,22 +95,34 @@ func (c *cqCycler) cycle() (finished, assign, started time.Duration) {
 	return t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
 }
 
-// benchCQPhase reports ns/op for the phases of the cycle that pick selects,
-// one op being one call (Cycle: one finish + assign + start).
-func benchCQPhase(b *testing.B, pick func(finished, assign, started time.Duration) time.Duration) {
+// benchCQ reports ns/op at each cluster size for the driver mk builds: step
+// runs one round and returns the time spent inside the calls under
+// measurement and how many there were.
+func benchCQ(b *testing.B, mk func(n int) (step func() (time.Duration, int))) {
 	for _, size := range cqBenchSizes {
 		b.Run(size.name, func(b *testing.B) {
-			c := newCQCycler(size.n)
+			step := mk(size.n)
 			var spent time.Duration
 			ops := 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			for ops < b.N {
-				spent += pick(c.cycle())
-				ops += len(c.ends)
+				d, calls := step()
+				spent += d
+				ops += calls
 			}
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(ops), "ns/op")
 		})
 	}
+}
+
+// benchCQPhase reports ns/op for the phases of the cycle that pick selects,
+// one op being one call (Cycle: one finish + assign + start).
+func benchCQPhase(b *testing.B, pick func(finished, assign, started time.Duration) time.Duration) {
+	benchCQ(b, func(n int) func() (time.Duration, int) {
+		c := newCQCycler(n)
+		return func() (time.Duration, int) { return pick(c.cycle()), len(c.ends) }
+	})
 }
 
 func BenchmarkCentralQueueAssign(b *testing.B) {
@@ -127,6 +139,74 @@ func BenchmarkCentralQueueFinished(b *testing.B) {
 
 func BenchmarkCentralQueueCycle(b *testing.B) {
 	benchCQPhase(b, func(f, a, s time.Duration) time.Duration { return f + a + s })
+}
+
+// The four rungs above drive one queue whose only expiring server is the
+// one being finished. A scheduler's mirror in a multi-scheduler run lives
+// differently: between two snapshots the clock passes the end of every task
+// in its copy, it hears only the tenth it placed itself, and most of the
+// time nobody asks it anything. The ratios are multisched_stale's (10
+// schedulers, 60 s snapshots, 15 k nodes, 6 000 jobs, seed 4): 45 947
+// tasks end over 2 407 refresh intervals, 19 per interval of one mirror's
+// own and ten times that in its copy — one cqCycler batch of 256 is the
+// nearest unit, so a sync every cycle and every tenth task heard — and a
+// mirror is asked for a placement in 638 of the 2 407 intervals, 72 275 /
+// 638 = 113 Assigns at a time (retries after a lost claim included).
+const (
+	cqStaleSyncEvery = 1   // R: truth cycles per SyncFrom
+	cqStaleHeard     = 10  // the mirror placed one task in this many
+	cqStaleAskEvery  = 4   // J: one sync interval in this many has an Assign burst
+	cqStaleBurst     = 113 // Assigns per burst
+)
+
+// cqStaleMirror is a scheduler's mirror following a cqCycler truth.
+type cqStaleMirror struct {
+	truth     *cqCycler
+	mirror    *CentralQueue
+	intervals int
+}
+
+func newCQStaleMirror(n int) *cqStaleMirror {
+	m := &cqStaleMirror{truth: newCQCycler(n), mirror: NewCentralQueue(nil)}
+	m.mirror.SyncFrom(m.truth.q)
+	return m
+}
+
+// interval runs one sync interval — SyncFrom, the truth's cycles with the
+// mirror hearing its share of each, an Assign burst if this interval has
+// one — and returns the time spent inside the mirror's TaskFinished,
+// TaskStarted and Assign calls and how many there were. SyncFrom has its
+// own rung and is not timed here.
+func (m *cqStaleMirror) interval() (spent time.Duration, calls int) {
+	c := m.truth
+	m.mirror.SyncFrom(c.q)
+	for range cqStaleSyncEvery {
+		c.cycle()
+		t0 := time.Now()
+		for i := 0; i < len(c.ends); i += cqStaleHeard {
+			m.mirror.TaskFinished(int(c.ends[i].node), c.ends[i].key)
+		}
+		for i := 0; i < len(c.ends); i += cqStaleHeard {
+			m.mirror.TaskStarted(c.nodes[i], c.now, c.ests[i], c.ests[i])
+		}
+		spent += time.Since(t0)
+		calls += 2 * ((len(c.ends) + cqStaleHeard - 1) / cqStaleHeard)
+	}
+	if m.intervals++; m.intervals%cqStaleAskEvery == 0 {
+		t0 := time.Now()
+		for range cqStaleBurst {
+			m.mirror.Assign(c.now, 1000)
+		}
+		spent += time.Since(t0)
+		calls += cqStaleBurst
+	}
+	return spent, calls
+}
+
+// BenchmarkCentralQueueStaleMirror is the mirror's side of a multi-scheduler
+// run: ns per call the mirror receives, SyncFrom excluded.
+func BenchmarkCentralQueueStaleMirror(b *testing.B) {
+	benchCQ(b, func(n int) func() (time.Duration, int) { return newCQStaleMirror(n).interval })
 }
 
 // BenchmarkCentralQueueSyncFrom is one snapshot refresh: a warmed mirror
@@ -160,6 +240,7 @@ func TestCentralQueueZeroAlloc(t *testing.T) {
 	q := c.q
 	mirror := NewCentralQueue(nil)
 	mirror.SyncFrom(q)
+	stale := newCQStaleMirror(1000)
 	now := c.now
 	for _, tc := range []struct {
 		name string
@@ -173,6 +254,7 @@ func TestCentralQueueZeroAlloc(t *testing.T) {
 		}},
 		{"AddLoad", func() { q.AddLoad(7, now, 1) }},
 		{"SyncFrom into a warmed mirror", func() { mirror.SyncFrom(q) }},
+		{"stale-mirror sync interval", func() { stale.interval() }},
 		{"Remove then Add", func() {
 			if !q.Remove(17) || !q.Add(17, now) {
 				t.Fatal("node 17 was not tracked")

@@ -231,6 +231,33 @@ var cqSeeds = map[string][]byte{
 	"non-monotone now": {4, 0,
 		cqClock, 12, cqAssign, 0, 3, cqStarted, 0, 0, 3, 2, cqClock, 0x88,
 		cqAssign, 0, 3, cqFinished, 0, 0, cqClock, 0x8f, cqMin, 0, cqWaiting, 0, 0},
+	// §4.10's regime. The truth starts tasks on nodes 0-3 and both mirrors
+	// copy it; the clock then passes all four ends while mirror 1 hears
+	// only node 4 start and finish, twice, and is asked nothing. The truth
+	// finishes and restarts nodes 0-1 (node 1 with a task that expires as
+	// well) and never hears from 2-3, so the sync that follows hands mirror
+	// 1 three expired servers beside one still running, and mirror 2 —
+	// never re-synced — still holds the first four. Then both are asked.
+	"stale mirror hears only its own tasks": {5, 0,
+		cqAssign, 0, 2, cqAssign, 0, 3, cqAssign, 0, 4, cqAssign, 0, 5,
+		cqStarted, 0, 0, 2, 2, cqStarted, 0, 1, 3, 3, cqStarted, 0, 2, 4, 4, cqStarted, 0, 3, 5, 5,
+		cqSync, 1, cqSync, 2,
+		cqClock, 5, cqStarted, 1, 4, 0, 1, cqFinished, 0, 0,
+		cqClock, 3, cqFinished, 1, 4, cqFinished, 0, 1, cqStarted, 0, 0, 0, 7,
+		cqClock, 4, cqStarted, 1, 4, 0, 2, cqAddLoad, 1, 4, 3, cqStarted, 0, 1, 0, 1,
+		cqClock, 6, cqFinished, 1, 4, cqWaiting, 1, 2, cqWaiting, 2, 0,
+		cqSync, 1, cqAssign, 1, 2, cqAssign, 2, 2, cqMin, 1, cqMin, 2,
+		cqAssign, 1, 1, cqAssign, 2, 1, cqAssign, 1, 1, cqAssign, 2, 1, cqAssign, 2, 1},
+	// The truth is never asked for a root: it is loaded and started by node
+	// id, the clock passes three of its five ends while AddLoad and a
+	// restart touch other servers, and a mirror copies it as it stands —
+	// expired roots included — and assigns at the same instant.
+	"sync from an unsettled truth": {4, 0,
+		cqAddLoad, 0, 0, 3, cqAddLoad, 0, 1, 3, cqAddLoad, 0, 2, 2, cqAddLoad, 0, 3, 1, cqAddLoad, 0, 4, 1,
+		cqStarted, 0, 0, 1, 2, cqStarted, 0, 1, 1, 3, cqStarted, 0, 2, 1, 4, cqStarted, 0, 3, 1, 7, cqStarted, 0, 4, 1, 7,
+		cqClock, 9, cqAddLoad, 0, 3, 2, cqFinished, 0, 4, cqStarted, 0, 4, 0, 6, cqAddLoad, 0, 0, 1,
+		cqSync, 1, cqAssign, 1, 1, cqAssign, 1, 1, cqAssign, 1, 1, cqMin, 1,
+		cqClock, 2, cqSync, 2, cqMin, 2, cqAssign, 2, 3, cqMin, 0, cqAssign, 0, 1},
 }
 
 func TestCentralQueueVsOracle(t *testing.T) {

@@ -86,6 +86,69 @@ func TestCentralQueueLateFinishKeepsWaiting(t *testing.T) {
 	}
 }
 
+// TestCentralQueueSettlesOnObservation pins where expired roots migrate:
+// in front of best() (MinWaiting, Assign) and nowhere else. Nodes 0-2 run
+// tasks whose estimates have passed at t=10, node 3 runs to t=100; calls
+// that touch node 3, or only read, leave the other three where they sit —
+// expired, in the running heap — and still report their true waiting.
+func TestCentralQueueSettlesOnObservation(t *testing.T) {
+	const now = 10.0
+	staged := func() *CentralQueue {
+		q := NewCentralQueue([]int{0, 1, 2, 3})
+		for id, run := range []float64{1, 2, 3, 100} {
+			q.AddLoad(id, 0, 5)
+			q.AddLoad(id, 0, 5)
+			q.TaskStarted(id, 0, 5, run)
+		}
+		return q
+	}
+	unsettled := func(q *CentralQueue, after string) {
+		t.Helper()
+		for id := range 3 {
+			if s := q.servers[id]; !s.inRun || s.runEnd > now {
+				t.Fatalf("after %s: node %d inRun=%v runEnd=%v, want it left expired in the running heap", after, id, s.inRun, s.runEnd)
+			}
+			if w := q.Waiting(id, now); w != 5 {
+				t.Fatalf("after %s: Waiting(%d) = %v, want its queued 5", after, id, w)
+			}
+		}
+	}
+	for _, observe := range []struct {
+		name string
+		call func(q *CentralQueue) float64
+	}{
+		{"MinWaiting", func(q *CentralQueue) float64 { return q.MinWaiting(now) }},
+		{"Assign", func(q *CentralQueue) float64 {
+			id, w := q.Assign(now, 1)
+			if id != 0 {
+				t.Fatalf("Assign chose node %d, want 0 (three-way tie at 5)", id)
+			}
+			return w
+		}},
+	} {
+		q := staged()
+		q.AddLoad(3, now, 1)
+		unsettled(q, "AddLoad")
+		q.TaskFinished(3, now)
+		unsettled(q, "TaskFinished")
+		q.TaskStarted(3, now, 5, 50)
+		unsettled(q, "TaskStarted")
+		if got := q.Waitings(now); len(got) != 4 {
+			t.Fatalf("Waitings: %v", got)
+		}
+		unsettled(q, "Waitings")
+		if len(q.running) != 4 || len(q.idle) != 0 {
+			t.Fatalf("before %s: %d running, %d idle, want 4 and 0", observe.name, len(q.running), len(q.idle))
+		}
+		if w := observe.call(q); w != 5 {
+			t.Fatalf("%s = %v, want 5", observe.name, w)
+		}
+		if len(q.running) != 1 || len(q.idle) != 3 || int(q.running[0].node) != 3 {
+			t.Fatalf("after %s: %d running, %d idle, want node 3 alone in the running heap", observe.name, len(q.running), len(q.idle))
+		}
+	}
+}
+
 func TestCentralQueueNilSafety(t *testing.T) {
 	var q *CentralQueue
 	q.TaskStarted(1, 0, 10, 10) // must not panic

@@ -92,6 +92,19 @@ func goldenCases() (*workload.Trace, map[string]policy.Config) {
 	sched2.Schedulers = &policy.SchedulerSpec{Count: 2}
 	cases["hawk-sched2"] = sched2
 
+	// Ten mutually stale mirrors at twice the default refresh interval: each
+	// mirror hears its own tasks start and finish through six or more of
+	// its 10–12 refresh intervals without being asked for a placement, so
+	// expired servers sit in its running heap unobserved until the next
+	// SyncFrom overwrites them — the regime where CentralQueue's
+	// settle-on-observation and an eager migration differ internally and
+	// must not differ in the report (112 refreshes, 1533 conflicts, 1523
+	// retries pinned).
+	sched10 := base
+	sched10.Policy = "hawk"
+	sched10.Schedulers = &policy.SchedulerSpec{Count: 10, SnapshotInterval: 10}
+	cases["hawk-sched10-stale"] = sched10
+
 	// Gray-failure scenarios: a lossy/jittery message plane (drop
 	// decisions, retry backoff chains, fault-stream draws) and straggler-
 	// triggered speculative re-execution (threshold arming, duplicate
