@@ -88,6 +88,17 @@ func TestSnapshotIntervalNeedsSchedulers(t *testing.T) {
 	}
 }
 
+// ... and a fault knob without a fault flag, which ran every figure lossless.
+func TestDependentFlagNeedsItsPlane(t *testing.T) {
+	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-numjobs", "500", "-fault-retries", "8")
+	if code != 2 || !strings.Contains(stderr, "-fault-retries 8") || !strings.Contains(stderr, "-msg-loss") {
+		t.Errorf("exit code %d, stderr %q; want 2 and a message naming both flags", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("a refused command line still ran: %q", stdout)
+	}
+}
+
 func TestTable1PrintsTheFourWorkloads(t *testing.T) {
 	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-numjobs", "500")
 	if code != 0 {
@@ -154,8 +165,10 @@ func TestFixedConfigExperimentNamesIgnoredOverlay(t *testing.T) {
 			}
 		}
 	}
-	// Knobs whose enabling flag is unset build no overlay: nothing was ignored.
-	if _, _, stderr := hawkexp(t, "-exp", "fig1", "-fail-at", "5", "-fault-retries", "9"); stderr != "" {
+	// Knobs whose enabling flag is unset build no overlay: nothing was
+	// ignored. (Only the two with a non-zero default can be given alone; the
+	// rest are refused: TestDependentFlagNeedsItsPlane.)
+	if _, _, stderr := hawkexp(t, "-exp", "fig1", "-slow-speed", "0.1", "-straggle-factor", "9"); stderr != "" {
 		t.Errorf("dependent knobs alone: unexpected stderr %q", stderr)
 	}
 }

@@ -116,11 +116,11 @@ func TestBuildConfig(t *testing.T) {
 			c.Faults = &hawk.FaultSpec{ProbeLoss: -0.5, ReplyLoss: -0.5, StealLoss: -0.5, AssignLoss: -0.5, CommitLoss: -0.5}
 			return c
 		}},
-		// Knobs of a plane whose enabling flag is unset leave the plane off
-		// (-snapshot-interval is not among them: see
-		// TestSnapshotIntervalNeedsSchedulers).
-		{"dependent knobs alone", []string{"-fail-at", "10", "-recover-at", "20",
-			"-slow-speed", "0.1", "-fault-retries", "9", "-straggle-at", "3"}, func() hawk.Config { return base("hawk") }},
+		// Knobs with a non-zero default, of a plane whose enabling flag is
+		// unset, leave the plane off. Those whose zero means unset are
+		// refused instead: see TestDependentFlagNeedsItsPlane.
+		{"dependent knobs alone", []string{"-slow-speed", "0.1", "-straggle-factor", "9"},
+			func() hawk.Config { return base("hawk") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			parseArgs(t, c.argv...)
@@ -159,6 +159,20 @@ func TestSnapshotIntervalNeedsSchedulers(t *testing.T) {
 		"-schedulers", "2", "-snapshot-interval", "60")
 	if code != 0 || !bytes.Contains(stdout, []byte("schedulers: n=2")) {
 		t.Errorf("with -schedulers 2: exit code %d, stdout %s, stderr %s", code, stdout, stderr)
+	}
+}
+
+// The churn_faults command with -msg-loss and -fail-nodes forgotten used to
+// run the static, lossless model and exit 0. internal/cliflags has the table
+// of such flags; this is the exit code and the message from the binary's main.
+func TestDependentFlagNeedsItsPlane(t *testing.T) {
+	code, stderr := runMain(t, "-workload", "google", "-jobs", "50", "-nodes", "500", "-policy", "hawk",
+		"-fault-retries", "8", "-recover-at", "50", "-straggle-at", "5", "-central-up", "9")
+	if code != 2 {
+		t.Errorf("exit code %d, want 2; stderr: %s", code, stderr)
+	}
+	if !bytes.Contains(stderr, []byte("-recover-at 50")) || !bytes.Contains(stderr, []byte("-fail-nodes")) {
+		t.Errorf("the message does not name both flags: %s", stderr)
 	}
 }
 

@@ -33,24 +33,24 @@ func Register(fs *flag.FlagSet) *Scenario {
 	fs.IntVar(&s.schedulers, "schedulers", 0, "concurrent schedulers with stale snapshots (0 or 1 = exact single-scheduler model)")
 	fs.Float64Var(&s.snapshotInterval, "snapshot-interval", 0, "seconds between scheduler snapshot refreshes (0 = default; requires -schedulers)")
 	fs.Float64Var(&s.schedFailAt, "scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
-	fs.Float64Var(&s.schedRecoverAt, "scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
+	fs.Float64Var(&s.schedRecoverAt, "scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never; requires -scheduler-fail-at)")
 	// Dynamic cluster: churn, central outage, heterogeneity.
 	fs.IntVar(&s.failNodes, "fail-nodes", 0, "fail this many random nodes at -fail-at (0 = no failures)")
-	fs.Float64Var(&s.failAt, "fail-at", 0, "simulated seconds at which -fail-nodes nodes fail")
-	fs.Float64Var(&s.recoverAt, "recover-at", 0, "simulated seconds at which failed nodes recover (0 = never)")
+	fs.Float64Var(&s.failAt, "fail-at", 0, "simulated seconds at which -fail-nodes nodes fail (requires -fail-nodes)")
+	fs.Float64Var(&s.recoverAt, "recover-at", 0, "simulated seconds at which failed nodes recover (0 = never; requires -fail-nodes)")
 	fs.Float64Var(&s.centralDown, "central-down", 0, "simulated seconds at which the centralized scheduler goes down (0 = never)")
-	fs.Float64Var(&s.centralUp, "central-up", 0, "simulated seconds at which the centralized scheduler recovers (0 = never)")
+	fs.Float64Var(&s.centralUp, "central-up", 0, "simulated seconds at which the centralized scheduler recovers (0 = never; requires -central-down)")
 	fs.Float64Var(&s.speedSkew, "speed-skew", 0, "fraction of nodes running at -slow-speed (0 = homogeneous)")
 	fs.Float64Var(&s.slowSpeed, "slow-speed", 0.5, "speed factor of the skewed nodes (1 = nominal)")
 	// Gray-failure injection.
 	fs.Float64Var(&s.netDelay, "net-delay", 0, "one-way network delay per message leg in seconds (0 = default)")
 	fs.Float64Var(&s.msgLoss, "msg-loss", 0, "drop probability applied to every message class (0 = lossless)")
 	fs.Float64Var(&s.jitter, "jitter", 0, "extra uniform [0,jitter) delay per message leg in seconds")
-	fs.Float64Var(&s.straggleAt, "straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down")
+	fs.Float64Var(&s.straggleAt, "straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down (requires -straggle-nodes)")
 	fs.IntVar(&s.straggleNodes, "straggle-nodes", 0, "slow down this many random nodes at -straggle-at (0 = no stragglers)")
 	fs.Float64Var(&s.straggleFactor, "straggle-factor", 4, "slowdown factor of the straggling nodes (tasks stretch by this)")
 	fs.BoolVar(&s.speculate, "speculate", false, "speculatively re-execute straggling short tasks (first completion wins)")
-	fs.IntVar(&s.faultRetries, "fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss)")
+	fs.IntVar(&s.faultRetries, "fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss; requires a fault flag: -msg-loss, -jitter, -straggle-nodes or -speculate)")
 	return s
 }
 
@@ -59,15 +59,37 @@ func Register(fs *flag.FlagSet) *Scenario {
 // flags is set stays nil, which keeps the run on the engines' static fast
 // paths. Zero means unset for the fault flags; non-zero values, invalid
 // negatives included, pass through so Config.Normalize rejects them with a
-// real error. -snapshot-interval without -schedulers is an error here, where
-// the flags still have names: the run would be the exact single-scheduler
-// model, which takes no snapshots, and nothing downstream could tell.
+// real error. A flag that only parameterizes a plane, given without the flag
+// that switches the plane on, is an error here, where the flags still have
+// names: the run would be the model without that plane, and nothing
+// downstream could tell. (-slow-speed and -straggle-factor are not checked:
+// their defaults are not zero, so unset cannot be told from set.)
 func (s *Scenario) Apply(cfg *hawk.Config) error {
+	faults := s.msgLoss != 0 || s.jitter != 0 || s.straggleNodes != 0 || s.speculate
+	for _, d := range []struct {
+		flag    string
+		value   float64
+		needs   string
+		on      bool
+		without string
+	}{
+		{"-snapshot-interval", s.snapshotInterval, "-schedulers", s.schedulers > 0,
+			"the run is the single-scheduler model, which takes no snapshots"},
+		{"-scheduler-recover-at", s.schedRecoverAt, "-scheduler-fail-at", s.schedFailAt > 0, "no scheduler ever fails"},
+		{"-fail-at", s.failAt, "-fail-nodes", s.failNodes > 0, "no node ever fails"},
+		{"-recover-at", s.recoverAt, "-fail-nodes", s.failNodes > 0, "no node ever fails"},
+		{"-central-up", s.centralUp, "-central-down", s.centralDown > 0, "the centralized scheduler never goes down"},
+		{"-straggle-at", s.straggleAt, "-straggle-nodes", s.straggleNodes != 0, "no node ever slows down"},
+		{"-fault-retries", float64(s.faultRetries), "-msg-loss, -jitter, -straggle-nodes or -speculate", faults,
+			"the run is the lossless model, which never re-sends"},
+	} {
+		if d.value != 0 && !d.on {
+			return fmt.Errorf("%s %g requires %s: without it %s", d.flag, d.value, d.needs, d.without)
+		}
+	}
 	cfg.NetworkDelay = s.netDelay
 	if s.schedulers > 0 {
 		cfg.Schedulers = &hawk.SchedulerSpec{Count: s.schedulers, SnapshotInterval: s.snapshotInterval}
-	} else if s.snapshotInterval != 0 {
-		return fmt.Errorf("-snapshot-interval %g requires -schedulers: without it the run is the single-scheduler model, which takes no snapshots", s.snapshotInterval)
 	}
 	var events []hawk.ChurnEvent
 	if s.failNodes > 0 {
@@ -91,7 +113,7 @@ func (s *Scenario) Apply(cfg *hawk.Config) error {
 	if s.speedSkew > 0 {
 		cfg.Heterogeneity = &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: s.speedSkew, Speed: s.slowSpeed}}}
 	}
-	if s.msgLoss != 0 || s.jitter != 0 || s.straggleNodes != 0 || s.speculate {
+	if faults {
 		f := hawk.UniformLoss(s.msgLoss)
 		f.Jitter, f.MaxRetries, f.Speculate = s.jitter, s.faultRetries, s.speculate
 		if s.straggleNodes != 0 {

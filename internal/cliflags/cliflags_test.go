@@ -85,6 +85,59 @@ func TestApplySnapshotIntervalNeedsSchedulers(t *testing.T) {
 	}
 }
 
+// The same rule for every flag that only parameterizes a plane: alone it used
+// to be dropped and the static, lossless model ran; it is an error naming
+// the flag and the one that switches its plane on. With that flag it is
+// accepted.
+func TestApplyDependentFlagNeedsItsPlane(t *testing.T) {
+	for _, c := range []struct {
+		argv  []string
+		names []string // nil = accepted
+	}{
+		{[]string{"-fault-retries", "8"}, []string{"-fault-retries 8", "-msg-loss", "-jitter", "-straggle-nodes", "-speculate"}},
+		{[]string{"-fault-retries", "8", "-msg-loss", "0.01"}, nil},
+		{[]string{"-fault-retries", "8", "-jitter", "0.001"}, nil},
+		{[]string{"-fault-retries", "8", "-straggle-nodes", "5"}, nil},
+		{[]string{"-fault-retries", "8", "-speculate"}, nil},
+		{[]string{"-fail-at", "20"}, []string{"-fail-at 20", "-fail-nodes"}},
+		{[]string{"-recover-at", "50"}, []string{"-recover-at 50", "-fail-nodes"}},
+		{[]string{"-fail-nodes", "0", "-recover-at", "50"}, []string{"-recover-at 50", "-fail-nodes"}},
+		{[]string{"-fail-nodes", "10", "-fail-at", "20", "-recover-at", "50"}, nil},
+		{[]string{"-central-up", "9"}, []string{"-central-up 9", "-central-down"}},
+		{[]string{"-central-down", "4", "-central-up", "9"}, nil},
+		{[]string{"-straggle-at", "5"}, []string{"-straggle-at 5", "-straggle-nodes"}},
+		{[]string{"-straggle-nodes", "5", "-straggle-at", "5"}, nil},
+		{[]string{"-scheduler-recover-at", "70"}, []string{"-scheduler-recover-at 70", "-scheduler-fail-at"}},
+		{[]string{"-schedulers", "2", "-scheduler-recover-at", "70"}, []string{"-scheduler-recover-at 70", "-scheduler-fail-at"}},
+		{[]string{"-schedulers", "2", "-scheduler-fail-at", "30", "-scheduler-recover-at", "70"}, nil},
+		// The command line that used to run the static, lossless model.
+		{[]string{"-fault-retries", "8", "-recover-at", "50", "-straggle-at", "5", "-central-up", "9"}, []string{"-fail-nodes"}},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		sc := Register(fs)
+		if err := fs.Parse(c.argv); err != nil {
+			t.Fatal(err)
+		}
+		var got hawk.Config
+		err := sc.Apply(&got)
+		if c.names == nil {
+			if err != nil {
+				t.Errorf("%v: %v", c.argv, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%v: Apply built %+v, want an error", c.argv, got)
+			continue
+		}
+		for _, name := range c.names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: the error does not name %s: %v", c.argv, name, err)
+			}
+		}
+	}
+}
+
 func TestStartProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")

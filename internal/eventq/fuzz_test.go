@@ -97,3 +97,190 @@ func FuzzLadderVsHeap(f *testing.F) {
 		}
 	})
 }
+
+// postMachine is one engine under FuzzPostVsAfter's script. post is the
+// only thing that differs between the machines compared: Engine.Post on
+// the subjects, After(delay) on the reference.
+type postMachine struct {
+	eng                    *Engine[int]
+	post                   func(ev int)
+	reserved, nextReserved uint64
+	ids                    int
+	log                    []postFired
+}
+
+type postFired struct {
+	now     float64
+	ev      int
+	pending int // Pending() as the handler saw it
+}
+
+// event numbers a new payload: a unique id above a reaction byte that says
+// what the handler does when the event fires (see dispatch).
+func (m *postMachine) event(reaction byte) int {
+	m.ids++
+	return m.ids<<8 | int(reaction)
+}
+
+// atReserved schedules on the next unused reserved sequence number, or as
+// an ordinary At once they are spent.
+func (m *postMachine) atReserved(t float64, reaction byte) {
+	if m.nextReserved > m.reserved {
+		m.eng.At(t, m.event(reaction))
+		return
+	}
+	m.eng.AtReserved(t, m.nextReserved, m.event(reaction))
+	m.nextReserved++
+}
+
+// dispatch logs the event and reacts. The low two bits of the reaction
+// pick what the handler schedules, the next two how many posts, and the
+// high nibble is the reaction its children carry — so a child's children
+// do nothing and every script terminates.
+//
+//	0: nothing
+//	1: post 1-4 children
+//	2: an At for the current instant, then post 1-4 children (a handler that
+//	   breaks contiguity with whatever burst was open)
+//	3: post, AtReserved for the current instant, post — from inside a burst
+//	   that is the reserved event that outranks the rest of it
+func (m *postMachine) dispatch(now float64, ev int) {
+	m.log = append(m.log, postFired{now, ev, m.eng.Pending()})
+	r := byte(ev)
+	child, k := r>>4, int(r>>2&3)+1
+	switch r & 3 {
+	case 1:
+		for i := 0; i < k; i++ {
+			m.post(m.event(child))
+		}
+	case 2:
+		m.eng.At(now, m.event(child))
+		for i := 0; i < k; i++ {
+			m.post(m.event(child))
+		}
+	case 3:
+		m.post(m.event(child))
+		m.atReserved(now, child)
+		m.post(m.event(child))
+	}
+}
+
+// FuzzPostVsAfter holds the post lane to its contract: an engine whose
+// one-delay sends go through Post must be indistinguishable — dispatch
+// sequence, clock and Pending at every dispatch, Executed, MaxPending,
+// draining to zero — from one on which every Post is After(delay), on both
+// backends. Only Entries may differ, and only downwards.
+//
+// Program encoding: byte 0 % 64 sequence numbers are reserved, byte 1 % 4
+// quarter-seconds is the post delay (zero included: a post from inside a
+// burst's delivery may then extend that very burst), then one op per 3
+// bytes (op, a, b):
+//
+//	op % 8: 0 At(now + a/4), 1 After(a/4), 2-3 Post a%4+1 times, 4 AtReserved
+//	        (now + a/4), 5-7 Step (the After engine steps until it has
+//	        executed as many events: one Step of a lane engine is a burst)
+//	b:      the reaction of the events scheduled (postMachine.dispatch)
+//
+// Times are quarter-seconds so that an At lands on a burst's instant often.
+func FuzzPostVsAfter(f *testing.F) {
+	const (
+		at, post, atReserved, step = 0, 2, 4, 5
+		quarter                    = 1 // header byte 1: post delay 0.25 s
+	)
+	f.Add([]byte{})
+	// An At for the burst's own instant between two posts: two bursts.
+	f.Add([]byte{0, quarter, post, 0, 0, at, 1, 0, post, 0, 0, step, 0, 0, step, 0, 0})
+	// A reserved-sequence event at a queued burst's instant fires first.
+	f.Add([]byte{4, quarter, post, 2, 0, atReserved, 1, 0, post, 0, 0, step, 0, 0})
+	// Delay 0, and every event of the burst posts from inside its delivery:
+	// the posts extend the burst being delivered.
+	f.Add([]byte{0, 0, post, 2, 0x01, step, 0, 0})
+	// Delay 0, and a post for the instant of a burst already delivered: it
+	// has no burst to extend (found by this fuzzer).
+	f.Add([]byte{0, 0, post, 0, 0, step, 0, 0, post, 0, 0})
+	// A burst of one.
+	f.Add([]byte{0, quarter, post, 0, 0, step, 0, 0})
+	// Two bursts for one instant opened by different handlers: each does an
+	// At before it posts.
+	f.Add([]byte{0, quarter, at, 1, 0x0A, at, 1, 0x0A, step, 0, 0, step, 0, 0})
+	// A reserved event for the current instant from inside a burst, with
+	// and without a delay: the rest of the burst is cut and re-queued.
+	f.Add([]byte{8, quarter, post, 3, 0x03, step, 0, 0})
+	f.Add([]byte{8, 0, post, 3, 0x13, step, 0, 0, step, 0, 0})
+	f.Fuzz(func(t *testing.T, program []byte) {
+		var reserved uint64
+		var delay float64
+		if len(program) >= 2 {
+			reserved, delay = uint64(program[0]%64), float64(program[1]%4)*0.25
+			program = program[2:]
+		}
+		machine := func(lane bool, backend Backend) *postMachine {
+			m := &postMachine{reserved: reserved, nextReserved: 1}
+			m.eng = New(m.dispatch, 0, WithBackend(backend), WithPostDelay(delay))
+			m.eng.ReserveSeqs(reserved)
+			m.post = m.eng.Post
+			if !lane {
+				m.post = func(ev int) { m.eng.After(delay, ev) }
+			}
+			return m
+		}
+		ref := machine(false, BackendHeap)
+		subjects := []*postMachine{machine(true, BackendHeap), machine(true, BackendLadder)}
+		for ; len(program) >= 3; program = program[3:] {
+			op, a, b := program[0]%8, program[1], program[2]
+			for _, m := range append(subjects, ref) {
+				switch {
+				case op >= step && m == ref:
+					// One Step of a lane engine is a whole burst: catch up.
+					for ref.eng.Executed() < subjects[0].eng.Executed() {
+						if !ref.eng.Step() {
+							t.Fatalf("a lane engine has executed %d events, the After engine drained at %d",
+								subjects[0].eng.Executed(), ref.eng.Executed())
+						}
+					}
+				case op == at:
+					m.eng.At(m.eng.Now()+float64(a)*0.25, m.event(b))
+				case op == 1:
+					m.eng.After(float64(a)*0.25, m.event(b))
+				case op < atReserved:
+					for i := 0; i <= int(a%4); i++ {
+						m.post(m.event(b))
+					}
+				case op == atReserved:
+					m.atReserved(m.eng.Now()+float64(a)*0.25, b)
+				default:
+					m.eng.Step()
+				}
+			}
+			for _, m := range subjects {
+				if m.eng.Pending() != ref.eng.Pending() {
+					t.Fatalf("pending diverged mid-program: lane %d, After %d", m.eng.Pending(), ref.eng.Pending())
+				}
+			}
+		}
+		ref.eng.Run()
+		for _, m := range subjects {
+			m.eng.Run()
+			if m.eng.Pending() != 0 {
+				t.Fatalf("drained engine reports %d pending", m.eng.Pending())
+			}
+			if got, want := m.eng.Executed(), ref.eng.Executed(); got != want {
+				t.Fatalf("executed %d events, After engine %d", got, want)
+			}
+			if got, want := m.eng.MaxPending(), ref.eng.MaxPending(); got != want {
+				t.Fatalf("MaxPending %d, After engine %d", got, want)
+			}
+			if got, want := m.eng.Entries(), ref.eng.Entries(); got > want {
+				t.Fatalf("pushed %d queue entries, After engine only %d", got, want)
+			}
+			if len(m.log) != len(ref.log) {
+				t.Fatalf("dispatched %d events, After engine %d", len(m.log), len(ref.log))
+			}
+			for i := range ref.log {
+				if m.log[i] != ref.log[i] {
+					t.Fatalf("dispatch %d diverged: lane %+v, After engine %+v", i, m.log[i], ref.log[i])
+				}
+			}
+		}
+	})
+}

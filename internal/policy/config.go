@@ -192,7 +192,7 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.StealCap <= 0 {
 		c.StealCap = core.DefaultStealCap
 	}
-	if c.NetworkDelay < 0 {
+	if !(c.NetworkDelay >= 0) {
 		return c, fmt.Errorf("config: NetworkDelay must be non-negative, got %g", c.NetworkDelay)
 	}
 	if c.NetworkDelay == 0 {

@@ -3,6 +3,7 @@ package policy_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -313,6 +314,7 @@ func TestConfigValidationSharedAcrossEngines(t *testing.T) {
 		{"unknown policy", tr, policy.Config{NumNodes: 4, Policy: "no-such-policy"}},
 		{"fraction above one", tr, policy.Config{NumNodes: 4, ShortPartitionFraction: 1.5}},
 		{"negative delay", tr, policy.Config{NumNodes: 4, NetworkDelay: -0.1}},
+		{"NaN delay", tr, policy.Config{NumNodes: 4, NetworkDelay: math.NaN()}},
 		{"negative misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: -0.5, MisestimateHi: 0.5}},
 		{"inverted misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: 1.5, MisestimateHi: 0.5}},
 	}

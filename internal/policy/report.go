@@ -88,7 +88,7 @@ type Report struct {
 	StealSuccesses int64  `json:"stealSuccesses"` // attempts that stole a group
 	EntriesStolen  int64  `json:"entriesStolen"`  // queue entries moved by stealing
 	CentralAssigns int64  `json:"centralAssigns"`
-	Events         uint64 `json:"events,omitempty"` // simulator event count
+	Events         uint64 `json:"events,omitempty"` // simulator events executed — events, not queue entries: messages that shared an entry count one each
 
 	// Dynamic-cluster counters, all zero (and omitted from JSON) on a run
 	// without churn/heterogeneity so static reports are unchanged.

@@ -102,6 +102,24 @@ func (s *simulation) msgDelay() float64 {
 	return s.cfg.NetworkDelay + s.flt.spec.Jitter*s.flt.src.Float64()
 }
 
+// oneHop puts ev on the wire for one message leg — the only way a
+// single-leg message (probe, central placement, direct task, speculation
+// cancel) is sent. When every leg takes the same NetworkDelay (no fault
+// plane, or one without jitter) that is the engine's post lane, where a
+// job's probes or a long job's placements, sent back to back for one
+// instant, share a queue entry; a jittered leg draws its own delay and is an
+// ordinary After. Either way the event fires exactly where
+// After(msgDelay(), ev) would put it.
+//
+//hawk:hotpath
+func (s *simulation) oneHop(ev simEvent) {
+	if s.flt == nil || s.flt.spec.Jitter == 0 {
+		s.eng.Post(ev)
+		return
+	}
+	s.eng.After(s.msgDelay(), ev)
+}
+
 // faultDrop draws one loss decision and accounts a drop in counter. Only
 // called with s.flt != nil; a zero probability draws nothing.
 func (s *simulation) faultDrop(p float64, counter *int64) bool {
@@ -116,8 +134,8 @@ func (s *simulation) faultDrop(p float64, counter *int64) bool {
 // put on the wire, first send and re-send alike. Each draws the class's
 // loss decision when the fault plane is on — a dropped send schedules the
 // timeout that will retry it as attempt+1 after its Backoff — and otherwise
-// delivers after the leg's delay; with no fault plane that is exactly the
-// reliable NetworkDelay send.
+// delivers after the leg's delay (oneHop, or two legs for the reply round
+// trip); with no fault plane that is exactly the reliable NetworkDelay send.
 
 // sendProbe dispatches one batch-sampling probe; a dropped one times out at
 // the scheduler, which retries toward a fresh node.
@@ -131,7 +149,7 @@ func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 		})
 		return
 	}
-	s.eng.After(s.msgDelay(), simEvent{kind: evProbeArrive, ref: nodeID, jidx: jidx})
+	s.oneHop(simEvent{kind: evProbeArrive, ref: nodeID, jidx: jidx})
 }
 
 // sendReply issues node nodeID's task-request round trip for job jidx (two
@@ -170,7 +188,7 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 			return
 		}
 	}
-	s.eng.After(s.msgDelay(), simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
+	s.oneHop(simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
 }
 
 // probeTimeoutTick handles evProbeTimeout: a dropped probe-plane message's
@@ -261,7 +279,7 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 		})
 		return
 	}
-	s.eng.After(s.msgDelay(), simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: jidx, aux: tidx})
+	s.oneHop(simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: jidx, aux: tidx})
 }
 
 // assignRetryTick handles evAssignRetry: a dropped task placement's
@@ -325,7 +343,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 	}
 	s.res.SpeculativeLaunches++
 	s.flt.dups = append(s.flt.dups, specDup{jidx: ev.jidx, tidx: ev.aux, orig: ev.ref, dup: -1})
-	s.eng.After(s.msgDelay(), simEvent{kind: evTaskDirect, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
+	s.oneHop(simEvent{kind: evTaskDirect, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
 }
 
 // specBegin gates a speculative duplicate popping at the head of a node's
@@ -390,7 +408,7 @@ func (s *simulation) cancelRunning(nodeID, jidx, tidx int32) {
 	}
 	s.dyn.epoch[nodeID]++
 	s.dyn.run[nodeID] = runRef{jidx: -1, task: -1}
-	s.eng.After(s.msgDelay(), simEvent{kind: evSpecCancel, gen: s.dyn.epoch[nodeID], ref: nodeID, jidx: jidx})
+	s.oneHop(simEvent{kind: evSpecCancel, gen: s.dyn.epoch[nodeID], ref: nodeID, jidx: jidx})
 }
 
 // specCancelTick handles evSpecCancel: the cancellation lands and the

@@ -87,11 +87,27 @@ func TestFaultConservation(t *testing.T) {
 		mix := mix
 		t.Run(mix.name, func(t *testing.T) {
 			spec := mix.spec
-			res, err := Run(tr, policy.Config{
+			s, err := newSimulation(tr, policy.Config{
 				NumNodes: 1200, Policy: mix.pol, Seed: int64(7 + i), Faults: &spec,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			res, err := s.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The post lane carries one-hop messages only while every leg
+			// takes the same delay. Under any jitter no send may reach it:
+			// every event is its own queue entry, pushed by the After the
+			// simulator always used — a jittered run (hawkbench's
+			// churn_faults) stays on the engine path it had before the lane
+			// existed. On a constant delay the same mixes do coalesce.
+			if entries := s.eng.Entries(); spec.Jitter != 0 && entries != res.Events {
+				t.Fatalf("jitter %g: %d events took %d queue entries; a jittered send went through the post lane",
+					spec.Jitter, res.Events, entries)
+			} else if spec.Jitter == 0 && entries >= res.Events {
+				t.Fatalf("constant delay: %d events took %d queue entries; nothing travelled as a burst", res.Events, entries)
 			}
 			if len(res.Jobs) != tr.Len() {
 				t.Fatalf("completed %d of %d jobs", len(res.Jobs), tr.Len())

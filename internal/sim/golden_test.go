@@ -118,6 +118,17 @@ func goldenCases() (*workload.Trace, map[string]policy.Config) {
 	}
 	cases["hawk-msgloss"] = msgloss
 
+	// The same loss mix on a constant message delay, the one regime where a
+	// lossy run's one-hop messages travel through the engine's post lane: a
+	// drop decision falls in the middle of a job's probes, the dropped
+	// send's timeout takes a sequence number and so breaks the burst in
+	// two, and each retry re-enters the lane alone.
+	nojitter := msgloss
+	nojitterFaults := *msgloss.Faults
+	nojitterFaults.Jitter = 0
+	nojitter.Faults = &nojitterFaults
+	cases["hawk-loss-nojitter"] = nojitter
+
 	spec := base
 	spec.Policy = "hawk"
 	spec.Faults = &policy.FaultSpec{

@@ -331,7 +331,10 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		traceBound := 2 + meta.NumJobs + 3*int(meta.TotalTasks)
 		queueHint = min(queueHint, traceBound)
 	}
-	s.eng = eventq.New(s.dispatch, queueHint, eventq.WithBackend(engineBackend))
+	// The engine's post lane carries the one-hop messages (oneHop): its delay
+	// is the leg every un-jittered message takes.
+	s.eng = eventq.New(s.dispatch, queueHint,
+		eventq.WithBackend(engineBackend), eventq.WithPostDelay(cfg.NetworkDelay))
 
 	// One flat arena per hot structure: node and job state become
 	// sequential array indexing instead of 15k–170k individually

@@ -47,6 +47,45 @@ func TestSingleJobIdleCluster(t *testing.T) {
 	}
 }
 
+// A job's messages leave its scheduler back to back for one instant, and
+// travel as one queue entry: the 2t probes of a t-task job under batch
+// sampling, the t placements of one the centralized scheduler places whole.
+// The event count is what it always was.
+func TestJobMessagesShareOneQueueEntry(t *testing.T) {
+	const tasks = 10
+	durs := make([]float64, tasks)
+	for i := range durs {
+		durs[i] = 100
+	}
+	tr := tinyTrace(job(1, 0, durs...))
+	for _, c := range []struct {
+		pol            string
+		events, shared uint64
+	}{
+		// The submit and two sampler ticks, then per probe an arrival and a
+		// round trip, and a completion per task.
+		{"sparrow", 3 + 2*(2*tasks) + tasks, 2*tasks - 1},
+		// ... or per task an arrival and a completion.
+		{"centralized", 3 + 2*tasks, tasks - 1},
+	} {
+		s, err := newSimulation(tr, policy.Config{NumNodes: 50, Policy: c.pol, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Events != c.events {
+			t.Errorf("%s: %d events, want %d", c.pol, res.Events, c.events)
+		}
+		if got := res.Events - s.eng.Entries(); got != c.shared {
+			t.Errorf("%s: %d events in %d queue entries, want %d fewer entries than events",
+				c.pol, res.Events, s.eng.Entries(), c.shared)
+		}
+	}
+}
+
 func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 	tr := workload.Generate(workload.Google(), workload.GenConfig{NumJobs: 300, MeanInterArrival: 1, Seed: 3})
 	wantTasks := 0

@@ -395,10 +395,9 @@ func steadyStateSimSource(t *testing.T, src workload.Source, cfg policy.Config, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < warm; i++ {
-		if !s.eng.Step() {
-			t.Fatalf("simulation drained after %d warm-up events — enlarge the source", i)
-		}
+	runEvents(s, warm)
+	if s.eng.Pending() == 0 {
+		t.Fatalf("simulation drained within %d warm-up events — enlarge the source", warm)
 	}
 	return s
 }
@@ -410,7 +409,7 @@ func steadyStateSimSource(t *testing.T, src workload.Source, cfg policy.Config, 
 func TestStreamingSteadyStateZeroAllocs(t *testing.T) {
 	src := newLoopSource(200000, 2.5, 200, 200, 200, 200)
 	s := steadyStateSimSource(t, src, policy.Config{NumNodes: 400, Policy: "hawk", Seed: 5}, 20000)
-	measureSteadySteps(t, s, 30000)
+	measureSteadyEvents(t, s, 30000)
 	if int(s.submitted) <= len(s.jobs) {
 		t.Fatalf("submitted %d jobs into an arena of %d slots — recycling never kicked in", s.submitted, len(s.jobs))
 	}
