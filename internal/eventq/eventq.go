@@ -51,56 +51,24 @@
 // rule: a tick scheduled before another event at the same instant fires
 // before it, and one scheduled after fires after it.
 //
-// # The post lane
+// # The post lanes
 //
-// Post(ev) fires ev exactly when and where After(delay, ev) would, for the
-// one delay fixed at construction (WithPostDelay), but a run of posts the
-// engine can prove adjacent in its dispatch order occupies one queue entry
-// instead of one each. internal/sim sends every one-hop message this way: a
-// job's probes, or a long job's central placements, leave their scheduler
-// back to back for one identical instant.
+// Post(legs, ev) fires ev exactly when and where After(legs*delay, ev) would,
+// for the one delay fixed at construction (WithPostDelay), without entering
+// the priority queue. The delay is a constant and the clock never runs
+// backwards, so the events posted with one leg count are made in
+// nondecreasing timestamp and increasing sequence-number order: a FIFO per
+// leg count holds them already sorted by (at, seq). Step dispatches the least
+// of the queue's front and the lanes' fronts under that same order — a k-way
+// merge of sorted sequences — so every event fires where the queue alone
+// would have put it; a reserved-sequence event needs no case of its own, it
+// simply compares lower. internal/sim sends every constant-delay message this
+// way: one leg for a probe or a placement, two for a request/response round
+// trip.
 //
-// Why adjacent events may share an entry. The queue orders by (at, seq).
-// Two events with the same timestamp and consecutive sequence numbers are
-// neighbours in that order for as long as they are pending: nothing
-// scheduled later can be ranked between them, because At hands out strictly
-// increasing sequence numbers and AtReserved only ones below every number At
-// ever assigns. So a maximal run of such events — a burst — can sit in the
-// queue as a single entry carrying the rank of its first event, and Step can
-// dispatch the run in one loop: the handlers see the same events in the same
-// order at the same clock.
-//
-// The contiguity condition. Every post takes the next sequence number,
-// exactly as After would. It joins the newest burst iff its delivery instant
-// equals the burst's and its number is the one after the burst's last — that
-// is, iff the engine has assigned no sequence number since (an At, an After,
-// a post for another instant). Otherwise it opens a new burst with one
-// ordinary push. A burst of one costs what After costs, give or take a
-// record in a ring.
-//
-// Why the payload store may be a FIFO. The delay is a constant and the clock
-// never runs backwards, so bursts are opened in nondecreasing delivery time
-// with increasing sequence numbers: they leave the queue in the order they
-// were opened, and within a burst payloads fire in the order posted.
-// Delivery order is post order; payloads wait in one ring and burst lengths
-// in another, and a burst entry is recognized when it pops by carrying the
-// rank the oldest burst record expects (sequence numbers are unique, so no
-// ordinary entry can match). A burst's first payload travels in its queue
-// entry like any event's, so a burst of one never touches the payload ring.
-//
-// The one thing that can land inside a burst. A reserved-sequence event
-// scheduled for the current instant by a handler running inside a burst's
-// delivery outranks the rest of that burst — its number is lower than any of
-// theirs. AtReserved flags it, the delivery loop stops after the current
-// handler, and the remainder goes back into the queue as a burst of its own,
-// behind the reserved event.
-//
-// What the counters count. Executed, Pending and MaxPending count events —
-// every post is one — never queue entries, so they read the same whether or
-// not anything was coalesced. Entries counts pushes into the queue and is
-// the only place the difference shows; Step executes one entry, which may be
-// many events. FuzzPostVsAfter holds all of this to an engine on which Post
-// is After(delay).
+// Executed, Pending and MaxPending count posted events like any others.
+// Entries counts pushes into the priority queue, and a post makes none.
+// FuzzPostVsAfter holds all of this to an engine on which Post is After.
 //
 // The whole package is a hot path and every function in it must be
 // replayable; hawklint (internal/lint) enforces both:
@@ -138,9 +106,9 @@ func WithBackend(b Backend) Option {
 	return func(c *config) { c.backend = b }
 }
 
-// WithPostDelay fixes the delay of the engine's post lane: Post(ev) is
-// After(d, ev). The default is zero. d must not be negative or NaN — the
-// lane's FIFO rests on posts being delivered in the order they were made.
+// WithPostDelay fixes the delay of one leg of a post: Post(legs, ev) is
+// After(legs*d, ev). The default is zero. d must not be negative or NaN — the
+// lanes' FIFOs rest on posts being delivered in the order they were made.
 func WithPostDelay(d float64) Option {
 	if !(d >= 0) {
 		panic("eventq: negative or NaN post delay")
@@ -158,7 +126,7 @@ type Engine[E any] struct {
 	lastReserved uint64       // highest reserved seq used so far (must increase)
 	events       eventHeap[E] // heap backend; unused when lad != nil
 	lad          *ladder[E]   // ladder backend; nil selects the heap
-	lane         lane[E]      // constant-delay bursts behind Post; see lane.go
+	lanes        lanes[E]     // constant-delay events behind Post; see lane.go
 	count        uint64       // total events executed
 	pushed       uint64       // total queue entries pushed
 	maxLen       int          // peak number of simultaneously pending events
@@ -181,7 +149,7 @@ func New[E any](dispatch func(now float64, ev E), capacity int, opts ...Option) 
 		o(&cfg)
 	}
 	e := &Engine[E]{dispatch: dispatch}
-	e.lane.delay = cfg.postDelay
+	e.lanes.delay = cfg.postDelay
 	if cfg.backend == BackendLadder {
 		e.lad = newLadder[E](capacity)
 	} else if capacity > 0 {
@@ -193,22 +161,20 @@ func New[E any](dispatch func(now float64, ev E), capacity int, opts ...Option) 
 // Now returns the current virtual time in seconds.
 func (e *Engine[E]) Now() float64 { return e.now }
 
-// Executed returns the number of events processed so far. Every posted
-// event counts as one, however many shared a queue entry.
+// Executed returns the number of events processed so far.
 func (e *Engine[E]) Executed() uint64 { return e.count }
 
-// Entries returns the number of entries pushed into the queue so far. It
-// equals the number of events scheduled unless Post coalesced some: a burst
-// of posts is one entry.
+// Entries returns the number of entries pushed into the priority queue so
+// far: the events scheduled, less the posted ones.
 func (e *Engine[E]) Entries() uint64 { return e.pushed }
 
-// Pending returns the number of events waiting to be dispatched — events,
-// not queue entries: a burst of k posts counts k.
+// Pending returns the number of events waiting to be dispatched, posted ones
+// included.
 func (e *Engine[E]) Pending() int {
 	if e.lad != nil {
-		return e.lad.n + e.lane.payloads.n
+		return e.lad.n + e.lanes.n
 	}
-	return len(e.events) + e.lane.payloads.n
+	return len(e.events) + e.lanes.n
 }
 
 // MaxPending returns the peak number of events that were pending at any one
@@ -294,56 +260,70 @@ func (e *Engine[E]) AtReserved(t float64, seq uint64, ev E) {
 	}
 	e.lastReserved = seq
 	e.schedule(t, seq, ev)
-	if t <= e.now {
-		// Scheduled from inside a burst's delivery, it outranks whatever is
-		// left of that burst.
-		e.lane.cut = true
-	}
 }
 
-// Step executes the earliest pending queue entry, advancing the clock: one
-// event, or every event of one burst of posts, back to back. It returns
-// false when the queue is empty.
+// front returns the priority queue's earliest entry, or nil when it holds
+// none. For the ladder backend this may sort or re-bucket internally, but
+// never changes the dispatch order.
+func (e *Engine[E]) front() *event[E] {
+	if e.lad != nil {
+		return e.lad.front()
+	}
+	if len(e.events) == 0 {
+		return nil
+	}
+	return &e.events[0]
+}
+
+// Step executes the earliest pending event — the least of the queue's front
+// and the lanes' fronts — advancing the clock. It returns false when
+// nothing is pending. This is the hottest function of a run and is kept flat
+// on purpose: a run that never posts pays one test of lanes.n.
 func (e *Engine[E]) Step() bool {
+	q := e.front()
+	if e.lanes.n > 0 {
+		l := &e.lanes.byLegs[0]
+		for i := 1; i < maxLegs; i++ {
+			if o := &e.lanes.byLegs[i]; l.n == 0 || o.n > 0 && eventLess(o.front(), l.front()) {
+				l = o
+			}
+		}
+		if q == nil || eventLess(l.front(), q) {
+			ev := l.pop()
+			e.lanes.n--
+			e.now = ev.at
+			e.count++
+			e.dispatch(e.now, ev.payload)
+			return true
+		}
+	}
+	if q == nil {
+		return false
+	}
 	var ev event[E]
 	if e.lad != nil {
-		p := e.lad.front()
-		if p == nil {
-			return false
-		}
-		ev = *p
+		ev = *q
 		e.lad.advance()
 	} else {
-		if len(e.events) == 0 {
-			return false
-		}
 		ev = e.events.pop()
 	}
 	e.now = ev.at
-	if ev.seq == e.lane.next {
-		e.deliver(ev.payload)
-		return true
-	}
 	e.count++
 	e.dispatch(e.now, ev.payload)
 	return true
 }
 
-// peekAt reports the timestamp of the earliest pending event. For the
-// ladder backend this may sort or re-bucket internally, but never changes
-// the dispatch order.
-func (e *Engine[E]) peekAt() (float64, bool) {
-	if e.lad != nil {
-		p := e.lad.front()
-		if p == nil {
-			return 0, false
+// peekAt reports the timestamp of the earliest pending event.
+func (e *Engine[E]) peekAt() (at float64, ok bool) {
+	if q := e.front(); q != nil {
+		at, ok = q.at, true
+	}
+	for i := range e.lanes.byLegs {
+		if l := &e.lanes.byLegs[i]; l.n > 0 && (!ok || l.front().at < at) {
+			at, ok = l.front().at, true
 		}
-		return p.at, true
 	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	return at, ok
 }
 
 // Run executes events until the queue drains.

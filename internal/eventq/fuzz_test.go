@@ -100,10 +100,10 @@ func FuzzLadderVsHeap(f *testing.F) {
 
 // postMachine is one engine under FuzzPostVsAfter's script. post is the
 // only thing that differs between the machines compared: Engine.Post on
-// the subjects, After(delay) on the reference.
+// the subjects, After(legs*delay) on the reference.
 type postMachine struct {
 	eng                    *Engine[int]
-	post                   func(ev int)
+	post                   func(legs, ev int)
 	reserved, nextReserved uint64
 	ids                    int
 	log                    []postFired
@@ -122,6 +122,13 @@ func (m *postMachine) event(reaction byte) int {
 	return m.ids<<8 | int(reaction)
 }
 
+// postNew posts k new events; bit i of legBits picks the i-th one's lane.
+func (m *postMachine) postNew(k int, reaction byte, legBits int) {
+	for i := 0; i < k; i++ {
+		m.post(1+legBits>>i&1, m.event(reaction))
+	}
+}
+
 // atReserved schedules on the next unused reserved sequence number, or as
 // an ordinary At once they are spent.
 func (m *postMachine) atReserved(t float64, reaction byte) {
@@ -136,77 +143,85 @@ func (m *postMachine) atReserved(t float64, reaction byte) {
 // dispatch logs the event and reacts. The low two bits of the reaction
 // pick what the handler schedules, the next two how many posts, and the
 // high nibble is the reaction its children carry — so a child's children
-// do nothing and every script terminates.
+// do nothing and every script terminates. The children's leg counts are the
+// low bits of the event's own id.
 //
 //	0: nothing
 //	1: post 1-4 children
-//	2: an At for the current instant, then post 1-4 children (a handler that
-//	   breaks contiguity with whatever burst was open)
-//	3: post, AtReserved for the current instant, post — from inside a burst
-//	   that is the reserved event that outranks the rest of it
+//	2: an At for the current instant, then post 1-4 children (at delay 0 the
+//	   At and the posts are for one instant: sequence number decides)
+//	3: post, AtReserved for the current instant, post — the reserved event
+//	   outranks every posted event still waiting for this instant
 func (m *postMachine) dispatch(now float64, ev int) {
 	m.log = append(m.log, postFired{now, ev, m.eng.Pending()})
-	r := byte(ev)
+	r, legBits := byte(ev), ev>>8
 	child, k := r>>4, int(r>>2&3)+1
 	switch r & 3 {
 	case 1:
-		for i := 0; i < k; i++ {
-			m.post(m.event(child))
-		}
+		m.postNew(k, child, legBits)
 	case 2:
 		m.eng.At(now, m.event(child))
-		for i := 0; i < k; i++ {
-			m.post(m.event(child))
-		}
+		m.postNew(k, child, legBits)
 	case 3:
-		m.post(m.event(child))
+		m.postNew(1, child, legBits)
 		m.atReserved(now, child)
-		m.post(m.event(child))
+		m.postNew(1, child, legBits>>1)
 	}
 }
 
-// FuzzPostVsAfter holds the post lane to its contract: an engine whose
-// one-delay sends go through Post must be indistinguishable — dispatch
-// sequence, clock and Pending at every dispatch, Executed, MaxPending,
-// draining to zero — from one on which every Post is After(delay), on both
-// backends. Only Entries may differ, and only downwards.
+// FuzzPostVsAfter holds the post lanes to their contract: an engine whose
+// constant-delay sends go through Post must be indistinguishable — dispatch
+// sequence, clock and Pending at every dispatch and after every op, Executed,
+// MaxPending, draining to zero — from a heap engine on which Post(legs, ev) is
+// After(float64(legs)*delay, ev), on both backends. Only Entries may differ:
+// a post pushes nothing.
 //
 // Program encoding: byte 0 % 64 sequence numbers are reserved, byte 1 % 4
-// quarter-seconds is the post delay (zero included: a post from inside a
-// burst's delivery may then extend that very burst), then one op per 3
-// bytes (op, a, b):
+// quarter-seconds is the post delay (zero included: every posted event is
+// then for the current instant, on both lanes), then one op per 3 bytes
+// (op, a, b):
 //
-//	op % 8: 0 At(now + a/4), 1 After(a/4), 2-3 Post a%4+1 times, 4 AtReserved
-//	        (now + a/4), 5-7 Step (the After engine steps until it has
-//	        executed as many events: one Step of a lane engine is a burst)
+//	op % 8: 0 At(now + a/4), 1 After(a/4), 2 Post a%4+1 times, the i-th with
+//	        1 + bit 2+i of a legs, 3 RunUntil(now + a/4), 4 AtReserved(now +
+//	        a/4), 5-7 Step
 //	b:      the reaction of the events scheduled (postMachine.dispatch)
 //
-// Times are quarter-seconds so that an At lands on a burst's instant often.
+// Times are quarter-seconds so that an At often lands on a posted event's
+// instant, and so does a one-leg post made one delay after a two-leg one.
 func FuzzPostVsAfter(f *testing.F) {
 	const (
-		at, post, atReserved, step = 0, 2, 4, 5
-		quarter                    = 1 // header byte 1: post delay 0.25 s
+		at, post, runUntil, atReserved, step = 0, 2, 3, 4, 5
+		quarter                              = 1 // header byte 1: post delay 0.25 s
+		twoLegs, oneThenTwo                  = 1 << 2, 1 | 2<<2
 	)
 	f.Add([]byte{})
-	// An At for the burst's own instant between two posts: two bursts.
+	// An At for a posted event's own instant between two posts.
 	f.Add([]byte{0, quarter, post, 0, 0, at, 1, 0, post, 0, 0, step, 0, 0, step, 0, 0})
-	// A reserved-sequence event at a queued burst's instant fires first.
+	// A reserved-sequence event at a lane event's instant fires first.
 	f.Add([]byte{4, quarter, post, 2, 0, atReserved, 1, 0, post, 0, 0, step, 0, 0})
-	// Delay 0, and every event of the burst posts from inside its delivery:
-	// the posts extend the burst being delivered.
+	// Delay 0, and every posted event posts from inside its handler: the
+	// lanes grow while Step is reading their fronts.
 	f.Add([]byte{0, 0, post, 2, 0x01, step, 0, 0})
-	// Delay 0, and a post for the instant of a burst already delivered: it
-	// has no burst to extend (found by this fuzzer).
+	// Delay 0, and a post for an instant whose posted events have all been
+	// dispatched: it finds the lanes empty again (found by this fuzzer).
 	f.Add([]byte{0, 0, post, 0, 0, step, 0, 0, post, 0, 0})
-	// A burst of one.
+	// A single post: the other lane stays empty throughout.
 	f.Add([]byte{0, quarter, post, 0, 0, step, 0, 0})
-	// Two bursts for one instant opened by different handlers: each does an
-	// At before it posts.
+	// Posts for one instant made by different handlers, each after an At of
+	// its own.
 	f.Add([]byte{0, quarter, at, 1, 0x0A, at, 1, 0x0A, step, 0, 0, step, 0, 0})
-	// A reserved event for the current instant from inside a burst, with
-	// and without a delay: the rest of the burst is cut and re-queued.
+	// A reserved event for the current instant from inside a posted event's
+	// handler, with and without a delay: it fires before the posts waiting.
 	f.Add([]byte{8, quarter, post, 3, 0x03, step, 0, 0})
 	f.Add([]byte{8, 0, post, 3, 0x13, step, 0, 0, step, 0, 0})
+	// A two-leg post and a one-leg post made one delay later land on the
+	// same instant: sequence number decides.
+	f.Add([]byte{0, quarter, at, 1, 0, post, twoLegs, 0, step, 0, 0, post, 0, 0, step, 0, 0, step, 0, 0})
+	// Both lanes at delay 0, interleaved with At(now).
+	f.Add([]byte{0, 0, post, oneThenTwo, 0, at, 0, 0, post, oneThenTwo, 0x06, at, 0, 0, step, 0, 0, step, 0, 0})
+	// RunUntil with a lane event as the earliest pending one, the queue's
+	// front beyond the deadline.
+	f.Add([]byte{0, quarter, at, 9, 0, post, oneThenTwo, 0, runUntil, 1, 0, runUntil, 2, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var reserved uint64
 		var delay float64
@@ -220,7 +235,7 @@ func FuzzPostVsAfter(f *testing.F) {
 			m.eng.ReserveSeqs(reserved)
 			m.post = m.eng.Post
 			if !lane {
-				m.post = func(ev int) { m.eng.After(delay, ev) }
+				m.post = func(legs, ev int) { m.eng.After(float64(legs)*delay, ev) }
 			}
 			return m
 		}
@@ -229,32 +244,25 @@ func FuzzPostVsAfter(f *testing.F) {
 		for ; len(program) >= 3; program = program[3:] {
 			op, a, b := program[0]%8, program[1], program[2]
 			for _, m := range append(subjects, ref) {
-				switch {
-				case op >= step && m == ref:
-					// One Step of a lane engine is a whole burst: catch up.
-					for ref.eng.Executed() < subjects[0].eng.Executed() {
-						if !ref.eng.Step() {
-							t.Fatalf("a lane engine has executed %d events, the After engine drained at %d",
-								subjects[0].eng.Executed(), ref.eng.Executed())
-						}
-					}
-				case op == at:
+				switch op {
+				case at:
 					m.eng.At(m.eng.Now()+float64(a)*0.25, m.event(b))
-				case op == 1:
+				case 1:
 					m.eng.After(float64(a)*0.25, m.event(b))
-				case op < atReserved:
-					for i := 0; i <= int(a%4); i++ {
-						m.post(m.event(b))
-					}
-				case op == atReserved:
+				case post:
+					m.postNew(int(a%4)+1, b, int(a>>2))
+				case runUntil:
+					m.eng.RunUntil(m.eng.Now() + float64(a)*0.25)
+				case atReserved:
 					m.atReserved(m.eng.Now()+float64(a)*0.25, b)
 				default:
 					m.eng.Step()
 				}
 			}
 			for _, m := range subjects {
-				if m.eng.Pending() != ref.eng.Pending() {
-					t.Fatalf("pending diverged mid-program: lane %d, After %d", m.eng.Pending(), ref.eng.Pending())
+				if m.eng.Pending() != ref.eng.Pending() || m.eng.Now() != ref.eng.Now() {
+					t.Fatalf("diverged mid-program: lanes %d pending at %v, After %d at %v",
+						m.eng.Pending(), m.eng.Now(), ref.eng.Pending(), ref.eng.Now())
 				}
 			}
 		}
@@ -278,7 +286,7 @@ func FuzzPostVsAfter(f *testing.F) {
 			}
 			for i := range ref.log {
 				if m.log[i] != ref.log[i] {
-					t.Fatalf("dispatch %d diverged: lane %+v, After engine %+v", i, m.log[i], ref.log[i])
+					t.Fatalf("dispatch %d diverged: lanes %+v, After engine %+v", i, m.log[i], ref.log[i])
 				}
 			}
 		}

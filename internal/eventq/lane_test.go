@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -15,9 +17,9 @@ func newPostEngine(backend Backend, d float64) (*Engine[int], *[]int) {
 	return e, fired
 }
 
-// What shares a queue entry and what does not: a run of posts for one instant
-// with nothing scheduled in between. Events, Pending and the dispatch order
-// are the same whichever way it falls.
+// A post fires where After(legs*delay) would and never enters the queue,
+// whatever is scheduled around it: Entries counts the At and AtReserved calls
+// alone.
 func TestPostCoalescesAdjacentSends(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -25,33 +27,44 @@ func TestPostCoalescesAdjacentSends(t *testing.T) {
 		entries uint64
 		order   []int
 	}{
-		{"a run of posts is one entry", func(e *Engine[int]) {
-			e.Post(1)
-			e.Post(2)
-			e.Post(3)
+		{"a run of posts", func(e *Engine[int]) {
+			e.Post(1, 1)
+			e.Post(1, 2)
+			e.Post(1, 3)
+		}, 0, []int{1, 2, 3}},
+		{"an At in between, for the posts' own instant: sequence number decides", func(e *Engine[int]) {
+			e.Post(1, 1)
+			e.At(0.5, 2)
+			e.Post(1, 3)
 		}, 1, []int{1, 2, 3}},
-		{"an At in between takes a sequence number: two bursts", func(e *Engine[int]) {
-			e.Post(1)
-			e.At(0.5, 2) // the burst's own instant
-			e.Post(3)
-		}, 3, []int{1, 2, 3}},
-		{"an At for an earlier instant breaks the run just the same", func(e *Engine[int]) {
-			e.Post(1)
+		{"an At for an earlier instant", func(e *Engine[int]) {
+			e.Post(1, 1)
 			e.At(0.1, 2)
-			e.Post(3)
-		}, 3, []int{2, 1, 3}},
-		{"a reserved event takes no sequence number and does not", func(e *Engine[int]) {
-			e.Post(1)
+			e.Post(1, 3)
+		}, 1, []int{2, 1, 3}},
+		{"a reserved event at the posts' instant outranks them all", func(e *Engine[int]) {
+			e.Post(1, 1)
 			e.AtReserved(0.5, 1, 2)
-			e.Post(3)
-		}, 2, []int{2, 1, 3}},
-		{"the clock moved: another instant, another burst", func(e *Engine[int]) {
-			e.Post(1)
+			e.Post(1, 3)
+		}, 1, []int{2, 1, 3}},
+		{"the clock moved between posts", func(e *Engine[int]) {
+			e.Post(1, 1)
 			e.At(0.25, 2)
 			e.Step()
-			e.Post(3)
-			e.Post(4)
-		}, 3, []int{2, 1, 3, 4}},
+			e.Post(1, 3)
+			e.Post(1, 4)
+		}, 1, []int{2, 1, 3, 4}},
+		{"a round trip and a one-leg post made one delay later: sequence number decides", func(e *Engine[int]) {
+			e.Post(2, 1)
+			e.At(0.5, 2)
+			e.Step()
+			e.Post(1, 3)
+			e.At(1, 4)
+		}, 2, []int{2, 1, 3, 4}},
+		{"a round trip posted first fires after a one-leg post", func(e *Engine[int]) {
+			e.Post(2, 1)
+			e.Post(1, 2)
+		}, 0, []int{2, 1}},
 	} {
 		for _, backend := range []Backend{BackendHeap, BackendLadder} {
 			e, fired := newPostEngine(backend, 0.5)
@@ -74,36 +87,38 @@ func TestPostCoalescesAdjacentSends(t *testing.T) {
 	}
 }
 
-// Pending and MaxPending count events while a burst waits and while it is
-// being delivered, and a handler sees the clock at the burst's instant.
+// Pending and MaxPending count posted events although the queue holds none
+// of them, a Step is one event, and a handler sees the clock at its instant.
 func TestPostCountsEventsNotEntries(t *testing.T) {
 	var e *Engine[int]
 	var seen []int
 	e = New(func(now float64, ev int) {
-		if now != 0.5 {
-			t.Errorf("event %d fired at %v, want 0.5", ev, now)
+		if want := 0.5 * float64(1+ev%2); now != want {
+			t.Errorf("event %d fired at %v, want %v", ev, now, want)
 		}
 		seen = append(seen, e.Pending())
 	}, 0, WithBackend(BackendLadder), WithPostDelay(0.5))
 	for i := 0; i < 4; i++ {
-		e.Post(i)
+		e.Post(1+i%2, i)
 	}
-	if e.Pending() != 4 || e.MaxPending() != 4 || e.Entries() != 1 {
-		t.Fatalf("4 posts: pending %d, max %d, entries %d; want 4, 4, 1", e.Pending(), e.MaxPending(), e.Entries())
+	if e.Pending() != 4 || e.MaxPending() != 4 || e.Entries() != 0 {
+		t.Fatalf("4 posts: pending %d, max %d, entries %d; want 4, 4, 0", e.Pending(), e.MaxPending(), e.Entries())
 	}
-	if !e.Step() || e.Step() {
-		t.Fatal("a burst is one Step")
+	for i := 1; i <= 4; i++ {
+		if !e.Step() || e.Executed() != uint64(i) {
+			t.Fatalf("Step %d: executed %d", i, e.Executed())
+		}
+	}
+	if e.Step() {
+		t.Fatal("Step on a drained engine")
 	}
 	if want := []int{3, 2, 1, 0}; !reflect.DeepEqual(seen, want) {
 		t.Fatalf("handlers saw %v events pending, want %v", seen, want)
 	}
-	if e.Executed() != 4 {
-		t.Fatalf("executed %d, want 4", e.Executed())
-	}
 }
 
-// A reserved event scheduled for the current instant from inside a burst
-// fires before the rest of the burst, as it would between separate entries.
+// A reserved event scheduled for the current instant by the handler of a
+// posted event fires before the posts still waiting for that instant.
 func TestReservedEventCutsBurstInDelivery(t *testing.T) {
 	for _, backend := range []Backend{BackendHeap, BackendLadder} {
 		var e *Engine[int]
@@ -116,14 +131,32 @@ func TestReservedEventCutsBurstInDelivery(t *testing.T) {
 		}, 0, WithBackend(backend), WithPostDelay(0.5))
 		e.ReserveSeqs(1)
 		for i := 0; i < 4; i++ {
-			e.Post(i)
+			e.Post(1, i)
 		}
 		e.Run()
 		if want := []int{0, 1, 100, 2, 3}; !reflect.DeepEqual(fired, want) {
 			t.Errorf("fired %v, want %v", fired, want)
 		}
-		if e.Entries() != 3 { // the burst, the reserved event, the re-queued rest
-			t.Errorf("%d queue entries, want 3", e.Entries())
+		if e.Entries() != 1 { // the reserved event
+			t.Errorf("%d queue entries, want 1", e.Entries())
+		}
+	}
+}
+
+// RunUntil sees a posted event as the earliest pending one.
+func TestRunUntilCountsTheLanes(t *testing.T) {
+	for _, backend := range []Backend{BackendHeap, BackendLadder} {
+		e, fired := newPostEngine(backend, 0.5)
+		e.Post(2, 1)
+		e.Post(1, 2)
+		e.At(3, 3)
+		e.RunUntil(0.75)
+		if want := []int{2}; !reflect.DeepEqual(*fired, want) || e.Now() != 0.75 {
+			t.Errorf("RunUntil(0.75): fired %v at %v, want %v at 0.75", *fired, e.Now(), want)
+		}
+		e.RunUntil(2)
+		if want := []int{2, 1}; !reflect.DeepEqual(*fired, want) || e.Now() != 2 || e.Pending() != 1 {
+			t.Errorf("RunUntil(2): fired %v at %v, %d pending; want %v at 2, 1 pending", *fired, e.Now(), e.Pending(), want)
 		}
 	}
 }
@@ -141,13 +174,27 @@ func TestPostDelayMustBeOrdered(t *testing.T) {
 	}
 }
 
-// benchBurst is the post lane's rung: a queue holding 16 384 far-off events
+func TestPostLegsMustHaveALane(t *testing.T) {
+	for _, legs := range []int{-1, 0, maxLegs + 1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, strconv.Itoa(legs)+" legs") {
+					t.Errorf("Post(%d, …) panicked with %q, want a message naming the value", legs, msg)
+				}
+			}()
+			e, _ := newPostEngine(BackendHeap, 0.5)
+			e.Post(legs, 0)
+		}()
+	}
+}
+
+// benchBurst is the post lanes' rung: a queue holding 16 384 far-off events
 // (a cluster's running tasks; each is replaced as it fires, so the depth
-// holds) through which bursts of width one-delay messages pass — scheduled
-// back to back, then drained. b.N counts events, so ns/op is per event, and
-// the same work done with After is the baseline beside it. Width 1 is the
-// lane's worst case — every post opens a burst — and the shape of a run whose
-// sends never coalesce; 20 is a small job's probes, 2000 a wide one's.
+// holds) past which bursts of width one-delay messages go — posted back to
+// back, then drained. b.N counts events, so ns/op is per event, and the same
+// work done with After, through the queue, is the baseline beside it. Width 1
+// is a run whose sends come one at a time, 20 a small job's probes, 2000 a
+// wide one's; a lane costs the same at each.
 func benchBurst(b *testing.B, width int, post bool) {
 	const depth, delay = 16384, 0.0005
 	rng := rand.New(rand.NewSource(1))
@@ -163,7 +210,7 @@ func benchBurst(b *testing.B, width int, post bool) {
 	cycle := func() {
 		for i := 0; i < width; i++ {
 			if post {
-				e.Post(benchEvent{kind: 1, ref: int32(i)})
+				e.Post(1, benchEvent{kind: 1, ref: int32(i)})
 			} else {
 				e.After(delay, benchEvent{kind: 1, ref: int32(i)})
 			}

@@ -42,12 +42,9 @@ func steadyStateSim(t *testing.T, tr *workload.Trace, cfg policy.Config, warm in
 	return s
 }
 
-// runEvents steps the engine until it has executed at least events more
-// events. The windows are counted in events, not in Steps: one Step delivers
-// a whole burst of posted messages, so how many Steps a stretch of a run
-// takes depends on how well its messages coalesce.
+// runEvents executes the next events events, or as many as are left.
 func runEvents(s *simulation, events int) {
-	for target := s.eng.Executed() + uint64(events); s.eng.Executed() < target && s.eng.Step(); {
+	for i := 0; i < events && s.eng.Step(); i++ {
 	}
 }
 
@@ -67,11 +64,10 @@ func steadyMallocs(t *testing.T, s *simulation, events int) uint64 {
 
 // measureSteadyEvents requires the average event of the window to allocate
 // nothing: fewer allocations than events, the bound AllocsPerRun's integer
-// average over Steps gave when a Step was one event. These clusters are
-// still filling up inside their windows, so node queues seeing a new depth
-// for the first time do grow; what the bound catches is an allocation that
-// every event of some kind makes. The burst subtest, whose workload is
-// periodic, requires an exact zero.
+// average gives. These clusters are still filling up inside their windows,
+// so node queues seeing a new depth for the first time do grow; what the
+// bound catches is an allocation that every event of some kind makes. The
+// burst subtest, whose workload is periodic, requires an exact zero.
 func measureSteadyEvents(t *testing.T, s *simulation, events int) {
 	t.Helper()
 	if n := steadyMallocs(t, s, events); n >= uint64(events) {
@@ -130,13 +126,15 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	})
 
-	// The post lane's whole cycle, with an exact zero. One 40-task job every
+	// The post lanes' whole cycle, with an exact zero. One 40-task job every
 	// two seconds on an idle 200-node Sparrow cluster is periodic: its 80
-	// probes open a burst and extend it 79 times, the burst is delivered in
-	// one Step, and by the next submit every task has finished — so once
+	// probes are posted back to back, each one that finds its node idle posts
+	// a round trip, and by the next submit every task has finished — so once
 	// every node has queued a probe nothing has anything left to grow. The
-	// first job grows the lane's payload ring past its initial 16 slots to
-	// 128, and at 80 payloads a job the ring wraps every other job.
+	// first job grows each lane's ring of 32-byte records past its initial
+	// 16 slots to its high-water mark of 128, and at up to 80 records a job
+	// the rings wrap every other job. Nothing but the submit chain and the
+	// completions enters the priority queue.
 	t.Run("burst", func(t *testing.T) {
 		const tasks, jobs = 40, 100
 		durs := make([]float64, tasks)
@@ -155,11 +153,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			mallocs = min(mallocs, steadyMallocs(t, s, jobs*perJob))
 		}
 		if mallocs != 0 {
-			t.Errorf("open, extend, deliver and ring wrap-around allocated %d times over %d jobs, want 0", mallocs, jobs)
+			t.Errorf("post, merge and ring wrap-around allocated %d times over %d jobs, want 0", mallocs, jobs)
 		}
 		events, entries = s.eng.Executed()-events, s.eng.Entries()-entries
-		if saved := events - entries; saved < 3*jobs*(2*tasks-1)-2*tasks {
-			t.Fatalf("%d events took %d queue entries: the window's probes did not travel as one burst per job", events, entries)
+		if posted := events - entries; posted < 3*(jobs-1)*4*tasks {
+			t.Fatalf("%d events took %d queue entries: the window's probes and round trips did not all bypass the queue", events, entries)
 		}
 	})
 

@@ -102,22 +102,25 @@ func (s *simulation) msgDelay() float64 {
 	return s.cfg.NetworkDelay + s.flt.spec.Jitter*s.flt.src.Float64()
 }
 
-// oneHop puts ev on the wire for one message leg — the only way a
-// single-leg message (probe, central placement, direct task, speculation
-// cancel) is sent. When every leg takes the same NetworkDelay (no fault
-// plane, or one without jitter) that is the engine's post lane, where a
-// job's probes or a long job's placements, sent back to back for one
-// instant, share a queue entry; a jittered leg draws its own delay and is an
-// ordinary After. Either way the event fires exactly where
-// After(msgDelay(), ev) would put it.
+// hop puts ev on the wire for legs message legs — the only way a message is
+// sent: one leg for a probe, central placement, direct task or speculation
+// cancel, two for the reply round trip. When every leg takes the same
+// NetworkDelay (no fault plane, or one without jitter) that is an engine post,
+// which keeps the event out of the priority queue; jittered legs each draw
+// their own delay and the sum is an ordinary After. Either way the event fires
+// exactly where After of legs msgDelay() draws would put it.
 //
 //hawk:hotpath
-func (s *simulation) oneHop(ev simEvent) {
+func (s *simulation) hop(legs int, ev simEvent) {
 	if s.flt == nil || s.flt.spec.Jitter == 0 {
-		s.eng.Post(ev)
+		s.eng.Post(legs, ev)
 		return
 	}
-	s.eng.After(s.msgDelay(), ev)
+	d := s.msgDelay()
+	for i := 1; i < legs; i++ {
+		d += s.msgDelay()
+	}
+	s.eng.After(d, ev)
 }
 
 // faultDrop draws one loss decision and accounts a drop in counter. Only
@@ -134,8 +137,8 @@ func (s *simulation) faultDrop(p float64, counter *int64) bool {
 // put on the wire, first send and re-send alike. Each draws the class's
 // loss decision when the fault plane is on — a dropped send schedules the
 // timeout that will retry it as attempt+1 after its Backoff — and otherwise
-// delivers after the leg's delay (oneHop, or two legs for the reply round
-// trip); with no fault plane that is exactly the reliable NetworkDelay send.
+// delivers after its legs' delay (hop); with no fault plane that is exactly
+// the reliable NetworkDelay send.
 
 // sendProbe dispatches one batch-sampling probe; a dropped one times out at
 // the scheduler, which retries toward a fresh node.
@@ -149,7 +152,7 @@ func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 		})
 		return
 	}
-	s.oneHop(simEvent{kind: evProbeArrive, ref: nodeID, jidx: jidx})
+	s.hop(1, simEvent{kind: evProbeArrive, ref: nodeID, jidx: jidx})
 }
 
 // sendReply issues node nodeID's task-request round trip for job jidx (two
@@ -165,7 +168,7 @@ func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int)
 		})
 		return
 	}
-	s.eng.After(s.msgDelay()+s.msgDelay(), simEvent{kind: evProbeReply, gen: gen, ref: nodeID, jidx: jidx})
+	s.hop(2, simEvent{kind: evProbeReply, gen: gen, ref: nodeID, jidx: jidx})
 }
 
 // sendAssign dispatches one placed central task to its node; commit marks
@@ -188,7 +191,7 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 			return
 		}
 	}
-	s.oneHop(simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
+	s.hop(1, simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
 }
 
 // probeTimeoutTick handles evProbeTimeout: a dropped probe-plane message's
@@ -279,7 +282,7 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 		})
 		return
 	}
-	s.oneHop(simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: jidx, aux: tidx})
+	s.hop(1, simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: jidx, aux: tidx})
 }
 
 // assignRetryTick handles evAssignRetry: a dropped task placement's
@@ -343,7 +346,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 	}
 	s.res.SpeculativeLaunches++
 	s.flt.dups = append(s.flt.dups, specDup{jidx: ev.jidx, tidx: ev.aux, orig: ev.ref, dup: -1})
-	s.oneHop(simEvent{kind: evTaskDirect, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
+	s.hop(1, simEvent{kind: evTaskDirect, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
 }
 
 // specBegin gates a speculative duplicate popping at the head of a node's
@@ -408,7 +411,7 @@ func (s *simulation) cancelRunning(nodeID, jidx, tidx int32) {
 	}
 	s.dyn.epoch[nodeID]++
 	s.dyn.run[nodeID] = runRef{jidx: -1, task: -1}
-	s.oneHop(simEvent{kind: evSpecCancel, gen: s.dyn.epoch[nodeID], ref: nodeID, jidx: jidx})
+	s.hop(1, simEvent{kind: evSpecCancel, gen: s.dyn.epoch[nodeID], ref: nodeID, jidx: jidx})
 }
 
 // specCancelTick handles evSpecCancel: the cancellation lands and the

@@ -97,17 +97,17 @@ func TestFaultConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The post lane carries one-hop messages only while every leg
-			// takes the same delay. Under any jitter no send may reach it:
-			// every event is its own queue entry, pushed by the After the
-			// simulator always used — a jittered run (hawkbench's
-			// churn_faults) stays on the engine path it had before the lane
-			// existed. On a constant delay the same mixes do coalesce.
+			// The post lanes carry messages only while every leg takes the
+			// same delay. Under any jitter no send may reach them: every
+			// event is its own queue entry, pushed by the After the simulator
+			// always used — a jittered run (hawkbench's churn_faults) stays
+			// on the engine path it had before the lanes existed. On a
+			// constant delay the same mixes do post.
 			if entries := s.eng.Entries(); spec.Jitter != 0 && entries != res.Events {
-				t.Fatalf("jitter %g: %d events took %d queue entries; a jittered send went through the post lane",
+				t.Fatalf("jitter %g: %d events took %d queue entries; a jittered send went through a post lane",
 					spec.Jitter, res.Events, entries)
 			} else if spec.Jitter == 0 && entries >= res.Events {
-				t.Fatalf("constant delay: %d events took %d queue entries; nothing travelled as a burst", res.Events, entries)
+				t.Fatalf("constant delay: %d events took %d queue entries; nothing was posted", res.Events, entries)
 			}
 			if len(res.Jobs) != tr.Len() {
 				t.Fatalf("completed %d of %d jobs", len(res.Jobs), tr.Len())

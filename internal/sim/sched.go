@@ -87,7 +87,7 @@ func (s *simulation) initMultiSched() {
 		sd := &s.ms.scheds[i]
 		sd.alive = true
 		sd.view = s.view
-		if s.dyn != nil {
+		if s.view.Dynamic() {
 			sd.view = s.view.SnapshotInto(nil)
 		}
 		if s.central != nil {

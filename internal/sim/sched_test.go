@@ -175,6 +175,40 @@ func TestSchedulerChurnWithNodeChurn(t *testing.T) {
 	}
 }
 
+// A scheduler owns a stale copy of the cluster view only when membership can
+// change; otherwise it reads the truth view itself. The fault plane brings
+// its incarnation tracking (s.dyn) to a run without node churn, and that must
+// not be taken for membership.
+func TestSchedulersAliasTruthViewWithoutNodeChurn(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		churn *policy.ChurnSpec
+		alias bool
+	}{
+		{"faults", nil, true},
+		{"faults and scheduler churn", &policy.ChurnSpec{Events: []policy.ChurnEvent{
+			{At: 25, Kind: policy.ChurnSchedFail, Node: 2}}}, true},
+		{"faults and node churn", &policy.ChurnSpec{Events: []policy.ChurnEvent{
+			{At: 15, Kind: policy.ChurnFail, Count: 80}, {At: 55, Kind: policy.ChurnRecover, Count: 80}}}, false},
+	} {
+		cfg := multiSchedConfig(4)
+		cfg.Faults = &policy.FaultSpec{ProbeLoss: 0.01}
+		cfg.Churn = c.churn
+		s, err := newSimulation(goldenTrace(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.dyn == nil {
+			t.Fatalf("%s: a fault run tracks incarnations", c.name)
+		}
+		for i := range s.ms.scheds {
+			if got := s.ms.scheds[i].view == s.view; got != c.alias {
+				t.Errorf("%s: scheduler %d aliases the truth view: %v, want %v", c.name, i, got, c.alias)
+			}
+		}
+	}
+}
+
 // TestMultiSchedulerConflictScaling: more schedulers on the same workload
 // must see at least as much staleness-induced conflict pressure — the
 // qualitative §4.10 shape the scheduler-count sweep reproduces.

@@ -331,8 +331,8 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		traceBound := 2 + meta.NumJobs + 3*int(meta.TotalTasks)
 		queueHint = min(queueHint, traceBound)
 	}
-	// The engine's post lane carries the one-hop messages (oneHop): its delay
-	// is the leg every un-jittered message takes.
+	// The engine's post lanes carry the constant-delay messages (hop): their
+	// delay is the leg every un-jittered message takes.
 	s.eng = eventq.New(s.dispatch, queueHint,
 		eventq.WithBackend(engineBackend), eventq.WithPostDelay(cfg.NetworkDelay))
 
@@ -387,9 +387,6 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		s.initMultiSched()
 	}
 	if cfg.Faults != nil {
-		// Built after initMultiSched on purpose: without churn the
-		// schedulers' snapshots alias the truth view, and forcing dyn below
-		// must not change that.
 		s.flt = newFaultState(*cfg.Faults, cfg.Seed, s.slots)
 		s.res.MessagesDropped = &s.flt.drops
 		if s.dyn == nil {
@@ -623,14 +620,14 @@ func (s *simulation) routeJob(idx int32) {
 			view = s.ms.scheds[js.owner].view
 		}
 		poolSize := dec.Pool.Size(view)
-		if s.ms != nil && s.dyn != nil && poolSize < len(js.durations) {
+		if s.ms != nil && s.view.Dynamic() && poolSize < len(js.durations) {
 			// The stale snapshot looks too narrow for batch sampling; a
 			// real scheduler would consult fresh state before giving up,
 			// so refresh and re-check against the truth.
 			s.refreshSched(int32(js.owner), s.eng.Now())
 			poolSize = dec.Pool.Size(view)
 		}
-		if s.dyn != nil && poolSize < len(js.durations) {
+		if s.view.Dynamic() && poolSize < len(js.durations) {
 			// Batch sampling needs one live candidate per task; churn has
 			// shrunk the pool below that, so park the job until nodes
 			// recover. The feasibility margin makes this unreachable for

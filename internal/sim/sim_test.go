@@ -47,10 +47,11 @@ func TestSingleJobIdleCluster(t *testing.T) {
 	}
 }
 
-// A job's messages leave its scheduler back to back for one instant, and
-// travel as one queue entry: the 2t probes of a t-task job under batch
-// sampling, the t placements of one the centralized scheduler places whole.
-// The event count is what it always was.
+// On a constant delay no message enters the priority queue — probes and
+// placements are one-leg posts, reply round trips two-leg ones — so what the
+// queue holds is what needs one: a completion per task executed, the submit
+// chain and the sampler's ticks (one more than the samples it took: the last
+// finds the run over). The event count is what it always was.
 func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 	const tasks = 10
 	durs := make([]float64, tasks)
@@ -59,14 +60,14 @@ func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 	}
 	tr := tinyTrace(job(1, 0, durs...))
 	for _, c := range []struct {
-		pol            string
-		events, shared uint64
+		pol    string
+		events uint64
 	}{
 		// The submit and two sampler ticks, then per probe an arrival and a
 		// round trip, and a completion per task.
-		{"sparrow", 3 + 2*(2*tasks) + tasks, 2*tasks - 1},
+		{"sparrow", 3 + 2*(2*tasks) + tasks},
 		// ... or per task an arrival and a completion.
-		{"centralized", 3 + 2*tasks, tasks - 1},
+		{"centralized", 3 + 2*tasks},
 	} {
 		s, err := newSimulation(tr, policy.Config{NumNodes: 50, Policy: c.pol, Seed: 1})
 		if err != nil {
@@ -79,9 +80,10 @@ func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 		if res.Events != c.events {
 			t.Errorf("%s: %d events, want %d", c.pol, res.Events, c.events)
 		}
-		if got := res.Events - s.eng.Entries(); got != c.shared {
-			t.Errorf("%s: %d events in %d queue entries, want %d fewer entries than events",
-				c.pol, res.Events, s.eng.Entries(), c.shared)
+		want := uint64(res.TasksExecuted) + uint64(len(res.Jobs)) + uint64(res.Utilization.Len()) + 1
+		if got := s.eng.Entries(); got != want || want != tasks+3 {
+			t.Errorf("%s: %d events in %d queue entries, want %d: %d completions, %d submits, %d sampler ticks",
+				c.pol, res.Events, got, want, res.TasksExecuted, len(res.Jobs), res.Utilization.Len()+1)
 		}
 	}
 }
