@@ -192,7 +192,8 @@ func SimulateSource(src Source, cfg Config) (*Report, error) { return sim.RunSou
 // RunLive runs the goroutine-per-node live prototype (§3.8, §4.10): real
 // messages, injected network latency, tasks that really execute
 // (time.Sleep). Trace durations are interpreted as seconds of real time;
-// scale traces down first.
+// scale traces down first. A churn scenario that strands work ends in the
+// same deadlock error Simulate returns, not a hang.
 func RunLive(trace *Trace, cfg Config) (*Report, error) { return liverun.Run(trace, cfg) }
 
 // Parallel sweeps: every figure of the paper's evaluation is a set of

@@ -78,8 +78,9 @@ func (v *ClusterView) Dynamic() bool { return v.alive != nil }
 
 // EnableMembership switches the view to dynamic membership with every node
 // initially alive. Sampling leaves the static fast path permanently: from
-// here on draws come from the alive-id lists, so the random streams differ
-// from a static view's even while all nodes are up.
+// here on draws come from the alive-id lists. Those lists start in id order,
+// so until the first Fail or Recover reorders them every sampler draws the
+// same ids from a stream as a static view would.
 func (v *ClusterView) EnableMembership() {
 	if v.alive != nil {
 		return

@@ -43,6 +43,58 @@ func TestStaticViewSamplesLikePartition(t *testing.T) {
 	}
 }
 
+// Enabling membership changes no draw by itself: the alive lists start in id
+// order, so a dynamic view with every node up samples exactly like a static
+// one. The first Fail/Recover reorders a list, and from then on they part.
+func TestDynamicViewSamplesLikeStaticUntilChurn(t *testing.T) {
+	sample := func(v *ClusterView, src *randdist.Source, pool, k int) []int {
+		switch pool {
+		case 0:
+			return v.SampleAllInto(nil, src, k)
+		case 1:
+			return v.SampleGeneralInto(nil, src, k)
+		}
+		return v.SampleShortInto(nil, src, k)
+	}
+	// diverged draws the same 3×39 samples from both views and reports
+	// whether any differs.
+	diverged := func(static, dynamic *ClusterView) bool {
+		srcS, srcD := randdist.New(5), randdist.New(5)
+		for pool := 0; pool < 3; pool++ {
+			for k := 1; k < 40; k++ {
+				a, b := sample(static, srcS, pool, k), sample(dynamic, srcD, pool, k)
+				if len(a) != len(b) {
+					return true
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	for _, n := range []int{10, 1000, 15000} {
+		p := NewPartition(n, 0.2)
+		static, dynamic := NewClusterView(p), NewClusterView(p)
+		dynamic.EnableMembership()
+		if diverged(static, dynamic) {
+			t.Errorf("n=%d: a dynamic view with every node up drew differently from a static one", n)
+		}
+		// Everyone up again, but the lists reordered by the swaps.
+		for id := 0; id < n/2; id++ {
+			dynamic.Fail(id)
+		}
+		for id := 0; id < n/2; id++ {
+			dynamic.Recover(id)
+		}
+		if !diverged(static, dynamic) {
+			t.Errorf("n=%d: failing and recovering half the nodes left the draws unchanged", n)
+		}
+	}
+}
+
 func TestStaticViewCountsAndSpeeds(t *testing.T) {
 	p := NewPartition(100, 0.2)
 	v := NewClusterView(p)

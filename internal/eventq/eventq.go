@@ -313,38 +313,9 @@ func (e *Engine[E]) Step() bool {
 	return true
 }
 
-// peekAt reports the timestamp of the earliest pending event.
-func (e *Engine[E]) peekAt() (at float64, ok bool) {
-	if q := e.front(); q != nil {
-		at, ok = q.at, true
-	}
-	for i := range e.lanes.byLegs {
-		if l := &e.lanes.byLegs[i]; l.n > 0 && (!ok || l.front().at < at) {
-			at, ok = l.front().at, true
-		}
-	}
-	return at, ok
-}
-
 // Run executes events until the queue drains.
 func (e *Engine[E]) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued and the clock at the last executed event (or deadline if the first
-// pending event lies beyond it).
-func (e *Engine[E]) RunUntil(deadline float64) {
-	for {
-		at, ok := e.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

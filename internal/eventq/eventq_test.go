@@ -134,34 +134,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := newClosureEngine()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(3)
-	if len(fired) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", len(fired))
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 5 {
-		t.Fatalf("total fired %d, want 5", len(fired))
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := newClosureEngine()
-	e.RunUntil(42)
-	if e.Now() != 42 {
-		t.Fatalf("idle RunUntil left clock at %v, want 42", e.Now())
-	}
-}
-
 func TestStep(t *testing.T) {
 	e := newClosureEngine()
 	if e.Step() {

@@ -182,17 +182,16 @@ func (m *postMachine) dispatch(now float64, ev int) {
 // (op, a, b):
 //
 //	op % 8: 0 At(now + a/4), 1 After(a/4), 2 Post a%4+1 times, the i-th with
-//	        1 + bit 2+i of a legs, 3 RunUntil(now + a/4), 4 AtReserved(now +
-//	        a/4), 5-7 Step
+//	        1 + bit 2+i of a legs, 4 AtReserved(now + a/4), 3 and 5-7 Step
 //	b:      the reaction of the events scheduled (postMachine.dispatch)
 //
 // Times are quarter-seconds so that an At often lands on a posted event's
 // instant, and so does a one-leg post made one delay after a two-leg one.
 func FuzzPostVsAfter(f *testing.F) {
 	const (
-		at, post, runUntil, atReserved, step = 0, 2, 3, 4, 5
-		quarter                              = 1 // header byte 1: post delay 0.25 s
-		twoLegs, oneThenTwo                  = 1 << 2, 1 | 2<<2
+		at, post, atReserved, step = 0, 2, 4, 5
+		quarter                    = 1 // header byte 1: post delay 0.25 s
+		twoLegs, oneThenTwo        = 1 << 2, 1 | 2<<2
 	)
 	f.Add([]byte{})
 	// An At for a posted event's own instant between two posts.
@@ -219,9 +218,9 @@ func FuzzPostVsAfter(f *testing.F) {
 	f.Add([]byte{0, quarter, at, 1, 0, post, twoLegs, 0, step, 0, 0, post, 0, 0, step, 0, 0, step, 0, 0})
 	// Both lanes at delay 0, interleaved with At(now).
 	f.Add([]byte{0, 0, post, oneThenTwo, 0, at, 0, 0, post, oneThenTwo, 0x06, at, 0, 0, step, 0, 0, step, 0, 0})
-	// RunUntil with a lane event as the earliest pending one, the queue's
-	// front beyond the deadline.
-	f.Add([]byte{0, quarter, at, 9, 0, post, oneThenTwo, 0, runUntil, 1, 0, runUntil, 2, 0})
+	// A Step whose earliest pending event is on a lane, the queue's front
+	// well behind it.
+	f.Add([]byte{0, quarter, at, 9, 0, post, oneThenTwo, 0, step, 0, 0, step, 0, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var reserved uint64
 		var delay float64
@@ -251,8 +250,6 @@ func FuzzPostVsAfter(f *testing.F) {
 					m.eng.After(float64(a)*0.25, m.event(b))
 				case post:
 					m.postNew(int(a%4)+1, b, int(a>>2))
-				case runUntil:
-					m.eng.RunUntil(m.eng.Now() + float64(a)*0.25)
 				case atReserved:
 					m.atReserved(m.eng.Now()+float64(a)*0.25, b)
 				default:

@@ -143,8 +143,8 @@ func TestLadderReservedSeqsMatchHeap(t *testing.T) {
 }
 
 // TestLadderBasicContracts runs the engine's behavioral contracts against
-// the ladder backend: time order with FIFO ties, clock advancement,
-// RunUntil semantics, and the capacity hint landing in the overflow tier.
+// the ladder backend: time order with FIFO ties, the clock clamping a past
+// event, and the capacity hint landing in the overflow tier.
 func TestLadderBasicContracts(t *testing.T) {
 	t.Run("order-and-ties", func(t *testing.T) {
 		var got []int
@@ -159,28 +159,6 @@ func TestLadderBasicContracts(t *testing.T) {
 			if i != id {
 				t.Fatalf("dispatch order %v, want ascending ids", got)
 			}
-		}
-	})
-	t.Run("run-until", func(t *testing.T) {
-		var got []float64
-		e := New(func(now float64, _ int) { got = append(got, now) }, 0, WithBackend(BackendLadder))
-		for i := 1; i <= 10; i++ {
-			e.At(float64(i), i)
-		}
-		e.RunUntil(4.5)
-		if len(got) != 4 || e.Now() != 4.5 || e.Pending() != 6 {
-			t.Fatalf("after RunUntil(4.5): fired %v, now %v, pending %d", got, e.Now(), e.Pending())
-		}
-		e.RunUntil(20)
-		if len(got) != 10 || e.Now() != 20 {
-			t.Fatalf("after RunUntil(20): fired %d events, now %v", len(got), e.Now())
-		}
-	})
-	t.Run("idle-clock", func(t *testing.T) {
-		e := New(func(_ float64, _ int) {}, 0, WithBackend(BackendLadder))
-		e.RunUntil(7)
-		if e.Now() != 7 {
-			t.Fatalf("Now() = %v, want 7", e.Now())
 		}
 	})
 	t.Run("past-clamps", func(t *testing.T) {

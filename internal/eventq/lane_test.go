@@ -143,24 +143,6 @@ func TestReservedEventCutsBurstInDelivery(t *testing.T) {
 	}
 }
 
-// RunUntil sees a posted event as the earliest pending one.
-func TestRunUntilCountsTheLanes(t *testing.T) {
-	for _, backend := range []Backend{BackendHeap, BackendLadder} {
-		e, fired := newPostEngine(backend, 0.5)
-		e.Post(2, 1)
-		e.Post(1, 2)
-		e.At(3, 3)
-		e.RunUntil(0.75)
-		if want := []int{2}; !reflect.DeepEqual(*fired, want) || e.Now() != 0.75 {
-			t.Errorf("RunUntil(0.75): fired %v at %v, want %v at 0.75", *fired, e.Now(), want)
-		}
-		e.RunUntil(2)
-		if want := []int{2, 1}; !reflect.DeepEqual(*fired, want) || e.Now() != 2 || e.Pending() != 1 {
-			t.Errorf("RunUntil(2): fired %v at %v, %d pending; want %v at 2, 1 pending", *fired, e.Now(), e.Pending(), want)
-		}
-	}
-}
-
 func TestPostDelayMustBeOrdered(t *testing.T) {
 	for _, d := range []float64{-1, math.NaN()} {
 		func() {

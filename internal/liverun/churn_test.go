@@ -1,6 +1,7 @@
 package liverun
 
 import (
+	"regexp"
 	"testing"
 	"time"
 
@@ -129,16 +130,69 @@ func TestLiveChurnStopsWithCluster(t *testing.T) {
 	cfg.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{
 		{At: 3600, Kind: policy.ChurnFail, Count: 5}, // far beyond the run
 	}}
-	done := make(chan struct{})
+	if _, err := runWithin(t, 30*time.Second, tr, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runWithin is Run under a watchdog: a run still blocked after limit fails
+// the test instead of hanging it.
+func runWithin(t *testing.T, limit time.Duration, tr *workload.Trace, cfg policy.Config) (*policy.Report, error) {
+	t.Helper()
+	type outcome struct {
+		res *policy.Report
+		err error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		defer close(done)
-		if _, err := Run(tr, cfg); err != nil {
-			t.Error(err)
-		}
+		res, err := Run(tr, cfg)
+		done <- outcome{res, err}
 	}()
 	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run with a far-future churn event did not return")
+	case o := <-done:
+		return o.res, o.err
+	case <-time.After(limit):
+		t.Fatalf("Run still blocked after %v", limit)
+		return nil, nil
+	}
+}
+
+// A scenario that strands work ends in the simulator's deadlock diagnosis,
+// never a hang: once the churn script is over nothing can release parked
+// work, so the run ends when every unfinished job has some. The clauses are
+// the simulator's, phrase for phrase (internal/sim TestDeadlockDiagnosis).
+func TestLiveDeadlockDiagnosis(t *testing.T) {
+	const (
+		central   = "central placements backlogged (scenario never restored the central scheduler?)"
+		scheduler = "placements waiting for a live scheduler (scenario never recovered one?)"
+	)
+	outage := fastConfig("hawk")
+	outage.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: 0.02, Kind: policy.ChurnCentralDown}}}
+	schedulersGone := fastConfig("hawk")
+	schedulersGone.Schedulers = &policy.SchedulerSpec{Count: 2, SnapshotInterval: 0.05}
+	schedulersGone.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{
+		{At: 0.01, Kind: policy.ChurnSchedFail, Node: 0},
+		{At: 0.01, Kind: policy.ChurnSchedFail, Node: 1},
+	}}
+	for _, c := range []struct {
+		name   string
+		trace  *workload.Trace
+		cfg    policy.Config
+		clause string
+	}{
+		{"central outage never ends", churnLiveTrace(), outage, central},
+		{"schedulers never recover", multiSchedTrace(), schedulersGone, scheduler},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := runWithin(t, 30*time.Second, c.trace, c.cfg)
+			if err == nil {
+				t.Fatal("the stranded scenario completed")
+			}
+			t.Log(err)
+			pattern := `^liverun: deadlock — \d+ of \d+ jobs completed; ([1-9]\d*) ` + regexp.QuoteMeta(c.clause) + `$`
+			if !regexp.MustCompile(pattern).MatchString(err.Error()) {
+				t.Errorf("want the deadlock diagnosis with clause %q and a count > 0, got: %v", c.clause, err)
+			}
+		})
 	}
 }

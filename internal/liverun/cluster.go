@@ -3,7 +3,6 @@ package liverun
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -26,69 +25,58 @@ type cluster struct {
 	stop     chan struct{}
 	started  time.Time
 
-	// view is the dynamic cluster model shared with the simulator's
-	// engine: membership plus per-node speed factors. On a churn run
-	// (dynamicView) viewMu serializes every sampler and every churn
-	// transition against it (the simulator gets this for free from its
-	// single-threaded event loop); it also guards probeSrc, churnSrc,
-	// lostProbes, and parkedJobs. Without churn the view is immutable
-	// after construction, so the samplers skip the cluster-wide lock —
-	// the static fast path pays one bool check, mirroring the
-	// simulator's zero-overhead contract.
-	viewMu      sync.Mutex
+	// mu is the cluster lock: the view on a churn run (dynamicView — the
+	// simulator's single-threaded event loop gets this for free; without
+	// churn the view is immutable and the samplers skip the lock), probeSrc,
+	// churnSrc, the central scheduler's state, msLive, the waitlist and the
+	// run's progress. Lock order: node, dist-scheduler and live-scheduler
+	// locks before mu; faultPlane.mu and resMu after it. "Check availability
+	// → park" and "recover → release" are each one critical section, and
+	// nothing is resumed while mu is held.
+	mu          sync.Mutex
 	view        *core.ClusterView
-	dynamicView bool             // churn scripted: view mutates at runtime
-	probeSrc    *randdist.Source // stream for failure-re-sent probes
-	churnSrc    *randdist.Source // stream for random churn picks
-	lostProbes  []*jobRuntime    // probes waiting for a live pool node
-	parkedJobs  []*jobRuntime    // jobs whose live pool was narrower than their task count
+	dynamicView bool                   // churn scripted: view mutates at runtime
+	probeSrc    *randdist.Source       // stream for failure-re-sent probes
+	churnSrc    *randdist.Source       // stream for random churn picks
+	waits       policy.Waitlist[entry] // a job, or one task (dur, handle) for the central kinds
 
-	stealAttempts  atomic.Int64
-	stealContacts  atomic.Int64
-	stealSuccesses atomic.Int64
-	entriesStolen  atomic.Int64
-	cancels        atomic.Int64
-	tasksExecuted  atomic.Int64
-	probesSent     atomic.Int64
-	centralAssigns atomic.Int64
+	// Progress, under mu. Parked work is released only by churn-script
+	// events, so once scriptDone is set anything parked can never run: the
+	// run is over when every job is done or has work parked (settleLocked).
+	scriptDone bool
+	jobsDone   int
+	totalJobs  int
+	over       chan struct{} // closed once by settleLocked
+	err        error         // the deadlock diagnosis, set before over closes
 
-	nodeFailures    atomic.Int64
-	nodeRecoveries  atomic.Int64
-	tasksReexecuted atomic.Int64
-	probesLost      atomic.Int64
-	centralDeferred atomic.Int64
-	workLostNanos   atomic.Int64
-
-	// Multi-scheduler state (nil/zero unless Config.Schedulers is set; see
-	// sched.go). msMu guards the live-scheduler list and the placements
-	// parked while no scheduler was live; it is never held while acquiring
-	// a scheduler's or the central scheduler's lock.
-	mscheds   []*liveScheduler
-	msMu      sync.Mutex
-	msLive    *core.SchedulerSet
-	msPending []centralItem
-
-	placementConflicts  atomic.Int64
-	conflictRetries     atomic.Int64
-	snapshotRefreshes   atomic.Int64
-	stalenessNanos      atomic.Int64
-	schedulerFailures   atomic.Int64
-	schedulerRecoveries atomic.Int64
-	schedulerReassigned atomic.Int64
+	// Multi-scheduler state (nil unless Config.Schedulers is set; see
+	// sched.go). msLive is under mu.
+	mscheds []*liveScheduler
+	msLive  *core.SchedulerSet
 
 	// faults is the gray-failure plane (faults.go), nil unless Config.Faults
 	// is set — the fault-free run pays one nil check per message, mirroring
 	// the simulator's contract.
 	faults *faultPlane
+
+	// res is the Report the run returns; every counter is incremented
+	// straight into it under resMu, a leaf lock. Run returns a copy taken
+	// under resMu: speculative losers and late cancels may still count after
+	// the last job completes.
+	resMu sync.Mutex
+	res   policy.Report
 }
 
-func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
+func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 	c := &cluster{
-		cfg:      cfg,
-		pol:      pol,
-		netDelay: time.Duration(cfg.NetworkDelay * float64(time.Second)),
-		stop:     make(chan struct{}),
-		started:  time.Now(),
+		cfg:       cfg,
+		pol:       pol,
+		netDelay:  time.Duration(cfg.NetworkDelay * float64(time.Second)),
+		stop:      make(chan struct{}),
+		started:   time.Now(),
+		totalJobs: jobs,
+		over:      make(chan struct{}),
+		res:       policy.Report{Engine: "live", Policy: pol.String(), Config: cfg},
 	}
 	slots := cfg.TotalSlots()
 	c.part = core.NewPartition(slots, pol.ShortPartitionFraction())
@@ -98,13 +86,15 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 	if cfg.Heterogeneity != nil {
 		c.view.SetSpeeds(cfg.Heterogeneity.Factors(slots, cfg.Seed+policy.SeedSpeeds))
 	}
-	if cfg.Churn != nil && len(cfg.Churn.Events) > 0 {
+	churn := cfg.Churn != nil && len(cfg.Churn.Events) > 0
+	if churn {
 		// Before any goroutine can observe the view: membership tracking
 		// flips the samplers off the static fast path, and dynamicView
 		// turns the view lock on.
 		c.view.EnableMembership()
 		c.dynamicView = true
 	}
+	c.scriptDone = !churn
 
 	root := randdist.New(cfg.Seed)
 	c.nodes = make([]*nodeMonitor, slots)
@@ -117,7 +107,7 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 		c.dscheds[i] = &distScheduler{c: c, src: root.Fork()}
 	}
 	if pool := pol.CentralPool(); pool != policy.PoolNone {
-		c.central = newCentralScheduler(c, pool.IDs(c.part))
+		c.central = &centralScheduler{c: c, q: core.NewCentralQueue(pool.IDs(c.part))}
 	}
 	if spec := cfg.Schedulers; spec != nil {
 		if c.central != nil {
@@ -141,16 +131,20 @@ func newCluster(cfg policy.Config, pol policy.Policy) *cluster {
 	c.churnSrc = root.Fork()
 	if cfg.Faults != nil {
 		c.faults = newFaultPlane(*cfg.Faults, cfg.Seed)
+		c.res.MessagesDropped = &policy.MessageDrops{} // FallbacksToCentral stays zero; see policy.FaultSpec
 	}
 	for _, n := range c.nodes {
 		go n.run()
 	}
-	if c.cfg.Churn != nil && len(c.cfg.Churn.Events) > 0 {
+	if churn {
 		go c.runChurn()
 	}
 	if c.faults != nil && len(c.faults.spec.Stragglers) > 0 {
 		go c.runStragglers()
 	}
+	c.mu.Lock()
+	c.settleLocked() // a trace with no jobs is over before it starts
+	c.mu.Unlock()
 	return c
 }
 
@@ -158,6 +152,41 @@ func (c *cluster) stopAll() { close(c.stop) }
 
 // nowSeconds is the cluster's clock for the centralized waiting-time queue.
 func (c *cluster) nowSeconds() float64 { return time.Since(c.started).Seconds() }
+
+// count adds n to one of the run's Report counters.
+func (c *cluster) count(counter *int64, n int64) {
+	c.resMu.Lock()
+	*counter += n
+	c.resMu.Unlock()
+}
+
+// countTime adds d, in seconds, to one of the run's Report time totals.
+func (c *cluster) countTime(total *float64, d time.Duration) {
+	c.resMu.Lock()
+	*total += d.Seconds()
+	c.resMu.Unlock()
+}
+
+// report is the run's Report: a copy of the counters taken under resMu,
+// with the jobs, the makespan and an outage still open at the end.
+func (c *cluster) report(jobs []policy.JobReport, makespan time.Duration, lastSubmit float64) *policy.Report {
+	c.mu.Lock()
+	c.resMu.Lock()
+	res := c.res
+	if res.MessagesDropped != nil {
+		drops := *res.MessagesDropped
+		res.MessagesDropped = &drops
+	}
+	c.resMu.Unlock()
+	if c.central != nil && c.central.down {
+		res.CentralOutageSeconds += time.Since(c.central.downSince).Seconds()
+	}
+	c.mu.Unlock()
+	res.Jobs = jobs
+	res.Makespan = makespan.Seconds()
+	res.LastSubmit = lastSubmit
+	return &res
+}
 
 // latency injects one network hop of delay, plus the fault plane's per-leg
 // jitter when configured.
@@ -175,7 +204,9 @@ func (c *cluster) latency() {
 // scheduler (whose placeTask delegates to the owning scheduler in the
 // multi-scheduler model) or to a distributed scheduler. Jobs
 // hash-partition over the live schedulers in the multi-scheduler model and
-// round-robin otherwise.
+// round-robin otherwise — including while no scheduler is live, where the
+// simulator parks the job instead (see docs/ARCHITECTURE.md, "Where
+// blocked work waits").
 func (c *cluster) submit(jr *jobRuntime, seq int) {
 	dec := c.pol.Route(jr.info())
 	if dec.Action == policy.ActionCentral {
@@ -184,7 +215,10 @@ func (c *cluster) submit(jr *jobRuntime, seq int) {
 	}
 	pick := seq
 	if c.mscheds != nil {
-		if owner := c.pickScheduler(jr.job.ID); owner >= 0 {
+		c.mu.Lock()
+		owner := c.msLive.Owner(jr.job.ID)
+		c.mu.Unlock()
+		if owner >= 0 {
 			pick = int(owner)
 		}
 	}
@@ -192,10 +226,90 @@ func (c *cluster) submit(jr *jobRuntime, seq int) {
 	go ds.schedule(jr, dec.Pool)
 }
 
+// parkLocked makes one item wait under kind k. Report.CentralDeferred counts
+// exactly the central placements that had to. Caller holds c.mu.
+func (c *cluster) parkLocked(k policy.WaitKind, e entry) {
+	if k == policy.WaitCentral {
+		c.count(&c.res.CentralDeferred, 1)
+	}
+	c.waits[k] = append(c.waits[k], e)
+	c.settleLocked()
+}
+
+// releaseLocked takes off the waitlist everything the recovery unblocks, by
+// policy.WaitRules; the caller resumes it once c.mu is released.
+func (c *cluster) releaseLocked(by policy.Recovery) (out policy.Waitlist[entry]) {
+	for k := range c.waits {
+		if !by.Releases(policy.WaitKind(k)) || len(c.waits[k]) == 0 || policy.WaitRules[k].HeldByCentral && c.central.unavailableLocked() {
+			continue
+		}
+		out[k], c.waits[k] = c.waits[k], nil
+	}
+	return out
+}
+
+// resume re-enters released items through the entry point that parked
+// them, kind by kind in release order, FIFO within a kind; an item that has
+// to wait again parks afresh. Caller must not hold c.mu.
+func (c *cluster) resume(released policy.Waitlist[entry]) {
+	for k, items := range released {
+		for _, e := range items {
+			switch policy.WaitKind(k) {
+			case policy.WaitLostProbe:
+				c.resendProbe(e.job)
+			case policy.WaitPoolWidth:
+				go c.dscheds[0].schedule(e.job, c.pol.Route(e.job.info()).Pool)
+			default: // WaitCentral, WaitSchedTask
+				c.central.placeTask(e.job, e.dur, e.handle)
+			}
+		}
+	}
+}
+
+// jobDone records one job's completion.
+func (c *cluster) jobDone(jr *jobRuntime) {
+	c.mu.Lock()
+	jr.finished = true
+	c.jobsDone++
+	c.settleLocked()
+	c.mu.Unlock()
+}
+
+// settleLocked closes c.over once the run can change no more: every job is
+// done, or the churn script is over and every unfinished job has work
+// parked — which nothing is left to release, so the run ends in the
+// simulator's deadlock diagnosis instead of a hang. Caller holds c.mu.
+func (c *cluster) settleLocked() {
+	select {
+	case <-c.over:
+		return
+	default:
+	}
+	if c.jobsDone < c.totalJobs {
+		if !c.scriptDone {
+			return
+		}
+		stuck := map[*jobRuntime]bool{}
+		for _, items := range c.waits {
+			for _, e := range items {
+				if !e.job.finished {
+					stuck[e.job] = true
+				}
+			}
+		}
+		if c.jobsDone+len(stuck) < c.totalJobs {
+			return
+		}
+		c.err = c.waits.Deadlock("liverun", c.jobsDone, c.totalJobs)
+	}
+	close(c.over)
+}
+
 // runChurn replays the scripted cluster transitions on the real-time
 // clock, mirroring the simulator's typed churn events: events apply in
 // time order (stable for scripted ties), random picks draw from the
-// cluster's seeded churn stream.
+// cluster's seeded churn stream. After the last one nothing parked can be
+// released any more.
 func (c *cluster) runChurn() {
 	events := append([]policy.ChurnEvent(nil), c.cfg.Churn.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -235,6 +349,10 @@ func (c *cluster) runChurn() {
 			}
 		}
 	}
+	c.mu.Lock()
+	c.scriptDone = true
+	c.settleLocked()
+	c.mu.Unlock()
 }
 
 // pickLive resolves a fail event's targets: the explicit node, or Count
@@ -243,8 +361,8 @@ func (c *cluster) pickLive(ev policy.ChurnEvent) []int {
 	if ev.Count == 0 {
 		return []int{ev.Node}
 	}
-	c.viewMu.Lock()
-	defer c.viewMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.view.SampleAllInto(nil, c.churnSrc, ev.Count)
 }
 
@@ -254,8 +372,8 @@ func (c *cluster) pickDead(ev policy.ChurnEvent) []int {
 	if ev.Count == 0 {
 		return []int{ev.Node}
 	}
-	c.viewMu.Lock()
-	defer c.viewMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	dead := c.view.AppendDead(nil)
 	k := ev.Count
 	if k > len(dead) {
@@ -273,17 +391,17 @@ func (c *cluster) pickDead(ev policy.ChurnEvent) []int {
 // queue's server set, the node's queue (every entry re-routed), and the
 // running task (killed mid-sleep; the executing goroutine re-routes it).
 func (c *cluster) failNode(id int) {
-	c.viewMu.Lock()
+	c.mu.Lock()
 	if !c.view.Alive(id) {
-		c.viewMu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	c.view.Fail(id)
-	c.viewMu.Unlock()
-	c.nodeFailures.Add(1)
 	if c.central != nil {
-		c.central.remove(id)
+		c.central.q.Remove(id)
 	}
+	c.mu.Unlock()
+	c.count(&c.res.NodeFailures, 1)
 	dropped := c.nodes[id].goDown()
 	for _, e := range dropped {
 		c.rerouteEntry(e)
@@ -293,28 +411,20 @@ func (c *cluster) failNode(id int) {
 // recoverNode returns one node to the cluster, idle and empty, and
 // releases work waiting on capacity.
 func (c *cluster) recoverNode(id int) {
-	c.viewMu.Lock()
+	c.mu.Lock()
 	if c.view.Alive(id) {
-		c.viewMu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	c.view.Recover(id)
-	lost := c.lostProbes
-	c.lostProbes = nil
-	parked := c.parkedJobs
-	c.parkedJobs = nil
-	c.viewMu.Unlock()
-	c.nodeRecoveries.Add(1)
 	if c.central != nil && c.pol.CentralPool().Contains(c.part, id) {
-		c.central.add(id)
+		c.central.q.Add(id, c.nowSeconds())
 	}
+	released := c.releaseLocked(policy.NodeRecovered)
+	c.mu.Unlock()
+	c.count(&c.res.NodeRecoveries, 1)
 	c.nodes[id].comeUp()
-	for _, jr := range lost {
-		c.resendProbe(jr)
-	}
-	for _, jr := range parked {
-		go c.dscheds[0].schedule(jr, c.pol.Route(jr.info()).Pool)
-	}
+	c.resume(released)
 }
 
 // rerouteEntry re-places one queue entry dropped by a failed node: probes
@@ -325,11 +435,11 @@ func (c *cluster) recoverNode(id int) {
 // (or re-serves) independently.
 func (c *cluster) rerouteEntry(e entry) {
 	if e.spec {
-		c.faults.specWasted.Add(1)
+		c.count(&c.res.SpeculativeWasted, 1)
 		return
 	}
 	if e.probe {
-		c.probesLost.Add(1)
+		c.count(&c.res.ProbesLost, 1)
 		c.resendProbe(e.job)
 		return
 	}
@@ -341,15 +451,15 @@ func (c *cluster) rerouteEntry(e entry) {
 // pool has no live member.
 func (c *cluster) resendProbe(jr *jobRuntime) {
 	dec := c.pol.Route(jr.info())
-	c.viewMu.Lock()
+	c.mu.Lock()
 	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, 1)
 	if len(ids) == 0 {
-		c.lostProbes = append(c.lostProbes, jr)
-		c.viewMu.Unlock()
+		c.parkLocked(policy.WaitLostProbe, entry{job: jr})
+		c.mu.Unlock()
 		return
 	}
-	c.viewMu.Unlock()
-	c.probesSent.Add(1)
+	c.mu.Unlock()
+	c.count(&c.res.ProbesSent, 1)
 	go c.deliverProbe(c.nodes[ids[0]], jr)
 }
 
@@ -371,55 +481,41 @@ func (d *distScheduler) schedule(jr *jobRuntime, pool policy.Pool) {
 	c := d.c
 	d.mu.Lock()
 	if c.dynamicView {
-		c.viewMu.Lock()
+		c.mu.Lock()
 	}
 	poolSize := pool.Size(c.view)
 	if c.dynamicView && poolSize < jr.job.NumTasks() {
-		c.parkedJobs = append(c.parkedJobs, jr)
-		c.viewMu.Unlock()
+		c.parkLocked(policy.WaitPoolWidth, entry{job: jr})
+		c.mu.Unlock()
 		d.mu.Unlock()
 		return
 	}
 	k := core.NumProbes(jr.job.NumTasks(), c.cfg.ProbeRatio, poolSize)
 	ids := pool.SampleInto(nil, c.view, d.src, k)
 	if c.dynamicView {
-		c.viewMu.Unlock()
+		c.mu.Unlock()
 	}
 	d.mu.Unlock()
-	c.probesSent.Add(int64(len(ids)))
+	c.count(&c.res.ProbesSent, int64(len(ids)))
 	for _, id := range ids {
 		go c.deliverProbe(c.nodes[id], jr)
 	}
 }
 
-// centralItem is one parked central placement.
-type centralItem struct {
-	jr     *jobRuntime
-	dur    time.Duration
-	handle int
-}
-
 // centralScheduler runs the §3.7 algorithm over its node pool, with the
-// dynamic-cluster extensions: scripted outages park placements in a
-// backlog, and failed servers leave the waiting-time queue until they
-// recover.
+// dynamic-cluster extensions: scripted outages park placements on the
+// waitlist, and failed servers leave the waiting-time queue until they
+// recover. Its state is under the cluster lock.
 type centralScheduler struct {
-	c  *cluster
-	mu sync.Mutex
-	q  *core.CentralQueue
+	c *cluster
+	q *core.CentralQueue
 
 	down      bool
 	downSince time.Time
-	outage    time.Duration
-	backlog   []centralItem
 
 	// claims is the multi-scheduler commit protocol's claim table
 	// (sched.go); nil on a single-scheduler run.
 	claims *core.ClaimTable
-}
-
-func newCentralScheduler(c *cluster, nodeIDs []int) *centralScheduler {
-	return &centralScheduler{c: c, q: core.NewCentralQueue(nodeIDs)}
 }
 
 // schedule places every task of a job on the least-waiting servers. The
@@ -431,49 +527,46 @@ func (s *centralScheduler) schedule(jr *jobRuntime) {
 	}
 }
 
-// placeTask assigns one task, or parks it while the scheduler is down or
-// has no live servers. In the multi-scheduler model the placement is
-// delegated to the job's owning scheduler's claim/commit path instead.
+// unavailableLocked reports whether central placement must wait: the
+// scheduler is scripted down, or churn has removed its every live server.
+// Caller holds c.mu.
+func (s *centralScheduler) unavailableLocked() bool { return s.down || s.q.Len() == 0 }
+
+// placeTask assigns one task, or parks it while the scheduler is
+// unavailable. In the multi-scheduler model the placement is delegated to
+// the job's owning scheduler's claim/commit path instead, and parks while
+// no scheduler is live — the simulator's centralTask, rule for rule.
 func (s *centralScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int) {
 	c := s.c
-	if c.mscheds != nil {
-		c.placeCentralMS(jr, dur, handle)
+	e := entry{job: jr, dur: dur, handle: handle}
+	c.mu.Lock()
+	if s.unavailableLocked() {
+		c.parkLocked(policy.WaitCentral, e)
+		c.mu.Unlock()
 		return
 	}
-	s.mu.Lock()
-	if s.down || s.q.Len() == 0 {
-		s.backlog = append(s.backlog, centralItem{jr: jr, dur: dur, handle: handle})
-		s.mu.Unlock()
-		c.centralDeferred.Add(1)
+	if c.mscheds != nil {
+		owner := c.msLive.Owner(jr.job.ID)
+		if owner < 0 {
+			c.parkLocked(policy.WaitSchedTask, e)
+		}
+		c.mu.Unlock()
+		if owner >= 0 {
+			c.mscheds[owner].placeTask(jr, dur, handle)
+		}
 		return
 	}
 	nodeID, _ := s.q.Assign(c.nowSeconds(), jr.est)
-	s.mu.Unlock()
-	c.centralAssigns.Add(1)
+	c.mu.Unlock()
+	c.count(&c.res.CentralAssigns, 1)
 	go c.deliverTask(c.nodes[nodeID], entry{job: jr, dur: dur, handle: handle}, false)
-}
-
-// parkIfUnavailable parks one multi-scheduler placement in the backlog if
-// the central scheduler is down or has no live server, reporting whether
-// it did. The backlog drains through placeTask on recovery, which routes
-// back through the owning scheduler.
-func (s *centralScheduler) parkIfUnavailable(jr *jobRuntime, dur time.Duration, handle int) bool {
-	s.mu.Lock()
-	if !s.down && s.q.Len() > 0 {
-		s.mu.Unlock()
-		return false
-	}
-	s.backlog = append(s.backlog, centralItem{jr: jr, dur: dur, handle: handle})
-	s.mu.Unlock()
-	s.c.centralDeferred.Add(1)
-	return true
 }
 
 // snapshotInto copies the authoritative queue into a scheduler's mirror and
 // returns the claim version the snapshot reflects.
 func (s *centralScheduler) snapshotInto(local *core.CentralQueue) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
 	local.SyncFrom(s.q)
 	return s.claims.Version()
 }
@@ -485,8 +578,8 @@ func (s *centralScheduler) snapshotInto(local *core.CentralQueue) uint64 {
 // conflict — on a lost claim, or when the node has left the queue (failed)
 // unseen.
 func (s *centralScheduler) tryCommit(nodeID int, by int32, sinceVer uint64, est float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
 	now := s.c.nowSeconds()
 	if s.q.Waiting(nodeID, now) < 0 || !s.claims.Claim(nodeID, by, sinceVer) {
 		return false
@@ -495,93 +588,53 @@ func (s *centralScheduler) tryCommit(nodeID int, by int32, sinceVer uint64, est 
 	return true
 }
 
-// drainLocked empties the backlog for re-placement; caller holds s.mu.
-func (s *centralScheduler) drainLocked() []centralItem {
-	pending := s.backlog
-	s.backlog = nil
-	return pending
-}
-
 // setDown starts a scripted outage.
 func (s *centralScheduler) setDown() {
-	s.mu.Lock()
+	s.c.mu.Lock()
 	if !s.down {
 		s.down = true
 		s.downSince = time.Now()
 	}
-	s.mu.Unlock()
+	s.c.mu.Unlock()
 }
 
-// setUp ends a scripted outage and re-places the backlog in arrival order.
+// setUp ends a scripted outage, accounts its duration, and re-places the
+// placements that waited for it.
 func (s *centralScheduler) setUp() {
-	s.mu.Lock()
-	var pending []centralItem
-	if s.down {
-		s.down = false
-		s.outage += time.Since(s.downSince)
-		pending = s.drainLocked()
+	c := s.c
+	c.mu.Lock()
+	if !s.down {
+		c.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
-	for _, it := range pending {
-		s.placeTask(it.jr, it.dur, it.handle)
-	}
+	s.down = false
+	c.countTime(&c.res.CentralOutageSeconds, time.Since(s.downSince))
+	released := c.releaseLocked(policy.CentralRestored)
+	c.mu.Unlock()
+	c.resume(released)
 }
 
 // isDown reports whether a scripted outage is in progress.
 func (s *centralScheduler) isDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.c.mu.Lock()
+	defer s.c.mu.Unlock()
 	return s.down
-}
-
-// outageTotal returns the accumulated scripted downtime, including a still
-// open outage.
-func (s *centralScheduler) outageTotal() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := s.outage
-	if s.down {
-		total += time.Since(s.downSince)
-	}
-	return total
-}
-
-// remove drops a failed server from the waiting-time queue.
-func (s *centralScheduler) remove(nodeID int) {
-	s.mu.Lock()
-	s.q.Remove(nodeID)
-	s.mu.Unlock()
-}
-
-// add returns a recovered server to the queue (idle, zero waiting) and
-// re-places any backlog that was parked for lack of live servers.
-func (s *centralScheduler) add(nodeID int) {
-	s.mu.Lock()
-	s.q.Add(nodeID, s.c.nowSeconds())
-	var pending []centralItem
-	if !s.down {
-		pending = s.drainLocked()
-	}
-	s.mu.Unlock()
-	for _, it := range pending {
-		s.placeTask(it.jr, it.dur, it.handle)
-	}
 }
 
 // taskStarted relays node-monitor feedback to the waiting-time queue; the
 // monitor reports the launched task's wall duration (speed-scaled on a
 // heterogeneous cluster) so the running term tracks the real task (§3.7).
 func (s *centralScheduler) taskStarted(nodeID int, est float64, dur time.Duration) {
-	s.mu.Lock()
+	s.c.mu.Lock()
 	s.q.TaskStarted(nodeID, s.c.nowSeconds(), est, dur.Seconds())
-	s.mu.Unlock()
+	s.c.mu.Unlock()
 }
 
 // taskFinished relays completion feedback.
 func (s *centralScheduler) taskFinished(nodeID int) {
-	s.mu.Lock()
+	s.c.mu.Lock()
 	s.q.TaskFinished(nodeID, s.c.nowSeconds())
-	s.mu.Unlock()
+	s.c.mu.Unlock()
 }
 
 // lostTask is one task handed back after a node failure: its duration and
@@ -611,6 +664,8 @@ type jobRuntime struct {
 	// Nil/zero unless the run speculates.
 	completed  []bool
 	specThresh time.Duration
+
+	finished bool // the job completed; under cluster.mu, not mu
 }
 
 // info is the job as the policy's Route sees it.

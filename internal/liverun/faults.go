@@ -3,7 +3,6 @@ package liverun
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/policy"
@@ -22,39 +21,26 @@ import (
 // probe-scheduled task still incomplete specThresh after it started; the
 // first completion wins on the job's per-task bitmap, and the loser runs to
 // completion (only node failure can interrupt a live sleep).
+//
+// The plane's counters are the Report's own (cluster.count).
 type faultPlane struct {
 	spec policy.FaultSpec
 	mu   sync.Mutex       // guards src
 	src  *randdist.Source // the Seed+SeedFaults stream
-
-	drops struct {
-		probes, replies, steals, assigns, commits atomic.Int64
-	}
-	probeTimeouts atomic.Int64
-	probeRetries  atomic.Int64
-	assignRetries atomic.Int64
-	specLaunches  atomic.Int64
-	specWins      atomic.Int64
-	specWasted    atomic.Int64
-	straggles     atomic.Int64
 }
 
 func newFaultPlane(spec policy.FaultSpec, seed int64) *faultPlane {
 	return &faultPlane{spec: spec, src: randdist.New(seed + policy.SeedFaults)}
 }
 
-// drop draws one loss decision, counting a hit against the class counter.
-func (f *faultPlane) drop(p float64, class *atomic.Int64) bool {
+// drop draws one loss decision.
+func (f *faultPlane) drop(p float64) bool {
 	if p == 0 {
 		return false
 	}
 	f.mu.Lock()
-	hit := f.src.Float64() < p
-	f.mu.Unlock()
-	if hit {
-		class.Add(1)
-	}
-	return hit
+	defer f.mu.Unlock()
+	return f.src.Float64() < p
 }
 
 // jitterDelay draws one extra per-leg delay, uniform in [0, Jitter).
@@ -71,21 +57,25 @@ func (f *faultPlane) jitterDelay() time.Duration {
 // lossySend models transmitting one scheduler message over the lossy
 // plane: each dropped transmission times out and re-sends after its
 // backoff, up to MaxRetries, after which the final send is delivered
-// reliably (the engine divergence stated on policy.FaultSpec).
-// timeouts is nil for the assignment classes, which count retries only.
-func (c *cluster) lossySend(p float64, class, timeouts, retries *atomic.Int64) {
+// reliably (the engine divergence stated on policy.FaultSpec). Each drop
+// counts against the message class, a timeout and a retry; timeouts is nil
+// for the assignment classes, which count retries only.
+func (c *cluster) lossySend(p float64, class, timeouts, retries *int64) {
 	f := c.faults
 	if f == nil || p == 0 {
 		return
 	}
 	for attempt := 1; attempt <= f.spec.MaxRetries; attempt++ {
-		if !f.drop(p, class) {
+		if !f.drop(p) {
 			return
 		}
+		c.resMu.Lock()
+		*class++
 		if timeouts != nil {
-			timeouts.Add(1)
+			*timeouts++
 		}
-		retries.Add(1)
+		*retries++
+		c.resMu.Unlock()
 		time.Sleep(time.Duration(f.spec.Backoff(attempt) * float64(time.Second)))
 	}
 }
@@ -93,7 +83,7 @@ func (c *cluster) lossySend(p float64, class, timeouts, retries *atomic.Int64) {
 // deliverProbe carries one probe to its node over the lossy plane.
 func (c *cluster) deliverProbe(n *nodeMonitor, jr *jobRuntime) {
 	if f := c.faults; f != nil {
-		c.lossySend(f.spec.ProbeLoss, &f.drops.probes, &f.probeTimeouts, &f.probeRetries)
+		c.lossySend(f.spec.ProbeLoss, &c.res.MessagesDropped.Probes, &c.res.ProbeTimeouts, &c.res.ProbeRetries)
 	}
 	c.latency()
 	n.enqueue(entry{probe: true, job: jr})
@@ -103,11 +93,11 @@ func (c *cluster) deliverProbe(n *nodeMonitor, jr *jobRuntime) {
 // commit selects the multi-scheduler commit class over plain assignment.
 func (c *cluster) deliverTask(n *nodeMonitor, e entry, commit bool) {
 	if f := c.faults; f != nil {
-		p, class := f.spec.AssignLoss, &f.drops.assigns
+		p, class := f.spec.AssignLoss, &c.res.MessagesDropped.Assigns
 		if commit {
-			p, class = f.spec.CommitLoss, &f.drops.commits
+			p, class = f.spec.CommitLoss, &c.res.MessagesDropped.Commits
 		}
-		c.lossySend(p, class, nil, &f.assignRetries)
+		c.lossySend(p, class, nil, &c.res.AssignRetries)
 	}
 	c.latency()
 	n.enqueue(e)
@@ -131,18 +121,18 @@ func (c *cluster) runStragglers() {
 		}
 		var ids []int
 		if ev.Count > 0 {
-			c.viewMu.Lock()
+			c.mu.Lock()
 			f.mu.Lock()
 			ids = c.view.SampleAllInto(nil, f.src, ev.Count)
 			f.mu.Unlock()
-			c.viewMu.Unlock()
+			c.mu.Unlock()
 		} else {
 			ids = []int{ev.Node}
 		}
 		for _, id := range ids {
 			c.nodes[id].setSlow(ev.Factor)
-			f.straggles.Add(1)
 		}
+		c.count(&c.res.StragglerSlowdowns, int64(len(ids)))
 	}
 }
 
@@ -163,15 +153,15 @@ func (c *cluster) armSpeculation(jr *jobRuntime, dur time.Duration, handle, orig
 		if jr.isCompleted(handle) {
 			return
 		}
-		c.viewMu.Lock()
+		c.mu.Lock()
 		f.mu.Lock()
 		ids := c.view.SampleAllInto(nil, f.src, 1)
 		f.mu.Unlock()
-		c.viewMu.Unlock()
+		c.mu.Unlock()
 		if len(ids) == 0 || ids[0] == origNode {
 			return // no live host besides the original: skip, don't retry
 		}
-		f.specLaunches.Add(1)
+		c.count(&c.res.SpeculativeLaunches, 1)
 		c.latency()
 		c.nodes[ids[0]].enqueue(entry{job: jr, dur: dur, handle: handle, spec: true})
 	})

@@ -16,7 +16,6 @@ package liverun
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -25,9 +24,11 @@ import (
 )
 
 // Run executes the trace on a live goroutine cluster under the policy named
-// by cfg.Policy and blocks until every job completes. Durations in the
-// trace are interpreted as seconds of real execution (sleep) time; callers
-// scale traces down first (the paper scales the Google sample by 1000x).
+// by cfg.Policy and blocks until every job completes — or until a churn
+// scenario has stranded work no later event can release, which it reports as
+// the simulator's deadlock diagnosis. Durations in the trace are interpreted
+// as seconds of real execution (sleep) time; callers scale traces down first
+// (the paper scales the Google sample by 1000x).
 func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	cfg, err := cfg.Normalize(trace)
 	if err != nil {
@@ -61,14 +62,13 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	}
 	cls := core.Classifier{Cutoff: cfg.Cutoff}
 
-	c := newCluster(cfg, pol)
-	defer c.stopAll()
-
 	jobs := append([]*workload.Job(nil), trace.Jobs...)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].SubmitTime < jobs[j].SubmitTime })
 
+	c := newCluster(cfg, pol, len(jobs))
+	defer c.stopAll()
+
 	start := time.Now()
-	var wg sync.WaitGroup
 	results := make([]policy.JobReport, len(jobs))
 
 	for i, j := range jobs {
@@ -77,7 +77,6 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		if d := time.Until(target); d > 0 {
 			time.Sleep(d)
 		}
-		wg.Add(1)
 		idx, job := i, j
 		long := cls.IsLong(job.AvgTaskDuration())
 		duringOutage := c.central != nil && c.central.isDown()
@@ -98,61 +97,13 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 				Estimate:     job.AvgTaskDuration(),
 				DuringOutage: duringOutage,
 			}
-			wg.Done()
+			c.jobDone(jr)
 		}
 		c.submit(jr, idx)
 	}
-	wg.Wait()
-
-	res := &policy.Report{
-		Engine:          "live",
-		Policy:          c.pol.String(),
-		Config:          cfg,
-		Jobs:            results,
-		Makespan:        time.Since(start).Seconds(),
-		LastSubmit:      trace.MakespanLowerBound(),
-		StealAttempts:   c.stealAttempts.Load(),
-		StealContacts:   c.stealContacts.Load(),
-		StealSuccesses:  c.stealSuccesses.Load(),
-		EntriesStolen:   c.entriesStolen.Load(),
-		Cancels:         c.cancels.Load(),
-		TasksExecuted:   c.tasksExecuted.Load(),
-		ProbesSent:      c.probesSent.Load(),
-		CentralAssigns:  c.centralAssigns.Load(),
-		NodeFailures:    c.nodeFailures.Load(),
-		NodeRecoveries:  c.nodeRecoveries.Load(),
-		TasksReexecuted: c.tasksReexecuted.Load(),
-		ProbesLost:      c.probesLost.Load(),
-		CentralDeferred: c.centralDeferred.Load(),
-		WorkLostSeconds: time.Duration(c.workLostNanos.Load()).Seconds(),
-
-		PlacementConflicts:       c.placementConflicts.Load(),
-		ConflictRetries:          c.conflictRetries.Load(),
-		SnapshotRefreshes:        c.snapshotRefreshes.Load(),
-		SnapshotStalenessSeconds: time.Duration(c.stalenessNanos.Load()).Seconds(),
-		SchedulerFailures:        c.schedulerFailures.Load(),
-		SchedulerRecoveries:      c.schedulerRecoveries.Load(),
-		SchedulerReassigned:      c.schedulerReassigned.Load(),
+	<-c.over // every job done, or the deadlock diagnosed
+	if c.err != nil {
+		return nil, c.err
 	}
-	if c.central != nil {
-		res.CentralOutageSeconds = c.central.outageTotal().Seconds()
-	}
-	if f := c.faults; f != nil {
-		// FallbacksToCentral stays zero here; see policy.FaultSpec.
-		res.MessagesDropped = &policy.MessageDrops{
-			Probes:  f.drops.probes.Load(),
-			Replies: f.drops.replies.Load(),
-			Steals:  f.drops.steals.Load(),
-			Assigns: f.drops.assigns.Load(),
-			Commits: f.drops.commits.Load(),
-		}
-		res.ProbeTimeouts = f.probeTimeouts.Load()
-		res.ProbeRetries = f.probeRetries.Load()
-		res.AssignRetries = f.assignRetries.Load()
-		res.SpeculativeLaunches = f.specLaunches.Load()
-		res.SpeculativeWins = f.specWins.Load()
-		res.SpeculativeWasted = f.specWasted.Load()
-		res.StragglerSlowdowns = f.straggles.Load()
-	}
-	return res, nil
+	return c.report(results, time.Since(start), trace.MakespanLowerBound()), nil
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // entry is one element of a live node's FIFO queue: a batch-sampling
-// probe, a centrally placed task, or a speculative duplicate.
+// probe, a centrally placed task, or a speculative duplicate. Parked work
+// on the cluster's waitlist is an entry too: a job, or one task.
 type entry struct {
 	probe bool
 	job   *jobRuntime
@@ -173,19 +174,19 @@ func (n *nodeMonitor) process(e entry) {
 			// The original finished first, or the duplicate surfaced on a
 			// dead node: wasted without executing. The original's own chain
 			// serves the task either way.
-			c.faults.specWasted.Add(1)
+			c.count(&c.res.SpeculativeWasted, 1)
 			return
 		}
 		if n.sleepTask(e.dur) {
 			if e.job.taskDone(e.handle) {
-				c.faults.specWins.Add(1)
+				c.count(&c.res.SpeculativeWins, 1)
 			} else {
-				c.faults.specWasted.Add(1)
+				c.count(&c.res.SpeculativeWasted, 1)
 			}
 			return
 		}
 		// Killed mid-run: the duplicate dies wasted; no re-route.
-		c.faults.specWasted.Add(1)
+		c.count(&c.res.SpeculativeWasted, 1)
 		return
 	}
 	if e.probe {
@@ -193,18 +194,18 @@ func (n *nodeMonitor) process(e entry) {
 		dur, handle, ok := e.job.getTask()
 		if f := c.faults; f != nil {
 			// The task-request round trip rides the lossy plane too.
-			c.lossySend(f.spec.ReplyLoss, &f.drops.replies, &f.probeTimeouts, &f.probeRetries)
+			c.lossySend(f.spec.ReplyLoss, &c.res.MessagesDropped.Replies, &c.res.ProbeTimeouts, &c.res.ProbeRetries)
 		}
 		c.latency() // response
 		if !ok {
-			c.cancels.Add(1)
+			c.count(&c.res.Cancels, 1)
 			return
 		}
 		if !n.isAlive() {
 			// Died during the round trip: the handed-out task never
 			// started; give it back and re-probe elsewhere.
 			e.job.pushLost(dur, handle)
-			c.probesLost.Add(1)
+			c.count(&c.res.ProbesLost, 1)
 			c.resendProbe(e.job)
 			return
 		}
@@ -218,7 +219,7 @@ func (n *nodeMonitor) process(e entry) {
 			return
 		}
 		// Killed mid-run: re-execute from scratch via a fresh probe.
-		c.tasksReexecuted.Add(1)
+		c.count(&c.res.TasksReexecuted, 1)
 		e.job.pushLost(dur, handle)
 		c.resendProbe(e.job)
 		return
@@ -245,7 +246,7 @@ func (n *nodeMonitor) process(e entry) {
 	}
 	// Killed mid-run: the central queue already dropped this server; the
 	// task re-assigns to a live one.
-	c.tasksReexecuted.Add(1)
+	c.count(&c.res.TasksReexecuted, 1)
 	c.central.placeTask(e.job, e.dur, e.handle)
 }
 
@@ -274,7 +275,7 @@ func (n *nodeMonitor) sleepTask(d time.Duration) bool {
 		// Failed between dequeue and launch: nothing executed yet.
 		return false
 	}
-	n.c.tasksExecuted.Add(1)
+	n.c.count(&n.c.res.TasksExecuted, 1)
 	began := time.Now()
 	remaining := d // straggle-free work left
 	for remaining > 0 {
@@ -294,7 +295,7 @@ func (n *nodeMonitor) sleepTask(d time.Duration) bool {
 			remaining -= time.Duration(float64(time.Since(start)) / factor)
 		case <-kill:
 			t.Stop()
-			n.c.workLostNanos.Add(int64(time.Since(began)))
+			n.c.countTime(&n.c.res.WorkLostSeconds, time.Since(began))
 			return false
 		}
 	}
@@ -329,20 +330,21 @@ func (n *nodeMonitor) trySteal() bool {
 	}
 	n.mu.Lock()
 	if c.dynamicView {
-		c.viewMu.Lock()
+		c.mu.Lock()
 	}
 	candidates := c.steal.CandidatesInto(nil, c.view, n.src, n.id)
 	if c.dynamicView {
-		c.viewMu.Unlock()
+		c.mu.Unlock()
 	}
 	n.mu.Unlock()
 	if len(candidates) == 0 {
 		return false
 	}
-	c.stealAttempts.Add(1)
+	c.count(&c.res.StealAttempts, 1)
 	for _, id := range candidates {
-		c.stealContacts.Add(1)
-		if f := c.faults; f != nil && f.drop(f.spec.StealLoss, &f.drops.steals) {
+		c.count(&c.res.StealContacts, 1)
+		if f := c.faults; f != nil && f.drop(f.spec.StealLoss) {
+			c.count(&c.res.MessagesDropped.Steals, 1)
 			// The contact was lost; stealing is opportunistic, so the
 			// thief simply moves on to its next candidate victim.
 			continue
@@ -366,8 +368,8 @@ func (n *nodeMonitor) trySteal() bool {
 		}
 		n.queue = append(append(make([]entry, 0, len(group)+len(n.queue)), group...), n.queue...)
 		n.mu.Unlock()
-		c.stealSuccesses.Add(1)
-		c.entriesStolen.Add(int64(len(group)))
+		c.count(&c.res.StealSuccesses, 1)
+		c.count(&c.res.EntriesStolen, int64(len(group)))
 		return true
 	}
 	return false

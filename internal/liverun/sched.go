@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // The live engine's concurrent multi-scheduler model, mirroring the
@@ -19,7 +20,7 @@ import (
 // with genuine data-race pressure (the -race tests drive this path).
 //
 // Everything hangs off cluster.mscheds, nil unless Config.Schedulers is
-// set, so a single-scheduler run never takes the extra locks.
+// set, so a single-scheduler run never takes a scheduler's lock.
 
 // liveScheduler is one concurrent scheduler: an independent mirror of the
 // central waiting-time queue plus the snapshot bookkeeping the claim
@@ -52,14 +53,14 @@ func (ls *liveScheduler) refresh() {
 	ls.mu.Unlock()
 }
 
-// refreshLocked is refresh with ls.mu held (lock order: ls.mu before
-// central.mu, everywhere).
+// refreshLocked is refresh with ls.mu held (lock order: ls.mu before the
+// cluster lock, everywhere).
 func (ls *liveScheduler) refreshLocked() {
 	if ls.local != nil {
 		ls.snapVer = ls.c.central.snapshotInto(ls.local)
 	}
 	ls.snapAt = time.Now()
-	ls.c.snapshotRefreshes.Add(1)
+	ls.c.count(&ls.c.res.SnapshotRefreshes, 1)
 }
 
 // run is the scheduler's snapshot refresher: tick at the configured
@@ -84,19 +85,26 @@ func (ls *liveScheduler) run(interval time.Duration) {
 // placeTask runs the optimistic placement loop for one task: assign on the
 // stale mirror, claim against the shared truth, and on conflict back off
 // and retry — refreshing the snapshot once the configured retries are
-// exhausted. A dead scheduler re-hashes the task to a survivor; an
-// unavailable central scheduler parks it in the shared backlog.
+// exhausted. A dead scheduler hands the task back to the central
+// scheduler, which re-hashes it to a survivor (or parks it); a central
+// scheduler gone unavailable meanwhile parks it on the waitlist.
 func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int) {
 	c := ls.c
 	backoff := time.Duration(c.cfg.Schedulers.RetryBackoff * float64(time.Second))
 	attempt := 0
 	for {
 		if !ls.isAlive() {
-			c.schedulerReassigned.Add(1)
-			c.placeCentralMS(jr, dur, handle)
+			c.count(&c.res.SchedulerReassigned, 1)
+			c.central.placeTask(jr, dur, handle)
 			return
 		}
-		if c.central.parkIfUnavailable(jr, dur, handle) {
+		c.mu.Lock()
+		parked := c.central.unavailableLocked()
+		if parked {
+			c.parkLocked(policy.WaitCentral, entry{job: jr, dur: dur, handle: handle})
+		}
+		c.mu.Unlock()
+		if parked {
 			return
 		}
 		ls.mu.Lock()
@@ -109,48 +117,25 @@ func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int
 		sinceVer, snapAt := ls.snapVer, ls.snapAt
 		ls.mu.Unlock()
 		if c.central.tryCommit(nodeID, ls.id, sinceVer, jr.est) {
-			c.centralAssigns.Add(1)
-			c.stalenessNanos.Add(int64(time.Since(snapAt)))
+			c.count(&c.res.CentralAssigns, 1)
+			c.countTime(&c.res.SnapshotStalenessSeconds, time.Since(snapAt))
 			go c.deliverTask(c.nodes[nodeID], entry{job: jr, dur: dur, handle: handle, sched: ls.id}, true)
 			return
 		}
 		// Conflict: the mirror's Assign already penalized the contested
 		// server, so the retry naturally spreads to another one.
-		c.placementConflicts.Add(1)
+		c.count(&c.res.PlacementConflicts, 1)
 		attempt++
 		if c.cfg.Schedulers.RetriesExhausted(attempt) {
 			ls.refresh()
 			attempt = 0
 			continue
 		}
-		c.conflictRetries.Add(1)
+		c.count(&c.res.ConflictRetries, 1)
 		if backoff > 0 {
 			time.Sleep(backoff)
 		}
 	}
-}
-
-// pickScheduler returns the job's owner among the live schedulers
-// (core.SchedulerSet.Owner — the rule the simulator runs), or -1 when none
-// is live. Caller must not hold msMu.
-func (c *cluster) pickScheduler(jobID int) int32 {
-	c.msMu.Lock()
-	defer c.msMu.Unlock()
-	return c.msLive.Owner(jobID)
-}
-
-// placeCentralMS routes one central task via a live scheduler, parking it
-// when none is live (drained on the next scheduler recovery).
-func (c *cluster) placeCentralMS(jr *jobRuntime, dur time.Duration, handle int) {
-	owner := c.pickScheduler(jr.job.ID)
-	if owner < 0 {
-		c.msMu.Lock()
-		c.msPending = append(c.msPending, centralItem{jr: jr, dur: dur, handle: handle})
-		c.msMu.Unlock()
-		c.centralDeferred.Add(1)
-		return
-	}
-	c.mscheds[owner].placeTask(jr, dur, handle)
 }
 
 // mirrorStarted relays a task start to the placing scheduler's mirror, so
@@ -188,10 +173,10 @@ func (c *cluster) failScheduler(id int) {
 	}
 	ls.alive = false
 	ls.mu.Unlock()
-	c.msMu.Lock()
+	c.mu.Lock()
 	c.msLive.Fail(int32(id))
-	c.msMu.Unlock()
-	c.schedulerFailures.Add(1)
+	c.mu.Unlock()
+	c.count(&c.res.SchedulerFailures, 1)
 }
 
 // recoverScheduler returns a failed scheduler to service with a fresh
@@ -206,13 +191,10 @@ func (c *cluster) recoverScheduler(id int) {
 	ls.refreshLocked()
 	ls.alive = true
 	ls.mu.Unlock()
-	c.msMu.Lock()
+	c.mu.Lock()
 	c.msLive.Recover(int32(id))
-	pending := c.msPending
-	c.msPending = nil
-	c.msMu.Unlock()
-	c.schedulerRecoveries.Add(1)
-	for _, it := range pending {
-		c.placeCentralMS(it.jr, it.dur, it.handle)
-	}
+	released := c.releaseLocked(policy.SchedulerRecovered)
+	c.mu.Unlock()
+	c.count(&c.res.SchedulerRecoveries, 1)
+	c.resume(released)
 }

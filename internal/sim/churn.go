@@ -7,6 +7,8 @@ package sim
 // failed after it was sent), so clarity wins over allocation discipline;
 // the churn-free fast path never enters here (simulation.dyn == nil).
 
+import "repro/internal/policy"
+
 // dynState is the per-node dynamic-cluster bookkeeping, allocated only
 // when the scenario scripts membership transitions or injects faults.
 type dynState struct {
@@ -180,7 +182,7 @@ func (s *simulation) recoverNode(id int32, now float64) {
 	if s.central != nil && s.pol.CentralPool().Contains(s.part, int(id)) {
 		s.central.Add(int(id), now)
 	}
-	s.release(nodeRecovered)
+	s.release(policy.NodeRecovered)
 	s.attemptSteal(&s.nodes[id])
 }
 
@@ -192,14 +194,14 @@ func (s *simulation) recoverNode(id int32, now float64) {
 // aimed at a stale member could bounce between dead nodes indefinitely.
 func (s *simulation) resendProbe(jidx int32) {
 	if s.ms != nil && !s.ensureOwner(jidx) {
-		s.park(waitSchedProbe, waiting{jidx: jidx, tidx: -1})
+		s.park(policy.WaitSchedProbe, waiting{jidx: jidx, tidx: -1})
 		return
 	}
 	js := &s.jobs[jidx]
 	dec := s.pol.Route(js.info())
 	s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, 1)
 	if len(s.nodeIDs) == 0 {
-		s.park(waitLostProbe, waiting{jidx: jidx, tidx: -1})
+		s.park(policy.WaitLostProbe, waiting{jidx: jidx, tidx: -1})
 		return
 	}
 	s.res.ProbesSent++
@@ -222,7 +224,7 @@ func (s *simulation) centralUnavailable() bool {
 func (s *simulation) centralTask(jidx, tidx int32) {
 	switch {
 	case s.centralUnavailable():
-		s.park(waitCentral, waiting{jidx: jidx, tidx: tidx})
+		s.park(policy.WaitCentral, waiting{jidx: jidx, tidx: tidx})
 	case s.ms == nil:
 		nodeID, _ := s.central.Assign(s.eng.Now(), s.jobs[jidx].estimate)
 		s.res.CentralAssigns++
@@ -230,7 +232,7 @@ func (s *simulation) centralTask(jidx, tidx int32) {
 	case s.ensureOwner(jidx):
 		s.placeCentral(jidx, tidx, 0)
 	default:
-		s.park(waitSchedTask, waiting{jidx: jidx, tidx: tidx})
+		s.park(policy.WaitSchedTask, waiting{jidx: jidx, tidx: tidx})
 	}
 }
 
@@ -251,5 +253,5 @@ func (s *simulation) centralOutageEnd(now float64) {
 	}
 	s.centralDown = false
 	s.res.CentralOutageSeconds += now - s.centralDownSince
-	s.release(centralRestored)
+	s.release(policy.CentralRestored)
 }

@@ -214,19 +214,19 @@ func TestDeadlockDiagnosis(t *testing.T) {
 	}
 }
 
-// Every wait kind must say who releases it, how it resumes and how it is
-// diagnosed: a kind added without its table row would otherwise strand work
-// silently.
+// Every wait kind must say who releases it and how it is diagnosed (the
+// shared policy.WaitRules row) and how it resumes here: a kind added without
+// either would otherwise strand work silently.
 func TestWaitKindTableComplete(t *testing.T) {
-	used := map[waitClause]bool{}
-	for k, kind := range waitKinds {
-		if kind.releasedBy == 0 || kind.resume == nil || int(kind.clause) >= len(waitClauses) {
-			t.Errorf("wait kind %d: incomplete table row %+v", k, kind)
+	used := map[int]bool{}
+	for k, rule := range policy.WaitRules {
+		if rule.ReleasedBy == 0 || resumes[k] == nil || int(rule.Clause) >= len(policy.WaitClauses) {
+			t.Errorf("wait kind %d: incomplete row %+v (resume bound: %v)", k, rule, resumes[k] != nil)
 		}
-		used[kind.clause] = true
+		used[rule.Clause] = true
 	}
-	for c, text := range waitClauses {
-		if !used[waitClause(c)] || !strings.Contains(text, "%d") {
+	for c, text := range policy.WaitClauses {
+		if !used[c] || !strings.Contains(text, "%d") {
 			t.Errorf("deadlock clause %d (%q) is unused or reports no count", c, text)
 		}
 	}

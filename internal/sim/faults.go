@@ -229,7 +229,7 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
-		s.park(waitLostProbe, waiting{jidx: ev.jidx, tidx: -1})
+		s.park(policy.WaitLostProbe, waiting{jidx: ev.jidx, tidx: -1})
 		return
 	}
 	s.res.ProbesSent++
@@ -272,7 +272,7 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 {
-		s.park(waitExhausted, waiting{jidx: jidx, tidx: tidx})
+		s.park(policy.WaitExhausted, waiting{jidx: jidx, tidx: tidx})
 		return
 	}
 	if s.faultDrop(s.flt.spec.AssignLoss, &s.flt.drops.Assigns) {
@@ -286,13 +286,13 @@ func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
 }
 
 // assignRetryTick handles evAssignRetry: a dropped task placement's
-// backoff expired. Exhausted chains wait (waitExhausted) — re-placed on the
-// next node recovery, and surfaced in the deadlock report if none ever
-// comes (the bounded terminal state of an all-drop scenario).
+// backoff expired. Exhausted chains wait (policy.WaitExhausted) — re-placed
+// on the next node recovery, and surfaced in the deadlock report if none
+// ever comes (the bounded terminal state of an all-drop scenario).
 func (s *simulation) assignRetryTick(ev simEvent) {
 	attempt := int(ev.flags >> evfAttemptShift)
 	if attempt > s.flt.spec.MaxRetries {
-		s.park(waitExhausted, waiting{jidx: ev.jidx, tidx: ev.aux})
+		s.park(policy.WaitExhausted, waiting{jidx: ev.jidx, tidx: ev.aux})
 		return
 	}
 	s.res.AssignRetries++

@@ -186,7 +186,7 @@ func (s *simulation) snapRefreshTick(k int32, gen uint8, now float64) {
 func (s *simulation) msAssignOwner(idx int32) bool {
 	owner := s.ms.live.Owner(s.jobs[idx].id)
 	if owner < 0 {
-		s.park(waitSchedJob, waiting{jidx: idx, tidx: -1})
+		s.park(policy.WaitSchedJob, waiting{jidx: idx, tidx: -1})
 		return false
 	}
 	s.jobs[idx].owner = uint8(owner)
@@ -283,7 +283,7 @@ func (s *simulation) schedRetryTick(k int32, gen uint8) {
 		sd.retryHead = 0
 	}
 	if s.centralUnavailable() {
-		s.park(waitCentral, waiting{jidx: r.jidx, tidx: r.tidx})
+		s.park(policy.WaitCentral, waiting{jidx: r.jidx, tidx: r.tidx})
 		return
 	}
 	s.placeCentral(r.jidx, r.tidx, r.attempt)
@@ -299,7 +299,7 @@ func (s *simulation) msReplyReady(ev simEvent) bool {
 		return true
 	}
 	if !s.ensureOwner(ev.jidx) {
-		s.park(waitSchedReply, waiting{jidx: ev.jidx, tidx: -1, node: ev.ref, gen: ev.gen})
+		s.park(policy.WaitSchedReply, waiting{jidx: ev.jidx, tidx: -1, node: ev.ref, gen: ev.gen})
 		return false
 	}
 	s.res.ProbesLost++
@@ -345,5 +345,5 @@ func (s *simulation) recoverScheduler(id int32, now float64) {
 	sd.placed = 0
 	sd.armed = true
 	s.eng.After(s.ms.spec.SnapshotInterval, simEvent{kind: evSnapRefresh, ref: id, gen: sd.epoch})
-	s.release(schedulerRecovered)
+	s.release(policy.SchedulerRecovered)
 }

@@ -229,7 +229,7 @@ type simulation struct {
 
 	// waits holds every piece of work that cannot be placed right now, one
 	// FIFO per reason (see waitlist.go).
-	waits [numWaitKinds][]waiting
+	waits policy.Waitlist[waiting]
 }
 
 // Run simulates the trace under the configuration, executing the policy
@@ -496,17 +496,7 @@ func (s *simulation) run() (*policy.Report, error) {
 	if s.jobsDone != s.totalJobs {
 		// Whatever never completed is waiting for a recovery the scenario
 		// never scripted; say what and how much, clause by clause.
-		var stranded [len(waitClauses)]int
-		for k := range waitKinds {
-			stranded[waitKinds[k].clause] += len(s.waits[k])
-		}
-		detail := ""
-		for c, n := range stranded {
-			if n > 0 {
-				detail += "; " + fmt.Sprintf(waitClauses[c], n)
-			}
-		}
-		return nil, fmt.Errorf("sim: deadlock — %d of %d jobs completed%s", s.jobsDone, s.totalJobs, detail)
+		return nil, s.waits.Deadlock("sim", s.jobsDone, s.totalJobs)
 	}
 	if s.centralDown {
 		// Outage never closed by the script: account it up to the end.
@@ -632,7 +622,7 @@ func (s *simulation) routeJob(idx int32) {
 			// shrunk the pool below that, so park the job until nodes
 			// recover. The feasibility margin makes this unreachable for
 			// validated scenarios — it is the belt to that suspender.
-			s.park(waitPoolWidth, waiting{jidx: idx, tidx: -1})
+			s.park(policy.WaitPoolWidth, waiting{jidx: idx, tidx: -1})
 			return
 		}
 		k := core.NumProbes(len(js.durations), s.cfg.ProbeRatio, poolSize)
@@ -662,7 +652,7 @@ func (s *simulation) probeJob(idx int32, nodeIDs []int) {
 //hawk:hotpath
 func (s *simulation) centralJob(idx int32) {
 	if s.centralUnavailable() {
-		s.park(waitCentral, waiting{jidx: idx, tidx: -1})
+		s.park(policy.WaitCentral, waiting{jidx: idx, tidx: -1})
 		return
 	}
 	for i := range s.jobs[idx].durations {

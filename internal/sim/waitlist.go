@@ -1,30 +1,12 @@
 package sim
 
+import "repro/internal/policy"
+
 // The waitlist: the one place work waits when it cannot be placed right now.
-// Hawk itself never blocks work, so every reason to wait comes from a
-// scenario plane, and each is one waitKind with one waitKinds row: which
-// recovery releases it, through which ordinary entry point its items
-// resume, and under which clause run() reports them if no recovery ever
-// comes. docs/ARCHITECTURE.md (Invariants) has the table in prose. A static
-// run never parks anything.
-
-// waitKind names one reason work is waiting. The kinds are listed in release
-// order: a recovery releases the kinds it unblocks in this order, FIFO
-// within a kind. The order is behaviour — every resume draws from the run's
-// random streams — and the goldens pin it.
-type waitKind uint8
-
-const (
-	waitLostProbe  waitKind = iota // probe re-send: no live node in the job's pool
-	waitPoolWidth                  // job at routing: churn shrank its probe pool below its task count
-	waitCentral                    // central placement (tidx < 0: a whole job): scheduler down or serverless
-	waitExhausted                  // task: fault retry chain exhausted, or no live node for a direct send
-	waitSchedJob                   // job at routing: no live scheduler
-	waitSchedTask                  // central task: no live scheduler
-	waitSchedProbe                 // probe re-send: no live scheduler
-	waitSchedReply                 // node's probe round trip (node, gen pin its held slot): no live scheduler
-	numWaitKinds
-)
+// The rules — the kinds, which recovery releases each, the deadlock clauses —
+// are policy.WaitRules, shared with the live engine; what is the simulator's
+// own is the entry point each kind resumes through and the release loop,
+// whose order (swap a list out, resume its items, next kind) the goldens pin.
 
 // waiting is one parked item: a job (tidx < 0) or one of its tasks, plus
 // the held slot when what waits is a node's probe round trip.
@@ -34,60 +16,23 @@ type waiting struct {
 	gen        uint8
 }
 
-// recovery is a set of the scenario events that unblock waiting work.
-type recovery uint8
-
-const (
-	nodeRecovered recovery = 1 << iota
-	centralRestored
-	schedulerRecovered
-)
-
-// waitClause indexes waitClauses, the deadlock error's detail clauses in the
-// order the error lists them; kinds that share a clause are summed.
-type waitClause uint8
-
-const (
-	clauseCentral waitClause = iota
-	clausePoolWidth
-	clauseLostProbe
-	clauseExhausted
-	clauseScheduler
-)
-
-var waitClauses = [...]string{
-	clauseCentral:   "%d central placements backlogged (scenario never restored the central scheduler?)",
-	clausePoolWidth: "%d jobs parked for pool capacity (scenario never recovered enough nodes?)",
-	clauseLostProbe: "%d probes waiting for a live pool node",
-	clauseExhausted: "%d placements gave up after exhausting fault retries",
-	clauseScheduler: "%d placements waiting for a live scheduler (scenario never recovered one?)",
-}
-
-// waitKinds is the per-kind table. held, when set, keeps a list parked
-// through a recovery that does not actually unblock it: waitCentral moves
-// only once the scheduler is up and has a live server. (Only central
-// placement parks there, so a non-empty list implies the central queue held
-// dereferences exists.)
-var waitKinds = [numWaitKinds]struct {
-	releasedBy recovery
-	held       func(*simulation) bool
-	resume     func(*simulation, waiting)
-	clause     waitClause
-}{
-	waitLostProbe:  {releasedBy: nodeRecovered, resume: (*simulation).resumeProbe, clause: clauseLostProbe},
-	waitPoolWidth:  {releasedBy: nodeRecovered, resume: (*simulation).resumeJob, clause: clausePoolWidth},
-	waitCentral:    {releasedBy: nodeRecovered | centralRestored, held: (*simulation).centralUnavailable, resume: (*simulation).resumeCentral, clause: clauseCentral},
-	waitExhausted:  {releasedBy: nodeRecovered, resume: (*simulation).resumeTask, clause: clauseExhausted},
-	waitSchedJob:   {releasedBy: schedulerRecovered, resume: (*simulation).resumeJob, clause: clauseScheduler},
-	waitSchedTask:  {releasedBy: schedulerRecovered, resume: (*simulation).resumeCentral, clause: clauseScheduler},
-	waitSchedProbe: {releasedBy: schedulerRecovered, resume: (*simulation).resumeProbe, clause: clauseScheduler},
-	waitSchedReply: {releasedBy: schedulerRecovered, resume: (*simulation).resumeReply, clause: clauseScheduler},
+// resumes binds each kind to the ordinary entry point its items re-enter
+// through.
+var resumes = [policy.NumWaitKinds]func(*simulation, waiting){
+	policy.WaitLostProbe:  (*simulation).resumeProbe,
+	policy.WaitPoolWidth:  (*simulation).resumeJob,
+	policy.WaitCentral:    (*simulation).resumeCentral,
+	policy.WaitExhausted:  (*simulation).resumeTask,
+	policy.WaitSchedJob:   (*simulation).resumeJob,
+	policy.WaitSchedTask:  (*simulation).resumeCentral,
+	policy.WaitSchedProbe: (*simulation).resumeProbe,
+	policy.WaitSchedReply: (*simulation).resumeReply,
 }
 
 // park makes one item wait under kind k. Report.CentralDeferred counts
 // exactly the central placements that had to.
-func (s *simulation) park(k waitKind, w waiting) {
-	if k == waitCentral {
+func (s *simulation) park(k policy.WaitKind, w waiting) {
+	if k == policy.WaitCentral {
 		s.res.CentralDeferred++
 	}
 	s.waits[k] = append(s.waits[k], w)
@@ -95,17 +40,18 @@ func (s *simulation) park(k waitKind, w waiting) {
 
 // release re-enters everything the recovery unblocks. Each list is swapped
 // out first, so an item that has to wait again — under its old kind or
-// another — parks afresh instead of being revisited.
-func (s *simulation) release(by recovery) {
-	for k := range waitKinds {
-		kind := &waitKinds[k]
-		if kind.releasedBy&by == 0 || len(s.waits[k]) == 0 || kind.held != nil && kind.held(s) {
+// another — parks afresh instead of being revisited. (Only central placement
+// parks under a HeldByCentral kind, so a non-empty list implies the central
+// queue centralUnavailable dereferences exists.)
+func (s *simulation) release(by policy.Recovery) {
+	for k := range s.waits {
+		if !by.Releases(policy.WaitKind(k)) || len(s.waits[k]) == 0 || policy.WaitRules[k].HeldByCentral && s.centralUnavailable() {
 			continue
 		}
 		pending := s.waits[k]
 		s.waits[k] = nil
 		for _, w := range pending {
-			kind.resume(s, w)
+			resumes[k](s, w)
 		}
 	}
 }
