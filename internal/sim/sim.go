@@ -355,8 +355,9 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		s.res.Streamed = policy.NewStreamedStats(policy.DefaultReservoirSize, cfg.Seed+policy.SeedReservoirs)
 	} else {
 		// Every job produces exactly one JobReport; reserving the slice up
-		// front keeps jobCompleted off the allocator's growth path.
-		s.res.Jobs = make([]policy.JobReport, 0, meta.NumJobs)
+		// front keeps jobCompleted off the allocator's growth path (up to
+		// the hint's cap: past it, a file's job count is only a promise).
+		s.res.Jobs = make([]policy.JobReport, 0, meta.JobsHint())
 	}
 
 	s.part = core.NewPartition(s.slots, pol.ShortPartitionFraction())

@@ -143,6 +143,37 @@ func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 	}
 }
 
+// A trace file's header sizes nothing the run trusts before the records
+// arrive. Without maxtasks= the run completes, every job held to the
+// feasibility rule as it is pulled (the reader used to bound each job by the
+// absent 0); a header promising 10^11 jobs to a retained run ends in the
+// reader's diagnosis, where the report used to be pre-sized to 5.6 TB.
+func TestFileHeaderIsAPromise(t *testing.T) {
+	const head = "#hawk-trace v=1 name=\"g\" cutoff=10 frac=0.1 "
+	cfg := policy.Config{NumNodes: 20, Policy: "sparrow", Seed: 1}
+	for _, c := range []struct{ body, want string }{
+		{head + "jobs=2\n0,0,1,5\n1,2.5,2,6,7\n", ""},
+		{head + "jobs=100000000000\n0,0,1,5\n", "file ended after 1 jobs, header promised 100000000000"},
+	} {
+		path := filepath.Join(t.TempDir(), "g.trace")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := workload.OpenSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSource(src, cfg)
+		src.Close()
+		if c.want == "" && (err != nil || len(res.Jobs) != 2) {
+			t.Errorf("header without maxtasks=: %v", err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("header promising 10^11 jobs: %v, want the reader's %q", err, c.want)
+		}
+	}
+}
+
 // unknownBounds is a source that does not know its widest job or its task
 // total before it has yielded them.
 type unknownBounds struct{ workload.Source }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -21,8 +22,11 @@ import (
 //
 // Every field is a number or the letter L — never a comma, a quote or a line
 // break — so appendJobRecord writes what encoding/csv would (a test holds it
-// to that) with none of its quoting and no []string per job. Reading stays
-// on encoding/csv: a file is outside input and may be quoted.
+// to that) with none of its quoting and no []string per job, and FileSource
+// reads a hawk-trace record back the same way: the line is cut at commas and
+// each field parsed in place into the recycled job, so a quote there is a
+// decode error. ReadCSV keeps encoding/csv: a legacy file comes from an
+// outside tool and may be quoted.
 
 // appendJobRecord appends j's record, newline included, to buf.
 func appendJobRecord(buf []byte, j *Job) []byte {
@@ -49,6 +53,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(bufio.NewReader(r))
 	cr.FieldsPerRecord = -1 // variable-length records
 	t := &Trace{}
+	var fields [][]byte
 	for line := 1; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -57,8 +62,12 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: %w", line, err)
 		}
+		fields = fields[:0]
+		for _, f := range rec {
+			fields = append(fields, []byte(f))
+		}
 		j := &Job{}
-		if err := parseJobFields(rec, j); err != nil {
+		if err := parseJobFields(fields, j); err != nil {
 			return nil, fmt.Errorf("workload: line %d: %w", line, err)
 		}
 		t.Jobs = append(t.Jobs, j)
@@ -69,32 +78,48 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// cutFields appends to dst the fields of an unquoted record: line cut at
+// every comma, as slices of line.
+func cutFields(dst [][]byte, line []byte) [][]byte {
+	for {
+		i := bytes.IndexByte(line, ',')
+		if i < 0 {
+			return append(dst, line)
+		}
+		dst = append(dst, line[:i])
+		line = line[i+1:]
+	}
+}
+
 // parseJobFields decodes one job record (grammar above) into j, reusing
 // j.Durations' backing array when it has capacity, and checks the per-job
 // invariants Validate would: non-negative submit time and durations, at
-// least one task. Shared by the materializing and streaming readers.
-func parseJobFields(rec []string, j *Job) error {
+// least one task. Shared by the materializing and streaming readers. A
+// field's string(f) conversion does not allocate: strconv keeps no reference
+// to its argument, and a number as appendJobRecord writes it (at most 24
+// bytes) fits the compiler's 32-byte stack buffer for such conversions.
+func parseJobFields(rec [][]byte, j *Job) error {
 	if len(rec) < 4 {
 		return fmt.Errorf("record too short (%d fields)", len(rec))
 	}
-	id, err := strconv.Atoi(rec[0])
+	id, err := strconv.Atoi(string(rec[0]))
 	if err != nil {
 		return fmt.Errorf("bad job id %q: %w", rec[0], err)
 	}
-	submit, err := strconv.ParseFloat(rec[1], 64)
+	submit, err := strconv.ParseFloat(string(rec[1]), 64)
 	if err != nil {
 		return fmt.Errorf("bad submit time %q: %w", rec[1], err)
 	}
 	if submit < 0 {
 		return fmt.Errorf("negative submit time %g", submit)
 	}
-	n, err := strconv.Atoi(rec[2])
+	n, err := strconv.Atoi(string(rec[2]))
 	if err != nil || n < 1 {
 		return fmt.Errorf("bad task count %q", rec[2])
 	}
 	rest := rec[3:]
 	long := false
-	if len(rest) == n+1 && rest[n] == "L" {
+	if len(rest) == n+1 && string(rest[n]) == "L" {
 		long = true
 		rest = rest[:n]
 	}
@@ -107,7 +132,7 @@ func parseJobFields(rec []string, j *Job) error {
 		j.Durations = make([]float64, n)
 	}
 	for i, f := range rest {
-		d, err := strconv.ParseFloat(f, 64)
+		d, err := strconv.ParseFloat(string(f), 64)
 		if err != nil {
 			return fmt.Errorf("bad duration %q: %w", f, err)
 		}

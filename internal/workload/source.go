@@ -34,6 +34,16 @@ type Meta struct {
 	Sorted bool
 }
 
+// jobsHintCap bounds JobsHint; it is above the 40 000 jobs of the largest
+// trace the benchmark retains, so that run's pre-size is exact.
+const jobsHintCap = 1 << 16
+
+// JobsHint is NumJobs capped for pre-sizing a per-job slice. A file's header
+// is a promise the reader checks only as records arrive, so the count it
+// states must not be allocated before they do: past the cap the slice grows
+// on demand.
+func (m Meta) JobsHint() int { return min(m.NumJobs, jobsHintCap) }
+
 // Source is a pull iterator over a trace's jobs in submission order, and
 // the one form in which the simulator takes a workload: it pulls the next
 // job only when its submit event fires, so what a run holds of the workload
@@ -156,7 +166,7 @@ func Materialize(src Source) (*Trace, error) {
 		Name:                   m.Name,
 		Cutoff:                 m.Cutoff,
 		ShortPartitionFraction: m.ShortPartitionFraction,
-		Jobs:                   make([]*Job, 0, m.NumJobs),
+		Jobs:                   make([]*Job, 0, m.JobsHint()),
 	}
 	for {
 		j, ok := src.Next()

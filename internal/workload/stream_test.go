@@ -315,6 +315,7 @@ func TestFileSourceErrors(t *testing.T) {
 		{"maxtasks exceeded", head(1, 1, 2) + "0,0,2,5,5\n", "at most"},
 		{"bad record", head(1, 1, 1) + "0,0,x,5\n", "task count"},
 		{"negative duration", head(1, 1, 1) + "0,0,1,-5\n", "negative duration"},
+		{"quoted field", head(1, 1, 1) + "0,0,1,\"5\"\n", "job 0: quoted field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -356,6 +357,56 @@ func TestFileSourceChecksEndWithLastJob(t *testing.T) {
 			t.Errorf("after the last promised job Err() = %v, want %q", err, want)
 		}
 		fs.Close()
+	}
+}
+
+// A header's job count is a promise the reader checks as the records
+// arrive: one promising 10^11 jobs over a single record ends in the reader's
+// diagnosis instead of pre-sizing the trace for all of them. (A header
+// without maxtasks= bounding no job is a FuzzStreamTrace seed.)
+func TestLoadFileHeaderIsAPromise(t *testing.T) {
+	_, err := LoadFile(writeStream(t, t.TempDir(), "#hawk-trace v=1 name=\"g\" jobs=100000000000\n0,0,1,5\n"))
+	if want := "file ended after 1 jobs, header promised 100000000000"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadFile: %v, want the reader's %q", err, want)
+	}
+}
+
+// Decoding a plain file allocates nothing per job once the pooled job and the
+// reader's buffers have grown to the widest record: the fields are cut in
+// place and parsed into the recycled Durations (encoding/csv allocated a
+// string per record). The trace's first job is its widest,
+// so everything after it is steady state.
+func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
+	tr := Generate(Google(), GenConfig{NumJobs: 2000, MeanInterArrival: 2.3, Seed: 1})
+	widest := make([]float64, tr.Meta().MaxTasks+1)
+	for i := range widest {
+		widest[i] = 1.2345678901234567e-10 // longer than any generated duration's text
+	}
+	tr.Jobs[0].Durations = widest
+	path := filepath.Join(t.TempDir(), "g.trace")
+	if err := SaveSource(path, NewTraceSource(tr)); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	next := func() {
+		j, ok := fs.Next()
+		if !ok {
+			t.Fatalf("stream ended early: %v", fs.Err())
+		}
+		fs.Recycle(j)
+	}
+	next()
+	const runs, perRun = 30, 50
+	if allocs := testing.AllocsPerRun(runs, func() {
+		for range perRun {
+			next()
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations per %d jobs decoded, want 0", allocs, perRun)
 	}
 }
 

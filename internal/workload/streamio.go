@@ -2,8 +2,8 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +30,10 @@ import (
 var ErrNotStreamTrace = errors.New("workload: missing #hawk-trace header")
 
 const streamHeaderMagic = "#hawk-trace"
+
+// readBufferSize is a FileSource's read buffer; a longer record is assembled
+// in FileSource.long.
+const readBufferSize = 1 << 16
 
 // WriteSource drains src to w in the hawk-trace format (uncompressed; see
 // SaveSource for the gzip-by-extension convenience). Jobs are written as
@@ -101,58 +105,62 @@ func SaveSource(path string, src Source) error {
 	return f.Close()
 }
 
-// FileSource streams jobs from a hawk-trace file with chunked decode: one
-// CSV record is parsed per Next, into a pooled Job, so peak memory is
-// O(in-flight jobs) regardless of file size. It enforces the format's
-// ordering and count invariants as it reads and reports failures through
-// Err. FileSource implements Recycler; Close releases the file handle.
+// FileSource streams jobs from a hawk-trace file: each Next takes one line
+// off the 64 KiB read buffer, cuts it at commas and parses the fields
+// straight into a pooled Job, so a run that recycles its jobs decodes the
+// whole file without allocating per job and peak memory is O(in-flight
+// jobs) regardless of file size. Lines end in "\n" or "\r\n", blank lines
+// are skipped and the last record may lack its newline — what encoding/csv
+// accepts of an unquoted file, which FuzzStreamTrace holds it to. It
+// enforces the format's ordering and count invariants as it reads and
+// reports failures through Err. FileSource implements Recycler; Close
+// releases the file handle.
 type FileSource struct {
-	f    *os.File
-	gz   *gzip.Reader
-	cr   *csv.Reader
-	meta Meta
-	prev float64
-	n    int
-	err  error
-	done bool
-	free []*Job
+	f      *os.File
+	gz     *gzip.Reader
+	r      *bufio.Reader
+	long   []byte   // a record longer than r's buffer, assembled
+	fields [][]byte // the current record cut at commas
+	meta   Meta
+	prev   float64
+	n      int
+	err    error
+	done   bool
+	free   []*Job
 }
 
 // openFile opens the trace file at path — through gzip when the name ends in
 // ".gz", a rule about files and not about either format, applied here only —
 // and takes the first line off it, which is what tells the formats apart.
 // The FileSource owns the handles (Close releases them) and will decode
-// records from rest, the file after that line, once it has a Meta.
-func openFile(path string) (s *FileSource, rest *bufio.Reader, first string, err error) {
+// records from s.r, the file after that line, once it has a Meta.
+func openFile(path string) (s *FileSource, first string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	s = &FileSource{f: f}
 	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
 		if s.gz, err = gzip.NewReader(f); err != nil {
 			f.Close()
-			return nil, nil, "", fmt.Errorf("workload: %s: %w", path, err)
+			return nil, "", fmt.Errorf("workload: %s: %w", path, err)
 		}
 		r = s.gz
 	}
-	rest = bufio.NewReaderSize(r, 1<<16)
-	if first, err = rest.ReadString('\n'); err != nil && err != io.EOF {
+	s.r = bufio.NewReaderSize(r, readBufferSize)
+	if first, err = s.r.ReadString('\n'); err != nil && err != io.EOF {
 		s.Close()
-		return nil, nil, "", fmt.Errorf("workload: %s: reading header: %w", path, err)
+		return nil, "", fmt.Errorf("workload: %s: reading header: %w", path, err)
 	}
-	s.cr = csv.NewReader(rest)
-	s.cr.FieldsPerRecord = -1 // variable-length records
-	s.cr.ReuseRecord = true
-	return s, rest, first, nil
+	return s, first, nil
 }
 
 // OpenSource opens a hawk-trace file for streaming (gzip inferred from a
 // ".gz" suffix). It reads only the header: job records decode lazily via
 // Next. Returns ErrNotStreamTrace (wrapped) when the header is absent.
 func OpenSource(path string) (*FileSource, error) {
-	s, _, first, err := openFile(path)
+	s, first, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +179,7 @@ func OpenSource(path string) (*FileSource, error) {
 // leaves them zero. LoadFile is Open for callers that want the whole trace
 // in memory.
 func Open(path string) (Source, error) {
-	s, rest, first, err := openFile(path)
+	s, first, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +190,7 @@ func Open(path string) (Source, error) {
 	if !errors.Is(err, ErrNotStreamTrace) {
 		return nil, fmt.Errorf("workload: %s: %w", path, err)
 	}
-	t, err := ReadCSV(io.MultiReader(strings.NewReader(first), rest))
+	t, err := ReadCSV(io.MultiReader(strings.NewReader(first), s.r))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +282,7 @@ func (s *FileSource) Next() (*Job, bool) {
 	if s.done {
 		return nil, false
 	}
-	rec, err := s.cr.Read()
+	line, err := s.record()
 	if err == io.EOF {
 		s.done = true
 		if s.n != s.meta.NumJobs {
@@ -297,7 +305,11 @@ func (s *FileSource) Next() (*Job, bool) {
 	} else {
 		j = &Job{}
 	}
-	if err := parseJobFields(rec, j); err != nil {
+	s.fields = cutFields(s.fields[:0], line)
+	if err := parseJobFields(s.fields, j); err != nil {
+		if bytes.IndexByte(line, '"') >= 0 {
+			err = errors.New("quoted field (hawk-trace records are never quoted)")
+		}
 		s.fail(fmt.Errorf("workload: trace %q: job %d: %w", s.meta.Name, s.n, err))
 		return nil, false
 	}
@@ -305,7 +317,7 @@ func (s *FileSource) Next() (*Job, bool) {
 		s.fail(err)
 		return nil, false
 	}
-	if len(j.Durations) > s.meta.MaxTasks {
+	if s.meta.MaxTasks > 0 && len(j.Durations) > s.meta.MaxTasks {
 		s.fail(fmt.Errorf("workload: trace %q: job %d has %d tasks, header promised at most %d", s.meta.Name, j.ID, len(j.Durations), s.meta.MaxTasks))
 		return nil, false
 	}
@@ -315,6 +327,35 @@ func (s *FileSource) Next() (*Job, bool) {
 		s.Next() // a clean end of file, or a diagnosis in Err
 	}
 	return j, true
+}
+
+// record returns the next line that is not blank, cut before its "\n" or
+// "\r\n" (or a "\r" that ends the file), or io.EOF after the last one. The
+// bytes are valid until the next call: a line is a slice of the read buffer,
+// or of s.long when it is longer than the buffer.
+func (s *FileSource) record() ([]byte, error) {
+	for {
+		line, err := s.r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			s.long = append(s.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = s.r.ReadSlice('\n')
+				s.long = append(s.long, line...)
+			}
+			line = s.long
+		}
+		if err == io.EOF && len(line) > 0 {
+			err = nil // a last record without a newline
+		}
+		if err != nil {
+			return nil, err
+		}
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) > 0 {
+			return line, nil
+		}
+	}
 }
 
 func (s *FileSource) fail(err error) {
