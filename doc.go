@@ -67,7 +67,8 @@
 // over a bounded worker pool (hawk.RunSweep) with results byte-identical to
 // a serial loop; internal/workload generates, streams and serializes
 // traces; internal/experiments reproduces every table and figure of the
-// paper on top of the sweep layer; internal/lint is hawklint. cmd/hawksim,
+// paper on top of the sweep layer; internal/lint is hawklint, whose one
+// entry point is `go test ./internal/lint`. cmd/hawksim,
 // cmd/hawkexp, and cmd/hawkgen are the command-line entry points
 // (internal/cliflags is what the first two share); `hawkexp -exp all -quick`
 // regenerates the paper's evaluation; bench/ is the end-to-end benchmark.

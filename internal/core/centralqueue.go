@@ -69,11 +69,8 @@ type CentralQueue struct {
 }
 
 // server is one node's waiting-time state plus where its slot sits. Its
-// size is pinned here for hawklint and by TestCentralQueueLayout at run
-// time: SyncFrom copies one per node id on every snapshot refresh.
-//
-//hawk:size=24
-//hawk:nopointers
+// size and pointer-freeness are pinned by TestCentralQueueLayout: SyncFrom
+// copies one per node id on every snapshot refresh.
 type server struct {
 	runEnd float64 // estimated completion instant of the running long task
 	queued float64 // summed estimates of queued long tasks
@@ -381,11 +378,9 @@ func (q *CentralQueue) Waitings(now float64) []float64 {
 // slot is one heap entry: a server and the key it is ordered by, stored
 // inline so sifting compares slots in place. The key is the server's key()
 // as of its last mutation — the same float expression a comparison would
-// recompute, so ordering is bit-identical to recomputing it. Size pinned
-// for hawklint and by TestCentralQueueLayout: every sift step moves one.
-//
-//hawk:size=16
-//hawk:nopointers
+// recompute, so ordering is bit-identical to recomputing it. Size and
+// pointer-freeness pinned by TestCentralQueueLayout: every sift step moves
+// one.
 type slot struct {
 	key  float64
 	node int32

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -287,12 +288,11 @@ func FuzzCentralQueueVsOracle(f *testing.F) {
 	f.Fuzz(runCentralQueueOps)
 }
 
-// TestCentralQueueLayout is the runtime backstop for the //hawk:size and
-// //hawk:nopointers pins on slot and server in centralqueue.go (enforced at
-// vet time by hawklint's structsize analyzer, see internal/lint), the way
-// internal/sim's TestHotStructSizes backs simEvent and entry: SyncFrom
-// copies one server record and one slot per tracked node on every snapshot
-// refresh, and every sift step moves a slot.
+// TestCentralQueueLayout pins the size and pointer-freeness of slot and
+// server, the way internal/sim's TestHotStructSizes pins simEvent and
+// entry: SyncFrom copies one server record and one slot per tracked node on
+// every snapshot refresh, every sift step moves a slot, and the arrays stay
+// opaque to the garbage collector only while both hold no pointer.
 func TestCentralQueueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 16 {
 		t.Errorf("sizeof(slot) = %d, want 16", got)
@@ -300,4 +300,31 @@ func TestCentralQueueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(server{}); got != 24 {
 		t.Errorf("sizeof(server) = %d, want 24", got)
 	}
+	for _, v := range []any{slot{}, server{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%v carries a pointer; it must stay pointer-free", typ)
+		}
+	}
+}
+
+// pointerFree reports whether values of t hold nothing the garbage
+// collector must scan: strings, slices, maps, channels, funcs and
+// interfaces all carry a pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary — Analyzer, Pass, Diagnostic —
-// plus a `go vet -vettool` driver (see Main in unitchecker.go).
+// plus the one package loader hawklint needs (Load in load.go), which both
+// internal/lint's whole-tree test and analysistest's fixtures go through.
 //
 // The repository deliberately has no third-party dependencies, so the real
 // x/tools module is not available; this package supplies the ~5% of its
@@ -13,9 +14,10 @@
 //
 //   - no Facts, no Requires/ResultOf: the hawklint analyzers are all
 //     single-package and self-contained;
-//   - no SuggestedFixes;
-//   - the unitchecker always typechecks from the export data `go vet`
-//     hands it (compiled-package import, never source import).
+//   - no SuggestedFixes and no TypesSizes: nothing reports a fix or
+//     measures a layout;
+//   - no standalone binary: the analyzers run inside `go test`, on packages
+//     typechecked from the export data `go list -export` built.
 package analysis
 
 import (
@@ -49,11 +51,10 @@ type Pass struct {
 	Fset  *token.FileSet // positions for Files
 	Files []*ast.File    // the package's syntax trees, comments included
 
-	Pkg        *types.Package // the typechecked package
-	TypesInfo  *types.Info    // type information (Types, Defs, Uses, ...)
-	TypesSizes types.Sizes    // target-platform layout, for Sizeof checks
+	Pkg       *types.Package // the typechecked package
+	TypesInfo *types.Info    // type information (Types, Defs, Uses, ...)
 
-	// Report delivers one diagnostic. The driver fills it in; analyzers
+	// Report delivers one diagnostic. Pass.Run fills it in; analyzers
 	// usually call Reportf instead.
 	Report func(Diagnostic)
 }
@@ -63,8 +64,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
+// Run applies a to the package p holds and returns its diagnostics. p is a
+// copy, so one loaded Pass serves every analyzer.
+func (p Pass) Run(a *Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	p.Analyzer = a
+	p.Report = func(d Diagnostic) { diags = append(diags, d) }
+	if _, err := a.Run(&p); err != nil {
+		return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+	}
+	return diags, nil
+}
+
 // A Diagnostic is one finding: a position and a message. The reporting
-// analyzer's name is attached by the driver, not carried here.
+// analyzer's name is attached by the caller of Pass.Run, not carried here.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string

@@ -14,108 +14,53 @@
 // every expectation must be matched by a diagnostic on that line and every
 // diagnostic must match an expectation, or the test fails.
 //
-// Fixture imports are typechecked from source (GOROOT packages only — the
-// go/build source importer used here does not resolve module paths), so
-// fixtures must be self-contained apart from standard-library imports.
+// Fixtures are loaded by analysis.Load, like the tree: they must build with
+// `go build`, and may import the standard library or this module.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/lint/analysis"
-)
-
-// The file set and source importer are process-wide: the importer caches
-// every GOROOT package it typechecks, and its results are only valid
-// against the file set they were parsed into, so both must be shared by
-// all Run calls in the test binary.
-var (
-	loadMu     sync.Mutex
-	sharedFset = token.NewFileSet()
-	sharedImp  = importer.ForCompiler(sharedFset, "source", nil)
 )
 
 // Run analyzes each fixture package under dir ("<dir>/src/<pkg>") with a
 // and reports expectation mismatches through t.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
+	patterns := make([]string, len(pkgs))
+	for i, pkg := range pkgs {
+		patterns[i] = "./" + pkg
+	}
+	passes, err := analysis.Load(filepath.Join(dir, "src"), patterns...)
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	byName := make(map[string]*analysis.Pass)
+	for _, p := range passes {
+		byName[p.Pkg.Name()] = p // a fixture's package is named after its directory
+	}
 	for _, pkg := range pkgs {
 		t.Run(a.Name+"/"+pkg, func(t *testing.T) {
 			t.Helper()
-			runOne(t, filepath.Join(dir, "src", pkg), a)
+			pass := byName[pkg]
+			if pass == nil {
+				t.Fatalf("fixture %s not loaded", pkg)
+			}
+			diags, err := pass.Run(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExpectations(t, pass.Fset, pass.Files, diags)
 		})
 	}
-}
-
-func runOne(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	loadMu.Lock()
-	defer loadMu.Unlock()
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, e.Name()), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no Go files in %s", dir)
-	}
-
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	tcfg := &types.Config{Importer: sharedImp, Sizes: sizes}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	pkg, err := tcfg.Check("fixture/"+filepath.Base(dir), sharedFset, files, info)
-	if err != nil {
-		t.Fatalf("fixture does not typecheck: %v", err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       sharedFset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		TypesSizes: sizes,
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-
-	checkExpectations(t, sharedFset, files, diags)
 }
 
 // expectation is one `want` regexp and whether a diagnostic matched it.

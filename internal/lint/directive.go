@@ -11,13 +11,13 @@ import (
 // A directive is one parsed //hawk: comment line.
 type directive struct {
 	pos  token.Pos // position of the comment line
-	verb string    // "hotpath", "size", "nopointers", "deterministic", "allow", or unknown
-	arg  string    // size: the byte count text; allow: the justification
+	verb string    // "hotpath", "deterministic", "exporteddoc", "allow", or unknown
+	arg  string    // allow: the justification
 }
 
 // knownVerbs lists every directive verb the suite understands, for the
 // unknown-verb diagnostic.
-var knownVerbs = []string{"allow", "deterministic", "exporteddoc", "hotpath", "nopointers", "size"}
+var knownVerbs = []string{"allow", "deterministic", "exporteddoc", "hotpath"}
 
 func knownVerb(v string) bool {
 	for _, k := range knownVerbs {
@@ -43,8 +43,8 @@ func parseDirectives(cg *ast.CommentGroup) []directive {
 			continue
 		}
 		d := directive{pos: c.Pos()}
-		head, rest, _ := strings.Cut(text, " ")
-		d.verb, d.arg, _ = strings.Cut(head, "=")
+		var rest string
+		d.verb, rest, _ = strings.Cut(text, " ")
 		if d.verb == "allow" {
 			// The justification is the whole remainder — unless it is just
 			// another comment, which is not a justification (this also

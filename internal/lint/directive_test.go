@@ -20,7 +20,7 @@ func TestParseDirectives(t *testing.T) {
 	src := `// Package p is a doc comment.
 //
 //hawk:hotpath
-//hawk:size=16 trailing text is ignored
+//hawk:deterministic trailing text is ignored
 //hawk:allow because the growth path runs once
 //hawk:allow // a nested comment is not a justification
 //hawk:allow
@@ -39,7 +39,7 @@ package p
 		verb, arg string
 	}{
 		{"hotpath", ""},
-		{"size", "16"},
+		{"deterministic", ""},
 		{"allow", "because the growth path runs once"},
 		{"allow", ""}, // nested comment stripped: unjustified
 		{"allow", ""},

@@ -1,9 +1,10 @@
-// Package lint implements hawklint: five static analyzers that enforce, at
+// Package lint implements hawklint: four static analyzers that enforce, at
 // compile time, the invariants this reproduction's performance and
-// replayability results rest on. They run as a `go vet -vettool` suite (see
-// cmd/hawklint) over the whole repository in CI, so the rules hold for
-// every future call site — not just the ones the runtime tests happen to
-// exercise.
+// replayability results rest on. TestTreeIsLintClean runs them over every
+// package `go vet ./...` visits, test files included, inside `go test
+// ./...`, so the rules hold for every future call site — not just the ones
+// the runtime tests happen to exercise. `go test ./internal/lint` is the
+// one entry point.
 //
 // The analyzers:
 //
@@ -12,13 +13,7 @@
 //     literals or make(map), append calls that do not reuse their
 //     destination's backing array, boxing concrete values into interface
 //     types, or fmt.* calls. It also owns directive hygiene: unknown,
-//     malformed, or misplaced //hawk: directives are reported here.
-//   - structsize: struct types annotated //hawk:size=N are checked against
-//     the target platform's real layout (types.Sizes), and types annotated
-//     //hawk:nopointers are rejected if any reachable field carries a
-//     pointer (including strings, slices, maps, and interfaces). This is
-//     the compile-time form of internal/sim's TestHotStructSizes, and it
-//     covers structs that test will never hear about.
+//     unjustified, or misplaced //hawk: directives are reported here.
 //   - determinism: packages annotated //hawk:deterministic may not call
 //     time.Now/Since/Until, the global math/rand functions (seeded
 //     rand.New(rand.NewSource(...)) streams are fine), or os.Getenv and
@@ -26,9 +21,9 @@
 //     into event ordering or report output. Order-insensitive map loops
 //     (counting, collect-then-sort) carry a //hawk:allow justification.
 //   - imports: packages containing any //hawk:hotpath annotation may not
-//     import container/heap, container/list, or reflect — the event queue
-//     and server heap are hand-rolled precisely because those packages box
-//     every element through interface{}.
+//     import container/heap, container/list, reflect, or sort — the event
+//     queue and server heap are hand-rolled precisely because those
+//     packages box every element through interface{}.
 //   - exporteddoc: packages annotated //hawk:exporteddoc must carry a doc
 //     comment on every exported symbol — types, functions, methods on
 //     exported receivers, constants, and variables (a group doc covers a
@@ -45,12 +40,6 @@
 //	    On a function or method declaration's doc comment: that body is a
 //	    hot path. On the package clause's doc comment: every function in
 //	    the package is (test files exempt).
-//	//hawk:size=<bytes>
-//	    On a type declaration's doc comment: unsafe.Sizeof the type must
-//	    equal <bytes> on the platform being vetted.
-//	//hawk:nopointers
-//	    On a type declaration's doc comment: the type must contain no
-//	    pointer-bearing fields at any depth.
 //	//hawk:deterministic
 //	    On the package clause's doc comment: the determinism analyzer
 //	    applies to the package (test files exempt).
@@ -65,16 +54,19 @@
 //
 // Text after the first token of a non-allow directive is ignored, so
 // fixture files can append `// want` expectations to directive lines. A
-// directive with an unknown verb, a malformed argument, or placed where its
-// verb has no effect (e.g. //hawk:size inside a function body) is reported
-// by hotalloc rather than silently skipped.
+// directive with an unknown verb, an allow without a justification, or a
+// directive placed where its verb has no effect (e.g. //hawk:hotpath inside
+// a function body) is reported by hotalloc rather than silently skipped.
 //
 // # Relationship to the runtime pins
 //
-// internal/sim keeps TestHotStructSizes and the testing.AllocsPerRun pins:
-// the analyzers prove the constructs are absent, the runtime tests prove
-// the compiler agreed (escape analysis can still surprise). Each runtime
-// pin cross-references the analyzer guarding the same invariant so the two
-// layers are maintained together. internal/liverun is deliberately
-// unannotated: it is the wall-clock prototype, and time.Now is its job.
+// internal/sim keeps the testing.AllocsPerRun pins: the analyzers prove the
+// constructs are absent, the runtime tests prove the compiler agreed
+// (escape analysis can still surprise). Each runtime pin cross-references
+// the analyzer guarding the same invariant so the two layers are maintained
+// together. Struct layouts are runtime pins only: TestHotStructSizes
+// (internal/sim) and TestCentralQueueLayout (internal/core) check the exact
+// size and pointer-freeness of the four hot types. internal/liverun is
+// deliberately unannotated: it is the wall-clock prototype, and time.Now is
+// its job.
 package lint

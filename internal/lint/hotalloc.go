@@ -250,21 +250,10 @@ func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) []*types.Var {
 func checkDirectiveHygiene(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		// Comment groups where placed directives actually take effect.
-		effective := make(map[*ast.CommentGroup]bool)
-		effective[f.Doc] = true
+		effective := map[*ast.CommentGroup]bool{f.Doc: true}
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				effective[d.Doc] = true
-			case *ast.GenDecl:
-				if d.Tok == token.TYPE {
-					effective[d.Doc] = true
-					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							effective[ts.Doc] = true
-						}
-					}
-				}
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				effective[fn.Doc] = true
 			}
 		}
 		for _, cg := range f.Comments {
@@ -276,7 +265,7 @@ func checkDirectiveHygiene(pass *analysis.Pass) {
 				case d.verb == "allow" && d.arg == "":
 					pass.Reportf(d.pos, "//hawk:allow needs a justification: say why this finding is safe to suppress")
 				case d.verb != "allow" && !effective[cg]:
-					pass.Reportf(d.pos, "misplaced //hawk:%s: directives take effect on package, func, or type doc comments only", d.verb)
+					pass.Reportf(d.pos, "misplaced //hawk:%s: directives take effect on package or func doc comments only", d.verb)
 				}
 			}
 		}

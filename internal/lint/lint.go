@@ -3,10 +3,9 @@ package lint
 import "repro/internal/lint/analysis"
 
 // Analyzers is the hawklint suite in the order diagnostics should be
-// easiest to read: layout first, then allocation, then determinism, then
-// imports, then doc coverage. cmd/hawklint runs exactly this list.
+// easiest to read: allocation first, then determinism, then imports, then
+// doc coverage. TestTreeIsLintClean runs exactly this list.
 var Analyzers = []*analysis.Analyzer{
-	StructSize,
 	HotAlloc,
 	Determinism,
 	Imports,

@@ -8,26 +8,26 @@ package baddirective
 //hawk:allow // want `//hawk:allow needs a justification`
 
 func f() int {
-	//hawk:size=16 // want `misplaced //hawk:size`
+	//hawk:deterministic // want `misplaced //hawk:deterministic`
 	x := 0
 	//hawk:hotpath // want `misplaced //hawk:hotpath`
 	return x
 }
 
-// Misplaced on a non-type declaration:
+// Misplaced on a non-func declaration:
 //
-//hawk:nopointers // want `misplaced //hawk:nopointers`
+//hawk:hotpath // want `misplaced //hawk:hotpath`
 var v int
 
-// wellPlaced directives produce no hygiene findings.
+// A layout pin is a runtime test, not a directive:
 //
-//hawk:size=8
-//hawk:nopointers
-type wellPlaced struct{ a, b int32 }
+//hawk:size=16 // want `unknown //hawk: directive "size=16"`
+type pinned struct{ a, b int64 }
 
 //hawk:hotpath
 func hot() {
 	m := make(map[int]int) //hawk:allow reused lookup table, justified properly
 	_ = m
 	_ = v
+	_ = pinned{}
 }

@@ -22,7 +22,7 @@ import (
 // internal/stats and cannot be pre-grown from here). The per-entry waits go
 // to fixed-capacity reservoirs and need no such care.
 //
-// hawklint's hotalloc analyzer guards the same property at vet time: the
+// hawklint's hotalloc analyzer guards the same property statically: the
 // functions these paths run through are annotated //hawk:hotpath (see
 // internal/lint), which statically forbids the constructs that would make
 // this pin regress — capturing closures, map allocation, append without

@@ -128,13 +128,8 @@ const (
 // indexes the simulation's jobs arena, so the struct carries three int32s
 // instead of any pointer. gen is the scheduling-time incarnation of node
 // ref (see dynState.epoch); it is always zero on a churn-free run, where
-// no event can ever be stale.
-//
-// The size and pointer-freeness pins are enforced at vet time by hawklint's
-// structsize analyzer and re-checked at run time by TestHotStructSizes:
-//
-//hawk:size=16
-//hawk:nopointers
+// no event can ever be stale. TestHotStructSizes pins its size and
+// pointer-freeness.
 type simEvent struct {
 	kind  evKind
 	flags uint8 // evf* bits: placement class, speculation marker, retry attempt

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -16,11 +17,6 @@ import (
 // two float64s); the int32-arena layout must stay strictly smaller, and
 // both must stay pointer-free so the event heap and node queues are opaque
 // to the garbage collector.
-//
-// The same pins are enforced at vet time by hawklint's structsize analyzer
-// (the //hawk:size and //hawk:nopointers directives on simEvent and entry —
-// see internal/lint); this test stays as the runtime backstop so the
-// invariant still holds if the vet step is skipped.
 func TestHotStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(simEvent{}); got != 16 {
 		t.Errorf("sizeof(simEvent) = %d, want 16 (was 24 with a *jobState field)", got)
@@ -28,12 +24,39 @@ func TestHotStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got != 24 {
 		t.Errorf("sizeof(entry) = %d, want 24 (was 32 with a *jobState field)", got)
 	}
+	for _, v := range []any{simEvent{}, entry{}} {
+		if typ := reflect.TypeOf(v); !pointerFree(typ) {
+			t.Errorf("%v carries a pointer; it must stay pointer-free", typ)
+		}
+	}
 	// The arena elements are not copied per event, but node size scales
 	// with cluster size (170k nodes in the Figure 6 sweep) — keep it to
 	// one cache line per pair.
 	if got := unsafe.Sizeof(node{}); got > 40 {
 		t.Errorf("sizeof(node) = %d, want <= 40", got)
 	}
+}
+
+// pointerFree reports whether values of t hold nothing the garbage
+// collector must scan: strings, slices, maps, channels, funcs and
+// interfaces all carry a pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	}
+	return false
 }
 
 // Lazy chained submission must bound the event heap by in-flight state,

@@ -42,12 +42,7 @@ func longFlag(long bool) entryFlags {
 // size and pointer-freeness both matter. A task's duration is not stored:
 // tidx indexes the owning job's duration slice, which also identifies the
 // exact task to re-assign if the node holding this entry fails.
-//
-// Both pins are enforced at vet time by hawklint's structsize analyzer and
-// re-checked at run time by TestHotStructSizes:
-//
-//hawk:size=24
-//hawk:nopointers
+// TestHotStructSizes pins both.
 type entry struct {
 	enq   float64 // time the entry first arrived at a node (survives stealing)
 	jidx  int32   // index into simulation.jobs
