@@ -8,12 +8,15 @@
 //	hawkgen -stats -in google.trace
 //	hawkgen -in legacy.csv -cutoff 1129 -out google.trace.gz -stats=false
 //
-// -out writes the hawk-trace format whatever the file is called (gzip by
-// ".gz" suffix): a header line with the workload's cutoff, partition
-// fraction and size, then one record per job, so hawksim and hawkexp stream
-// it without flags. -in also reads a headerless CSV of the same records,
-// which carries no cutoff and needs -cutoff; with -out that is the
-// conversion.
+// -out writes the hawk-trace format whatever the file is called: a header
+// line with the workload's cutoff, partition fraction and size, then one
+// record per job, so hawksim and hawkexp stream it without flags. A ".gz"
+// name gzips it Huffman-only — the records' floats give LZ77 nothing to
+// match, so skipping the search writes about 5x faster and a few percent
+// smaller (a trace of repeated values, like motivation's, grows); any gzip
+// tool reads it. -in reads gzip of any level, and also a headerless CSV of
+// the same records, which carries no cutoff and needs -cutoff; with -out
+// that is the conversion.
 package main
 
 import (
@@ -29,7 +32,7 @@ var (
 	jobsFlag     = flag.Int("jobs", 20000, "number of jobs")
 	iaFlag       = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	seedFlag     = flag.Int64("seed", 42, "random seed")
-	outFlag      = flag.String("out", "", "write the trace to this hawk-trace file (gzip by .gz suffix)")
+	outFlag      = flag.String("out", "", "write the trace to this hawk-trace file (Huffman-only gzip by .gz suffix)")
 	inFlag       = flag.String("in", "", "read a trace from this file (hawk-trace or legacy CSV) instead of generating")
 	cutoffFlag   = flag.Float64("cutoff", 0, "cutoff for the by-cutoff statistics (0 = workload/header default)")
 	statsFlag    = flag.Bool("stats", true, "print workload statistics")

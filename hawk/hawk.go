@@ -308,8 +308,11 @@ var (
 	// LoadTraceFile is OpenTrace, materialized and closed, for callers that
 	// want the whole Trace.
 	LoadTraceFile = workload.LoadFile
-	// SaveTraceSource drains a Source to a hawk-trace file (gzip by ".gz"
-	// suffix), recycling jobs as it writes.
+	// SaveTraceSource drains a Source to a hawk-trace file, recycling jobs
+	// as it writes. A ".gz" path is gzipped Huffman-only: the records'
+	// floats give LZ77 nothing to match, so the match search is skipped
+	// (about 5x faster to write, a few percent smaller; traces of repeated
+	// values grow). A failed save removes the file.
 	SaveTraceSource = workload.SaveSource
 	// MaterializeSource drains a Source into an in-memory Trace.
 	MaterializeSource = workload.Materialize

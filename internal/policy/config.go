@@ -177,13 +177,15 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.Cutoff == 0 {
 		c.Cutoff = m.Cutoff
 	}
-	if c.Cutoff <= 0 {
+	// Range checks on floats are written negated — !(x > 0), not x <= 0 — so
+	// that a NaN, which compares false with everything, fails them.
+	if !(c.Cutoff > 0) {
 		return c, fmt.Errorf("config: cutoff must be positive, got %g", c.Cutoff)
 	}
 	if c.ShortPartitionFraction <= 0 {
 		c.ShortPartitionFraction = m.ShortPartitionFraction
 	}
-	if c.ShortPartitionFraction > 1 {
+	if !(c.ShortPartitionFraction <= 1) {
 		return c, fmt.Errorf("config: ShortPartitionFraction must be at most 1, got %g", c.ShortPartitionFraction)
 	}
 	if c.ProbeRatio <= 0 {
@@ -198,12 +200,15 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.NetworkDelay == 0 {
 		c.NetworkDelay = core.DefaultNetworkDelay
 	}
-	if c.MisestimateLo < 0 || c.MisestimateHi < c.MisestimateLo {
+	if !(c.MisestimateLo >= 0) || !(c.MisestimateHi >= c.MisestimateLo) {
 		return c, fmt.Errorf("config: mis-estimation range [%g, %g] invalid: need 0 <= lo <= hi",
 			c.MisestimateLo, c.MisestimateHi)
 	}
 	if c.UtilizationInterval <= 0 {
 		c.UtilizationInterval = 100
+	}
+	if !(c.UtilizationInterval > 0) {
+		return c, fmt.Errorf("config: UtilizationInterval must be positive, got %g", c.UtilizationInterval)
 	}
 	if c.Schedulers != nil {
 		// Copy before resolving so a spec shared across sweep configs is

@@ -331,6 +331,38 @@ func TestConfigValidationSharedAcrossEngines(t *testing.T) {
 	}
 }
 
+// A NaN compares false with everything, so a range check written x < 0 let
+// it through: a NaN partition fraction panicked in the partition split, and a
+// NaN cutoff or mis-estimation bound ran with every job classified short.
+// Each — given in the config or taken from the trace's defaults — is an error
+// that names its field.
+func TestNormalizeRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	tr := tinyTrace(job(1, 0, 10))
+	nanDefaults := tinyTrace(job(1, 0, 10))
+	nanDefaults.Cutoff, nanDefaults.ShortPartitionFraction = nan, nan
+	cases := []struct {
+		name  string
+		trace *workload.Trace
+		cfg   policy.Config
+		field string
+	}{
+		{"cutoff", tr, policy.Config{NumNodes: 4, Cutoff: nan}, "cutoff"},
+		{"trace cutoff", nanDefaults, policy.Config{NumNodes: 4}, "cutoff"},
+		{"partition", tr, policy.Config{NumNodes: 4, ShortPartitionFraction: nan}, "ShortPartitionFraction"},
+		{"trace partition", nanDefaults, policy.Config{NumNodes: 4, Cutoff: 5}, "ShortPartitionFraction"},
+		{"mis-estimation lo", tr, policy.Config{NumNodes: 4, MisestimateLo: nan, MisestimateHi: 2}, "mis-estimation"},
+		{"mis-estimation hi", tr, policy.Config{NumNodes: 4, MisestimateLo: 0.5, MisestimateHi: nan}, "mis-estimation"},
+		{"utilization interval", tr, policy.Config{NumNodes: 4, UtilizationInterval: nan}, "UtilizationInterval"},
+		{"network delay", tr, policy.Config{NumNodes: 4, NetworkDelay: nan}, "NetworkDelay"},
+	}
+	for _, c := range cases {
+		if _, err := c.cfg.Normalize(c.trace); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("NaN %s: Normalize = %v, want an error naming %s", c.name, err, c.field)
+		}
+	}
+}
+
 func TestResultsCSVRoundTrip(t *testing.T) {
 	tr := workload.Generate(workload.Google(), workload.GenConfig{NumJobs: 100, MeanInterArrival: 1, Seed: 2})
 	res, err := sim.Run(tr, policy.Config{NumNodes: 500, Policy: "hawk", Seed: 1})

@@ -50,8 +50,8 @@ func BenchmarkFileSourceNext(b *testing.B) {
 }
 
 // The encode rung, hawkbench's workload.encode_s in isolation: the same trace
-// through SaveSource — WriteSource into a file, behind a gzip writer for the
-// ".gz" name. One op is the whole file, created and closed; MB/s counts its
+// through SaveSource — WriteSource into a file, behind a Huffman-only gzip
+// writer for the ".gz" name. One op is the whole file, created and closed; MB/s counts its
 // bytes on disk, as above.
 func BenchmarkWriteSource(b *testing.B) {
 	src := NewTraceSource(Generate(Google(), GenConfig{NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1}))

@@ -62,6 +62,15 @@ func FuzzStreamTrace(f *testing.F) {
 	f.Add(head + "jobs=2 maxtasks=2 tasks=3\n0,0,2,5,6,L\n1,0,1,7,L\n")
 	f.Add(head + "jobs=1 maxtasks=1 tasks=1\n0,0,1,\"5\"\n")
 	f.Add(head + "jobs=2\n0,0,1,5\n1,2.5,2,6,7\n")
+	// Non-finite numbers, each of which once ran: a NaN or infinite submit
+	// time and an infinite duration hung hawksim, a NaN duration printed NaN
+	// percentiles, frac=NaN panicked and cutoff=NaN classified every job short.
+	f.Add(head + "jobs=2\n0,0,1,5\n1,NaN,1,6\n")
+	f.Add(head + "jobs=2\n0,0,1,5\n1,Inf,1,6\n")
+	f.Add(head + "jobs=2\n0,0,1,5\n1,2,1,+Inf\n")
+	f.Add(head + "jobs=2\n0,0,1,5\n1,2,1,NaN\n")
+	f.Add("#hawk-trace v=1 name=\"g\" cutoff=10 frac=NaN jobs=2\n0,0,1,5\n1,2,1,6\n")
+	f.Add("#hawk-trace v=1 name=\"g\" cutoff=NaN frac=0.1 jobs=2\n0,0,1,5\n1,2,1,60\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := readFileSource(input)
 		if _, records, _ := strings.Cut(input, "\n"); strings.Contains(records, `"`) {
@@ -161,8 +170,11 @@ func oracleDecode(input string) ([]*Job, error) {
 	}
 }
 
-// oracleParseJobFields is parseJobFields as it was on []string fields.
+// oracleParseJobFields is parseJobFields as it was on []string fields, under
+// the same rule for numbers: a submit time or duration must be finite and
+// not negative.
 func oracleParseJobFields(rec []string, j *Job) error {
+	bad := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) || x < 0 }
 	if len(rec) < 4 {
 		return fmt.Errorf("record too short (%d fields)", len(rec))
 	}
@@ -174,8 +186,8 @@ func oracleParseJobFields(rec []string, j *Job) error {
 	if err != nil {
 		return err
 	}
-	if submit < 0 {
-		return fmt.Errorf("negative submit time %g", submit)
+	if bad(submit) {
+		return fmt.Errorf("bad submit time %g", submit)
 	}
 	n, err := strconv.Atoi(rec[2])
 	if err != nil || n < 1 {
@@ -196,8 +208,8 @@ func oracleParseJobFields(rec []string, j *Job) error {
 		if err != nil {
 			return err
 		}
-		if d < 0 {
-			return fmt.Errorf("negative duration %g", d)
+		if bad(d) {
+			return fmt.Errorf("bad duration %g", d)
 		}
 		j.Durations[i] = d
 	}
@@ -205,8 +217,8 @@ func oracleParseJobFields(rec []string, j *Job) error {
 	return nil
 }
 
-// sameJobs reports whether a and b hold the same jobs bit for bit, NaNs and
-// the sign of zero included.
+// sameJobs reports whether a and b hold the same jobs bit for bit, the sign
+// of zero included.
 func sameJobs(a, b []*Job) bool {
 	if len(a) != len(b) {
 		return false

@@ -93,11 +93,12 @@ func cutFields(dst [][]byte, line []byte) [][]byte {
 
 // parseJobFields decodes one job record (grammar above) into j, reusing
 // j.Durations' backing array when it has capacity, and checks the per-job
-// invariants Validate would: non-negative submit time and durations, at
-// least one task. Shared by the materializing and streaming readers. A
-// field's string(f) conversion does not allocate: strconv keeps no reference
-// to its argument, and a number as appendJobRecord writes it (at most 24
-// bytes) fits the compiler's 32-byte stack buffer for such conversions.
+// invariants Validate would (checkJob): finite non-negative submit time and
+// durations, at least one task. Shared by the materializing and streaming
+// readers. A field's string(f) conversion does not allocate: strconv keeps
+// no reference to its argument, and a number as appendJobRecord writes it
+// (at most 24 bytes) fits the compiler's 32-byte stack buffer for such
+// conversions.
 func parseJobFields(rec [][]byte, j *Job) error {
 	if len(rec) < 4 {
 		return fmt.Errorf("record too short (%d fields)", len(rec))
@@ -110,8 +111,8 @@ func parseJobFields(rec [][]byte, j *Job) error {
 	if err != nil {
 		return fmt.Errorf("bad submit time %q: %w", rec[1], err)
 	}
-	if submit < 0 {
-		return fmt.Errorf("negative submit time %g", submit)
+	if !nonNegative(submit) {
+		return fmt.Errorf("submit time %g is not a finite number >= 0", submit)
 	}
 	n, err := strconv.Atoi(string(rec[2]))
 	if err != nil || n < 1 {
@@ -136,8 +137,8 @@ func parseJobFields(rec [][]byte, j *Job) error {
 		if err != nil {
 			return fmt.Errorf("bad duration %q: %w", f, err)
 		}
-		if d < 0 {
-			return fmt.Errorf("negative duration %g", d)
+		if !nonNegative(d) {
+			return fmt.Errorf("duration %g is not a finite number >= 0", d)
 		}
 		j.Durations[i] = d
 	}

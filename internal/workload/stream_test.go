@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -201,7 +202,9 @@ func TestStreamFileRoundTrip(t *testing.T) {
 	}
 }
 
-// writeTraceFile writes content to path, gzipped when the name ends in ".gz".
+// writeTraceFile writes content to path, gzipped when the name ends in ".gz"
+// — at gzip's default level, as an outside tool or an older build writes a
+// trace, not the Huffman-only stream SaveSource writes.
 func writeTraceFile(t *testing.T, path string, content []byte) {
 	t.Helper()
 	if strings.HasSuffix(path, ".gz") {
@@ -314,7 +317,11 @@ func TestFileSourceErrors(t *testing.T) {
 		{"out of order", head(2, 1, 2) + "0,5,1,5\n1,1,1,5\n", "out of order"},
 		{"maxtasks exceeded", head(1, 1, 2) + "0,0,2,5,5\n", "at most"},
 		{"bad record", head(1, 1, 1) + "0,0,x,5\n", "task count"},
-		{"negative duration", head(1, 1, 1) + "0,0,1,-5\n", "negative duration"},
+		{"negative duration", head(1, 1, 1) + "0,0,1,-5\n", "job 0: duration -5 is not a finite number"},
+		{"NaN submit time", head(1, 1, 1) + "0,NaN,1,5\n", "job 0: submit time NaN is not a finite number"},
+		{"infinite submit time", head(1, 1, 1) + "0,Inf,1,5\n", "job 0: submit time +Inf is not a finite number"},
+		{"NaN duration", head(1, 1, 1) + "0,0,1,NaN\n", "job 0: duration NaN is not a finite number"},
+		{"infinite duration", head(1, 1, 1) + "0,0,1,+Inf\n", "job 0: duration +Inf is not a finite number"},
 		{"quoted field", head(1, 1, 1) + "0,0,1,\"5\"\n", "job 0: quoted field"},
 	}
 	for _, c := range cases {
@@ -371,11 +378,14 @@ func TestLoadFileHeaderIsAPromise(t *testing.T) {
 	}
 }
 
-// Decoding a plain file allocates nothing per job once the pooled job and the
+// Decoding a file allocates nothing per job once the pooled job and the
 // reader's buffers have grown to the widest record: the fields are cut in
 // place and parsed into the recycled Durations (encoding/csv allocated a
 // string per record). The trace's first job is its widest,
-// so everything after it is steady state.
+// so everything after it is steady state. The ".gz" form holds SaveSource to
+// Huffman-only: a level-6 stream's length codes are longer than 9 bits, for
+// which compress/flate's reader allocates link tables on every block (3 per
+// 50 jobs here); Huffman-only literal codes never are.
 func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
 	tr := Generate(Google(), GenConfig{NumJobs: 2000, MeanInterArrival: 2.3, Seed: 1})
 	widest := make([]float64, tr.Meta().MaxTasks+1)
@@ -383,47 +393,57 @@ func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
 		widest[i] = 1.2345678901234567e-10 // longer than any generated duration's text
 	}
 	tr.Jobs[0].Durations = widest
-	path := filepath.Join(t.TempDir(), "g.trace")
-	if err := SaveSource(path, NewTraceSource(tr)); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := OpenSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	next := func() {
-		j, ok := fs.Next()
-		if !ok {
-			t.Fatalf("stream ended early: %v", fs.Err())
-		}
-		fs.Recycle(j)
-	}
-	next()
-	const runs, perRun = 30, 50
-	if allocs := testing.AllocsPerRun(runs, func() {
-		for range perRun {
+	for _, name := range []string{"g.trace", "g.trace.gz"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), name)
+			if err := SaveSource(path, NewTraceSource(tr)); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := OpenSource(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			next := func() {
+				j, ok := fs.Next()
+				if !ok {
+					t.Fatalf("stream ended early: %v", fs.Err())
+				}
+				fs.Recycle(j)
+			}
 			next()
-		}
-	}); allocs != 0 {
-		t.Errorf("%v allocations per %d jobs decoded, want 0", allocs, perRun)
+			const runs, perRun = 30, 50
+			if allocs := testing.AllocsPerRun(runs, func() {
+				for range perRun {
+					next()
+				}
+			}); allocs != 0 {
+				t.Errorf("%v allocations per %d jobs decoded, want 0", allocs, perRun)
+			}
+		})
 	}
 }
 
 func TestParseStreamHeaderErrors(t *testing.T) {
-	cases := []string{
-		"not a header",
-		"#hawk-trace v=2 name=\"x\" jobs=1",
-		"#hawk-trace name=\"x\" jobs=1",       // missing version
-		"#hawk-trace v=1 jobs=-3",             // negative
-		"#hawk-trace v=1 frac=1.5",            // out of range
-		"#hawk-trace v=1 name=\"unterminated", // bad quote
-		"#hawk-trace v=1 jobs=abc",
-		"#hawk-trace v=1 garbage",
+	cases := []struct{ header, want string }{
+		{"not a header", "missing #hawk-trace header"},
+		{"#hawk-trace v=2 name=\"x\" jobs=1", "version"},
+		{"#hawk-trace name=\"x\" jobs=1", "missing version"},
+		{"#hawk-trace v=1 jobs=-3", "jobs=-3 is negative"},
+		{"#hawk-trace v=1 frac=1.5", "frac=1.5 is not in [0, 1]"},
+		{"#hawk-trace v=1 name=\"unterminated", "bad quoted value"},
+		{"#hawk-trace v=1 jobs=abc", "jobs=\"abc\""},
+		{"#hawk-trace v=1 garbage", "missing '='"},
+		// A NaN fraction used to panic in the partition split, a NaN cutoff
+		// to classify every job short, an infinite one the same.
+		{"#hawk-trace v=1 frac=NaN", "frac=NaN is not in [0, 1]"},
+		{"#hawk-trace v=1 cutoff=NaN", "cutoff=NaN is not a finite number"},
+		{"#hawk-trace v=1 cutoff=+Inf", "cutoff=+Inf is not a finite number"},
+		{"#hawk-trace v=1 cutoff=-1", "cutoff=-1 is not a finite number"},
 	}
 	for _, c := range cases {
-		if _, err := parseStreamHeader(c); err == nil {
-			t.Errorf("accepted header %q", c)
+		if _, err := parseStreamHeader(c.header); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("header %q: err %v, want one saying %q", c.header, err, c.want)
 		}
 	}
 	m, err := parseStreamHeader("#hawk-trace v=1 name=\"a b\" cutoff=5 frac=0.5 jobs=3 maxtasks=2 tasks=6 future=ok")
@@ -435,22 +455,64 @@ func TestParseStreamHeaderErrors(t *testing.T) {
 	}
 }
 
-// WriteSource must reject out-of-order sources and meta/job-count
-// mismatches rather than produce a file readers would choke on.
+// WriteSource must refuse what the reader would: out-of-order sources,
+// meta/job-count mismatches, a Meta the header parser rejects and a job
+// parseJobFields rejects, rather than produce a file readers would choke on.
 func TestWriteSourceRejectsBadSources(t *testing.T) {
-	unsorted := &Trace{Name: "u", Jobs: []*Job{
-		{ID: 0, SubmitTime: 5, Durations: []float64{1}},
-		{ID: 1, SubmitTime: 1, Durations: []float64{1}},
-	}}
-	var buf bytes.Buffer
-	// TraceSource sorts, so build a raw misbehaving source instead.
-	if err := WriteSource(&buf, &sliceSource{meta: Meta{Name: "u", NumJobs: 2, Sorted: true}, jobs: unsorted.Jobs}); err == nil {
-		t.Fatal("accepted out-of-order source")
+	nan, inf := math.NaN(), math.Inf(1)
+	good := Meta{Name: "s", Cutoff: 10, ShortPartitionFraction: 0.1, NumJobs: 1, Sorted: true}
+	with := func(edit func(*Meta)) Meta {
+		m := good
+		edit(&m)
+		return m
 	}
-	short := &sliceSource{meta: Meta{Name: "s", NumJobs: 5, Sorted: true}, jobs: unsorted.Jobs[:1]}
-	buf.Reset()
-	if err := WriteSource(&buf, short); err == nil {
-		t.Fatal("accepted job-count mismatch")
+	one := func(submit float64, durs ...float64) []*Job {
+		return []*Job{{ID: 0, SubmitTime: submit, Durations: durs}}
+	}
+	cases := []struct {
+		name string
+		meta Meta
+		jobs []*Job
+		want string
+	}{
+		{"out of order", with(func(m *Meta) { m.NumJobs = 2 }), append(one(5, 1), one(1, 1)...), "out of order"},
+		{"job-count mismatch", with(func(m *Meta) { m.NumJobs = 5 }), one(0, 1), "meta promised 5"},
+		{"NaN cutoff", with(func(m *Meta) { m.Cutoff = nan }), one(0, 1), "cutoff=NaN"},
+		{"infinite cutoff", with(func(m *Meta) { m.Cutoff = inf }), one(0, 1), "cutoff=+Inf"},
+		{"NaN fraction", with(func(m *Meta) { m.ShortPartitionFraction = nan }), one(0, 1), "frac=NaN"},
+		{"negative size", with(func(m *Meta) { m.TotalTasks = -1 }), one(0, 1), "tasks=-1"},
+		{"NaN submit time", good, one(nan, 1), "submit time NaN"},
+		{"infinite submit time", good, one(inf, 1), "submit time +Inf"},
+		{"NaN duration", good, one(0, 1, nan), "task 1: duration NaN"},
+		{"infinite duration", good, one(0, inf), "task 0: duration +Inf"},
+		{"no tasks", good, one(0), "no tasks"},
+		{"maxtasks exceeded", with(func(m *Meta) { m.MaxTasks = 1 }), one(0, 1, 2), "at most 1"},
+	}
+	for _, c := range cases {
+		// TraceSource sorts and computes its Meta, so a raw misbehaving source.
+		src := &sliceSource{meta: c.meta, jobs: c.jobs}
+		var buf bytes.Buffer
+		if err := WriteSource(&buf, src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+}
+
+// A save that fails leaves no file behind: a source that fails after 150 of
+// its 300 jobs, the way a file reader does, used to leave a plain or gzipped
+// partial trace whose header promised all 300.
+func TestSaveSourceRemovesFileOnError(t *testing.T) {
+	errSourceFailed := errors.New("source failed mid-stream")
+	tr := Generate(Google(), genCfg(300))
+	for _, name := range []string{"t.trace", "t.trace.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		src := &sliceSource{meta: tr.Meta(), jobs: tr.Jobs[:150], err: errSourceFailed}
+		if err := SaveSource(path, src); !errors.Is(err, errSourceFailed) {
+			t.Errorf("%s: SaveSource = %v, want the source's error", name, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: a failed save left the file behind (stat: %v)", name, err)
+		}
 	}
 }
 
@@ -529,14 +591,17 @@ func TestWriteSourceAllocatesPerRunNotPerField(t *testing.T) {
 	t.Logf("%v allocs", allocs)
 }
 
-// sliceSource is a minimal Source for failure-injection tests.
+// sliceSource is a minimal Source for failure-injection tests: it yields its
+// jobs, then reports err (nil unless set) through Err.
 type sliceSource struct {
 	meta Meta
 	jobs []*Job
 	next int
+	err  error
 }
 
 func (s *sliceSource) Meta() Meta { return s.meta }
+func (s *sliceSource) Err() error { return s.err }
 func (s *sliceSource) Next() (*Job, bool) {
 	if s.next >= len(s.jobs) {
 		return nil, false

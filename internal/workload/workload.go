@@ -14,17 +14,18 @@
 // consumes. Three sources cover the spectrum: TraceSource serves an
 // in-memory Trace, GeneratorSource synthesizes jobs on demand draw-for-draw
 // identical to Generate, and FileSource decodes the on-disk hawk-trace
-// format (a metadata header, then one record per job, gzipped by ".gz"
-// suffix) record by record. A workload reaches disk one way — SaveSource,
-// which writes hawk-trace and nothing else — and comes back one way: Open,
-// which also reads the headerless CSV of the same records that outside tools
-// produce (whole, as a TraceSource). Sources that implement Recycler pool
-// decoded jobs handed back by the consumer, closing the loop to zero
-// steady-state allocation.
+// format (a metadata header, then one record per job, gzipped Huffman-only
+// by ".gz" suffix) record by record. A workload reaches disk one way —
+// SaveSource, which writes hawk-trace and nothing else — and comes back one
+// way: Open, which also reads the headerless CSV of the same records that
+// outside tools produce (whole, as a TraceSource). Sources that implement
+// Recycler pool decoded jobs handed back by the consumer, closing the loop
+// to zero steady-state allocation.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/randdist"
@@ -107,8 +108,8 @@ func (t *Trace) MakespanLowerBound() float64 {
 	return last
 }
 
-// Validate checks structural invariants: non-negative submit times and
-// durations, at least one task per job, unique ids.
+// Validate checks structural invariants: finite non-negative submit times
+// and durations, at least one task per job, unique ids.
 func (t *Trace) Validate() error {
 	seen := make(map[int]struct{}, len(t.Jobs))
 	for _, j := range t.Jobs {
@@ -119,16 +120,31 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("workload: duplicate job id %d", j.ID)
 		}
 		seen[j.ID] = struct{}{}
-		if j.SubmitTime < 0 {
-			return fmt.Errorf("workload: job %d has negative submit time %f", j.ID, j.SubmitTime)
+		if err := checkJob(j); err != nil {
+			return fmt.Errorf("workload: %w", err)
 		}
-		if len(j.Durations) == 0 {
-			return fmt.Errorf("workload: job %d has no tasks", j.ID)
-		}
-		for i, d := range j.Durations {
-			if d < 0 {
-				return fmt.Errorf("workload: job %d task %d has negative duration %f", j.ID, i, d)
-			}
+	}
+	return nil
+}
+
+// nonNegative reports whether x is a finite number >= 0, the rule for every
+// time, duration and cutoff a trace holds. NaN and ±Inf fail it: NaN passes
+// an x < 0 test, and the simulator never reaches an infinite submit time or
+// finishes an infinite task.
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// checkJob holds one job to the per-job invariants: a finite non-negative
+// submit time, at least one task, finite non-negative durations.
+func checkJob(j *Job) error {
+	if !nonNegative(j.SubmitTime) {
+		return fmt.Errorf("job %d: submit time %g is not a finite number >= 0", j.ID, j.SubmitTime)
+	}
+	if len(j.Durations) == 0 {
+		return fmt.Errorf("job %d has no tasks", j.ID)
+	}
+	for i, d := range j.Durations {
+		if !nonNegative(d) {
+			return fmt.Errorf("job %d task %d: duration %g is not a finite number >= 0", j.ID, i, d)
 		}
 	}
 	return nil
