@@ -14,9 +14,8 @@ import (
 // defaults below reproduce that, and smaller configurations trade fidelity
 // for wall-clock time.
 type Fig16Config struct {
-	NumJobs       int
-	NumNodes      int
-	NumSchedulers int
+	NumJobs  int
+	NumNodes int
 	// DurationScale multiplies trace task durations; the paper uses 1e-3
 	// (seconds to milliseconds).
 	DurationScale float64
@@ -37,7 +36,6 @@ func DefaultFig16Config() Fig16Config {
 	return Fig16Config{
 		NumJobs:       3300,
 		NumNodes:      100,
-		NumSchedulers: 10,
 		DurationScale: 1e-3,
 		LoadFactors:   []float64{1, 1.2, 1.4, 1.6, 1.8, 2, 2.25},
 		Seed:          42,
@@ -50,7 +48,6 @@ func QuickFig16Config() Fig16Config {
 	return Fig16Config{
 		NumJobs:       300,
 		NumNodes:      100,
-		NumSchedulers: 10,
 		DurationScale: 2e-4,
 		LoadFactors:   []float64{1, 1.6, 2.25},
 		Seed:          42,
@@ -75,17 +72,11 @@ func Fig16And17(cfg Fig16Config) ([]Fig16Point, error) {
 	for _, k := range cfg.LoadFactors {
 		t := base.WithArrivals(k*meanDur, cfg.Seed+int64(1000*k))
 
-		implHawk, err := liverun.Run(t, policy.Config{
-			NumNodes: cfg.NumNodes, NumSchedulers: cfg.NumSchedulers,
-			Policy: "hawk", Seed: cfg.Seed,
-		})
+		implHawk, err := liverun.Run(t, policy.Config{NumNodes: cfg.NumNodes, Policy: "hawk", Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("fig16 live hawk k=%.2f: %w", k, err)
 		}
-		implSparrow, err := liverun.Run(t, policy.Config{
-			NumNodes: cfg.NumNodes, NumSchedulers: cfg.NumSchedulers,
-			Policy: "sparrow", Seed: cfg.Seed,
-		})
+		implSparrow, err := liverun.Run(t, policy.Config{NumNodes: cfg.NumNodes, Policy: "sparrow", Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("fig16 live sparrow k=%.2f: %w", k, err)
 		}

@@ -132,7 +132,6 @@ func TestFig16And17Tiny(t *testing.T) {
 	cfg := Fig16Config{
 		NumJobs:       40,
 		NumNodes:      50,
-		NumSchedulers: 4,
 		DurationScale: 1e-4,
 		LoadFactors:   []float64{1.2},
 		Seed:          42,
@@ -163,7 +162,7 @@ func TestFig16And17Tiny(t *testing.T) {
 
 func TestDefaultAndQuickConfigs(t *testing.T) {
 	d := DefaultFig16Config()
-	if d.NumJobs != 3300 || d.NumNodes != 100 || d.NumSchedulers != 10 {
+	if d.NumJobs != 3300 || d.NumNodes != 100 {
 		t.Errorf("default fig16 config deviates from §4.10: %+v", d)
 	}
 	if d.DurationScale != 1e-3 {

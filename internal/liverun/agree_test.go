@@ -1,0 +1,142 @@
+package liverun
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// agreeTrace is twelve jobs in three bursts 100 ms apart, each three short
+// two-task jobs and one long one. Every scripted event TestEnginesAgree uses
+// is at least 30 ms from every submit, so real-time jitter cannot move a job
+// to the other side of an event.
+func agreeTrace() *workload.Trace {
+	var jobs []*workload.Job
+	id := 0
+	for burst := 0; burst < 3; burst++ {
+		at := 0.05 + 0.1*float64(burst)
+		for i := 0; i < 3; i++ {
+			id++
+			jobs = append(jobs, job(id, at, 40, 40))
+		}
+		id++
+		jobs = append(jobs, job(id, at, 600, 600)) // long
+	}
+	return msTrace(500, jobs...)
+}
+
+// One rule set, two engines (§4.10): the simulator and the live engine run
+// the same trace under the same Config and must reach the same verdict — both
+// complete, or both deadlock with the same diagnosis — with the counts the
+// shared rules make deterministic equal.
+func TestEnginesAgree(t *testing.T) {
+	tr := agreeTrace()
+	tasks := 0
+	for _, j := range tr.Jobs {
+		tasks += j.NumTasks()
+	}
+	withChurn := func(pol string, events ...policy.ChurnEvent) policy.Config {
+		cfg := fastConfig(pol)
+		cfg.Churn = &policy.ChurnSpec{Events: events}
+		return cfg
+	}
+	schedulersGone := func(pol string, at float64) policy.Config {
+		cfg := withChurn(pol,
+			policy.ChurnEvent{At: at, Kind: policy.ChurnSchedFail, Node: 0},
+			policy.ChurnEvent{At: at, Kind: policy.ChurnSchedFail, Node: 1})
+		cfg.Schedulers = &policy.SchedulerSpec{Count: 2, SnapshotInterval: 0.05}
+		return cfg
+	}
+	// One node: job 1 runs while the probes of jobs 2 and 3 queue behind it.
+	// The schedulers die, job 2's probe round trip parks holding the slot,
+	// and job 3's probe is stuck behind it without being parked itself.
+	heldSlot := schedulersGone("sparrow", 0.05)
+	heldSlot.NumNodes = 1
+
+	for _, c := range []struct {
+		name  string
+		trace *workload.Trace // nil: agreeTrace
+		cfg   policy.Config
+		check func(t *testing.T, s, l *policy.Report, serr, lerr error)
+	}{
+		{"static", nil, fastConfig("hawk"), func(t *testing.T, s, l *policy.Report, serr, lerr error) {
+			bothComplete(t, serr, lerr)
+			if len(s.Jobs) != len(l.Jobs) || len(l.Jobs) != tr.Len() {
+				t.Errorf("jobs: sim %d, live %d, trace %d", len(s.Jobs), len(l.Jobs), tr.Len())
+			}
+			if s.TasksExecuted != int64(tasks) || l.TasksExecuted != int64(tasks) {
+				t.Errorf("tasks executed: sim %d, live %d, trace %d", s.TasksExecuted, l.TasksExecuted, tasks)
+			}
+		}},
+		{"node churn with recovery", nil, withChurn("hawk",
+			policy.ChurnEvent{At: 0.1, Kind: policy.ChurnFail, Count: 6},
+			policy.ChurnEvent{At: 0.2, Kind: policy.ChurnRecover, Count: 6},
+		), func(t *testing.T, _, _ *policy.Report, serr, lerr error) {
+			bothComplete(t, serr, lerr)
+		}},
+		{"both schedulers down forever", nil, schedulersGone("hawk", 0.01), sameDeadlock},
+		{"work queued behind a held slot", msTrace(500, job(1, 0, 200), job(2, 0.005, 10), job(3, 0.01, 10)),
+			heldSlot, sameDeadlock},
+		{"central down forever", nil, withChurn("hawk",
+			policy.ChurnEvent{At: 0.01, Kind: policy.ChurnCentralDown},
+		), sameDeadlock},
+		{"sparrow with an outage window", nil, withChurn("sparrow",
+			policy.ChurnEvent{At: 0.1, Kind: policy.ChurnCentralDown},
+			policy.ChurnEvent{At: 0.2, Kind: policy.ChurnCentralUp},
+		), func(t *testing.T, s, l *policy.Report, serr, lerr error) {
+			bothComplete(t, serr, lerr)
+			if so, lo := duringOutage(s), duringOutage(l); so != lo || so == 0 {
+				t.Errorf("jobs during the outage: sim %d, live %d", so, lo)
+			}
+			if !(s.CentralOutageSeconds > 0) || !(l.CentralOutageSeconds > 0) {
+				t.Errorf("outage seconds: sim %g, live %g", s.CentralOutageSeconds, l.CentralOutageSeconds)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			trace := tr
+			if c.trace != nil {
+				trace = c.trace
+			}
+			s, serr := sim.Run(trace, c.cfg)
+			l, lerr := runWithin(t, 30*time.Second, trace, c.cfg)
+			c.check(t, s, l, serr, lerr)
+		})
+	}
+}
+
+func bothComplete(t *testing.T, serr, lerr error) {
+	t.Helper()
+	if serr != nil || lerr != nil {
+		t.Fatalf("want both engines to complete; sim: %v; live: %v", serr, lerr)
+	}
+}
+
+// sameDeadlock requires both engines to end in the deadlock diagnosis, with
+// the same text after the engine prefix.
+func sameDeadlock(t *testing.T, _, _ *policy.Report, serr, lerr error) {
+	t.Helper()
+	if serr == nil || lerr == nil {
+		t.Fatalf("want both engines to deadlock; sim: %v; live: %v", serr, lerr)
+	}
+	t.Log(lerr)
+	s, sok := strings.CutPrefix(serr.Error(), "sim: ")
+	l, lok := strings.CutPrefix(lerr.Error(), "liverun: ")
+	if !sok || !lok || s != l {
+		t.Errorf("diagnoses differ:\n sim: %v\nlive: %v", serr, lerr)
+	}
+}
+
+func duringOutage(r *policy.Report) int {
+	n := 0
+	for _, j := range r.Jobs {
+		if j.DuringOutage {
+			n++
+		}
+	}
+	return n
+}

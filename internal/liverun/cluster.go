@@ -11,8 +11,10 @@ import (
 	"repro/internal/workload"
 )
 
-// cluster wires the node monitors, the distributed schedulers, and the
-// centralized scheduler together.
+// cluster wires the node monitors and the centralized scheduler together.
+// Like the simulator it holds no scheduler object per job: scheduling
+// decisions are free (§4.1), probes are sampled from probeSrc under mu, and
+// in the multi-scheduler model a job's owner is msLive's hash of its id.
 type cluster struct {
 	cfg      policy.Config
 	pol      policy.Policy
@@ -20,25 +22,29 @@ type cluster struct {
 	steal    core.StealPolicy
 	netDelay time.Duration
 	nodes    []*nodeMonitor
-	dscheds  []*distScheduler
 	central  *centralScheduler
 	stop     chan struct{}
 	started  time.Time
 
-	// mu is the cluster lock: the view on a churn run (dynamicView — the
-	// simulator's single-threaded event loop gets this for free; without
-	// churn the view is immutable and the samplers skip the lock), probeSrc,
-	// churnSrc, the central scheduler's state, msLive, the waitlist and the
-	// run's progress. Lock order: node, dist-scheduler and live-scheduler
+	// mu is the cluster lock: the view (on a churn run it mutates — the
+	// simulator's single-threaded event loop gets this for free), probeSrc,
+	// churnSrc, the central outage and queue, msLive, the jobs' owners, the
+	// waitlist and the run's progress. Lock order: node and live-scheduler
 	// locks before mu; faultPlane.mu and resMu after it. "Check availability
 	// → park" and "recover → release" are each one critical section, and
 	// nothing is resumed while mu is held.
 	mu          sync.Mutex
 	view        *core.ClusterView
 	dynamicView bool                   // churn scripted: view mutates at runtime
-	probeSrc    *randdist.Source       // stream for failure-re-sent probes
+	probeSrc    *randdist.Source       // stream for every probe sample
 	churnSrc    *randdist.Source       // stream for random churn picks
 	waits       policy.Waitlist[entry] // a job, or one task (dur, handle) for the central kinds
+
+	// A scripted central outage, kept whatever the policy (the simulator's
+	// centralDown): it marks jobs DuringOutage and counts
+	// CentralOutageSeconds even when no central queue exists.
+	centralDown      bool
+	centralDownSince time.Time
 
 	// Progress, under mu. Parked work is released only by churn-script
 	// events, so once scriptDone is set anything parked can never run: the
@@ -50,9 +56,11 @@ type cluster struct {
 	err        error         // the deadlock diagnosis, set before over closes
 
 	// Multi-scheduler state (nil unless Config.Schedulers is set; see
-	// sched.go). msLive is under mu.
+	// sched.go). Under mu: msLive, every job's owner, and behind — the jobs
+	// queued on each node whose slot a parked probe round trip holds.
 	mscheds []*liveScheduler
 	msLive  *core.SchedulerSet
+	behind  map[int][]*jobRuntime
 
 	// faults is the gray-failure plane (faults.go), nil unless Config.Faults
 	// is set — the fault-free run pays one nil check per message, mirroring
@@ -102,10 +110,6 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 		c.nodes[i] = newNodeMonitor(i, c, root.Fork())
 		c.nodes[i].speed = c.view.Speed(i)
 	}
-	c.dscheds = make([]*distScheduler, cfg.NumSchedulers)
-	for i := range c.dscheds {
-		c.dscheds[i] = &distScheduler{c: c, src: root.Fork()}
-	}
 	if pool := pol.CentralPool(); pool != policy.PoolNone {
 		c.central = &centralScheduler{c: c, q: core.NewCentralQueue(pool.IDs(c.part))}
 	}
@@ -115,6 +119,7 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 		}
 		c.mscheds = make([]*liveScheduler, spec.Count)
 		c.msLive = core.NewSchedulerSet(spec.Count)
+		c.behind = map[int][]*jobRuntime{}
 		interval := time.Duration(spec.SnapshotInterval * float64(time.Second))
 		for i := range c.mscheds {
 			ls := &liveScheduler{id: int32(i), c: c, alive: true, snapAt: time.Now()}
@@ -178,8 +183,8 @@ func (c *cluster) report(jobs []policy.JobReport, makespan time.Duration, lastSu
 		res.MessagesDropped = &drops
 	}
 	c.resMu.Unlock()
-	if c.central != nil && c.central.down {
-		res.CentralOutageSeconds += time.Since(c.central.downSince).Seconds()
+	if c.centralDown {
+		res.CentralOutageSeconds += time.Since(c.centralDownSince).Seconds()
 	}
 	c.mu.Unlock()
 	res.Jobs = jobs
@@ -200,30 +205,44 @@ func (c *cluster) latency() {
 	}
 }
 
-// submit routes one job per the policy's decision: to the centralized
-// scheduler (whose placeTask delegates to the owning scheduler in the
-// multi-scheduler model) or to a distributed scheduler. Jobs
-// hash-partition over the live schedulers in the multi-scheduler model and
-// round-robin otherwise — including while no scheduler is live, where the
-// simulator parks the job instead (see docs/ARCHITECTURE.md, "Where
-// blocked work waits").
-func (c *cluster) submit(jr *jobRuntime, seq int) {
+// route executes the policy's placement decision for a job, at submission
+// and when a parked job is released: the simulator's routeJob and
+// centralJob, parking what they park where they park it. The job hashes to
+// its owner first in the multi-scheduler model; a central job waits whole
+// while the central scheduler is unavailable; a probed job gets ProbeRatio·t
+// probes batch-sampled (§3.5) over its pool's live members, which must
+// number at least its task count.
+func (c *cluster) route(jr *jobRuntime) {
 	dec := c.pol.Route(jr.info())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mscheds != nil {
+		owner := c.msLive.Owner(jr.job.ID)
+		if owner < 0 {
+			c.parkLocked(policy.WaitSchedJob, entry{job: jr})
+			return
+		}
+		jr.owner = owner
+	}
 	if dec.Action == policy.ActionCentral {
+		if c.centralUnavailableLocked() {
+			c.parkLocked(policy.WaitCentral, entry{job: jr, handle: -1})
+			return
+		}
 		go c.central.schedule(jr)
 		return
 	}
-	pick := seq
-	if c.mscheds != nil {
-		c.mu.Lock()
-		owner := c.msLive.Owner(jr.job.ID)
-		c.mu.Unlock()
-		if owner >= 0 {
-			pick = int(owner)
-		}
+	poolSize := dec.Pool.Size(c.view)
+	if c.dynamicView && poolSize < jr.job.NumTasks() {
+		c.parkLocked(policy.WaitPoolWidth, entry{job: jr})
+		return
 	}
-	ds := c.dscheds[pick%len(c.dscheds)]
-	go ds.schedule(jr, dec.Pool)
+	k := core.NumProbes(jr.job.NumTasks(), c.cfg.ProbeRatio, poolSize)
+	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, k)
+	c.count(&c.res.ProbesSent, int64(len(ids)))
+	for _, id := range ids {
+		go c.deliverProbe(c.nodes[id], jr)
+	}
 }
 
 // parkLocked makes one item wait under kind k. Report.CentralDeferred counts
@@ -240,12 +259,26 @@ func (c *cluster) parkLocked(k policy.WaitKind, e entry) {
 // policy.WaitRules; the caller resumes it once c.mu is released.
 func (c *cluster) releaseLocked(by policy.Recovery) (out policy.Waitlist[entry]) {
 	for k := range c.waits {
-		if !by.Releases(policy.WaitKind(k)) || len(c.waits[k]) == 0 || policy.WaitRules[k].HeldByCentral && c.central.unavailableLocked() {
+		if !by.Releases(policy.WaitKind(k)) || len(c.waits[k]) == 0 || policy.WaitRules[k].HeldByCentral && c.centralUnavailableLocked() {
 			continue
 		}
 		out[k], c.waits[k] = c.waits[k], nil
 	}
 	return out
+}
+
+// resumes binds each kind to the entry point its items re-enter through,
+// the simulator's table kind for kind. WaitExhausted stays unbound: the live
+// engine's last fault retry is a reliable send (policy.FaultSpec), so
+// nothing parks under it.
+var resumes = [policy.NumWaitKinds]func(*cluster, entry){
+	policy.WaitLostProbe:  (*cluster).resumeProbe,
+	policy.WaitPoolWidth:  (*cluster).resumeJob,
+	policy.WaitCentral:    (*cluster).resumeCentral,
+	policy.WaitSchedJob:   (*cluster).resumeJob,
+	policy.WaitSchedTask:  (*cluster).resumeCentral,
+	policy.WaitSchedProbe: (*cluster).resumeProbe,
+	policy.WaitSchedReply: (*cluster).resumeReply,
 }
 
 // resume re-enters released items through the entry point that parked
@@ -254,16 +287,23 @@ func (c *cluster) releaseLocked(by policy.Recovery) (out policy.Waitlist[entry])
 func (c *cluster) resume(released policy.Waitlist[entry]) {
 	for k, items := range released {
 		for _, e := range items {
-			switch policy.WaitKind(k) {
-			case policy.WaitLostProbe:
-				c.resendProbe(e.job)
-			case policy.WaitPoolWidth:
-				go c.dscheds[0].schedule(e.job, c.pol.Route(e.job.info()).Pool)
-			default: // WaitCentral, WaitSchedTask
-				c.central.placeTask(e.job, e.dur, e.handle)
-			}
+			resumes[k](c, e)
 		}
 	}
+}
+
+func (c *cluster) resumeProbe(e entry) { c.resendProbe(e.job) }
+func (c *cluster) resumeJob(e entry)   { c.route(e.job) }
+
+// resumeReply lets the node holding the round trip ask again (ownerAnswers).
+func (c *cluster) resumeReply(e entry) { close(e.ready) }
+
+func (c *cluster) resumeCentral(e entry) {
+	if e.handle < 0 {
+		c.route(e.job)
+		return
+	}
+	c.central.placeTask(e.job, e.dur, e.handle)
 }
 
 // jobDone records one job's completion.
@@ -277,8 +317,9 @@ func (c *cluster) jobDone(jr *jobRuntime) {
 
 // settleLocked closes c.over once the run can change no more: every job is
 // done, or the churn script is over and every unfinished job has work
-// parked — which nothing is left to release, so the run ends in the
-// simulator's deadlock diagnosis instead of a hang. Caller holds c.mu.
+// parked, or queued behind a slot parked work holds — which nothing is left
+// to release, so the run ends in the simulator's deadlock diagnosis instead
+// of a hang. Caller holds c.mu.
 func (c *cluster) settleLocked() {
 	select {
 	case <-c.over:
@@ -294,6 +335,13 @@ func (c *cluster) settleLocked() {
 			for _, e := range items {
 				if !e.job.finished {
 					stuck[e.job] = true
+				}
+			}
+		}
+		for _, jobs := range c.behind {
+			for _, j := range jobs {
+				if !j.finished {
+					stuck[j] = true
 				}
 			}
 		}
@@ -332,13 +380,9 @@ func (c *cluster) runChurn() {
 				c.recoverNode(id)
 			}
 		case policy.ChurnCentralDown:
-			if c.central != nil {
-				c.central.setDown()
-			}
+			c.centralOutageStart()
 		case policy.ChurnCentralUp:
-			if c.central != nil {
-				c.central.setUp()
-			}
+			c.centralOutageEnd()
 		case policy.ChurnSchedFail:
 			if c.mscheds != nil {
 				c.failScheduler(ev.Node)
@@ -448,70 +492,35 @@ func (c *cluster) rerouteEntry(e entry) {
 
 // resendProbe sends one replacement probe for the job to a live node of
 // its decision pool, or parks the job until the next recovery when the
-// pool has no live member.
+// pool has no live member. In the multi-scheduler model the re-send needs a
+// live owner to answer the eventual task request, and with none it waits
+// for a scheduler recovery — the simulator's resendProbe.
 func (c *cluster) resendProbe(jr *jobRuntime) {
 	dec := c.pol.Route(jr.info())
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mscheds != nil {
+		if _, ok := c.ownerLocked(jr); !ok {
+			c.parkLocked(policy.WaitSchedProbe, entry{job: jr})
+			return
+		}
+	}
 	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, 1)
 	if len(ids) == 0 {
 		c.parkLocked(policy.WaitLostProbe, entry{job: jr})
-		c.mu.Unlock()
 		return
 	}
-	c.mu.Unlock()
 	c.count(&c.res.ProbesSent, 1)
 	go c.deliverProbe(c.nodes[ids[0]], jr)
 }
 
-// distScheduler is one of the paper's per-job distributed schedulers
-// (grouped: each scheduler instance handles many jobs over time, like the
-// paper's 10 prototype schedulers handling 300 jobs each).
-type distScheduler struct {
-	c   *cluster
-	mu  sync.Mutex // guards src
-	src *randdist.Source
-}
-
-// schedule places ProbeRatio*t probes for the job via batch sampling
-// (§3.5) over the decision's candidate pool — its live members, under
-// churn. A pool currently narrower than the job's task count parks the
-// job until a recovery widens it (batch sampling needs one live candidate
-// per task).
-func (d *distScheduler) schedule(jr *jobRuntime, pool policy.Pool) {
-	c := d.c
-	d.mu.Lock()
-	if c.dynamicView {
-		c.mu.Lock()
-	}
-	poolSize := pool.Size(c.view)
-	if c.dynamicView && poolSize < jr.job.NumTasks() {
-		c.parkLocked(policy.WaitPoolWidth, entry{job: jr})
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return
-	}
-	k := core.NumProbes(jr.job.NumTasks(), c.cfg.ProbeRatio, poolSize)
-	ids := pool.SampleInto(nil, c.view, d.src, k)
-	if c.dynamicView {
-		c.mu.Unlock()
-	}
-	d.mu.Unlock()
-	c.count(&c.res.ProbesSent, int64(len(ids)))
-	for _, id := range ids {
-		go c.deliverProbe(c.nodes[id], jr)
-	}
-}
-
 // centralScheduler runs the §3.7 algorithm over its node pool, with the
-// dynamic-cluster extensions: scripted outages park placements on the
-// waitlist, and failed servers leave the waiting-time queue until they
-// recover. Its state is under the cluster lock.
+// dynamic-cluster extensions: placements wait on the waitlist through a
+// scripted outage, and failed servers leave the waiting-time queue until
+// they recover. Its state is under the cluster lock.
 type centralScheduler struct {
 	c *cluster
 	q *core.CentralQueue
-
-	down      bool
-	downSince time.Time
 
 	// claims is the multi-scheduler commit protocol's claim table
 	// (sched.go); nil on a single-scheduler run.
@@ -527,31 +536,32 @@ func (s *centralScheduler) schedule(jr *jobRuntime) {
 	}
 }
 
-// unavailableLocked reports whether central placement must wait: the
+// centralUnavailableLocked reports whether central placement must wait: the
 // scheduler is scripted down, or churn has removed its every live server.
-// Caller holds c.mu.
-func (s *centralScheduler) unavailableLocked() bool { return s.down || s.q.Len() == 0 }
+// Caller holds c.mu, and the policy has a central queue.
+func (c *cluster) centralUnavailableLocked() bool { return c.centralDown || c.central.q.Len() == 0 }
 
 // placeTask assigns one task, or parks it while the scheduler is
 // unavailable. In the multi-scheduler model the placement is delegated to
-// the job's owning scheduler's claim/commit path instead, and parks while
-// no scheduler is live — the simulator's centralTask, rule for rule.
+// the job's owning scheduler's claim/commit path instead, re-hashing a dead
+// owner first and parking while no scheduler is live — the simulator's
+// centralTask, rule for rule.
 func (s *centralScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int) {
 	c := s.c
 	e := entry{job: jr, dur: dur, handle: handle}
 	c.mu.Lock()
-	if s.unavailableLocked() {
+	if c.centralUnavailableLocked() {
 		c.parkLocked(policy.WaitCentral, e)
 		c.mu.Unlock()
 		return
 	}
 	if c.mscheds != nil {
-		owner := c.msLive.Owner(jr.job.ID)
-		if owner < 0 {
+		owner, ok := c.ownerLocked(jr)
+		if !ok {
 			c.parkLocked(policy.WaitSchedTask, e)
 		}
 		c.mu.Unlock()
-		if owner >= 0 {
+		if ok {
 			c.mscheds[owner].placeTask(jr, dur, handle)
 		}
 		return
@@ -588,37 +598,36 @@ func (s *centralScheduler) tryCommit(nodeID int, by int32, sinceVer uint64, est 
 	return true
 }
 
-// setDown starts a scripted outage.
-func (s *centralScheduler) setDown() {
-	s.c.mu.Lock()
-	if !s.down {
-		s.down = true
-		s.downSince = time.Now()
+// centralOutageStart begins a scripted central-scheduler outage.
+func (c *cluster) centralOutageStart() {
+	c.mu.Lock()
+	if !c.centralDown {
+		c.centralDown = true
+		c.centralDownSince = time.Now()
 	}
-	s.c.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// setUp ends a scripted outage, accounts its duration, and re-places the
-// placements that waited for it.
-func (s *centralScheduler) setUp() {
-	c := s.c
+// centralOutageEnd closes a scripted outage, accounts its duration, and
+// re-places the placements that waited for it.
+func (c *cluster) centralOutageEnd() {
 	c.mu.Lock()
-	if !s.down {
+	if !c.centralDown {
 		c.mu.Unlock()
 		return
 	}
-	s.down = false
-	c.countTime(&c.res.CentralOutageSeconds, time.Since(s.downSince))
+	c.centralDown = false
+	c.countTime(&c.res.CentralOutageSeconds, time.Since(c.centralDownSince))
 	released := c.releaseLocked(policy.CentralRestored)
 	c.mu.Unlock()
 	c.resume(released)
 }
 
-// isDown reports whether a scripted outage is in progress.
-func (s *centralScheduler) isDown() bool {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	return s.down
+// isCentralDown reports whether a scripted outage is in progress.
+func (c *cluster) isCentralDown() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.centralDown
 }
 
 // taskStarted relays node-monitor feedback to the waiting-time queue; the
@@ -665,7 +674,10 @@ type jobRuntime struct {
 	completed  []bool
 	specThresh time.Duration
 
-	finished bool // the job completed; under cluster.mu, not mu
+	// Under cluster.mu, not mu: the job completed; its owning scheduler in
+	// the multi-scheduler model, recorded at routing (route, ownerLocked).
+	finished bool
+	owner    int32
 }
 
 // info is the job as the policy's Route sees it.

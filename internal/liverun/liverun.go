@@ -1,16 +1,17 @@
 // Package liverun is the live prototype counterpart to the event-driven
-// simulator: a goroutine-per-node cluster runtime in which node monitors,
-// distributed schedulers, and a centralized scheduler exchange real messages
-// (method calls with injected network latency) and tasks really execute
-// (time.Sleep), mirroring the paper's Spark plug-in prototype built from
-// Sparrow node monitors plus a centralized scheduler and work stealing
-// (§3.8, §4.10).
+// simulator: a goroutine-per-node cluster runtime in which node monitors
+// and a centralized scheduler exchange real messages (method calls with
+// injected network latency) and tasks really execute (time.Sleep),
+// mirroring the paper's Spark plug-in prototype built from Sparrow node
+// monitors plus a centralized scheduler and work stealing (§3.8, §4.10).
 //
 // The engine executes any registered policy.Policy (see repro/hawk) — the
-// same policy code the simulator runs; what differs is that here
-// scheduling, probing, and stealing have real, nonzero costs — exactly the
-// delta the paper's "implementation vs simulation" experiment measures
-// (Figures 16 and 17).
+// same policy code the simulator runs — and routes, parks and releases work
+// by the simulator's rules: scheduling decisions are free in both engines
+// (§4.1), and the multi-scheduler model hashes jobs to owners the same way.
+// What differs is time: here messages, probing and stealing really take
+// it — exactly the delta the paper's "implementation vs simulation"
+// experiment measures (Figures 16 and 17).
 package liverun
 
 import (
@@ -79,7 +80,7 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		}
 		idx, job := i, j
 		long := cls.IsLong(job.AvgTaskDuration())
-		duringOutage := c.central != nil && c.central.isDown()
+		duringOutage := c.isCentralDown()
 		jr := newJobRuntime(job, long, time.Now())
 		if f := cfg.Faults; f != nil && f.Speculate {
 			jr.completed = make([]bool, job.NumTasks())
@@ -99,7 +100,7 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 			}
 			c.jobDone(jr)
 		}
-		c.submit(jr, idx)
+		c.route(jr)
 	}
 	<-c.over // every job done, or the deadlock diagnosed
 	if c.err != nil {

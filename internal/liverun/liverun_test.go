@@ -11,11 +11,10 @@ import (
 // fastConfig returns a config with minimal latency so tests run quickly.
 func fastConfig(pol string) policy.Config {
 	return policy.Config{
-		NumNodes:      20,
-		NumSchedulers: 3,
-		Policy:        pol,
-		NetworkDelay:  (50 * time.Microsecond).Seconds(),
-		Seed:          1,
+		NumNodes:     20,
+		Policy:       pol,
+		NetworkDelay: (50 * time.Microsecond).Seconds(),
+		Seed:         1,
 	}
 }
 

@@ -10,14 +10,19 @@ import (
 
 // entry is one element of a live node's FIFO queue: a batch-sampling
 // probe, a centrally placed task, or a speculative duplicate. Parked work
-// on the cluster's waitlist is an entry too: a job, or one task.
+// on the cluster's waitlist is an entry too: a job, one task, or a node's
+// probe round trip.
 type entry struct {
 	probe bool
 	job   *jobRuntime
 	dur   time.Duration // task entries only
 	// handle is the job's task-instance identity for task entries:
-	// completion dedup under speculation and re-serve bookkeeping.
+	// completion dedup under speculation and re-serve bookkeeping. A whole
+	// job parked under WaitCentral has -1.
 	handle int
+	// ready is closed to release a probe round trip parked under
+	// WaitSchedReply (cluster.ownerAnswers). Unused otherwise.
+	ready chan struct{}
 	// spec marks a speculative duplicate (fault plane): it executes without
 	// central bookkeeping and resolves win-or-wasted against the job's
 	// completion bitmap.
@@ -191,6 +196,13 @@ func (n *nodeMonitor) process(e entry) {
 	}
 	if e.probe {
 		c.latency() // request
+		if c.mscheds != nil && !c.ownerAnswers(n, e.job) {
+			// Killed while the request waited for a live scheduler: re-probe
+			// elsewhere, as a failure re-routes any probe in its round trip.
+			c.count(&c.res.ProbesLost, 1)
+			c.resendProbe(e.job)
+			return
+		}
 		dur, handle, ok := e.job.getTask()
 		if f := c.faults; f != nil {
 			// The task-request round trip rides the lossy plane too.

@@ -36,7 +36,9 @@ type liveScheduler struct {
 	local   *core.CentralQueue
 	snapVer uint64
 	snapAt  time.Time
-	alive   bool
+	// alive is written holding both mu and the cluster lock (with msLive),
+	// so either lock reads it.
+	alive bool
 }
 
 func (ls *liveScheduler) isAlive() bool {
@@ -94,12 +96,11 @@ func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int
 	attempt := 0
 	for {
 		if !ls.isAlive() {
-			c.count(&c.res.SchedulerReassigned, 1)
 			c.central.placeTask(jr, dur, handle)
 			return
 		}
 		c.mu.Lock()
-		parked := c.central.unavailableLocked()
+		parked := c.centralUnavailableLocked()
 		if parked {
 			c.parkLocked(policy.WaitCentral, entry{job: jr, dur: dur, handle: handle})
 		}
@@ -167,13 +168,12 @@ func (c *cluster) mirrorFinished(sched int32, nodeID int) {
 func (c *cluster) failScheduler(id int) {
 	ls := c.mscheds[id]
 	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	if !ls.alive {
-		ls.mu.Unlock()
 		return
 	}
-	ls.alive = false
-	ls.mu.Unlock()
 	c.mu.Lock()
+	ls.alive = false
 	c.msLive.Fail(int32(id))
 	c.mu.Unlock()
 	c.count(&c.res.SchedulerFailures, 1)
@@ -189,12 +189,93 @@ func (c *cluster) recoverScheduler(id int) {
 		return
 	}
 	ls.refreshLocked()
-	ls.alive = true
-	ls.mu.Unlock()
 	c.mu.Lock()
+	ls.alive = true
 	c.msLive.Recover(int32(id))
 	released := c.releaseLocked(policy.SchedulerRecovered)
 	c.mu.Unlock()
+	ls.mu.Unlock()
 	c.count(&c.res.SchedulerRecoveries, 1)
 	c.resume(released)
+}
+
+// ownerLocked returns the job's owning scheduler, re-hashing it over the
+// survivors (a counted reassignment) when the recorded owner has failed —
+// the simulator's ensureOwner; false when no scheduler is live. Caller holds
+// c.mu.
+func (c *cluster) ownerLocked(jr *jobRuntime) (int32, bool) {
+	if c.mscheds[jr.owner].alive {
+		return jr.owner, true
+	}
+	owner := c.msLive.Owner(jr.job.ID)
+	if owner < 0 {
+		return 0, false
+	}
+	jr.owner = owner
+	c.count(&c.res.SchedulerReassigned, 1)
+	return owner, true
+}
+
+// ownerAnswers gates node n's task request for a probed job on the job's
+// owning scheduler — the simulator's msReplyReady. A request to a dead owner
+// is lost and goes to the survivor the job re-hashes to (a lost probe and
+// one more leg); with no survivor the round trip parks under WaitSchedReply,
+// the node's slot held, until a scheduler recovery releases it. False means
+// the node was killed, or the run stopped, while the request waited.
+func (c *cluster) ownerAnswers(n *nodeMonitor, jr *jobRuntime) bool {
+	n.mu.Lock()
+	kill := n.kill
+	n.mu.Unlock()
+	for {
+		c.mu.Lock()
+		if c.mscheds[jr.owner].alive {
+			c.mu.Unlock()
+			return true
+		}
+		if _, ok := c.ownerLocked(jr); ok {
+			c.mu.Unlock()
+			c.count(&c.res.ProbesLost, 1)
+			c.latency() // the request again, to the survivor
+			continue
+		}
+		ready := make(chan struct{})
+		c.parkLocked(policy.WaitSchedReply, entry{job: jr, ready: ready})
+		c.mu.Unlock()
+		if !c.holdSlot(n, ready, kill) {
+			return false
+		}
+	}
+}
+
+// holdSlot waits, node n's slot held, for its parked round trip's release
+// (true), the node's death or the run's end (false). What is queued behind
+// the slot is stuck as surely as parked work, so each time the queue grows
+// the node records its jobs in c.behind, where settleLocked counts them.
+func (c *cluster) holdSlot(n *nodeMonitor, ready, kill chan struct{}) bool {
+	defer func() {
+		c.mu.Lock()
+		delete(c.behind, n.id)
+		c.mu.Unlock()
+	}()
+	for {
+		n.mu.Lock()
+		jobs := make([]*jobRuntime, len(n.queue))
+		for i, e := range n.queue {
+			jobs[i] = e.job
+		}
+		c.mu.Lock()
+		c.behind[n.id] = jobs
+		c.settleLocked()
+		c.mu.Unlock()
+		n.mu.Unlock()
+		select {
+		case <-ready:
+			return true
+		case <-n.wake: // enqueue's signal: the queue grew
+		case <-kill:
+			return false
+		case <-c.stop:
+			return false
+		}
+	}
 }

@@ -26,10 +26,10 @@ type Config struct {
 	// "analogous to having multi-slot nodes with each slot served by a
 	// different queue" (§4.1); this knob makes the analogy executable.
 	SlotsPerNode int `json:"slotsPerNode"`
-	// NumSchedulers is the number of distributed schedulers in the live
-	// engine; jobs spread over them round-robin (default 10, §4.10). The
-	// simulator models schedulers as free and ignores it — unless
-	// Schedulers turns on the multi-scheduler model below.
+	// NumSchedulers is the default Schedulers.Count (default 10, the
+	// prototype's scheduler count in §4.10); Normalize sets it to the count
+	// when the multi-scheduler model is on. It changes no run by itself:
+	// outside that model both engines treat scheduling decisions as free.
 	NumSchedulers int `json:"numSchedulers,omitempty"`
 	// Schedulers, when set, turns on the distributed multi-scheduler model
 	// in both engines (§4.10): Count concurrent schedulers, each placing

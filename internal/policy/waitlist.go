@@ -12,7 +12,8 @@ import "fmt"
 // order: a recovery releases the kinds it unblocks in this order, FIFO within
 // a kind. In the simulator the order is behaviour — every resume draws from
 // the run's random streams — and the goldens pin it. The live engine parks
-// under four kinds only (see docs/ARCHITECTURE.md).
+// under every kind but WaitExhausted: its last fault retry is a reliable
+// send (see FaultSpec and docs/ARCHITECTURE.md).
 type WaitKind uint8
 
 // The wait kinds.
