@@ -46,10 +46,7 @@
 // AtReserved. This FIFO tie-breaking is load-bearing:
 // it makes every simulation a pure function of (trace, config, seed), which
 // is what lets internal/sweep fan runs out over worker pools while
-// guaranteeing byte-identical results to a serial run. Periodic samplers
-// (internal/sim's utilization ticks) are ordinary events and obey the same
-// rule: a tick scheduled before another event at the same instant fires
-// before it, and one scheduled after fires after it.
+// guaranteeing byte-identical results to a serial run.
 //
 // # The post lanes
 //

@@ -56,15 +56,10 @@ type Report struct {
 	Config Config `json:"config"`
 
 	Jobs []JobReport `json:"jobs"`
-	// Makespan is how long the run took, in seconds, under one of two
-	// definitions. A simulator run with any scenario plane configured
-	// (Churn, Schedulers, Faults) reports the completion time of the last
-	// job. A plain simulator run reports the time of the last drained
-	// event, which includes the trailing utilization tick — the first
-	// multiple of UtilizationInterval at or after the last completion
-	// (13000 s for a last completion at 12900.06 s in the hawk golden). The
-	// live engine reports wall-clock time from start to the last job's
-	// completion.
+	// Makespan is the completion time of the last job, in seconds from the
+	// run's start: simulated on the simulator, wall-clock on the live
+	// engine. Events scheduled past it — a scripted recovery, a retry timer —
+	// do not extend it.
 	Makespan float64 `json:"makespan"`
 	// LastSubmit is the submit time of the last job the engine took: the end
 	// of the arrival window, the deadline to give Utilization.MedianUpTo.

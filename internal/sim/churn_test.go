@@ -64,6 +64,32 @@ func TestChurnAllJobsComplete(t *testing.T) {
 	}
 }
 
+// The utilization sample at boundary b sees every event at instants ≤ b: a
+// node that fails exactly on a boundary is gone from that boundary's sample.
+// Ten one-task jobs fill ten centralized nodes until t ≈ 1000; node 0 fails
+// at the first boundary and node 1 at the second, so the cluster reads 9 and
+// then 8 busy slots of 10 there — the lost tasks re-queue behind running
+// ones.
+func TestUtilizationSampleSeesItsInstant(t *testing.T) {
+	var jobs []*workload.Job
+	for i := range 10 {
+		jobs = append(jobs, job(i, 0, 1000))
+	}
+	const interval = 100
+	res := mustRun(t, tinyTrace(jobs...), policy.Config{
+		NumNodes: 10, Policy: "centralized", Seed: 1, UtilizationInterval: interval,
+		Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{
+			{At: interval, Kind: policy.ChurnFail, Node: 0},
+			{At: 2 * interval, Kind: policy.ChurnFail, Node: 1},
+		}},
+	})
+	got := res.Utilization.Samples()
+	if len(got) < 2 || got[0] != 0.9 || got[1] != 0.8 {
+		t.Fatalf("utilization samples %v, want 0.9 at t=%d and 0.8 at t=%d: a node failing on a boundary is gone from its sample",
+			got[:min(len(got), 3)], interval, 2*interval)
+	}
+}
+
 // Churn runs are deterministic: same (trace, config) — including the
 // seeded random failure picks — same report.
 func TestChurnDeterministic(t *testing.T) {

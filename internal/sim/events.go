@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/workload"
 )
@@ -42,8 +43,6 @@ const (
 	// aux = task index). gen pins the node's incarnation: a completion
 	// from before a failure is stale — that task was lost and re-routed.
 	evTaskDone
-	// evSample: periodic cluster-utilization snapshot (no payload).
-	evSample
 	// evNodeFail: scripted churn — node ref leaves the cluster (ref < 0:
 	// fail aux random live nodes instead). Work on the node is lost and
 	// re-routed; see simulation.failNode.
@@ -60,7 +59,7 @@ const (
 	// evSnapRefresh: scheduler ref refreshes its stale cluster snapshot
 	// (multi-scheduler model). The chain is activity-gated: it re-arms
 	// itself only while the scheduler keeps placing work, so an idle run
-	// drains instead of ticking forever. gen pins the scheduler's
+	// drains instead of refreshing forever. gen pins the scheduler's
 	// incarnation; a chain armed before a scheduler failure is stale.
 	evSnapRefresh
 	// evSchedRetry: scheduler ref retries the oldest conflicted placement
@@ -141,12 +140,17 @@ type simEvent struct {
 }
 
 // dispatch executes one event. It is the single handler switch the engine
-// drives; the clock has already advanced to now. The s.dyn nil checks are
-// the whole cost of the dynamic cluster model on a churn-free run: one
-// pointer compare per event, with gen always equal to the zero epoch.
+// drives; the clock has already advanced to now. The first event past a
+// utilization boundary records the samples up to it before it runs (see
+// sampleUpTo). The s.dyn nil checks are the whole cost of the dynamic
+// cluster model on a churn-free run: one pointer compare per event, with gen
+// always equal to the zero epoch.
 //
 //hawk:hotpath
 func (s *simulation) dispatch(now float64, ev simEvent) {
+	if now > s.nextSample && s.jobsDone < s.totalJobs {
+		s.sampleUpTo(now)
+	}
 	switch ev.kind {
 	case evSubmit:
 		s.submitNext(ev.ref)
@@ -183,8 +187,6 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 			return
 		}
 		s.nodes[ev.ref].taskDone(s, ev.jidx, ev.aux, ev.flags, ev.sched, now)
-	case evSample:
-		s.sampleTick(now)
 	case evNodeFail:
 		if ev.ref < 0 {
 			s.failRandomNodes(now, int(ev.aux))
@@ -266,34 +268,34 @@ func (s *simulation) submitNext(pos int32) {
 	s.submit(job)
 }
 
-// sampleTick records one utilization sample and schedules the next, for as
-// long as jobs remain — the periodic sampler the paper uses for §2.3/§4.2
-// (every 100 s by default). Each tick is an ordinary event: relative to
-// other events at the same instant it fires in insertion order, and the
-// next tick is scheduled only after the current one runs. Alongside the
-// whole-cluster series it samples the live general partition's busy
-// fraction, the robustness figures' measure of stealing keeping that
-// partition fed during a central outage.
-//
-//hawk:hotpath
-func (s *simulation) sampleTick(now float64) {
-	if s.jobsDone >= s.totalJobs {
+// maxUtilizationSamples bounds each utilization series: about 3.3 simulated
+// years at the default 100 s, where the paper's month-long trace needs about
+// 26 k samples. Only a finite but huge time (a 1e300 submit or duration)
+// reaches it, and it turns a series that would grow until memory ran out into
+// an error. It also keeps nextSample below 2⁵³ intervals, past which adding
+// an interval no longer advances it.
+const maxUtilizationSamples = 1 << 20
+
+// sampleUpTo records the utilization at every boundary before now — the
+// paper's periodic sample (§2.3, §4.2) — while jobs remain. dispatch calls it
+// before the first event past a boundary runs, so the sample at b sees every
+// event at instants ≤ b: the busy state as it stood. The general series is
+// the busy fraction of the live general partition, the robustness figures'
+// measure of stealing keeping it fed during a central outage.
+func (s *simulation) sampleUpTo(now float64) {
+	interval := s.cfg.UtilizationInterval
+	if float64(s.res.Utilization.Len())+(now-s.nextSample)/interval > maxUtilizationSamples {
+		s.failRun(fmt.Errorf("sim: utilization sampling up to t=%g at UtilizationInterval %g s would take more than %d samples",
+			now, interval, maxUtilizationSamples))
+		s.nextSample = math.Inf(1)
 		return
 	}
-	if s.eng.Pending() == 0 {
-		// Nothing else is scheduled: every in-flight message and running
-		// task is an event, so an empty queue means the remaining jobs are
-		// waiting for a recovery no future event brings (a scenario that
-		// never restores capacity). Stop the sampler so the engine drains
-		// and run reports the deadlock instead of ticking forever.
-		return
-	}
-	s.res.Utilization.AddAt(now, float64(s.busyNodes)/float64(s.slots))
+	busy, general := float64(s.busyNodes)/float64(s.slots), 0.0
 	if aliveGeneral := s.view.AliveGeneral(); aliveGeneral > 0 {
-		s.res.GeneralUtilization.AddAt(now, float64(s.busyGeneral)/float64(aliveGeneral))
-	} else {
-		s.res.GeneralUtilization.AddAt(now, 0)
+		general = float64(s.busyGeneral) / float64(aliveGeneral)
 	}
-	s.nextSample += s.cfg.UtilizationInterval
-	s.eng.At(s.nextSample, simEvent{kind: evSample})
+	for ; s.nextSample < now; s.nextSample += interval {
+		s.res.Utilization.AddAt(s.nextSample, busy)
+		s.res.GeneralUtilization.AddAt(s.nextSample, general)
+	}
 }

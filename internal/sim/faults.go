@@ -19,7 +19,7 @@ import (
 // message is therefore represented by exactly one pending event, which
 // keeps the quiescent-queue deadlock detector exact — an all-drop scenario
 // exhausts its bounded retry chains, parks, drains the queue, and surfaces
-// as the deadlock error rather than ticking forever.
+// as the deadlock error rather than retrying forever.
 
 // faultState is the per-run fault-plane bookkeeping.
 type faultState struct {

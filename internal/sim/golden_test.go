@@ -236,6 +236,14 @@ func TestReportsMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One makespan on every run: the last job's completion.
+			last := 0.0
+			for _, j := range res.Jobs {
+				last = max(last, j.SubmitTime+j.Runtime)
+			}
+			if res.Makespan != last {
+				t.Errorf("makespan %g, want the last completion %g", res.Makespan, last)
+			}
 			got := marshalPinned(t, res)
 			path := filepath.Join("testdata", "golden", name+".json")
 			if update {

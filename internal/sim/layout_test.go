@@ -80,8 +80,8 @@ func TestLazySubmissionBoundsEventHeap(t *testing.T) {
 	// The in-flight model: at most one completion or probe round-trip
 	// pending per busy slot, plus the probe bursts of jobs whose messages
 	// are inside their 0.5 ms network flight (up to 2 probes per task),
-	// plus the single chained submit and the sampler tick. The widest
-	// job's burst bounds the flight term for this arrival rate.
+	// plus the single chained submit. The widest job's burst bounds the
+	// flight term for this arrival rate.
 	maxTasks := 0
 	for _, j := range tr.Jobs {
 		if n := j.NumTasks(); n > maxTasks {

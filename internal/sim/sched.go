@@ -162,8 +162,8 @@ func (s *simulation) touchSched(k uint8) {
 // failed since), the run is over, or the scheduler placed nothing in the
 // last interval (dormant; touchSched re-arms it on the next placement).
 // The dormancy gate is what lets a stuck scenario drain: an armed chain
-// would keep the event queue non-empty and the utilization sampler ticking
-// forever instead of reporting the deadlock.
+// would keep the event queue non-empty, refreshing forever, instead of
+// reporting the deadlock.
 func (s *simulation) snapRefreshTick(k int32, gen uint8, now float64) {
 	sd := &s.ms.scheds[k]
 	if gen != sd.epoch || !sd.alive {

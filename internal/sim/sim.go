@@ -183,7 +183,7 @@ type simulation struct {
 	busyGeneral int // busy slots in the general partition
 	jobsDone    int
 	lastDone    float64 // completion time of the last finished job
-	nextSample  float64 // absolute time of the next utilization tick
+	nextSample  float64 // the next utilization boundary not yet sampled (sampleUpTo)
 
 	// Dynamic cluster state. view is always set (static when no scenario
 	// is configured — every sampler then delegates to the dense partition
@@ -284,7 +284,7 @@ func newSimulation(trace *workload.Trace, cfg policy.Config) (*simulation, error
 }
 
 // newSimulationSource validates the inputs and builds the arenas and event
-// engine, leaving the first submit (and the first utilization tick)
+// engine, leaving the first submit and the scripted scenario events
 // scheduled.
 func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, error) {
 	meta := src.Meta()
@@ -320,8 +320,8 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	// The queue holds flat simEvent records. Submission is lazily chained
 	// (one pending submit at a time), so peak pending events track
 	// in-flight state: one completion or probe round-trip per busy slot,
-	// messages in their 0.5 ms network flight, the submit chain, and the
-	// sampler tick — O(slots + arrival burst), however long the trace.
+	// messages in their 0.5 ms network flight, and the submit chain —
+	// O(slots + arrival burst), however long the trace.
 	// Pre-size with that bound, but never beyond what the whole trace
 	// could possibly keep pending at once (tiny traces on huge clusters).
 	// The hint is about avoiding growth copies in the hot loop; either
@@ -431,7 +431,6 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		s.eng.AtReserved(j.SubmitTime, 1, simEvent{kind: evSubmit, ref: 0})
 	}
 	s.nextSample = cfg.UtilizationInterval
-	s.eng.At(s.nextSample, simEvent{kind: evSample})
 
 	// Scripted cluster transitions become ordinary typed events, scheduled
 	// up front (churn scripts are short). Equal-timestamp ties resolve in
@@ -503,15 +502,7 @@ func (s *simulation) run() (*policy.Report, error) {
 		// Outage never closed by the script: account it up to the end.
 		s.centralOutageEnd(s.eng.Now())
 	}
-	if s.cfg.Churn != nil || s.ms != nil || s.flt != nil {
-		// Scripted events, armed snapshot-refresh chains, and fault-plane
-		// timers can outlive the workload (a recovery, refresh, or straggler
-		// scheduled past the last completion); the makespan is still the
-		// last job's completion, not the last drained event.
-		s.res.Makespan = s.lastDone
-	} else {
-		s.res.Makespan = s.eng.Now()
-	}
+	s.res.Makespan = s.lastDone
 	s.res.Events = s.eng.Executed()
 	return s.res, nil
 }

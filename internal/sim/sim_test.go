@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -49,9 +50,8 @@ func TestSingleJobIdleCluster(t *testing.T) {
 
 // On a constant delay no message enters the priority queue — probes and
 // placements are one-leg posts, reply round trips two-leg ones — so what the
-// queue holds is what needs one: a completion per task executed, the submit
-// chain and the sampler's ticks (one more than the samples it took: the last
-// finds the run over). The event count is what it always was.
+// queue holds is what needs one: a completion per task executed and the
+// submit chain. The event count is what it always was.
 func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 	const tasks = 10
 	durs := make([]float64, tasks)
@@ -63,11 +63,11 @@ func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 		pol    string
 		events uint64
 	}{
-		// The submit and two sampler ticks, then per probe an arrival and a
-		// round trip, and a completion per task.
-		{"sparrow", 3 + 2*(2*tasks) + tasks},
+		// The submit, then per probe an arrival and a round trip, and a
+		// completion per task.
+		{"sparrow", 1 + 2*(2*tasks) + tasks},
 		// ... or per task an arrival and a completion.
-		{"centralized", 3 + 2*tasks},
+		{"centralized", 1 + 2*tasks},
 	} {
 		s, err := newSimulation(tr, policy.Config{NumNodes: 50, Policy: c.pol, Seed: 1})
 		if err != nil {
@@ -80,10 +80,35 @@ func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 		if res.Events != c.events {
 			t.Errorf("%s: %d events, want %d", c.pol, res.Events, c.events)
 		}
-		want := uint64(res.TasksExecuted) + uint64(len(res.Jobs)) + uint64(res.Utilization.Len()) + 1
-		if got := s.eng.Entries(); got != want || want != tasks+3 {
-			t.Errorf("%s: %d events in %d queue entries, want %d: %d completions, %d submits, %d sampler ticks",
-				c.pol, res.Events, got, want, res.TasksExecuted, len(res.Jobs), res.Utilization.Len()+1)
+		want := uint64(res.TasksExecuted) + uint64(len(res.Jobs))
+		if got := s.eng.Entries(); got != want || want != tasks+1 {
+			t.Errorf("%s: %d events in %d queue entries, want %d: %d completions, %d submits",
+				c.pol, res.Events, got, want, res.TasksExecuted, len(res.Jobs))
+		}
+	}
+}
+
+// A finite but huge time — a submit or a duration of 1e300 — is an error
+// naming the instant and UtilizationInterval, reached without sampling: one
+// sample per interval up to it would grow the series until memory ran out.
+func TestHugeTimeIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *workload.Trace
+	}{
+		{"submit", tinyTrace(job(1, 1e300, 100))},
+		{"duration", tinyTrace(job(1, 0, 1e300))},
+	} {
+		s, err := newSimulation(c.tr, policy.Config{NumNodes: 50, Policy: "hawk", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.run()
+		if err == nil || !strings.Contains(err.Error(), "t=1e+300 at UtilizationInterval 100 s") {
+			t.Errorf("%s: err = %v, want the utilization sampler's bound naming t=1e+300 and the interval", c.name, err)
+		}
+		if n := s.res.Utilization.Len(); n != 0 {
+			t.Errorf("%s: %d samples recorded before the refusal, want 0", c.name, n)
 		}
 	}
 }
