@@ -256,9 +256,9 @@ func printResult(res *hawk.Report) {
 			res.WorkLostSeconds, res.CentralOutageSeconds, res.CentralDeferred)
 	}
 	if d := res.MessagesDropped; d != nil {
-		fmt.Printf("faults: dropped probes=%d replies=%d steals=%d assigns=%d commits=%d  retries=%d/%d  fallbacks=%d\n",
+		fmt.Printf("faults: dropped probes=%d replies=%d steals=%d assigns=%d commits=%d  retries=%d/%d\n",
 			d.Probes, d.Replies, d.Steals, d.Assigns, d.Commits,
-			res.ProbeRetries, res.AssignRetries, res.FallbacksToCentral)
+			res.ProbeRetries, res.AssignRetries)
 		if res.SpeculativeLaunches > 0 || res.StragglerSlowdowns > 0 {
 			fmt.Printf("speculation: launches=%d wins=%d wasted=%d  stragglers=%d\n",
 				res.SpeculativeLaunches, res.SpeculativeWins, res.SpeculativeWasted, res.StragglerSlowdowns)

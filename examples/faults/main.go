@@ -3,10 +3,10 @@
 // plane (2% i.i.d. loss on every message class plus delay jitter), and
 // once through a scripted straggler wave with speculative re-execution
 // armed. The report's fault counters show what the defenses absorbed:
-// drops per message class, timeout/backoff retry chains, probes that
-// exhausted their retries and degraded to the central queue, and
-// duplicate launches racing stragglers. Every job still completes; the
-// price of a gray failure is visible latency, not a hang.
+// drops per message class, timeout/backoff retry chains, and duplicate
+// launches racing stragglers. A message dropped on every retry is re-sent
+// once more, reliably, so every job still completes; the price of a gray
+// failure is visible latency, not a hang.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	// The lossy scenario: every message class drops i.i.d. at 2%, and
 	// delivered messages pick up to 1 ms of extra delay. MaxRetries 8
 	// keeps a full retry-chain exhaustion (p^9) out of reach, so the
-	// damage shows up as retries and latency rather than fallbacks.
+	// damage shows up as retries and latency.
 	plane := hawk.UniformLoss(0.02)
 	plane.Jitter, plane.MaxRetries = 0.001, 8
 	scenario := cluster
@@ -76,8 +76,6 @@ func main() {
 		d.Total(), d.Probes, d.Replies, d.Steals, d.Assigns, d.Commits)
 	fmt.Printf("  timeouts fired:     %d, re-sends after backoff: %d probe + %d assign\n",
 		lossy.ProbeTimeouts, lossy.ProbeRetries, lossy.AssignRetries)
-	fmt.Printf("  retry exhaustions:  %d probes degraded to a central placement\n",
-		lossy.FallbacksToCentral)
 
 	fmt.Println()
 	fmt.Printf("straggler wave (%d slowdowns applied):\n", straggle.StragglerSlowdowns)

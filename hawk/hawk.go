@@ -110,13 +110,13 @@ type (
 
 	// FaultSpec turns on the gray-failure injection plane: seeded
 	// per-message-class loss, bounded delay jitter, scripted mid-run
-	// stragglers, and the defenses against them — probe timeouts with
-	// bounded exponential-backoff retries, graceful degradation to the
-	// central queue, and optional speculative re-execution. Set it as
+	// stragglers, and the defenses against them — timeouts with bounded
+	// exponential-backoff retries, a reliable re-send once a message
+	// exhausts them, and optional speculative re-execution. Set it as
 	// Config.Faults (UniformLoss builds the common "every message class at
 	// p" spec); the Report's MessagesDropped / ProbeRetries /
-	// FallbacksToCentral / Speculative* counters quantify the damage and
-	// the defenses' work. Both engines replay the same
+	// AssignRetries / Speculative* counters quantify the damage and the
+	// defenses' work. Both engines replay the same
 	// spec; a config without one carries no fault state at all.
 	FaultSpec = policy.FaultSpec
 	// StragglerEvent is one scripted slowdown of a FaultSpec: at time At,

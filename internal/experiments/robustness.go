@@ -157,10 +157,9 @@ type FaultRow struct {
 	ShortP99 float64
 	LongP50  float64
 
-	MessagesDropped    int64
-	ProbeRetries       int64
-	AssignRetries      int64
-	FallbacksToCentral int64
+	MessagesDropped int64
+	ProbeRetries    int64
+	AssignRetries   int64
 }
 
 // FaultLossSweep is the swept per-class drop probability axis: lossless
@@ -170,10 +169,7 @@ var FaultLossSweep = []float64{0, 0.01, 0.02, 0.05, 0.10}
 // RobustnessFaults sweeps uniform message loss from 0 to 10% across the
 // probe-based, hybrid, and centralized schedulers on the Google trace at
 // the paper's 15000-node operating point, reporting how short-job latency
-// degrades as the retry/timeout/fallback defenses absorb the drops. Hawk's
-// hybrid split is the interesting case: probe traffic rides the lossy
-// plane with bounded retries while exhausted short jobs degrade to the
-// central queue instead of hanging.
+// degrades as the timeout/retry defenses absorb the drops.
 func RobustnessFaults(sc Scale) ([]FaultRow, error) {
 	// The loss probability is this experiment's swept axis; a CLI fault
 	// overlay must not leak into the points.
@@ -192,9 +188,9 @@ func RobustnessFaults(sc Scale) ([]FaultRow, error) {
 		for _, loss := range FaultLossSweep {
 			cfg := policy.Config{NumNodes: nodes, Policy: pol, Seed: sc.Seed}
 			if loss > 0 {
-				// MaxRetries 8 keeps a full retry-chain exhaustion (p^9)
-				// out of reach even at 10% loss, so every point measures
-				// degradation rather than starvation.
+				// MaxRetries 8 keeps a full retry-chain exhaustion (p^9),
+				// and the reliable send after it, out of reach even at 10%
+				// loss.
 				f := policy.UniformLoss(loss)
 				f.MaxRetries = 8
 				cfg.Faults = &f
@@ -209,14 +205,13 @@ func RobustnessFaults(sc Scale) ([]FaultRow, error) {
 	rows := make([]FaultRow, 0, len(reports))
 	for i, r := range reports {
 		row := FaultRow{
-			Policy:             policies[i/len(FaultLossSweep)],
-			Loss:               FaultLossSweep[i%len(FaultLossSweep)],
-			ShortP50:           stats.Percentile(r.ShortRuntimes(), 50),
-			ShortP99:           stats.Percentile(r.ShortRuntimes(), 99),
-			LongP50:            stats.Percentile(r.LongRuntimes(), 50),
-			ProbeRetries:       r.ProbeRetries,
-			AssignRetries:      r.AssignRetries,
-			FallbacksToCentral: r.FallbacksToCentral,
+			Policy:        policies[i/len(FaultLossSweep)],
+			Loss:          FaultLossSweep[i%len(FaultLossSweep)],
+			ShortP50:      stats.Percentile(r.ShortRuntimes(), 50),
+			ShortP99:      stats.Percentile(r.ShortRuntimes(), 99),
+			LongP50:       stats.Percentile(r.LongRuntimes(), 50),
+			ProbeRetries:  r.ProbeRetries,
+			AssignRetries: r.AssignRetries,
 		}
 		if r.MessagesDropped != nil {
 			row.MessagesDropped = r.MessagesDropped.Total()

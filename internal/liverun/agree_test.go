@@ -56,6 +56,34 @@ func TestEnginesAgree(t *testing.T) {
 	// and job 3's probe is stuck behind it without being parked itself.
 	heldSlot := schedulersGone("sparrow", 0.05)
 	heldSlot.NumNodes = 1
+	// Every lossy send is dropped: each probe, reply and assignment is
+	// dropped MaxRetries+1 times and then sent reliably, on both engines.
+	totalLoss := func(pol string) policy.Config {
+		cfg := fastConfig(pol)
+		f := policy.UniformLoss(1)
+		f.MaxRetries, f.RetryBackoff = 1, 0.001
+		cfg.Faults = &f
+		return cfg
+	}
+	// The live engine stops when the last job completes, so a probe still
+	// queued behind that job's task never sends its request there, while
+	// the simulator drains it. agreeTrace ends on a long task that short
+	// jobs' probes can queue behind; a lone short job submitted after it
+	// has finished ends the run on idle nodes instead.
+	lossTrace := msTrace(500, append(agreeTrace().Jobs, job(13, 1.0, 40, 40))...)
+	// Steals are left out: how many steal contacts a run makes (and drops)
+	// depends on timing.
+	sameDrops := func(t *testing.T, s, l *policy.Report, serr, lerr error) {
+		bothComplete(t, serr, lerr)
+		if s.TasksExecuted != l.TasksExecuted || l.TasksExecuted != int64(tasks+2) {
+			t.Errorf("tasks executed: sim %d, live %d, trace %d", s.TasksExecuted, l.TasksExecuted, tasks+2)
+		}
+		sd, ld := s.MessagesDropped, l.MessagesDropped
+		if sd.Probes != ld.Probes || sd.Replies != ld.Replies || sd.Assigns != ld.Assigns {
+			t.Errorf("dropped probes/replies/assigns: sim %d/%d/%d, live %d/%d/%d",
+				sd.Probes, sd.Replies, sd.Assigns, ld.Probes, ld.Replies, ld.Assigns)
+		}
+	}
 
 	for _, c := range []struct {
 		name  string
@@ -96,6 +124,8 @@ func TestEnginesAgree(t *testing.T) {
 				t.Errorf("outage seconds: sim %g, live %g", s.CentralOutageSeconds, l.CentralOutageSeconds)
 			}
 		}},
+		{"total loss, sparrow", lossTrace, totalLoss("sparrow"), sameDrops},
+		{"total loss, hawk", lossTrace, totalLoss("hawk"), sameDrops},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			trace := tr

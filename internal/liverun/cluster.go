@@ -136,7 +136,7 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 	c.churnSrc = root.Fork()
 	if cfg.Faults != nil {
 		c.faults = newFaultPlane(*cfg.Faults, cfg.Seed)
-		c.res.MessagesDropped = &policy.MessageDrops{} // FallbacksToCentral stays zero; see policy.FaultSpec
+		c.res.MessagesDropped = &policy.MessageDrops{}
 	}
 	for _, n := range c.nodes {
 		go n.run()
@@ -268,9 +268,7 @@ func (c *cluster) releaseLocked(by policy.Recovery) (out policy.Waitlist[entry])
 }
 
 // resumes binds each kind to the entry point its items re-enter through,
-// the simulator's table kind for kind. WaitExhausted stays unbound: the live
-// engine's last fault retry is a reliable send (policy.FaultSpec), so
-// nothing parks under it.
+// the simulator's table kind for kind.
 var resumes = [policy.NumWaitKinds]func(*cluster, entry){
 	policy.WaitLostProbe:  (*cluster).resumeProbe,
 	policy.WaitPoolWidth:  (*cluster).resumeJob,

@@ -13,8 +13,8 @@ import (
 // real timers instead of virtual-clock events. Message loss is decided at
 // send time from the dedicated fault stream; a dropped transmission sleeps
 // out its FaultSpec.Backoff in the sender's goroutine and re-sends, and the
-// send after MaxRetries is reliable (the one engine divergence — see
-// policy.FaultSpec).
+// send after the MaxRetries-th retry is reliable — the simulator's rule
+// (policy.FaultSpec).
 //
 // Stragglers broadcast a slow factor to their node monitors, which re-time
 // any in-flight sleep (nodeMonitor.sleepTask). Speculation duplicates a
@@ -55,17 +55,17 @@ func (f *faultPlane) jitterDelay() time.Duration {
 }
 
 // lossySend models transmitting one scheduler message over the lossy
-// plane: each dropped transmission times out and re-sends after its
-// backoff, up to MaxRetries, after which the final send is delivered
-// reliably (the engine divergence stated on policy.FaultSpec). Each drop
-// counts against the message class, a timeout and a retry; timeouts is nil
-// for the assignment classes, which count retries only.
+// plane: the first send and each of the MaxRetries retries draw a loss
+// decision, each dropped transmission times out and re-sends after its
+// backoff, and the send after the last retry is delivered reliably. Each
+// drop counts against the message class, a timeout and a retry; timeouts
+// is nil for the assignment classes, which count retries only.
 func (c *cluster) lossySend(p float64, class, timeouts, retries *int64) {
 	f := c.faults
 	if f == nil || p == 0 {
 		return
 	}
-	for attempt := 1; attempt <= f.spec.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= f.spec.MaxRetries+1; attempt++ {
 		if !f.drop(p) {
 			return
 		}

@@ -19,7 +19,6 @@ var waitKindNames = map[string]policy.WaitKind{
 	"WaitLostProbe":  policy.WaitLostProbe,
 	"WaitPoolWidth":  policy.WaitPoolWidth,
 	"WaitCentral":    policy.WaitCentral,
-	"WaitExhausted":  policy.WaitExhausted,
 	"WaitSchedJob":   policy.WaitSchedJob,
 	"WaitSchedTask":  policy.WaitSchedTask,
 	"WaitSchedProbe": policy.WaitSchedProbe,
@@ -59,11 +58,8 @@ func isPolicySel(e ast.Expr) (string, bool) {
 	return sel.Sel.Name, ok && pkg.Name == "policy"
 }
 
-// One rule set, two engines: every wait kind but WaitExhausted has a live
-// park point (a parkLocked call naming it) and a live resume (a row of
-// resumes); WaitExhausted has neither, because the live engine's last fault
-// retry is a reliable send (policy.FaultSpec) — the one divergence the
-// engines state.
+// One rule set, two engines: every wait kind has a live park point (a
+// parkLocked call naming it) and a live resume (a row of resumes).
 func TestWaitKindsParkAndResume(t *testing.T) {
 	named := map[policy.WaitKind]bool{}
 	for _, k := range waitKindNames {
@@ -95,12 +91,11 @@ func TestWaitKindsParkAndResume(t *testing.T) {
 			t.Errorf("wait kind %d has no name in waitKindNames", k)
 			continue
 		}
-		want := k != policy.WaitExhausted
-		if parked[k] != want {
-			t.Errorf("wait kind %d: parked by the live engine %v, want %v", k, parked[k], want)
+		if !parked[k] {
+			t.Errorf("wait kind %d: never parked by the live engine", k)
 		}
-		if bound := resumes[k] != nil; bound != want {
-			t.Errorf("wait kind %d: live resume bound %v, want %v", k, bound, want)
+		if resumes[k] == nil {
+			t.Errorf("wait kind %d: no live resume bound", k)
 		}
 	}
 }

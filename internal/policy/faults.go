@@ -14,11 +14,11 @@ import (
 // top of NetworkDelay, and scripted straggler events slow nodes down
 // mid-run (stretching the task they are executing — distinct from the
 // static speed skew of Heterogeneity). The defenses ride along: dropped
-// scheduler messages time out and retry with exponential backoff up to
-// MaxRetries, probes that exhaust their retries fall back to the central
-// queue (graceful degradation, never a hang), and optional speculative
-// re-execution duplicates a task that runs past a percentile-based delay
-// threshold, first completion winning.
+// scheduler messages time out and retry with exponential backoff, a message
+// that exhausts its MaxRetries retries is re-sent once more, reliably (late,
+// never lost, never a hang), and optional speculative re-execution
+// duplicates a task that runs past a percentile-based delay threshold,
+// first completion winning.
 //
 // A nil FaultSpec on Config is the reliable-network model every golden
 // report pins; Normalize canonicalizes a spec that injects nothing back to
@@ -56,25 +56,26 @@ type StragglerEvent struct {
 // never set the spec.
 //
 // Both engines run the same rules — the loss classes, Backoff and
-// SpeculationThreshold below — and differ in exactly one place, the
-// exhausted-retry tail. The simulator degrades: a probe chain past
-// MaxRetries falls back to the central queue (FallbacksToCentral) and an
-// exhausted assignment parks until the next node recovery. The live engine
-// escalates instead: the send after the last retry is delivered reliably,
-// because a goroutine that abandoned its send would lose the task it
-// carries — so FallbacksToCentral stays 0 there. (A live speculation loser
-// also runs out its sleep rather than being cancelled; both engines count
-// it as SpeculativeWasted.)
+// SpeculationThreshold below — and one exhausted-retry rule: the first send
+// of a probe, reply, assignment or commit and each of its MaxRetries
+// retries can be dropped, and a message dropped all MaxRetries+1 times is
+// sent once more after Backoff(MaxRetries+1) with no loss draw.
+//
+// They differ in where a dropped probe is re-sent: the simulator retries
+// toward a fresh pool node, the live engine toward the same node. (A live
+// speculation loser also runs out its sleep rather than being cancelled;
+// both engines count it as SpeculativeWasted.)
 type FaultSpec struct {
 	// ProbeLoss is the drop probability of a scheduler-to-node probe
-	// message. A dropped probe times out at the scheduler and is re-sent to
-	// a fresh node with exponential backoff; after MaxRetries the job falls
-	// back to the central queue (FallbacksToCentral).
+	// message. A dropped probe times out at the scheduler and is re-sent
+	// with exponential backoff (to a fresh node in the simulator, to the
+	// same node in the live engine); after MaxRetries retries it is
+	// re-sent once more, reliably.
 	ProbeLoss float64 `json:"probeLoss,omitempty"`
 	// ReplyLoss is the drop probability of the node-to-scheduler task
 	// request round trip that resolves a probe. The node monitor re-issues
-	// the request with exponential backoff; after MaxRetries it abandons
-	// the probe and the job falls back to the central queue.
+	// the request with exponential backoff, holding its slot; after
+	// MaxRetries retries it is re-sent once more, reliably.
 	ReplyLoss float64 `json:"replyLoss,omitempty"`
 	// StealLoss is the drop probability of one steal request/response
 	// exchange. Stealing is opportunistic, so a dropped contact is simply
@@ -82,9 +83,8 @@ type FaultSpec struct {
 	StealLoss float64 `json:"stealLoss,omitempty"`
 	// AssignLoss is the drop probability of a central task assignment
 	// message. The assignment retries toward the same node with
-	// exponential backoff; after MaxRetries the placement parks until the
-	// next node recovery (surfacing in the deadlock error's detail if
-	// nothing ever releases it — graceful degradation, never a hang).
+	// exponential backoff; after MaxRetries retries it is re-sent once
+	// more, reliably.
 	AssignLoss float64 `json:"assignLoss,omitempty"`
 	// CommitLoss is the drop probability of a multi-scheduler commit
 	// message (the post-claim task send of the optimistic protocol). Only
@@ -93,9 +93,10 @@ type FaultSpec struct {
 	// Jitter is the maximum extra one-way delay in seconds added to every
 	// message leg, drawn uniformly from [0, Jitter) per leg.
 	Jitter float64 `json:"jitter,omitempty"`
-	// MaxRetries bounds the retry chain of a dropped probe, reply, or
-	// assignment (default 3, at most MaxFaultRetries). Attempt k waits
-	// RetryBackoff * 2^(k-1) before re-sending.
+	// MaxRetries bounds the lossy retries of a dropped probe, reply,
+	// assignment or commit (default 3, at most MaxFaultRetries); a message
+	// dropped on all of them is re-sent once more, reliably. Attempt k
+	// waits RetryBackoff * 2^(k-1) before re-sending.
 	MaxRetries int `json:"maxRetries,omitempty"`
 	// RetryBackoff is the base timeout in seconds before the first retry
 	// (default 4 network delays), doubling per attempt.

@@ -145,15 +145,11 @@ type Report struct {
 	// node-side).
 	ProbeTimeouts int64 `json:"probeTimeouts,omitempty"`
 	// ProbeRetries counts probe/task-request re-sends after a timeout
-	// (bounded by Faults.MaxRetries per probe).
+	// (at most Faults.MaxRetries+1 per message, the last one reliable).
 	ProbeRetries int64 `json:"probeRetries,omitempty"`
 	// AssignRetries counts central-assignment (and multi-scheduler commit)
 	// re-sends after a dropped placement message.
 	AssignRetries int64 `json:"assignRetries,omitempty"`
-	// FallbacksToCentral counts probes that exhausted their retries and
-	// degraded to a direct placement: through the central queue when the
-	// policy has one, else straight to a live pool node.
-	FallbacksToCentral int64 `json:"fallbacksToCentral,omitempty"`
 	// SpeculativeLaunches counts duplicate task launches; of those,
 	// SpeculativeWins finished before the original (which was cancelled)
 	// and SpeculativeWasted lost to it (duplicate work thrown away).

@@ -11,9 +11,9 @@ import "fmt"
 // WaitKind names one reason work is waiting. The kinds are listed in release
 // order: a recovery releases the kinds it unblocks in this order, FIFO within
 // a kind. In the simulator the order is behaviour — every resume draws from
-// the run's random streams — and the goldens pin it. The live engine parks
-// under every kind but WaitExhausted: its last fault retry is a reliable
-// send (see FaultSpec and docs/ARCHITECTURE.md).
+// the run's random streams — and the goldens pin it. Both engines park under
+// every kind. Message loss parks nothing: the send after a message's last
+// fault retry is reliable (see FaultSpec).
 type WaitKind uint8
 
 // The wait kinds.
@@ -21,7 +21,6 @@ const (
 	WaitLostProbe  WaitKind = iota // probe re-send: no live node in the job's pool
 	WaitPoolWidth                  // job at routing: churn shrank its probe pool below its task count
 	WaitCentral                    // central placement (a whole job, or one task): scheduler down or serverless
-	WaitExhausted                  // task: fault retry chain exhausted, or no live node for a direct send
 	WaitSchedJob                   // job at routing: no live scheduler
 	WaitSchedTask                  // central task: no live scheduler
 	WaitSchedProbe                 // probe re-send: no live scheduler
@@ -43,7 +42,7 @@ const (
 // HeldByCentral check).
 func (r Recovery) Releases(k WaitKind) bool { return WaitRules[k].ReleasedBy&r != 0 }
 
-const clauseCentral, clausePoolWidth, clauseLostProbe, clauseExhausted, clauseScheduler = 0, 1, 2, 3, 4
+const clauseCentral, clausePoolWidth, clauseLostProbe, clauseScheduler = 0, 1, 2, 3
 
 // WaitClauses are the deadlock error's detail clauses, in the order the
 // error lists them; kinds that share a clause are summed.
@@ -51,7 +50,6 @@ var WaitClauses = [...]string{
 	clauseCentral:   "%d central placements backlogged (scenario never restored the central scheduler?)",
 	clausePoolWidth: "%d jobs parked for pool capacity (scenario never recovered enough nodes?)",
 	clauseLostProbe: "%d probes waiting for a live pool node",
-	clauseExhausted: "%d placements gave up after exhausting fault retries",
 	clauseScheduler: "%d placements waiting for a live scheduler (scenario never recovered one?)",
 }
 
@@ -68,7 +66,6 @@ var WaitRules = [NumWaitKinds]struct {
 	WaitLostProbe:  {ReleasedBy: NodeRecovered, Clause: clauseLostProbe},
 	WaitPoolWidth:  {ReleasedBy: NodeRecovered, Clause: clausePoolWidth},
 	WaitCentral:    {ReleasedBy: NodeRecovered | CentralRestored, HeldByCentral: true, Clause: clauseCentral},
-	WaitExhausted:  {ReleasedBy: NodeRecovered, Clause: clauseExhausted},
 	WaitSchedJob:   {ReleasedBy: SchedulerRecovered, Clause: clauseScheduler},
 	WaitSchedTask:  {ReleasedBy: SchedulerRecovered, Clause: clauseScheduler},
 	WaitSchedProbe: {ReleasedBy: SchedulerRecovered, Clause: clauseScheduler},

@@ -152,15 +152,12 @@ func (s *simulation) failNode(id int32, now float64) {
 
 // reroute sends a queue entry whose node is dead — failed under it, or
 // failed while the entry was in flight toward it — back where it came from:
-// a speculative duplicate resolves against its original, a direct task is
-// re-sent to a fresh node, a central task returns to the central scheduler,
-// and a probe is lost and re-sent.
+// a speculative duplicate resolves against its original, a central task
+// returns to the central scheduler, and a probe is lost and re-sent.
 func (s *simulation) reroute(e entry) {
 	switch {
 	case e.flags&entrySpec != 0:
 		s.specAbandon(e.jidx, e.tidx)
-	case e.flags&entryDirect != 0:
-		s.directPlace(e.jidx, e.tidx, 0)
 	case e.flags&entryTask != 0:
 		s.centralTask(e.jidx, e.tidx)
 	default:

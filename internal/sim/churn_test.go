@@ -186,13 +186,8 @@ func TestCentralOutage(t *testing.T) {
 func TestDeadlockDiagnosis(t *testing.T) {
 	const (
 		central   = "central placements backlogged (scenario never restored the central scheduler?)"
-		exhausted = "placements gave up after exhausting fault retries"
 		scheduler = "placements waiting for a live scheduler (scenario never recovered one?)"
 	)
-	small := workload.Generate(workload.Google(), workload.GenConfig{
-		NumJobs: 40, MeanInterArrival: 0.5, Seed: 11,
-	})
-	totalLoss := &policy.FaultSpec{ProbeLoss: 1, ReplyLoss: 1, AssignLoss: 1, MaxRetries: 2}
 	bothSchedulersFail := []policy.ChurnEvent{
 		{At: 20, Kind: policy.ChurnSchedFail, Node: 0},
 		{At: 20, Kind: policy.ChurnSchedFail, Node: 1},
@@ -208,11 +203,6 @@ func TestDeadlockDiagnosis(t *testing.T) {
 			NumNodes: 1200, Policy: "hawk", Seed: 9,
 			Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: 50, Kind: policy.ChurnCentralDown}}},
 		}, []string{central}},
-		// Total message loss: retry chains are bounded, exhausted
-		// placements wait, and the quiescent queue surfaces them.
-		{"total loss, sparrow", small, policy.Config{NumNodes: 300, Policy: "sparrow", Seed: 1, Faults: totalLoss}, []string{exhausted}},
-		{"total loss, hawk", small, policy.Config{NumNodes: 300, Policy: "hawk", Seed: 1, Faults: totalLoss}, []string{exhausted}},
-		{"total loss, centralized", small, policy.Config{NumNodes: 300, Policy: "centralized", Seed: 1, Faults: totalLoss}, []string{exhausted}},
 		// Every scheduler fails for good: the four scheduler-wait kinds
 		// (jobs, central tasks, probes, probe replies) sum into one clause.
 		{"schedulers never recover", goldenTrace(), policy.Config{

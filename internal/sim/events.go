@@ -77,21 +77,17 @@ const (
 	// (fault injection). ref < 0: the scheduler's probe send was dropped
 	// and it retries toward a fresh pool node (jidx; attempt in the flags
 	// high bits). ref >= 0: node ref's task-request round trip was dropped
-	// and the node re-issues it (gen pins the node's incarnation). An
-	// attempt past Faults.MaxRetries abandons the probe and degrades the
-	// job to a direct placement (fallbackProbe).
+	// and the node re-issues it (gen pins the node's incarnation). The
+	// re-send of attempt Faults.MaxRetries+1 is reliable.
 	evProbeTimeout
 	// evAssignRetry: a dropped task-placement message retries after its
-	// backoff (fault injection). ref >= 0: re-send the central assignment
-	// (or, with evfCommit, the multi-scheduler commit) to the same node
-	// ref — its queue load was already charged (jidx, aux = task index,
-	// attempt in flags). ref < 0: re-run a direct placement toward a fresh
-	// node. Exhausted retries park the task (waitExhausted).
+	// backoff (fault injection): re-send the central assignment (or, with
+	// evfCommit, the multi-scheduler commit) to the same node ref — its
+	// queue load was already charged (jidx, aux = task index, attempt in
+	// flags). The re-send of attempt Faults.MaxRetries+1 is reliable.
 	evAssignRetry
-	// evTaskDirect: a directly sent task (central-queue-free fallback, or
-	// a speculative duplicate when evfSpec is set) reaches the queue of
-	// node ref (jidx; aux = task index). Direct tasks skip the central
-	// queue's bookkeeping entirely.
+	// evTaskDirect: a speculative duplicate, sent straight past the central
+	// queue, reaches the queue of node ref (jidx; aux = task index).
 	evTaskDirect
 	// evSpecLaunch: the speculation timer armed when task aux of job jidx
 	// started on node ref fires; if the task is still running there, a
@@ -113,7 +109,7 @@ const (
 // events, so every pre-existing event still carries a zero byte there.
 const (
 	evfCentral uint8 = 1 << 0 // evTaskDone/evAssignRetry: centrally placed task
-	evfSpec    uint8 = 1 << 1 // evTaskDone/evTaskDirect: speculative duplicate
+	evfSpec    uint8 = 1 << 1 // evTaskDone: speculative duplicate
 	evfCommit  uint8 = 1 << 2 // evAssignRetry: multi-scheduler commit message class
 	// evfAttemptShift positions the retry attempt of evProbeTimeout and
 	// evAssignRetry in the flags high bits (range [0, 31]; MaxFaultRetries

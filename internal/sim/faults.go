@@ -17,9 +17,11 @@ import (
 // the timeout/retry event that will notice it instead of an arrival, and a
 // delivered message schedules no timer at all. Every in-flight or failed
 // message is therefore represented by exactly one pending event, which
-// keeps the quiescent-queue deadlock detector exact — an all-drop scenario
-// exhausts its bounded retry chains, parks, drains the queue, and surfaces
-// as the deadlock error rather than retrying forever.
+// keeps the quiescent-queue deadlock detector exact. The first send and
+// each of the MaxRetries retries draw a loss decision; a message dropped all
+// MaxRetries+1 times is sent once more, reliably, after
+// Backoff(MaxRetries+1) — the live engine's rule (policy.FaultSpec) — so
+// even an all-drop scenario completes, every message late by its backoffs.
 
 // faultState is the per-run fault-plane bookkeeping.
 type faultState struct {
@@ -103,12 +105,12 @@ func (s *simulation) msgDelay() float64 {
 }
 
 // hop puts ev on the wire for legs message legs — the only way a message is
-// sent: one leg for a probe, central placement, direct task or speculation
-// cancel, two for the reply round trip. When every leg takes the same
-// NetworkDelay (no fault plane, or one without jitter) that is an engine post,
-// which keeps the event out of the priority queue; jittered legs each draw
-// their own delay and the sum is an ordinary After. Either way the event fires
-// exactly where After of legs msgDelay() draws would put it.
+// sent: one leg for a probe, central placement, speculative duplicate or
+// speculation cancel, two for the reply round trip. When every leg takes the
+// same NetworkDelay (no fault plane, or one without jitter) that is an engine
+// post, which keeps the event out of the priority queue; jittered legs each
+// draw their own delay and the sum is an ordinary After. Either way the event
+// fires exactly where After of legs msgDelay() draws would put it.
 //
 //hawk:hotpath
 func (s *simulation) hop(legs int, ev simEvent) {
@@ -133,9 +135,18 @@ func (s *simulation) faultDrop(p float64, counter *int64) bool {
 	return true
 }
 
+// lossy reports whether send number attempt (0 for the first) of a
+// scheduler message draws a loss decision: with the fault plane on, every
+// attempt up to MaxRetries does, and the one after it is reliable.
+//
+//hawk:hotpath
+func (s *simulation) lossy(attempt int) bool {
+	return s.flt != nil && attempt <= s.flt.spec.MaxRetries
+}
+
 // The three send helpers below are the only places a scheduler message is
 // put on the wire, first send and re-send alike. Each draws the class's
-// loss decision when the fault plane is on — a dropped send schedules the
+// loss decision when the send is lossy — a dropped send schedules the
 // timeout that will retry it as attempt+1 after its Backoff — and otherwise
 // delivers after its legs' delay (hop); with no fault plane that is exactly
 // the reliable NetworkDelay send.
@@ -145,7 +156,7 @@ func (s *simulation) faultDrop(p float64, counter *int64) bool {
 //
 //hawk:hotpath
 func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
-	if s.flt != nil && s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
+	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
 		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
 			kind: evProbeTimeout, ref: -1, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
@@ -161,7 +172,7 @@ func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 //
 //hawk:hotpath
 func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int) {
-	if s.flt != nil && s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
+	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
 		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
 			kind: evProbeTimeout, gen: gen, ref: nodeID, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
@@ -178,7 +189,7 @@ func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int)
 //
 //hawk:hotpath
 func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bool, attempt int) {
-	if s.flt != nil {
+	if s.lossy(attempt) {
 		p, cnt, cls := s.flt.spec.AssignLoss, &s.flt.drops.Assigns, evfCentral
 		if commit {
 			p, cnt, cls = s.flt.spec.CommitLoss, &s.flt.drops.Commits, evfCentral|evfCommit
@@ -195,36 +206,22 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 }
 
 // probeTimeoutTick handles evProbeTimeout: a dropped probe-plane message's
-// timeout fired. Bounded retry with exponential backoff; exhaustion
-// degrades the probe to a fallback placement instead of hanging.
+// timeout fired, and the message is re-sent as the next attempt.
 func (s *simulation) probeTimeoutTick(ev simEvent) {
+	if ev.ref >= 0 && ev.gen != s.dyn.epoch[ev.ref] {
+		return // the node failed meanwhile; its probe was re-sent at failure time
+	}
+	s.res.ProbeTimeouts++
+	s.res.ProbeRetries++
 	attempt := int(ev.flags >> evfAttemptShift)
 	if ev.ref >= 0 {
 		// Node side: the task-request round trip was dropped while the node
 		// held its slot for it.
-		if ev.gen != s.dyn.epoch[ev.ref] {
-			return // the node failed meanwhile; its probe was re-sent at failure time
-		}
-		s.res.ProbeTimeouts++
-		if attempt > s.flt.spec.MaxRetries {
-			// The node gives up the round trip and frees its slot; the
-			// probe's job degrades to a fallback placement.
-			s.fallbackProbe(ev.jidx)
-			s.nodes[ev.ref].finishSlot(s)
-			return
-		}
-		s.res.ProbeRetries++
 		s.sendReply(ev.ref, ev.gen, ev.jidx, attempt)
 		return
 	}
 	// Scheduler side: the probe send itself was dropped; retry toward a
 	// fresh pool node (the original target never knew about it).
-	s.res.ProbeTimeouts++
-	if attempt > s.flt.spec.MaxRetries {
-		s.fallbackProbe(ev.jidx)
-		return
-	}
-	s.res.ProbeRetries++
 	js := &s.jobs[ev.jidx]
 	dec := s.pol.Route(js.info())
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
@@ -236,83 +233,18 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 	s.sendProbe(ev.jidx, int32(s.flt.ids[0]), attempt)
 }
 
-// fallbackProbe degrades one abandoned probe chain after its retries
-// exhaust: the job's next unserved task is placed (placeTask) instead of
-// probed for — graceful degradation, never a hang.
-func (s *simulation) fallbackProbe(jidx int32) {
-	js := &s.jobs[jidx]
-	js.probes--
-	tidx, ok := js.nextTask()
-	if !ok {
-		// Other probes drained the job first — same as a probe cancel.
-		s.res.Cancels++
-		s.maybeFreeJob(jidx)
-		return
-	}
-	s.res.FallbacksToCentral++
-	s.placeTask(jidx, tidx)
-}
-
-// placeTask places one task outside the probe protocol: through the central
-// queue if the policy has one, else straight to a sampled node.
-func (s *simulation) placeTask(jidx, tidx int32) {
-	if s.central != nil {
-		s.centralTask(jidx, tidx)
-		return
-	}
-	s.directPlace(jidx, tidx, 0)
-}
-
-// directPlace sends one task straight to a sampled live pool node, for
-// policies without a central queue to fall back to (and for re-routing
-// direct tasks off a failed node). attempt continues a dropped send's
-// retry chain.
-func (s *simulation) directPlace(jidx, tidx int32, attempt int) {
-	js := &s.jobs[jidx]
-	dec := s.pol.Route(js.info())
-	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
-	if len(s.flt.ids) == 0 {
-		s.park(policy.WaitExhausted, waiting{jidx: jidx, tidx: tidx})
-		return
-	}
-	if s.faultDrop(s.flt.spec.AssignLoss, &s.flt.drops.Assigns) {
-		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
-			kind: evAssignRetry, ref: -1, jidx: jidx, aux: tidx,
-			flags: uint8(attempt+1) << evfAttemptShift,
-		})
-		return
-	}
-	s.hop(1, simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: jidx, aux: tidx})
-}
-
 // assignRetryTick handles evAssignRetry: a dropped task placement's
-// backoff expired. Exhausted chains wait (policy.WaitExhausted) — re-placed
-// on the next node recovery, and surfaced in the deadlock report if none
-// ever comes (the bounded terminal state of an all-drop scenario).
+// backoff expired, and the assignment (or commit) is re-sent to the same
+// node as the next attempt.
 func (s *simulation) assignRetryTick(ev simEvent) {
-	attempt := int(ev.flags >> evfAttemptShift)
-	if attempt > s.flt.spec.MaxRetries {
-		s.park(policy.WaitExhausted, waiting{jidx: ev.jidx, tidx: ev.aux})
-		return
-	}
 	s.res.AssignRetries++
-	if ev.ref < 0 {
-		// Direct placement: re-run toward a freshly sampled node.
-		s.directPlace(ev.jidx, ev.aux, attempt)
-		return
-	}
-	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, attempt)
+	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, int(ev.flags>>evfAttemptShift))
 }
 
-// taskDirectArrive handles evTaskDirect: a directly sent task (fallback
-// placement or speculative duplicate) reaches its node's queue. Direct
-// tasks carry no central-queue feedback.
+// taskDirectArrive handles evTaskDirect: a speculative duplicate reaches
+// its node's queue. It carries no central-queue feedback.
 func (s *simulation) taskDirectArrive(ev simEvent, now float64) {
-	flags := entryTask | entryDirect | longFlag(s.jobs[ev.jidx].long)
-	if ev.flags&evfSpec != 0 {
-		flags |= entrySpec
-	}
-	e := entry{flags: flags, jidx: ev.jidx, tidx: ev.aux, enq: now}
+	e := entry{flags: entryTask | entrySpec | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, enq: now}
 	if !s.view.Alive(int(ev.ref)) {
 		s.reroute(e) // the destination failed in flight
 		return
@@ -346,7 +278,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 	}
 	s.res.SpeculativeLaunches++
 	s.flt.dups = append(s.flt.dups, specDup{jidx: ev.jidx, tidx: ev.aux, orig: ev.ref, dup: -1})
-	s.hop(1, simEvent{kind: evTaskDirect, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
+	s.hop(1, simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
 }
 
 // specBegin gates a speculative duplicate popping at the head of a node's

@@ -158,7 +158,7 @@ func TestFaultFreeReportOmitsCounters(t *testing.T) {
 	if res.MessagesDropped != nil {
 		t.Error("fault-free run populated MessagesDropped")
 	}
-	if res.ProbeRetries != 0 || res.ProbeTimeouts != 0 || res.FallbacksToCentral != 0 ||
+	if res.ProbeRetries != 0 || res.ProbeTimeouts != 0 ||
 		res.SpeculativeLaunches != 0 || res.StragglerSlowdowns != 0 {
 		t.Error("fault-free run populated fault counters")
 	}
@@ -177,9 +177,9 @@ func TestFaultFreeReportOmitsCounters(t *testing.T) {
 	}
 }
 
-// Retry and fallback defenses engage under heavy probe loss: timeouts fire,
-// retries are bounded, and on a hawk cluster exhausted probes degrade to
-// the central queue rather than hanging.
+// Retry defenses engage under heavy probe loss: timeouts fire, every one of
+// them re-sends (the send after the last lossy retry is reliable, so no
+// chain is abandoned), and every job completes.
 func TestFaultDefensesEngage(t *testing.T) {
 	tr := faultTrace(t)
 	res, err := Run(tr, policy.Config{
@@ -192,14 +192,60 @@ func TestFaultDefensesEngage(t *testing.T) {
 	if res.ProbeTimeouts == 0 || res.ProbeRetries == 0 {
 		t.Errorf("60%% loss produced %d timeouts, %d retries", res.ProbeTimeouts, res.ProbeRetries)
 	}
-	if res.FallbacksToCentral == 0 {
-		t.Error("exhausted probes never fell back to the central queue")
+	if res.ProbeTimeouts != res.ProbeRetries {
+		t.Errorf("%d probe timeouts but %d retries; every timeout re-sends", res.ProbeTimeouts, res.ProbeRetries)
 	}
 	if res.MessagesDropped.Probes == 0 || res.MessagesDropped.Replies == 0 {
 		t.Errorf("drop accounting: %+v", *res.MessagesDropped)
 	}
 	if len(res.Jobs) != tr.Len() {
 		t.Fatalf("completed %d of %d jobs", len(res.Jobs), tr.Len())
+	}
+}
+
+// Under total message loss every lossy send is dropped and the send after
+// the last retry is reliable, so every job completes and each counter is an
+// exact multiple of the sends it shadows: a probe is sent MaxRetries+2
+// times and dropped MaxRetries+1 of them, each delivered probe's reply
+// round trip is dropped MaxRetries+1 times, and so is each assignment.
+func TestTotalLossCompletes(t *testing.T) {
+	tr := workload.Generate(workload.Google(), workload.GenConfig{
+		NumJobs: 40, MeanInterArrival: 0.5, Seed: 11,
+	})
+	tasks := 0
+	for _, j := range tr.Jobs {
+		tasks += j.NumTasks()
+	}
+	spec := policy.UniformLoss(1)
+	spec.MaxRetries = 2
+	r := int64(spec.MaxRetries)
+	for _, pol := range []string{"sparrow", "hawk", "centralized"} {
+		t.Run(pol, func(t *testing.T) {
+			res, err := Run(tr, policy.Config{NumNodes: 300, Policy: pol, Seed: 1, Faults: &spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != tr.Len() || res.TasksExecuted != int64(tasks) {
+				t.Fatalf("completed %d of %d jobs, executed %d of %d tasks", len(res.Jobs), tr.Len(), res.TasksExecuted, tasks)
+			}
+			d := res.MessagesDropped
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"dropped probes·(MaxRetries+2)", d.Probes * (r + 2), res.ProbesSent * (r + 1)},
+				{"dropped replies", d.Replies, d.Probes},
+				{"dropped assigns", d.Assigns, (r + 1) * res.CentralAssigns},
+				{"probe timeouts", res.ProbeTimeouts, res.ProbeRetries},
+				{"assign retries", res.AssignRetries, d.Assigns},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+				}
+			}
+			t.Logf("probes sent %d; dropped probes %d, replies %d, assigns %d (central assigns %d)",
+				res.ProbesSent, d.Probes, d.Replies, d.Assigns, res.CentralAssigns)
+		})
 	}
 }
 

@@ -156,10 +156,10 @@ func goldenCases() (*workload.Trace, map[string]policy.Config) {
 	cases["hawk-sched2-blackout"] = blackout
 
 	// The hawk-msgloss mix with one retry, node churn and a central outage:
-	// assign chains exhaust into waitExhausted, the node recovery inside the
-	// outage resumes them into waitCentral, central-up releases that, and the
-	// second recovery releases what exhausted its retries after that (the
-	// recovery is split in two because nothing else ever would).
+	// message chains exhaust their one retry and end in the reliable send,
+	// and central placements made during the outage park under WaitCentral
+	// until central-up releases them. Nodes recover in two steps, one inside
+	// the outage and one after it.
 	lossy := msgloss
 	lossyFaults := *msgloss.Faults
 	lossyFaults.MaxRetries = 1

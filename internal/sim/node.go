@@ -19,12 +19,10 @@ const (
 	// entryLong marks entries belonging to long jobs, the property the
 	// stealing policy classifies queue contents by.
 	entryLong
-	// entryDirect marks a task sent straight to the node without central-
-	// queue bookkeeping: a probe-fallback placement or a speculative
-	// duplicate (fault plane only; see faults.go).
-	entryDirect
-	// entrySpec marks a speculative duplicate (implies entryDirect): its
-	// execution is gated on the original not having won the race yet.
+	// entrySpec marks a speculative duplicate (fault plane only; see
+	// faults.go), the one task sent straight to a node without central-
+	// queue bookkeeping: its execution is gated on the original not having
+	// won the race yet.
 	entrySpec
 )
 
@@ -146,20 +144,16 @@ func (n *node) advance(s *simulation) {
 		if s.speeds != nil {
 			dur /= s.speeds[n.id]
 		}
-		if head.flags&entryDirect != 0 {
-			// Fault-plane direct task: no central queue observed this
+		if head.flags&entrySpec != 0 {
+			// Speculative duplicate: no central queue observed this
 			// placement, so there is no start/finish feedback to publish.
-			if head.flags&entrySpec != 0 {
-				if !s.specBegin(n, head.jidx, head.tidx) {
-					// The duplicate is obsolete (its original already won);
-					// discard the entry and free the slot.
-					n.finishSlot(s)
-					return
-				}
-				n.execute(s, head.jidx, head.tidx, 0, dur, evfSpec)
+			if !s.specBegin(n, head.jidx, head.tidx) {
+				// The duplicate is obsolete (its original already won);
+				// discard the entry and free the slot.
+				n.finishSlot(s)
 				return
 			}
-			n.execute(s, head.jidx, head.tidx, 0, dur, 0)
+			n.execute(s, head.jidx, head.tidx, 0, dur, evfSpec)
 			return
 		}
 		// Centrally placed task: the central queue observes its start so

@@ -22,7 +22,6 @@ var resumes = [policy.NumWaitKinds]func(*simulation, waiting){
 	policy.WaitLostProbe:  (*simulation).resumeProbe,
 	policy.WaitPoolWidth:  (*simulation).resumeJob,
 	policy.WaitCentral:    (*simulation).resumeCentral,
-	policy.WaitExhausted:  (*simulation).resumeTask,
 	policy.WaitSchedJob:   (*simulation).resumeJob,
 	policy.WaitSchedTask:  (*simulation).resumeCentral,
 	policy.WaitSchedProbe: (*simulation).resumeProbe,
@@ -60,7 +59,6 @@ func (s *simulation) release(by policy.Recovery) {
 
 func (s *simulation) resumeProbe(w waiting) { s.resendProbe(w.jidx) }
 func (s *simulation) resumeJob(w waiting)   { s.routeJob(w.jidx) }
-func (s *simulation) resumeTask(w waiting)  { s.placeTask(w.jidx, w.tidx) }
 
 func (s *simulation) resumeCentral(w waiting) {
 	if w.tidx < 0 {
