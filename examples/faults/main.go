@@ -74,8 +74,8 @@ func main() {
 	fmt.Printf("lossy plane absorbed (all %d jobs still completed):\n", len(lossy.Jobs))
 	fmt.Printf("  messages dropped:   %d (probes %d, replies %d, steals %d, assigns %d, commits %d)\n",
 		d.Total(), d.Probes, d.Replies, d.Steals, d.Assigns, d.Commits)
-	fmt.Printf("  timeouts fired:     %d, re-sends after backoff: %d probe + %d assign\n",
-		lossy.ProbeTimeouts, lossy.ProbeRetries, lossy.AssignRetries)
+	fmt.Printf("  timeouts fired:     %d probe + %d assign, each re-sent after backoff\n",
+		lossy.ProbeRetries, lossy.AssignRetries)
 
 	fmt.Println()
 	fmt.Printf("straggler wave (%d slowdowns applied):\n", straggle.StragglerSlowdowns)

@@ -33,12 +33,11 @@ type cluster struct {
 	// locks before mu; faultPlane.mu and resMu after it. "Check availability
 	// → park" and "recover → release" are each one critical section, and
 	// nothing is resumed while mu is held.
-	mu          sync.Mutex
-	view        *core.ClusterView
-	dynamicView bool                   // churn scripted: view mutates at runtime
-	probeSrc    *randdist.Source       // stream for every probe sample
-	churnSrc    *randdist.Source       // stream for random churn picks
-	waits       policy.Waitlist[entry] // a job, or one task (dur, handle) for the central kinds
+	mu       sync.Mutex
+	view     *core.ClusterView      // Dynamic() is fixed before any goroutine starts, so it is read unlocked
+	probeSrc *randdist.Source       // stream for every probe sample
+	churnSrc *randdist.Source       // stream for random churn picks
+	waits    policy.Waitlist[entry] // a job, or one task (dur, handle) for the central kinds
 
 	// A scripted central outage, kept whatever the policy (the simulator's
 	// centralDown): it marks jobs DuringOutage and counts
@@ -86,26 +85,24 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 		over:      make(chan struct{}),
 		res:       policy.Report{Engine: "live", Policy: pol.String(), Config: cfg},
 	}
-	slots := cfg.TotalSlots()
-	c.part = core.NewPartition(slots, pol.ShortPartitionFraction())
+	c.part = core.NewPartition(cfg.NumNodes, pol.ShortPartitionFraction())
 	c.steal = core.StealPolicy{Cap: cfg.StealCap, Enabled: pol.Steal()}
 
 	c.view = core.NewClusterView(c.part)
 	if cfg.Heterogeneity != nil {
-		c.view.SetSpeeds(cfg.Heterogeneity.Factors(slots, cfg.Seed+policy.SeedSpeeds))
+		c.view.SetSpeeds(cfg.Heterogeneity.Factors(cfg.NumNodes, cfg.Seed+policy.SeedSpeeds))
 	}
 	churn := cfg.Churn != nil && len(cfg.Churn.Events) > 0
 	if churn {
 		// Before any goroutine can observe the view: membership tracking
-		// flips the samplers off the static fast path, and dynamicView
+		// flips the samplers off the static fast path, and view.Dynamic()
 		// turns the view lock on.
 		c.view.EnableMembership()
-		c.dynamicView = true
 	}
 	c.scriptDone = !churn
 
 	root := randdist.New(cfg.Seed)
-	c.nodes = make([]*nodeMonitor, slots)
+	c.nodes = make([]*nodeMonitor, cfg.NumNodes)
 	for i := range c.nodes {
 		c.nodes[i] = newNodeMonitor(i, c, root.Fork())
 		c.nodes[i].speed = c.view.Speed(i)
@@ -115,7 +112,7 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 	}
 	if spec := cfg.Schedulers; spec != nil {
 		if c.central != nil {
-			c.central.claims = core.NewClaimTable(slots)
+			c.central.claims = core.NewClaimTable(cfg.NumNodes)
 		}
 		c.mscheds = make([]*liveScheduler, spec.Count)
 		c.msLive = core.NewSchedulerSet(spec.Count)
@@ -233,7 +230,7 @@ func (c *cluster) route(jr *jobRuntime) {
 		return
 	}
 	poolSize := dec.Pool.Size(c.view)
-	if c.dynamicView && poolSize < jr.job.NumTasks() {
+	if c.view.Dynamic() && poolSize < jr.job.NumTasks() {
 		c.parkLocked(policy.WaitPoolWidth, entry{job: jr})
 		return
 	}

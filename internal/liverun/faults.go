@@ -58,9 +58,9 @@ func (f *faultPlane) jitterDelay() time.Duration {
 // plane: the first send and each of the MaxRetries retries draw a loss
 // decision, each dropped transmission times out and re-sends after its
 // backoff, and the send after the last retry is delivered reliably. Each
-// drop counts against the message class, a timeout and a retry; timeouts
-// is nil for the assignment classes, which count retries only.
-func (c *cluster) lossySend(p float64, class, timeouts, retries *int64) {
+// drop counts against the message class and a retry. A retry re-sends to
+// the same node.
+func (c *cluster) lossySend(p float64, class, retries *int64) {
 	f := c.faults
 	if f == nil || p == 0 {
 		return
@@ -71,9 +71,6 @@ func (c *cluster) lossySend(p float64, class, timeouts, retries *int64) {
 		}
 		c.resMu.Lock()
 		*class++
-		if timeouts != nil {
-			*timeouts++
-		}
 		*retries++
 		c.resMu.Unlock()
 		time.Sleep(time.Duration(f.spec.Backoff(attempt) * float64(time.Second)))
@@ -83,7 +80,7 @@ func (c *cluster) lossySend(p float64, class, timeouts, retries *int64) {
 // deliverProbe carries one probe to its node over the lossy plane.
 func (c *cluster) deliverProbe(n *nodeMonitor, jr *jobRuntime) {
 	if f := c.faults; f != nil {
-		c.lossySend(f.spec.ProbeLoss, &c.res.MessagesDropped.Probes, &c.res.ProbeTimeouts, &c.res.ProbeRetries)
+		c.lossySend(f.spec.ProbeLoss, &c.res.MessagesDropped.Probes, &c.res.ProbeRetries)
 	}
 	c.latency()
 	n.enqueue(entry{probe: true, job: jr})
@@ -97,7 +94,7 @@ func (c *cluster) deliverTask(n *nodeMonitor, e entry, commit bool) {
 		if commit {
 			p, class = f.spec.CommitLoss, &c.res.MessagesDropped.Commits
 		}
-		c.lossySend(p, class, nil, &c.res.AssignRetries)
+		c.lossySend(p, class, &c.res.AssignRetries)
 	}
 	c.latency()
 	n.enqueue(e)

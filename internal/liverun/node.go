@@ -206,7 +206,7 @@ func (n *nodeMonitor) process(e entry) {
 		dur, handle, ok := e.job.getTask()
 		if f := c.faults; f != nil {
 			// The task-request round trip rides the lossy plane too.
-			c.lossySend(f.spec.ReplyLoss, &c.res.MessagesDropped.Replies, &c.res.ProbeTimeouts, &c.res.ProbeRetries)
+			c.lossySend(f.spec.ReplyLoss, &c.res.MessagesDropped.Replies, &c.res.ProbeRetries)
 		}
 		c.latency() // response
 		if !ok {
@@ -341,11 +341,11 @@ func (n *nodeMonitor) trySteal() bool {
 		return false
 	}
 	n.mu.Lock()
-	if c.dynamicView {
+	if c.view.Dynamic() {
 		c.mu.Lock()
 	}
 	candidates := c.steal.CandidatesInto(nil, c.view, n.src, n.id)
-	if c.dynamicView {
+	if c.view.Dynamic() {
 		c.mu.Unlock()
 	}
 	n.mu.Unlock()

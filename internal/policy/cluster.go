@@ -68,10 +68,10 @@ type ChurnSpec struct {
 	Events []ChurnEvent `json:"events"`
 }
 
-// validate checks the spec against the cluster size and the scheduler
+// validate checks the spec against the node count and the scheduler
 // count (zero when the multi-scheduler model is off, which rejects
 // scheduler events: they would have no schedulers to act on).
-func (s *ChurnSpec) validate(totalSlots, schedulers int) error {
+func (s *ChurnSpec) validate(numNodes, schedulers int) error {
 	for i, ev := range s.Events {
 		if ev.At < 0 || math.IsNaN(ev.At) {
 			return fmt.Errorf("config: churn event %d: time %g invalid", i, ev.At)
@@ -81,11 +81,11 @@ func (s *ChurnSpec) validate(totalSlots, schedulers int) error {
 			if ev.Count < 0 {
 				return fmt.Errorf("config: churn event %d: negative count %d", i, ev.Count)
 			}
-			if ev.Count == 0 && (ev.Node < 0 || ev.Node >= totalSlots) {
-				return fmt.Errorf("config: churn event %d: node %d outside [0, %d)", i, ev.Node, totalSlots)
+			if ev.Count == 0 && (ev.Node < 0 || ev.Node >= numNodes) {
+				return fmt.Errorf("config: churn event %d: node %d outside [0, %d)", i, ev.Node, numNodes)
 			}
-			if ev.Count > totalSlots {
-				return fmt.Errorf("config: churn event %d: count %d exceeds %d slots", i, ev.Count, totalSlots)
+			if ev.Count > numNodes {
+				return fmt.Errorf("config: churn event %d: count %d exceeds %d nodes", i, ev.Count, numNodes)
 			}
 		case ChurnCentralDown, ChurnCentralUp:
 			// No target.
@@ -196,7 +196,7 @@ func (h *Heterogeneity) uniform() bool {
 	return true
 }
 
-// Factors materializes the per-node speed slice for a cluster of n slots:
+// Factors materializes the per-node speed slice for a cluster of n nodes:
 // each node draws its class independently from the seeded stream (class
 // fractions as cumulative probabilities, remainder at speed 1). Both
 // engines call this with the run seed, so the simulator and the live

@@ -45,12 +45,6 @@ func TestNormalizeValidatesChurn(t *testing.T) {
 	if _, err := good.Normalize(tr); err != nil {
 		t.Fatalf("valid churn spec rejected: %v", err)
 	}
-	// SlotsPerNode expands the valid node-id range.
-	slots := Config{Policy: "hawk", NumNodes: 100, SlotsPerNode: 2,
-		Churn: &ChurnSpec{Events: []ChurnEvent{{At: 0, Kind: ChurnFail, Node: 150}}}}
-	if _, err := slots.Normalize(tr); err != nil {
-		t.Fatalf("slot-expanded node id rejected: %v", err)
-	}
 }
 
 func TestNormalizeValidatesHeterogeneity(t *testing.T) {

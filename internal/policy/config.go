@@ -10,27 +10,17 @@ import (
 // Config parameterizes one scheduling run and is consumed by every engine.
 // Zero values select the paper's defaults where meaningful (see field
 // comments); Normalize resolves them against a trace exactly once, so the
-// values recorded in a Report are the values the run actually used — with
-// the user's requested NumNodes and SlotsPerNode kept distinct rather than
-// folded together.
+// values recorded in a Report are the values the run actually used.
 type Config struct {
 	// Policy is the registry name of the scheduling policy (see Policies).
 	// Empty selects "hawk".
 	Policy string `json:"policy"`
-	// NumNodes is the cluster size as requested by the user; required
-	// (> 0). Engines run NumNodes*SlotsPerNode single-slot queues — see
-	// TotalSlots — but this field always reports the requested value.
+	// NumNodes is the number of single-slot nodes, each with its own FIFO
+	// queue; required (> 0). There is no slots-per-node knob: the paper
+	// notes that one-slot nodes are "analogous to having multi-slot nodes
+	// with each slot served by a different queue" (§4.1), so a cluster of
+	// n nodes with k slots each is NumNodes n·k.
 	NumNodes int `json:"numNodes"`
-	// SlotsPerNode expands every node into this many independently queued
-	// slots (default 1). The paper notes that one-slot nodes are
-	// "analogous to having multi-slot nodes with each slot served by a
-	// different queue" (§4.1); this knob makes the analogy executable.
-	SlotsPerNode int `json:"slotsPerNode"`
-	// NumSchedulers is the default Schedulers.Count (default 10, the
-	// prototype's scheduler count in §4.10); Normalize sets it to the count
-	// when the multi-scheduler model is on. It changes no run by itself:
-	// outside that model both engines treat scheduling decisions as free.
-	NumSchedulers int `json:"numSchedulers,omitempty"`
 	// Schedulers, when set, turns on the distributed multi-scheduler model
 	// in both engines (§4.10): Count concurrent schedulers, each placing
 	// against its own stale snapshot of the cluster with optimistic
@@ -128,16 +118,6 @@ const (
 	SeedFaults     = 5 // the fault plane: loss, jitter, retry targets, stragglers
 )
 
-// TotalSlots is the number of single-slot FIFO queues an engine runs: the
-// requested node count times the slots per node. An unset SlotsPerNode
-// counts as the default 1, so the method is meaningful before Normalize.
-func (c Config) TotalSlots() int {
-	if c.SlotsPerNode <= 0 {
-		return c.NumNodes
-	}
-	return c.NumNodes * c.SlotsPerNode
-}
-
 // Normalize validates the configuration and resolves defaults against the
 // trace. It is idempotent; engines call it once on entry so defaults are
 // resolved exactly once per run and the returned Config is what the run
@@ -161,18 +141,6 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	}
 	if c.NumNodes <= 0 {
 		return c, fmt.Errorf("config: NumNodes must be positive, got %d", c.NumNodes)
-	}
-	if c.SlotsPerNode < 0 {
-		return c, fmt.Errorf("config: SlotsPerNode must be non-negative, got %d", c.SlotsPerNode)
-	}
-	if c.SlotsPerNode == 0 {
-		c.SlotsPerNode = 1
-	}
-	if c.NumSchedulers < 0 {
-		return c, fmt.Errorf("config: NumSchedulers must be non-negative, got %d", c.NumSchedulers)
-	}
-	if c.NumSchedulers == 0 {
-		c.NumSchedulers = 10
 	}
 	if c.Cutoff == 0 {
 		c.Cutoff = m.Cutoff
@@ -213,7 +181,7 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.Schedulers != nil {
 		// Copy before resolving so a spec shared across sweep configs is
 		// never mutated through the pointer.
-		spec, err := c.Schedulers.normalize(c.NumSchedulers, c.NetworkDelay)
+		spec, err := c.Schedulers.normalize(c.NetworkDelay)
 		if err != nil {
 			return c, err
 		}
@@ -224,7 +192,6 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 			c.Schedulers = nil
 		} else {
 			c.Schedulers = &spec
-			c.NumSchedulers = spec.Count
 		}
 	} else if c.Churn.HasSchedulerEvents() {
 		return c, fmt.Errorf("config: scheduler churn events require Config.Schedulers")
@@ -234,7 +201,7 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 		if c.Schedulers != nil {
 			schedulers = c.Schedulers.Count
 		}
-		if err := c.Churn.validate(c.TotalSlots(), schedulers); err != nil {
+		if err := c.Churn.validate(c.NumNodes, schedulers); err != nil {
 			return c, err
 		}
 	}
@@ -246,7 +213,7 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.Faults != nil {
 		// Copy before resolving, like Schedulers, so a spec shared across
 		// sweep configs is never mutated through the pointer.
-		spec, err := c.Faults.normalize(c.TotalSlots(), c.NetworkDelay)
+		spec, err := c.Faults.normalize(c.NumNodes, c.NetworkDelay)
 		if err != nil {
 			return c, err
 		}

@@ -164,10 +164,10 @@ func (f FaultSpec) SpeculationThreshold(durations, scratch []float64) (float64, 
 // NaN (the comparison rejects NaN by construction).
 func probability(p float64) bool { return p >= 0 && p <= 1 }
 
-// normalize validates the spec and resolves its defaults; totalSlots and
+// normalize validates the spec and resolves its defaults; numNodes and
 // networkDelay are the already-resolved Config values the straggler targets
 // and backoff default validate against.
-func (f FaultSpec) normalize(totalSlots int, networkDelay float64) (FaultSpec, error) {
+func (f FaultSpec) normalize(numNodes int, networkDelay float64) (FaultSpec, error) {
 	for _, c := range []struct {
 		name string
 		p    float64
@@ -207,11 +207,11 @@ func (f FaultSpec) normalize(totalSlots int, networkDelay float64) (FaultSpec, e
 		if ev.Count < 0 {
 			return f, fmt.Errorf("config: straggler event %d: Count must be non-negative, got %d", i, ev.Count)
 		}
-		if ev.Count == 0 && (ev.Node < 0 || ev.Node >= totalSlots) {
-			return f, fmt.Errorf("config: straggler event %d: node %d outside [0, %d)", i, ev.Node, totalSlots)
+		if ev.Count == 0 && (ev.Node < 0 || ev.Node >= numNodes) {
+			return f, fmt.Errorf("config: straggler event %d: node %d outside [0, %d)", i, ev.Node, numNodes)
 		}
-		if ev.Count > totalSlots {
-			return f, fmt.Errorf("config: straggler event %d: Count %d exceeds cluster size %d", i, ev.Count, totalSlots)
+		if ev.Count > numNodes {
+			return f, fmt.Errorf("config: straggler event %d: Count %d exceeds %d nodes", i, ev.Count, numNodes)
 		}
 	}
 	if !probability(f.SpeculatePercentile / 100) {

@@ -63,7 +63,7 @@ func CheckFeasibility(job JobInfo, bothClasses bool, pol Policy, part core.Parti
 // engine starts work, under the run's normalized configuration and the
 // policy built from it.
 func CheckTraceFeasibility(t *workload.Trace, cfg Config, pol Policy) error {
-	part := core.NewPartition(cfg.TotalSlots(), pol.ShortPartitionFraction())
+	part := core.NewPartition(cfg.NumNodes, pol.ShortPartitionFraction())
 	margin := cfg.Churn.MaxConcurrentFailures()
 	cls := core.Classifier{Cutoff: cfg.Cutoff}
 	for _, j := range t.Jobs {

@@ -36,8 +36,8 @@ func FuzzFaultSpecNormalize(f *testing.F) {
 			Speculate:           true,
 			SpeculatePercentile: pct,
 		}
-		const slots, netDelay = 100, 0.0005
-		norm, err := spec.normalize(slots, netDelay)
+		const nodes, netDelay = 100, 0.0005
+		norm, err := spec.normalize(nodes, netDelay)
 		if err != nil {
 			return
 		}
@@ -72,7 +72,7 @@ func FuzzFaultSpecNormalize(f *testing.F) {
 				t.Fatalf("accepted straggler %d has At = %g", i, ev.At)
 			}
 		}
-		again, err := norm.normalize(slots, netDelay)
+		again, err := norm.normalize(nodes, netDelay)
 		if err != nil {
 			t.Fatalf("normalized spec fails re-normalization: %v", err)
 		}

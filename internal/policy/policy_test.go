@@ -164,20 +164,15 @@ func TestHawkAblationKnobs(t *testing.T) {
 
 func TestNormalizeDefaults(t *testing.T) {
 	tr := tinyTrace(job(1, 0, 10))
-	cfg, err := policy.Config{NumNodes: 4, SlotsPerNode: 2}.Normalize(tr)
+	cfg, err := policy.Config{NumNodes: 4}.Normalize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Policy != "hawk" {
 		t.Errorf("default policy = %q", cfg.Policy)
 	}
-	// The user's requested sizes stay visible; engines expand via
-	// TotalSlots instead of mutating NumNodes.
-	if cfg.NumNodes != 4 || cfg.SlotsPerNode != 2 {
-		t.Errorf("requested sizes mutated: NumNodes=%d SlotsPerNode=%d", cfg.NumNodes, cfg.SlotsPerNode)
-	}
-	if cfg.TotalSlots() != 8 {
-		t.Errorf("TotalSlots = %d, want 8", cfg.TotalSlots())
+	if cfg.NumNodes != 4 {
+		t.Errorf("NumNodes mutated: %d", cfg.NumNodes)
 	}
 	if cfg.Cutoff != tr.Cutoff || cfg.ShortPartitionFraction != tr.ShortPartitionFraction {
 		t.Errorf("trace defaults not applied: %+v", cfg)
@@ -185,7 +180,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	if cfg.ProbeRatio != 2 || cfg.StealCap != 10 || cfg.NetworkDelay != 0.0005 {
 		t.Errorf("paper defaults not applied: %+v", cfg)
 	}
-	if cfg.UtilizationInterval != 100 || cfg.NumSchedulers != 10 {
+	if cfg.UtilizationInterval != 100 {
 		t.Errorf("engine defaults not applied: %+v", cfg)
 	}
 	// Normalize is idempotent.
@@ -236,18 +231,15 @@ func TestSchedulerSpecNormalize(t *testing.T) {
 	if spec.RetryBackoff != 4*cfg.NetworkDelay {
 		t.Fatalf("RetryBackoff = %g, want 4 network delays", spec.RetryBackoff)
 	}
-	if cfg.NumSchedulers != 3 {
-		t.Fatalf("NumSchedulers = %d, want the spec count", cfg.NumSchedulers)
-	}
 
 	// Count 1 with no scheduler churn is the legacy model: the spec is
-	// dropped and NumSchedulers resolves exactly as if it was never set.
+	// dropped, exactly as if it was never set.
 	one := policy.Config{NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: 1}}
 	cfg, err = one.Normalize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Schedulers != nil || cfg.NumSchedulers != 10 {
+	if cfg.Schedulers != nil {
 		t.Fatalf("Count=1 spec not canonicalized away: %+v", cfg)
 	}
 	if one.Schedulers == nil {
@@ -264,17 +256,17 @@ func TestSchedulerSpecNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Schedulers == nil || cfg.NumSchedulers != 1 {
+	if cfg.Schedulers == nil || cfg.Schedulers.Count != 1 {
 		t.Fatalf("churned single scheduler canonicalized away: %+v", cfg)
 	}
 
-	// Zero count inherits NumSchedulers.
-	cfg, err = policy.Config{NumNodes: 4, NumSchedulers: 7, Schedulers: &policy.SchedulerSpec{}}.Normalize(tr)
+	// Zero count resolves to the prototype's ten schedulers (§4.10).
+	cfg, err = policy.Config{NumNodes: 4, Schedulers: &policy.SchedulerSpec{}}.Normalize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Schedulers == nil || cfg.Schedulers.Count != 7 {
-		t.Fatalf("zero count did not inherit NumSchedulers: %+v", cfg.Schedulers)
+	if cfg.Schedulers == nil || cfg.Schedulers.Count != 10 {
+		t.Fatalf("zero count did not resolve to 10: %+v", cfg.Schedulers)
 	}
 
 	for name, bad := range map[string]policy.Config{
@@ -307,8 +299,7 @@ func TestConfigValidationSharedAcrossEngines(t *testing.T) {
 		cfg   policy.Config
 	}{
 		{"zero nodes", tr, policy.Config{NumNodes: 0}},
-		{"negative slots", tr, policy.Config{NumNodes: 4, SlotsPerNode: -1}},
-		{"negative schedulers", tr, policy.Config{NumNodes: 4, NumSchedulers: -2}},
+		{"negative schedulers", tr, policy.Config{NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: -2}}},
 		{"no cutoff anywhere", noCutoff, policy.Config{NumNodes: 4}},
 		{"negative cutoff", tr, policy.Config{NumNodes: 4, Cutoff: -1}},
 		{"unknown policy", tr, policy.Config{NumNodes: 4, Policy: "no-such-policy"}},
@@ -403,7 +394,7 @@ func TestReadResultsCSVErrors(t *testing.T) {
 
 func TestReportJSONExport(t *testing.T) {
 	tr := tinyTrace(job(1, 0, 10), job(2, 1, 5000))
-	res, err := sim.Run(tr, policy.Config{NumNodes: 10, SlotsPerNode: 2, Policy: "hawk", Seed: 1})
+	res, err := sim.Run(tr, policy.Config{NumNodes: 10, Policy: "hawk", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +417,7 @@ func TestReportJSONExport(t *testing.T) {
 	if len(decoded.Jobs) != 2 {
 		t.Errorf("jobs = %d, want 2", len(decoded.Jobs))
 	}
-	// The report's config keeps the user's requested cluster size rather
-	// than the slot-expanded one.
-	if decoded.Config.NumNodes != 10 || decoded.Config.SlotsPerNode != 2 {
-		t.Errorf("config sizes = %d/%d, want 10/2",
-			decoded.Config.NumNodes, decoded.Config.SlotsPerNode)
+	if decoded.Config.NumNodes != 10 {
+		t.Errorf("config NumNodes = %d, want 10", decoded.Config.NumNodes)
 	}
 }

@@ -51,8 +51,7 @@ type Report struct {
 	Engine string `json:"engine"`
 	// Policy is the registry name of the scheduling policy that ran.
 	Policy string `json:"policy"`
-	// Config is the fully resolved configuration of the run, with the
-	// user's requested NumNodes and SlotsPerNode kept as requested.
+	// Config is the fully resolved configuration of the run.
 	Config Config `json:"config"`
 
 	Jobs []JobReport `json:"jobs"`
@@ -75,6 +74,14 @@ type Report struct {
 	GeneralUtilization stats.UtilizationSeries `json:"-"`
 
 	// Mechanism counters.
+	//
+	// ProbesSent counts batch-sampling probes sent: one per sampled node at
+	// routing, plus one per probe re-sent to a live node after its node
+	// failed (ProbesLost). Under probe loss the engines count differently.
+	// The simulator counts each re-sent probe too, because its retry goes
+	// to a freshly sampled node. The live engine counts first sends only,
+	// because its retry re-sends to the same node. ProbeRetries counts the
+	// re-sends on both.
 	ProbesSent     int64  `json:"probesSent"`
 	Cancels        int64  `json:"cancels"`
 	TasksExecuted  int64  `json:"tasksExecuted"`
@@ -140,10 +147,6 @@ type Report struct {
 	// MessagesDropped counts injected message drops by class; nil on a
 	// fault-free run so serialized reports are unchanged.
 	MessagesDropped *MessageDrops `json:"messagesDropped,omitempty"`
-	// ProbeTimeouts counts timeouts fired for dropped probe and
-	// task-request messages (one per drop noticed, scheduler- or
-	// node-side).
-	ProbeTimeouts int64 `json:"probeTimeouts,omitempty"`
 	// ProbeRetries counts probe/task-request re-sends after a timeout
 	// (at most Faults.MaxRetries+1 per message, the last one reliable).
 	ProbeRetries int64 `json:"probeRetries,omitempty"`

@@ -65,7 +65,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	sidecars.WorkLostSeconds, sidecars.CentralDeferred, sidecars.CentralOutageSeconds = 5.5, 6, 7.5
 	sidecars.PlacementConflicts, sidecars.ConflictRetries, sidecars.SnapshotRefreshes = 8, 9, 10
 	sidecars.SnapshotStalenessSeconds, sidecars.SchedulerFailures, sidecars.SchedulerRecoveries = 11.5, 12, 13
-	sidecars.SchedulerReassigned, sidecars.ProbeTimeouts, sidecars.ProbeRetries, sidecars.AssignRetries = 14, 15, 16, 17
+	sidecars.SchedulerReassigned, sidecars.ProbeRetries, sidecars.AssignRetries = 14, 16, 17
 	sidecars.SpeculativeLaunches, sidecars.SpeculativeWins = 19, 20
 	sidecars.SpeculativeWasted, sidecars.StragglerSlowdowns = 21, 22
 	sidecars.MessagesDropped = &MessageDrops{Probes: 1, Replies: 2, Steals: 3, Assigns: 4, Commits: 5}

@@ -27,7 +27,8 @@ const MaxSchedulers = 256
 // configuration by construction.
 type SchedulerSpec struct {
 	// Count is the number of concurrent schedulers (2..MaxSchedulers for
-	// the model to engage). Zero resolves to Config.NumSchedulers.
+	// the model to engage). Zero resolves to 10, the prototype's scheduler
+	// count in §4.10.
 	Count int `json:"count"`
 	// SnapshotInterval is the cluster-state refresh cadence in seconds
 	// (default 5): an active scheduler re-reads the shared central queue
@@ -53,11 +54,11 @@ func (s SchedulerSpec) RetriesExhausted(conflicts int) bool {
 	return conflicts > s.MaxRetries
 }
 
-// normalize validates the spec and resolves its defaults; numSchedulers and
-// networkDelay are the already-resolved Config values the defaults key off.
-func (s SchedulerSpec) normalize(numSchedulers int, networkDelay float64) (SchedulerSpec, error) {
+// normalize validates the spec and resolves its defaults; networkDelay is
+// the already-resolved Config value the backoff default keys off.
+func (s SchedulerSpec) normalize(networkDelay float64) (SchedulerSpec, error) {
 	if s.Count == 0 {
-		s.Count = numSchedulers
+		s.Count = 10
 	}
 	if s.Count < 1 || s.Count > MaxSchedulers {
 		return s, fmt.Errorf("config: Schedulers.Count must be in [1, %d], got %d", MaxSchedulers, s.Count)

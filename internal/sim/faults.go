@@ -211,7 +211,6 @@ func (s *simulation) probeTimeoutTick(ev simEvent) {
 	if ev.ref >= 0 && ev.gen != s.dyn.epoch[ev.ref] {
 		return // the node failed meanwhile; its probe was re-sent at failure time
 	}
-	s.res.ProbeTimeouts++
 	s.res.ProbeRetries++
 	attempt := int(ev.flags >> evfAttemptShift)
 	if ev.ref >= 0 {

@@ -158,7 +158,7 @@ func TestFaultFreeReportOmitsCounters(t *testing.T) {
 	if res.MessagesDropped != nil {
 		t.Error("fault-free run populated MessagesDropped")
 	}
-	if res.ProbeRetries != 0 || res.ProbeTimeouts != 0 ||
+	if res.ProbeRetries != 0 || res.AssignRetries != 0 ||
 		res.SpeculativeLaunches != 0 || res.StragglerSlowdowns != 0 {
 		t.Error("fault-free run populated fault counters")
 	}
@@ -177,8 +177,8 @@ func TestFaultFreeReportOmitsCounters(t *testing.T) {
 	}
 }
 
-// Retry defenses engage under heavy probe loss: timeouts fire, every one of
-// them re-sends (the send after the last lossy retry is reliable, so no
+// Retry defenses engage under heavy probe loss: every dropped message times
+// out and re-sends (the send after the last lossy retry is reliable, so no
 // chain is abandoned), and every job completes.
 func TestFaultDefensesEngage(t *testing.T) {
 	tr := faultTrace(t)
@@ -189,14 +189,12 @@ func TestFaultDefensesEngage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProbeTimeouts == 0 || res.ProbeRetries == 0 {
-		t.Errorf("60%% loss produced %d timeouts, %d retries", res.ProbeTimeouts, res.ProbeRetries)
-	}
-	if res.ProbeTimeouts != res.ProbeRetries {
-		t.Errorf("%d probe timeouts but %d retries; every timeout re-sends", res.ProbeTimeouts, res.ProbeRetries)
-	}
 	if res.MessagesDropped.Probes == 0 || res.MessagesDropped.Replies == 0 {
 		t.Errorf("drop accounting: %+v", *res.MessagesDropped)
+	}
+	if d := res.MessagesDropped; res.ProbeRetries != d.Probes+d.Replies {
+		t.Errorf("%d probe retries for %d dropped probes and %d replies; every drop re-sends",
+			res.ProbeRetries, d.Probes, d.Replies)
 	}
 	if len(res.Jobs) != tr.Len() {
 		t.Fatalf("completed %d of %d jobs", len(res.Jobs), tr.Len())
@@ -236,7 +234,7 @@ func TestTotalLossCompletes(t *testing.T) {
 				{"dropped probes·(MaxRetries+2)", d.Probes * (r + 2), res.ProbesSent * (r + 1)},
 				{"dropped replies", d.Replies, d.Probes},
 				{"dropped assigns", d.Assigns, (r + 1) * res.CentralAssigns},
-				{"probe timeouts", res.ProbeTimeouts, res.ProbeRetries},
+				{"probe retries", res.ProbeRetries, d.Probes + d.Replies},
 				{"assign retries", res.AssignRetries, d.Assigns},
 			} {
 				if c.got != c.want {

@@ -37,7 +37,7 @@ type pinnedReport struct {
 
 // goldenCases enumerates the pinned (trace, config) points: all four
 // policies at a steal-heavy operating point, plus the mis-estimation,
-// multi-slot, and random-position-stealing code paths.
+// random-position-stealing, churn, multi-scheduler and fault code paths.
 func goldenCases() (*workload.Trace, map[string]policy.Config) {
 	base := policy.Config{NumNodes: 1200, Seed: 9}
 	cases := map[string]policy.Config{}
@@ -50,11 +50,6 @@ func goldenCases() (*workload.Trace, map[string]policy.Config) {
 	mis.Policy = "hawk"
 	mis.MisestimateLo, mis.MisestimateHi = 0.5, 1.8
 	cases["hawk-misestimate"] = mis
-
-	slots := base
-	slots.Policy = "hawk"
-	slots.NumNodes, slots.SlotsPerNode = 600, 2
-	cases["hawk-slots2"] = slots
 
 	randSteal := base
 	randSteal.Policy = "hawk"
@@ -272,6 +267,28 @@ func TestReportsMatchGolden(t *testing.T) {
 			}
 			if !bytes.Equal(marshalPinned(t, res), want) {
 				t.Fatalf("%s: the same jobs pulled from a hawk-trace file give a different report", name)
+			}
+			// The config a golden states reproduces it: every key is a
+			// Config field, and every field survives JSON.
+			var pinned struct {
+				Report struct {
+					Config json.RawMessage `json:"config"`
+				} `json:"report"`
+			}
+			if err := json.Unmarshal(want, &pinned); err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(pinned.Report.Config))
+			dec.DisallowUnknownFields()
+			var stated policy.Config
+			if err := dec.Decode(&stated); err != nil {
+				t.Fatalf("%s: the golden's config does not decode: %v", name, err)
+			}
+			if res, err = runPinned(trace, stated); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalPinned(t, res), want) {
+				t.Fatalf("%s: the golden's own config gives a different report", name)
 			}
 		})
 	}

@@ -315,7 +315,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		res:        &policy.Report{Engine: "sim", Policy: pol.String(), Config: cfg},
 	}
 	s.recycler, _ = src.(workload.Recycler)
-	s.slots = cfg.TotalSlots()
+	s.slots = cfg.NumNodes
 
 	// The queue holds flat simEvent records. Submission is lazily chained
 	// (one pending submit at a time), so peak pending events track

@@ -411,20 +411,3 @@ func TestCentralizedDelayIsOneHop(t *testing.T) {
 		t.Fatalf("runtime = %v, want 101", rt)
 	}
 }
-
-func TestMultiSlotNodesAddCapacity(t *testing.T) {
-	// Four 100 s tasks on 2 nodes: with 1 slot each they run two-deep
-	// (~200 s); with 2 slots per node all four run in parallel (~100 s).
-	tr := tinyTrace(job(1, 0, 100, 100, 100, 100))
-	oneSlot := mustRun(t, tr, policy.Config{NumNodes: 2, Policy: "centralized", Seed: 1})
-	twoSlots := mustRun(t, tr, policy.Config{NumNodes: 2, SlotsPerNode: 2, Policy: "centralized", Seed: 1})
-	if rt := oneSlot.Jobs[0].Runtime; rt < 200 {
-		t.Fatalf("1-slot runtime = %v, want ~200", rt)
-	}
-	if rt := twoSlots.Jobs[0].Runtime; rt > 100.01 {
-		t.Fatalf("2-slot runtime = %v, want ~100", rt)
-	}
-	if _, err := Run(tr, policy.Config{NumNodes: 2, SlotsPerNode: -1, Policy: "centralized"}); err == nil {
-		t.Fatal("negative slots should error")
-	}
-}
