@@ -102,16 +102,20 @@ type (
 	// SchedulerSpec turns on the distributed multi-scheduler model (§4.10):
 	// N concurrent schedulers, each placing against its own stale cluster
 	// snapshot with optimistic claim/commit and bounded conflict retries,
-	// jobs hash-partitioned across the live schedulers. Set it as
-	// Config.Schedulers (Count alone is enough); the Report's
+	// jobs hash-partitioned across the live schedulers. Its two knobs are
+	// Count and SnapshotInterval; a conflicted placement retries after
+	// four network delays (Config.Backoff(1)) at most three times, then
+	// refreshes its snapshot. Set it as Config.Schedulers (Count alone is
+	// enough); the Report's
 	// PlacementConflicts / ConflictRetries / SnapshotStalenessSeconds
 	// counters quantify the contention.
 	SchedulerSpec = policy.SchedulerSpec
 
 	// FaultSpec turns on the gray-failure injection plane: seeded
 	// per-message-class loss, bounded delay jitter, scripted mid-run
-	// stragglers, and the defenses against them — timeouts with bounded
-	// exponential-backoff retries, a reliable re-send once a message
+	// stragglers, and the defenses against them — timeouts with at most
+	// MaxRetries retries, retry k after Config.Backoff(k) (four network
+	// delays, doubling per attempt), a reliable re-send once a message
 	// exhausts them, and optional speculative re-execution. Set it as
 	// Config.Faults (UniformLoss builds the common "every message class at
 	// p" spec); the Report's MessagesDropped / ProbeRetries /

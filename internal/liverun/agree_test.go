@@ -61,7 +61,7 @@ func TestEnginesAgree(t *testing.T) {
 	totalLoss := func(pol string) policy.Config {
 		cfg := fastConfig(pol)
 		f := policy.UniformLoss(1)
-		f.MaxRetries, f.RetryBackoff = 1, 0.001
+		f.MaxRetries = 1
 		cfg.Faults = &f
 		return cfg
 	}

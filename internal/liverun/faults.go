@@ -12,7 +12,7 @@ import (
 // The live engine's gray-failure plane: the rules of policy.FaultSpec on
 // real timers instead of virtual-clock events. Message loss is decided at
 // send time from the dedicated fault stream; a dropped transmission sleeps
-// out its FaultSpec.Backoff in the sender's goroutine and re-sends, and the
+// out its Config.Backoff in the sender's goroutine and re-sends, and the
 // send after the MaxRetries-th retry is reliable — the simulator's rule
 // (policy.FaultSpec).
 //
@@ -73,7 +73,7 @@ func (c *cluster) lossySend(p float64, class, retries *int64) {
 		*class++
 		*retries++
 		c.resMu.Unlock()
-		time.Sleep(time.Duration(f.spec.Backoff(attempt) * float64(time.Second)))
+		time.Sleep(time.Duration(c.cfg.Backoff(attempt) * float64(time.Second)))
 	}
 }
 

@@ -129,7 +129,7 @@ func TestLiveFaultFreeReportOmitsCounters(t *testing.T) {
 func TestLiveFaultDefensesEngage(t *testing.T) {
 	tr := faultLiveTrace()
 	cfg := fastConfig("sparrow")
-	cfg.Faults = &policy.FaultSpec{ProbeLoss: 0.6, ReplyLoss: 0.5, MaxRetries: 2, RetryBackoff: 0.001}
+	cfg.Faults = &policy.FaultSpec{ProbeLoss: 0.6, ReplyLoss: 0.5, MaxRetries: 2}
 	res, err := Run(tr, cfg)
 	if err != nil {
 		t.Fatal(err)

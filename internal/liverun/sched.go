@@ -92,7 +92,7 @@ func (ls *liveScheduler) run(interval time.Duration) {
 // scheduler gone unavailable meanwhile parks it on the waitlist.
 func (ls *liveScheduler) placeTask(jr *jobRuntime, dur time.Duration, handle int) {
 	c := ls.c
-	backoff := time.Duration(c.cfg.Schedulers.RetryBackoff * float64(time.Second))
+	backoff := time.Duration(c.cfg.Backoff(1) * float64(time.Second))
 	attempt := 0
 	for {
 		if !ls.isAlive() {

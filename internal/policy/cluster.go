@@ -73,8 +73,8 @@ type ChurnSpec struct {
 // scheduler events: they would have no schedulers to act on).
 func (s *ChurnSpec) validate(numNodes, schedulers int) error {
 	for i, ev := range s.Events {
-		if ev.At < 0 || math.IsNaN(ev.At) {
-			return fmt.Errorf("config: churn event %d: time %g invalid", i, ev.At)
+		if !finiteNonNegative(ev.At) {
+			return fmt.Errorf("config: churn event %d: At must be finite and non-negative, got %g", i, ev.At)
 		}
 		switch ev.Kind {
 		case ChurnFail, ChurnRecover:

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -100,9 +101,6 @@ type Config struct {
 	// O(1)-memory runs that stream per-job results to disk. Not part of
 	// the serialized config. Simulator only.
 	JobSink func(JobReport) error `json:"-"`
-	// UtilizationInterval is the utilization sampling period in seconds
-	// (default 100, §2.3/§4.2). Simulator only.
-	UtilizationInterval float64 `json:"utilizationInterval,omitempty"`
 }
 
 // Per-stream seed offsets. An engine's main stream (probe placement, steal
@@ -147,8 +145,8 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	}
 	// Range checks on floats are written negated — !(x > 0), not x <= 0 — so
 	// that a NaN, which compares false with everything, fails them.
-	if !(c.Cutoff > 0) {
-		return c, fmt.Errorf("config: cutoff must be positive, got %g", c.Cutoff)
+	if !(c.Cutoff > 0) || math.IsInf(c.Cutoff, 1) {
+		return c, fmt.Errorf("config: cutoff must be finite and positive, got %g", c.Cutoff)
 	}
 	if c.ShortPartitionFraction <= 0 {
 		c.ShortPartitionFraction = m.ShortPartitionFraction
@@ -162,26 +160,20 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.StealCap <= 0 {
 		c.StealCap = core.DefaultStealCap
 	}
-	if !(c.NetworkDelay >= 0) {
-		return c, fmt.Errorf("config: NetworkDelay must be non-negative, got %g", c.NetworkDelay)
+	if !finiteNonNegative(c.NetworkDelay) {
+		return c, fmt.Errorf("config: NetworkDelay must be finite and non-negative, got %g", c.NetworkDelay)
 	}
 	if c.NetworkDelay == 0 {
 		c.NetworkDelay = core.DefaultNetworkDelay
 	}
-	if !(c.MisestimateLo >= 0) || !(c.MisestimateHi >= c.MisestimateLo) {
-		return c, fmt.Errorf("config: mis-estimation range [%g, %g] invalid: need 0 <= lo <= hi",
+	if !(c.MisestimateLo >= 0) || !(c.MisestimateHi >= c.MisestimateLo) || math.IsInf(c.MisestimateHi, 1) {
+		return c, fmt.Errorf("config: mis-estimation range [%g, %g] invalid: need 0 <= lo <= hi, both finite",
 			c.MisestimateLo, c.MisestimateHi)
-	}
-	if c.UtilizationInterval <= 0 {
-		c.UtilizationInterval = 100
-	}
-	if !(c.UtilizationInterval > 0) {
-		return c, fmt.Errorf("config: UtilizationInterval must be positive, got %g", c.UtilizationInterval)
 	}
 	if c.Schedulers != nil {
 		// Copy before resolving so a spec shared across sweep configs is
 		// never mutated through the pointer.
-		spec, err := c.Schedulers.normalize(c.NetworkDelay)
+		spec, err := c.Schedulers.normalize()
 		if err != nil {
 			return c, err
 		}
@@ -213,7 +205,7 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.Faults != nil {
 		// Copy before resolving, like Schedulers, so a spec shared across
 		// sweep configs is never mutated through the pointer.
-		spec, err := c.Faults.normalize(c.NumNodes, c.NetworkDelay)
+		spec, err := c.Faults.normalize(c.NumNodes)
 		if err != nil {
 			return c, err
 		}
@@ -228,6 +220,18 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	}
 	return c, nil
 }
+
+// Backoff returns the timeout in seconds before retry attempt k (1-based):
+// four network delays, doubling per attempt. It times both engines' fault
+// retries of a dropped message (see FaultSpec) and, as Backoff(1), every
+// multi-scheduler conflict retry (see SchedulerSpec).
+func (c Config) Backoff(attempt int) float64 {
+	return 4 * c.NetworkDelay * float64(int64(1)<<(attempt-1))
+}
+
+// finiteNonNegative reports whether x is a number in [0, MaxFloat64]: NaN
+// and +Inf fail it, the rule for every time and delay a Config holds.
+func finiteNonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // ExactEstimates reports whether the mis-estimation range leaves estimates
 // exact (see core.Estimator): both bounds zero or both one.

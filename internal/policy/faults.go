@@ -55,10 +55,11 @@ type StragglerEvent struct {
 // fault-free run draws the exact same main-stream sequence as one that
 // never set the spec.
 //
-// Both engines run the same rules — the loss classes, Backoff and
-// SpeculationThreshold below — and one exhausted-retry rule: the first send
-// of a probe, reply, assignment or commit and each of its MaxRetries
-// retries can be dropped, and a message dropped all MaxRetries+1 times is
+// Both engines run the same rules — the loss classes, Config.Backoff and
+// SpeculationThreshold — and one exhausted-retry rule: the first send of a
+// probe, reply, assignment or commit and each of its MaxRetries retries can
+// be dropped, retry k waits Config.Backoff(k) (four network delays,
+// doubling per attempt), and a message dropped all MaxRetries+1 times is
 // sent once more after Backoff(MaxRetries+1) with no loss draw.
 //
 // They differ in where a dropped probe is re-sent: the simulator retries
@@ -96,11 +97,8 @@ type FaultSpec struct {
 	// MaxRetries bounds the lossy retries of a dropped probe, reply,
 	// assignment or commit (default 3, at most MaxFaultRetries); a message
 	// dropped on all of them is re-sent once more, reliably. Attempt k
-	// waits RetryBackoff * 2^(k-1) before re-sending.
+	// waits Config.Backoff(k) before re-sending.
 	MaxRetries int `json:"maxRetries,omitempty"`
-	// RetryBackoff is the base timeout in seconds before the first retry
-	// (default 4 network delays), doubling per attempt.
-	RetryBackoff float64 `json:"retryBackoff,omitempty"`
 	// Stragglers scripts mid-run node slowdowns, applied in time order.
 	Stragglers []StragglerEvent `json:"stragglers,omitempty"`
 	// Speculate enables speculative re-execution of straggling short
@@ -141,12 +139,6 @@ func (m *MessageDrops) Total() int64 {
 	return m.Probes + m.Replies + m.Steals + m.Assigns + m.Commits
 }
 
-// Backoff returns the timeout in seconds before retry attempt k (1-based)
-// of a dropped message: RetryBackoff, doubling per attempt.
-func (f FaultSpec) Backoff(attempt int) float64 {
-	return f.RetryBackoff * float64(int64(1)<<(attempt-1))
-}
-
 // SpeculationThreshold returns a job's speculation delay threshold in
 // seconds — the nearest-rank SpeculatePercentile of its task durations —
 // together with the sort scratch (durations copied into scratch[:0] and
@@ -164,10 +156,9 @@ func (f FaultSpec) SpeculationThreshold(durations, scratch []float64) (float64, 
 // NaN (the comparison rejects NaN by construction).
 func probability(p float64) bool { return p >= 0 && p <= 1 }
 
-// normalize validates the spec and resolves its defaults; numNodes and
-// networkDelay are the already-resolved Config values the straggler targets
-// and backoff default validate against.
-func (f FaultSpec) normalize(numNodes int, networkDelay float64) (FaultSpec, error) {
+// normalize validates the spec and resolves its defaults; numNodes is the
+// already-resolved Config value the straggler targets validate against.
+func (f FaultSpec) normalize(numNodes int) (FaultSpec, error) {
 	for _, c := range []struct {
 		name string
 		p    float64
@@ -182,7 +173,7 @@ func (f FaultSpec) normalize(numNodes int, networkDelay float64) (FaultSpec, err
 			return f, fmt.Errorf("config: Faults.%s must be a probability in [0, 1], got %g", c.name, c.p)
 		}
 	}
-	if !(f.Jitter >= 0) || math.IsInf(f.Jitter, 1) {
+	if !finiteNonNegative(f.Jitter) {
 		return f, fmt.Errorf("config: Faults.Jitter must be finite and non-negative, got %g", f.Jitter)
 	}
 	if f.MaxRetries < 0 || f.MaxRetries > MaxFaultRetries {
@@ -191,14 +182,8 @@ func (f FaultSpec) normalize(numNodes int, networkDelay float64) (FaultSpec, err
 	if f.MaxRetries == 0 {
 		f.MaxRetries = 3
 	}
-	if !(f.RetryBackoff >= 0) || math.IsInf(f.RetryBackoff, 1) {
-		return f, fmt.Errorf("config: Faults.RetryBackoff must be finite and non-negative, got %g", f.RetryBackoff)
-	}
-	if f.RetryBackoff == 0 {
-		f.RetryBackoff = 4 * networkDelay
-	}
 	for i, ev := range f.Stragglers {
-		if !(ev.At >= 0) || math.IsInf(ev.At, 1) {
+		if !finiteNonNegative(ev.At) {
 			return f, fmt.Errorf("config: straggler event %d: At must be finite and non-negative, got %g", i, ev.At)
 		}
 		if !(ev.Factor >= 1) || math.IsInf(ev.Factor, 1) {
@@ -225,7 +210,7 @@ func (f FaultSpec) normalize(numNodes int, networkDelay float64) (FaultSpec, err
 
 // injectsNothing reports whether the (validated) spec is behaviorally
 // identical to a nil one: no loss, no jitter, no stragglers, no
-// speculation. Retry knobs alone configure defenses with nothing to defend
+// speculation. MaxRetries alone configures a defense with nothing to defend
 // against.
 func (f FaultSpec) injectsNothing() bool {
 	return f.ProbeLoss == 0 && f.ReplyLoss == 0 && f.StealLoss == 0 &&

@@ -11,33 +11,32 @@ import (
 // normalize idempotently (engines call Normalize once; a second pass must
 // be a fixed point).
 func FuzzFaultSpecNormalize(f *testing.F) {
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 1.0, 0.0)
-	f.Add(0.1, 0.2, 0.3, 0.4, 0.5, 0.001, 5, 0.5, 10.0, 4.0, 95.0)
-	f.Add(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 30, 0.0, 0.0, 1.0, 100.0)
-	f.Add(math.NaN(), 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 1.0, 0.0)
-	f.Add(0.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 1.0, 0.0)
-	f.Add(0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 1.0, 0.0)
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, math.Inf(1), 0, 0.0, 0.0, 1.0, 0.0)
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 5.0, 0.5, 200.0)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 1.0, 0.0)
+	f.Add(0.1, 0.2, 0.3, 0.4, 0.5, 0.001, 5, 10.0, 4.0, 95.0)
+	f.Add(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 30, 0.0, 1.0, 100.0)
+	f.Add(math.NaN(), 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 1.0, 0.0)
+	f.Add(0.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0, 0.0, 1.0, 0.0)
+	f.Add(0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 0, 0.0, 1.0, 0.0)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, math.Inf(1), 0, 0.0, 1.0, 0.0)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1, 5.0, 0.5, 200.0)
 	f.Fuzz(func(t *testing.T, probeLoss, replyLoss, stealLoss, assignLoss, commitLoss,
-		jitter float64, retries int, backoff, stragAt, stragFactor, pct float64) {
+		jitter float64, retries int, stragAt, stragFactor, pct float64) {
 		spec := FaultSpec{
-			ProbeLoss:    probeLoss,
-			ReplyLoss:    replyLoss,
-			StealLoss:    stealLoss,
-			AssignLoss:   assignLoss,
-			CommitLoss:   commitLoss,
-			Jitter:       jitter,
-			MaxRetries:   retries,
-			RetryBackoff: backoff,
+			ProbeLoss:  probeLoss,
+			ReplyLoss:  replyLoss,
+			StealLoss:  stealLoss,
+			AssignLoss: assignLoss,
+			CommitLoss: commitLoss,
+			Jitter:     jitter,
+			MaxRetries: retries,
 			Stragglers: []StragglerEvent{
 				{At: stragAt, Count: 1, Factor: stragFactor},
 			},
 			Speculate:           true,
 			SpeculatePercentile: pct,
 		}
-		const nodes, netDelay = 100, 0.0005
-		norm, err := spec.normalize(nodes, netDelay)
+		const nodes = 100
+		norm, err := spec.normalize(nodes)
 		if err != nil {
 			return
 		}
@@ -58,9 +57,6 @@ func FuzzFaultSpecNormalize(f *testing.F) {
 		if norm.MaxRetries < 1 || norm.MaxRetries > MaxFaultRetries {
 			t.Fatalf("accepted spec has MaxRetries = %d outside [1, %d]", norm.MaxRetries, MaxFaultRetries)
 		}
-		if !(norm.RetryBackoff >= 0) || math.IsInf(norm.RetryBackoff, 0) {
-			t.Fatalf("accepted spec has RetryBackoff = %g", norm.RetryBackoff)
-		}
 		if !(norm.SpeculatePercentile > 0) || norm.SpeculatePercentile > 100 {
 			t.Fatalf("accepted spec has SpeculatePercentile = %g outside (0, 100]", norm.SpeculatePercentile)
 		}
@@ -72,12 +68,11 @@ func FuzzFaultSpecNormalize(f *testing.F) {
 				t.Fatalf("accepted straggler %d has At = %g", i, ev.At)
 			}
 		}
-		again, err := norm.normalize(nodes, netDelay)
+		again, err := norm.normalize(nodes)
 		if err != nil {
 			t.Fatalf("normalized spec fails re-normalization: %v", err)
 		}
-		if again.MaxRetries != norm.MaxRetries || again.RetryBackoff != norm.RetryBackoff ||
-			again.SpeculatePercentile != norm.SpeculatePercentile {
+		if again.MaxRetries != norm.MaxRetries || again.SpeculatePercentile != norm.SpeculatePercentile {
 			t.Fatalf("normalize is not idempotent: %+v != %+v", again, norm)
 		}
 	})

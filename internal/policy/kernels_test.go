@@ -6,15 +6,20 @@ import (
 	"testing"
 )
 
-// The protocol rules both engines call: the fault plane's backoff schedule
-// and speculation threshold, and the multi-scheduler retry budget.
+// The protocol rules both engines call: the retry backoff schedule, the
+// fault plane's speculation threshold, and the multi-scheduler retry budget.
 
+// Backoff(1) is four network delays, bit for bit, and each later attempt
+// doubles the one before.
 func TestBackoffClosedForm(t *testing.T) {
-	for _, base := range []float64{0.002, 0.5, 3} {
-		f := FaultSpec{RetryBackoff: base}
-		for k := 1; k <= MaxFaultRetries+1; k++ {
-			if got, want := f.Backoff(k), base*math.Pow(2, float64(k-1)); got != want {
-				t.Errorf("RetryBackoff %g: Backoff(%d) = %g, want %g", base, k, got, want)
+	for _, delay := range []float64{0.0005, 0.00005, 0.1, 3} {
+		c := Config{NetworkDelay: delay}
+		if got, want := c.Backoff(1), 4*delay; got != want {
+			t.Errorf("NetworkDelay %g: Backoff(1) = %g, want 4 network delays %g", delay, got, want)
+		}
+		for k := 2; k <= MaxFaultRetries+1; k++ {
+			if got, want := c.Backoff(k), 2*c.Backoff(k-1); got != want {
+				t.Errorf("NetworkDelay %g: Backoff(%d) = %g, want twice Backoff(%d) = %g", delay, k, got, k-1, want)
 			}
 		}
 	}
@@ -89,14 +94,13 @@ func FuzzSpeculationThreshold(f *testing.F) {
 	})
 }
 
-// Conflict number MaxRetries+1 is the first that forces a refresh.
+// Conflict number 4 — one past the budget of 3 retries — is the first that
+// forces a refresh.
 func TestRetriesExhausted(t *testing.T) {
-	for _, max := range []int{1, 3, 8} {
-		s := SchedulerSpec{MaxRetries: max}
-		for n := 1; n <= max+2; n++ {
-			if got, want := s.RetriesExhausted(n), n > max; got != want {
-				t.Errorf("MaxRetries %d: RetriesExhausted(%d) = %v, want %v", max, n, got, want)
-			}
+	var s SchedulerSpec
+	for n := 1; n <= schedulerRetries+2; n++ {
+		if got, want := s.RetriesExhausted(n), n > 3; got != want {
+			t.Errorf("RetriesExhausted(%d) = %v, want %v", n, got, want)
 		}
 	}
 }

@@ -180,9 +180,6 @@ func TestNormalizeDefaults(t *testing.T) {
 	if cfg.ProbeRatio != 2 || cfg.StealCap != 10 || cfg.NetworkDelay != 0.0005 {
 		t.Errorf("paper defaults not applied: %+v", cfg)
 	}
-	if cfg.UtilizationInterval != 100 {
-		t.Errorf("engine defaults not applied: %+v", cfg)
-	}
 	// Normalize is idempotent.
 	again, err := cfg.Normalize(tr)
 	if err != nil {
@@ -225,11 +222,8 @@ func TestSchedulerSpecNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := cfg.Schedulers
-	if spec == nil || spec.Count != 3 || spec.SnapshotInterval != 5 || spec.MaxRetries != 3 {
+	if spec == nil || spec.Count != 3 || spec.SnapshotInterval != 5 {
 		t.Fatalf("defaults not resolved: %+v", spec)
-	}
-	if spec.RetryBackoff != 4*cfg.NetworkDelay {
-		t.Fatalf("RetryBackoff = %g, want 4 network delays", spec.RetryBackoff)
 	}
 
 	// Count 1 with no scheduler churn is the legacy model: the spec is
@@ -272,8 +266,6 @@ func TestSchedulerSpecNormalize(t *testing.T) {
 	for name, bad := range map[string]policy.Config{
 		"count above cap":   {NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: policy.MaxSchedulers + 1}},
 		"negative interval": {NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: 2, SnapshotInterval: -1}},
-		"negative retries":  {NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: 2, MaxRetries: -1}},
-		"negative backoff":  {NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: 2, RetryBackoff: -1}},
 		"churn without spec": {NumNodes: 4,
 			Churn: &policy.ChurnSpec{Events: policy.SchedulerChurn(0, 5, 10)}},
 		"scheduler out of range": {NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: 2},
@@ -288,8 +280,11 @@ func TestSchedulerSpecNormalize(t *testing.T) {
 }
 
 // Config validation is shared: both engines must reject the same bad
-// configurations, through the same Normalize path.
+// configurations, through the same Normalize path, with an error naming the
+// field. A non-finite time or delay is one of them: a run must not start
+// that cannot serialize its report.
 func TestConfigValidationSharedAcrossEngines(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
 	tr := tinyTrace(job(1, 0, 10))
 	noCutoff := tinyTrace(job(1, 0, 10))
 	noCutoff.Cutoff = 0
@@ -297,27 +292,37 @@ func TestConfigValidationSharedAcrossEngines(t *testing.T) {
 		name  string
 		trace *workload.Trace
 		cfg   policy.Config
+		field string
 	}{
-		{"zero nodes", tr, policy.Config{NumNodes: 0}},
-		{"negative schedulers", tr, policy.Config{NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: -2}}},
-		{"no cutoff anywhere", noCutoff, policy.Config{NumNodes: 4}},
-		{"negative cutoff", tr, policy.Config{NumNodes: 4, Cutoff: -1}},
-		{"unknown policy", tr, policy.Config{NumNodes: 4, Policy: "no-such-policy"}},
-		{"fraction above one", tr, policy.Config{NumNodes: 4, ShortPartitionFraction: 1.5}},
-		{"negative delay", tr, policy.Config{NumNodes: 4, NetworkDelay: -0.1}},
-		{"NaN delay", tr, policy.Config{NumNodes: 4, NetworkDelay: math.NaN()}},
-		{"negative misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: -0.5, MisestimateHi: 0.5}},
-		{"inverted misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: 1.5, MisestimateHi: 0.5}},
+		{"zero nodes", tr, policy.Config{NumNodes: 0}, "NumNodes"},
+		{"negative schedulers", tr, policy.Config{NumNodes: 4, Schedulers: &policy.SchedulerSpec{Count: -2}}, "Schedulers.Count"},
+		{"no cutoff anywhere", noCutoff, policy.Config{NumNodes: 4}, "cutoff"},
+		{"negative cutoff", tr, policy.Config{NumNodes: 4, Cutoff: -1}, "cutoff"},
+		{"infinite cutoff", tr, policy.Config{NumNodes: 4, Cutoff: inf}, "cutoff"},
+		{"unknown policy", tr, policy.Config{NumNodes: 4, Policy: "no-such-policy"}, "policy"},
+		{"fraction above one", tr, policy.Config{NumNodes: 4, ShortPartitionFraction: 1.5}, "ShortPartitionFraction"},
+		{"negative delay", tr, policy.Config{NumNodes: 4, NetworkDelay: -0.1}, "NetworkDelay"},
+		{"NaN delay", tr, policy.Config{NumNodes: 4, NetworkDelay: nan}, "NetworkDelay"},
+		{"infinite delay", tr, policy.Config{NumNodes: 4, NetworkDelay: inf}, "NetworkDelay"},
+		{"negative misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: -0.5, MisestimateHi: 0.5}, "mis-estimation"},
+		{"inverted misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: 1.5, MisestimateHi: 0.5}, "mis-estimation"},
+		{"infinite misestimation", tr, policy.Config{NumNodes: 4, MisestimateLo: 0.5, MisestimateHi: inf}, "mis-estimation"},
+		{"NaN snapshot interval", tr, policy.Config{NumNodes: 4,
+			Schedulers: &policy.SchedulerSpec{Count: 2, SnapshotInterval: nan}}, "SnapshotInterval"},
+		{"infinite snapshot interval", tr, policy.Config{NumNodes: 4,
+			Schedulers: &policy.SchedulerSpec{Count: 2, SnapshotInterval: inf}}, "SnapshotInterval"},
+		{"infinite churn time", tr, policy.Config{NumNodes: 4,
+			Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: inf, Kind: policy.ChurnFail, Node: 0}}}}, "At"},
 	}
 	for _, c := range cases {
-		if _, err := c.cfg.Normalize(c.trace); err == nil {
-			t.Errorf("Normalize accepted %s", c.name)
+		if _, err := c.cfg.Normalize(c.trace); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Normalize = %v, want an error naming %s", c.name, err, c.field)
 		}
-		if _, err := sim.Run(c.trace, c.cfg); err == nil {
-			t.Errorf("sim.Run accepted %s", c.name)
+		if _, err := sim.Run(c.trace, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: sim.Run = %v, want an error naming %s", c.name, err, c.field)
 		}
-		if _, err := liverun.Run(c.trace, c.cfg); err == nil {
-			t.Errorf("liverun.Run accepted %s", c.name)
+		if _, err := liverun.Run(c.trace, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: liverun.Run = %v, want an error naming %s", c.name, err, c.field)
 		}
 	}
 }
@@ -344,7 +349,6 @@ func TestNormalizeRejectsNaN(t *testing.T) {
 		{"trace partition", nanDefaults, policy.Config{NumNodes: 4, Cutoff: 5}, "ShortPartitionFraction"},
 		{"mis-estimation lo", tr, policy.Config{NumNodes: 4, MisestimateLo: nan, MisestimateHi: 2}, "mis-estimation"},
 		{"mis-estimation hi", tr, policy.Config{NumNodes: 4, MisestimateLo: 0.5, MisestimateHi: nan}, "mis-estimation"},
-		{"utilization interval", tr, policy.Config{NumNodes: 4, UtilizationInterval: nan}, "UtilizationInterval"},
 		{"network delay", tr, policy.Config{NumNodes: 4, NetworkDelay: nan}, "NetworkDelay"},
 	}
 	for _, c := range cases {

@@ -37,49 +37,34 @@ type SchedulerSpec struct {
 	// Smaller intervals mean fresher views and fewer conflicts at more
 	// refresh traffic — the staleness/conflict trade the sweep measures.
 	SnapshotInterval float64 `json:"snapshotInterval,omitempty"`
-	// MaxRetries bounds how many times one placement re-tries after a
-	// conflict (default 3) before the scheduler gives up on its snapshot
-	// and forces a refresh.
-	MaxRetries int `json:"maxRetries,omitempty"`
-	// RetryBackoff is the delay in seconds before a conflicted placement
-	// is retried (default 4 network delays).
-	RetryBackoff float64 `json:"retryBackoff,omitempty"`
 }
+
+// schedulerRetries is a placement's conflict-retry budget: conflicts
+// 1..schedulerRetries retry against the stale snapshot after
+// Config.Backoff(1), and the next one forces a snapshot refresh.
+const schedulerRetries = 3
 
 // RetriesExhausted reports whether a placement that has now conflicted
-// `conflicts` times has used up its retry budget: conflicts 1..MaxRetries
-// retry against the stale snapshot after RetryBackoff, and conflict
-// MaxRetries+1 forces a snapshot refresh and places against fresh state.
+// `conflicts` times has used up its retry budget: conflict
+// schedulerRetries+1 forces a snapshot refresh and places against fresh
+// state.
 func (s SchedulerSpec) RetriesExhausted(conflicts int) bool {
-	return conflicts > s.MaxRetries
+	return conflicts > schedulerRetries
 }
 
-// normalize validates the spec and resolves its defaults; networkDelay is
-// the already-resolved Config value the backoff default keys off.
-func (s SchedulerSpec) normalize(networkDelay float64) (SchedulerSpec, error) {
+// normalize validates the spec and resolves its defaults.
+func (s SchedulerSpec) normalize() (SchedulerSpec, error) {
 	if s.Count == 0 {
 		s.Count = 10
 	}
 	if s.Count < 1 || s.Count > MaxSchedulers {
 		return s, fmt.Errorf("config: Schedulers.Count must be in [1, %d], got %d", MaxSchedulers, s.Count)
 	}
-	if s.SnapshotInterval < 0 {
-		return s, fmt.Errorf("config: Schedulers.SnapshotInterval must be non-negative, got %g", s.SnapshotInterval)
+	if !finiteNonNegative(s.SnapshotInterval) {
+		return s, fmt.Errorf("config: Schedulers.SnapshotInterval must be finite and non-negative, got %g", s.SnapshotInterval)
 	}
 	if s.SnapshotInterval == 0 {
 		s.SnapshotInterval = 5
-	}
-	if s.MaxRetries < 0 {
-		return s, fmt.Errorf("config: Schedulers.MaxRetries must be non-negative, got %d", s.MaxRetries)
-	}
-	if s.MaxRetries == 0 {
-		s.MaxRetries = 3
-	}
-	if s.RetryBackoff < 0 {
-		return s, fmt.Errorf("config: Schedulers.RetryBackoff must be non-negative, got %g", s.RetryBackoff)
-	}
-	if s.RetryBackoff == 0 {
-		s.RetryBackoff = 4 * networkDelay
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -30,11 +31,11 @@ import (
 // the runtime ground truth that the static rule set actually suffices.
 func steadyStateSim(t *testing.T, tr *workload.Trace, cfg policy.Config, warm int) *simulation {
 	t.Helper()
-	cfg.UtilizationInterval = 1e18
 	s, err := newSimulation(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nextSample = math.Inf(1)
 	runEvents(s, warm)
 	if s.eng.Pending() == 0 {
 		t.Fatalf("simulation drained within %d warm-up events — enlarge the trace", warm)

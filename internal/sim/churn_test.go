@@ -75,18 +75,17 @@ func TestUtilizationSampleSeesItsInstant(t *testing.T) {
 	for i := range 10 {
 		jobs = append(jobs, job(i, 0, 1000))
 	}
-	const interval = 100
 	res := mustRun(t, tinyTrace(jobs...), policy.Config{
-		NumNodes: 10, Policy: "centralized", Seed: 1, UtilizationInterval: interval,
+		NumNodes: 10, Policy: "centralized", Seed: 1,
 		Churn: &policy.ChurnSpec{Events: []policy.ChurnEvent{
-			{At: interval, Kind: policy.ChurnFail, Node: 0},
-			{At: 2 * interval, Kind: policy.ChurnFail, Node: 1},
+			{At: utilizationInterval, Kind: policy.ChurnFail, Node: 0},
+			{At: 2 * utilizationInterval, Kind: policy.ChurnFail, Node: 1},
 		}},
 	})
 	got := res.Utilization.Samples()
 	if len(got) < 2 || got[0] != 0.9 || got[1] != 0.8 {
 		t.Fatalf("utilization samples %v, want 0.9 at t=%d and 0.8 at t=%d: a node failing on a boundary is gone from its sample",
-			got[:min(len(got), 3)], interval, 2*interval)
+			got[:min(len(got), 3)], utilizationInterval, 2*utilizationInterval)
 	}
 }
 

@@ -249,6 +249,10 @@ func (s *simulation) submitNext(pos int32) {
 			s.failRun(err)
 			return
 		}
+		if err := workload.CheckJob(nxt); err != nil {
+			s.failRun(fmt.Errorf("workload: %w", err)) //hawk:allow fatal-abort path, runs at most once per run
+			return
+		}
 		if nxt.SubmitTime < job.SubmitTime {
 			s.failRun(fmt.Errorf("sim: source %q: job %d out of order: submit %g after %g", s.meta.Name, nxt.ID, nxt.SubmitTime, job.SubmitTime)) //hawk:allow fatal-abort path, runs at most once per run
 			return
@@ -264,8 +268,12 @@ func (s *simulation) submitNext(pos int32) {
 	s.submit(job)
 }
 
+// utilizationInterval is the utilization sampling period in seconds, the
+// paper's (§2.3, §4.2).
+const utilizationInterval = 100
+
 // maxUtilizationSamples bounds each utilization series: about 3.3 simulated
-// years at the default 100 s, where the paper's month-long trace needs about
+// years at utilizationInterval, where the paper's month-long trace needs about
 // 26 k samples. Only a finite but huge time (a 1e300 submit or duration)
 // reaches it, and it turns a series that would grow until memory ran out into
 // an error. It also keeps nextSample below 2⁵³ intervals, past which adding
@@ -279,10 +287,9 @@ const maxUtilizationSamples = 1 << 20
 // the busy fraction of the live general partition, the robustness figures'
 // measure of stealing keeping it fed during a central outage.
 func (s *simulation) sampleUpTo(now float64) {
-	interval := s.cfg.UtilizationInterval
-	if float64(s.res.Utilization.Len())+(now-s.nextSample)/interval > maxUtilizationSamples {
-		s.failRun(fmt.Errorf("sim: utilization sampling up to t=%g at UtilizationInterval %g s would take more than %d samples",
-			now, interval, maxUtilizationSamples))
+	if float64(s.res.Utilization.Len())+(now-s.nextSample)/utilizationInterval > maxUtilizationSamples {
+		s.failRun(fmt.Errorf("sim: utilization sampling up to t=%g every %d s would take more than %d samples",
+			now, utilizationInterval, maxUtilizationSamples))
 		s.nextSample = math.Inf(1)
 		return
 	}
@@ -290,7 +297,7 @@ func (s *simulation) sampleUpTo(now float64) {
 	if aliveGeneral := s.view.AliveGeneral(); aliveGeneral > 0 {
 		general = float64(s.busyGeneral) / float64(aliveGeneral)
 	}
-	for ; s.nextSample < now; s.nextSample += interval {
+	for ; s.nextSample < now; s.nextSample += utilizationInterval {
 		s.res.Utilization.AddAt(s.nextSample, busy)
 		s.res.GeneralUtilization.AddAt(s.nextSample, general)
 	}

@@ -20,7 +20,7 @@ import (
 // keeps the quiescent-queue deadlock detector exact. The first send and
 // each of the MaxRetries retries draw a loss decision; a message dropped all
 // MaxRetries+1 times is sent once more, reliably, after
-// Backoff(MaxRetries+1) — the live engine's rule (policy.FaultSpec) — so
+// Config.Backoff(MaxRetries+1) — the live engine's rule (policy.FaultSpec) — so
 // even an all-drop scenario completes, every message late by its backoffs.
 
 // faultState is the per-run fault-plane bookkeeping.
@@ -157,7 +157,7 @@ func (s *simulation) lossy(attempt int) bool {
 //hawk:hotpath
 func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
-		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
+		s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
 			kind: evProbeTimeout, ref: -1, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
@@ -173,7 +173,7 @@ func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 //hawk:hotpath
 func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int) {
 	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
-		s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
+		s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
 			kind: evProbeTimeout, gen: gen, ref: nodeID, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
@@ -195,7 +195,7 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 			p, cnt, cls = s.flt.spec.CommitLoss, &s.flt.drops.Commits, evfCentral|evfCommit
 		}
 		if s.faultDrop(p, cnt) {
-			s.eng.After(s.flt.spec.Backoff(attempt+1), simEvent{
+			s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
 				kind: evAssignRetry, ref: nodeID, jidx: jidx, aux: tidx, sched: sched,
 				flags: cls | uint8(attempt+1)<<evfAttemptShift,
 			})

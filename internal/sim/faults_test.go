@@ -167,7 +167,7 @@ func TestFaultFreeReportOmitsCounters(t *testing.T) {
 	// identical report.
 	same, err := Run(tr, policy.Config{
 		NumNodes: 1200, Policy: "hawk", Seed: 9,
-		Faults: &policy.FaultSpec{MaxRetries: 5, RetryBackoff: 2},
+		Faults: &policy.FaultSpec{MaxRetries: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

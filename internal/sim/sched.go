@@ -251,7 +251,7 @@ func (s *simulation) placeCentral(jidx, tidx int32, attempt int8) {
 	}
 	s.res.ConflictRetries++
 	sd.retryQ = append(sd.retryQ, schedRetry{jidx: jidx, tidx: tidx, attempt: attempt + 1})
-	s.eng.After(s.ms.spec.RetryBackoff, simEvent{kind: evSchedRetry, ref: int32(k), gen: sd.epoch})
+	s.eng.After(s.cfg.Backoff(1), simEvent{kind: evSchedRetry, ref: int32(k), gen: sd.epoch})
 }
 
 // commitCentral publishes a won placement into the shared truth queue and

@@ -60,7 +60,7 @@ func TestMultiSchedulerConflictAccounting(t *testing.T) {
 		t.Fatal("8 schedulers on stale snapshots produced zero placement conflicts; " +
 			"the claim path cannot be exercising contention")
 	}
-	// Every conflict either retries or (after MaxRetries) forces a refresh,
+	// Every conflict either retries or (past the retry budget) forces a refresh,
 	// so retries can never exceed conflicts.
 	if res.ConflictRetries > res.PlacementConflicts {
 		t.Fatalf("retries %d > conflicts %d", res.ConflictRetries, res.PlacementConflicts)

@@ -250,8 +250,12 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 // at a time, so together with job-slot recycling what the engine holds is
 // O(in-flight jobs + slots) regardless of trace length. The source must
 // yield jobs in non-decreasing submit-time order (its Meta must say Sorted)
-// and its Meta.NumJobs must be exact. Runs are deterministic for a given
-// (job stream, config) pair, whatever kind of source yields the stream.
+// and its Meta.NumJobs must be exact. Each job is held to the per-job rule
+// as it is pulled (workload.CheckJob, the rule Run checks up front), and the
+// first to break it fails the run with Run's message; unique job ids are a
+// whole-trace rule, which only Run checks. Runs are deterministic for a
+// given (job stream, config) pair, whatever kind of source yields the
+// stream.
 func RunSource(src workload.Source, cfg policy.Config) (*policy.Report, error) {
 	s, err := newSimulationSource(src, cfg)
 	if err != nil {
@@ -426,11 +430,14 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 			}
 			return nil, err
 		}
+		if err := workload.CheckJob(j); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
 		s.pending = j
 		s.submitted = 1
 		s.eng.AtReserved(j.SubmitTime, 1, simEvent{kind: evSubmit, ref: 0})
 	}
-	s.nextSample = cfg.UtilizationInterval
+	s.nextSample = utilizationInterval
 
 	// Scripted cluster transitions become ordinary typed events, scheduled
 	// up front (churn scripts are short). Equal-timestamp ties resolve in

@@ -89,7 +89,7 @@ func TestJobMessagesShareOneQueueEntry(t *testing.T) {
 }
 
 // A finite but huge time — a submit or a duration of 1e300 — is an error
-// naming the instant and UtilizationInterval, reached without sampling: one
+// naming the instant and the sampling interval, reached without sampling: one
 // sample per interval up to it would grow the series until memory ran out.
 func TestHugeTimeIsAnError(t *testing.T) {
 	for _, c := range []struct {
@@ -104,7 +104,7 @@ func TestHugeTimeIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = s.run()
-		if err == nil || !strings.Contains(err.Error(), "t=1e+300 at UtilizationInterval 100 s") {
+		if err == nil || !strings.Contains(err.Error(), "t=1e+300 every 100 s") {
 			t.Errorf("%s: err = %v, want the utilization sampler's bound naming t=1e+300 and the interval", c.name, err)
 		}
 		if n := s.res.Utilization.Len(); n != 0 {

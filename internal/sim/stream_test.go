@@ -5,10 +5,12 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,6 +184,63 @@ func (u unknownBounds) Meta() workload.Meta {
 	m := u.Source.Meta()
 	m.MaxTasks, m.TotalTasks = 0, 0
 	return m
+}
+
+// jobList is a hand-written Source over a job slice: no Trace stands behind
+// it, so nothing has checked a job before the engine pulls it.
+type jobList struct {
+	meta workload.Meta
+	jobs []*workload.Job
+}
+
+func (l *jobList) Meta() workload.Meta { return l.meta }
+
+func (l *jobList) Next() (*workload.Job, bool) {
+	if len(l.jobs) == 0 {
+		return nil, false
+	}
+	j := l.jobs[0]
+	l.jobs = l.jobs[1:]
+	return j, true
+}
+
+// Every simulator input holds each job to one per-job rule: a job Run
+// rejects up front (workload.CheckJob, through Trace.Validate) fails
+// RunSource with Run's message when it is pulled, from a Trace's source or a
+// hand-written one, first in the stream or later.
+func TestRunSourceHoldsEachJobToRunsRule(t *testing.T) {
+	cfg := policy.Config{NumNodes: 20, Policy: "sparrow", Seed: 1}
+	for _, c := range []struct {
+		name string
+		bad  *workload.Job
+	}{
+		{"NaN submit", job(2, math.NaN(), 10)},
+		{"negative duration", job(2, 5, -5)},
+		{"no tasks", job(2, 5)},
+		{"infinite duration", job(2, 5, math.Inf(1))},
+	} {
+		for _, jobs := range [][]*workload.Job{{c.bad, job(3, 6, 10)}, {job(1, 0, 10), c.bad}} {
+			tr := tinyTrace(jobs...)
+			_, want := Run(tr, cfg)
+			if want == nil || !strings.HasPrefix(want.Error(), "workload: job 2") {
+				t.Fatalf("%s: Run = %v, want workload's error naming job 2", c.name, want)
+			}
+			meta := tr.Meta()
+			meta.MaxTasks, meta.TotalTasks = 0, 0
+			for _, src := range []struct {
+				kind string
+				src  workload.Source
+			}{
+				{"trace", workload.NewTraceSource(tr)},
+				{"hand-written", &jobList{meta: meta, jobs: jobs}},
+			} {
+				if _, err := RunSource(src.src, cfg); err == nil || err.Error() != want.Error() {
+					t.Errorf("%s at job %d of %d, %s source: RunSource = %v, want %q",
+						c.name, slices.Index(jobs, c.bad)+1, len(jobs), src.kind, err, want)
+				}
+			}
+		}
+	}
 }
 
 func TestDiscardedJobReportsAggregates(t *testing.T) {
@@ -420,12 +479,12 @@ func (l *loopSource) Recycle(j *workload.Job) { l.free = append(l.free, j) }
 // preallocated reservoirs.
 func steadyStateSimSource(t *testing.T, src workload.Source, cfg policy.Config, warm int) *simulation {
 	t.Helper()
-	cfg.UtilizationInterval = 1e18
 	cfg.DiscardJobReports = true
 	s, err := newSimulationSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nextSample = math.Inf(1)
 	runEvents(s, warm)
 	if s.eng.Pending() == 0 {
 		t.Fatalf("simulation drained within %d warm-up events — enlarge the source", warm)

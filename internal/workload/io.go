@@ -93,7 +93,7 @@ func cutFields(dst [][]byte, line []byte) [][]byte {
 
 // parseJobFields decodes one job record (grammar above) into j, reusing
 // j.Durations' backing array when it has capacity, and checks the per-job
-// invariants Validate would (checkJob): finite non-negative submit time and
+// invariants Validate would (CheckJob): finite non-negative submit time and
 // durations, at least one task. Shared by the materializing and streaming
 // readers. A field's string(f) conversion does not allocate: strconv keeps
 // no reference to its argument, and a number as appendJobRecord writes it

@@ -40,7 +40,7 @@ const readBufferSize = 1 << 16
 // SaveSource for the gzip-by-extension convenience). Jobs are written as
 // they are pulled and recycled back to src when it implements Recycler, so
 // converting a streamed source to a file is O(in-flight) in memory. It
-// writes nothing the reader would reject: a Meta, a job (checkJob, the
+// writes nothing the reader would reject: a Meta, a job (CheckJob, the
 // header's maxtasks= bound) or an order of jobs the reader refuses is an
 // error here.
 func WriteSource(w io.Writer, src Source) error {
@@ -63,7 +63,7 @@ func WriteSource(w io.Writer, src Source) error {
 		if !ok {
 			break
 		}
-		if err := checkJob(j); err != nil {
+		if err := CheckJob(j); err != nil {
 			return fmt.Errorf("workload: trace %q: %w", m.Name, err)
 		}
 		if m.MaxTasks > 0 && len(j.Durations) > m.MaxTasks {

@@ -120,7 +120,7 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("workload: duplicate job id %d", j.ID)
 		}
 		seen[j.ID] = struct{}{}
-		if err := checkJob(j); err != nil {
+		if err := CheckJob(j); err != nil {
 			return fmt.Errorf("workload: %w", err)
 		}
 	}
@@ -133,9 +133,11 @@ func (t *Trace) Validate() error {
 // finishes an infinite task.
 func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
-// checkJob holds one job to the per-job invariants: a finite non-negative
-// submit time, at least one task, finite non-negative durations.
-func checkJob(j *Job) error {
+// CheckJob holds one job to the per-job invariants: a finite non-negative
+// submit time, at least one task, finite non-negative durations. It is the
+// rule Validate applies to every job of a trace, the trace writer to every
+// job it writes, and the simulator to every job it pulls from a Source.
+func CheckJob(j *Job) error {
 	if !nonNegative(j.SubmitTime) {
 		return fmt.Errorf("job %d: submit time %g is not a finite number >= 0", j.ID, j.SubmitTime)
 	}
