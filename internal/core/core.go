@@ -99,7 +99,9 @@ func NewPartition(numNodes int, shortFraction float64) Partition {
 	if shortFraction > 1 {
 		shortFraction = 1
 	}
-	p := shortFraction * float64(numNodes)
+	// Rounded before p-r below, which could otherwise fuse it (see the
+	// randdist package comment).
+	p := float64(shortFraction * float64(numNodes))
 	short := int(math.Ceil(p))
 	// Guard the ceiling against upward float noise: 0.07*100 is
 	// 7.0000000000000009 in float64, and the true ceiling of the intended

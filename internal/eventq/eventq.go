@@ -63,7 +63,7 @@
 // way: one leg for a probe or a placement, two for a request/response round
 // trip.
 //
-// Executed, Pending and MaxPending count posted events like any others.
+// Executed and Pending count posted events like any others.
 // Entries counts pushes into the priority queue, and a post makes none.
 // FuzzPostVsAfter holds all of this to an engine on which Post is After.
 //
@@ -126,7 +126,6 @@ type Engine[E any] struct {
 	lanes        lanes[E]     // constant-delay events behind Post; see lane.go
 	count        uint64       // total events executed
 	pushed       uint64       // total queue entries pushed
-	maxLen       int          // peak number of simultaneously pending events
 	dispatch     func(now float64, ev E)
 }
 
@@ -174,14 +173,6 @@ func (e *Engine[E]) Pending() int {
 	return len(e.events) + e.lanes.n
 }
 
-// MaxPending returns the peak number of events that were pending at any one
-// instant so far. It is the engine's live-memory high-water mark: the queue's
-// working set is MaxPending events, however many events a run executes in
-// total. Callers that feed the engine lazily (internal/sim chains trace
-// submissions one at a time instead of preloading them) use it to verify
-// the queue stays O(in-flight state) rather than O(trace).
-func (e *Engine[E]) MaxPending() int { return e.maxLen }
-
 // Cap returns the current capacity of the backing array New's hint
 // pre-sizes (for tests and introspection): the heap's event array, or the
 // ladder's overflow tier, which is where a pre-loaded schedule lands.
@@ -202,9 +193,8 @@ func (e *Engine[E]) At(t float64, ev E) {
 	e.schedule(t, e.seq, ev)
 }
 
-// schedule clamps t to the clock, pushes the event, and maintains the
-// pending high-water mark — the single push path shared by At and
-// AtReserved.
+// schedule clamps t to the clock and pushes the event — the single push
+// path shared by At and AtReserved.
 func (e *Engine[E]) schedule(t float64, seq uint64, ev E) {
 	if t < e.now {
 		t = e.now
@@ -214,9 +204,6 @@ func (e *Engine[E]) schedule(t float64, seq uint64, ev E) {
 		e.lad.push(event[E]{at: t, seq: seq, payload: ev})
 	} else {
 		e.events.push(event[E]{at: t, seq: seq, payload: ev})
-	}
-	if n := e.Pending(); n > e.maxLen {
-		e.maxLen = n
 	}
 }
 

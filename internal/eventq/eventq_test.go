@@ -389,37 +389,6 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-func TestMaxPendingTracksHighWaterMark(t *testing.T) {
-	e := New(func(float64, int) {}, 0)
-	if e.MaxPending() != 0 {
-		t.Fatalf("fresh engine MaxPending = %d", e.MaxPending())
-	}
-	for i := 0; i < 5; i++ {
-		e.At(float64(i), i)
-	}
-	if e.MaxPending() != 5 {
-		t.Fatalf("MaxPending = %d after 5 pushes, want 5", e.MaxPending())
-	}
-	for i := 0; i < 3; i++ {
-		e.Step()
-	}
-	// Draining must not lower the high-water mark…
-	if e.MaxPending() != 5 {
-		t.Fatalf("MaxPending = %d after draining to 2, want 5", e.MaxPending())
-	}
-	// …and refilling below it must not raise it.
-	e.At(10, 99)
-	if e.MaxPending() != 5 {
-		t.Fatalf("MaxPending = %d after refill to 3, want 5", e.MaxPending())
-	}
-	e.At(11, 100)
-	e.At(12, 101)
-	e.At(13, 102)
-	if e.MaxPending() != 6 {
-		t.Fatalf("MaxPending = %d after growing past the mark, want 6", e.MaxPending())
-	}
-}
-
 // Reserved sequence numbers let lazily scheduled events keep the tie-break
 // rank of an up-front schedule: a reserved event must fire before any
 // normally scheduled event at the same timestamp, even one pushed earlier

@@ -8,7 +8,7 @@ import (
 // FuzzLadderVsHeap drives a heap engine and a ladder engine through the
 // identical fuzzer-chosen schedule/pop/reserve program and requires the
 // two dispatch streams — (clock, payload) pairs — to match exactly, along
-// with Pending, MaxPending, and Executed. The heap is the reference
+// with Pending after every op and Executed. The heap is the reference
 // implementation of the (timestamp, seq) total order; any divergence is a
 // ladder ordering bug.
 //
@@ -82,9 +82,6 @@ func FuzzLadderVsHeap(f *testing.F) {
 		l.Run()
 		if h.Executed() != l.Executed() {
 			t.Fatalf("executed diverged: heap %d ladder %d", h.Executed(), l.Executed())
-		}
-		if h.MaxPending() != l.MaxPending() {
-			t.Fatalf("MaxPending diverged: heap %d ladder %d", h.MaxPending(), l.MaxPending())
 		}
 		if len(gotH) != len(gotL) {
 			t.Fatalf("dispatched %d (heap) vs %d (ladder) events", len(gotH), len(gotL))
@@ -172,7 +169,7 @@ func (m *postMachine) dispatch(now float64, ev int) {
 // FuzzPostVsAfter holds the post lanes to their contract: an engine whose
 // constant-delay sends go through Post must be indistinguishable — dispatch
 // sequence, clock and Pending at every dispatch and after every op, Executed,
-// MaxPending, draining to zero — from a heap engine on which Post(legs, ev) is
+// draining to zero — from a heap engine on which Post(legs, ev) is
 // After(float64(legs)*delay, ev), on both backends. Only Entries may differ:
 // a post pushes nothing.
 //
@@ -271,9 +268,6 @@ func FuzzPostVsAfter(f *testing.F) {
 			}
 			if got, want := m.eng.Executed(), ref.eng.Executed(); got != want {
 				t.Fatalf("executed %d events, After engine %d", got, want)
-			}
-			if got, want := m.eng.MaxPending(), ref.eng.MaxPending(); got != want {
-				t.Fatalf("MaxPending %d, After engine %d", got, want)
 			}
 			if got, want := m.eng.Entries(), ref.eng.Entries(); got > want {
 				t.Fatalf("pushed %d queue entries, After engine only %d", got, want)

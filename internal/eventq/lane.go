@@ -16,19 +16,17 @@ type lanes[E any] struct {
 
 // Post schedules ev to be dispatched legs post delays (WithPostDelay) after
 // the current virtual time. It is After(float64(legs)*delay, ev) in every
-// observable respect — dispatch order, clock, Executed, Pending, MaxPending —
-// except that the event never enters the priority queue. legs must be in
-// 1..maxLegs.
+// observable respect — dispatch order, clock, Executed, Pending — except
+// that the event never enters the priority queue. legs must be in 1..maxLegs.
 func (e *Engine[E]) Post(legs int, ev E) {
 	if uint(legs-1) >= maxLegs {
 		panic("eventq: Post of " + strconv.Itoa(legs) + " legs, want 1.." + strconv.Itoa(maxLegs))
 	}
 	e.seq++
-	e.lanes.byLegs[legs-1].push(event[E]{at: e.now + float64(legs)*e.lanes.delay, seq: e.seq, payload: ev})
+	// float64(...) rounds the product: never fused into the add (see the
+	// randdist package comment).
+	e.lanes.byLegs[legs-1].push(event[E]{at: e.now + float64(float64(legs)*e.lanes.delay), seq: e.seq, payload: ev})
 	e.lanes.n++
-	if n := e.Pending(); n > e.maxLen {
-		e.maxLen = n
-	}
 }
 
 // fifo is a growable circular queue; len(buf) is zero or a power of two.

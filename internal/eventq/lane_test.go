@@ -87,8 +87,8 @@ func TestPostCoalescesAdjacentSends(t *testing.T) {
 	}
 }
 
-// Pending and MaxPending count posted events although the queue holds none
-// of them, a Step is one event, and a handler sees the clock at its instant.
+// Pending counts posted events although the queue holds none of them, a Step
+// is one event, and a handler sees the clock at its instant.
 func TestPostCountsEventsNotEntries(t *testing.T) {
 	var e *Engine[int]
 	var seen []int
@@ -101,8 +101,8 @@ func TestPostCountsEventsNotEntries(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Post(1+i%2, i)
 	}
-	if e.Pending() != 4 || e.MaxPending() != 4 || e.Entries() != 0 {
-		t.Fatalf("4 posts: pending %d, max %d, entries %d; want 4, 4, 0", e.Pending(), e.MaxPending(), e.Entries())
+	if e.Pending() != 4 || e.Entries() != 0 {
+		t.Fatalf("4 posts: pending %d, entries %d; want 4, 0", e.Pending(), e.Entries())
 	}
 	for i := 1; i <= 4; i++ {
 		if !e.Step() || e.Executed() != uint64(i) {

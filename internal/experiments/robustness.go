@@ -119,10 +119,12 @@ func RobustnessChurn(sc Scale) ([]ChurnRow, error) {
 	const waveNodes = 300
 	var events []policy.ChurnEvent
 	for w := 0; w < 4; w++ {
-		at := (0.15 + 0.2*float64(w)) * last
+		// Each float64(...) rounds a product an addition would otherwise
+		// fuse (see the randdist package comment).
+		at := float64((0.15 + float64(0.2*float64(w))) * last)
 		events = append(events,
 			policy.ChurnEvent{At: at, Kind: policy.ChurnFail, Count: waveNodes},
-			policy.ChurnEvent{At: at + 0.1*last, Kind: policy.ChurnRecover, Count: waveNodes})
+			policy.ChurnEvent{At: at + float64(0.1*last), Kind: policy.ChurnRecover, Count: waveNodes})
 	}
 	cfgs := []policy.Config{
 		{NumNodes: nodes, Policy: sc.PolicyName(), Seed: sc.Seed, Churn: &policy.ChurnSpec{Events: events}},

@@ -90,8 +90,7 @@ type Config struct {
 	// DiscardJobReports drops the per-job Report.Jobs slice: per-class job
 	// counts and runtime percentiles are instead aggregated into bounded
 	// reservoirs (Report.Streamed), so report memory stays O(1) however
-	// long the workload, where a retaining run's is O(jobs). (The per-entry
-	// queueing waits are bounded either way; see Report.Waits.) Meant for
+	// long the workload, where a retaining run's is O(jobs). Meant for
 	// streamed full-scale runs; combine with JobSink to still persist every
 	// job. Simulator only.
 	DiscardJobReports bool `json:"discardJobReports,omitempty"`

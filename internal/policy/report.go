@@ -41,10 +41,7 @@ type JobReport struct {
 // What a run leaves behind is sized by what a reader can use: O(jobs) when
 // it retains per-job reports (Jobs), O(1) when it discards them
 // (Config.DiscardJobReports: Streamed), and in neither mode O(queue
-// entries) — the per-entry queueing waits go to one bounded store, the
-// Waits reservoirs. Those moved here from StreamedStats, which had them on
-// discarding runs only; the unbounded Report.ShortEntryWaits/LongEntryWaits
-// slices a retaining run used to fill instead are deleted.
+// entries).
 type Report struct {
 	// Engine names the engine that produced the report: "sim" for the
 	// discrete-event simulator, "live" for the goroutine prototype.
@@ -163,13 +160,6 @@ type Report struct {
 	// (one per affected node per event).
 	StragglerSlowdowns int64 `json:"stragglerSlowdowns,omitempty"`
 
-	// Waits samples the per-entry queueing waits (time from arrival at a
-	// node to the slot opening) by the owning job's class, short then long:
-	// diagnostics for the head-of-line-blocking analyses. A reservoir holds
-	// every wait, in arrival order, until DefaultReservoirSize of them have
-	// come, and a uniform sample after. Simulator only; nil on a live report.
-	Waits [2]*stats.Reservoir `json:"-"`
-
 	// Streamed holds the bounded-memory aggregates of a run with
 	// Config.DiscardJobReports set: per-class job counts and runtime
 	// reservoirs standing in for the Jobs slice (which is then empty). Nil
@@ -177,26 +167,10 @@ type Report struct {
 	Streamed *StreamedStats `json:"streamed,omitempty"`
 }
 
-// NewWaitReservoirs builds the Report.Waits pair with the given per-class
-// capacity, on the sub-seeds after NewStreamedStats' two (seed+2, seed+3).
-func NewWaitReservoirs(capacity int, seed int64) [2]*stats.Reservoir {
-	return [2]*stats.Reservoir{stats.NewReservoir(capacity, seed+2), stats.NewReservoir(capacity, seed+3)}
-}
-
-// WaitReservoir returns the queue-wait reservoir for the class.
-//
-//hawk:hotpath
-func (r *Report) WaitReservoir(long bool) *stats.Reservoir {
-	if long {
-		return r.Waits[1]
-	}
-	return r.Waits[0]
-}
-
 // DefaultReservoirSize is the per-class capacity of the simulator's
-// reservoirs (Report.Waits; the StreamedStats runtimes): percentiles stay
-// exact up to this many samples per class and become tight estimates
-// beyond, while report memory stays constant.
+// StreamedStats runtime reservoirs: percentiles stay exact up to this many
+// samples per class and become tight estimates beyond, while report memory
+// stays constant.
 const DefaultReservoirSize = 4096
 
 // StreamedStats aggregates per-job outcomes with O(1) memory: class

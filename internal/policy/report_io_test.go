@@ -41,7 +41,6 @@ func retainedReport(jobs []JobReport) *Report {
 	r := &Report{
 		Engine: "sim", Policy: "sparrow", Config: Config{Policy: "sparrow", NumNodes: 15000, Seed: 7},
 		Jobs: jobs, Makespan: 123456.5, ProbesSent: 2170000, TasksExecuted: 1085000, Events: 9e6,
-		Waits: NewWaitReservoirs(DefaultReservoirSize, 7),
 	}
 	for i := 0; i < 40; i++ {
 		r.Utilization.AddAt(float64(100*i), float64(i%7)/7)

@@ -7,6 +7,13 @@
 // keeps it that way: seeded rand.New(rand.NewSource(...)) streams are the
 // only randomness allowed here — never the global math/rand functions.
 //
+// A product that meets an addition is written float64(x*y). The Go spec
+// lets a compiler fuse x*y + z into one multiply-add, which rounds once
+// where the source rounds twice, and gc does so on arm64; an explicit
+// conversion rounds the product and may not be fused across. The same
+// spelling guards the other deterministic packages, and CI's "nothing fuses
+// on arm64" step fails on any fused op left in them.
+//
 //hawk:deterministic
 package randdist
 
@@ -60,14 +67,14 @@ func (s *Source) Int63() int64 { return s.rng.Int63() }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + float64((hi-lo)*s.rng.Float64())
 }
 
 // Exp returns an exponentially distributed value with the given mean.
 // The paper's derived traces (§4.1) draw task counts and mean task
 // durations from exponential distributions around cluster centroids.
 func (s *Source) Exp(mean float64) float64 {
-	return s.rng.ExpFloat64() * mean
+	return float64(s.rng.ExpFloat64() * mean)
 }
 
 // TruncGaussian returns a Gaussian sample with the given mean and standard
@@ -75,7 +82,7 @@ func (s *Source) Exp(mean float64) float64 {
 // from a Gaussian with sigma = 2*mean, "excluding negative values" (§4.1).
 func (s *Source) TruncGaussian(mean, stddev float64) float64 {
 	for {
-		v := s.rng.NormFloat64()*stddev + mean
+		v := float64(s.rng.NormFloat64()*stddev) + mean
 		if v >= 0 {
 			return v
 		}
@@ -86,7 +93,7 @@ func (s *Source) TruncGaussian(mean, stddev float64) float64 {
 // underlying normal distribution. Used to give the synthetic Google trace a
 // heavy-tailed task-duration distribution matching Figure 4.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.rng.NormFloat64()*sigma + mu)
+	return math.Exp(float64(s.rng.NormFloat64()*sigma) + mu)
 }
 
 // SampleWithoutReplacement returns k distinct uniform values from [0, n).

@@ -101,7 +101,9 @@ func (s *simulation) msgDelay() float64 {
 	if s.flt == nil || s.flt.spec.Jitter == 0 {
 		return s.cfg.NetworkDelay
 	}
-	return s.cfg.NetworkDelay + s.flt.spec.Jitter*s.flt.src.Float64()
+	// float64(...) rounds the product: never fused into the add (see the
+	// randdist package comment).
+	return s.cfg.NetworkDelay + float64(s.flt.spec.Jitter*s.flt.src.Float64())
 }
 
 // hop puts ev on the wire for legs message legs — the only way a message is

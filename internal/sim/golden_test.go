@@ -176,38 +176,37 @@ func goldenTrace() *workload.Trace {
 	})
 }
 
-// runPinned is Run with wait reservoirs too large to overflow. A reservoir
-// that has not overflowed holds every value in arrival order, so its
-// Values() is the raw per-entry wait sequence the goldens were generated
-// with, and production needs no switch that turns retention back on.
-func runPinned(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
+// runPinned is Run with the per-entry wait recorder installed: the pinned
+// report carries every queue entry's wait in arrival order, as the goldens
+// were generated with. Any other run leaves the recorder nil.
+func runPinned(trace *workload.Trace, cfg policy.Config) (*pinnedReport, error) {
 	return runPinnedSim(newSimulation(trace, cfg))
 }
 
-func runPinnedSim(s *simulation, err error) (*policy.Report, error) {
+func runPinnedSim(s *simulation, err error) (*pinnedReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.res.Waits = policy.NewWaitReservoirs(1<<16, 0)
-	return s.run()
+	var waits [2][]float64
+	s.entryWaits = &waits
+	res, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	return &pinnedReport{
+		Report:             res,
+		UtilizationSamples: res.Utilization.Samples(),
+		ShortEntryWaits:    waits[0],
+		LongEntryWaits:     waits[1],
+	}, nil
 }
 
-func marshalPinned(t *testing.T, res *policy.Report) []byte {
+func marshalPinned(t *testing.T, res *pinnedReport) []byte {
 	t.Helper()
-	short, long := res.WaitReservoir(false).Values(), res.WaitReservoir(true).Values()
-	if n := res.WaitReservoir(false).Count() + res.WaitReservoir(true).Count(); n != int64(len(short)+len(long)) {
-		t.Fatalf("a wait reservoir overflowed: saw %d waits, holds %d; run through runPinned, or enlarge its capacity", n, len(short)+len(long))
-	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
-	err := enc.Encode(pinnedReport{
-		Report:             res,
-		UtilizationSamples: res.Utilization.Samples(),
-		ShortEntryWaits:    short,
-		LongEntryWaits:     long,
-	})
-	if err != nil {
+	if err := enc.Encode(res); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -233,11 +232,11 @@ func TestReportsMatchGolden(t *testing.T) {
 			}
 			// One makespan on every run: the last job's completion.
 			last := 0.0
-			for _, j := range res.Jobs {
+			for _, j := range res.Report.Jobs {
 				last = max(last, j.SubmitTime+j.Runtime)
 			}
-			if res.Makespan != last {
-				t.Errorf("makespan %g, want the last completion %g", res.Makespan, last)
+			if res.Report.Makespan != last {
+				t.Errorf("makespan %g, want the last completion %g", res.Report.Makespan, last)
 			}
 			got := marshalPinned(t, res)
 			path := filepath.Join("testdata", "golden", name+".json")

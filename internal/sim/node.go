@@ -231,7 +231,11 @@ func (n *node) execute(s *simulation, jidx, tidx int32, sched uint8, dur float64
 		}
 	}
 	if s.flt != nil {
-		dur *= s.flt.slow[n.id]
+		// Rounded before both sums below: fused into one of them, fin could
+		// miss the instant the completion fires by an ulp, and the exact
+		// comparison in evTaskDone would re-arm it (see the randdist package
+		// comment).
+		dur = float64(dur * s.flt.slow[n.id])
 		s.flt.fin[n.id] = s.eng.Now() + dur
 	}
 	s.eng.After(dur, simEvent{kind: evTaskDone, flags: eflags, gen: gen, sched: sched, ref: n.id, jidx: jidx, aux: tidx})

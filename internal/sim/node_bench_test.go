@@ -250,7 +250,7 @@ func newStealRung(tb testing.TB, nodes int) *stealRung {
 		r.steal(len(r.thieves))
 		r.reset()
 	})
-	*s.res = policy.Report{Waits: s.res.Waits} // counters from here on are the caller's ops
+	*s.res = policy.Report{} // counters from here on are the caller's ops
 	return r
 }
 

@@ -32,9 +32,9 @@ func TestSingleSchedulerEquivalence(t *testing.T) {
 		t.Fatal("schedulers=1 run differs from the single-scheduler golden; " +
 			"N=1 must stay byte-identical to the model being off")
 	}
-	if res.PlacementConflicts != 0 || res.SnapshotRefreshes != 0 {
+	if res.Report.PlacementConflicts != 0 || res.Report.SnapshotRefreshes != 0 {
 		t.Fatalf("schedulers=1 run reported multi-scheduler counters: conflicts=%d refreshes=%d",
-			res.PlacementConflicts, res.SnapshotRefreshes)
+			res.Report.PlacementConflicts, res.Report.SnapshotRefreshes)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestSchedulerChurnWithNodeChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Jobs) != len(trace.Jobs) {
-			t.Fatalf("completed %d of %d jobs", len(res.Jobs), len(trace.Jobs))
+		if len(res.Report.Jobs) != len(trace.Jobs) {
+			t.Fatalf("completed %d of %d jobs", len(res.Report.Jobs), len(trace.Jobs))
 		}
 		return marshalPinned(t, res)
 	}

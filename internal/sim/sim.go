@@ -160,6 +160,10 @@ type simulation struct {
 	// sinkErr is the first error returned by cfg.JobSink, reported after
 	// the run drains.
 	sinkErr error
+	// entryWaits, when a test installs it, collects every queue entry's
+	// wait in arrival order, short-class entries first and long second
+	// (observeWait). Nil on every other run.
+	entryWaits *[2][]float64
 	// perJobFeas marks that the metadata feasibility check was
 	// inconclusive (conservative MaxTasks bound failed), so the rule is
 	// applied to each job as it is pulled, with feasMargin — the scenario's
@@ -350,9 +354,6 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	// The job arena starts small and grows only to the peak in-flight job
 	// count: completed slots are recycled.
 	s.jobs = make([]jobState, 0, min(meta.NumJobs, streamArenaHint))
-	// Queue entries outnumber jobs (two probes per task under batch
-	// sampling), so on every run their waits go to bounded reservoirs.
-	s.res.Waits = policy.NewWaitReservoirs(policy.DefaultReservoirSize, cfg.Seed+policy.SeedReservoirs)
 	if cfg.DiscardJobReports {
 		// Jobs retention is off: aggregate into bounded reservoirs instead
 		// of the per-job slice, so report memory is O(1) too.
@@ -743,11 +744,17 @@ func (s *simulation) jobCompleted(idx int32, now float64) {
 }
 
 // observeWait records how long a queue entry waited at nodes before its
-// slot opened, split by job class — diagnostic for the queueing analyses.
+// slot opened, split by job class, when a test has installed entryWaits.
 //
 //hawk:hotpath
 func (s *simulation) observeWait(e entry, now float64) {
-	s.res.WaitReservoir(e.long()).Add(now - e.enq)
+	if w := s.entryWaits; w != nil {
+		c := 0
+		if e.long() {
+			c = 1
+		}
+		w[c] = append(w[c], now-e.enq)
+	}
 }
 
 //hawk:hotpath
