@@ -100,9 +100,10 @@ type (
 	// SpeedClass is one Heterogeneity class (fraction of nodes, speed).
 	SpeedClass = policy.SpeedClass
 	// SchedulerSpec turns on the distributed multi-scheduler model (§4.10):
-	// N concurrent schedulers, each placing against its own stale cluster
-	// snapshot with optimistic claim/commit and bounded conflict retries,
-	// jobs hash-partitioned across the live schedulers. Its two knobs are
+	// N concurrent schedulers, each placing against its own stale
+	// central-queue snapshot with optimistic claim/commit and bounded
+	// conflict retries, jobs hash-partitioned across the live schedulers;
+	// probes sample the live membership. Its two knobs are
 	// Count and SnapshotInterval; a conflicted placement retries after
 	// four network delays (Config.Backoff(1)) at most three times, then
 	// refreshes its snapshot. Set it as Config.Schedulers (Count alone is

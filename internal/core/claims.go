@@ -88,27 +88,3 @@ func (v *ClusterView) Claim(id int, by int32, sinceVer uint64) bool {
 	}
 	return v.Alive(id) && v.claims.Claim(id, by, sinceVer)
 }
-
-// SnapshotInto copies the view's membership into dst (allocating it when
-// nil) and returns it, reusing dst's backing arrays when they have capacity.
-// The snapshot shares the immutable partition and speed table but owns its
-// membership copy, so the source view can keep churning while schedulers
-// sample from the snapshot. Claim state is deliberately not copied: claims
-// live only on the authoritative view.
-func (v *ClusterView) SnapshotInto(dst *ClusterView) *ClusterView {
-	if dst == nil {
-		dst = &ClusterView{}
-	}
-	dst.part = v.part
-	dst.speed = v.speed
-	if v.alive == nil {
-		dst.alive, dst.pos = nil, nil
-		dst.shortAlive, dst.generalAlive = nil, nil
-		return dst
-	}
-	dst.alive = append(dst.alive[:0], v.alive...)
-	dst.pos = append(dst.pos[:0], v.pos...)
-	dst.shortAlive = append(dst.shortAlive[:0], v.shortAlive...)
-	dst.generalAlive = append(dst.generalAlive[:0], v.generalAlive...)
-	return dst
-}

@@ -62,44 +62,6 @@ func TestClaimDeadNode(t *testing.T) {
 	}
 }
 
-func TestSnapshotInto(t *testing.T) {
-	v := NewClusterView(NewPartition(10, 0.2))
-
-	// Static source: the snapshot is static too.
-	snap := v.SnapshotInto(nil)
-	if snap.Dynamic() {
-		t.Fatal("snapshot of a static view is dynamic")
-	}
-	if snap.AliveAll() != 10 {
-		t.Fatalf("static snapshot sees %d nodes, want 10", snap.AliveAll())
-	}
-
-	// Dynamic source: the snapshot owns a membership copy frozen at the
-	// snapshot instant.
-	v.EnableMembership()
-	v.Fail(5)
-	snap = v.SnapshotInto(snap)
-	if !snap.Dynamic() || snap.AliveAll() != 9 || snap.Alive(5) {
-		t.Fatalf("snapshot did not capture the failure: alive=%d", snap.AliveAll())
-	}
-	// Later churn on the source must not leak into the snapshot...
-	v.Fail(6)
-	if !snap.Alive(6) {
-		t.Fatal("source churn leaked into the snapshot")
-	}
-	// ...and churn applied to the snapshot must not touch the source.
-	snap.Fail(7)
-	if !v.Alive(7) {
-		t.Fatal("snapshot churn leaked into the source")
-	}
-
-	// Refreshing reuses the snapshot and catches it up.
-	snap = v.SnapshotInto(snap)
-	if snap.Alive(6) || snap.AliveAll() != 8 {
-		t.Fatalf("refreshed snapshot stale: alive=%d", snap.AliveAll())
-	}
-}
-
 func TestCentralQueueAddLoad(t *testing.T) {
 	q := NewCentralQueue([]int{0, 1, 2})
 	q.AddLoad(1, 0, 5)

@@ -83,6 +83,11 @@ func TestEnginesAgree(t *testing.T) {
 			t.Errorf("dropped probes/replies/assigns: sim %d/%d/%d, live %d/%d/%d",
 				sd.Probes, sd.Replies, sd.Assigns, ld.Probes, ld.Replies, ld.Assigns)
 		}
+		// Both engines re-send a dropped probe to the node it was addressed
+		// to, so they send and re-send the same number of probes.
+		if s.ProbesSent != l.ProbesSent || s.ProbeRetries != l.ProbeRetries {
+			t.Errorf("probes sent/retried: sim %d/%d, live %d/%d", s.ProbesSent, s.ProbeRetries, l.ProbesSent, l.ProbeRetries)
+		}
 	}
 
 	for _, c := range []struct {

@@ -24,7 +24,7 @@ type Config struct {
 	NumNodes int `json:"numNodes"`
 	// Schedulers, when set, turns on the distributed multi-scheduler model
 	// in both engines (§4.10): Count concurrent schedulers, each placing
-	// against its own stale snapshot of the cluster with optimistic
+	// against its own stale snapshot of the central queue with optimistic
 	// claim/commit and bounded conflict retries, with jobs hash-partitioned
 	// across the live schedulers. Nil (the default) is the legacy exact
 	// single-scheduler model; Normalize also canonicalizes a spec that is
@@ -112,7 +112,7 @@ const (
 	SeedSpeeds     = 2 // Heterogeneity node-to-class assignment
 	SeedChurn      = 3 // random churn picks
 	SeedReservoirs = 4 // streamed-report reservoir sampling
-	SeedFaults     = 5 // the fault plane: loss, jitter, retry targets, stragglers
+	SeedFaults     = 5 // the fault plane: loss, jitter, duplicate hosts, stragglers
 )
 
 // Normalize validates the configuration and resolves defaults against the

@@ -50,7 +50,7 @@ type StragglerEvent struct {
 }
 
 // FaultSpec configures the gray-failure injection plane and its defenses.
-// All randomness (loss draws, jitter, retry-target sampling, straggler
+// All randomness (loss draws, jitter, duplicate-host sampling, straggler
 // picks) comes from a dedicated stream (Config.Seed + SeedFaults), so a
 // fault-free run draws the exact same main-stream sequence as one that
 // never set the spec.
@@ -60,18 +60,15 @@ type StragglerEvent struct {
 // probe, reply, assignment or commit and each of its MaxRetries retries can
 // be dropped, retry k waits Config.Backoff(k) (four network delays,
 // doubling per attempt), and a message dropped all MaxRetries+1 times is
-// sent once more after Backoff(MaxRetries+1) with no loss draw.
-//
-// They differ in where a dropped probe is re-sent: the simulator retries
-// toward a fresh pool node, the live engine toward the same node. (A live
-// speculation loser also runs out its sleep rather than being cancelled;
+// sent once more after Backoff(MaxRetries+1) with no loss draw. A dropped
+// scheduler-to-node message is re-sent to the node it was addressed to.
+// (A live speculation loser runs out its sleep rather than being cancelled;
 // both engines count it as SpeculativeWasted.)
 type FaultSpec struct {
 	// ProbeLoss is the drop probability of a scheduler-to-node probe
-	// message. A dropped probe times out at the scheduler and is re-sent
-	// with exponential backoff (to a fresh node in the simulator, to the
-	// same node in the live engine); after MaxRetries retries it is
-	// re-sent once more, reliably.
+	// message. A dropped probe is re-sent to the same node with
+	// exponential backoff; after MaxRetries retries it is re-sent once
+	// more, reliably.
 	ProbeLoss float64 `json:"probeLoss,omitempty"`
 	// ReplyLoss is the drop probability of the node-to-scheduler task
 	// request round trip that resolves a probe. The node monitor re-issues

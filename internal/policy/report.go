@@ -74,11 +74,8 @@ type Report struct {
 	//
 	// ProbesSent counts batch-sampling probes sent: one per sampled node at
 	// routing, plus one per probe re-sent to a live node after its node
-	// failed (ProbesLost). Under probe loss the engines count differently.
-	// The simulator counts each re-sent probe too, because its retry goes
-	// to a freshly sampled node. The live engine counts first sends only,
-	// because its retry re-sends to the same node. ProbeRetries counts the
-	// re-sends on both.
+	// failed (ProbesLost). A probe dropped by the fault plane is re-sent to
+	// the same node and counted in ProbeRetries, not here.
 	ProbesSent     int64  `json:"probesSent"`
 	Cancels        int64  `json:"cancels"`
 	TasksExecuted  int64  `json:"tasksExecuted"`

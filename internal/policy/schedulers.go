@@ -5,11 +5,11 @@ import "fmt"
 // The distributed multi-scheduler model (§4.10). The paper's evaluation
 // runs ten concurrent Hawk schedulers; this spec makes that concurrency a
 // first-class, engine-shared model in the shared-state optimistic style:
-// every scheduler owns an independent central queue and a *stale snapshot*
-// of the cluster view, places tasks optimistically against its snapshot,
-// and on a placement conflict (the slot was claimed by another scheduler's
-// placement it could not yet see) detects-and-retries with a bounded
-// backoff before forcing a snapshot refresh. Jobs hash-partition across the
+// every scheduler owns an independent, *stale* copy of the central queue,
+// places tasks optimistically against that snapshot, and on a placement
+// conflict (the slot was claimed by another scheduler's placement it could
+// not yet see) detects-and-retries with a bounded backoff before forcing a
+// snapshot refresh. Jobs hash-partition across the
 // live schedulers; scheduler failure and recovery ride the ordinary churn
 // machinery (ChurnSchedFail / ChurnSchedRecover), with a failed scheduler's
 // jobs re-assigned to the survivors.
@@ -32,8 +32,7 @@ type SchedulerSpec struct {
 	Count int `json:"count"`
 	// SnapshotInterval is the cluster-state refresh cadence in seconds
 	// (default 5): an active scheduler re-reads the shared central queue
-	// (and, under node churn, the membership view) every interval, and a
-	// dormant scheduler catches up before its first placement after one.
+	// every interval, and a dormant scheduler catches up before its first placement after one.
 	// Smaller intervals mean fresher views and fewer conflicts at more
 	// refresh traffic — the staleness/conflict trade the sweep measures.
 	SnapshotInterval float64 `json:"snapshotInterval,omitempty"`

@@ -186,9 +186,7 @@ func (s *simulation) recoverNode(id int32, now float64) {
 // resendProbe sends one replacement batch-sampling probe for the job to a
 // live node of its decision pool, or waits for one to recover. In the
 // multi-scheduler model the re-send needs a live owner to answer the
-// eventual task request — with none, it waits for a scheduler recovery — and
-// it deliberately samples the truth view, not the owner's snapshot: a re-send
-// aimed at a stale member could bounce between dead nodes indefinitely.
+// eventual task request — with none, it waits for a scheduler recovery.
 func (s *simulation) resendProbe(jidx int32) {
 	if s.ms != nil && !s.ensureOwner(jidx) {
 		s.park(policy.WaitSchedProbe, waiting{jidx: jidx, tidx: -1})

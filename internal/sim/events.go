@@ -29,10 +29,11 @@ const (
 	// ref after one network delay (jidx). If the node failed while the
 	// probe was in flight, the probe goes back to its sender (reroute).
 	evProbeArrive
-	// evTaskArrive: a centrally placed task reaches the queue of node
-	// ref after one network delay (jidx; aux = task index within the
-	// job, which determines its duration). If the node failed in flight,
-	// the task goes back to its sender (reroute).
+	// evTaskArrive: a centrally placed task — or, with evfSpec, a
+	// speculative duplicate — reaches the queue of node ref after one
+	// network delay (jidx; aux = task index within the job, which
+	// determines its duration). If the node failed in flight, the task goes
+	// back to its sender (reroute).
 	evTaskArrive
 	// evProbeReply: the scheduler's answer to node ref's task request
 	// lands after the request/response round trip (jidx). gen pins the
@@ -56,7 +57,7 @@ const (
 	// evCentralUp: scripted churn — the centralized scheduler returns
 	// and releases them.
 	evCentralUp
-	// evSnapRefresh: scheduler ref refreshes its stale cluster snapshot
+	// evSnapRefresh: scheduler ref refreshes its stale snapshot
 	// (multi-scheduler model). The chain is activity-gated: it re-arms
 	// itself only while the scheduler keeps placing work, so an idle run
 	// drains instead of refreshing forever. gen pins the scheduler's
@@ -73,22 +74,18 @@ const (
 	// evSchedRecover: scheduler ref returns with a fresh
 	// snapshot and drains work that waited for a live scheduler.
 	evSchedRecover
-	// evProbeTimeout: a dropped message of the probe plane times out
-	// (fault injection). ref < 0: the scheduler's probe send was dropped
-	// and it retries toward a fresh pool node (jidx; attempt in the flags
-	// high bits). ref >= 0: node ref's task-request round trip was dropped
-	// and the node re-issues it (gen pins the node's incarnation). The
+	// evReplyTimeout: node ref's task-request round trip was dropped
+	// (fault injection) and its timeout fires; the node re-issues it (jidx;
+	// attempt in the flags high bits; gen pins the node's incarnation). The
 	// re-send of attempt Faults.MaxRetries+1 is reliable.
-	evProbeTimeout
-	// evAssignRetry: a dropped task-placement message retries after its
-	// backoff (fault injection): re-send the central assignment (or, with
-	// evfCommit, the multi-scheduler commit) to the same node ref — its
-	// queue load was already charged (jidx, aux = task index, attempt in
-	// flags). The re-send of attempt Faults.MaxRetries+1 is reliable.
-	evAssignRetry
-	// evTaskDirect: a speculative duplicate, sent straight past the central
-	// queue, reaches the queue of node ref (jidx; aux = task index).
-	evTaskDirect
+	evReplyTimeout
+	// evResend: a dropped scheduler→node message (probe, assignment or
+	// commit) is re-sent to ref after its backoff (fault injection). The
+	// evfCentral bit marks a placement, with evfCommit the multi-scheduler
+	// commit, whose queue load was already charged (aux = task index);
+	// without it the message is a probe. jidx; attempt in the flags high
+	// bits. The re-send of attempt Faults.MaxRetries+1 is reliable.
+	evResend
 	// evSpecLaunch: the speculation timer armed when task aux of job jidx
 	// started on node ref fires; if the task is still running there, a
 	// duplicate launches on a fresh node (first completion wins). gen pins
@@ -108,11 +105,11 @@ const (
 // placed by the centralized scheduler); the rest exist only on fault-plane
 // events, so every pre-existing event still carries a zero byte there.
 const (
-	evfCentral uint8 = 1 << 0 // evTaskDone/evAssignRetry: centrally placed task
-	evfSpec    uint8 = 1 << 1 // evTaskDone: speculative duplicate
-	evfCommit  uint8 = 1 << 2 // evAssignRetry: multi-scheduler commit message class
-	// evfAttemptShift positions the retry attempt of evProbeTimeout and
-	// evAssignRetry in the flags high bits (range [0, 31]; MaxFaultRetries
+	evfCentral uint8 = 1 << 0 // evTaskDone/evResend: centrally placed task
+	evfSpec    uint8 = 1 << 1 // evTaskArrive/evTaskDone: speculative duplicate
+	evfCommit  uint8 = 1 << 2 // evResend: multi-scheduler commit message class
+	// evfAttemptShift positions the retry attempt of evReplyTimeout and
+	// evResend in the flags high bits (range [0, 31]; MaxFaultRetries
 	// keeps attempts inside it).
 	evfAttemptShift = 3
 )
@@ -159,6 +156,9 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 		s.nodes[ev.ref].enqueue(s, e)
 	case evTaskArrive:
 		e := entry{flags: entryTask | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, sched: ev.sched, enq: now}
+		if ev.flags&evfSpec != 0 {
+			e.flags |= entrySpec
+		}
 		if s.dyn != nil && !s.view.Alive(int(ev.ref)) {
 			s.reroute(e) // the destination failed while the task was in flight
 			return
@@ -207,12 +207,10 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 		s.failScheduler(ev.ref)
 	case evSchedRecover:
 		s.recoverScheduler(ev.ref, now)
-	case evProbeTimeout:
-		s.probeTimeoutTick(ev)
-	case evAssignRetry:
-		s.assignRetryTick(ev)
-	case evTaskDirect:
-		s.taskDirectArrive(ev, now)
+	case evReplyTimeout:
+		s.replyTimeoutTick(ev)
+	case evResend:
+		s.resendTick(ev)
 	case evSpecLaunch:
 		s.specLaunchTick(ev)
 	case evSpecCancel:

@@ -10,7 +10,7 @@ import (
 // the fault-free fast path pays one pointer compare at each send site and
 // draws the exact same main-stream random sequence as before, so golden
 // reports stay byte-identical. All fault randomness (loss draws, jitter,
-// retry-target and straggler sampling) comes from a dedicated stream seeded
+// duplicate-host and straggler sampling) comes from a dedicated stream seeded
 // with Config.Seed+policy.SeedFaults.
 //
 // Loss is decided omnisciently at send time: a dropped message schedules
@@ -41,9 +41,9 @@ type faultState struct {
 	// task); resolved records are swap-removed, so the scan is O(in-flight
 	// speculation), not O(trace).
 	dups []specDup
-	// ids is the fault plane's sampling scratch (retry targets, duplicate
-	// hosts, straggler picks) — never aliased with simulation.nodeIDs,
-	// whose probe/steal uses can be live when a fault path samples.
+	// ids is the fault plane's sampling scratch (duplicate hosts, straggler
+	// picks) — never aliased with simulation.nodeIDs, whose probe/steal
+	// uses can be live when a fault path samples.
 	ids []int
 	// durScratch is the speculation threshold's sort scratch.
 	durScratch []float64
@@ -149,18 +149,18 @@ func (s *simulation) lossy(attempt int) bool {
 // The three send helpers below are the only places a scheduler message is
 // put on the wire, first send and re-send alike. Each draws the class's
 // loss decision when the send is lossy — a dropped send schedules the
-// timeout that will retry it as attempt+1 after its Backoff — and otherwise
-// delivers after its legs' delay (hop); with no fault plane that is exactly
-// the reliable NetworkDelay send.
+// event that re-sends it as attempt+1 after its Backoff, to the node it was
+// addressed to — and otherwise delivers after its legs' delay (hop); with no
+// fault plane that is exactly the reliable NetworkDelay send.
 
-// sendProbe dispatches one batch-sampling probe; a dropped one times out at
-// the scheduler, which retries toward a fresh node.
+// sendProbe dispatches one batch-sampling probe; a dropped one is re-sent to
+// the same node, like an assignment.
 //
 //hawk:hotpath
 func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ProbeLoss, &s.flt.drops.Probes) {
 		s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
-			kind: evProbeTimeout, ref: -1, jidx: jidx,
+			kind: evResend, ref: nodeID, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
 		return
@@ -176,7 +176,7 @@ func (s *simulation) sendProbe(jidx, nodeID int32, attempt int) {
 func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int) {
 	if s.lossy(attempt) && s.faultDrop(s.flt.spec.ReplyLoss, &s.flt.drops.Replies) {
 		s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
-			kind: evProbeTimeout, gen: gen, ref: nodeID, jidx: jidx,
+			kind: evReplyTimeout, gen: gen, ref: nodeID, jidx: jidx,
 			flags: uint8(attempt+1) << evfAttemptShift,
 		})
 		return
@@ -186,7 +186,7 @@ func (s *simulation) sendReply(nodeID int32, gen uint8, jidx int32, attempt int)
 
 // sendAssign dispatches one placed central task to its node; commit marks
 // the multi-scheduler commit leg, a distinct message class. A dropped send
-// retries toward the same node — its queue load was already charged by the
+// is re-sent to the same node — its queue load was already charged by the
 // assignment.
 //
 //hawk:hotpath
@@ -198,7 +198,7 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 		}
 		if s.faultDrop(p, cnt) {
 			s.eng.After(s.cfg.Backoff(attempt+1), simEvent{
-				kind: evAssignRetry, ref: nodeID, jidx: jidx, aux: tidx, sched: sched,
+				kind: evResend, ref: nodeID, jidx: jidx, aux: tidx, sched: sched,
 				flags: cls | uint8(attempt+1)<<evfAttemptShift,
 			})
 			return
@@ -207,50 +207,29 @@ func (s *simulation) sendAssign(nodeID, jidx, tidx int32, sched uint8, commit bo
 	s.hop(1, simEvent{kind: evTaskArrive, sched: sched, ref: nodeID, jidx: jidx, aux: tidx})
 }
 
-// probeTimeoutTick handles evProbeTimeout: a dropped probe-plane message's
-// timeout fired, and the message is re-sent as the next attempt.
-func (s *simulation) probeTimeoutTick(ev simEvent) {
-	if ev.ref >= 0 && ev.gen != s.dyn.epoch[ev.ref] {
+// replyTimeoutTick handles evReplyTimeout: node ref's dropped task-request
+// round trip timed out while the node held its slot for it, and the node
+// re-issues it as the next attempt.
+func (s *simulation) replyTimeoutTick(ev simEvent) {
+	if ev.gen != s.dyn.epoch[ev.ref] {
 		return // the node failed meanwhile; its probe was re-sent at failure time
 	}
 	s.res.ProbeRetries++
+	s.sendReply(ev.ref, ev.gen, ev.jidx, int(ev.flags>>evfAttemptShift))
+}
+
+// resendTick handles evResend: a dropped scheduler→node message's backoff
+// expired, and the probe, assignment or commit is re-sent to node ref as
+// the next attempt.
+func (s *simulation) resendTick(ev simEvent) {
 	attempt := int(ev.flags >> evfAttemptShift)
-	if ev.ref >= 0 {
-		// Node side: the task-request round trip was dropped while the node
-		// held its slot for it.
-		s.sendReply(ev.ref, ev.gen, ev.jidx, attempt)
+	if ev.flags&evfCentral == 0 {
+		s.res.ProbeRetries++
+		s.sendProbe(ev.jidx, ev.ref, attempt)
 		return
 	}
-	// Scheduler side: the probe send itself was dropped; retry toward a
-	// fresh pool node (the original target never knew about it).
-	js := &s.jobs[ev.jidx]
-	dec := s.pol.Route(js.info())
-	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
-	if len(s.flt.ids) == 0 {
-		s.park(policy.WaitLostProbe, waiting{jidx: ev.jidx, tidx: -1})
-		return
-	}
-	s.res.ProbesSent++
-	s.sendProbe(ev.jidx, int32(s.flt.ids[0]), attempt)
-}
-
-// assignRetryTick handles evAssignRetry: a dropped task placement's
-// backoff expired, and the assignment (or commit) is re-sent to the same
-// node as the next attempt.
-func (s *simulation) assignRetryTick(ev simEvent) {
 	s.res.AssignRetries++
-	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, int(ev.flags>>evfAttemptShift))
-}
-
-// taskDirectArrive handles evTaskDirect: a speculative duplicate reaches
-// its node's queue. It carries no central-queue feedback.
-func (s *simulation) taskDirectArrive(ev simEvent, now float64) {
-	e := entry{flags: entryTask | entrySpec | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, enq: now}
-	if !s.view.Alive(int(ev.ref)) {
-		s.reroute(e) // the destination failed in flight
-		return
-	}
-	s.nodes[ev.ref].enqueue(s, e)
+	s.sendAssign(ev.ref, ev.jidx, ev.aux, ev.sched, ev.flags&evfCommit != 0, attempt)
 }
 
 // specLaunchTick handles evSpecLaunch: the speculation timer armed when the
@@ -279,7 +258,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 	}
 	s.res.SpeculativeLaunches++
 	s.flt.dups = append(s.flt.dups, specDup{jidx: ev.jidx, tidx: ev.aux, orig: ev.ref, dup: -1})
-	s.hop(1, simEvent{kind: evTaskDirect, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
+	s.hop(1, simEvent{kind: evTaskArrive, flags: evfSpec, ref: int32(s.flt.ids[0]), jidx: ev.jidx, aux: ev.aux})
 }
 
 // specBegin gates a speculative duplicate popping at the head of a node's

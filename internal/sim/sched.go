@@ -7,13 +7,14 @@ import (
 
 // The concurrent multi-scheduler model (§4.10): N distributed schedulers
 // share one cluster. Each scheduler owns an independent local copy of the
-// centralized queue and a *stale snapshot* of the cluster view, refreshed on
-// a configurable cadence; it places work optimistically against that
-// snapshot and resolves collisions with the shared truth through a
-// claim/commit protocol (detect-and-retry with bounded backoff, Omega
-// style). Jobs hash-partition across the live schedulers by job id and
-// re-hash when their scheduler fails; scheduler fail/recover rides the same
-// scripted-churn machinery as node membership.
+// centralized queue, a *stale snapshot* refreshed on a configurable cadence;
+// it places central work optimistically against that snapshot and resolves
+// collisions with the shared truth through a claim/commit protocol
+// (detect-and-retry with bounded backoff, Omega style). Probes sample the
+// live membership, as on the live engine. Jobs hash-partition across the
+// live schedulers by job id and re-hash when their scheduler fails;
+// scheduler fail/recover rides the same scripted-churn machinery as node
+// membership.
 //
 // The whole model hangs off simulation.ms, nil unless Config.Schedulers is
 // set — every hot path guards on that one pointer, exactly like s.dyn, so a
@@ -39,12 +40,6 @@ type schedState struct {
 	// until the next refresh, which is precisely the staleness the model
 	// exists to measure.
 	local *core.CentralQueue
-	// view is the scheduler's cluster snapshot for probe sampling and pool
-	// sizing. On a static-membership run it aliases the shared truth view
-	// (there is nothing stale to see, and sampling stays on the bit-exact
-	// static fast path); under node churn it is an owned copy refreshed by
-	// SnapshotInto.
-	view *core.ClusterView
 	// snapVer is the shared claim-version at the last refresh: claims no
 	// newer than it were visible in this snapshot, so a foreign claim
 	// above it is a conflict (core.ClusterView.Claim).
@@ -86,10 +81,6 @@ func (s *simulation) initMultiSched() {
 	for i := range s.ms.scheds {
 		sd := &s.ms.scheds[i]
 		sd.alive = true
-		sd.view = s.view
-		if s.view.Dynamic() {
-			sd.view = s.view.SnapshotInto(nil)
-		}
 		if s.central != nil {
 			// A mirror is born the way it is refreshed: as a copy of
 			// the truth.
@@ -121,8 +112,7 @@ func (m *multiSched) mirrorTaskFinished(k uint8, nodeID int, now float64) {
 }
 
 // refreshSched brings scheduler k's snapshot up to the shared truth: the
-// claim version, the central-queue mirror, and (under node churn) the
-// cluster-view copy.
+// claim version and the central-queue mirror.
 func (s *simulation) refreshSched(k int32, now float64) {
 	sd := &s.ms.scheds[k]
 	sd.snapVer = s.view.ClaimVersion()
@@ -130,9 +120,6 @@ func (s *simulation) refreshSched(k int32, now float64) {
 	s.res.SnapshotRefreshes++
 	if sd.local != nil {
 		sd.local.SyncFrom(s.central)
-	}
-	if sd.view != s.view {
-		s.view.SnapshotInto(sd.view)
 	}
 }
 

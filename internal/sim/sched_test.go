@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/workload"
 )
 
 // TestSingleSchedulerEquivalence pins the tentpole's compatibility promise:
@@ -175,37 +176,24 @@ func TestSchedulerChurnWithNodeChurn(t *testing.T) {
 	}
 }
 
-// A scheduler owns a stale copy of the cluster view only when membership can
-// change; otherwise it reads the truth view itself. The fault plane brings
-// its incarnation tracking (s.dyn) to a run without node churn, and that must
-// not be taken for membership.
-func TestSchedulersAliasTruthViewWithoutNodeChurn(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		churn *policy.ChurnSpec
-		alias bool
-	}{
-		{"faults", nil, true},
-		{"faults and scheduler churn", &policy.ChurnSpec{Events: []policy.ChurnEvent{
-			{At: 25, Kind: policy.ChurnSchedFail, Node: 2}}}, true},
-		{"faults and node churn", &policy.ChurnSpec{Events: []policy.ChurnEvent{
-			{At: 15, Kind: policy.ChurnFail, Count: 80}, {At: 55, Kind: policy.ChurnRecover, Count: 80}}}, false},
-	} {
-		cfg := multiSchedConfig(4)
-		cfg.Faults = &policy.FaultSpec{ProbeLoss: 0.01}
-		cfg.Churn = c.churn
-		s, err := newSimulation(goldenTrace(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.dyn == nil {
-			t.Fatalf("%s: a fault run tracks incarnations", c.name)
-		}
-		for i := range s.ms.scheds {
-			if got := s.ms.scheds[i].view == s.view; got != c.alias {
-				t.Errorf("%s: scheduler %d aliases the truth view: %v, want %v", c.name, i, got, c.alias)
-			}
-		}
+// Probes sample the live membership, however stale a scheduler's snapshot:
+// half the cluster fails before the first job arrives, and no scheduler
+// refreshes during the run, yet no probe is addressed to a dead node — the
+// live engine's rule (liverun's cluster.route).
+func TestProbesSampleLiveMembershipUnderStaleSchedulers(t *testing.T) {
+	var jobs []*workload.Job
+	for i := range 200 {
+		jobs = append(jobs, job(i, 1+float64(i)*0.05, 1, 1, 1, 1))
+	}
+	cfg := policy.Config{NumNodes: 200, Seed: 3, Policy: "sparrow"}
+	cfg.Schedulers = &policy.SchedulerSpec{Count: 4, SnapshotInterval: 1e4}
+	cfg.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: 0.5, Kind: policy.ChurnFail, Count: 100}}}
+	res := mustRun(t, tinyTrace(jobs...), cfg)
+	if len(res.Jobs) != len(jobs) {
+		t.Fatalf("completed %d of %d jobs", len(res.Jobs), len(jobs))
+	}
+	if res.ProbesLost != 0 {
+		t.Errorf("ProbesLost = %d of %d probes sent, want 0: probes went to nodes that had failed", res.ProbesLost, res.ProbesSent)
 	}
 }
 

@@ -602,21 +602,7 @@ func (s *simulation) routeJob(idx int32) {
 	case policy.ActionCentral:
 		s.centralJob(idx)
 	default:
-		// Probe sampling runs against the owning scheduler's (possibly
-		// stale) snapshot; on a single-scheduler run that is the truth
-		// view itself.
-		view := s.view
-		if s.ms != nil {
-			view = s.ms.scheds[js.owner].view
-		}
-		poolSize := dec.Pool.Size(view)
-		if s.ms != nil && s.view.Dynamic() && poolSize < len(js.durations) {
-			// The stale snapshot looks too narrow for batch sampling; a
-			// real scheduler would consult fresh state before giving up,
-			// so refresh and re-check against the truth.
-			s.refreshSched(int32(js.owner), s.eng.Now())
-			poolSize = dec.Pool.Size(view)
-		}
+		poolSize := dec.Pool.Size(s.view)
 		if s.view.Dynamic() && poolSize < len(js.durations) {
 			// Batch sampling needs one live candidate per task; churn has
 			// shrunk the pool below that, so park the job until nodes
@@ -626,7 +612,7 @@ func (s *simulation) routeJob(idx int32) {
 			return
 		}
 		k := core.NumProbes(len(js.durations), s.cfg.ProbeRatio, poolSize)
-		s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], view, s.src, k)
+		s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, k)
 		s.probeJob(idx, s.nodeIDs)
 	}
 }
