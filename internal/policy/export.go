@@ -3,9 +3,11 @@ package policy
 import (
 	"bufio"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -34,6 +36,70 @@ func appendJobRow(buf []byte, j JobReport) []byte {
 	buf = strconv.AppendFloat(buf, j.Estimate, 'g', -1, 64)
 	buf = append(buf, '\n')
 	return buf
+}
+
+// appendJobJSON appends j as encoding/json writes an element of the
+// report's "jobs" array under WriteJSON's indent, from its "{" to its "}":
+// the fields in JobReport's order, duringOutage only when true, and floats
+// in encoding/json's spelling — strconv 'f'/-1, or 'e'/-1 below 1e-6 and
+// from 1e21 up with a one-digit negative exponent unpadded (e-07 → e-7).
+// A NaN or infinite float is the error encoding/json returns for it.
+//
+//hawk:hotpath
+func appendJobJSON(b []byte, j *JobReport) ([]byte, error) {
+	const field = ",\n      \""
+	var err error
+	b = append(b, "{\n      \"id\": "...)
+	b = strconv.AppendInt(b, int64(j.ID), 10)
+	b = append(b, field+"submitTime\": "...)
+	if b, err = appendJSONFloat(b, j.SubmitTime); err != nil {
+		return b, err
+	}
+	b = append(b, field+"runtime\": "...)
+	if b, err = appendJSONFloat(b, j.Runtime); err != nil {
+		return b, err
+	}
+	b = append(b, field+"tasks\": "...)
+	b = strconv.AppendInt(b, int64(j.Tasks), 10)
+	b = append(b, field+"long\": "...)
+	b = strconv.AppendBool(b, j.Long)
+	b = append(b, field+"trueLong\": "...)
+	b = strconv.AppendBool(b, j.TrueLong)
+	b = append(b, field+"estimate\": "...)
+	if b, err = appendJSONFloat(b, j.Estimate); err != nil {
+		return b, err
+	}
+	if j.DuringOutage {
+		b = append(b, field+"duringOutage\": true"...)
+	}
+	b = append(b, "\n    }"...)
+	return b, nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64.
+//
+//hawk:hotpath
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, unsupportedFloat(f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// unsupportedFloat is encoding/json's error for a NaN or infinite float,
+// with the same message; its Value is left zero (this package does not
+// import reflect).
+func unsupportedFloat(f float64) error {
+	return &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 }
 
 // WriteResultsCSV exports per-job outcomes as CSV with a header row:
@@ -110,14 +176,20 @@ func (s *JobCSVSink) Close() error {
 	return err
 }
 
-// writeFile creates path, has write fill it, and closes it.
-func writeFile(path string, write func(io.Writer) error) error {
+// writeFile creates path, has write fill it, and closes it. A failed write
+// or close removes the file, so a failed save leaves nothing half written.
+func writeFile(path string, write func(io.Writer) error) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			err = errors.Join(err, os.Remove(path))
+		}
+	}()
+	if err = write(f); err != nil {
 		return err
 	}
 	return f.Close()

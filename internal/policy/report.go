@@ -346,7 +346,8 @@ type jsonReport struct {
 // standard tooling. The bytes are those of a json.Encoder with
 // SetIndent("", "  ") over the whole report, but memory is O(one job): the
 // report is marshalled once with Jobs emptied, and the jobs are spliced
-// into that shell one element at a time through a reused buffer.
+// into that shell one element at a time through a reused buffer, each
+// written by appendJobJSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	jr := jsonReport{Report: *r, UtilizationSamples: r.Utilization.Samples()}
 	jr.Jobs = nil
@@ -361,9 +362,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	// this matches the top-level key and nothing else.
 	const jobsKey = "\n  \"jobs\": "
 	head, tail, _ := bytes.Cut(shell, []byte(jobsKey+"null"))
-	var job bytes.Buffer
-	enc := json.NewEncoder(&job)
-	enc.SetIndent("    ", "  ")
 	bw := bufio.NewWriter(w) // keeps its first write error for Flush to report
 	bw.Write(head)
 	bw.WriteString(jobsKey)
@@ -371,13 +369,12 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	if r.Jobs == nil {
 		after = "null"
 	}
+	job := make([]byte, 0, 256)
 	for i := range r.Jobs {
-		job.Reset()
-		if err := enc.Encode(&r.Jobs[i]); err != nil {
+		if job, err = appendJobJSON(append(job[:0], before...), &r.Jobs[i]); err != nil {
 			return err
 		}
-		bw.WriteString(before)
-		bw.Write(bytes.TrimSuffix(job.Bytes(), []byte("\n"))) // Encode ends every value with one
+		bw.Write(job)
 		before, after = ",\n    ", "\n  ]"
 	}
 	bw.WriteString(after)

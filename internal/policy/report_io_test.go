@@ -1,13 +1,19 @@
 package policy
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -99,9 +105,6 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go when the race detector is compiled in.
-var raceDetector bool
-
 // allocatedBytes returns the heap bytes f allocates.
 func allocatedBytes(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -114,9 +117,6 @@ func allocatedBytes(f func()) uint64 {
 // Writing the report must cost O(one job), not a multiple of the file: the
 // whole-report Encoder allocated about 28 MB for these 20 000 jobs.
 func TestWriteJSONAllocBound(t *testing.T) {
-	if raceDetector {
-		t.Skip("under the race detector sync.Pool drops entries, so encoding/json allocates its encoder state anew for most jobs")
-	}
 	r := retainedReport(syntheticJobs(20000))
 	var err error
 	got := allocatedBytes(func() { err = r.WriteJSON(io.Discard) })
@@ -126,6 +126,129 @@ func TestWriteJSONAllocBound(t *testing.T) {
 	if got >= 1<<20 {
 		t.Errorf("WriteJSON of 20 000 jobs allocated %d bytes, want below 1 MiB", got)
 	}
+}
+
+// spliceEncoder is WriteJSON as it was before appendJobJSON: the same shell
+// and splice, each job through a json.Encoder with the element's indent and
+// its trailing newline trimmed. It is appendJobJSON's oracle.
+func spliceEncoder(w io.Writer, r *Report) error {
+	jr := jsonReport{Report: *r, UtilizationSamples: r.Utilization.Samples()}
+	jr.Jobs = nil
+	if med := r.Utilization.Median(); !math.IsNaN(med) {
+		jr.MedianUtilization = med
+	}
+	shell, err := json.MarshalIndent(jr, "", "  ")
+	if err != nil {
+		return err
+	}
+	const jobsKey = "\n  \"jobs\": "
+	head, tail, _ := bytes.Cut(shell, []byte(jobsKey+"null"))
+	var job bytes.Buffer
+	enc := json.NewEncoder(&job)
+	enc.SetIndent("    ", "  ")
+	bw := bufio.NewWriter(w)
+	bw.Write(head)
+	bw.WriteString(jobsKey)
+	before, after := "[\n    ", "[]"
+	if r.Jobs == nil {
+		after = "null"
+	}
+	for i := range r.Jobs {
+		job.Reset()
+		if err := enc.Encode(&r.Jobs[i]); err != nil {
+			return err
+		}
+		bw.WriteString(before)
+		bw.Write(bytes.TrimSuffix(job.Bytes(), []byte("\n")))
+		before, after = ",\n    ", "\n  ]"
+	}
+	bw.WriteString(after)
+	bw.Write(tail)
+	bw.WriteByte('\n')
+	return bw.Flush()
+}
+
+// appendJobJSON writes what the json.Encoder it replaced wrote, for floats
+// at the edges of encoding/json's 'f'/'e' rule and both outage marks, and
+// fails where it failed with the same words.
+func TestJobJSONMatchesEncoder(t *testing.T) {
+	var edges []JobReport
+	for i, f := range []float64{0, math.Copysign(0, -1), 1e-7, 5e-324, 1e21, 1.5e300, 1e-6, 9.99e-7, 1e20, -2.5e-9, 123456.789} {
+		edges = append(edges, JobReport{ID: -i, SubmitTime: f, Runtime: -f, Tasks: i, Long: i%2 == 0, Estimate: f * 3, DuringOutage: i%2 == 1})
+	}
+	for name, r := range map[string]*Report{
+		"200 jobs":   retainedReport(syntheticJobs(200)),
+		"edges":      retainedReport(edges),
+		"nil jobs":   retainedReport(nil),
+		"empty jobs": retainedReport([]JobReport{}),
+	} {
+		var got, want bytes.Buffer
+		if err := spliceEncoder(&want, r); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		if err := r.WriteJSON(&got); err != nil {
+			t.Fatalf("%s: WriteJSON: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteJSON differs from the per-job Encoder:\n got %s\nwant %s", name, got.Bytes(), want.Bytes())
+		}
+	}
+	for name, bad := range map[string]JobReport{
+		"NaN submit":    {SubmitTime: math.NaN()},
+		"+Inf runtime":  {Runtime: math.Inf(1)},
+		"-Inf estimate": {Estimate: math.Inf(-1)},
+		"NaN and Inf":   {Runtime: math.Inf(1), Estimate: math.NaN()},
+	} {
+		r := retainedReport([]JobReport{{ID: 1}, bad})
+		want, got := spliceEncoder(io.Discard, r), r.WriteJSON(io.Discard)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: WriteJSON error %v, the Encoder's %v", name, got, want)
+		}
+	}
+}
+
+// A save that fails leaves no file behind: neither a report encoding/json
+// refuses nor a CSV whose writer fails mid-file.
+func TestFailedSaveLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	nan := retainedReport(syntheticJobs(3))
+	nan.Jobs[1].Runtime = math.NaN()
+	path := filepath.Join(dir, "out.json")
+	if err := SaveReportJSON(path, nan); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("SaveReportJSON of a NaN runtime: %v", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("SaveReportJSON failed but left %s (stat: %v)", path, err)
+	}
+
+	path = filepath.Join(dir, "out.csv")
+	full := errors.New("disk full")
+	err := writeFile(path, func(w io.Writer) error {
+		return WriteResultsCSV(&failingWriter{w: w, left: 100, err: full}, retainedReport(syntheticJobs(50)))
+	})
+	if !errors.Is(err, full) {
+		t.Errorf("CSV save through a failing writer: %v, want %v", err, full)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("CSV save failed but left %s (stat: %v)", path, err)
+	}
+}
+
+// failingWriter passes the first left bytes to w, then fails with err.
+type failingWriter struct {
+	w    io.Writer
+	left int
+	err  error
+}
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.left {
+		n, _ := f.w.Write(p[:f.left])
+		f.left = 0
+		return n, f.err
+	}
+	f.left -= len(p)
+	return f.w.Write(p)
 }
 
 // The one row formatter writes what encoding/csv writes, for values at the

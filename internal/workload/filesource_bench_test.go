@@ -3,6 +3,7 @@ package workload
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -46,6 +47,28 @@ func BenchmarkFileSourceNext(b *testing.B) {
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
+	}
+}
+
+// The rung under decode: parseFloat per number, over the submit times and
+// durations of the same trace as appendJobRecord spells them (mostly 17
+// significant digits). ns/op is ns per number.
+func BenchmarkParseFloat(b *testing.B) {
+	tr := Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2.3, Seed: 1})
+	var nums [][]byte
+	for _, j := range tr.Jobs {
+		nums = append(nums, strconv.AppendFloat(nil, j.SubmitTime, 'g', -1, 64))
+		for _, d := range j.Durations {
+			nums = append(nums, strconv.AppendFloat(nil, d, 'g', -1, 64))
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := parseFloat(nums[i%len(nums)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
 	}
 }
 

@@ -95,10 +95,10 @@ func cutFields(dst [][]byte, line []byte) [][]byte {
 // j.Durations' backing array when it has capacity, and checks the per-job
 // invariants Validate would (CheckJob): finite non-negative submit time and
 // durations, at least one task. Shared by the materializing and streaming
-// readers. A field's string(f) conversion does not allocate: strconv keeps
-// no reference to its argument, and a number as appendJobRecord writes it
-// (at most 24 bytes) fits the compiler's 32-byte stack buffer for such
-// conversions.
+// readers. Times and durations go through parseFloat, which reads the
+// field's bytes in place. The id and the task count go through strconv.Atoi,
+// whose string(f) conversion does not allocate: strconv keeps no reference
+// to it, and an integer fits the compiler's 32-byte stack buffer for it.
 func parseJobFields(rec [][]byte, j *Job) error {
 	if len(rec) < 4 {
 		return fmt.Errorf("record too short (%d fields)", len(rec))
@@ -107,7 +107,7 @@ func parseJobFields(rec [][]byte, j *Job) error {
 	if err != nil {
 		return fmt.Errorf("bad job id %q: %w", rec[0], err)
 	}
-	submit, err := strconv.ParseFloat(string(rec[1]), 64)
+	submit, err := parseFloat(rec[1])
 	if err != nil {
 		return fmt.Errorf("bad submit time %q: %w", rec[1], err)
 	}
@@ -133,7 +133,7 @@ func parseJobFields(rec [][]byte, j *Job) error {
 		j.Durations = make([]float64, n)
 	}
 	for i, f := range rest {
-		d, err := strconv.ParseFloat(string(f), 64)
+		d, err := parseFloat(f)
 		if err != nil {
 			return fmt.Errorf("bad duration %q: %w", f, err)
 		}

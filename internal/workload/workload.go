@@ -21,6 +21,11 @@
 // outside tools produce (whole, as a TraceSource). Sources that implement
 // Recycler pool decoded jobs handed back by the consumer, closing the loop
 // to zero steady-state allocation.
+//
+// A trace's bytes are a function of (spec, config, seed) and a file's jobs a
+// function of its bytes; hawklint's determinism analyzer enforces it:
+//
+//hawk:deterministic
 package workload
 
 import (
