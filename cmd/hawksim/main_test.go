@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"os"
@@ -390,6 +391,43 @@ func TestTraceOutOntoTraceIsRefused(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.trace.gz")
 	if code, stderr := runMain(t, "-trace", path, "-trace-out", out, "-nodes", "2000"); code != 0 {
 		t.Errorf("converting to another file: exit code %d; stderr: %s", code, stderr)
+	}
+}
+
+// A broken ".gz" trace fails the run with the file reader's diagnosis: a cut
+// stream at the job it cuts, bytes after the trailer too short for a header
+// as a truncation, a second member's records as more than the header
+// promised, a flipped trailer byte as gzip.ErrChecksum's text and a bad magic
+// number as gzip.ErrHeader's.
+func TestGzipTraceDiagnoses(t *testing.T) {
+	_, raw := saveTrace(t, "g.trace.gz", 60)
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write([]byte("60,1e9,1,1.5\n"))
+	zw.Close()
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte{}, raw...)) }
+	flip := func(i int) []byte { return edit(func(b []byte) []byte { b[i] ^= 0xff; return b }) }
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"cut", raw[:len(raw)/2], "job 21: unexpected EOF"},
+		{"trailing bytes", edit(func(b []byte) []byte { return append(b, "xyz"...) }), "job 60: unexpected EOF"},
+		{"second member", edit(func(b []byte) []byte { return append(b, z.Bytes()...) }), "more records than the 60 jobs the header promised"},
+		{"crc", flip(len(raw) - 8), "gzip: invalid checksum"},
+		{"isize", flip(len(raw) - 1), "gzip: invalid checksum"},
+		{"magic", flip(0), "gzip: invalid header"},
+	} {
+		path := filepath.Join(dir, c.name+".trace.gz")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stderr := runMain(t, "-trace", path, "-policy", "sparrow", "-nodes", "2000")
+		if code == 0 || !bytes.Contains(stderr, []byte(c.want)) {
+			t.Errorf("%s: exit code %d, stderr %q; want a failure saying %q", c.name, code, stderr, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -46,6 +49,79 @@ func BenchmarkFileSourceNext(b *testing.B) {
 				src.Close()
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}
+
+// The inflate rung: the gzip reader alone on the same 4 000-job trace, gzipped
+// the way SaveSource writes it (Huffman-only) and at level 6, as an outside
+// gzip writes it. One op inflates the whole stream into a reused buffer; the
+// reader is reused too, so allocs/op is what decoding allocates after open.
+// MB/s counts inflated bytes. The stdlib sub-benchmarks are compress/gzip's
+// reader, Reset onto the same bytes, as the reference.
+func BenchmarkGzipReader(b *testing.B) {
+	var text bytes.Buffer
+	if err := WriteSource(&text, NewTraceSource(Generate(Google(), GenConfig{NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1}))); err != nil {
+		b.Fatal(err)
+	}
+	for _, form := range []struct {
+		name  string
+		level int
+	}{{"huffman-only", traceGzipLevel}, {"level-6", 6}} {
+		var gz bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&gz, form.level)
+		if _, err := zw.Write(text.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		var in bytes.Reader
+		buf := make([]byte, readBufferSize)
+		inflate := func(b *testing.B, r io.Reader) {
+			n := 0
+			for {
+				m, err := r.Read(buf)
+				n += m
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if n != text.Len() {
+				b.Fatalf("inflated %d bytes, want %d", n, text.Len())
+			}
+		}
+		b.Run(form.name+"/workload", func(b *testing.B) {
+			b.SetBytes(int64(text.Len()))
+			b.ReportAllocs()
+			z := new(gzipReader)
+			for b.Loop() {
+				in.Reset(gz.Bytes())
+				*z = gzipReader{src: &in}
+				if err := z.readHeader(); err != nil {
+					b.Fatal(err)
+				}
+				inflate(b, z)
+			}
+		})
+		b.Run(form.name+"/stdlib", func(b *testing.B) {
+			b.SetBytes(int64(text.Len()))
+			b.ReportAllocs()
+			in.Reset(gz.Bytes())
+			z, err := gzip.NewReader(&in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				in.Reset(gz.Bytes())
+				if err := z.Reset(&in); err != nil {
+					b.Fatal(err)
+				}
+				inflate(b, z)
+			}
 		})
 	}
 }

@@ -382,10 +382,10 @@ func TestLoadFileHeaderIsAPromise(t *testing.T) {
 // reader's buffers have grown to the widest record: the fields are cut in
 // place and parsed into the recycled Durations (encoding/csv allocated a
 // string per record). The trace's first job is its widest,
-// so everything after it is steady state. The ".gz" form holds SaveSource to
-// Huffman-only: a level-6 stream's length codes are longer than 9 bits, for
-// which compress/flate's reader allocates link tables on every block (3 per
-// 50 jobs here); Huffman-only literal codes never are.
+// so everything after it is steady state. The gzip reader builds each
+// block's tables in place, at any level: a level-6 file, as an outside gzip
+// writes it, has codes longer than 9 bits, for which compress/flate's reader
+// allocated link tables on every block (3 allocations per 50 jobs here).
 func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
 	tr := Generate(Google(), GenConfig{NumJobs: 2000, MeanInterArrival: 2.3, Seed: 1})
 	widest := make([]float64, tr.Meta().MaxTasks+1)
@@ -393,11 +393,28 @@ func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
 		widest[i] = 1.2345678901234567e-10 // longer than any generated duration's text
 	}
 	tr.Jobs[0].Durations = widest
-	for _, name := range []string{"g.trace", "g.trace.gz"} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), name)
-			if err := SaveSource(path, NewTraceSource(tr)); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		level int // 0: as SaveSource writes it
+	}{{"g.trace", 0}, {"g.trace.gz", 0}, {"level6.trace.gz", 6}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), c.name)
+			if c.level == 0 {
+				if err := SaveSource(path, NewTraceSource(tr)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				var z bytes.Buffer
+				zw, _ := gzip.NewWriterLevel(&z, c.level)
+				if err := WriteSource(zw, NewTraceSource(tr)); err != nil {
+					t.Fatal(err)
+				}
+				if err := zw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, z.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			fs, err := OpenSource(path)
 			if err != nil {
@@ -609,4 +626,63 @@ func (s *sliceSource) Next() (*Job, bool) {
 	j := s.jobs[s.next]
 	s.next++
 	return j, true
+}
+
+// The diagnoses of a broken ".gz" trace, as OpenSource and Next give them:
+// a cut stream fails at the job it cuts, bytes after the trailer that are too
+// short for a header are a truncation, a second member's records are more than
+// the header promised, a flipped trailer byte is gzip.ErrChecksum's text and a
+// bad magic number gzip.ErrHeader's.
+func TestGzipTraceDiagnoses(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.trace.gz")
+	if err := SaveSource(path, NewTraceSource(Generate(Google(), genCfg(60)))); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write([]byte("60,1e9,1,1.5\n"))
+	zw.Close()
+	member2 := z.Bytes()
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte{}, raw...)) }
+	flip := func(i int) []byte { return edit(func(b []byte) []byte { b[i] ^= 0xff; return b }) }
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"cut", raw[:len(raw)/2], "job 37: unexpected EOF"},
+		{"trailing bytes", edit(func(b []byte) []byte { return append(b, "xyz"...) }), "job 60: unexpected EOF"},
+		{"second member", edit(func(b []byte) []byte { return append(b, member2...) }), "more records than the 60 jobs the header promised"},
+		{"crc", flip(len(raw) - 8), "gzip: invalid checksum"},
+		{"isize", flip(len(raw) - 1), "gzip: invalid checksum"},
+		{"magic", flip(0), "gzip: invalid header"},
+	} {
+		p := filepath.Join(dir, c.name+".trace.gz")
+		if err := os.WriteFile(p, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := drainErr(p)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error saying %q", c.name, err, c.want)
+		}
+	}
+}
+
+// drainErr opens a trace and pulls every job, returning the error that ends
+// it.
+func drainErr(path string) error {
+	src, err := OpenSource(path)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	for j, ok := src.Next(); ok; j, ok = src.Next() {
+		src.Recycle(j)
+	}
+	return src.Err()
 }

@@ -97,15 +97,13 @@ func WriteSource(w io.Writer, src Source) error {
 // of the write. On a 40 000-job Google trace (21 MB plain, 2-vCPU Xeon),
 // level 6 deflates in 0.69–0.78 s of the ~0.85 s it takes to generate and
 // save the file; Huffman-only deflates in 0.05–0.07 s and comes out 3.9 %
-// smaller (10 059 232 → 9 667 326 B). It also inflates faster (0.15–0.17 →
-// 0.11–0.13 s): over the records' alphabet of digits and separators no
-// literal code is longer than 9 bits, so compress/flate's reader builds no
-// per-block link tables (level 6's length codes always needed them;
-// TestFileSourceAllocatesNothingPerJob pins it). The four generators' traces
-// shrink 3.9–4.5 %; a trace of repeated values grows — the motivation
-// workload, every duration 100, from 0.02 to 0.16 MB at 20 000 jobs. Any
-// gzip reader opens the file, and the reader here opens any gzip stream,
-// level-6 files included.
+// smaller (10 059 232 → 9 667 326 B). The records' digits and separators
+// get codes of 3 to 6 bits, so the gzip reader (gzipReader) mostly decodes
+// two literals per table lookup, and it inflates a Huffman-only trace about
+// 3.5× faster than compress/gzip (BenchmarkGzipReader). The four generators' traces shrink 3.9–4.5 %; a
+// trace of repeated values grows — the motivation workload, every duration
+// 100, from 0.02 to 0.16 MB at 20 000 jobs. Any gzip reader opens the file,
+// and the reader here opens any gzip stream, level-6 files included.
 const traceGzipLevel = gzip.HuffmanOnly
 
 // SaveSource writes src to path in the hawk-trace format, gzipped
@@ -153,7 +151,6 @@ func SaveSource(path string, src Source) (err error) {
 // releases the file handle.
 type FileSource struct {
 	f      *os.File
-	gz     *gzip.Reader
 	r      *bufio.Reader
 	long   []byte   // a record longer than r's buffer, assembled
 	fields [][]byte // the current record cut at commas
@@ -165,10 +162,10 @@ type FileSource struct {
 	free   []*Job
 }
 
-// openFile opens the trace file at path — through gzip when the name ends in
-// ".gz", a rule about files and not about either format, applied here only —
-// and takes the first line off it, which is what tells the formats apart.
-// The FileSource owns the handles (Close releases them) and will decode
+// openFile opens the trace file at path — through gzipReader when the name
+// ends in ".gz", a rule about files and not about either format, applied
+// here only — and takes the first line off it, which is what tells the
+// formats apart. The FileSource owns the file (Close releases it) and will decode
 // records from s.r, the file after that line, once it has a Meta.
 func openFile(path string) (s *FileSource, first string, err error) {
 	f, err := os.Open(path)
@@ -178,11 +175,10 @@ func openFile(path string) (s *FileSource, first string, err error) {
 	s = &FileSource{f: f}
 	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
-		if s.gz, err = gzip.NewReader(f); err != nil {
+		if r, err = newGzipReader(f); err != nil {
 			f.Close()
 			return nil, "", fmt.Errorf("workload: %s: %w", path, err)
 		}
-		r = s.gz
 	}
 	s.r = bufio.NewReaderSize(r, readBufferSize)
 	if first, err = s.r.ReadString('\n'); err != nil && err != io.EOF {
@@ -432,19 +428,11 @@ func (s *FileSource) Recycle(j *Job) {
 // Close releases the underlying file. Next returns false after Close.
 func (s *FileSource) Close() error {
 	s.done = true
-	var gzErr error
-	if s.gz != nil {
-		gzErr = s.gz.Close()
-		s.gz = nil
-	}
 	if s.f == nil {
-		return gzErr
+		return nil
 	}
 	err := s.f.Close()
 	s.f = nil
-	if err == nil {
-		err = gzErr
-	}
 	return err
 }
 
