@@ -397,8 +397,8 @@ func TestTraceOutOntoTraceIsRefused(t *testing.T) {
 // A broken ".gz" trace fails the run with the file reader's diagnosis: a cut
 // stream at the job it cuts, bytes after the trailer too short for a header
 // as a truncation, a second member's records as more than the header
-// promised, a flipped trailer byte as gzip.ErrChecksum's text and a bad magic
-// number as gzip.ErrHeader's.
+// promised, a flipped trailer byte as gzip.ErrChecksum's text, a bad magic
+// number as gzip.ErrHeader's and a reserved block type as corrupt data.
 func TestGzipTraceDiagnoses(t *testing.T) {
 	_, raw := saveTrace(t, "g.trace.gz", 60)
 	var z bytes.Buffer
@@ -419,6 +419,7 @@ func TestGzipTraceDiagnoses(t *testing.T) {
 		{"crc", flip(len(raw) - 8), "gzip: invalid checksum"},
 		{"isize", flip(len(raw) - 1), "gzip: invalid checksum"},
 		{"magic", flip(0), "gzip: invalid header"},
+		{"block type", edit(func(b []byte) []byte { b[10] |= 6; return b }), "flate: corrupt input before offset"},
 	} {
 		path := filepath.Join(dir, c.name+".trace.gz")
 		if err := os.WriteFile(path, c.file, 0o644); err != nil {

@@ -57,13 +57,40 @@ func BenchmarkFileSourceNext(b *testing.B) {
 // the way SaveSource writes it (Huffman-only) and at level 6, as an outside
 // gzip writes it. One op inflates the whole stream into a reused buffer; the
 // reader is reused too, so allocs/op is what decoding allocates after open.
-// MB/s counts inflated bytes. The stdlib sub-benchmarks are compress/gzip's
-// reader, Reset onto the same bytes, as the reference.
+// MB/s counts inflated bytes.
 func BenchmarkGzipReader(b *testing.B) {
+	z := new(gzipReader)
+	benchInflate(b, func(b *testing.B, in *bytes.Reader) io.Reader {
+		*z = gzipReader{src: in}
+		if err := z.readHeader(); err != nil {
+			b.Fatal(err)
+		}
+		return z
+	})
+}
+
+// The inflate rung's reference: compress/gzip's reader, Reset onto the same
+// bytes. It is a separate benchmark so that a pattern naming GzipReader (as
+// CI's head-against-base comparison does) leaves it out: it times the same
+// standard-library code on either side.
+func BenchmarkStdlibGunzip(b *testing.B) {
+	z := new(gzip.Reader)
+	benchInflate(b, func(b *testing.B, in *bytes.Reader) io.Reader {
+		if err := z.Reset(in); err != nil {
+			b.Fatal(err)
+		}
+		return z
+	})
+}
+
+// benchInflate runs the inflate rung's forms, opening each op's reader on
+// the stream with open.
+func benchInflate(b *testing.B, open func(b *testing.B, in *bytes.Reader) io.Reader) {
 	var text bytes.Buffer
 	if err := WriteSource(&text, NewTraceSource(Generate(Google(), GenConfig{NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1}))); err != nil {
 		b.Fatal(err)
 	}
+	buf := make([]byte, readBufferSize)
 	for _, form := range []struct {
 		name  string
 		level int
@@ -76,51 +103,27 @@ func BenchmarkGzipReader(b *testing.B) {
 		if err := zw.Close(); err != nil {
 			b.Fatal(err)
 		}
-		var in bytes.Reader
-		buf := make([]byte, readBufferSize)
-		inflate := func(b *testing.B, r io.Reader) {
-			n := 0
-			for {
-				m, err := r.Read(buf)
-				n += m
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if n != text.Len() {
-				b.Fatalf("inflated %d bytes, want %d", n, text.Len())
-			}
-		}
-		b.Run(form.name+"/workload", func(b *testing.B) {
+		b.Run(form.name, func(b *testing.B) {
 			b.SetBytes(int64(text.Len()))
 			b.ReportAllocs()
-			z := new(gzipReader)
+			var in bytes.Reader
 			for b.Loop() {
 				in.Reset(gz.Bytes())
-				*z = gzipReader{src: &in}
-				if err := z.readHeader(); err != nil {
-					b.Fatal(err)
+				r := open(b, &in)
+				n := 0
+				for {
+					m, err := r.Read(buf)
+					n += m
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-				inflate(b, z)
-			}
-		})
-		b.Run(form.name+"/stdlib", func(b *testing.B) {
-			b.SetBytes(int64(text.Len()))
-			b.ReportAllocs()
-			in.Reset(gz.Bytes())
-			z, err := gzip.NewReader(&in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for b.Loop() {
-				in.Reset(gz.Bytes())
-				if err := z.Reset(&in); err != nil {
-					b.Fatal(err)
+				if n != text.Len() {
+					b.Fatalf("inflated %d bytes, want %d", n, text.Len())
 				}
-				inflate(b, z)
 			}
 		})
 	}

@@ -25,7 +25,10 @@ import (
 // (gzip.ErrChecksum), a bad header (gzip.ErrHeader), a truncation
 // (io.ErrUnexpectedEOF, after every symbol whose code arrived whole) and
 // corrupt deflate data (flate.CorruptInputError). FuzzGzipReader holds it to
-// compress/gzip on arbitrary bytes. It never consumes input past a member's
+// compress/gzip on arbitrary bytes. Only a corrupt-data error's offset is
+// this reader's own: it is the file offset just past the byte the reader
+// had reached (see corrupt), where compress/flate counts the bytes it has
+// pulled from the member's deflate data. It never consumes input past a member's
 // trailer: the whole bytes left in the bit buffer when a member's deflate
 // data ends go back to the input buffer.
 type gzipReader struct {
@@ -33,7 +36,7 @@ type gzipReader struct {
 	in    [inflateInputSize]byte
 	ip    int   // in[ip:iend] is input not yet taken into bits
 	iend  int   //
-	inOff int64 // file offset of in[0]
+	inOff int64 // file offset of in[0], for corrupt's offset
 	eof   bool  // src has returned io.EOF
 	rerr  error // an error from src other than io.EOF
 
@@ -53,18 +56,16 @@ type gzipReader struct {
 	crc    uint32 // CRC-32 of the member's output
 	memOut int64  // bytes of the member's output, ISIZE modulo 2^32
 
-	state        int
-	final        bool  // the current block is the member's last
-	stored       int   // bytes left in the current stored block
-	deflateStart int64 // file offset of the member's deflate data
-	err          error // returned by Read once the unread output is read
+	state  int
+	final  bool  // the current block is the member's last
+	stored int   // bytes left in the current stored block
+	err    error // returned by Read once the unread output is read
 
 	lit     [litTableSize]uint32 // literal/length table
 	dist    [distTableSize]uint32
 	clen    [1 << clenRootBits]uint32 // code-length code table
 	litMin  uint                      // bits a literal/length lookup waits for
 	distMin uint                      //
-	fixed   bool                      // lit and dist hold the fixed code
 	lengths [288 + 32]uint8
 	buf     [10]byte // header and trailer bytes
 }
@@ -356,10 +357,13 @@ func (z *gzipReader) sym(t []uint32, root, minBits uint) (uint32, error) {
 	return e, nil
 }
 
-// corrupt is the error for deflate data no encoder writes, at the offset in
-// the member's deflate data the decoder has reached.
+// corrupt is the error for deflate data no encoder writes. Its offset is the
+// file offset just past the last byte the reader has taken bits from (the
+// whole bytes held in bits are not taken), so the data it refused lies
+// before it. compress/flate's offset for the same data differs: it counts
+// from the member's deflate data and includes every byte it has pulled.
 func (z *gzipReader) corrupt() error {
-	return flate.CorruptInputError(z.inOff + int64(z.ip) - int64(z.nbits>>3) - z.deflateStart)
+	return flate.CorruptInputError(z.inOff + int64(z.ip) - int64(z.nbits>>3))
 }
 
 // readFull reads len(p) bytes of byte-aligned input, with io.ReadFull's
@@ -443,7 +447,6 @@ func (z *gzipReader) readHeader() error {
 			return gzip.ErrHeader
 		}
 	}
-	z.deflateStart = z.inOff + int64(z.ip)
 	z.state, z.final = stateBlock, false
 	z.crc, z.memOut = 0, 0
 	return nil
@@ -518,9 +521,7 @@ func (z *gzipReader) nextBlock() {
 		z.stored = int(n)
 		z.state = stateStored
 	case 1:
-		if !z.fixed {
-			z.buildFixed()
-		}
+		z.buildFixed()
 		z.state = stateHuffman
 	case 2:
 		if z.err = z.readDynamic(); z.err == nil {
@@ -552,7 +553,7 @@ func (z *gzipReader) buildFixed() {
 	buildTable(z.lit[:], litRootBits, l[:288], litEntries[:])
 	pairLiterals(&z.lit)
 	buildTable(z.dist[:], distRootBits, l[288:], distEntries[:])
-	z.litMin, z.distMin, z.fixed = 7, 5, true
+	z.litMin, z.distMin = 7, 5
 }
 
 // readDynamic reads a dynamic block's code (RFC 1951 3.2.7), rejecting what
@@ -562,7 +563,6 @@ func (z *gzipReader) buildFixed() {
 // or distance code lengths that over-subscribe or leave a code incomplete
 // (one distance code of length 1 and no distance codes at all are allowed).
 func (z *gzipReader) readDynamic() error {
-	z.fixed = false
 	h, err := z.getBits(5 + 5 + 4)
 	if err != nil {
 		return err

@@ -78,6 +78,34 @@ func TestGzipReaderMatchesStdlibOnLongStreams(t *testing.T) {
 	}
 }
 
+// A corrupt-data error's offset is the file offset just past the byte the
+// reader refused: after the header of the first member or of a later one, and
+// after a stored block's length fields, however the input arrives.
+func TestCorruptOffsetIsAFileOffset(t *testing.T) {
+	first := gzipLevel([]byte("some trace text\n"), gzip.HuffmanOnly)
+	reserved := []byte{0x07}                        // a final block of type 3
+	badLen := []byte{0x01, 1, 0, 0, 0}              // a final stored block, LEN 1, NLEN 0
+	named := gzipMember(0x08, false, reserved, nil) // header 10 + 11 bytes
+	for _, c := range []struct {
+		name string
+		file []byte
+		want int64
+	}{
+		{"reserved type", gzipMember(0, false, reserved, nil), 11},
+		{"named member", named, 22},
+		{"second member", append(append([]byte{}, first...), named...), int64(len(first)) + 22},
+		{"stored length", gzipMember(0, false, badLen, nil), 15},
+	} {
+		for _, chunk := range []int{len(c.file), 3} {
+			_, err := ourGunzip(&chunkReader{c.file, chunk})
+			var corrupt flate.CorruptInputError
+			if !errors.As(err, &corrupt) || int64(corrupt) != c.want {
+				t.Errorf("%s, input chunks of %d: %v, want corrupt input before offset %d", c.name, chunk, err, c.want)
+			}
+		}
+	}
+}
+
 // varyingReads reads r with buffers of 1 to 9000 bytes in turn.
 type varyingReads struct {
 	r io.Reader

@@ -631,8 +631,9 @@ func (s *sliceSource) Next() (*Job, bool) {
 // The diagnoses of a broken ".gz" trace, as OpenSource and Next give them:
 // a cut stream fails at the job it cuts, bytes after the trailer that are too
 // short for a header are a truncation, a second member's records are more than
-// the header promised, a flipped trailer byte is gzip.ErrChecksum's text and a
-// bad magic number gzip.ErrHeader's.
+// the header promised, a flipped trailer byte is gzip.ErrChecksum's text, a
+// bad magic number gzip.ErrHeader's, and a reserved block type corrupt data
+// (whose offset is the reader's own, pinned by TestCorruptOffsetIsAFileOffset).
 func TestGzipTraceDiagnoses(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.trace.gz")
@@ -661,6 +662,7 @@ func TestGzipTraceDiagnoses(t *testing.T) {
 		{"crc", flip(len(raw) - 8), "gzip: invalid checksum"},
 		{"isize", flip(len(raw) - 1), "gzip: invalid checksum"},
 		{"magic", flip(0), "gzip: invalid header"},
+		{"block type", edit(func(b []byte) []byte { b[10] |= 6; return b }), "flate: corrupt input before offset"},
 	} {
 		p := filepath.Join(dir, c.name+".trace.gz")
 		if err := os.WriteFile(p, c.file, 0o644); err != nil {
