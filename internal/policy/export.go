@@ -10,6 +10,8 @@ import (
 	"math"
 	"os"
 	"strconv"
+
+	"repro/internal/workload"
 )
 
 // resultsHeader names the columns of the per-job results format.
@@ -23,9 +25,9 @@ const resultsHeader = "jobID,submitTime,runtime,tasks,long,trueLong,estimate\n"
 func appendJobRow(buf []byte, j JobReport) []byte {
 	buf = strconv.AppendInt(buf, int64(j.ID), 10)
 	buf = append(buf, ',')
-	buf = strconv.AppendFloat(buf, j.SubmitTime, 'g', -1, 64)
+	buf = workload.AppendFloat(buf, j.SubmitTime, 'g')
 	buf = append(buf, ',')
-	buf = strconv.AppendFloat(buf, j.Runtime, 'g', -1, 64)
+	buf = workload.AppendFloat(buf, j.Runtime, 'g')
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(j.Tasks), 10)
 	buf = append(buf, ',')
@@ -33,7 +35,7 @@ func appendJobRow(buf []byte, j JobReport) []byte {
 	buf = append(buf, ',')
 	buf = strconv.AppendBool(buf, j.TrueLong)
 	buf = append(buf, ',')
-	buf = strconv.AppendFloat(buf, j.Estimate, 'g', -1, 64)
+	buf = workload.AppendFloat(buf, j.Estimate, 'g')
 	buf = append(buf, '\n')
 	return buf
 }
@@ -87,7 +89,7 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
+	b = workload.AppendFloat(b, f, format)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]

@@ -43,6 +43,30 @@ func syntheticJobs(n int) []JobReport {
 	return jobs
 }
 
+// floatEdges are values at the ends of the paths workload.AppendFloat takes:
+// subnormals (strconv's), the JSON writer's 'f'/'e' switch, the
+// exact-integer shortcut's end, a tie, an interval end exactly on 1e23, and
+// the first and last values inside the power-of-ten table at either end and
+// the values just outside.
+var floatEdges = []float64{
+	5e-324, 1e-323, 1e-322, math.Nextafter(1e-6, 0), 1e-6, math.Nextafter(1e21, 0), 1e21,
+	1<<53 - 1, 1 << 53, 1<<53 + 2, math.Copysign(0, -1), math.MaxFloat64,
+	1<<50 + 0.25, 1e23, math.Nextafter(1e23, 1e24),
+	math.Float64frombits(0x3620000000000000), math.Float64frombits(0x362fffffffffffff),
+	math.Float64frombits(0x50b0000000000000), math.Float64frombits(0x50bfffffffffffff),
+}
+
+// edgeJobs returns a job per floatEdges value, the values rotated through
+// its submit time, runtime and estimate.
+func edgeJobs() []JobReport {
+	n := len(floatEdges)
+	jobs := make([]JobReport, n)
+	for i := range jobs {
+		jobs[i] = JobReport{ID: 1000 + i, SubmitTime: floatEdges[i], Runtime: floatEdges[(i+1)%n], Tasks: 1, Estimate: floatEdges[(i+2)%n]}
+	}
+	return jobs
+}
+
 func retainedReport(jobs []JobReport) *Report {
 	r := &Report{
 		Engine: "sim", Policy: "sparrow", Config: Config{Policy: "sparrow", NumNodes: 15000, Seed: 7},
@@ -176,6 +200,7 @@ func TestJobJSONMatchesEncoder(t *testing.T) {
 	for i, f := range []float64{0, math.Copysign(0, -1), 1e-7, 5e-324, 1e21, 1.5e300, 1e-6, 9.99e-7, 1e20, -2.5e-9, 123456.789} {
 		edges = append(edges, JobReport{ID: -i, SubmitTime: f, Runtime: -f, Tasks: i, Long: i%2 == 0, Estimate: f * 3, DuringOutage: i%2 == 1})
 	}
+	edges = append(edges, edgeJobs()...)
 	for name, r := range map[string]*Report{
 		"200 jobs":   retainedReport(syntheticJobs(200)),
 		"edges":      retainedReport(edges),
@@ -258,6 +283,7 @@ func TestJobRowMatchesEncodingCSV(t *testing.T) {
 		JobReport{ID: -1, SubmitTime: math.Inf(1), Runtime: math.NaN(), Tasks: 0, Estimate: math.Inf(-1)},
 		JobReport{ID: math.MaxInt64, SubmitTime: 1e21, Runtime: 5e-324, Tasks: math.MaxInt32, Long: true, TrueLong: true, Estimate: 0.1},
 	)
+	jobs = append(jobs, edgeJobs()...)
 	var want bytes.Buffer
 	cw := csv.NewWriter(&want)
 	cw.Write([]string{"jobID", "submitTime", "runtime", "tasks", "long", "trueLong", "estimate"})

@@ -129,17 +129,24 @@ func benchInflate(b *testing.B, open func(b *testing.B, in *bytes.Reader) io.Rea
 	}
 }
 
-// The rung under decode: parseFloat per number, over the submit times and
-// durations of the same trace as appendJobRecord spells them (mostly 17
-// significant digits). ns/op is ns per number.
+// traceNumbers returns the submit times and durations of a 200-job Google
+// trace, the numbers appendJobRecord writes and parseFloat reads back.
+func traceNumbers() []float64 {
+	var nums []float64
+	for _, j := range Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2.3, Seed: 1}).Jobs {
+		nums = append(nums, j.SubmitTime)
+		nums = append(nums, j.Durations...)
+	}
+	return nums
+}
+
+// The rung under decode: parseFloat per number, over the trace numbers as
+// appendJobRecord spells them (mostly 17 significant digits). ns/op is ns
+// per number.
 func BenchmarkParseFloat(b *testing.B) {
-	tr := Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2.3, Seed: 1})
 	var nums [][]byte
-	for _, j := range tr.Jobs {
-		nums = append(nums, strconv.AppendFloat(nil, j.SubmitTime, 'g', -1, 64))
-		for _, d := range j.Durations {
-			nums = append(nums, strconv.AppendFloat(nil, d, 'g', -1, 64))
-		}
+	for _, f := range traceNumbers() {
+		nums = append(nums, AppendFloat(nil, f, 'g'))
 	}
 	b.ReportAllocs()
 	i := 0
@@ -147,6 +154,31 @@ func BenchmarkParseFloat(b *testing.B) {
 		if _, err := parseFloat(nums[i%len(nums)]); err != nil {
 			b.Fatal(err)
 		}
+		i++
+	}
+}
+
+// The rung under encode: AppendFloat per number, 'g', over the same numbers.
+// ns/op is ns per number.
+func BenchmarkAppendFloat(b *testing.B) {
+	nums, buf := traceNumbers(), make([]byte, 0, 32)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		buf = AppendFloat(buf[:0], nums[i%len(nums)], 'g')
+		i++
+	}
+}
+
+// BenchmarkAppendFloat's reference: strconv.AppendFloat on the same numbers.
+// CI's bench job leaves it out (its name avoids the pattern): it times the
+// standard library, the same code on head and base.
+func BenchmarkStrconvFtoa(b *testing.B) {
+	nums, buf := traceNumbers(), make([]byte, 0, 32)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		buf = strconv.AppendFloat(buf[:0], nums[i%len(nums)], 'g', -1, 64)
 		i++
 	}
 }

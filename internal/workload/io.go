@@ -16,9 +16,10 @@ import (
 // matching the tuples the paper's simulator consumes (§4.1): "(jobID, job
 // submission time, number of tasks in the job, duration of each task)". A
 // trailing "L" marks jobs that are long by construction; floats are strconv
-// 'g'/-1, which round-trips exactly. Behind a header line the records are a
-// hawk-trace file (streamio.go), the only format written; without one they
-// are the legacy CSV of an outside tool, which Open still reads.
+// 'g'/-1, which round-trips exactly (written by AppendFloat, byte for byte).
+// Behind a header line the records are a hawk-trace file (streamio.go), the
+// only format written; without one they are the legacy CSV of an outside
+// tool, which Open still reads.
 //
 // Every field is a number or the letter L — never a comma, a quote or a line
 // break — so appendJobRecord writes what encoding/csv would (a test holds it
@@ -32,12 +33,12 @@ import (
 func appendJobRecord(buf []byte, j *Job) []byte {
 	buf = strconv.AppendInt(buf, int64(j.ID), 10)
 	buf = append(buf, ',')
-	buf = strconv.AppendFloat(buf, j.SubmitTime, 'g', -1, 64)
+	buf = AppendFloat(buf, j.SubmitTime, 'g')
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(len(j.Durations)), 10)
 	for _, d := range j.Durations {
 		buf = append(buf, ',')
-		buf = strconv.AppendFloat(buf, d, 'g', -1, 64)
+		buf = AppendFloat(buf, d, 'g')
 	}
 	if j.ConstructedLong {
 		buf = append(buf, ",L"...)
