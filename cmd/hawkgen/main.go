@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hawkgen -workload google -jobs 20000 -out google.trace
-//	hawkgen -workload google -jobs 1000000 -out google.trace.gz
+//	hawkgen -workload google -jobs 1000000 -stats=false -out google.trace.gz
 //	hawkgen -stats -in google.trace
 //	hawkgen -in legacy.csv -cutoff 1129 -out google.trace.gz -stats=false
 //
@@ -16,7 +16,12 @@
 // smaller (a trace of repeated values, like motivation's, grows); any gzip
 // tool reads it. -in reads gzip of any level, and also a headerless CSV of
 // the same records, which carries no cutoff and needs -cutoff; with -out
-// that is the conversion.
+// that is the conversion. A file that fails to write is removed.
+//
+// hawkgen is the one command that records a trace. The statistics (-stats,
+// the default) need the whole trace in memory, and so does -in; a generated
+// workload written with -stats=false streams job by job into -out instead,
+// in memory bounded by the jobs in flight whatever -jobs is.
 package main
 
 import (
@@ -40,67 +45,87 @@ var (
 
 func main() {
 	flag.Parse()
-	t, cutoff, err := obtainTrace()
+	var (
+		src    hawk.Source
+		t      *hawk.Trace
+		cutoff float64
+		err    error
+	)
+	if *inFlag == "" && !*statsFlag {
+		// Nothing needs the whole trace, so the generated workload drains
+		// straight into -out: a million-job recording holds only the jobs in
+		// flight.
+		src, err = generatedSource()
+	} else if t, cutoff, err = obtainTrace(); err == nil {
+		src = hawk.NewTraceSource(t)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawkgen: %v\n", err)
 		os.Exit(1)
 	}
 	if *outFlag != "" {
-		if err := hawk.SaveTraceSource(*outFlag, hawk.NewTraceSource(t)); err != nil {
+		if err := hawk.SaveTraceSource(*outFlag, src); err != nil {
 			fmt.Fprintf(os.Stderr, "hawkgen: writing %s: %v\n", *outFlag, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d jobs to %s\n", t.Len(), *outFlag)
+		fmt.Printf("wrote %d jobs to %s\n", src.Meta().NumJobs, *outFlag)
 	}
 	if *statsFlag {
 		printStats(t, cutoff)
 	}
 }
 
+// obtainTrace reads -in, or generates the workload, whole: the statistics
+// need it in memory. -in is closed before anything is written, so -in X
+// -out X converts in place.
 func obtainTrace() (*hawk.Trace, float64, error) {
+	var t *hawk.Trace
+	var err error
 	if *inFlag != "" {
-		// Either format, whole: the statistics need the trace in memory.
-		t, err := hawk.LoadTraceFile(*inFlag)
-		if err != nil {
-			return nil, 0, err
+		t, err = hawk.LoadTraceFile(*inFlag)
+	} else {
+		var src hawk.Source
+		if src, err = generatedSource(); err == nil {
+			t, err = hawk.MaterializeSource(src)
 		}
-		cutoff := *cutoffFlag
-		if cutoff <= 0 {
-			cutoff = t.Cutoff // hawk-trace headers carry it; legacy CSV does not
-		}
-		if cutoff <= 0 {
-			return nil, 0, fmt.Errorf("legacy CSV traces need -cutoff for by-cutoff stats")
-		}
-		if t.Cutoff <= 0 {
-			// Bake the resolved cutoff into the trace, so a legacy CSV
-			// converted with -out yields a stream header that carries it.
-			t.Cutoff = cutoff
-		}
-		return t, cutoff, nil
 	}
+	if err != nil {
+		return nil, 0, err
+	}
+	cutoff := *cutoffFlag
+	if cutoff <= 0 {
+		cutoff = t.Cutoff // hawk-trace headers carry it; legacy CSV does not
+	}
+	if cutoff <= 0 {
+		return nil, 0, fmt.Errorf("legacy CSV traces need -cutoff for by-cutoff stats")
+	}
+	if t.Cutoff <= 0 {
+		// Bake the resolved cutoff into the trace, so a legacy CSV
+		// converted with -out yields a stream header that carries it.
+		t.Cutoff = cutoff
+	}
+	return t, cutoff, nil
+}
+
+// generatedSource is the -workload source, generated job by job.
+func generatedSource() (hawk.Source, error) {
 	if *workloadFlag == "motivation" {
-		t := hawk.MotivationWorkload(*seedFlag)
-		return t, t.Cutoff, nil
+		return hawk.NewTraceSource(hawk.MotivationWorkload(*seedFlag)), nil
 	}
 	spec, err := hawk.SpecByName(*workloadFlag)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	ia := *iaFlag
 	if ia <= 0 {
 		// The rate hawksim and hawkexp generate this workload at.
 		ia = spec.CalibratedInterArrival()
 	}
-	t := hawk.Generate(spec, hawk.GenConfig{
+	return hawk.NewGeneratorSource(spec, hawk.GenConfig{
 		NumJobs:          *jobsFlag,
 		MeanInterArrival: ia,
 		Seed:             *seedFlag,
-	})
-	cutoff := *cutoffFlag
-	if cutoff <= 0 {
-		cutoff = spec.Cutoff
-	}
-	return t, cutoff, nil
+	}), nil
 }
 
 func printStats(t *hawk.Trace, cutoff float64) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,8 +13,8 @@ import (
 	"repro/hawk"
 )
 
-// hawkgen -in X -out X is safe where hawksim -trace X -trace-out X was not:
-// the input is materialized (and closed) before the output is created.
+// hawkgen -in X -out X converts in place: the input is materialized (and
+// closed) before the output is created.
 func TestConvertInPlace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.trace.gz")
 	want := hawk.Generate(hawk.Google(), hawk.GenConfig{NumJobs: 300, MeanInterArrival: 2.3, Seed: 4})
@@ -60,40 +61,37 @@ func TestDefaultInterArrivalIsTheWorkloadsCalibratedRate(t *testing.T) {
 	}
 }
 
-// A workload is recorded by hawkgen -out (from a materialized Trace) or by
-// hawksim -trace-out (job by job, before the run), and for one (workload,
-// jobs, seed) the two write the same bytes, plain and gzipped — which is why
-// hawkexp, whose synthetic trace is hawkgen's, records nothing itself.
-func TestOutMatchesHawksimTraceOut(t *testing.T) {
+// A generated workload is recorded two ways: with -stats=false it streams
+// job by job into -out, and with the statistics it is materialized first.
+// For one (workload, jobs, seed) the two write the same bytes, plain and
+// gzipped — the file hawksim -workload simulates, which is why neither
+// hawksim nor hawkexp records anything itself.
+func TestStreamedOutMatchesMaterialized(t *testing.T) {
 	dir := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), ".", "../hawksim").CombinedOutput(); err != nil {
-		t.Fatalf("building hawkgen and hawksim: %v\n%s", err, out)
+	bin := filepath.Join(dir, "hawkgen")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building hawkgen: %v\n%s", err, out)
 	}
 	for _, c := range []struct{ workload, ext string }{
 		{"google", ".trace"},
 		{"google", ".trace.gz"},
 		{"yahoo", ".trace.gz"}, // a workload whose calibrated arrival rate is not google's
 	} {
-		gen := filepath.Join(dir, "gen-"+c.workload+c.ext)
-		sim := filepath.Join(dir, "sim-"+c.workload+c.ext)
-		for _, cmd := range []*exec.Cmd{
-			exec.Command(filepath.Join(dir, "hawkgen"), "-workload", c.workload, "-jobs", "300", "-seed", "7", "-stats=false", "-out", gen),
-			exec.Command(filepath.Join(dir, "hawksim"), "-workload", c.workload, "-jobs", "300", "-seed", "7", "-stream", "-trace-out", sim),
-		} {
+		var files [2][]byte
+		for i, stats := range []string{"-stats=false", "-stats=true"} {
+			path := filepath.Join(dir, fmt.Sprint(i, c.workload, c.ext))
+			cmd := exec.Command(bin, "-workload", c.workload, "-jobs", "300", "-seed", "7", stats, "-out", path)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
 			}
+			var err error
+			if files[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		a, err := os.ReadFile(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(sim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s%s: hawkgen -out wrote %d bytes, hawksim -trace-out %d, and they differ", c.workload, c.ext, len(a), len(b))
+		if !bytes.Equal(files[0], files[1]) {
+			t.Errorf("%s%s: the streamed recording has %d bytes, the materialized one %d, and they differ",
+				c.workload, c.ext, len(files[0]), len(files[1]))
 		}
 	}
 }

@@ -8,20 +8,18 @@
 //	hawksim -workload google -nodes 15000 -policy hawk -jobs 20000
 //	hawksim -trace mytrace.csv -nodes 1000 -policy sparrow -cutoff 500
 //	hawksim -trace google.trace.gz -nodes 15000 -stream
-//	hawksim -workload google -jobs 1000000 -trace-out google.trace.gz
 //	hawksim -nodes 1000 -policy split -json run.json
 //
-// -trace accepts both the hawk-trace stream format (written by -trace-out
-// or hawkgen; gzip by ".gz" suffix), which is decoded job by job as the
+// -trace accepts both the hawk-trace stream format (written by hawkgen -out;
+// gzip of any level by ".gz" suffix), which is decoded job by job as the
 // simulation runs, and the legacy bare-CSV format (which carries no cutoff;
 // pass -cutoff); a synthetic -workload is generated job by job the same
-// way. -trace reads gzip of any level; -trace-out writes it Huffman-only,
-// since the records' floats give LZ77 nothing to match: about 5x faster to
-// write and a few percent smaller (a trace of repeated values grows). A
-// -trace-out that fails leaves no file. With -stream the run keeps no
-// per-job reports — class counts and percentile reservoirs only — so memory
-// stays O(in-flight) regardless of trace length; -dump persists every job's
-// outcome as CSV either way.
+// way. hawksim records nothing: `hawkgen -workload W -jobs N -seed S
+// -stats=false -out F` streams the workload hawksim generates for the same
+// flags into F, and `hawkgen -in X -out F` converts a trace file. With
+// -stream the run keeps no per-job reports — class counts and percentile
+// reservoirs only — so memory stays O(in-flight) regardless of trace length;
+// -dump persists every job's outcome as CSV either way.
 //
 // The scenario flags (multi-scheduler model, churn, heterogeneity, gray
 // failures) are shared with hawkexp and defined in internal/cliflags;
@@ -65,8 +63,7 @@ var (
 	// -schedulers, -fail-nodes, -msg-loss, … (see internal/cliflags).
 	scenario = cliflags.Register(flag.CommandLine)
 
-	traceOutFlag = flag.String("trace-out", "", "write the workload to this hawk-trace file (Huffman-only gzip by .gz suffix) before running")
-	streamFlag   = flag.Bool("stream", false, "discard per-job reports; aggregate into bounded reservoirs (for multi-million-task traces)")
+	streamFlag = flag.Bool("stream", false, "discard per-job reports; aggregate into bounded reservoirs (for multi-million-task traces)")
 
 	dumpFlag    = flag.String("dump", "", "write per-job results to this CSV file")
 	jsonFlag    = flag.String("json", "", "write the full report to this JSON file")
@@ -94,13 +91,6 @@ func realMain() int {
 		}
 		return 0
 	}
-	if sameFile(*traceFlag, *traceOutFlag) {
-		// The run decodes -trace job by job, so creating -trace-out over it
-		// would truncate the input while it is still being read.
-		fmt.Fprintf(os.Stderr, "hawksim: -trace %q and -trace-out %q name the same file; write the conversion somewhere else\n",
-			*traceFlag, *traceOutFlag)
-		return 2
-	}
 	src, err := openWorkload()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
@@ -115,20 +105,6 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
 		return 2
-	}
-	if *traceOutFlag != "" {
-		// A source is consumed once, so the copy drains an instance of its
-		// own (a format conversion when the input was itself a trace file).
-		out, err := openWorkload()
-		if err == nil {
-			err = hawk.SaveTraceSource(*traceOutFlag, out)
-			closeSource(out)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: writing %s: %v\n", *traceOutFlag, err)
-			return 1
-		}
-		fmt.Printf("wrote workload to %s\n", *traceOutFlag)
 	}
 	// -dump rides the job sink: per-job rows land on disk at completion, in
 	// the order a retained report would list them, whether or not the
@@ -168,14 +144,6 @@ func realMain() int {
 	return 0
 }
 
-// sameFile reports whether both paths exist and name one file, through
-// whatever links or relative spellings.
-func sameFile(a, b string) bool {
-	ai, aerr := os.Stat(a)
-	bi, berr := os.Stat(b)
-	return aerr == nil && berr == nil && os.SameFile(ai, bi)
-}
-
 // buildConfig assembles the run configuration from the parsed flags.
 func buildConfig(policyName string) (hawk.Config, error) {
 	cfg := hawk.Config{
@@ -196,8 +164,8 @@ func buildConfig(policyName string) (hawk.Config, error) {
 	return cfg, scenario.Apply(&cfg)
 }
 
-// openWorkload resolves -trace/-workload to a fresh source over the
-// workload; closeSource releases it.
+// openWorkload resolves -trace/-workload to the run's source; closeSource
+// releases it.
 func openWorkload() (hawk.Source, error) {
 	if *traceFlag != "" {
 		src, err := hawk.OpenTrace(*traceFlag)

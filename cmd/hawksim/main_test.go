@@ -142,9 +142,9 @@ func TestBuildConfig(t *testing.T) {
 // before anything is opened for writing, and the message names both flags.
 func TestSnapshotIntervalNeedsSchedulers(t *testing.T) {
 	dir := t.TempDir()
-	outs := []string{filepath.Join(dir, "r.json"), filepath.Join(dir, "d.csv"), filepath.Join(dir, "w.trace")}
+	outs := []string{filepath.Join(dir, "r.json"), filepath.Join(dir, "d.csv")}
 	code, stderr := runMain(t, "-workload", "google", "-jobs", "50", "-nodes", "500", "-policy", "hawk",
-		"-snapshot-interval", "60", "-json", outs[0], "-dump", outs[1], "-trace-out", outs[2])
+		"-snapshot-interval", "60", "-json", outs[0], "-dump", outs[1])
 	if code != 2 {
 		t.Errorf("exit code %d, want 2; stderr: %s", code, stderr)
 	}
@@ -295,32 +295,34 @@ func TestFailedRetainedRunFlushesDump(t *testing.T) {
 }
 
 // One workload, two forms, one answer: a run over a generated workload and a
-// run over the trace file -trace-out wrote of it print the same result lines.
+// run over a hawk-trace file of the same jobs print the same result lines.
 // (The file form used to print the whole-run utilization median, 6.5 % here,
 // where the generated form printed the arrival-window one, 96.9 %: the last
 // submit time was only known from a *Trace.) A headerless legacy CSV of the
 // same jobs, given the cutoff its format cannot carry, is a third form.
 func TestSameWorkloadSameResultLines(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "t.trace.gz")
-	code, stdout, stderr := runMainOut(t, "-workload", "google", "-jobs", "300", "-nodes", "2000", "-trace-out", file)
+	code, want, stderr := runMainOut(t, "-workload", "google", "-jobs", "300", "-nodes", "2000")
 	if code != 0 {
 		t.Fatalf("generated run: exit code %d; stderr: %s", code, stderr)
-	}
-	wrote, want, ok := bytes.Cut(stdout, []byte("\n"))
-	if !ok || !bytes.HasPrefix(wrote, []byte("wrote workload to ")) {
-		t.Fatalf("stdout does not start with the -trace-out line:\n%s", stdout)
 	}
 	if !bytes.Contains(want, []byte("median utilization (arrival window)")) {
 		t.Fatalf("no arrival-window utilization line:\n%s", want)
 	}
-	legacy := filepath.Join(dir, "legacy.csv")
+	dir := t.TempDir()
 	spec := hawk.Google()
-	// Nothing in the repo writes that format: it is a hawk-trace file
+	gen := func() hawk.Source {
+		return hawk.NewGeneratorSource(spec, hawk.GenConfig{NumJobs: 300, MeanInterArrival: spec.CalibratedInterArrival(), Seed: 42})
+	}
+	// The recorded form is the file hawkgen -stats=false -out writes.
+	file := filepath.Join(dir, "t.trace.gz")
+	if err := hawk.SaveTraceSource(file, gen()); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing in the repo writes the legacy format: it is a hawk-trace file
 	// without its first line.
+	legacy := filepath.Join(dir, "legacy.csv")
 	plain := filepath.Join(dir, "t.trace")
-	src := hawk.NewGeneratorSource(spec, hawk.GenConfig{NumJobs: 300, MeanInterArrival: spec.CalibratedInterArrival(), Seed: 42})
-	if err := hawk.SaveTraceSource(plain, src); err != nil {
+	if err := hawk.SaveTraceSource(plain, gen()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(plain)
@@ -359,39 +361,6 @@ func saveTrace(t *testing.T, name string, jobs int) (string, []byte) {
 		t.Fatal(err)
 	}
 	return path, raw
-}
-
-// -trace-out used to create its file while the -trace source still had the
-// same file open for reading: the input was cut to whatever the reader had
-// buffered and the run died on a short record. However the two paths are
-// spelled, that is refused up front and the input is left alone.
-func TestTraceOutOntoTraceIsRefused(t *testing.T) {
-	path, raw := saveTrace(t, "in.trace", 200)
-	alias := filepath.Join(filepath.Dir(path), ".", "sub", "..", "in.trace")
-	if err := os.Mkdir(filepath.Join(filepath.Dir(path), "sub"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []string{path, alias} {
-		code, stderr := runMain(t, "-trace", path, "-trace-out", out)
-		if code != 2 {
-			t.Errorf("-trace-out %s: exit code %d, want 2; stderr: %s", out, code, stderr)
-		}
-		if !bytes.Contains(stderr, []byte("-trace ")) || !bytes.Contains(stderr, []byte("-trace-out ")) {
-			t.Errorf("-trace-out %s: the message does not name both flags: %s", out, stderr)
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(after, raw) {
-			t.Fatalf("-trace-out %s: the input trace changed from %d to %d bytes", out, len(raw), len(after))
-		}
-	}
-	// A different file is still a conversion followed by a run.
-	out := filepath.Join(t.TempDir(), "out.trace.gz")
-	if code, stderr := runMain(t, "-trace", path, "-trace-out", out, "-nodes", "2000"); code != 0 {
-		t.Errorf("converting to another file: exit code %d; stderr: %s", code, stderr)
-	}
 }
 
 // A broken ".gz" trace fails the run with the file reader's diagnosis: a cut

@@ -7,12 +7,9 @@ package core
 // optimistic Claim against the authoritative table, which succeeds unless
 // another scheduler claimed the same node after the snapshot was taken. A
 // failed Claim is the conflict signal the scheduler's detect-and-retry loop
-// consumes. Both engines commit through the one table: the simulator via
-// ClusterView.Claim, the live engine under its central scheduler's lock.
-//
-// Claims are orthogonal to membership: enabling them never moves sampling
-// off the static fast path, so a static cluster still draws bit-identically
-// to the plain partition samplers.
+// consumes. Both engines commit through the one table, each layering its
+// membership gate on top: the simulator's multi-scheduler model claims only
+// live nodes, the live engine claims under its central scheduler's lock.
 
 // claimRec is the last successful claim on one node: the global version at
 // which it happened and which scheduler made it.
@@ -24,7 +21,7 @@ type claimRec struct {
 // ClaimTable is the versioned claim state of the commit protocol: one
 // record per node plus the global version every commit advances. It is a
 // pure, clock-free kernel; the caller serializes access and layers its own
-// notion of "the node is still there" on top (see ClusterView.Claim).
+// notion of "the node is still there" on top.
 type ClaimTable struct {
 	recs []claimRec
 	ver  uint64
@@ -64,27 +61,4 @@ func (t *ClaimTable) Claim(id int, by int32, sinceVer uint64) bool {
 	c.ver = t.ver
 	c.by = by
 	return true
-}
-
-// EnableClaims switches the view to claim tracking with no node claimed.
-// Idempotent; must be called before Claim and ClaimVersion.
-func (v *ClusterView) EnableClaims() {
-	if v.claims == nil {
-		v.claims = NewClaimTable(v.part.NumNodes())
-	}
-}
-
-// ClaimVersion returns the view's current global claim version
-// (ClaimTable.Version).
-func (v *ClusterView) ClaimVersion() uint64 { return v.claims.Version() }
-
-// Claim is ClaimTable.Claim gated on membership: a node that is not a live
-// member cannot be claimed (it died unseen by the claimant's snapshot).
-//
-//hawk:hotpath
-func (v *ClusterView) Claim(id int, by int32, sinceVer uint64) bool {
-	if v.claims == nil {
-		panic("core: Claim on a ClusterView without EnableClaims")
-	}
-	return v.Alive(id) && v.claims.Claim(id, by, sinceVer)
 }

@@ -7,58 +7,43 @@ import (
 )
 
 func TestClaimSemantics(t *testing.T) {
-	v := NewClusterView(NewPartition(10, 0.2))
-	v.EnableClaims()
+	c := NewClaimTable(10)
 
-	if v.ClaimVersion() != 0 {
-		t.Fatalf("fresh view has claim version %d, want 0", v.ClaimVersion())
+	if c.Version() != 0 {
+		t.Fatalf("fresh table has claim version %d, want 0", c.Version())
 	}
-	// First claim on a fresh view always succeeds and advances the version.
-	if !v.Claim(3, 0, 0) {
+	// First claim on a fresh table always succeeds and advances the version.
+	if !c.Claim(3, 0, 0) {
 		t.Fatal("claim on an unclaimed node failed")
 	}
-	if v.ClaimVersion() != 1 {
-		t.Fatalf("claim version = %d after one claim, want 1", v.ClaimVersion())
+	if c.Version() != 1 {
+		t.Fatalf("claim version = %d after one claim, want 1", c.Version())
 	}
 
 	// A different scheduler whose snapshot predates that claim conflicts.
-	if v.Claim(3, 1, 0) {
+	if c.Claim(3, 1, 0) {
 		t.Fatal("stale claim by another scheduler succeeded, want conflict")
 	}
 	// The failed claim must not advance the version or steal the record.
-	if v.ClaimVersion() != 1 {
-		t.Fatalf("failed claim moved the version to %d", v.ClaimVersion())
+	if c.Version() != 1 {
+		t.Fatalf("failed claim moved the version to %d", c.Version())
 	}
 
 	// The same scheduler never conflicts with its own claims, however stale
 	// its snapshot: it knows its own placements.
-	if !v.Claim(3, 0, 0) {
+	if !c.Claim(3, 0, 0) {
 		t.Fatal("self-claim conflicted")
 	}
 
 	// A snapshot taken at the current version sees every claim: no conflict.
-	since := v.ClaimVersion()
-	if !v.Claim(3, 1, since) {
+	since := c.Version()
+	if !c.Claim(3, 1, since) {
 		t.Fatal("fresh-snapshot claim conflicted")
 	}
 
 	// Unrelated nodes never conflict.
-	if !v.Claim(7, 2, 0) {
+	if !c.Claim(7, 2, 0) {
 		t.Fatal("claim on an untouched node conflicted")
-	}
-}
-
-func TestClaimDeadNode(t *testing.T) {
-	v := NewClusterView(NewPartition(10, 0.2))
-	v.EnableMembership()
-	v.EnableClaims()
-	v.Fail(4)
-	if v.Claim(4, 0, v.ClaimVersion()) {
-		t.Fatal("claim on a dead node succeeded")
-	}
-	v.Recover(4)
-	if !v.Claim(4, 0, v.ClaimVersion()) {
-		t.Fatal("claim on a recovered node failed")
 	}
 }
 
@@ -122,7 +107,7 @@ func TestCentralQueueSyncFrom(t *testing.T) {
 	}
 }
 
-// refClaims is the claim rule as ClusterView.Claim carried it before the
+// refClaims is the claim rule as the simulator carried it before the
 // ClaimTable kernel existed, kept as the differential oracle.
 type refClaims struct {
 	ver map[int]uint64
@@ -140,14 +125,11 @@ func (r *refClaims) claim(id int, by int32, sinceVer uint64) bool {
 }
 
 // applyClaimOps replays a byte string as claims by four schedulers over
-// eight nodes against the kernel (directly, and through a view) and the
-// oracle. Each scheduler's snapshot version advances only when the op says
+// eight nodes against the kernel and the oracle. Each scheduler's snapshot version advances only when the op says
 // "refresh", so stale and fresh claims both occur.
 func applyClaimOps(t *testing.T, ops []byte) {
 	const nodes, scheds = 8, 4
 	table := NewClaimTable(nodes)
-	view := NewClusterView(NewPartition(nodes, 0.25))
-	view.EnableClaims()
 	ref := &refClaims{ver: map[int]uint64{}, by: map[int]int32{}}
 	var snap [scheds]uint64
 	for i, op := range ops {
@@ -160,15 +142,12 @@ func applyClaimOps(t *testing.T, ops []byte) {
 		if got := table.Claim(id, by, snap[by]); got != want {
 			t.Fatalf("op %d: ClaimTable.Claim(%d, %d, %d) = %v, oracle says %v", i, id, by, snap[by], got, want)
 		}
-		if got := view.Claim(id, by, snap[by]); got != want {
-			t.Fatalf("op %d: ClusterView.Claim(%d, %d, %d) = %v, oracle says %v", i, id, by, snap[by], got, want)
-		}
 		after := table.Version()
 		if want && after != before+1 || !want && after != before {
 			t.Fatalf("op %d: version %d -> %d on a claim that returned %v", i, before, after, want)
 		}
-		if after != ref.cur || view.ClaimVersion() != ref.cur {
-			t.Fatalf("op %d: versions diverged: table %d, view %d, oracle %d", i, after, view.ClaimVersion(), ref.cur)
+		if after != ref.cur {
+			t.Fatalf("op %d: versions diverged: table %d, oracle %d", i, after, ref.cur)
 		}
 		// A scheduler never conflicts with itself, however stale it is.
 		if !want && ref.by[id] == by {
@@ -195,11 +174,10 @@ func FuzzClaimTable(f *testing.F) {
 }
 
 func TestClaimZeroAllocs(t *testing.T) {
-	v := NewClusterView(NewPartition(16, 0.25))
-	v.EnableClaims()
+	c := NewClaimTable(16)
 	i := 0
 	if allocs := testing.AllocsPerRun(500, func() {
-		v.Claim(i%16, int32(i%3), v.ClaimVersion())
+		c.Claim(i%16, int32(i%3), c.Version())
 		i++
 	}); allocs != 0 {
 		t.Errorf("Claim allocated %v times per call", allocs)

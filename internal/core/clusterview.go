@@ -37,9 +37,6 @@ type ClusterView struct {
 	shortAlive   []int32 // alive ids in the short partition (unordered)
 	generalAlive []int32 // alive ids in the general partition (unordered)
 	pos          []int32 // node id -> index within its side's alive list
-
-	// Claim state; nil until EnableClaims (see claims.go).
-	claims *ClaimTable
 }
 
 // NewClusterView returns a static view of the partition: full membership,

@@ -164,7 +164,7 @@ func runConfigs(t *workload.Trace, cfgs []policy.Config, sc Scale) ([]*policy.Re
 	for i, cfg := range cfgs {
 		pts[i] = sweep.Point{Trace: t, Config: sc.apply(cfg)}
 	}
-	return sweep.Run(context.Background(), sweep.Sweep{Points: pts, Jobs: sc.Workers})
+	return sweep.Sweep{Points: pts, Jobs: sc.Workers}.Run(context.Background())
 }
 
 // runPairs runs the candidate and baseline policies at every cluster size

@@ -156,7 +156,7 @@ func Fig6(sc Scale) ([]Fig6Series, error) {
 				sweep.Point{Trace: traces[i], Config: sc.apply(policy.Config{NumNodes: nodes, Policy: "sparrow", Seed: sc.Seed})})
 		}
 	}
-	reports, err := sweep.Run(ctx, sweep.Sweep{Points: pts, Jobs: sc.Workers})
+	reports, err := sweep.Sweep{Points: pts, Jobs: sc.Workers}.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}

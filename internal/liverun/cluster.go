@@ -34,7 +34,7 @@ type cluster struct {
 	// → park" and "recover → release" are each one critical section, and
 	// nothing is resumed while mu is held.
 	mu       sync.Mutex
-	view     *core.ClusterView      // Dynamic() is fixed before any goroutine starts, so it is read unlocked
+	view     *core.ClusterView
 	probeSrc *randdist.Source       // stream for every probe sample
 	churnSrc *randdist.Source       // stream for random churn picks
 	waits    policy.Waitlist[entry] // a job, or one task (dur, handle) for the central kinds
@@ -95,8 +95,7 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 	churn := cfg.Churn != nil && len(cfg.Churn.Events) > 0
 	if churn {
 		// Before any goroutine can observe the view: membership tracking
-		// flips the samplers off the static fast path, and view.Dynamic()
-		// turns the view lock on.
+		// flips the samplers off the static fast path.
 		c.view.EnableMembership()
 	}
 	c.scriptDone = !churn

@@ -341,13 +341,9 @@ func (n *nodeMonitor) trySteal() bool {
 		return false
 	}
 	n.mu.Lock()
-	if c.view.Dynamic() {
-		c.mu.Lock()
-	}
+	c.mu.Lock()
 	candidates := c.steal.CandidatesInto(nil, c.view, n.src, n.id)
-	if c.view.Dynamic() {
-		c.mu.Unlock()
-	}
+	c.mu.Unlock()
 	n.mu.Unlock()
 	if len(candidates) == 0 {
 		return false

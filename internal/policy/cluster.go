@@ -110,44 +110,49 @@ func (s *ChurnSpec) validate(numNodes, schedulers int) error {
 // dead nodes over the scripted timeline — the margin the feasibility check
 // subtracts from every probe pool, so a scenario that could shrink a pool
 // below the widest job is rejected before the run instead of deadlocking
-// inside it.
+// inside it. It is an upper bound whatever nodes the seeded Count events
+// pick.
 func (s *ChurnSpec) MaxConcurrentFailures() int {
 	if s == nil {
 		return 0
 	}
 	// Events apply in time order (stable for ties, matching the engines).
-	type step struct {
-		at    float64
-		delta int
-	}
-	steps := make([]step, 0, len(s.Events))
+	evs := make([]ChurnEvent, 0, len(s.Events))
 	for _, ev := range s.Events {
-		n := ev.Count
-		if n == 0 {
-			n = 1
-		}
-		switch ev.Kind {
-		case ChurnFail:
-			steps = append(steps, step{ev.At, n})
-		case ChurnRecover:
-			steps = append(steps, step{ev.At, -n})
+		if ev.Kind == ChurnFail || ev.Kind == ChurnRecover {
+			evs = append(evs, ev)
 		}
 	}
 	// Stable insertion sort by time (specs are short).
-	for i := 1; i < len(steps); i++ {
-		for j := i; j > 0 && steps[j].at < steps[j-1].at; j-- {
-			steps[j], steps[j-1] = steps[j-1], steps[j]
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && evs[j].At < evs[j-1].At; j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
 		}
 	}
+	// down bounds the dead count; dead holds the explicitly failed nodes
+	// that are certainly still dead. Only recovering one of those certainly
+	// revives a node: an explicit recover of any other may find it alive,
+	// and a Count recover may pick any dead node, so after one no explicit
+	// failure is certainly still in place.
+	dead := map[int]bool{}
 	down, worst := 0, 0
-	for _, st := range steps {
-		down += st.delta
-		if down < 0 {
-			down = 0 // recovering more than failed is a no-op
+	for _, ev := range evs {
+		switch {
+		case ev.Kind == ChurnFail && ev.Count > 0:
+			down += ev.Count
+		case ev.Kind == ChurnFail:
+			if !dead[ev.Node] {
+				dead[ev.Node] = true
+				down++
+			}
+		case ev.Count > 0:
+			down = max(down-ev.Count, 0) // recovering more than failed is a no-op
+			clear(dead)
+		case dead[ev.Node]:
+			delete(dead, ev.Node)
+			down--
 		}
-		if down > worst {
-			worst = down
-		}
+		worst = max(worst, down)
 	}
 	return worst
 }

@@ -353,3 +353,33 @@ func TestChurnFeasibilityMargin(t *testing.T) {
 		t.Fatalf("staggered failures within the margin rejected: %v", err)
 	}
 }
+
+// Recovering a node that is alive revives nothing, so it must not buy
+// margin. Ten explicit failures, a recover of live node 50 and an eleventh
+// failure leave 11 of widest+10 nodes dead: the margin used to come out as
+// 10, the run was admitted, and it ended in a deadlock with a job parked
+// for pool capacity. It is rejected before any event instead.
+func TestChurnMarginIgnoresRecoverOfLiveNode(t *testing.T) {
+	tr := workload.Generate(workload.Google(), workload.GenConfig{
+		NumJobs: 50, MeanInterArrival: 2, Seed: 1,
+	})
+	maxTasks := 0
+	for _, j := range tr.Jobs {
+		maxTasks = max(maxTasks, j.NumTasks())
+	}
+	var evs []policy.ChurnEvent
+	for id := 0; id < 10; id++ {
+		evs = append(evs, policy.ChurnEvent{At: 0.1, Kind: policy.ChurnFail, Node: id})
+	}
+	evs = append(evs,
+		policy.ChurnEvent{At: 0.2, Kind: policy.ChurnRecover, Node: 50},
+		policy.ChurnEvent{At: 0.3, Kind: policy.ChurnFail, Node: 10})
+	cfg := policy.Config{
+		NumNodes: maxTasks + 10, Policy: "sparrow", Seed: 1,
+		Churn: &policy.ChurnSpec{Events: evs},
+	}
+	_, err := Run(tr, cfg)
+	if err == nil || !strings.Contains(err.Error(), "surviving worst-case churn (11 concurrent failures)") {
+		t.Fatalf("got %v, want the feasibility rule's rejection under an 11-node margin", err)
+	}
+}

@@ -29,6 +29,9 @@ type multiSched struct {
 	scheds []schedState
 	// live is the live-scheduler set jobs hash-partition over.
 	live *core.SchedulerSet
+	// claims is the shared truth's claim record, the table the live
+	// engine's central scheduler commits through too.
+	claims *core.ClaimTable
 }
 
 // schedState is one distributed scheduler.
@@ -42,7 +45,7 @@ type schedState struct {
 	local *core.CentralQueue
 	// snapVer is the shared claim-version at the last refresh: claims no
 	// newer than it were visible in this snapshot, so a foreign claim
-	// above it is a conflict (core.ClusterView.Claim).
+	// above it is a conflict (core.ClaimTable.Claim).
 	snapVer uint64
 	snapAt  float64 // time of the last refresh (staleness accounting)
 	// retryQ is the FIFO of conflicted placements awaiting their backoff;
@@ -76,8 +79,8 @@ func (s *simulation) initMultiSched() {
 		spec:   spec,
 		scheds: make([]schedState, spec.Count),
 		live:   core.NewSchedulerSet(spec.Count),
+		claims: core.NewClaimTable(s.slots),
 	}
-	s.view.EnableClaims()
 	for i := range s.ms.scheds {
 		sd := &s.ms.scheds[i]
 		sd.alive = true
@@ -115,7 +118,7 @@ func (m *multiSched) mirrorTaskFinished(k uint8, nodeID int, now float64) {
 // claim version and the central-queue mirror.
 func (s *simulation) refreshSched(k int32, now float64) {
 	sd := &s.ms.scheds[k]
-	sd.snapVer = s.view.ClaimVersion()
+	sd.snapVer = s.ms.claims.Version()
 	sd.snapAt = now
 	s.res.SnapshotRefreshes++
 	if sd.local != nil {
@@ -219,7 +222,8 @@ func (s *simulation) placeCentral(jidx, tidx int32, attempt int8) {
 	}
 	estimate := s.jobs[jidx].estimate
 	nodeID, _ := sd.local.Assign(now, estimate)
-	if s.view.Claim(nodeID, int32(k), sd.snapVer) {
+	// A node that died unseen by the snapshot cannot be claimed.
+	if s.view.Alive(nodeID) && s.ms.claims.Claim(nodeID, int32(k), sd.snapVer) {
 		s.commitCentral(k, nodeID, jidx, tidx, now)
 		return
 	}
@@ -230,7 +234,7 @@ func (s *simulation) placeCentral(jidx, tidx int32, attempt int8) {
 	if s.ms.spec.RetriesExhausted(int(attempt) + 1) {
 		s.refreshSched(int32(k), now)
 		nodeID, _ = sd.local.Assign(now, estimate)
-		if !s.view.Claim(nodeID, int32(k), sd.snapVer) {
+		if !s.view.Alive(nodeID) || !s.ms.claims.Claim(nodeID, int32(k), sd.snapVer) {
 			panic("sim: claim conflict against a fresh snapshot")
 		}
 		s.commitCentral(k, nodeID, jidx, tidx, now)

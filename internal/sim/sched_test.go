@@ -197,6 +197,33 @@ func TestProbesSampleLiveMembershipUnderStaleSchedulers(t *testing.T) {
 	}
 }
 
+// A scheduler's mirror keeps offering nodes that died after its snapshot,
+// and a placement on one of them is a conflict, not a commit: the claim is
+// gated on live membership. Half the cluster fails before the first job and
+// no scheduler refreshes on its own, so every stale mirror lists dead
+// servers; still, every commit lands on a live node, which makes the central
+// assignments exactly one per task (a commit to a dead node would bounce
+// off it and be placed again).
+func TestMultiSchedClaimsOnlyLiveNodes(t *testing.T) {
+	var jobs []*workload.Job
+	for i := range 60 {
+		jobs = append(jobs, job(i, 1+float64(i)*0.5, 2000, 2000, 2000)) // long: routed centrally
+	}
+	cfg := policy.Config{NumNodes: 200, Seed: 3, Policy: "hawk"}
+	cfg.Schedulers = &policy.SchedulerSpec{Count: 4, SnapshotInterval: 1e4}
+	cfg.Churn = &policy.ChurnSpec{Events: []policy.ChurnEvent{{At: 0.5, Kind: policy.ChurnFail, Count: 100}}}
+	res := mustRun(t, tinyTrace(jobs...), cfg)
+	if len(res.Jobs) != len(jobs) {
+		t.Fatalf("completed %d of %d jobs", len(res.Jobs), len(jobs))
+	}
+	if res.PlacementConflicts == 0 {
+		t.Fatal("no placement conflicted: the stale mirrors never offered a dead node")
+	}
+	if want := int64(3 * len(jobs)); res.CentralAssigns != want {
+		t.Errorf("%d central assignments for %d tasks: commits went to dead nodes", res.CentralAssigns, want)
+	}
+}
+
 // TestMultiSchedulerConflictScaling: more schedulers on the same workload
 // must see at least as much staleness-induced conflict pressure — the
 // qualitative §4.10 shape the scheduler-count sweep reproduces.

@@ -84,12 +84,6 @@ func (s Sweep) Run(ctx context.Context) ([]*policy.Report, error) {
 	return reports, nil
 }
 
-// Run executes a sweep; it is the package-level spelling of Sweep.Run for
-// call sites that build the Sweep inline.
-func Run(ctx context.Context, s Sweep) ([]*policy.Report, error) {
-	return s.Run(ctx)
-}
-
 // Map runs fn over every item on a worker pool of the given size (zero or
 // negative means runtime.GOMAXPROCS) and returns the results in item order.
 //
@@ -110,21 +104,6 @@ func Map[T, R any](ctx context.Context, items []T, jobs int, fn func(ctx context
 	if len(items) == 0 {
 		return results, ctx.Err()
 	}
-	if jobs == 1 {
-		// Serial fast path: no goroutines, identical semantics.
-		for i, item := range items {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := fn(ctx, i, item)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -21,20 +21,26 @@ func testTrace(seed int64) *workload.Trace {
 	})
 }
 
+// poolSizes are the worker counts the Map semantics tests run under: a pool
+// of one worker is the serial case, and has no path of its own.
+var poolSizes = []int{1, 8}
+
 func TestMapOrderingAndResults(t *testing.T) {
 	items := make([]int, 50)
 	for i := range items {
 		items[i] = i
 	}
-	got, err := Map(context.Background(), items, 8, func(_ context.Context, i, v int) (int, error) {
-		return v * v, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("results[%d] = %d, want %d — ordering must be stable", i, v, i*i)
+	for _, jobs := range poolSizes {
+		got, err := Map(context.Background(), items, jobs, func(_ context.Context, i, v int) (int, error) {
+			return v * v, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("jobs %d: results[%d] = %d, want %d — ordering must be stable", jobs, i, v, i*i)
+			}
 		}
 	}
 }
@@ -66,60 +72,66 @@ func TestMapFirstErrorIsLowestIndex(t *testing.T) {
 	items := make([]int, 64)
 	// Every odd item fails; the reported error must deterministically be
 	// item 1's, however the goroutines race.
-	for trial := 0; trial < 10; trial++ {
-		_, err := Map(context.Background(), items, 8, func(_ context.Context, i, _ int) (int, error) {
-			if i%2 == 1 {
-				return 0, fmt.Errorf("item %d failed", i)
+	for _, jobs := range poolSizes {
+		for trial := 0; trial < 10; trial++ {
+			_, err := Map(context.Background(), items, jobs, func(_ context.Context, i, _ int) (int, error) {
+				if i%2 == 1 {
+					return 0, fmt.Errorf("item %d failed", i)
+				}
+				return 0, nil
+			})
+			if err == nil {
+				t.Fatal("expected error")
 			}
-			return 0, nil
-		})
-		if err == nil {
-			t.Fatal("expected error")
-		}
-		if got := err.Error(); got != "item 1 failed" {
-			t.Fatalf("trial %d: error = %q, want lowest-indexed failure \"item 1 failed\"", trial, got)
+			if got := err.Error(); got != "item 1 failed" {
+				t.Fatalf("jobs %d, trial %d: error = %q, want lowest-indexed failure \"item 1 failed\"", jobs, trial, got)
+			}
 		}
 	}
 }
 
 func TestMapStopsClaimingAfterError(t *testing.T) {
-	var started atomic.Int64
-	items := make([]int, 1000)
-	_, err := Map(context.Background(), items, 2, func(_ context.Context, i, _ int) (int, error) {
-		started.Add(1)
-		return 0, errors.New("boom")
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if n := started.Load(); n > 10 {
-		t.Fatalf("%d items started after first error; pool should stop claiming", n)
+	for _, c := range []struct{ jobs, most int64 }{{1, 1}, {2, 10}} {
+		var started atomic.Int64
+		items := make([]int, 1000)
+		_, err := Map(context.Background(), items, int(c.jobs), func(_ context.Context, i, _ int) (int, error) {
+			started.Add(1)
+			return 0, errors.New("boom")
+		})
+		if err == nil {
+			t.Fatal("expected error")
+		}
+		if n := started.Load(); n > c.most {
+			t.Fatalf("jobs %d: %d items started after first error; pool should stop claiming", c.jobs, n)
+		}
 	}
 }
 
 func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	release := make(chan struct{})
-	items := make([]int, 100)
-	done := make(chan struct{})
-	var err error
-	go func() {
-		defer close(done)
-		_, err = Map(ctx, items, 2, func(ctx context.Context, i, _ int) (int, error) {
-			started.Add(1)
-			<-release
-			return 0, nil
-		})
-	}()
-	cancel()
-	close(release)
-	<-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := started.Load(); n > 4 {
-		t.Fatalf("%d items ran after cancellation", n)
+	for _, jobs := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		release := make(chan struct{})
+		items := make([]int, 100)
+		done := make(chan struct{})
+		var err error
+		go func() {
+			defer close(done)
+			_, err = Map(ctx, items, jobs, func(ctx context.Context, i, _ int) (int, error) {
+				started.Add(1)
+				<-release
+				return 0, nil
+			})
+		}()
+		cancel()
+		close(release)
+		<-done
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("jobs %d: err = %v, want context.Canceled", jobs, err)
+		}
+		if n := started.Load(); n > int64(2*jobs) {
+			t.Fatalf("jobs %d: %d items ran after cancellation", jobs, n)
+		}
 	}
 }
 
@@ -167,7 +179,7 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 		}
 		want[i] = r
 	}
-	got, err := Run(context.Background(), Sweep{Points: pts, Jobs: 4})
+	got, err := Sweep{Points: pts, Jobs: 4}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,7 @@ func TestSweepErrorNamesPoint(t *testing.T) {
 		{Trace: tr, Config: policy.Config{NumNodes: 2000, Policy: "hawk", Seed: 1}},
 		{Trace: tr, Config: policy.Config{NumNodes: 0, Policy: "hawk", Seed: 1}}, // invalid
 	}
-	_, err := Run(context.Background(), Sweep{Points: pts, Jobs: 2})
+	_, err := Sweep{Points: pts, Jobs: 2}.Run(context.Background())
 	if err == nil {
 		t.Fatal("expected error from invalid point")
 	}
@@ -203,11 +215,11 @@ func TestSweepCustomEngine(t *testing.T) {
 		calls++
 		return &policy.Report{Engine: "fake", Policy: cfg.Policy}, nil
 	}
-	got, err := Run(context.Background(), Sweep{
+	got, err := Sweep{
 		Points: []Point{{Trace: tr, Config: policy.Config{NumNodes: 1, Policy: "hawk"}}},
 		Engine: eng,
 		Jobs:   1,
-	})
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
