@@ -218,7 +218,7 @@ func runFig1(sc experiments.Scale) error {
 	fmt.Println("short-job runtime CDF (runtime s -> cumulative fraction):")
 	marks := []float64{100, 1000, 5000, 10000, 15000, 20000, 25000, 30000, 35000}
 	for _, m := range marks {
-		frac := cdfAt(r.ShortRuntimeCDF, m)
+		frac := stats.CDFAt(r.ShortRuntimeCDF, m)
 		fmt.Printf("  %7.0f s: %5.1f%%\n", m, 100*frac)
 	}
 	return nil
@@ -475,10 +475,6 @@ func runMultiSched(sc experiments.Scale) error {
 	}
 	fmt.Println("(latency holds flat across the sweep — the paper's graceful degradation at 10 schedulers (§4.10); conflicts peak while schedulers are mutually active, then dormancy makes placements effectively fresh)")
 	return nil
-}
-
-func cdfAt(points []stats.CDFPoint, x float64) float64 {
-	return stats.CDFAt(points, x)
 }
 
 func cdfPct(points []stats.CDFPoint, pct float64) float64 {

@@ -13,7 +13,7 @@ import (
 // run peaks at 3.4-3.7 MB; materializing the 200 000-job trace first, as
 // hawkgen used to for every -out, peaked at 61 MB. The limit sits between
 // the two and above this test process's own peak (24 MB), which some
-// kernels hand on to the child (see below).
+// kernels may hand on to the child (see below).
 func TestStreamedRecordingPeakRSS(t *testing.T) {
 	const limitKB = 32 << 10
 	if testing.Short() {
@@ -24,20 +24,26 @@ func TestStreamedRecordingPeakRSS(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building hawkgen: %v\n%s", err, out)
 	}
-	// Linux starts a child's ru_maxrss at the high-water mark of the process
-	// that forked it, so that has to be below the limit for the child's
-	// figure to be the child's.
-	var self syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &self); err != nil || self.Maxrss >= limitKB {
-		t.Skipf("this process peaked at %d KB itself (getrusage: %v); cannot measure a child against %d KB", self.Maxrss, err, limitKB)
-	}
 	cmd := exec.Command(bin, "-workload", "google", "-jobs", "200000", "-stats=false", "-out", filepath.Join(dir, "x.trace.gz"))
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("hawkgen: %v\n%s", err, out)
 	}
 	rss := cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss // KB on linux
-	t.Logf("peak RSS %.1f MB (this process: %.1f MB)", float64(rss)/1024, float64(self.Maxrss)/1024)
-	if rss >= limitKB {
-		t.Errorf("peak RSS %d KB, want below %d KB", rss, limitKB)
+	t.Logf("peak RSS %.1f MB", float64(rss)/1024)
+	if rss < limitKB {
+		return
 	}
+	// Whether a child's ru_maxrss can start at the high-water mark of the
+	// process that started it depends on the kernel (on Linux 6.18 a hawkgen
+	// child read 3.5 MB under a 22-24 MB test process), and an inherited mark
+	// can only raise a reading. So a reading at the limit is the child's own
+	// unless this process peaked there too, which leaves it inconclusive.
+	var self syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &self); err != nil {
+		t.Fatalf("getrusage: %v", err)
+	}
+	if self.Maxrss >= limitKB {
+		t.Skipf("child peaked at %d KB, but this process peaked at %d KB itself; inconclusive against %d KB", rss, self.Maxrss, limitKB)
+	}
+	t.Errorf("peak RSS %d KB, want below %d KB", rss, limitKB)
 }

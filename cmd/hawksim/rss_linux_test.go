@@ -24,13 +24,6 @@ func TestRetainedRunPeakRSS(t *testing.T) {
 		t.Fatalf("building hawksim: %v\n%s", err, out)
 	}
 	trace, _ := saveTrace(t, "google.trace.gz", 20000)
-	// Linux starts a child's ru_maxrss at the high-water mark of the process
-	// that forked it (14 MB for this one), so that has to be below the limit
-	// for the child's figure to be the child's.
-	var self syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &self); err != nil || self.Maxrss >= limitKB {
-		t.Skipf("this process peaked at %d KB itself (getrusage: %v); cannot measure a child against %d KB", self.Maxrss, err, limitKB)
-	}
 	cmd := exec.Command(bin, "-trace", trace, "-policy", "sparrow",
 		"-dump", filepath.Join(dir, "jobs.csv"), "-json", filepath.Join(dir, "report.json"))
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -38,7 +31,20 @@ func TestRetainedRunPeakRSS(t *testing.T) {
 	}
 	rss := cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss // KB on linux
 	t.Logf("peak RSS %.1f MB", float64(rss)/1024)
-	if rss >= limitKB {
-		t.Errorf("peak RSS %d KB, want below %d KB", rss, limitKB)
+	if rss < limitKB {
+		return
 	}
+	// Whether a child's ru_maxrss can start at the high-water mark of the
+	// process that started it depends on the kernel (on Linux 6.18 a hawkgen
+	// child read 3.5 MB under a 22-24 MB test process), and an inherited mark
+	// can only raise a reading. So a reading at the limit is the child's own
+	// unless this process peaked there too, which leaves it inconclusive.
+	var self syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &self); err != nil {
+		t.Fatalf("getrusage: %v", err)
+	}
+	if self.Maxrss >= limitKB {
+		t.Skipf("child peaked at %d KB, but this process peaked at %d KB itself; inconclusive against %d KB", rss, self.Maxrss, limitKB)
+	}
+	t.Errorf("peak RSS %d KB, want below %d KB", rss, limitKB)
 }

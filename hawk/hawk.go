@@ -182,8 +182,9 @@ type Engine = sweep.Engine
 
 // Simulate runs the trace-driven discrete-event simulator (§4.1). Runs are
 // deterministic for a given (trace, config) pair. It is
-// SimulateSource(NewTraceSource(trace), cfg), after checking every job of
-// the trace against the cluster before the first event.
+// SimulateSource(NewTraceSource(trace), cfg), after validating the trace
+// (Trace.Validate) before the first event; each job is admitted against the
+// cluster as it is submitted, and the first infeasible one fails the run.
 func Simulate(trace *Trace, cfg Config) (*Report, error) { return sim.Run(trace, cfg) }
 
 // SimulateSource runs the simulator on a workload source: jobs are pulled

@@ -240,7 +240,8 @@ func TestScenarioAPIOnBothEngines(t *testing.T) {
 }
 
 // A config whose scenario could starve a probe pool is rejected by either
-// engine before the run starts.
+// engine: the simulator when it admits the first job the margin leaves no
+// room for, the live engine before the run starts.
 func TestScenarioFeasibilityRejected(t *testing.T) {
 	tr := smallTrace()
 	cfg := hawk.Config{

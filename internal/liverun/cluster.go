@@ -206,8 +206,8 @@ func (c *cluster) latency() {
 // centralJob, parking what they park where they park it. The job hashes to
 // its owner first in the multi-scheduler model; a central job waits whole
 // while the central scheduler is unavailable; a probed job gets ProbeRatio·t
-// probes batch-sampled (§3.5) over its pool's live members, which must
-// number at least its task count.
+// probes batch-sampled (§3.5) over its pool's live members, which the
+// pre-flight's feasibility margin keeps at least its task count.
 func (c *cluster) route(jr *jobRuntime) {
 	dec := c.pol.Route(jr.info())
 	c.mu.Lock()
@@ -229,9 +229,8 @@ func (c *cluster) route(jr *jobRuntime) {
 		return
 	}
 	poolSize := dec.Pool.Size(c.view)
-	if c.view.Dynamic() && poolSize < jr.job.NumTasks() {
-		c.parkLocked(policy.WaitPoolWidth, entry{job: jr})
-		return
+	if poolSize < jr.job.NumTasks() {
+		panic("liverun: a probe pool has fewer live nodes than an admitted job's tasks; ChurnSpec.MaxConcurrentFailures undercounts the dead")
 	}
 	k := core.NumProbes(jr.job.NumTasks(), c.cfg.ProbeRatio, poolSize)
 	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, k)
@@ -266,8 +265,6 @@ func (c *cluster) releaseLocked(by policy.Recovery) (out policy.Waitlist[entry])
 // resumes binds each kind to the entry point its items re-enter through,
 // the simulator's table kind for kind.
 var resumes = [policy.NumWaitKinds]func(*cluster, entry){
-	policy.WaitLostProbe:  (*cluster).resumeProbe,
-	policy.WaitPoolWidth:  (*cluster).resumeJob,
 	policy.WaitCentral:    (*cluster).resumeCentral,
 	policy.WaitSchedJob:   (*cluster).resumeJob,
 	policy.WaitSchedTask:  (*cluster).resumeCentral,
@@ -485,10 +482,10 @@ func (c *cluster) rerouteEntry(e entry) {
 }
 
 // resendProbe sends one replacement probe for the job to a live node of
-// its decision pool, or parks the job until the next recovery when the
-// pool has no live member. In the multi-scheduler model the re-send needs a
-// live owner to answer the eventual task request, and with none it waits
-// for a scheduler recovery — the simulator's resendProbe.
+// its decision pool, which the feasibility margin keeps non-empty. In the
+// multi-scheduler model the re-send needs a live owner to answer the
+// eventual task request, and with none it waits for a scheduler recovery —
+// the simulator's resendProbe.
 func (c *cluster) resendProbe(jr *jobRuntime) {
 	dec := c.pol.Route(jr.info())
 	c.mu.Lock()
@@ -500,10 +497,6 @@ func (c *cluster) resendProbe(jr *jobRuntime) {
 		}
 	}
 	ids := dec.Pool.SampleInto(nil, c.view, c.probeSrc, 1)
-	if len(ids) == 0 {
-		c.parkLocked(policy.WaitLostProbe, entry{job: jr})
-		return
-	}
 	c.count(&c.res.ProbesSent, 1)
 	go c.deliverProbe(c.nodes[ids[0]], jr)
 }

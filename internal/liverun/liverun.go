@@ -56,8 +56,9 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 		return nil, err
 	}
 
-	// The pre-flight runs before the cluster (and its churn controller)
-	// starts: the live view is mutated concurrently once goroutines are up.
+	// The feasibility pre-flight is the live engine's one admission check:
+	// a run cannot be stopped at a job once its goroutines are up, and the
+	// live view is mutated concurrently from then on.
 	if err := policy.CheckTraceFeasibility(trace, cfg, pol); err != nil {
 		return nil, err
 	}

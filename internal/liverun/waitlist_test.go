@@ -16,8 +16,6 @@ import (
 // match the kinds the package spells out. A kind added to policy without a
 // name here fails TestWaitKindsParkAndResume.
 var waitKindNames = map[string]policy.WaitKind{
-	"WaitLostProbe":  policy.WaitLostProbe,
-	"WaitPoolWidth":  policy.WaitPoolWidth,
 	"WaitCentral":    policy.WaitCentral,
 	"WaitSchedJob":   policy.WaitSchedJob,
 	"WaitSchedTask":  policy.WaitSchedTask,

@@ -109,9 +109,10 @@ func (s *ChurnSpec) validate(numNodes, schedulers int) error {
 // MaxConcurrentFailures returns the worst-case number of simultaneously
 // dead nodes over the scripted timeline — the margin the feasibility check
 // subtracts from every probe pool, so a scenario that could shrink a pool
-// below the widest job is rejected before the run instead of deadlocking
-// inside it. It is an upper bound whatever nodes the seeded Count events
-// pick.
+// below the widest job is rejected (CheckFeasibility) instead of leaving a
+// job without a live node per task. It is an upper bound whatever nodes the
+// seeded Count events pick (FuzzMaxConcurrentFailures), which is what lets
+// neither engine park for pool width.
 func (s *ChurnSpec) MaxConcurrentFailures() int {
 	if s == nil {
 		return 0

@@ -1,11 +1,9 @@
 package policy
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/randdist"
 	"repro/internal/workload"
 )
 
@@ -140,56 +138,6 @@ func explicitFails(at float64, from, to int) []ChurnEvent {
 		evs = append(evs, ChurnEvent{At: at, Kind: ChurnFail, Node: id})
 	}
 	return evs
-}
-
-// MaxConcurrentFailures bounds the dead count whatever nodes the seeded
-// Count events pick: random scripts mixing explicit and Count failures and
-// recoveries are played on a ClusterView the way the simulator plays them
-// (Count fails sample the live set, Count recovers the dead set; explicit
-// events on a node already in that state do nothing), and the view's dead
-// count never exceeds the margin.
-func TestMaxConcurrentFailuresBoundsEveryPick(t *testing.T) {
-	const nodes = 24
-	for seed := int64(0); seed < 400; seed++ {
-		rng := randdist.New(seed)
-		spec := &ChurnSpec{}
-		for i, n := 0, 1+rng.Intn(30); i < n; i++ {
-			ev := ChurnEvent{At: float64(rng.Intn(10)), Kind: ChurnFail, Node: rng.Intn(nodes)}
-			if rng.Intn(2) == 0 {
-				ev.Kind = ChurnRecover
-			}
-			if rng.Intn(3) == 0 {
-				ev.Count = 1 + rng.Intn(6)
-			}
-			spec.Events = append(spec.Events, ev)
-		}
-		margin := spec.MaxConcurrentFailures()
-		evs := append([]ChurnEvent(nil), spec.Events...)
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-		view := core.NewClusterView(core.NewPartition(nodes, 0))
-		view.EnableMembership()
-		var ids []int
-		for i, ev := range evs {
-			switch {
-			case ev.Kind == ChurnFail && ev.Count > 0:
-				for _, id := range view.SampleAllInto(ids[:0], rng, ev.Count) {
-					view.Fail(id)
-				}
-			case ev.Kind == ChurnFail:
-				view.Fail(ev.Node)
-			case ev.Count > 0:
-				dead := view.AppendDead(nil)
-				for _, j := range rng.SampleWithoutReplacementInto(ids[:0], len(dead), min(ev.Count, len(dead))) {
-					view.Recover(dead[j])
-				}
-			default:
-				view.Recover(ev.Node)
-			}
-			if dead := nodes - view.AliveAll(); dead > margin {
-				t.Fatalf("seed %d: %d nodes dead after event %d of %+v, margin %d", seed, dead, i, evs, margin)
-			}
-		}
-	}
 }
 
 func TestHeterogeneityFactors(t *testing.T) {

@@ -2,24 +2,10 @@ package policy
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
-
-// routeRoom resolves one routing decision against the cluster: the widest
-// job the route can place, or an error for a central route the policy
-// declares no pool for.
-func routeRoom(dec Decision, pol Policy, part core.Partition, margin int) (int, error) {
-	if dec.Action != ActionCentral {
-		return dec.Pool.width(part) - margin, nil
-	}
-	if pol.CentralPool() == PoolNone {
-		return 0, fmt.Errorf("policy: %q routes jobs centrally but declares no central pool", pol.String())
-	}
-	return math.MaxInt, nil
-}
 
 // CheckFeasibility is the feasibility rule, for one job: every route the
 // policy can take for it must be executable. A job routed to a probe pool
@@ -34,20 +20,22 @@ func routeRoom(dec Decision, pol Policy, part core.Partition, margin int) (int, 
 // needs one live candidate per task at submission. With exact estimates the
 // job's route follows job.Long; bothClasses says mis-estimation can flip it.
 //
-// The rule is applied to every job before the run by whoever holds a whole
-// trace (CheckTraceFeasibility), and by the simulator to each job as it is
-// pulled, when metadata alone could not settle it (CheckFeasibilityMeta).
+// The simulator applies the rule to each job as it is pulled, before routing
+// it; the live engine, which cannot stop a run once started, applies it to
+// every job before the run (CheckTraceFeasibility).
 func CheckFeasibility(job JobInfo, bothClasses bool, pol Policy, part core.Partition, margin int) error {
 	for _, long := range [2]bool{false, true} {
 		if long != job.Long && !bothClasses {
 			continue
 		}
 		dec := pol.Route(JobInfo{ID: job.ID, Tasks: job.Tasks, Estimate: job.Estimate, Long: long})
-		room, err := routeRoom(dec, pol, part, margin)
-		if err != nil {
-			return err
+		if dec.Action == ActionCentral {
+			if pol.CentralPool() == PoolNone {
+				return fmt.Errorf("policy: %q routes jobs centrally but declares no central pool", pol.String())
+			}
+			continue
 		}
-		if job.Tasks > room {
+		if room := dec.Pool.width(part) - margin; job.Tasks > room {
 			if margin > 0 {
 				return fmt.Errorf("policy: job %d with %d tasks exceeds the %q probe pool's %d nodes surviving worst-case churn (%d concurrent failures); shrink the scenario or cap tasks",
 					job.ID, job.Tasks, dec.Pool, room, margin)
@@ -74,25 +62,4 @@ func CheckTraceFeasibility(t *workload.Trace, cfg Config, pol Policy) error {
 		}
 	}
 	return nil
-}
-
-// CheckFeasibilityMeta asks the rule of a workload's up-front metadata,
-// without any job in hand. A central route with no declared central pool is
-// definitive and returned. The width check uses the conservative
-// Meta.MaxTasks bound under both classes; when that bound fails the result
-// is not a verdict (the widest job might route centrally), and when the
-// source does not know its bound (MaxTasks 0) there is nothing to check, so
-// either way the check returns perJob=true and the engine applies
-// CheckFeasibility to each job it pulls.
-func CheckFeasibilityMeta(m workload.Meta, pol Policy, part core.Partition, margin int) (perJob bool, err error) {
-	perJob = m.MaxTasks == 0
-	for _, long := range [2]bool{false, true} {
-		dec := pol.Route(JobInfo{ID: 0, Tasks: m.MaxTasks, Estimate: 1, Long: long})
-		room, err := routeRoom(dec, pol, part, margin)
-		if err != nil {
-			return false, err
-		}
-		perJob = perJob || m.MaxTasks > room
-	}
-	return perJob, nil
 }

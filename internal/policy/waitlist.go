@@ -13,14 +13,14 @@ import "fmt"
 // a kind. In the simulator the order is behaviour — every resume draws from
 // the run's random streams — and the goldens pin it. Both engines park under
 // every kind. Message loss parks nothing: the send after a message's last
-// fault retry is reliable (see FaultSpec).
+// fault retry is reliable (see FaultSpec). Nor does node churn park a probe:
+// every routed job was admitted under the feasibility margin
+// (CheckFeasibility), so its pool keeps a live node per task.
 type WaitKind uint8
 
 // The wait kinds.
 const (
-	WaitLostProbe  WaitKind = iota // probe re-send: no live node in the job's pool
-	WaitPoolWidth                  // job at routing: churn shrank its probe pool below its task count
-	WaitCentral                    // central placement (a whole job, or one task): scheduler down or serverless
+	WaitCentral    WaitKind = iota // central placement (a whole job, or one task): scheduler down or serverless
 	WaitSchedJob                   // job at routing: no live scheduler
 	WaitSchedTask                  // central task: no live scheduler
 	WaitSchedProbe                 // probe re-send: no live scheduler
@@ -42,14 +42,12 @@ const (
 // HeldByCentral check).
 func (r Recovery) Releases(k WaitKind) bool { return WaitRules[k].ReleasedBy&r != 0 }
 
-const clauseCentral, clausePoolWidth, clauseLostProbe, clauseScheduler = 0, 1, 2, 3
+const clauseCentral, clauseScheduler = 0, 1
 
 // WaitClauses are the deadlock error's detail clauses, in the order the
 // error lists them; kinds that share a clause are summed.
 var WaitClauses = [...]string{
 	clauseCentral:   "%d central placements backlogged (scenario never restored the central scheduler?)",
-	clausePoolWidth: "%d jobs parked for pool capacity (scenario never recovered enough nodes?)",
-	clauseLostProbe: "%d probes waiting for a live pool node",
 	clauseScheduler: "%d placements waiting for a live scheduler (scenario never recovered one?)",
 }
 
@@ -63,8 +61,6 @@ var WaitRules = [NumWaitKinds]struct {
 	HeldByCentral bool
 	Clause        int
 }{
-	WaitLostProbe:  {ReleasedBy: NodeRecovered, Clause: clauseLostProbe},
-	WaitPoolWidth:  {ReleasedBy: NodeRecovered, Clause: clausePoolWidth},
 	WaitCentral:    {ReleasedBy: NodeRecovered | CentralRestored, HeldByCentral: true, Clause: clauseCentral},
 	WaitSchedJob:   {ReleasedBy: SchedulerRecovered, Clause: clauseScheduler},
 	WaitSchedTask:  {ReleasedBy: SchedulerRecovered, Clause: clauseScheduler},

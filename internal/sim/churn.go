@@ -184,9 +184,10 @@ func (s *simulation) recoverNode(id int32, now float64) {
 }
 
 // resendProbe sends one replacement batch-sampling probe for the job to a
-// live node of its decision pool, or waits for one to recover. In the
-// multi-scheduler model the re-send needs a live owner to answer the
-// eventual task request — with none, it waits for a scheduler recovery.
+// live node of its decision pool; the feasibility margin leaves the pool a
+// live node per task, so there is always one. In the multi-scheduler model
+// the re-send needs a live owner to answer the eventual task request — with
+// none, it waits for a scheduler recovery.
 func (s *simulation) resendProbe(jidx int32) {
 	if s.ms != nil && !s.ensureOwner(jidx) {
 		s.park(policy.WaitSchedProbe, waiting{jidx: jidx, tidx: -1})
@@ -195,10 +196,6 @@ func (s *simulation) resendProbe(jidx int32) {
 	js := &s.jobs[jidx]
 	dec := s.pol.Route(js.info())
 	s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, 1)
-	if len(s.nodeIDs) == 0 {
-		s.park(policy.WaitLostProbe, waiting{jidx: jidx, tidx: -1})
-		return
-	}
 	s.res.ProbesSent++
 	s.sendProbe(jidx, int32(s.nodeIDs[0]), 0)
 }

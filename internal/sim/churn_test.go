@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/randdist"
 	"repro/internal/workload"
 )
 
@@ -179,7 +181,7 @@ func TestCentralOutage(t *testing.T) {
 
 // A scenario that strands work must end in the deadlock diagnosis, never a
 // hang, and the diagnosis must say what is waiting and how much of it: one
-// case per kind of wait a validated scenario can strand. Each want lists the
+// case per deadlock clause, and one with both. Each want lists the
 // detail clauses in the order the error carries them — the exact phrases, so
 // the table-generated message cannot drift from what operators grep for.
 func TestDeadlockDiagnosis(t *testing.T) {
@@ -227,6 +229,65 @@ func TestDeadlockDiagnosis(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Every job the feasibility rule admits completes under any churn script,
+// so no job ever finds its probe pool short of a live node per task (the
+// engine parks nothing for that; it panics). Random scripts mix explicit and
+// Count failures and recoveries at tied times while wide jobs keep
+// arriving, on exactly widest job + MaxConcurrentFailures nodes; a final
+// recovery of every node lets central placements that lost their whole
+// pool finish. Sparrow probes every job; hawk probes the short ones, and
+// under mis-estimation any job may be probed, so both classes are checked.
+func TestAdmittedChurnCompletes(t *testing.T) {
+	const horizon = 40
+	tr := workload.Generate(workload.Google(), workload.GenConfig{
+		NumJobs: 200, MeanInterArrival: 0.2, Seed: 5,
+	}).CapTasks(12)
+	widest := tr.Meta().MaxTasks
+	cfgs := map[string]policy.Config{
+		"sparrow":           {Policy: "sparrow"},
+		"hawk":              {Policy: "hawk"},
+		"hawk mis-estimate": {Policy: "hawk", MisestimateLo: 0.5, MisestimateHi: 2},
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := randdist.New(seed)
+		var evs []policy.ChurnEvent
+		for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+			ev := policy.ChurnEvent{At: float64(rng.Intn(horizon)), Kind: policy.ChurnFail, Node: rng.Intn(widest)}
+			if rng.Intn(2) == 0 {
+				ev.Kind = policy.ChurnRecover
+			}
+			if rng.Intn(3) == 0 {
+				ev.Count = 1 + rng.Intn(6)
+			}
+			evs = append(evs, ev)
+		}
+		churn := &policy.ChurnSpec{Events: evs}
+		nodes := widest + churn.MaxConcurrentFailures()
+		churn.Events = append(churn.Events, policy.ChurnEvent{At: horizon, Kind: policy.ChurnRecover, Count: nodes})
+		for name, cfg := range cfgs {
+			cfg.NumNodes, cfg.Seed, cfg.Churn = nodes, seed, churn
+			if err := runAdmitted(tr, cfg); err != nil {
+				t.Errorf("seed %d, %s on %d nodes: %v (script %+v)", seed, name, nodes, err, evs)
+			}
+		}
+	}
+}
+
+// runAdmitted runs the trace and reports an error, a panic or a job left
+// unfinished.
+func runAdmitted(tr *workload.Trace, cfg policy.Config) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	res, err := Run(tr, cfg)
+	if err == nil && len(res.Jobs) != tr.Len() {
+		err = fmt.Errorf("%d of %d jobs completed", len(res.Jobs), tr.Len())
+	}
+	return err
 }
 
 // Every wait kind must say who releases it and how it is diagnosed (the
@@ -317,7 +378,7 @@ func TestChurnWithCentralServers(t *testing.T) {
 }
 
 // A scenario that could shrink a probe pool below the widest job is
-// rejected before the run by the feasibility margin.
+// rejected by the feasibility margin when that job is admitted.
 func TestChurnFeasibilityMargin(t *testing.T) {
 	tr := workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs: 50, MeanInterArrival: 2, Seed: 1,
@@ -358,7 +419,7 @@ func TestChurnFeasibilityMargin(t *testing.T) {
 // margin. Ten explicit failures, a recover of live node 50 and an eleventh
 // failure leave 11 of widest+10 nodes dead: the margin used to come out as
 // 10, the run was admitted, and it ended in a deadlock with a job parked
-// for pool capacity. It is rejected before any event instead.
+// for pool capacity. It is rejected instead, when the widest job is admitted.
 func TestChurnMarginIgnoresRecoverOfLiveNode(t *testing.T) {
 	tr := workload.Generate(workload.Google(), workload.GenConfig{
 		NumJobs: 50, MeanInterArrival: 2, Seed: 1,

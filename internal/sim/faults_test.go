@@ -452,7 +452,7 @@ func TestStragglerFeasibilityComposition(t *testing.T) {
 	if res.StragglerSlowdowns != int64(nodes/2) {
 		t.Errorf("StragglerSlowdowns = %d, want %d", res.StragglerSlowdowns, nodes/2)
 	}
-	// One more churn failure exceeds the margin — rejected up front even
+	// One more churn failure exceeds the margin — rejected at admission even
 	// though the straggler spec is unchanged, proving the margin tracks
 	// churn only and a straggling-then-failing node counts once.
 	over := cfg

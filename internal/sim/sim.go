@@ -164,11 +164,8 @@ type simulation struct {
 	// wait in arrival order, short-class entries first and long second
 	// (observeWait). Nil on every other run.
 	entryWaits *[2][]float64
-	// perJobFeas marks that the metadata feasibility check was
-	// inconclusive (conservative MaxTasks bound failed), so the rule is
-	// applied to each job as it is pulled, with feasMargin — the scenario's
-	// worst-case concurrent failures — taken off every probe pool.
-	perJobFeas bool
+	// feasMargin is the scenario's worst-case concurrent failures, taken
+	// off every probe pool when submit holds a job to the feasibility rule.
 	feasMargin int
 
 	// nodes is the node arena: one dense value slice, index = node id.
@@ -239,9 +236,8 @@ type simulation struct {
 // Run simulates the trace under the configuration, executing the policy
 // named by cfg.Policy, and returns the collected metrics. Runs are
 // deterministic for a given (trace, config) pair. It is RunSource over
-// workload.NewTraceSource(trace), after the two checks only a whole trace
-// allows before the first event: structural validity, and the feasibility
-// rule applied to every job.
+// workload.NewTraceSource(trace), after the check only a whole trace allows
+// before the first event: structural validity (Trace.Validate).
 func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	s, err := newSimulation(trace, cfg)
 	if err != nil {
@@ -253,13 +249,15 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 // RunSource simulates a workload: jobs are pulled from src one submit event
 // at a time, so together with job-slot recycling what the engine holds is
 // O(in-flight jobs + slots) regardless of trace length. The source must
-// yield jobs in non-decreasing submit-time order (its Meta must say Sorted)
-// and its Meta.NumJobs must be exact. Each job is held to the per-job rule
-// as it is pulled (workload.CheckJob, the rule Run checks up front), and the
-// first to break it fails the run with Run's message; unique job ids are a
-// whole-trace rule, which only Run checks. Runs are deterministic for a
-// given (job stream, config) pair, whatever kind of source yields the
-// stream.
+// yield jobs in non-decreasing submit-time order and its Meta.NumJobs must be
+// exact; the first job out of order fails the run. Each job is held to the
+// per-job rule as it is pulled (workload.CheckJob, the rule Run checks up
+// front), and the first to break it fails the run with Run's message; unique
+// job ids are a whole-trace rule, which only Run checks. Every job is then
+// admitted by the feasibility rule (policy.CheckFeasibility) before it is
+// routed, and the first it rejects fails the run with the rule's message.
+// Runs are deterministic for a given (job stream, config) pair, whatever
+// kind of source yields the stream.
 func RunSource(src workload.Source, cfg policy.Config) (*policy.Report, error) {
 	s, err := newSimulationSource(src, cfg)
 	if err != nil {
@@ -279,16 +277,7 @@ func newSimulation(trace *workload.Trace, cfg policy.Config) (*simulation, error
 	if err := trace.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := newSimulationSource(workload.NewTraceSource(trace), cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Nothing has run yet: hold every job to the feasibility rule now
-	// rather than as each is pulled.
-	if err := policy.CheckTraceFeasibility(trace, s.cfg, s.pol); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return newSimulationSource(workload.NewTraceSource(trace), cfg)
 }
 
 // newSimulationSource validates the inputs and builds the arenas and event
@@ -299,9 +288,6 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	cfg, err := cfg.NormalizeMeta(meta)
 	if err != nil {
 		return nil, err
-	}
-	if !meta.Sorted {
-		return nil, fmt.Errorf("sim: source %q does not guarantee submit-time order; sort the trace first", meta.Name)
 	}
 	if meta.NumJobs < 0 {
 		return nil, fmt.Errorf("sim: source %q reports negative job count %d", meta.Name, meta.NumJobs)
@@ -405,13 +391,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		}
 	}
 
-	// The feasibility rule, as far as metadata can take it: the widest
-	// job's bound either clears every route now or leaves the question to
-	// each job as it is pulled (see submit).
 	s.feasMargin = cfg.Churn.MaxConcurrentFailures()
-	if s.perJobFeas, err = policy.CheckFeasibilityMeta(meta, pol, s.part, s.feasMargin); err != nil {
-		return nil, err
-	}
 
 	// Lazy chained submission: decode and schedule only the first job's
 	// submit; each submit event pulls the next job from the source and
@@ -558,8 +538,11 @@ func (s *simulation) failRun(err error) {
 	}
 }
 
-// submit routes a newly arrived decoded job per the policy's decision,
-// populating a (possibly recycled) arena slot.
+// submit admits a newly arrived decoded job by the feasibility rule and
+// routes it per the policy's decision, populating a (possibly recycled)
+// arena slot. The rule is the run's one admission check: a job it rejects
+// fails the run, and no job it admits can find its probe pool short of a
+// live node per task (routeJob).
 //
 //hawk:hotpath
 func (s *simulation) submit(job *workload.Job) {
@@ -577,13 +560,9 @@ func (s *simulation) submit(job *workload.Job) {
 		js.specThresh, s.flt.durScratch = s.flt.spec.SpeculationThreshold(job.Durations, s.flt.durScratch)
 	}
 	s.res.LastSubmit = job.SubmitTime
-	if s.perJobFeas {
-		// The same rule, with the same message, a whole trace is held to
-		// before the run (policy.CheckTraceFeasibility).
-		if err := policy.CheckFeasibility(js.info(), !s.cfg.ExactEstimates(), s.pol, s.part, s.feasMargin); err != nil {
-			s.failRun(err)
-			return
-		}
+	if err := policy.CheckFeasibility(js.info(), !s.cfg.ExactEstimates(), s.pol, s.part, s.feasMargin); err != nil {
+		s.failRun(err)
+		return
 	}
 	s.routeJob(idx)
 }
@@ -603,13 +582,8 @@ func (s *simulation) routeJob(idx int32) {
 		s.centralJob(idx)
 	default:
 		poolSize := dec.Pool.Size(s.view)
-		if s.view.Dynamic() && poolSize < len(js.durations) {
-			// Batch sampling needs one live candidate per task; churn has
-			// shrunk the pool below that, so park the job until nodes
-			// recover. The feasibility margin makes this unreachable for
-			// validated scenarios — it is the belt to that suspender.
-			s.park(policy.WaitPoolWidth, waiting{jidx: idx, tidx: -1})
-			return
+		if poolSize < len(js.durations) {
+			panic("sim: a probe pool has fewer live nodes than an admitted job's tasks; ChurnSpec.MaxConcurrentFailures undercounts the dead")
 		}
 		k := core.NumProbes(len(js.durations), s.cfg.ProbeRatio, poolSize)
 		s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, k)

@@ -73,8 +73,8 @@ func TestStreamedFileMatchesMaterialized(t *testing.T) {
 }
 
 // The feasibility verdict — and its text — is a property of (jobs, config),
-// not of the form the jobs arrive in: a whole trace is judged before the
-// run, a source job by job as it is pulled, by the same rule. The churn rows
+// not of the form the jobs arrive in: every job is judged by the same rule
+// as it is pulled, whether a Trace, a file or a generator yields it. The churn rows
 // used to be rejected as a Trace and accepted from a file or a generator
 // (the pulled-job check skipped the failure margin), ending in <nil> or a
 // deadlock diagnosis depending on when the failures landed. Nor does it
@@ -445,7 +445,7 @@ func newLoopSource(jobs int, gap float64, durs ...float64) *loopSource {
 		meta: workload.Meta{
 			Name: "loop", Cutoff: 1000, ShortPartitionFraction: 0.2,
 			NumJobs: jobs, MaxTasks: len(durs),
-			TotalTasks: int64(jobs) * int64(len(durs)), Sorted: true,
+			TotalTasks: int64(jobs) * int64(len(durs)),
 		},
 		durs: durs,
 		gap:  gap,

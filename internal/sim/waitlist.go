@@ -19,8 +19,6 @@ type waiting struct {
 // resumes binds each kind to the ordinary entry point its items re-enter
 // through.
 var resumes = [policy.NumWaitKinds]func(*simulation, waiting){
-	policy.WaitLostProbe:  (*simulation).resumeProbe,
-	policy.WaitPoolWidth:  (*simulation).resumeJob,
 	policy.WaitCentral:    (*simulation).resumeCentral,
 	policy.WaitSchedJob:   (*simulation).resumeJob,
 	policy.WaitSchedTask:  (*simulation).resumeCentral,

@@ -7,9 +7,9 @@ import (
 
 // Meta carries the trace-level facts a simulation must know before the
 // first job is decoded: the scheduling defaults (long/short cutoff and
-// reserved-partition fraction), the exact job count, and size bounds used
-// for feasibility checks and event-heap hints. Sources know their Meta up
-// front; nothing in it requires materializing the job list.
+// reserved-partition fraction), the exact job count, and size bounds: a
+// file's promise its reader enforces, and an event-heap hint. Sources know
+// their Meta up front; nothing in it requires materializing the job list.
 type Meta struct {
 	// Name identifies the workload (e.g. "google").
 	Name string
@@ -22,16 +22,13 @@ type Meta struct {
 	// NumJobs is the exact number of jobs the source will yield.
 	NumJobs int
 	// MaxTasks is the largest per-job task count the source will yield,
-	// or 0 if unknown. A known bound can settle the feasibility rule before
-	// the run (policy.CheckFeasibilityMeta); 0 settles nothing, and every
-	// job is then held to the rule as the engine pulls it.
+	// or 0 if unknown. It is the header's promise, which a file reader
+	// enforces on every record; no engine sizes or admits anything by it
+	// (the simulator holds each job to the feasibility rule as it pulls it).
 	MaxTasks int
 	// TotalTasks is the total task count across all jobs, or 0 if unknown.
 	// Used to size the simulator's event heap.
 	TotalTasks int64
-	// Sorted reports whether jobs arrive in non-decreasing SubmitTime
-	// order. The simulator requires a sorted source.
-	Sorted bool
 }
 
 // jobsHintCap bounds JobsHint; it is above the 40 000 jobs of the largest
@@ -87,35 +84,28 @@ func SourceErr(src Source) error {
 }
 
 // Meta returns the trace's metadata in Source form. It scans the job list
-// once; Sorted reflects the actual ordering.
+// once.
 func (t *Trace) Meta() Meta {
 	m := Meta{
 		Name:                   t.Name,
 		Cutoff:                 t.Cutoff,
 		ShortPartitionFraction: t.ShortPartitionFraction,
 		NumJobs:                len(t.Jobs),
-		Sorted:                 true,
 	}
-	prev := 0.0
 	for _, j := range t.Jobs {
 		n := len(j.Durations)
 		if n > m.MaxTasks {
 			m.MaxTasks = n
 		}
 		m.TotalTasks += int64(n)
-		if j.SubmitTime < prev {
-			m.Sorted = false
-		}
-		prev = j.SubmitTime
 	}
 	return m
 }
 
 // TraceSource adapts an in-memory Trace to the Source interface. It yields
-// the trace's jobs in submission order (sorting an index permutation
-// internally when the trace is unsorted, without reordering the trace), so
-// its Meta always reports Sorted. Jobs stay owned by the Trace; a
-// TraceSource does not recycle them.
+// the trace's jobs in submission order, sorting an index permutation
+// internally when the trace is unsorted, without reordering the trace. Jobs
+// stay owned by the Trace; a TraceSource does not recycle them.
 type TraceSource struct {
 	t     *Trace
 	order []int32 // nil when t.Jobs is already sorted
@@ -128,7 +118,7 @@ type TraceSource struct {
 // trace is unsorted.
 func NewTraceSource(t *Trace) *TraceSource {
 	s := &TraceSource{t: t, meta: t.Meta()}
-	if !s.meta.Sorted {
+	if !sort.SliceIsSorted(t.Jobs, func(a, b int) bool { return t.Jobs[a].SubmitTime < t.Jobs[b].SubmitTime }) {
 		s.order = make([]int32, len(t.Jobs))
 		for i := range s.order {
 			s.order[i] = int32(i)
@@ -136,12 +126,11 @@ func NewTraceSource(t *Trace) *TraceSource {
 		sort.SliceStable(s.order, func(a, b int) bool {
 			return t.Jobs[s.order[a]].SubmitTime < t.Jobs[s.order[b]].SubmitTime
 		})
-		s.meta.Sorted = true
 	}
 	return s
 }
 
-// Meta returns the trace metadata; Sorted is always true.
+// Meta returns the trace metadata.
 func (s *TraceSource) Meta() Meta { return s.meta }
 
 // Next yields the next job by submission order.
@@ -177,9 +166,6 @@ func Materialize(src Source) (*Trace, error) {
 	}
 	if err := SourceErr(src); err != nil {
 		return nil, err
-	}
-	if !m.Sorted {
-		t.SortBySubmitTime()
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -44,7 +44,6 @@ func NewGeneratorSource(spec Spec, cfg GenConfig) *GeneratorSource {
 		Cutoff:                 spec.Cutoff,
 		ShortPartitionFraction: spec.ShortPartitionFraction,
 		NumJobs:                cfg.NumJobs,
-		Sorted:                 true,
 	}
 	for i := 0; i < cfg.NumJobs; i++ {
 		cs := pickCluster(spec.Clusters, src.Float64())

@@ -127,13 +127,7 @@ func TestTraceSourceUnsorted(t *testing.T) {
 		{ID: 2, SubmitTime: 2, Durations: []float64{1}},
 		{ID: 3, SubmitTime: 0, Durations: []float64{1}},
 	}}
-	if tr.Meta().Sorted {
-		t.Fatal("trace should report unsorted")
-	}
 	src := NewTraceSource(tr)
-	if !src.Meta().Sorted {
-		t.Fatal("adapter must present a sorted stream")
-	}
 	var ids []int
 	for {
 		j, ok := src.Next()
@@ -477,7 +471,7 @@ func TestParseStreamHeaderErrors(t *testing.T) {
 // parseJobFields rejects, rather than produce a file readers would choke on.
 func TestWriteSourceRejectsBadSources(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	good := Meta{Name: "s", Cutoff: 10, ShortPartitionFraction: 0.1, NumJobs: 1, Sorted: true}
+	good := Meta{Name: "s", Cutoff: 10, ShortPartitionFraction: 0.1, NumJobs: 1}
 	with := func(edit func(*Meta)) Meta {
 		m := good
 		edit(&m)

@@ -234,7 +234,7 @@ func Open(path string) (Source, error) {
 // space-separated key=value pairs; name is a Go-quoted string (spaces and
 // quotes allowed).
 func parseStreamHeader(line string) (Meta, error) {
-	m := Meta{Sorted: true}
+	var m Meta
 	line = strings.TrimSuffix(line, "\n")
 	line = strings.TrimSuffix(line, "\r")
 	rest, ok := strings.CutPrefix(line, streamHeaderMagic)
