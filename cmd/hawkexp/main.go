@@ -24,9 +24,9 @@
 // selected experiment; an experiment that sweeps a scenario dimension
 // itself (multisched, faults, robustness, churn) ignores that part of the
 // overlay, and one that builds its own fixed configuration (fig1, fig16-17)
-// says on stderr which flags it ignored. For performance work, -cpuprofile
-// and -memprofile write pprof profiles of the whole experiment (inspect with
-// `go tool pprof`):
+// or runs no simulation (table1, table2, fig4) says on stderr which flags it
+// ignored. For performance work, -cpuprofile and -memprofile write pprof
+// profiles of the whole experiment (inspect with `go tool pprof`):
 //
 //	hawkexp -exp fig5 -cpuprofile cpu.prof -memprofile mem.prof
 package main
@@ -162,9 +162,9 @@ func realMain() int {
 		return 2
 	}
 	for _, e := range toRun {
-		if overlaid && (e.id == "fig1" || e.id == "fig16-17") {
-			fmt.Fprintf(os.Stderr, "hawkexp: note: %s builds its own fixed configuration; ignoring %s\n",
-				e.id, strings.Join(scenarioFlagsSet(), " "))
+		if why := ignoresOverlay(e.id); overlaid && why != "" {
+			fmt.Fprintf(os.Stderr, "hawkexp: note: %s %s; ignoring %s\n",
+				e.id, why, strings.Join(scenarioFlagsSet(), " "))
 		}
 		fmt.Printf("=== %s — %s\n", e.id, e.desc)
 		start := time.Now()
@@ -175,6 +175,18 @@ func realMain() int {
 		fmt.Printf("--- %s done in %v\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// ignoresOverlay says why an experiment takes no part of the scenario
+// overlay, or "" when its simulator runs take it.
+func ignoresOverlay(id string) string {
+	switch id {
+	case "fig1", "fig16-17":
+		return "builds its own fixed configuration"
+	case "table1", "table2", "fig4":
+		return "runs no simulation"
+	}
+	return ""
 }
 
 // scenarioFlagsSet names the scenario flags given on the command line.

@@ -141,27 +141,33 @@ func TestAblationsPrintThePinnedRows(t *testing.T) {
 	}
 }
 
-// fig1 builds its own fixed configuration. Whatever part of the scenario
-// overlay the command line asked for, the run says it was ignored and names
-// the flags — -schedulers, the fault flags and -net-delay used to be dropped
-// without a word.
+// fig1 builds its own fixed configuration, and table1 runs no simulation.
+// Whatever part of the scenario overlay the command line asked for, the run
+// says it was ignored and names the flags — -schedulers, the fault flags and
+// -net-delay used to be dropped without a word by fig1, and every flag by
+// table1, table2 and fig4.
 func TestFixedConfigExperimentNamesIgnoredOverlay(t *testing.T) {
-	for _, c := range []struct{ argv, want []string }{
-		{[]string{"-msg-loss", "0.01"}, []string{"-msg-loss"}},
-		{[]string{"-schedulers", "4"}, []string{"-schedulers"}},
-		{[]string{"-net-delay", "0.001"}, []string{"-net-delay"}},
-		{[]string{"-fail-nodes", "10", "-fail-at", "5", "-speed-skew", "0.2"}, []string{"-fail-nodes", "-fail-at", "-speed-skew"}},
+	for _, c := range []struct {
+		exp, note  string
+		argv, want []string
+	}{
+		{"fig1", "fig1 builds its own fixed configuration", []string{"-msg-loss", "0.01"}, []string{"-msg-loss"}},
+		{"fig1", "fig1 builds its own fixed configuration", []string{"-schedulers", "4"}, []string{"-schedulers"}},
+		{"fig1", "fig1 builds its own fixed configuration", []string{"-net-delay", "0.001"}, []string{"-net-delay"}},
+		{"fig1", "fig1 builds its own fixed configuration", []string{"-fail-nodes", "10", "-fail-at", "5", "-speed-skew", "0.2"},
+			[]string{"-fail-nodes", "-fail-at", "-speed-skew"}},
+		{"table1", "table1 runs no simulation", []string{"-numjobs", "500", "-msg-loss", "0.01"}, []string{"-msg-loss"}},
 	} {
-		code, _, stderr := hawkexp(t, append([]string{"-exp", "fig1"}, c.argv...)...)
+		code, _, stderr := hawkexp(t, append([]string{"-exp", c.exp}, c.argv...)...)
 		if code != 0 {
-			t.Fatalf("%v: exit code %d; stderr: %s", c.argv, code, stderr)
+			t.Fatalf("%s %v: exit code %d; stderr: %s", c.exp, c.argv, code, stderr)
 		}
-		if !strings.Contains(stderr, "fig1 builds its own fixed configuration") {
-			t.Errorf("%v: no ignored-overlay note on stderr: %q", c.argv, stderr)
+		if !strings.Contains(stderr, c.note) {
+			t.Errorf("%s %v: no ignored-overlay note on stderr: %q", c.exp, c.argv, stderr)
 		}
 		for _, f := range c.want {
 			if !strings.Contains(stderr, " "+f) {
-				t.Errorf("%v: the note does not name %s: %q", c.argv, f, stderr)
+				t.Errorf("%s %v: the note does not name %s: %q", c.exp, c.argv, f, stderr)
 			}
 		}
 	}

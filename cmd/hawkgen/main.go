@@ -1,12 +1,12 @@
-// Command hawkgen generates synthetic workload traces, gives a trace from
-// an outside tool its header, and prints Table 1/2 characterization.
+// Command hawkgen generates synthetic workload traces, converts trace
+// files, and prints Table 1/2 characterization.
 //
 // Usage:
 //
 //	hawkgen -workload google -jobs 20000 -out google.trace
 //	hawkgen -workload google -jobs 1000000 -stats=false -out google.trace.gz
 //	hawkgen -stats -in google.trace
-//	hawkgen -in legacy.csv -cutoff 1129 -out google.trace.gz -stats=false
+//	hawkgen -in google.trace -out google.trace.gz -stats=false
 //
 // -out writes the hawk-trace format whatever the file is called: a header
 // line with the workload's cutoff, partition fraction and size, then one
@@ -14,9 +14,9 @@
 // name gzips it Huffman-only — the records' floats give LZ77 nothing to
 // match, so skipping the search writes about 5x faster and a few percent
 // smaller (a trace of repeated values, like motivation's, grows); any gzip
-// tool reads it. -in reads gzip of any level, and also a headerless CSV of
-// the same records, which carries no cutoff and needs -cutoff; with -out
-// that is the conversion. A file that fails to write is removed.
+// tool reads it. -in reads a hawk-trace file, gzip of any level; with -out
+// that is a conversion, and -cutoff sets the cutoff of a header that omits
+// one. A file that fails to write is removed.
 //
 // hawkgen is the one command that records a trace. The statistics (-stats,
 // the default) need the whole trace in memory, and so does -in; a generated
@@ -38,7 +38,7 @@ var (
 	iaFlag       = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	seedFlag     = flag.Int64("seed", 42, "random seed")
 	outFlag      = flag.String("out", "", "write the trace to this hawk-trace file (Huffman-only gzip by .gz suffix)")
-	inFlag       = flag.String("in", "", "read a trace from this file (hawk-trace or legacy CSV) instead of generating")
+	inFlag       = flag.String("in", "", "read a hawk-trace file instead of generating")
 	cutoffFlag   = flag.Float64("cutoff", 0, "cutoff for the by-cutoff statistics (0 = workload/header default)")
 	statsFlag    = flag.Bool("stats", true, "print workload statistics")
 )
@@ -94,14 +94,14 @@ func obtainTrace() (*hawk.Trace, float64, error) {
 	}
 	cutoff := *cutoffFlag
 	if cutoff <= 0 {
-		cutoff = t.Cutoff // hawk-trace headers carry it; legacy CSV does not
+		cutoff = t.Cutoff
 	}
 	if cutoff <= 0 {
-		return nil, 0, fmt.Errorf("legacy CSV traces need -cutoff for by-cutoff stats")
+		return nil, 0, fmt.Errorf("trace has no cutoff; pass -cutoff for by-cutoff stats")
 	}
 	if t.Cutoff <= 0 {
-		// Bake the resolved cutoff into the trace, so a legacy CSV
-		// converted with -out yields a stream header that carries it.
+		// Bake the resolved cutoff into the trace, so a header without one
+		// converted with -out yields a header that carries it.
 		t.Cutoff = cutoff
 	}
 	return t, cutoff, nil

@@ -6,20 +6,18 @@
 // Usage:
 //
 //	hawksim -workload google -nodes 15000 -policy hawk -jobs 20000
-//	hawksim -trace mytrace.csv -nodes 1000 -policy sparrow -cutoff 500
 //	hawksim -trace google.trace.gz -nodes 15000 -stream
 //	hawksim -nodes 1000 -policy split -json run.json
 //
-// -trace accepts both the hawk-trace stream format (written by hawkgen -out;
-// gzip of any level by ".gz" suffix), which is decoded job by job as the
-// simulation runs, and the legacy bare-CSV format (which carries no cutoff;
-// pass -cutoff); a synthetic -workload is generated job by job the same
-// way. hawksim records nothing: `hawkgen -workload W -jobs N -seed S
-// -stats=false -out F` streams the workload hawksim generates for the same
-// flags into F, and `hawkgen -in X -out F` converts a trace file. With
-// -stream the run keeps no per-job reports — class counts and percentile
-// reservoirs only — so memory stays O(in-flight) regardless of trace length;
-// -dump persists every job's outcome as CSV either way.
+// -trace reads a hawk-trace file (written by hawkgen -out; gzip of any level
+// by ".gz" suffix), decoded job by job as the simulation runs; a synthetic
+// -workload is generated job by job the same way. hawksim records nothing:
+// `hawkgen -workload W -jobs N -seed S -stats=false -out F` streams the
+// workload hawksim generates for the same flags into F, and `hawkgen -in X
+// -out F` converts a trace file. With -stream the run keeps no per-job
+// reports — class counts and percentile reservoirs only — so memory stays
+// O(in-flight) regardless of trace length; -dump persists every job's
+// outcome as CSV either way.
 //
 // The scenario flags (multi-scheduler model, churn, heterogeneity, gray
 // failures) are shared with hawkexp and defined in internal/cliflags;
@@ -43,7 +41,7 @@ import (
 
 var (
 	workloadFlag  = flag.String("workload", "google", "synthetic workload: google, cloudera, facebook, yahoo, motivation")
-	traceFlag     = flag.String("trace", "", "trace file, hawk-trace stream or legacy CSV (overrides -workload)")
+	traceFlag     = flag.String("trace", "", "hawk-trace file to replay (overrides -workload)")
 	jobsFlag      = flag.Int("jobs", 20000, "number of jobs to generate")
 	iaFlag        = flag.Float64("ia", 0, "mean job inter-arrival time in seconds (0 = workload default)")
 	nodesFlag     = flag.Int("nodes", 15000, "cluster size")
@@ -170,11 +168,7 @@ func openWorkload() (hawk.Source, error) {
 	if *traceFlag != "" {
 		src, err := hawk.OpenTrace(*traceFlag)
 		if err != nil {
-			return nil, err
-		}
-		if src.Meta().Cutoff == 0 && *cutoffFlag <= 0 {
-			closeSource(src)
-			return nil, fmt.Errorf("legacy CSV traces carry no cutoff; pass -cutoff")
+			return nil, err // a nil Source, not a nil *FileSource in one
 		}
 		return src, nil
 	}

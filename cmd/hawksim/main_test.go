@@ -117,6 +117,13 @@ func TestBuildConfig(t *testing.T) {
 			c.Faults = &hawk.FaultSpec{ProbeLoss: -0.5, ReplyLoss: -0.5, StealLoss: -0.5, AssignLoss: -0.5, CommitLoss: -0.5}
 			return c
 		}},
+		// So must a negative -probes or -stealcap: Normalize used to read
+		// both as "unset" and run with the defaults 2 and 10.
+		{"negative probes and stealcap pass through", []string{"-probes", "-1", "-stealcap", "-3"}, func() hawk.Config {
+			c := base("hawk")
+			c.ProbeRatio, c.StealCap = -1, -3
+			return c
+		}},
 		// Knobs with a non-zero default, of a plane whose enabling flag is
 		// unset, leave the plane off. Those whose zero means unset are
 		// refused instead: see TestDependentFlagNeedsItsPlane.
@@ -174,6 +181,17 @@ func TestDependentFlagNeedsItsPlane(t *testing.T) {
 	}
 	if !bytes.Contains(stderr, []byte("-recover-at 50")) || !bytes.Contains(stderr, []byte("-fail-nodes")) {
 		t.Errorf("the message does not name both flags: %s", stderr)
+	}
+}
+
+// A negative -probes or -stealcap fails the run naming the Config field,
+// where it used to run with the default.
+func TestNegativeCountFailsTheRun(t *testing.T) {
+	for _, c := range []struct{ flag, field string }{{"-probes", "ProbeRatio"}, {"-stealcap", "StealCap"}} {
+		code, stderr := runMain(t, "-workload", "google", "-jobs", "50", "-nodes", "500", c.flag, "-1")
+		if code != 1 || !bytes.Contains(stderr, []byte(c.field)) {
+			t.Errorf("%s -1: exit code %d, stderr %q; want 1 and an error naming %s", c.flag, code, stderr, c.field)
+		}
 	}
 }
 
@@ -298,8 +316,9 @@ func TestFailedRetainedRunFlushesDump(t *testing.T) {
 // run over a hawk-trace file of the same jobs print the same result lines.
 // (The file form used to print the whole-run utilization median, 6.5 % here,
 // where the generated form printed the arrival-window one, 96.9 %: the last
-// submit time was only known from a *Trace.) A headerless legacy CSV of the
-// same jobs, given the cutoff its format cannot carry, is a third form.
+// submit time was only known from a *Trace.) The same records behind the
+// minimal header README gives outside tools, without name=, maxtasks= or
+// tasks=, are a third form; without any header they are refused, naming it.
 func TestSameWorkloadSameResultLines(t *testing.T) {
 	code, want, stderr := runMainOut(t, "-workload", "google", "-jobs", "300", "-nodes", "2000")
 	if code != 0 {
@@ -318,9 +337,6 @@ func TestSameWorkloadSameResultLines(t *testing.T) {
 	if err := hawk.SaveTraceSource(file, gen()); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing in the repo writes the legacy format: it is a hawk-trace file
-	// without its first line.
-	legacy := filepath.Join(dir, "legacy.csv")
 	plain := filepath.Join(dir, "t.trace")
 	if err := hawk.SaveTraceSource(plain, gen()); err != nil {
 		t.Fatal(err)
@@ -330,20 +346,27 @@ func TestSameWorkloadSameResultLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, records, _ := bytes.Cut(raw, []byte("\n"))
-	if err := os.WriteFile(legacy, records, 0o644); err != nil {
+	minimal := filepath.Join(dir, "minimal.trace")
+	header := fmt.Sprintf("#hawk-trace v=1 cutoff=%v frac=%v jobs=300\n", spec.Cutoff, spec.ShortPartitionFraction)
+	bare := filepath.Join(dir, "bare.csv")
+	if err := os.WriteFile(minimal, append([]byte(header), records...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, argv := range [][]string{
-		{"-trace", file, "-nodes", "2000"},
-		{"-trace", legacy, "-nodes", "2000", "-cutoff", fmt.Sprint(spec.Cutoff), "-partition", fmt.Sprint(spec.ShortPartitionFraction)},
-	} {
-		code, got, stderr := runMainOut(t, argv...)
+	if err := os.WriteFile(bare, records, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{file, minimal} {
+		code, got, stderr := runMainOut(t, "-trace", path, "-nodes", "2000")
 		if code != 0 {
-			t.Fatalf("%v: exit code %d; stderr: %s", argv, code, stderr)
+			t.Fatalf("%s: exit code %d; stderr: %s", filepath.Base(path), code, stderr)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%v prints\n%s\nthe generated workload printed\n%s", argv, got, want)
+			t.Errorf("%s prints\n%s\nthe generated workload printed\n%s", filepath.Base(path), got, want)
 		}
+	}
+	code, stderr = runMain(t, "-trace", bare, "-nodes", "2000")
+	if code == 0 || !bytes.Contains(stderr, []byte(`"#hawk-trace v=1 cutoff=C frac=F jobs=N"`)) {
+		t.Errorf("bare records: exit code %d, stderr %q; want a failure naming the header line", code, stderr)
 	}
 }
 

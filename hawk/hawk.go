@@ -46,8 +46,7 @@
 // name, an enum constant. A type that only ever arrives as a field of
 // something returned (a Report's MessagesDropped, a Decision's Action) is
 // read through its owner and has no alias here; neither has the file reader
-// behind OpenTrace, which arrives as a Source and is released through
-// io.Closer. Every exported symbol
+// OpenTrace returns, a Source with a Close method. Every exported symbol
 // carries a doc comment; hawklint's exporteddoc analyzer enforces it:
 //
 //hawk:exporteddoc
@@ -297,7 +296,7 @@ var (
 // between forms without materializing. A trace file has one way out —
 // SaveTraceSource, which writes the hawk-trace format (a header carrying the
 // cutoff, partition fraction and sizes, then one record per job) — and one
-// way in, OpenTrace, which also reads a headerless CSV of the same records.
+// way in, OpenTrace, which reads that format and nothing else.
 var (
 	// NewTraceSource adapts a Trace to a Source (sorting an index view,
 	// not the trace, when submit times are out of order).
@@ -305,12 +304,12 @@ var (
 	// NewGeneratorSource streams the synthetic workload Generate(spec,
 	// cfg) would produce, job for job, in O(in-flight) memory.
 	NewGeneratorSource = workload.NewGeneratorSource
-	// OpenTrace opens a trace file (gzip by ".gz" suffix). A hawk-trace
-	// file streams: only its header is read before the first job decodes,
-	// and the Source holds the file — release it through io.Closer. A
-	// headerless legacy CSV is read whole and carries no name, cutoff or
-	// partition fraction.
-	OpenTrace = workload.Open
+	// OpenTrace opens a hawk-trace file (gzip by ".gz" suffix) for
+	// streaming: only its header is read before the first job decodes, and
+	// the source holds the file until Close. A file without the header line
+	// is refused; records from an outside tool read in behind the minimal
+	// one, "#hawk-trace v=1 cutoff=C frac=F jobs=N".
+	OpenTrace = workload.OpenSource
 	// LoadTraceFile is OpenTrace, materialized and closed, for callers that
 	// want the whole Trace.
 	LoadTraceFile = workload.LoadFile

@@ -112,13 +112,13 @@ func NodeSweep(name string) []int {
 
 // GoogleTrace returns the Google workload at the given scale: the default
 // synthetic trace, or — when the scale names a recorded trace file — that
-// recording, materialized so the sweep's runs can share it. The recording
-// must say its own cutoff, which a headerless legacy CSV cannot.
+// recording, materialized so the sweep's runs can share it. The recording's
+// header must say its cutoff: hawkexp has no -cutoff to supply one.
 func GoogleTrace(sc Scale) (*workload.Trace, error) {
 	if sc.TracePath != "" {
 		t, err := workload.LoadFile(sc.TracePath)
 		if err == nil && t.Cutoff == 0 {
-			err = fmt.Errorf("experiments: trace %s carries no cutoff (a legacy CSV?); convert it first: hawkgen -in %s -cutoff C -out x.trace.gz",
+			err = fmt.Errorf("experiments: trace %s carries no cutoff; convert it first: hawkgen -in %s -cutoff C -out x.trace.gz",
 				sc.TracePath, sc.TracePath)
 		}
 		return t, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -272,10 +273,10 @@ func TestRatiosForAlignsJobSets(t *testing.T) {
 	}
 }
 
-// A recorded trace replaces the synthetic one whichever on-disk format it is
-// in, as long as it says its cutoff. A headerless legacy CSV cannot, and
-// hawkexp has no -cutoff, so the error has to name the way out; it used to be
-// "workload: missing #hawk-trace header".
+// A recorded trace replaces the synthetic one, as long as its header says
+// its cutoff: the records of an outside tool behind the minimal header read
+// in, and behind a header without cutoff= they fail naming the way out,
+// since hawkexp has no -cutoff.
 func TestGoogleTraceFromAFile(t *testing.T) {
 	want, err := GoogleTrace(Scale{NumJobs: 200, Seed: 3})
 	if err != nil {
@@ -290,20 +291,27 @@ func TestGoogleTraceFromAFile(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("the recorded trace does not come back as it was saved (err %v)", err)
 	}
-	// The same file without its header line is the legacy CSV of an outside
-	// tool; nothing in the repo writes that format.
-	legacy := filepath.Join(dir, "legacy.csv")
 	var buf bytes.Buffer
 	if err := workload.WriteSource(&buf, workload.NewTraceSource(want)); err != nil {
 		t.Fatal(err)
 	}
 	_, records, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-	if err := os.WriteFile(legacy, records, 0o644); err != nil {
-		t.Fatal(err)
+	outside := func(name, header string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, append([]byte(header), records...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	_, err = GoogleTrace(Scale{TracePath: legacy})
+	minimal := outside("minimal.trace", fmt.Sprintf("#hawk-trace v=1 cutoff=%v frac=%v jobs=%d\n", want.Cutoff, want.ShortPartitionFraction, want.Len()))
+	got, err = GoogleTrace(Scale{TracePath: minimal})
+	if err != nil || !reflect.DeepEqual(got.Jobs, want.Jobs) || got.Cutoff != want.Cutoff {
+		t.Errorf("the records behind the minimal header do not come back as saved (err %v)", err)
+	}
+	noCutoff := outside("nocutoff.trace", fmt.Sprintf("#hawk-trace v=1 jobs=%d\n", want.Len()))
+	_, err = GoogleTrace(Scale{TracePath: noCutoff})
 	if err == nil || !strings.Contains(err.Error(), "carries no cutoff") ||
-		!strings.Contains(err.Error(), "hawkgen -in "+legacy+" -cutoff") {
-		t.Errorf("a legacy CSV must fail naming the missing cutoff and the hawkgen conversion, got: %v", err)
+		!strings.Contains(err.Error(), "hawkgen -in "+noCutoff+" -cutoff") {
+		t.Errorf("a header without a cutoff must fail naming it and the hawkgen conversion, got: %v", err)
 	}
 }

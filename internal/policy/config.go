@@ -38,10 +38,11 @@ type Config struct {
 	// tasks. Zero or negative means "use the trace default". Policies
 	// without a reserved partition ignore it.
 	ShortPartitionFraction float64 `json:"shortPartitionFraction"`
-	// ProbeRatio is the batch-sampling probes-per-task ratio (default 2).
+	// ProbeRatio is the batch-sampling probes-per-task ratio (0 means the
+	// default, 2).
 	ProbeRatio int `json:"probeRatio"`
-	// StealCap bounds the random nodes contacted per steal attempt
-	// (default 10). Only stealing policies use it.
+	// StealCap bounds the random nodes contacted per steal attempt (0 means
+	// the default, 10). Only stealing policies use it.
 	StealCap int `json:"stealCap"`
 	// DisableStealing turns off work stealing (Figure 7 ablation).
 	DisableStealing bool `json:"disableStealing,omitempty"`
@@ -153,10 +154,16 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if !(c.ShortPartitionFraction <= 1) {
 		return c, fmt.Errorf("config: ShortPartitionFraction must be at most 1, got %g", c.ShortPartitionFraction)
 	}
-	if c.ProbeRatio <= 0 {
+	if c.ProbeRatio < 0 {
+		return c, fmt.Errorf("config: ProbeRatio must be non-negative (0 = default), got %d", c.ProbeRatio)
+	}
+	if c.ProbeRatio == 0 {
 		c.ProbeRatio = core.DefaultProbeRatio
 	}
-	if c.StealCap <= 0 {
+	if c.StealCap < 0 {
+		return c, fmt.Errorf("config: StealCap must be non-negative (0 = default), got %d", c.StealCap)
+	}
+	if c.StealCap == 0 {
 		c.StealCap = core.DefaultStealCap
 	}
 	if !finiteNonNegative(c.NetworkDelay) {

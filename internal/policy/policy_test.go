@@ -358,6 +358,26 @@ func TestNormalizeRejectsNaN(t *testing.T) {
 	}
 }
 
+// A negative probe ratio or steal cap is an error naming the field, as every
+// other negative count in Config is; it used to run with the default, as 0
+// (unset) still does.
+func TestNormalizeRejectsNegativeCounts(t *testing.T) {
+	tr := tinyTrace(job(1, 0, 10))
+	for _, c := range []struct {
+		cfg   policy.Config
+		field string
+	}{
+		{policy.Config{NumNodes: 4, ProbeRatio: -1}, "ProbeRatio"},
+		{policy.Config{NumNodes: 4, StealCap: -3}, "StealCap"},
+		{policy.Config{NumNodes: 4, ProbeRatio: 3, StealCap: -1}, "StealCap"},
+	} {
+		if _, err := c.cfg.Normalize(tr); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("ProbeRatio %d, StealCap %d: Normalize = %v, want an error naming %s",
+				c.cfg.ProbeRatio, c.cfg.StealCap, err, c.field)
+		}
+	}
+}
+
 func TestResultsCSVRoundTrip(t *testing.T) {
 	tr := workload.Generate(workload.Google(), workload.GenConfig{NumJobs: 100, MeanInterArrival: 1, Seed: 2})
 	res, err := sim.Run(tr, policy.Config{NumNodes: 500, Policy: "hawk", Seed: 1})

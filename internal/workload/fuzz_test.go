@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -12,9 +11,11 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV exercises the trace parser with arbitrary input: it must
-// never panic, and anything it accepts must be a valid trace that survives
-// a write/read round trip.
+// FuzzReadCSV feeds arbitrary bytes, as an outside tool's CSV records, to
+// the one reader behind the minimal header, whose jobs= counts the non-blank
+// lines, and materializes them as LoadFile does: it must never panic, and
+// anything it accepts must be a valid trace that survives a write/read round
+// trip bit for bit.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("1,0,2,10,20\n")
 	f.Add("1,0,2,10,20,L\n2,5.5,1,7\n")
@@ -22,20 +23,24 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("x,y,z\n")
 	f.Add("1,0,1,1e300\n")
 	f.Add("1,0,3,1,2\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadCSV(strings.NewReader(input))
+	f.Fuzz(func(t *testing.T, records string) {
+		n := 0
+		for _, line := range strings.Split(records, "\n") {
+			if strings.TrimSuffix(line, "\r") != "" {
+				n++
+			}
+		}
+		src, err := stringSource(minimalHeader(n) + records)
+		if err != nil {
+			t.Fatalf("the minimal header is refused: %v", err)
+		}
+		tr, err := Materialize(src)
 		if err != nil {
 			return
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("accepted trace fails validation: %v", err)
-		}
-		back, err := ReadCSV(bytes.NewReader(legacyCSV(t, tr)))
-		if err != nil {
-			t.Fatalf("serialized trace fails to parse: %v", err)
-		}
-		if back.Len() != tr.Len() {
-			t.Fatalf("round trip changed job count: %d != %d", back.Len(), tr.Len())
+		back, err := readFileSource(traceText(t, tr))
+		if err != nil || !sameJobs(back, tr.Jobs) {
+			t.Fatalf("round trip read %d of %d jobs back, err %v", len(back), tr.Len(), err)
 		}
 	})
 }
@@ -99,7 +104,7 @@ func FuzzStreamTrace(f *testing.F) {
 }
 
 // stringSource is OpenSource over input instead of a file, so fuzzing
-// touches no disk; the read buffer is the size openFile gives a file.
+// touches no disk; the read buffer is the size OpenSource gives a file.
 func stringSource(input string) (*FileSource, error) {
 	s := &FileSource{r: bufio.NewReaderSize(strings.NewReader(input), readBufferSize)}
 	first, _ := s.r.ReadString('\n')

@@ -1,15 +1,12 @@
 package workload
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/csv"
 	"fmt"
-	"io"
 	"strconv"
 )
 
-// The job record — one line per job, the grammar both on-disk forms share:
+// The job record — one line per job of a hawk-trace file (streamio.go):
 //
 //	jobID,submitTime,numTasks,dur0,dur1,...,durN-1[,L]
 //
@@ -17,17 +14,13 @@ import (
 // submission time, number of tasks in the job, duration of each task)". A
 // trailing "L" marks jobs that are long by construction; floats are strconv
 // 'g'/-1, which round-trips exactly (written by AppendFloat, byte for byte).
-// Behind a header line the records are a hawk-trace file (streamio.go), the
-// only format written; without one they are the legacy CSV of an outside
-// tool, which Open still reads.
 //
 // Every field is a number or the letter L — never a comma, a quote or a line
 // break — so appendJobRecord writes what encoding/csv would (a test holds it
-// to that) with none of its quoting and no []string per job, and FileSource
-// reads a hawk-trace record back the same way: the line is cut at commas and
-// each field parsed in place into the recycled job, so a quote there is a
-// decode error. ReadCSV keeps encoding/csv: a legacy file comes from an
-// outside tool and may be quoted.
+// to that) with none of its quoting and no []string per job, and
+// FileSource.Next, the one reader of the grammar, reads a record back the
+// same way: the line is cut at commas and each field parsed in place into
+// the recycled job, so a quote there is a decode error.
 
 // appendJobRecord appends j's record, newline included, to buf.
 func appendJobRecord(buf []byte, j *Job) []byte {
@@ -47,38 +40,6 @@ func appendJobRecord(buf []byte, j *Job) []byte {
 	return buf
 }
 
-// ReadCSV parses a headerless file of job records. Name, Cutoff and
-// ShortPartitionFraction are not part of that format; callers set them after
-// loading (or use the defaults from the generating Spec).
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = -1 // variable-length records
-	t := &Trace{}
-	var fields [][]byte
-	for line := 1; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %w", line, err)
-		}
-		fields = fields[:0]
-		for _, f := range rec {
-			fields = append(fields, []byte(f))
-		}
-		j := &Job{}
-		if err := parseJobFields(fields, j); err != nil {
-			return nil, fmt.Errorf("workload: line %d: %w", line, err)
-		}
-		t.Jobs = append(t.Jobs, j)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // cutFields appends to dst the fields of an unquoted record: line cut at
 // every comma, as slices of line.
 func cutFields(dst [][]byte, line []byte) [][]byte {
@@ -95,8 +56,7 @@ func cutFields(dst [][]byte, line []byte) [][]byte {
 // parseJobFields decodes one job record (grammar above) into j, reusing
 // j.Durations' backing array when it has capacity, and checks the per-job
 // invariants Validate would (CheckJob): finite non-negative submit time and
-// durations, at least one task. Shared by the materializing and streaming
-// readers. Times and durations go through parseFloat, which reads the
+// durations, at least one task. Times and durations go through parseFloat, which reads the
 // field's bytes in place. The id and the task count go through strconv.Atoi,
 // whose string(f) conversion does not allocate: strconv keeps no reference
 // to it, and an integer fits the compiler's 32-byte stack buffer for it.
@@ -147,15 +107,13 @@ func parseJobFields(rec [][]byte, j *Job) error {
 	return nil
 }
 
-// LoadFile reads the trace file at path, in either on-disk format (see
-// Open), into memory.
+// LoadFile reads the hawk-trace file at path into memory: OpenSource,
+// materialized and closed.
 func LoadFile(path string) (*Trace, error) {
-	src, err := Open(path)
+	src, err := OpenSource(path)
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := src.(io.Closer); ok {
-		defer c.Close()
-	}
+	defer src.Close()
 	return Materialize(src)
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,48 +9,35 @@ import (
 	"testing/quick"
 )
 
-// legacyCSV returns tr as the headerless CSV outside tools hand in. Nothing
-// in the repo writes that format; it is a hawk-trace file without its first
-// line.
-func legacyCSV(t *testing.T, tr *Trace) []byte {
+// minimalHeader is the one line an outside tool's records need in front of
+// them to be a trace: the version, the cutoff, the partition fraction and
+// the job count.
+func minimalHeader(jobs int) string {
+	return "#hawk-trace v=1 cutoff=10 frac=0.1 jobs=" + itoa(jobs) + "\n"
+}
+
+// traceText returns tr as WriteSource writes it.
+func traceText(t *testing.T, tr *Trace) string {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf strings.Builder
 	if err := WriteSource(&buf, NewTraceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
-	_, records, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-	return records
+	return buf.String()
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	tr := Generate(Google(), GenConfig{NumJobs: 200, MeanInterArrival: 2, Seed: 4})
-	got, err := ReadCSV(bytes.NewReader(legacyCSV(t, tr)))
+	got, err := readFileSource(traceText(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip: %d jobs, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Jobs {
-		a, b := tr.Jobs[i], got.Jobs[i]
-		if a.ID != b.ID || a.ConstructedLong != b.ConstructedLong {
-			t.Fatalf("job %d metadata mismatch", i)
-		}
-		if math.Abs(a.SubmitTime-b.SubmitTime) > 1e-12 {
-			t.Fatalf("job %d submit mismatch", i)
-		}
-		if len(a.Durations) != len(b.Durations) {
-			t.Fatalf("job %d task count mismatch", i)
-		}
-		for k := range a.Durations {
-			if a.Durations[k] != b.Durations[k] {
-				t.Fatalf("job %d duration %d mismatch: %v != %v", i, k, a.Durations[k], b.Durations[k])
-			}
-		}
+	if !sameJobs(got, tr.Jobs) {
+		t.Fatalf("round trip read %d jobs back, want the %d written bit for bit", len(got), tr.Len())
 	}
 }
 
-// Property: any structurally valid trace survives a CSV round trip.
+// Property: any structurally valid trace survives a write/read round trip.
 func TestCSVRoundTripProperty(t *testing.T) {
 	check := func(jobs [][]float64) bool {
 		tr := &Trace{}
@@ -74,91 +60,85 @@ func TestCSVRoundTripProperty(t *testing.T) {
 				ConstructedLong: i%3 == 0,
 			})
 		}
-		got, err := ReadCSV(bytes.NewReader(legacyCSV(t, tr)))
-		if err != nil {
-			return false
-		}
-		if got.Len() != tr.Len() {
-			return false
-		}
-		for i := range tr.Jobs {
-			if got.Jobs[i].ConstructedLong != tr.Jobs[i].ConstructedLong {
-				return false
-			}
-			if got.Jobs[i].TaskSeconds() != tr.Jobs[i].TaskSeconds() {
-				return false
-			}
-		}
-		return true
+		got, err := readFileSource(traceText(t, tr))
+		return err == nil && sameJobs(got, tr.Jobs)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
+// Every malformed record is refused, and the duplicate id, which no single
+// record shows, by LoadFile's Validate.
+func TestRecordErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		in   string
+		name, in, want string
 	}{
-		{"short record", "1,2\n"},
-		{"bad id", "x,0,1,5\n"},
-		{"bad submit", "1,x,1,5\n"},
-		{"bad count", "1,0,x,5\n"},
-		{"zero count", "1,0,0,5\n"},
-		{"count mismatch", "1,0,3,5,6\n"},
-		{"bad duration", "1,0,1,x\n"},
-		{"negative duration", "1,0,1,-5\n"},
-		{"duplicate id", "1,0,1,5\n1,1,1,5\n"},
+		{"short record", "1,2\n", "record too short"},
+		{"bad id", "x,0,1,5\n", "bad job id"},
+		{"bad submit", "1,x,1,5\n", "bad submit time"},
+		{"bad count", "1,0,x,5\n", "bad task count"},
+		{"zero count", "1,0,0,5\n", "bad task count"},
+		{"count mismatch", "1,0,3,5,6\n", "expected 3 durations, got 2"},
+		{"bad duration", "1,0,1,x\n", "bad duration"},
+		{"negative duration", "1,0,1,-5\n", "duration -5 is not a finite number"},
+		{"duplicate id", "1,0,1,5\n1,1,1,5\n", "duplicate job id 1"},
 	}
+	dir := t.TempDir()
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: accepted %q", c.name, c.in)
+		path := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".trace")
+		if err := os.WriteFile(path, []byte(minimalHeader(strings.Count(c.in, "\n"))+c.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadFile of %q: %v, want an error saying %q", c.name, c.in, err, c.want)
 		}
 	}
 }
 
-func TestReadCSVEmpty(t *testing.T) {
-	tr, err := ReadCSV(strings.NewReader(""))
+// A header that promises no jobs, over no records, is an empty trace.
+func TestLoadFileEmpty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.trace")
+	if err := os.WriteFile(path, []byte(minimalHeader(0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadFile(path)
 	if err != nil {
-		t.Fatalf("empty input should parse: %v", err)
+		t.Fatalf("a header over no records should load: %v", err)
 	}
 	if tr.Len() != 0 {
-		t.Fatalf("empty input gave %d jobs", tr.Len())
+		t.Fatalf("empty trace gave %d jobs", tr.Len())
 	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.csv")
+	path := filepath.Join(dir, "trace.hawk")
 	tr := Generate(Yahoo(), GenConfig{NumJobs: 50, MeanInterArrival: 1, Seed: 6})
-	if err := os.WriteFile(path, legacyCSV(t, tr), 0o644); err != nil {
+	if err := SaveSource(path, NewTraceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("loaded %d jobs, want %d", got.Len(), tr.Len())
+	if got.Name != tr.Name || got.Cutoff != tr.Cutoff || got.ShortPartitionFraction != tr.ShortPartitionFraction ||
+		!sameJobs(got.Jobs, tr.Jobs) {
+		t.Fatalf("loaded %q (%d jobs), want %q as saved (%d jobs)", got.Name, got.Len(), tr.Name, tr.Len())
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.csv")); err == nil {
+	if _, err := LoadFile(filepath.Join(dir, "missing.trace")); err == nil {
 		t.Fatal("missing file should error")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestLongMarkerFormat(t *testing.T) {
 	// A job with a trailing L is long; durations that happen to be
 	// parseable are not confused with the marker.
-	in := "7,1.5,2,10,20,L\n8,2.5,1,30\n"
-	tr, err := ReadCSV(strings.NewReader(in))
+	jobs, err := readFileSource(minimalHeader(2) + "7,1.5,2,10,20,L\n8,2.5,1,30\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Jobs[0].ConstructedLong || tr.Jobs[1].ConstructedLong {
+	if !jobs[0].ConstructedLong || jobs[1].ConstructedLong || len(jobs[0].Durations) != 2 {
 		t.Fatal("L marker parsed incorrectly")
 	}
 }

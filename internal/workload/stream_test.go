@@ -78,11 +78,11 @@ func TestGeneratorSourceEquivalence(t *testing.T) {
 				if err := SaveSource(path, NewGeneratorSource(spec, cfg)); err != nil {
 					t.Fatal(err)
 				}
-				src, err := Open(path)
+				src, err := OpenSource(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer src.(*FileSource).Close()
+				defer src.Close()
 				sources[name] = src
 			}
 			for name, src := range sources {
@@ -213,57 +213,52 @@ func writeTraceFile(t *testing.T, path string, content []byte) {
 	}
 }
 
-// A trace file opens by what is in it: the same jobs load from a hawk-trace
-// file and from a headerless legacy CSV, each plain and gzipped — ".gz" is a
-// rule about files, not about one format (a gzipped legacy CSV used to reach
-// ReadCSV still compressed and be diagnosed as a CSV quoting error).
-// OpenSource, which only streams, must recognize the legacy files as such so
-// callers can fall back to the materializing loader.
-func TestOpenSourceLegacyFallback(t *testing.T) {
+// A trace file is known by its header line, whatever it is called: the
+// records of a trace without it are refused, plain and gzipped, with an
+// error naming the line they lack and quoting the first line found — the
+// inflated text of a ".gz" file, not its compressed bytes. The same records
+// behind the minimal header read back.
+func TestOpenSourceRefusesHeaderless(t *testing.T) {
 	dir := t.TempDir()
 	want := Generate(Yahoo(), genCfg(10))
-	var trace bytes.Buffer
-	if err := WriteSource(&trace, NewTraceSource(want)); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"x.csv", "x.csv.gz", "x.trace", "x.trace.gz"} {
+	_, records, _ := strings.Cut(traceText(t, want), "\n")
+	for _, name := range []string{"x.csv", "x.csv.gz", "x.trace", "x.trace.gz", "empty.trace"} {
 		path := filepath.Join(dir, name)
-		legacy := strings.HasPrefix(name, "x.csv")
-		if legacy {
-			writeTraceFile(t, path, legacyCSV(t, want))
-		} else {
-			writeTraceFile(t, path, trace.Bytes())
+		content := records
+		switch {
+		case strings.HasPrefix(name, "x.trace"):
+			content = minimalHeader(want.Len()) + records
+		case name == "empty.trace":
+			content = ""
 		}
+		writeTraceFile(t, path, []byte(content))
 		fs, err := OpenSource(path)
+		if strings.HasPrefix(name, "x.trace") {
+			if err != nil {
+				t.Fatalf("OpenSource(%s): %v", name, err)
+			}
+			got := drainSource(t, fs)
+			fs.Close()
+			if !sameJobs(got, want.Jobs) {
+				t.Errorf("%s yielded %d jobs, want the %d saved bit for bit", name, len(got), want.Len())
+			}
+			continue
+		}
+		first, _, _ := strings.Cut(content, "\n")
+		first = first[:min(len(first), 20)]
 		if err == nil {
 			fs.Close()
 		}
-		if legacy && !errors.Is(err, ErrNotStreamTrace) || !legacy && err != nil {
-			t.Fatalf("OpenSource(%s): %v, want ErrNotStreamTrace from a legacy CSV and from nothing else", name, err)
+		if err == nil || !strings.Contains(err.Error(), `where a trace begins "#hawk-trace v=1 cutoff=C frac=F jobs=N"`) ||
+			!strings.Contains(err.Error(), `the first line is "`+first) {
+			t.Errorf("OpenSource(%s): %v, want the header refused, quoting the line found", name, err)
 		}
-		// Open is that caller: the jobs come back, and the Meta says nothing
-		// the format does not carry.
-		src, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open(%s): %v", name, err)
-		}
-		got := drainSource(t, src)
-		for i := range want.Jobs {
-			if len(got) != want.Len() || !jobEqual(got[i], want.Jobs[i]) {
-				t.Fatalf("Open(%s) yielded %d jobs, job %d differs from what was saved", name, len(got), i)
-			}
-		}
-		m := src.Meta()
-		if fs, ok := src.(*FileSource); ok != !legacy {
-			t.Errorf("Open(%s) returned a %T", name, src)
-		} else if ok {
-			fs.Close()
-		} else if m.Name != "" || m.Cutoff != 0 || m.ShortPartitionFraction != 0 || m.NumJobs != 10 {
-			t.Errorf("Open(%s) meta = %+v, want only the sizes set", name, m)
+		if _, err := LoadFile(path); err == nil {
+			t.Errorf("LoadFile(%s) accepted a file without a header", name)
 		}
 	}
-	if _, err := Open(filepath.Join(dir, "missing.csv")); err == nil {
-		t.Error("Open of a missing file succeeded")
+	if _, err := OpenSource(filepath.Join(dir, "missing.trace")); err == nil {
+		t.Error("OpenSource of a missing file succeeded")
 	}
 }
 
@@ -437,7 +432,7 @@ func TestFileSourceAllocatesNothingPerJob(t *testing.T) {
 
 func TestParseStreamHeaderErrors(t *testing.T) {
 	cases := []struct{ header, want string }{
-		{"not a header", "missing #hawk-trace header"},
+		{"not a header", `no hawk-trace header: the first line is "not a header", where a trace begins "#hawk-trace v=1 cutoff=C frac=F jobs=N"`},
 		{"#hawk-trace v=2 name=\"x\" jobs=1", "version"},
 		{"#hawk-trace name=\"x\" jobs=1", "missing version"},
 		{"#hawk-trace v=1 jobs=-3", "jobs=-3 is negative"},

@@ -12,23 +12,21 @@ import (
 	"strings"
 )
 
-// Trace file format ("hawk-trace"), the one format written: a header line
-// carrying the Meta, followed by one job record per line (grammar in io.go),
-// gzip-compressed when the path ends in ".gz" (written Huffman-only, see
-// traceGzipLevel; read at any level):
+// Trace file format ("hawk-trace"), the one format written and read: a
+// header line carrying the Meta, followed by one job record per line
+// (grammar in io.go), gzip-compressed when the path ends in ".gz" (written
+// Huffman-only, see traceGzipLevel; read at any level):
 //
 //	#hawk-trace v=1 name="google" cutoff=1129 frac=0.17 jobs=50000 maxtasks=4113 tasks=1352384
 //	0,1.93,12,104.2,98.7,...
 //
 // Records must be in non-decreasing submit-time order — the writer
 // enforces it, the reader verifies it — so a reader can feed the simulator
-// directly without buffering. Unlike a headerless legacy CSV, the cutoff,
-// the job count and the size bounds are known before the first record is
-// decoded.
-
-// ErrNotStreamTrace reports that a file lacks the hawk-trace header and is
-// presumably a legacy headerless CSV; Open falls back to ReadCSV on it.
-var ErrNotStreamTrace = errors.New("workload: missing #hawk-trace header")
+// directly without buffering, knowing the cutoff, the job count and the size
+// bounds before the first record is decoded. A file without the header is
+// refused; records from an outside tool read in behind the minimal one,
+// "#hawk-trace v=1 cutoff=C frac=F jobs=N" (name=, maxtasks= and tasks= are
+// optional).
 
 const streamHeaderMagic = "#hawk-trace"
 
@@ -163,71 +161,35 @@ type FileSource struct {
 	free   []*Job
 }
 
-// openFile opens the trace file at path — through gzipReader when the name
-// ends in ".gz", a rule about files and not about either format, applied
-// here only — and takes the first line off it, which is what tells the
-// formats apart. The FileSource owns the file (Close releases it) and will decode
-// records from s.r, the file after that line, once it has a Meta.
-func openFile(path string) (s *FileSource, first string, err error) {
+// OpenSource opens a hawk-trace file for streaming, through gzipReader when
+// the name ends in ".gz". It reads only the header: job records decode
+// lazily via Next. A file whose first line is not a hawk-trace header is
+// refused with an error naming the line it lacks. The FileSource owns the
+// file; Close releases it.
+func OpenSource(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	s = &FileSource{f: f}
+	s := &FileSource{f: f}
 	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
 		if r, err = newGzipReader(f); err != nil {
 			f.Close()
-			return nil, "", fmt.Errorf("workload: %s: %w", path, err)
+			return nil, fmt.Errorf("workload: %s: %w", path, err)
 		}
 	}
 	s.r = bufio.NewReaderSize(r, readBufferSize)
-	if first, err = s.r.ReadString('\n'); err != nil && err != io.EOF {
+	first, err := s.r.ReadString('\n')
+	if err != nil && err != io.EOF {
 		s.Close()
-		return nil, "", fmt.Errorf("workload: %s: reading header: %w", path, err)
-	}
-	return s, first, nil
-}
-
-// OpenSource opens a hawk-trace file for streaming (gzip inferred from a
-// ".gz" suffix). It reads only the header: job records decode lazily via
-// Next. Returns ErrNotStreamTrace (wrapped) when the header is absent.
-func OpenSource(path string) (*FileSource, error) {
-	s, first, err := openFile(path)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload: %s: reading header: %w", path, err)
 	}
 	if s.meta, err = parseStreamHeader(first); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("workload: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Open opens a trace file in either on-disk format, the only code that
-// knows there are two: a hawk-trace file streams as a *FileSource (Close it
-// when done), a headerless legacy CSV is read whole and served from memory,
-// either of them gzipped when the path ends in ".gz". The legacy format
-// carries no name, cutoff or partition fraction, so that source's Meta
-// leaves them zero. LoadFile is Open for callers that want the whole trace
-// in memory.
-func Open(path string) (Source, error) {
-	s, first, err := openFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if s.meta, err = parseStreamHeader(first); err == nil {
-		return s, nil
-	}
-	defer s.Close()
-	if !errors.Is(err, ErrNotStreamTrace) {
-		return nil, fmt.Errorf("workload: %s: %w", path, err)
-	}
-	t, err := ReadCSV(io.MultiReader(strings.NewReader(first), s.r))
-	if err != nil {
-		return nil, err
-	}
-	return NewTraceSource(t), nil
 }
 
 // parseStreamHeader decodes the #hawk-trace header line. Values are
@@ -239,7 +201,10 @@ func parseStreamHeader(line string) (Meta, error) {
 	line = strings.TrimSuffix(line, "\r")
 	rest, ok := strings.CutPrefix(line, streamHeaderMagic)
 	if !ok || (rest != "" && rest[0] != ' ') {
-		return m, ErrNotStreamTrace
+		if len(line) > 40 {
+			line = line[:40] + "..."
+		}
+		return m, fmt.Errorf(`no hawk-trace header: the first line is %q, where a trace begins "#hawk-trace v=1 cutoff=C frac=F jobs=N"`, line)
 	}
 	sawVersion := false
 	for rest != "" {

@@ -17,10 +17,9 @@
 // format (a metadata header, then one record per job, gzipped Huffman-only
 // by ".gz" suffix) record by record. A workload reaches disk one way —
 // SaveSource, which writes hawk-trace and nothing else — and comes back one
-// way: Open, which also reads the headerless CSV of the same records that
-// outside tools produce (whole, as a TraceSource). Sources that implement
-// Recycler pool decoded jobs handed back by the consumer, closing the loop
-// to zero steady-state allocation.
+// way: OpenSource, which reads hawk-trace and nothing else (LoadFile
+// materializes it). Sources that implement Recycler pool decoded jobs handed
+// back by the consumer, closing the loop to zero steady-state allocation.
 //
 // A trace's bytes are a function of (spec, config, seed) and a file's jobs a
 // function of its bytes; hawklint's determinism analyzer enforces it:
