@@ -37,6 +37,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,8 +135,8 @@ func realMain() int {
 		return 1
 	}
 	defer stopProfiles()
-	if !hawk.Registered(*policyFlag) {
-		fmt.Fprintf(os.Stderr, "hawkexp: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
+	if !slices.Contains(hawk.Policies(), *policyFlag) {
+		fmt.Fprintf(os.Stderr, "hawkexp: unknown policy %q (one of: %s)\n", *policyFlag, strings.Join(hawk.Policies(), ", "))
 		return 2
 	}
 	sc := experiments.Scale{NumJobs: *numJobsFlag, Seed: *seedFlag, Runs: *runsFlag}

@@ -75,6 +75,23 @@ func TestUnknownExperimentExits2(t *testing.T) {
 	}
 }
 
+// -policy names one of the four policies; anything else exits 2 with a
+// message listing them.
+func TestUnknownPolicyExits2(t *testing.T) {
+	code, stdout, stderr := hawkexp(t, "-exp", "table1", "-policy", "bogus")
+	if code != 2 || !strings.Contains(stderr, `unknown policy "bogus"`) {
+		t.Errorf("exit code %d, stderr %q; want 2 and the unknown-policy message", code, stderr)
+	}
+	for _, name := range []string{"centralized", "hawk", "sparrow", "split"} {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("the message does not name %q: %s", name, stderr)
+		}
+	}
+	if stdout != "" {
+		t.Errorf("a refused command line still ran: %q", stdout)
+	}
+}
+
 // hawkexp takes hawksim's scenario flags and refuses what hawksim refuses:
 // -snapshot-interval without -schedulers ran every figure on the
 // single-scheduler model without saying so.

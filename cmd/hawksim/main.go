@@ -1,7 +1,6 @@
 // Command hawksim runs a single trace-driven scheduling simulation and
-// prints the collected metrics. The scheduler is selected by name through
-// the hawk policy registry, so policies registered by linked-in code are
-// available without touching this file.
+// prints the collected metrics. The scheduler is one of the four the paper
+// evaluates, selected by name (-policy; -list-policies prints the names).
 //
 // Usage:
 //
@@ -32,7 +31,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/hawk"
@@ -56,7 +57,7 @@ var (
 	misLoFlag     = flag.Float64("mislo", 0, "mis-estimation factor lower bound")
 	misHiFlag     = flag.Float64("mishi", 0, "mis-estimation factor upper bound")
 	seedFlag      = flag.Int64("seed", 42, "random seed")
-	listPolFlag   = flag.Bool("list-policies", false, "list registered scheduling policies and exit")
+	listPolFlag   = flag.Bool("list-policies", false, "list the scheduling policies and exit")
 
 	// -schedulers, -fail-nodes, -msg-loss, … (see internal/cliflags).
 	scenario = cliflags.Register(flag.CommandLine)
@@ -95,8 +96,8 @@ func realMain() int {
 		return 1
 	}
 	defer closeSource(src)
-	if !hawk.Registered(*policyFlag) {
-		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
+	if !slices.Contains(hawk.Policies(), *policyFlag) {
+		fmt.Fprintf(os.Stderr, "hawksim: unknown policy %q (one of: %s)\n", *policyFlag, strings.Join(hawk.Policies(), ", "))
 		return 2
 	}
 	cfg, err := buildConfig(*policyFlag)
@@ -206,8 +207,17 @@ func printResult(res *hawk.Report) {
 		res.Policy, short.Count+long.Count, res.Makespan, res.Events)
 	fmt.Printf("short jobs: %s\n", short)
 	fmt.Printf("long jobs:  %s\n", long)
-	fmt.Printf("median utilization (arrival window): %.1f%%  max: %.1f%%\n",
-		100*res.Utilization.MedianUpTo(res.LastSubmit), 100*res.Utilization.Max())
+	// The simulator samples utilization every 100 s, so a short run may
+	// have no sample at all, or none by its last submission.
+	switch med := res.Utilization.MedianUpTo(res.LastSubmit); {
+	case res.Utilization.Len() == 0:
+		fmt.Println("median utilization: no sample (run ended before t=100 s)")
+	case math.IsNaN(med):
+		fmt.Printf("median utilization (arrival window): no sample (last submit before t=100 s)  max: %.1f%%\n",
+			100*res.Utilization.Max())
+	default:
+		fmt.Printf("median utilization (arrival window): %.1f%%  max: %.1f%%\n", 100*med, 100*res.Utilization.Max())
+	}
 	fmt.Printf("probes: %d  cancels: %d  tasks: %d  central assigns: %d\n",
 		res.ProbesSent, res.Cancels, res.TasksExecuted, res.CentralAssigns)
 	fmt.Printf("steals: attempts=%d contacts=%d successes=%d entries=%d\n",

@@ -446,3 +446,42 @@ func TestMalformedTraceTailFailsTheRun(t *testing.T) {
 		}
 	}
 }
+
+// -policy names one of the four policies; anything else exits 2 with a
+// message listing them, and -list-policies prints them one per line.
+func TestUnknownPolicyListsTheFour(t *testing.T) {
+	code, stderr := runMain(t, "-workload", "google", "-jobs", "50", "-nodes", "500", "-policy", "bogus")
+	if code != 2 || !bytes.Contains(stderr, []byte(`unknown policy "bogus"`)) {
+		t.Errorf("exit code %d, stderr %q; want 2 and the unknown-policy message", code, stderr)
+	}
+	for _, name := range hawk.Policies() {
+		if !bytes.Contains(stderr, []byte(name)) {
+			t.Errorf("the message does not name %q: %s", name, stderr)
+		}
+	}
+	code, stdout, _ := runMainOut(t, "-list-policies")
+	if want := "centralized\nhawk\nsparrow\nsplit\n"; code != 0 || string(stdout) != want {
+		t.Errorf("-list-policies: exit code %d, stdout %q; want 0 and %q", code, stdout, want)
+	}
+}
+
+// The simulator samples utilization every 100 s. A run that ends before the
+// first sample says so instead of printing "NaN%", and so does one whose
+// jobs all arrive before it.
+func TestUtilizationLineWithoutSamples(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, records, want string }{
+		{"two-jobs", "0,0,1,5\n1,2.5,2,6,7\n", "median utilization: no sample (run ended before t=100 s)\n"},
+		{"long-tail", "0,0,1,5\n1,2.5,1,250\n", "median utilization (arrival window): no sample (last submit before t=100 s)  max: 5.0%\n"},
+	} {
+		path := filepath.Join(dir, c.name+".trace")
+		trace := "#hawk-trace v=1 name=\"g\" cutoff=10 frac=0.1 jobs=2\n" + c.records
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runMainOut(t, "-trace", path, "-nodes", "20", "-policy", "sparrow")
+		if code != 0 || !bytes.Contains(stdout, []byte(c.want)) || bytes.Contains(stdout, []byte("NaN%")) {
+			t.Errorf("%s: exit code %d, stdout %q, stderr %q; want 0 and %q", c.name, code, stdout, stderr, c.want)
+		}
+	}
+}

@@ -6,10 +6,9 @@
 //
 // Import repro/hawk. It is the one engine-agnostic scheduling surface:
 //
-//   - a Policy interface plus a string-keyed registry — "sparrow", "hawk",
-//     "centralized", and "split" are registered implementations, and
-//     hawk.Register plugs new policies into both engines without engine
-//     changes;
+//   - the paper's four schedulers — "sparrow", "hawk", "centralized" and
+//     "split" — named in hawk.Config.Policy and listed by hawk.Policies,
+//     with Config switches for the three Hawk ablations of Figure 7;
 //   - one shared hawk.Config (a struct literal; validation, defaults
 //     resolved once) consumed by every engine;
 //   - one hawk.Report result schema with CSV and JSON export, so engines
@@ -57,8 +56,8 @@
 // # Layout
 //
 // hawk is the public façade. internal/policy holds the API implementation
-// (registry, config, report, and the scenario specs with their protocol
-// rules); internal/core holds the engine-independent building blocks
+// (the policy table, config, report, and the scenario specs with their
+// protocol rules); internal/core holds the engine-independent building blocks
 // (estimation, classification, partitioning, the cluster view, probe
 // placement, stealing, the centralized waiting-time queue, and the
 // multi-scheduler kernels: the live-scheduler set and the claim table);

@@ -2,9 +2,10 @@
 // Hawk and with Sparrow in the trace-driven simulator, and compare the job
 // runtime percentiles — the paper's headline comparison in miniature.
 //
-// Everything here goes through the public repro/hawk API: policies are
-// looked up by name in the registry, both runs share one Config shape, and
-// results come back as the engine-agnostic Report.
+// Everything here goes through the public repro/hawk API: a policy is
+// named in the Config (one of the four hawk.Policies lists), both runs
+// share one Config shape, and results come back as the engine-agnostic
+// Report.
 package main
 
 import (

@@ -2,7 +2,7 @@
 // repository — a Go reproduction of "Hawk: Hybrid Datacenter Scheduling"
 // (Delgado, Dinu, Kermarrec, Zwaenepoel — USENIX ATC 2015).
 //
-// The package decouples scheduling policy from execution engine. A Policy
+// The package decouples scheduling policy from execution engine. A policy
 // decides where each job's work goes — probe-sample a pool of nodes,
 // Sparrow-style, or hand the job to the centralized waiting-time queue —
 // and which cluster mechanisms (reserved short partition, randomized work
@@ -22,10 +22,10 @@
 // the Report's counters accounting for the damage. A nil scenario field is
 // a static, reliable cluster and engines keep their fast paths.
 //
-// The four schedulers the paper studies — "sparrow", "hawk", "centralized",
-// "split" — are registered policies; list them with Policies, validate a
-// CLI flag with Registered, and plug in new policies with Register
-// without touching engine code:
+// A run names one of the four schedulers the paper studies — "sparrow",
+// "hawk", "centralized", "split" — in Config.Policy; Policies lists them,
+// and Config's Disable* switches carve Hawk's mechanisms out for the
+// Figure 7 ablations:
 //
 //	trace := hawk.Generate(hawk.Google(), hawk.GenConfig{
 //		NumJobs: 4000, MeanInterArrival: 2.3, Seed: 1,
@@ -37,17 +37,17 @@
 //	fmt.Println(report.Summary())
 //
 // The underlying implementation lives in internal/policy (API types and
-// built-in policies, assembled from the internal/core primitives),
+// the four policies, assembled from the internal/core primitives),
 // internal/sim, and internal/liverun; this package re-exports the stable
 // surface. A name is re-exported if and only if cmd/, examples/ or a README
 // snippet uses it, or a user cannot write a call to a re-exported function,
-// a Config literal, or a Policy, Source or Config.JobSink of their own
-// without spelling it: a parameter or result type, a struct a literal must
-// name, an enum constant. A type that only ever arrives as a field of
-// something returned (a Report's MessagesDropped, a Decision's Action) is
-// read through its owner and has no alias here; neither has the file reader
-// OpenTrace returns, a Source with a Close method. Every exported symbol
-// carries a doc comment; hawklint's exporteddoc analyzer enforces it:
+// a Config literal, or a Source or Config.JobSink of their own without
+// spelling it: a parameter or result type, a struct a literal must name, an
+// enum constant. A type that only ever arrives as a field of something
+// returned (a Report's MessagesDropped) is read through its owner and has
+// no alias here; neither has the file reader OpenTrace returns, a Source
+// with a Close method. Every exported symbol carries a doc comment;
+// hawklint's exporteddoc analyzer enforces it:
 //
 //hawk:exporteddoc
 package hawk
@@ -65,11 +65,6 @@ import (
 
 // Core API types, re-exported from the internal policy layer.
 type (
-	// Policy is a scheduling policy: it routes classified jobs and
-	// declares the cluster mechanisms a run needs.
-	Policy = policy.Policy
-	// Factory builds a Policy from a run Config; pass one to Register.
-	Factory = policy.Factory
 	// Config is the engine-agnostic run configuration shared by
 	// Simulate and RunLive.
 	Config = policy.Config
@@ -77,12 +72,6 @@ type (
 	Report = policy.Report
 	// JobReport is one job's outcome within a Report.
 	JobReport = policy.JobReport
-	// Decision is a Policy's placement verdict for one job.
-	Decision = policy.Decision
-	// JobInfo is the engine-independent view of a job being routed.
-	JobInfo = policy.JobInfo
-	// Pool identifies a candidate node set relative to the partition.
-	Pool = policy.Pool
 
 	// ChurnSpec scripts dynamic cluster membership for a run: node
 	// failures and recoveries plus central-scheduler outages, replayed
@@ -145,29 +134,9 @@ func SchedulerChurn(scheduler int, failAt, recoverAt float64) []ChurnEvent {
 	return policy.SchedulerChurn(scheduler, failAt, recoverAt)
 }
 
-// Decision actions and candidate pools.
-const (
-	ActionProbe   = policy.ActionProbe
-	ActionCentral = policy.ActionCentral
-
-	PoolNone    = policy.PoolNone
-	PoolAll     = policy.PoolAll
-	PoolGeneral = policy.PoolGeneral
-	PoolShort   = policy.PoolShort
-)
-
-// Register makes a policy available under the given name, alongside the
-// built-in "sparrow", "hawk", "centralized", and "split". Registered
-// policies run unmodified on every engine. It panics on empty or duplicate
-// names.
-func Register(name string, f Factory) { policy.Register(name, f) }
-
-// Policies returns the sorted names of all registered policies.
+// Policies returns the sorted names of the four policies a Config may
+// name.
 func Policies() []string { return policy.Policies() }
-
-// Registered reports whether a policy name is in the registry without
-// instantiating it — the right check for validating a flag value.
-func Registered(name string) bool { return policy.Registered(name) }
 
 // UniformLoss returns the FaultSpec that drops every message class (probe,
 // reply, steal, assign, commit) with probability p and sets nothing else.

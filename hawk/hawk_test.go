@@ -87,68 +87,6 @@ func TestEngineFuncType(t *testing.T) {
 	}
 }
 
-// A custom policy registered through the public API runs on both engines
-// without any engine change. "nosteal-hawk" routes exactly like hawk with
-// stealing off, so on the simulator its results must be identical to the
-// built-in hawk policy with DisableStealing — the decisions, not the
-// policy's name, drive the engine.
-func TestRegisterCustomPolicy(t *testing.T) {
-	// The registry is process-global and Register panics on duplicates, so
-	// guard for in-process test reruns (go test -count=N).
-	if !hawk.Registered("nosteal-hawk") {
-		hawk.Register("nosteal-hawk", func(cfg hawk.Config) (hawk.Policy, error) {
-			return noStealHawk{frac: cfg.ShortPartitionFraction}, nil
-		})
-	}
-	found := false
-	for _, name := range hawk.Policies() {
-		if name == "nosteal-hawk" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered policy missing from Policies(): %v", hawk.Policies())
-	}
-
-	trace := hawk.Generate(hawk.Google(), hawk.GenConfig{
-		NumJobs: 300, MeanInterArrival: 1, Seed: 3,
-	})
-	custom, err := hawk.Simulate(trace, hawk.Config{Policy: "nosteal-hawk", NumNodes: 2000, Seed: 4})
-	if err != nil {
-		t.Fatalf("custom policy run: %v", err)
-	}
-	builtin, err := hawk.Simulate(trace, hawk.Config{Policy: "hawk", NumNodes: 2000, Seed: 4, DisableStealing: true})
-	if err != nil {
-		t.Fatalf("builtin run: %v", err)
-	}
-	if len(custom.Jobs) != len(builtin.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(custom.Jobs), len(builtin.Jobs))
-	}
-	for i := range custom.Jobs {
-		c, b := custom.Jobs[i], builtin.Jobs[i]
-		if c.ID != b.ID || c.Runtime != b.Runtime {
-			t.Fatalf("job %d: custom runtime %v != builtin %v", c.ID, c.Runtime, b.Runtime)
-		}
-	}
-	if custom.StealAttempts != 0 {
-		t.Errorf("nosteal policy stole %d times", custom.StealAttempts)
-	}
-}
-
-// noStealHawk is the test's custom policy: hawk's routing, stealing off.
-type noStealHawk struct{ frac float64 }
-
-func (noStealHawk) String() string                    { return "nosteal-hawk" }
-func (p noStealHawk) ShortPartitionFraction() float64 { return p.frac }
-func (noStealHawk) CentralPool() hawk.Pool            { return hawk.PoolGeneral }
-func (noStealHawk) Steal() bool                       { return false }
-func (noStealHawk) Route(j hawk.JobInfo) hawk.Decision {
-	if j.Long {
-		return hawk.Decision{Action: hawk.ActionCentral}
-	}
-	return hawk.Decision{Action: hawk.ActionProbe, Pool: hawk.PoolAll}
-}
-
 // RunSweep fans independent runs over a worker pool; results come back in
 // point order and match serial Simulate calls exactly.
 func TestRunSweepMatchesSerialSimulate(t *testing.T) {

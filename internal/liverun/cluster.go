@@ -83,10 +83,10 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 		started:   time.Now(),
 		totalJobs: jobs,
 		over:      make(chan struct{}),
-		res:       policy.Report{Engine: "live", Policy: pol.String(), Config: cfg},
+		res:       policy.Report{Engine: "live", Policy: pol.Name, Config: cfg},
 	}
-	c.part = core.NewPartition(cfg.NumNodes, pol.ShortPartitionFraction())
-	c.steal = core.StealPolicy{Cap: cfg.StealCap, Enabled: pol.Steal()}
+	c.part = core.NewPartition(cfg.NumNodes, pol.ShortPartitionFraction)
+	c.steal = core.StealPolicy{Cap: cfg.StealCap, Enabled: pol.Steal}
 
 	c.view = core.NewClusterView(c.part)
 	if cfg.Heterogeneity != nil {
@@ -106,7 +106,7 @@ func newCluster(cfg policy.Config, pol policy.Policy, jobs int) *cluster {
 		c.nodes[i] = newNodeMonitor(i, c, root.Fork())
 		c.nodes[i].speed = c.view.Speed(i)
 	}
-	if pool := pol.CentralPool(); pool != policy.PoolNone {
+	if pool := pol.CentralPool; pool != policy.PoolNone {
 		c.central = &centralScheduler{c: c, q: core.NewCentralQueue(pool.IDs(c.part))}
 	}
 	if spec := cfg.Schedulers; spec != nil {
@@ -209,7 +209,7 @@ func (c *cluster) latency() {
 // probes batch-sampled (§3.5) over its pool's live members, which the
 // pre-flight's feasibility margin keeps at least its task count.
 func (c *cluster) route(jr *jobRuntime) {
-	dec := c.pol.Route(jr.info())
+	dec := c.pol.Route(jr.long)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.mscheds != nil {
@@ -452,7 +452,7 @@ func (c *cluster) recoverNode(id int) {
 		return
 	}
 	c.view.Recover(id)
-	if c.central != nil && c.pol.CentralPool().Contains(c.part, id) {
+	if c.central != nil && c.pol.CentralPool.Contains(c.part, id) {
 		c.central.q.Add(id, c.nowSeconds())
 	}
 	released := c.releaseLocked(policy.NodeRecovered)
@@ -487,7 +487,7 @@ func (c *cluster) rerouteEntry(e entry) {
 // eventual task request, and with none it waits for a scheduler recovery —
 // the simulator's resendProbe.
 func (c *cluster) resendProbe(jr *jobRuntime) {
-	dec := c.pol.Route(jr.info())
+	dec := c.pol.Route(jr.long)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.mscheds != nil {
@@ -665,11 +665,6 @@ type jobRuntime struct {
 	// the multi-scheduler model, recorded at routing (route, ownerLocked).
 	finished bool
 	owner    int32
-}
-
-// info is the job as the policy's Route sees it.
-func (j *jobRuntime) info() policy.JobInfo {
-	return policy.JobInfo{ID: j.job.ID, Tasks: j.job.NumTasks(), Estimate: j.est, Long: j.long}
 }
 
 func newJobRuntime(job *workload.Job, long bool, submitted time.Time) *jobRuntime {

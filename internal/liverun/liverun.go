@@ -5,9 +5,9 @@
 // mirroring the paper's Spark plug-in prototype built from Sparrow node
 // monitors plus a centralized scheduler and work stealing (§3.8, §4.10).
 //
-// The engine executes any registered policy.Policy (see repro/hawk) — the
-// same policy code the simulator runs — and routes, parks and releases work
-// by the simulator's rules: scheduling decisions are free in both engines
+// The engine executes the policy.Policy value the run configuration names —
+// the one the simulator reads — and routes, parks and releases work by the
+// simulator's rules: scheduling decisions are free in both engines
 // (§4.1), and the multi-scheduler model hashes jobs to owners the same way.
 // What differs is time: here messages, probing and stealing really take
 // it — exactly the delta the paper's "implementation vs simulation"

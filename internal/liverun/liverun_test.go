@@ -140,7 +140,7 @@ func TestLiveHawkSteals(t *testing.T) {
 	}
 }
 
-// The live engine executes registry policies the simulator also runs; the
+// The live engine executes the policies the simulator runs; the
 // split-cluster baseline exercises the short-only probe pool and a central
 // queue in the same live run.
 func TestLiveSplitPolicy(t *testing.T) {

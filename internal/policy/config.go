@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -13,7 +14,7 @@ import (
 // comments); Normalize resolves them against a trace exactly once, so the
 // values recorded in a Report are the values the run actually used.
 type Config struct {
-	// Policy is the registry name of the scheduling policy (see Policies).
+	// Policy is the name of the scheduling policy (see Policies).
 	// Empty selects "hawk".
 	Policy string `json:"policy"`
 	// NumNodes is the number of single-slot nodes, each with its own FIFO
@@ -134,8 +135,8 @@ func (c Config) NormalizeMeta(m workload.Meta) (Config, error) {
 	if c.Policy == "" {
 		c.Policy = "hawk"
 	}
-	if !Registered(c.Policy) {
-		return c, fmt.Errorf("policy: unknown policy %q (registered: %v)", c.Policy, Policies())
+	if !slices.Contains(Policies(), c.Policy) {
+		return c, unknownPolicy(c.Policy)
 	}
 	if c.NumNodes <= 0 {
 		return c, fmt.Errorf("config: NumNodes must be positive, got %d", c.NumNodes)

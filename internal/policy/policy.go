@@ -1,16 +1,16 @@
 // Package policy defines the engine-agnostic scheduling API of this
-// repository: the Policy interface, the string-keyed policy registry, the
-// shared run Config consumed by both execution engines, and the unified
-// Report every engine produces.
+// repository: the four schedulers the paper evaluates as one Policy value
+// each, the shared run Config consumed by both execution engines, and the
+// unified Report every engine produces.
 //
-// A Policy decides *what* to do with a job — probe-sample a pool of nodes,
-// hand the job to the centralized waiting-time queue — and which structural
-// mechanisms (reserved short partition, randomized work stealing) are
-// active. The execution engines (the discrete-event simulator in
-// internal/sim and the live goroutine prototype in internal/liverun) decide
-// *how* those decisions execute: event scheduling vs real goroutines, modelled
-// vs injected network delay. Policies are built from the internal/core
-// primitives, so the exact same policy code runs on both engines.
+// A Policy says *what* to do with a job of each class — probe-sample a pool
+// of nodes, or hand the job to the centralized waiting-time queue — and
+// which structural mechanisms (reserved short partition, randomized work
+// stealing) are active. The execution engines (the discrete-event simulator
+// in internal/sim and the live goroutine prototype in internal/liverun)
+// decide *how* those decisions execute: event scheduling vs real goroutines,
+// modelled vs injected network delay. Both engines read the same Policy
+// value, so a scheduler is defined once for both.
 //
 // The package is re-exported as the public top-level package hawk; external
 // code should import repro/hawk.
@@ -24,11 +24,7 @@ package policy
 
 import (
 	"fmt"
-
-	//hawk:allow registry-listing order only, once per process, never per event
-	"sort"
-
-	"sync"
+	"strings"
 )
 
 // Pool identifies a set of candidate nodes relative to the cluster's
@@ -37,8 +33,8 @@ import (
 type Pool int
 
 const (
-	// PoolNone is the zero Pool: no nodes. Returned by CentralPool when a
-	// policy has no centralized scheduler.
+	// PoolNone is the zero Pool: no nodes. A Policy's CentralPool when it
+	// has no centralized scheduler.
 	PoolNone Pool = iota
 	// PoolAll is every node in the cluster.
 	PoolAll
@@ -92,95 +88,79 @@ type Decision struct {
 	Pool Pool
 }
 
-// JobInfo is the engine-independent view of a job being routed. Long is the
-// scheduler's classification of the job (it reflects mis-estimation when
-// the run configures it).
-type JobInfo struct {
-	ID       int
-	Tasks    int
-	Estimate float64
-	Long     bool
-}
-
-// Policy is a scheduling policy: given a classified job, decide where its
-// work goes, and declare which cluster mechanisms the run needs. The four
-// schedulers the Hawk paper evaluates — sparrow, hawk, centralized, split —
-// are registered implementations; new policies plug in via Register without
-// touching engine code.
-type Policy interface {
-	// String returns the registry name the policy was built from.
-	String() string
+// Policy is one of the four schedulers the paper evaluates, resolved from a
+// run Config by New: where a job of each class goes, and which cluster
+// mechanisms the run needs. A central decision always comes with a
+// CentralPool other than PoolNone.
+type Policy struct {
+	// Name is the policy's name: "centralized", "hawk", "sparrow" or
+	// "split".
+	Name string
 	// ShortPartitionFraction is the fraction of nodes reserved for short
 	// tasks (§3.4). Zero means no reservation.
-	ShortPartitionFraction() float64
-	// Route decides the placement of one job.
-	Route(job JobInfo) Decision
+	ShortPartitionFraction float64
+	// Short and Long place a job the scheduler classifies as short or long
+	// (the classification reflects mis-estimation when the run configures
+	// it).
+	Short, Long Decision
 	// CentralPool is the node pool the centralized waiting-time queue
 	// spans, or PoolNone when the policy never assigns centrally.
-	CentralPool() Pool
+	CentralPool Pool
 	// Steal reports whether idle nodes perform randomized work stealing
 	// (§3.6).
-	Steal() bool
+	Steal bool
 }
 
-// Factory builds a Policy instance from a (normalized) run configuration.
-// The configuration carries the generic knobs — partition fraction, the
-// Disable* ablation switches — that parameterize the built-in policies;
-// custom factories are free to ignore it.
-type Factory func(cfg Config) (Policy, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a policy available under the given name. It panics if the
-// name is empty or already taken, mirroring database/sql.Register: a
-// duplicate registration is a programming error, not a runtime condition.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" {
-		panic("policy: Register with empty name")
+// Route decides the placement of a job of the given class.
+func (p Policy) Route(long bool) Decision {
+	if long {
+		return p.Long
 	}
-	if f == nil {
-		panic("policy: Register with nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("policy: Register called twice for %q", name))
-	}
-	registry[name] = f
+	return p.Short
 }
 
-// Policies returns the sorted names of all registered policies.
-func Policies() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry { //hawk:allow order-insensitive collect; names are sorted before being returned
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Policies returns the sorted names of the four policies.
+func Policies() []string { return []string{"centralized", "hawk", "sparrow", "split"} }
 
-// Registered reports whether a policy name is in the registry, without
-// instantiating anything. Config.Normalize uses it so a custom factory
-// that rejects some configurations is never probed with a fabricated one.
-func Registered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// New instantiates the named policy for a run configuration.
+// New resolves the named policy under a run configuration: its partition
+// fraction, and the three Figure 7 ablation switches, which carve Hawk's
+// mechanisms out one at a time (DisablePartition also empties split's short
+// partition).
 func New(name string, cfg Config) (Policy, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Policies())
+	frac := cfg.ShortPartitionFraction
+	if cfg.DisablePartition {
+		frac = 0
 	}
-	return f(cfg)
+	probeAll := Decision{Action: ActionProbe, Pool: PoolAll}
+	central := Decision{Action: ActionCentral}
+	switch name {
+	case "sparrow":
+		// The fully distributed baseline: batch sampling over the whole
+		// cluster for every job.
+		return Policy{Name: name, Short: probeAll, Long: probeAll}, nil
+	case "hawk":
+		// Long jobs centrally placed in the general partition, short jobs
+		// probed over the whole cluster — the short partition plus any idle
+		// general node (§3.4, §3.5) — and randomized work stealing.
+		p := Policy{Name: name, ShortPartitionFraction: frac, Short: probeAll, Long: central,
+			CentralPool: PoolGeneral, Steal: !cfg.DisableStealing}
+		if cfg.DisableCentral {
+			p.Long, p.CentralPool = Decision{Action: ActionProbe, Pool: PoolGeneral}, PoolNone
+		}
+		return p, nil
+	case "centralized":
+		// The §3.7 centralized algorithm over the whole cluster for every
+		// job.
+		return Policy{Name: name, Short: central, Long: central, CentralPool: PoolAll}, nil
+	case "split":
+		// The §4.6 baseline: short jobs probe only the short partition, long
+		// jobs are centrally placed in the general one; no overlap.
+		return Policy{Name: name, ShortPartitionFraction: frac,
+			Short: Decision{Action: ActionProbe, Pool: PoolShort}, Long: central, CentralPool: PoolGeneral}, nil
+	}
+	return Policy{}, unknownPolicy(name)
+}
+
+func unknownPolicy(name string) error {
+	return fmt.Errorf("policy: unknown policy %q (one of: %s)", name, strings.Join(Policies(), ", "))
 }

@@ -3,6 +3,7 @@ package policy_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -30,33 +31,21 @@ func job(id int, submit float64, durs ...float64) *workload.Job {
 }
 
 func TestPoliciesListsBuiltins(t *testing.T) {
-	names := policy.Policies()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Policies() not sorted: %v", names)
-		}
-	}
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, want := range builtins {
-		if !have[want] {
-			t.Errorf("Policies() = %v, missing built-in %q", names, want)
-		}
+	if names, want := policy.Policies(), []string{"centralized", "hawk", "sparrow", "split"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("Policies() = %v, want %v", names, want)
 	}
 }
 
-// Resolving a name to a policy is New; under the zero Config every built-in
-// reports the name it was registered under.
+// Resolving a name to a policy is New; under the zero Config every policy
+// carries the name it was built from.
 func TestParsePolicyStringRoundTrip(t *testing.T) {
 	for _, name := range builtins {
 		p, err := policy.New(name, policy.Config{})
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if p.String() != name {
-			t.Errorf("New(%q).String() = %q", name, p.String())
+		if p.Name != name {
+			t.Errorf("New(%q).Name = %q", name, p.Name)
 		}
 	}
 }
@@ -67,8 +56,10 @@ func TestParsePolicyUnknown(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 	// The error should help the user find a valid name.
-	if !strings.Contains(err.Error(), "hawk") {
-		t.Errorf("error %q does not list registered policies", err)
+	for _, name := range builtins {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }
 
@@ -77,88 +68,99 @@ func TestRegistryLookupBuildsFromConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ShortPartitionFraction(); got != 0.25 {
+	if got := p.ShortPartitionFraction; got != 0.25 {
 		t.Errorf("fraction = %v, want 0.25", got)
 	}
-	if p.Steal() {
+	if p.Steal {
 		t.Error("DisableStealing ignored")
 	}
-	if p.CentralPool() != policy.PoolGeneral {
-		t.Errorf("central pool = %v", p.CentralPool())
+	if p.CentralPool != policy.PoolGeneral {
+		t.Errorf("central pool = %v", p.CentralPool)
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	mustPanic := func(name string, f policy.Factory) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register(%q) did not panic", name)
-			}
-		}()
-		policy.Register(name, f)
-	}
-	factory := func(policy.Config) (policy.Policy, error) { return nil, nil }
-	mustPanic("hawk", factory) // duplicate of a built-in
-	mustPanic("", factory)
-	mustPanic("nil-factory", nil)
-}
-
-// Built-in route decisions: the table the engines execute.
+// The table the engines execute: every policy under no ablation switch and
+// under each of the three alone (hawk also under all three), pinned as the
+// Policy value New resolves. Every row also holds the invariant the
+// feasibility rule relies on instead of checking it: a central decision
+// comes with a central pool, and a probe decision with a probe pool.
 func TestBuiltinRouting(t *testing.T) {
+	var (
+		probeAll     = policy.Decision{Action: policy.ActionProbe, Pool: policy.PoolAll}
+		probeGeneral = policy.Decision{Action: policy.ActionProbe, Pool: policy.PoolGeneral}
+		probeShort   = policy.Decision{Action: policy.ActionProbe, Pool: policy.PoolShort}
+		central      = policy.Decision{Action: policy.ActionCentral}
+		sparrow      = policy.Policy{Name: "sparrow", Short: probeAll, Long: probeAll}
+		centralized  = policy.Policy{Name: "centralized", Short: central, Long: central, CentralPool: policy.PoolAll}
+		split        = policy.Policy{Name: "split", ShortPartitionFraction: 0.2, Short: probeShort, Long: central, CentralPool: policy.PoolGeneral}
+		hawk         = policy.Policy{Name: "hawk", ShortPartitionFraction: 0.2, Short: probeAll, Long: central, CentralPool: policy.PoolGeneral, Steal: true}
+	)
+	with := func(p policy.Policy, edits ...func(*policy.Policy)) policy.Policy {
+		for _, edit := range edits {
+			edit(&p)
+		}
+		return p
+	}
+	noFrac := func(p *policy.Policy) { p.ShortPartitionFraction = 0 }
+	noCentral := func(p *policy.Policy) { p.Long, p.CentralPool = probeGeneral, policy.PoolNone }
+	noSteal := func(p *policy.Policy) { p.Steal = false }
+
+	var (
+		none        = policy.Config{}
+		nopartition = policy.Config{DisablePartition: true}
+		nocentral   = policy.Config{DisableCentral: true}
+		nosteal     = policy.Config{DisableStealing: true}
+		all         = policy.Config{DisablePartition: true, DisableCentral: true, DisableStealing: true}
+	)
 	cases := []struct {
-		name        string
-		long        bool
-		wantAction  policy.Action
-		wantPool    policy.Pool
-		wantCentral policy.Pool
-		wantSteal   bool
+		name string
+		cfg  policy.Config
+		want policy.Policy
 	}{
-		{"sparrow", false, policy.ActionProbe, policy.PoolAll, policy.PoolNone, false},
-		{"sparrow", true, policy.ActionProbe, policy.PoolAll, policy.PoolNone, false},
-		{"hawk", false, policy.ActionProbe, policy.PoolAll, policy.PoolGeneral, true},
-		{"hawk", true, policy.ActionCentral, policy.PoolNone, policy.PoolGeneral, true},
-		{"centralized", false, policy.ActionCentral, policy.PoolNone, policy.PoolAll, false},
-		{"centralized", true, policy.ActionCentral, policy.PoolNone, policy.PoolAll, false},
-		{"split", false, policy.ActionProbe, policy.PoolShort, policy.PoolGeneral, false},
-		{"split", true, policy.ActionCentral, policy.PoolNone, policy.PoolGeneral, false},
+		{"sparrow", none, sparrow},
+		{"sparrow", nopartition, sparrow},
+		{"sparrow", nocentral, sparrow},
+		{"sparrow", nosteal, sparrow},
+		{"hawk", none, hawk},
+		{"hawk", nopartition, with(hawk, noFrac)},
+		{"hawk", nocentral, with(hawk, noCentral)},
+		{"hawk", nosteal, with(hawk, noSteal)},
+		{"hawk", all, with(hawk, noFrac, noCentral, noSteal)},
+		{"centralized", none, centralized},
+		{"centralized", nopartition, centralized},
+		{"centralized", nocentral, centralized},
+		{"centralized", nosteal, centralized},
+		{"split", none, split},
+		{"split", nopartition, with(split, noFrac)},
+		{"split", nocentral, split},
+		{"split", nosteal, split},
 	}
 	for _, c := range cases {
-		p, err := policy.New(c.name, policy.Config{ShortPartitionFraction: 0.2})
+		cfg := c.cfg
+		cfg.ShortPartitionFraction = 0.2
+		row := fmt.Sprintf("%s nopartition=%v nocentral=%v nosteal=%v", c.name, cfg.DisablePartition, cfg.DisableCentral, cfg.DisableStealing)
+		p, err := policy.New(c.name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := p.Route(policy.JobInfo{Long: c.long})
-		if dec.Action != c.wantAction {
-			t.Errorf("%s long=%v: action %v, want %v", c.name, c.long, dec.Action, c.wantAction)
+		if p != c.want {
+			t.Errorf("%s: New = %+v, want %+v", row, p, c.want)
 		}
-		if dec.Action == policy.ActionProbe && dec.Pool != c.wantPool {
-			t.Errorf("%s long=%v: pool %v, want %v", c.name, c.long, dec.Pool, c.wantPool)
+		for _, long := range []bool{false, true} {
+			dec, want := p.Route(long), p.Short
+			if long {
+				want = p.Long
+			}
+			if dec != want {
+				t.Errorf("%s long=%v: Route = %+v, want %+v", row, long, dec, want)
+			}
+			if dec.Action == policy.ActionCentral && p.CentralPool == policy.PoolNone {
+				t.Errorf("%s long=%v: routes centrally but has no central pool", row, long)
+			}
+			if dec.Action == policy.ActionProbe && dec.Pool == policy.PoolNone {
+				t.Errorf("%s long=%v: probes an empty pool", row, long)
+			}
 		}
-		if p.CentralPool() != c.wantCentral {
-			t.Errorf("%s: central pool %v, want %v", c.name, p.CentralPool(), c.wantCentral)
-		}
-		if p.Steal() != c.wantSteal {
-			t.Errorf("%s: steal %v, want %v", c.name, p.Steal(), c.wantSteal)
-		}
-	}
-}
-
-func TestHawkAblationKnobs(t *testing.T) {
-	p, err := policy.New("hawk", policy.Config{
-		ShortPartitionFraction: 0.2, DisableCentral: true, DisablePartition: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ShortPartitionFraction() != 0 {
-		t.Error("DisablePartition should zero the reservation")
-	}
-	if p.CentralPool() != policy.PoolNone {
-		t.Error("DisableCentral should drop the central queue")
-	}
-	if dec := p.Route(policy.JobInfo{Long: true}); dec.Action != policy.ActionProbe || dec.Pool != policy.PoolGeneral {
-		t.Errorf("w/o central long jobs should probe the general pool, got %+v", dec)
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 // view sizes and samples reflect live membership only.
 
 // Size returns the live node count of the pool under a cluster view.
-// Unknown Pool values size to zero so a buggy custom Decision fails loudly
-// at the feasibility check instead of silently probing the whole cluster.
 func (p Pool) Size(view *core.ClusterView) int {
 	switch p {
 	case PoolAll:

@@ -46,7 +46,7 @@ type Report struct {
 	// Engine names the engine that produced the report: "sim" for the
 	// discrete-event simulator, "live" for the goroutine prototype.
 	Engine string `json:"engine"`
-	// Policy is the registry name of the scheduling policy that ran.
+	// Policy is the name of the scheduling policy that ran.
 	Policy string `json:"policy"`
 	// Config is the fully resolved configuration of the run.
 	Config Config `json:"config"`

@@ -176,7 +176,7 @@ func (s *simulation) recoverNode(id int32, now float64) {
 	}
 	s.view.Recover(int(id))
 	s.res.NodeRecoveries++
-	if s.central != nil && s.pol.CentralPool().Contains(s.part, int(id)) {
+	if s.central != nil && s.pol.CentralPool.Contains(s.part, int(id)) {
 		s.central.Add(int(id), now)
 	}
 	s.release(policy.NodeRecovered)
@@ -194,7 +194,7 @@ func (s *simulation) resendProbe(jidx int32) {
 		return
 	}
 	js := &s.jobs[jidx]
-	dec := s.pol.Route(js.info())
+	dec := s.pol.Route(js.long)
 	s.nodeIDs = dec.Pool.SampleInto(s.nodeIDs[:0], s.view, s.src, 1)
 	s.res.ProbesSent++
 	s.sendProbe(jidx, int32(s.nodeIDs[0]), 0)

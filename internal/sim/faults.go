@@ -248,7 +248,7 @@ func (s *simulation) specLaunchTick(ev simEvent) {
 		s.maybeFreeJob(ev.jidx)
 		return
 	}
-	dec := s.pol.Route(js.info())
+	dec := s.pol.Route(js.long)
 	s.flt.ids = dec.Pool.SampleInto(s.flt.ids[:0], s.view, s.flt.src, 1)
 	if len(s.flt.ids) == 0 || int32(s.flt.ids[0]) == ev.ref {
 		// No live host (or the sample landed on the straggler itself): skip.

@@ -4,10 +4,9 @@
 // partitioning and randomized stealing, a fully centralized baseline, and
 // the split-cluster baseline — plus the three Hawk ablations of Figure 7.
 //
-// The scheduler itself is not hard-coded here: the engine executes whatever
-// policy.Policy the run configuration names, so registered policies (see
-// repro/hawk) run unmodified on this engine and on the live prototype in
-// internal/liverun.
+// The scheduler itself is not hard-coded here: the engine executes the
+// policy.Policy value the run configuration names, the same value the live
+// prototype in internal/liverun reads.
 //
 // # Data layout
 //
@@ -102,13 +101,6 @@ type jobState struct {
 	// (multi-scheduler model only; 0 otherwise). Re-hashed lazily when the
 	// owner fails.
 	owner uint8
-}
-
-// info is the job as the policy's Route sees it.
-//
-//hawk:hotpath
-func (js *jobState) info() policy.JobInfo {
-	return policy.JobInfo{ID: js.id, Tasks: len(js.durations), Estimate: js.estimate, Long: js.long}
 }
 
 // nextTask hands out the next unassigned task index — a task lost to a
@@ -306,7 +298,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		classifier: core.Classifier{Cutoff: cfg.Cutoff},
 		estimator:  core.NewEstimator(cfg.MisestimateLo, cfg.MisestimateHi, cfg.Seed+policy.SeedEstimator),
 		src:        randdist.New(cfg.Seed),
-		res:        &policy.Report{Engine: "sim", Policy: pol.String(), Config: cfg},
+		res:        &policy.Report{Engine: "sim", Policy: pol.Name, Config: cfg},
 	}
 	s.recycler, _ = src.(workload.Recycler)
 	s.slots = cfg.NumNodes
@@ -351,9 +343,9 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		s.res.Jobs = make([]policy.JobReport, 0, meta.JobsHint())
 	}
 
-	s.part = core.NewPartition(s.slots, pol.ShortPartitionFraction())
+	s.part = core.NewPartition(s.slots, pol.ShortPartitionFraction)
 	s.shortOnly = int32(s.part.ShortOnlyNodes())
-	s.steal = core.StealPolicy{Cap: cfg.StealCap, Enabled: pol.Steal()}
+	s.steal = core.StealPolicy{Cap: cfg.StealCap, Enabled: pol.Steal}
 	if s.steal.Enabled && s.steal.Cap > 0 {
 		s.nodeIDs = make([]int, 0, s.steal.Cap+1)
 	}
@@ -372,7 +364,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		s.churnSrc = randdist.New(cfg.Seed + policy.SeedChurn)
 	}
 
-	if pool := pol.CentralPool(); pool != policy.PoolNone {
+	if pool := pol.CentralPool; pool != policy.PoolNone {
 		s.central = core.NewCentralQueue(pool.IDs(s.part))
 	}
 	if cfg.Schedulers != nil {
@@ -560,7 +552,7 @@ func (s *simulation) submit(job *workload.Job) {
 		js.specThresh, s.flt.durScratch = s.flt.spec.SpeculationThreshold(job.Durations, s.flt.durScratch)
 	}
 	s.res.LastSubmit = job.SubmitTime
-	if err := policy.CheckFeasibility(js.info(), !s.cfg.ExactEstimates(), s.pol, s.part, s.feasMargin); err != nil {
+	if err := policy.CheckFeasibility(js.id, len(js.durations), js.long, !s.cfg.ExactEstimates(), s.pol, s.part, s.feasMargin); err != nil {
 		s.failRun(err)
 		return
 	}
@@ -573,7 +565,7 @@ func (s *simulation) submit(job *workload.Job) {
 //hawk:hotpath
 func (s *simulation) routeJob(idx int32) {
 	js := &s.jobs[idx]
-	dec := s.pol.Route(js.info())
+	dec := s.pol.Route(js.long)
 	if s.ms != nil && !s.msAssignOwner(idx) {
 		return // no live scheduler; parked until one recovers
 	}

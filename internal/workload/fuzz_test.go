@@ -76,6 +76,9 @@ func FuzzStreamTrace(f *testing.F) {
 	f.Add(head + "jobs=2\n0,0,1,5\n1,2,1,NaN\n")
 	f.Add("#hawk-trace v=1 name=\"g\" cutoff=10 frac=NaN jobs=2\n0,0,1,5\n1,2,1,6\n")
 	f.Add("#hawk-trace v=1 name=\"g\" cutoff=NaN frac=0.1 jobs=2\n0,0,1,5\n1,2,1,60\n")
+	// A repeated job id, which a streamed run once accepted (three rows for
+	// job 1 in hawksim -dump) while a materialized one refused it.
+	f.Add("#hawk-trace v=1 cutoff=10 frac=0.1 jobs=3\n1,0,1,5\n1,1,1,5\n1,2,1,50\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := readFileSource(input)
 		if _, records, _ := strings.Cut(input, "\n"); strings.Contains(records, `"`) {
@@ -145,7 +148,7 @@ func oracleDecode(input string) ([]*Job, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	var jobs []*Job
-	prev := 0.0
+	var last lastJob
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -164,13 +167,12 @@ func oracleDecode(input string) ([]*Job, error) {
 		if err := oracleParseJobFields(rec, j); err != nil {
 			return jobs, err
 		}
-		if err := sortedCheck(m.Name, j.ID, j.SubmitTime, prev); err != nil {
+		if err := sortedCheck(m.Name, j, &last); err != nil {
 			return jobs, err
 		}
 		if m.MaxTasks > 0 && len(j.Durations) > m.MaxTasks {
 			return jobs, fmt.Errorf("job %d has %d tasks, header promised at most %d", j.ID, len(j.Durations), m.MaxTasks)
 		}
-		prev = j.SubmitTime
 		jobs = append(jobs, j)
 	}
 }

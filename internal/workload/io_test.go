@@ -82,7 +82,10 @@ func TestRecordErrors(t *testing.T) {
 		{"count mismatch", "1,0,3,5,6\n", "expected 3 durations, got 2"},
 		{"bad duration", "1,0,1,x\n", "bad duration"},
 		{"negative duration", "1,0,1,-5\n", "duration -5 is not a finite number"},
-		{"duplicate id", "1,0,1,5\n1,1,1,5\n", "duplicate job id 1"},
+		// Ids ascend, so the streamed reader refuses a repeated id without
+		// keeping a set: a run that streams the file never sees job 1 twice.
+		{"duplicate id", "1,0,1,5\n1,1,1,5\n1,2,1,50\n", "job id 1 after job id 1"},
+		{"descending id", "2,0,1,5\n1,1,1,5\n", "job id 1 after job id 2"},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {
@@ -93,6 +96,16 @@ func TestRecordErrors(t *testing.T) {
 		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: LoadFile of %q: %v, want an error saying %q", c.name, c.in, err, c.want)
 		}
+		src, err := OpenSource(path)
+		if err != nil {
+			t.Fatalf("%s: OpenSource: %v", c.name, err)
+		}
+		for _, ok := src.Next(); ok; _, ok = src.Next() {
+		}
+		if err := src.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: streaming %q: %v, want an error saying %q", c.name, c.in, err, c.want)
+		}
+		src.Close()
 	}
 }
 

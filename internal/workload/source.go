@@ -175,12 +175,28 @@ func Materialize(src Source) (*Trace, error) {
 
 var _ Source = (*TraceSource)(nil)
 
-// sortedCheck is a tiny helper shared by streaming sources that must
-// enforce non-decreasing submit order without buffering: it returns an
-// error when t regresses below prev.
-func sortedCheck(name string, id int, t, prev float64) error {
-	if t < prev {
-		return fmt.Errorf("workload: %s: job %d submit time %g out of order (previous %g)", name, id, t, prev)
+// lastJob is what sortedCheck remembers of the previous job of a stream.
+type lastJob struct {
+	id     int
+	submit float64
+	seen   bool
+}
+
+// sortedCheck holds the next job of a stream to the order a hawk-trace file
+// keeps, in O(1) and without buffering: submit times never decrease, and job
+// ids strictly ascend, which makes them unique without a set (Trace.Validate
+// keeps its set for in-memory traces, whose ids may come in any order). The
+// trace reader and the trace writer both apply it, so the writer writes no
+// order the reader refuses. On success it records j in last.
+func sortedCheck(name string, j *Job, last *lastJob) error {
+	if last.seen {
+		if j.SubmitTime < last.submit {
+			return fmt.Errorf("workload: trace %q: job %d submit time %g out of order (previous %g)", name, j.ID, j.SubmitTime, last.submit)
+		}
+		if j.ID <= last.id {
+			return fmt.Errorf("workload: trace %q: job id %d after job id %d (ids must ascend)", name, j.ID, last.id)
+		}
 	}
+	*last = lastJob{id: j.ID, submit: j.SubmitTime, seen: true}
 	return nil
 }

@@ -54,7 +54,8 @@ func WriteSource(w io.Writer, src Source) error {
 		m.NumJobs, m.MaxTasks, m.TotalTasks); err != nil {
 		return err
 	}
-	rec, prev, count := make([]byte, 0, 1024), 0.0, 0
+	rec, count := make([]byte, 0, 1024), 0
+	var last lastJob
 	recycler, _ := src.(Recycler)
 	for {
 		j, ok := src.Next()
@@ -67,10 +68,9 @@ func WriteSource(w io.Writer, src Source) error {
 		if m.MaxTasks > 0 && len(j.Durations) > m.MaxTasks {
 			return fmt.Errorf("workload: trace %q: job %d has %d tasks, meta promised at most %d", m.Name, j.ID, len(j.Durations), m.MaxTasks)
 		}
-		if err := sortedCheck(m.Name, j.ID, j.SubmitTime, prev); err != nil {
+		if err := sortedCheck(m.Name, j, &last); err != nil {
 			return err
 		}
-		prev = j.SubmitTime
 		rec = appendJobRecord(rec[:0], j)
 		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("workload: writing job %d: %w", j.ID, err)
@@ -154,7 +154,7 @@ type FileSource struct {
 	long   []byte   // a record longer than r's buffer, assembled
 	fields [][]byte // the current record cut at commas
 	meta   Meta
-	prev   float64
+	last   lastJob // what the order check remembers of the previous record
 	n      int
 	err    error
 	done   bool
@@ -329,7 +329,7 @@ func (s *FileSource) Next() (*Job, bool) {
 		s.fail(fmt.Errorf("workload: trace %q: job %d: %w", s.meta.Name, s.n, err))
 		return nil, false
 	}
-	if err := sortedCheck(s.meta.Name, j.ID, j.SubmitTime, s.prev); err != nil {
+	if err := sortedCheck(s.meta.Name, j, &s.last); err != nil {
 		s.fail(err)
 		return nil, false
 	}
@@ -337,7 +337,6 @@ func (s *FileSource) Next() (*Job, bool) {
 		s.fail(fmt.Errorf("workload: trace %q: job %d has %d tasks, header promised at most %d", s.meta.Name, j.ID, len(j.Durations), s.meta.MaxTasks))
 		return nil, false
 	}
-	s.prev = j.SubmitTime
 	s.n++
 	if s.n == s.meta.NumJobs {
 		s.Next() // a clean end of file, or a diagnosis in Err
