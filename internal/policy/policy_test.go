@@ -164,6 +164,27 @@ func TestBuiltinRouting(t *testing.T) {
 	}
 }
 
+func TestHawkAblationKnobs(t *testing.T) {
+	p, err := policy.New("hawk", policy.Config{
+		ShortPartitionFraction: 0.2, DisableCentral: true, DisablePartition: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ShortPartitionFraction != 0 {
+		t.Error("DisablePartition should zero the reservation")
+	}
+	if p.CentralPool != policy.PoolNone {
+		t.Error("DisableCentral should drop the central queue")
+	}
+	if dec := p.Route(true); dec.Action != policy.ActionProbe || dec.Pool != policy.PoolGeneral {
+		t.Errorf("w/o central long jobs should probe the general pool, got %+v", dec)
+	}
+	if !p.Steal {
+		t.Error("stealing should stay on when only partition and central are disabled")
+	}
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	tr := tinyTrace(job(1, 0, 10))
 	cfg, err := policy.Config{NumNodes: 4}.Normalize(tr)
