@@ -15,9 +15,9 @@
 // generates.
 //
 // Every experiment is a sweep of independent simulations, fanned out over
-// a bounded worker pool (internal/sweep); -jobs bounds the pool, make
-// style, and defaults to one worker per CPU. Results are byte-identical
-// for any -jobs value.
+// a bounded worker pool (Scale.Workers in internal/experiments); -jobs
+// bounds the pool, make style, and defaults to one worker per CPU. Results
+// are byte-identical for any -jobs value.
 //
 // The scenario flags hawksim takes (-schedulers, -fail-nodes, -msg-loss, …;
 // see `hawkexp -h`) overlay that scenario on every simulator run of the
@@ -94,7 +94,7 @@ func registry() []experiment {
 		{"fig16-17", "Figures 16-17: implementation vs simulation (live prototype)", runFig1617},
 		{"ablation-steal", "§3.6 ablation: Figure 3's group stealing vs stealing from random queue positions", runAblationSteal},
 		{"ablation-probes", "§4.1 ablation: batch-sampling probe ratio 1-4 (the paper fixes 2)", runAblationProbes},
-		{"robustness", "Central-scheduler outage: stealing keeps the general partition utilized (§4 resilience)", runRobustness},
+		{"robustness", "Central-scheduler outage: stealing keeps short jobs flowing (§4 resilience)", runRobustness},
 		{"churn", "Rolling node failures: re-execution and lost work under churn", runChurn},
 		{"faults", "Message-loss sweep 0-10%: latency degradation under a lossy RPC plane", runFaults},
 		{"multisched", "Scheduler-count sweep 1-100: claim conflicts and latency vs distributed schedulers (§4.10)", runMultiSched},
@@ -441,7 +441,7 @@ func runRobustness(sc experiments.Scale) error {
 			r.ShortP50, r.ShortP50Outage, r.LongP50, r.LongP50Outage,
 			r.CentralDeferred, r.OutageSeconds, r.StealSuccesses)
 	}
-	fmt.Println("(general-partition utilization sustained under outage = the paper's stealing resilience argument)")
+	fmt.Println("(lower short p50 during the outage with stealing = the paper's stealing resilience argument)")
 	return nil
 }
 

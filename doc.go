@@ -38,7 +38,7 @@
 //
 // Each topic has one home; this file only points at it.
 //
-//   - README.md — the user's tour: quickstart, sweeps, streaming traces,
+//   - README.md — the user's tour: quickstart, streaming traces,
 //     the scenario planes (churn, heterogeneity, gray failures, the
 //     multi-scheduler model) with their Config fields and counters,
 //     commands, what guards what (testing), static analysis.
@@ -62,13 +62,13 @@
 // placement, stealing, the centralized waiting-time queue, and the
 // multi-scheduler kernels: the live-scheduler set and the claim table);
 // internal/sim and internal/liverun are the engines; internal/eventq is the
-// simulator's typed-event queue; internal/sweep fans independent runs out
-// over a bounded worker pool (hawk.RunSweep) with results byte-identical to
-// a serial loop; internal/workload generates, streams and serializes
-// traces; internal/experiments reproduces every table and figure of the
-// paper on top of the sweep layer; internal/lint is hawklint, whose one
-// entry point is `go test ./internal/lint`. cmd/hawksim,
-// cmd/hawkexp, and cmd/hawkgen are the command-line entry points
-// (internal/cliflags is what the first two share); `hawkexp -exp all -quick`
-// regenerates the paper's evaluation; bench/ is the end-to-end benchmark.
+// simulator's typed-event queue; internal/workload generates, streams and
+// serializes traces; internal/experiments reproduces every table and
+// figure of the paper, fanning each figure's independent runs out over a
+// bounded worker pool with results byte-identical to a serial loop;
+// internal/lint is hawklint, whose one entry point is `go test
+// ./internal/lint`. cmd/hawksim, cmd/hawkexp, and cmd/hawkgen are the
+// command-line entry points (internal/cliflags is what the first two
+// share); `hawkexp -exp all -quick` regenerates the paper's evaluation;
+// bench/ is the end-to-end benchmark.
 package repro

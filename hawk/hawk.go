@@ -53,13 +53,11 @@
 package hawk
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/liverun"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -142,14 +140,9 @@ func Policies() []string { return policy.Policies() }
 // reply, steal, assign, commit) with probability p and sets nothing else.
 func UniformLoss(p float64) FaultSpec { return policy.UniformLoss(p) }
 
-// Engine runs a trace under a configuration and produces a Report. Both
-// Simulate and RunLive satisfy it, so experiment drivers can be written
-// once and pointed at either engine — and a Sweep fans any Engine out over
-// a worker pool.
-type Engine = sweep.Engine
-
 // Simulate runs the trace-driven discrete-event simulator (§4.1). Runs are
-// deterministic for a given (trace, config) pair. It is
+// deterministic for a given (trace, config) pair, and concurrent calls may
+// share a *Trace: engines treat it as read-only. It is
 // SimulateSource(NewTraceSource(trace), cfg), after validating the trace
 // (Trace.Validate) before the first event; each job is admitted against the
 // cluster as it is submitted, and the first infeasible one fails the run.
@@ -169,38 +162,6 @@ func SimulateSource(src Source, cfg Config) (*Report, error) { return sim.RunSou
 // scale traces down first. A churn scenario that strands work ends in the
 // same deadlock error Simulate returns, not a hang.
 func RunLive(trace *Trace, cfg Config) (*Report, error) { return liverun.Run(trace, cfg) }
-
-// Parallel sweeps: every figure of the paper's evaluation is a set of
-// independent (trace, config) runs, and Sweep executes such a set over a
-// bounded worker pool with results byte-identical to a serial loop.
-type (
-	// Sweep is a set of independent runs plus execution options: an
-	// Engine (nil means Simulate) and Jobs, the worker-pool bound (zero
-	// means one worker per CPU).
-	Sweep = sweep.Sweep
-	// SweepPoint is one run of a Sweep; points may share a *Trace.
-	SweepPoint = sweep.Point
-)
-
-// RunSweep executes every point of the sweep over the worker pool and
-// returns one report per point, in point order. Ordering, bounded
-// concurrency, deterministic first-error propagation, and context
-// cancellation are guaranteed; see internal/sweep for the contract.
-//
-//	reports, err := hawk.RunSweep(ctx, hawk.Sweep{Points: pts, Jobs: 8})
-func RunSweep(ctx context.Context, s Sweep) ([]*Report, error) { return s.Run(ctx) }
-
-// DeriveSeed deterministically derives the seed for point i of a
-// multi-seed sweep from a base seed, mixing (base, i) so adjacent indices
-// yield decorrelated random streams.
-func DeriveSeed(base int64, i int) int64 { return sweep.DeriveSeed(base, i) }
-
-// SeededPoints builds n sweep points running the same trace and
-// configuration under n derived seeds — the shape of every "averaged over
-// N runs" figure.
-func SeededPoints(t *Trace, cfg Config, base int64, n int) []SweepPoint {
-	return sweep.SeededPoints(t, cfg, base, n)
-}
 
 // SaveResultsCSV writes a report's per-job outcomes to path as CSV.
 func SaveResultsCSV(path string, r *Report) error { return policy.SaveResultsCSV(path, r) }

@@ -1,8 +1,6 @@
 package hawk_test
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -69,10 +67,10 @@ func TestEnginesShareConfigAndReport(t *testing.T) {
 	}
 }
 
-// Engine is a common function type: drivers can be written once.
+// The two engines share one function type: drivers can be written once.
 func TestEngineFuncType(t *testing.T) {
 	trace := smallTrace()
-	engines := map[string]hawk.Engine{"sim": hawk.Simulate, "live": hawk.RunLive}
+	engines := map[string]func(*hawk.Trace, hawk.Config) (*hawk.Report, error){"sim": hawk.Simulate, "live": hawk.RunLive}
 	for name, run := range engines {
 		rep, err := run(trace, hawk.Config{
 			Policy: "sparrow", NumNodes: 20, Seed: 1,
@@ -83,67 +81,6 @@ func TestEngineFuncType(t *testing.T) {
 		}
 		if rep.Engine != name {
 			t.Errorf("engine %q reported as %q", name, rep.Engine)
-		}
-	}
-}
-
-// RunSweep fans independent runs over a worker pool; results come back in
-// point order and match serial Simulate calls exactly.
-func TestRunSweepMatchesSerialSimulate(t *testing.T) {
-	trace := smallTrace()
-	var pts []hawk.SweepPoint
-	for _, pol := range []string{"sparrow", "hawk", "centralized", "split"} {
-		pts = append(pts, hawk.SweepPoint{
-			Trace:  trace,
-			Config: hawk.Config{Policy: pol, NumNodes: 20, Seed: 9},
-		})
-	}
-	reports, err := hawk.RunSweep(context.Background(), hawk.Sweep{Points: pts, Jobs: 4})
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if len(reports) != len(pts) {
-		t.Fatalf("reports = %d, want %d", len(reports), len(pts))
-	}
-	for i, p := range pts {
-		want, err := hawk.Simulate(p.Trace, p.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(reports[i], want) {
-			t.Errorf("point %d (%s): sweep report differs from serial Simulate", i, p.Config.Policy)
-		}
-	}
-}
-
-// A Sweep accepts any Engine, including the live prototype and custom fakes.
-func TestSweepCustomEngine(t *testing.T) {
-	calls := 0
-	var eng hawk.Engine = func(tr *hawk.Trace, cfg hawk.Config) (*hawk.Report, error) {
-		calls++
-		return &hawk.Report{Engine: "fake"}, nil
-	}
-	reports, err := hawk.RunSweep(context.Background(), hawk.Sweep{
-		Points: []hawk.SweepPoint{{Trace: smallTrace(), Config: hawk.Config{Policy: "hawk", NumNodes: 5}}},
-		Engine: eng,
-		Jobs:   1,
-	})
-	if err != nil || calls != 1 || reports[0].Engine != "fake" {
-		t.Fatalf("custom engine: reports=%v calls=%d err=%v", reports, calls, err)
-	}
-}
-
-func TestDeriveSeedReExport(t *testing.T) {
-	if hawk.DeriveSeed(1, 0) == hawk.DeriveSeed(1, 1) {
-		t.Error("adjacent indices should derive different seeds")
-	}
-	pts := hawk.SeededPoints(smallTrace(), hawk.Config{Policy: "hawk", NumNodes: 5}, 3, 4)
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i, p := range pts {
-		if p.Config.Seed != hawk.DeriveSeed(3, i) {
-			t.Errorf("point %d seed = %d", i, p.Config.Seed)
 		}
 	}
 }
@@ -163,7 +100,7 @@ func TestScenarioAPIOnBothEngines(t *testing.T) {
 			{At: 0.2, Kind: hawk.ChurnRecover, Count: 3},
 		}},
 	}
-	for name, engine := range map[string]hawk.Engine{"sim": hawk.Simulate, "live": hawk.RunLive} {
+	for name, engine := range map[string]func(*hawk.Trace, hawk.Config) (*hawk.Report, error){"sim": hawk.Simulate, "live": hawk.RunLive} {
 		res, err := engine(tr, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -45,7 +45,7 @@
 // of the sequence space with ReserveSeqs and place events there with
 // AtReserved. This FIFO tie-breaking is load-bearing:
 // it makes every simulation a pure function of (trace, config, seed), which
-// is what lets internal/sweep fan runs out over worker pools while
+// is what lets internal/experiments fan runs out over worker pools while
 // guaranteeing byte-identical results to a serial run.
 //
 // # The post lanes

@@ -12,12 +12,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/policy"
+	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -34,8 +36,8 @@ type Scale struct {
 	// (Figure 14 averages ten runs). Zero means one run.
 	Runs int
 	// Workers bounds how many simulations a sweep-shaped driver runs
-	// concurrently (every figure fans its independent runs out over
-	// internal/sweep). Zero means one worker per available CPU;
+	// concurrently (every figure fans its independent runs out over one
+	// bounded pool, parallelMap). Zero means one worker per available CPU;
 	// cmd/hawkexp threads its -jobs flag through here. Results are
 	// byte-identical for any worker count, including 1 (serial).
 	Workers int
@@ -160,11 +162,65 @@ func TraceFor(spec workload.Spec, sc Scale) *workload.Trace {
 // Scale.Workers knob bounds the whole figure's parallelism and the single
 // Scale.Overlay underlies every run.
 func runConfigs(t *workload.Trace, cfgs []policy.Config, sc Scale) ([]*policy.Report, error) {
-	pts := make([]sweep.Point, len(cfgs))
-	for i, cfg := range cfgs {
-		pts[i] = sweep.Point{Trace: t, Config: sc.apply(cfg)}
+	return parallelMap(cfgs, sc.Workers, func(i int, cfg policy.Config) (*policy.Report, error) {
+		return runPoint(i, t, sc.apply(cfg))
+	})
+}
+
+// runPoint is point i of a sweep: one simulator run whose error names the
+// point.
+func runPoint(i int, t *workload.Trace, cfg policy.Config) (*policy.Report, error) {
+	r, err := sim.Run(t, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sweep point %d (policy %q, %d nodes, seed %d): %w",
+			i, cfg.Policy, cfg.NumNodes, cfg.Seed, err)
 	}
-	return sweep.Sweep{Points: pts, Jobs: sc.Workers}.Run(context.Background())
+	return r, nil
+}
+
+// parallelMap runs fn over every item on a pool of at most workers
+// goroutines (zero or negative means runtime.GOMAXPROCS) and returns the
+// results in item order. Runs may share a *Trace: engines treat traces as
+// read-only, and each run draws from random streams of its own.
+//
+// Items are claimed in index order, and a claimed item always runs. Once an
+// fn fails no new item is claimed, and the error returned is the
+// lowest-indexed failure's: every item below it ran and succeeded, so a
+// parallel sweep fails exactly where a serial loop would. The results are
+// only valid when the error is nil.
+func parallelMap[T, R any](items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]R, len(items))
+	errs := make([]error, len(items))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for range min(workers, len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(items) {
+					return
+				}
+				if results[i], errs[i] = fn(i, items[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // runPairs runs the candidate and baseline policies at every cluster size

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -54,8 +52,8 @@ type Fig4Data struct {
 // Fig4 computes the workload-property CDFs for all four traces, generating
 // and characterizing each trace on its own worker.
 func Fig4(sc Scale) ([]Fig4Data, error) {
-	return sweep.Map(context.Background(), workload.AllSpecs(), sc.Workers,
-		func(_ context.Context, _ int, spec workload.Spec) (Fig4Data, error) {
+	return parallelMap(workload.AllSpecs(), sc.Workers,
+		func(_ int, spec workload.Spec) (Fig4Data, error) {
 			t := TraceFor(spec, sc)
 			var longDur, shortDur, longTasks, shortTasks []float64
 			for _, j := range t.Jobs {
@@ -139,24 +137,29 @@ type Fig6Series struct {
 // (workload, cluster size, scheduler) simulations — the Facebook series
 // alone reaches 170,000 simulated nodes — then fans out over one pool.
 func Fig6(sc Scale) ([]Fig6Series, error) {
-	ctx := context.Background()
 	specs := []workload.Spec{workload.ClouderaC(), workload.Facebook(), workload.Yahoo()}
-	traces, err := sweep.Map(ctx, specs, sc.Workers,
-		func(_ context.Context, _ int, spec workload.Spec) (*workload.Trace, error) {
+	traces, err := parallelMap(specs, sc.Workers,
+		func(_ int, spec workload.Spec) (*workload.Trace, error) {
 			return TraceFor(spec, sc), nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	var pts []sweep.Point
+	type point struct {
+		trace *workload.Trace
+		cfg   policy.Config
+	}
+	var pts []point
 	for i, spec := range specs {
 		for _, nodes := range NodeSweep(spec.Name) {
 			pts = append(pts,
-				sweep.Point{Trace: traces[i], Config: sc.apply(policy.Config{NumNodes: nodes, Policy: sc.PolicyName(), Seed: sc.Seed})},
-				sweep.Point{Trace: traces[i], Config: sc.apply(policy.Config{NumNodes: nodes, Policy: "sparrow", Seed: sc.Seed})})
+				point{traces[i], sc.apply(policy.Config{NumNodes: nodes, Policy: sc.PolicyName(), Seed: sc.Seed})},
+				point{traces[i], sc.apply(policy.Config{NumNodes: nodes, Policy: "sparrow", Seed: sc.Seed})})
 		}
 	}
-	reports, err := sweep.Sweep{Points: pts, Jobs: sc.Workers}.Run(ctx)
+	reports, err := parallelMap(pts, sc.Workers, func(i int, p point) (*policy.Report, error) {
+		return runPoint(i, p.trace, p.cfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}

@@ -11,22 +11,26 @@ import (
 // Hawk's centralized scheduler is a single logical component, and the
 // paper's answer to "what if it dies?" is that the distributed side —
 // batch-sampling probes plus randomized stealing over the partitioned
-// cluster — keeps short jobs flowing and the general partition busy while
-// the central queue is gone. This driver scripts exactly that: kill the
-// centralized scheduler mid-trace, restore it later, and compare the
-// candidate policy with and without stealing over the outage window.
+// cluster — keeps short jobs flowing while the central queue is gone. This
+// driver scripts exactly that: kill the centralized scheduler mid-trace,
+// restore it later, and compare the candidate policy with and without
+// stealing over the outage window. What stealing buys there is a lower
+// short-job p50 for jobs submitted during the outage; it does not keep the
+// general partition busier, since it moves short tasks out of that
+// partition's queues.
 
 // OutageRow is one variant of the central-outage robustness experiment.
 type OutageRow struct {
 	Variant string // "hawk", "hawk w/o stealing"
 
-	// Median general-partition utilization before and during the outage —
-	// the headline comparison: stealing keeps the partition fed while
-	// long-job placement is suspended.
+	// Median general-partition utilization before and during the outage:
+	// the partition stays busy while long-job placement is suspended,
+	// slightly less so with stealing, which drains short tasks out of it.
 	GeneralUtilBefore float64
 	GeneralUtilOutage float64
 
-	// Short-job p50 runtime overall vs jobs submitted during the outage.
+	// Short-job p50 runtime overall vs jobs submitted during the outage —
+	// the headline comparison: stealing lowers ShortP50Outage.
 	ShortP50       float64
 	ShortP50Outage float64
 	// Long-job p50 runtime overall vs during the outage (long jobs park
@@ -42,7 +46,8 @@ type OutageRow struct {
 // RobustnessOutage runs the central-scheduler-outage scenario on the
 // Google trace at the paper's 15000-node operating point: the centralized
 // scheduler is scripted down over the middle ~40% of the arrival window,
-// for the candidate policy with stealing and with stealing disabled.
+// for the candidate policy with stealing and with stealing disabled. With
+// stealing, short jobs submitted during the outage finish sooner.
 func RobustnessOutage(sc Scale) ([]OutageRow, error) {
 	// The driver scripts its own outage; a CLI churn overlay must not leak
 	// into the variants and muddy the comparison.

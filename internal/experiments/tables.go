@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -21,8 +19,8 @@ type Table1Row struct {
 // paper's classification (every non-first k-means cluster is long). Each
 // workload generates and characterizes on its own worker.
 func Table1(sc Scale) ([]Table1Row, error) {
-	return sweep.Map(context.Background(), workload.AllSpecs(), sc.Workers,
-		func(_ context.Context, _ int, spec workload.Spec) (Table1Row, error) {
+	return parallelMap(workload.AllSpecs(), sc.Workers,
+		func(_ int, spec workload.Spec) (Table1Row, error) {
 			st := workload.ComputeStatsByConstruction(TraceFor(spec, sc))
 			return Table1Row{
 				Workload:           spec.Name,
@@ -52,8 +50,8 @@ type Table2Row struct {
 
 // Table2 regenerates Table 2, one workload per worker.
 func Table2(sc Scale) ([]Table2Row, error) {
-	return sweep.Map(context.Background(), workload.AllSpecs(), sc.Workers,
-		func(_ context.Context, _ int, spec workload.Spec) (Table2Row, error) {
+	return parallelMap(workload.AllSpecs(), sc.Workers,
+		func(_ int, spec workload.Spec) (Table2Row, error) {
 			st := workload.ComputeStatsByConstruction(TraceFor(spec, sc))
 			return Table2Row{
 				Workload:    spec.Name,

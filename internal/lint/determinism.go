@@ -10,8 +10,9 @@ import (
 // Determinism enforces replayability in packages annotated
 // //hawk:deterministic: every simulation, and every report derived from
 // one, must be a pure function of (trace, config, seed) — that is what
-// lets internal/sweep fan runs out in parallel with byte-identical results
-// and what makes the golden-report suite meaningful at all. Forbidden:
+// lets internal/experiments fan runs out in parallel with byte-identical
+// results and what makes the golden-report suite meaningful at all.
+// Forbidden:
 //
 //   - time.Now / time.Since / time.Until — wall clock (the live prototype
 //     in internal/liverun is the one place wall-clock belongs, and it is

@@ -220,8 +220,8 @@ func (st *StreamedStats) ObserveJob(j JobReport) {
 	}
 }
 
-// RuntimeReservoir returns the runtime reservoir for the class.
-func (st *StreamedStats) RuntimeReservoir(long bool) *stats.Reservoir {
+// runtimeReservoir returns the runtime reservoir for the class.
+func (st *StreamedStats) runtimeReservoir(long bool) *stats.Reservoir {
 	if long {
 		return st.longRuntimes
 	}
@@ -292,7 +292,7 @@ func (r *Report) RuntimesByID(long bool) map[int]float64 {
 // beyond).
 func (r *Report) Percentile(long bool, p float64) float64 {
 	if len(r.Jobs) == 0 && r.Streamed != nil {
-		return r.Streamed.RuntimeReservoir(long).Percentile(p)
+		return r.Streamed.runtimeReservoir(long).Percentile(p)
 	}
 	if long {
 		return stats.Percentile(r.LongRuntimes(), p)
@@ -305,7 +305,7 @@ func (r *Report) Percentile(long bool, p float64) float64 {
 // exact class count substituted for the bounded sample's length).
 func (r *Report) ClassSummary(long bool) stats.Summary {
 	if len(r.Jobs) == 0 && r.Streamed != nil {
-		s := r.Streamed.RuntimeReservoir(long).Summarize()
+		s := r.Streamed.runtimeReservoir(long).Summarize()
 		// The reservoir retains a bounded sample; the count of observed
 		// jobs is tracked exactly.
 		if long {

@@ -79,29 +79,6 @@ func Max(values []float64) float64 {
 	return m
 }
 
-// Min returns the minimum, or NaN for an empty input.
-func Min(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	m := values[0]
-	for _, v := range values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of values.
-func Sum(values []float64) float64 {
-	s := 0.0
-	for _, v := range values {
-		s += v
-	}
-	return s
-}
-
 // Summary bundles the per-class percentiles the paper reports.
 type Summary struct {
 	Count int
@@ -129,7 +106,12 @@ func Summarize(values []float64) Summary {
 	}
 }
 
+// String formats the summary on one line; an empty class is "n=0" alone,
+// since it has no percentiles to print.
 func (s Summary) String() string {
+	if s.Count == 0 {
+		return "n=0"
+	}
 	return fmt.Sprintf("n=%d p50=%.1f p90=%.1f p99=%.1f mean=%.1f max=%.1f",
 		s.Count, s.P50, s.P90, s.P99, s.Mean, s.Max)
 }
@@ -245,11 +227,6 @@ func ComparePaired(candidate, baseline map[int]float64) PairedComparison {
 type UtilizationSeries struct {
 	times   []float64
 	samples []float64
-}
-
-// Add appends one utilization sample in [0, 1] with an unspecified time.
-func (u *UtilizationSeries) Add(fractionBusy float64) {
-	u.AddAt(float64(len(u.samples)), fractionBusy)
 }
 
 // AddAt appends one timestamped utilization sample in [0, 1].
