@@ -141,8 +141,18 @@ func realMain() int {
 	}
 	sc := experiments.Scale{NumJobs: *numJobsFlag, Seed: *seedFlag, Runs: *runsFlag}
 	if *quickFlag {
-		sc = experiments.QuickScale()
-		sc.Seed = *seedFlag
+		// -quick replaces the defaults of -numjobs and -runs, not values
+		// given on the command line.
+		quick := experiments.QuickScale()
+		sc.NumJobs, sc.Runs = quick.NumJobs, quick.Runs
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "numjobs":
+				sc.NumJobs = *numJobsFlag
+			case "runs":
+				sc.Runs = *runsFlag
+			}
+		})
 	}
 	sc.TracePath = *traceFlag
 	if err := scenario.Apply(&sc.Overlay); err != nil {

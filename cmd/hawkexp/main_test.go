@@ -128,6 +128,25 @@ func TestTable1PrintsTheFourWorkloads(t *testing.T) {
 	}
 }
 
+// -quick sets the scale only where the command line does not: an explicit
+// -numjobs is the trace size at -quick too (it was dropped for 4 000).
+func TestQuickKeepsExplicitNumJobs(t *testing.T) {
+	code, stdout, stderr := hawkexp(t, "-exp", "table2", "-quick", "-numjobs", "2000")
+	if code != 0 {
+		t.Fatalf("exit code %d; stderr: %s", code, stderr)
+	}
+	for _, w := range []string{"google", "cloudera", "facebook", "yahoo"} {
+		i := strings.Index(stdout, "\n"+w+" ")
+		if i < 0 {
+			t.Fatalf("table2 has no %s row:\n%s", w, stdout)
+		}
+		row := strings.Fields(stdout[i+1:])[:3]
+		if row[2] != "2000" {
+			t.Errorf("table2 %s row %v counts %s jobs, want 2000", w, row, row[2])
+		}
+	}
+}
+
 // The two design-argument ablations are reachable from the command (they
 // were `go test -bench` only), and at -quick print the numbers the root
 // package's BenchmarkAblation* reported at the same scale and seed before it

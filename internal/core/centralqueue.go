@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // CentralQueue is the centralized scheduler's data structure (§3.7): a
 // priority queue of <server, waiting time> tuples kept sorted by waiting
@@ -15,7 +18,7 @@ import "slices"
 // exactly as in the paper.
 //
 // Exact min-waiting extraction despite continuously decaying waiting times
-// is achieved with two heaps:
+// is achieved with two heaps, a set and a list:
 //
 //   - the running heap holds servers whose estimated running task extends
 //     into the future (runEnd > now), keyed by runEnd + queued. All such
@@ -24,10 +27,23 @@ import "slices"
 //     waiting = queued >= key - now, so it can only be *under*-estimated
 //     while buried in the heap — the root therefore stays the true minimum
 //     of the heap once expired roots are migrated out.
-//   - the idle heap holds the rest, keyed by queued (time-invariant).
+//   - the zero set holds the idle servers with nothing queued: waiting time
+//     0, the common case on a cluster that is not saturated with long work.
+//     It is a bitset over node ids, so its (key, id)-least member — all its
+//     keys are 0 — is its lowest set bit.
+//   - the idle servers with long work queued (waiting = queued > 0) are in
+//     the idle heap, keyed by queued (time-invariant), or in the unordered
+//     list, which is where such a server goes first.
 //
-// Assign compares the two roots' true waiting times and picks the smaller,
-// so assignments are exactly min-waiting at every instant.
+// When the zero set is non-empty its lowest member is the answer: it
+// precedes every other idle server by key, and a settled running root has
+// runEnd > now, so waiting > 0. Nothing else is looked at, so nothing else
+// needs ordering: a server Assign takes out of the zero set waits in the
+// unordered list, and its TaskStarted usually takes it out again before
+// anybody asks. Only when the zero set is empty does best push the list into
+// the idle heap and compare the two roots' true waiting times. Either way
+// assignments are exactly min-waiting at every instant, ties going to the
+// lower node id.
 //
 // The queue settles when somebody looks. Every method that takes now moves
 // the clock (advance), but only the two that observe a root — Assign and
@@ -47,25 +63,30 @@ import "slices"
 // above for a server that expires while buried. Every idle member with a
 // larger (queued, id) than X loses to R the same way, so the idle root's
 // absence changes nothing, and a mirror copied from an unsettled truth
-// finishes the migration with its own settle. (In floats as on paper,
+// finishes the migration with its own settle. Such an X has waiting(X) >=
+// waiting(R) > 0, so it is never a server an eager queue would hold in the
+// zero set either. (In floats as on paper,
 // unless now - runEnd_X and key_X - key_R are both within rounding of zero
 // at the instant of an Assign; the eager queue kept as the test oracle has
 // the same caveat for buried servers.)
 //
-// Layout: the whole queue is three pointer-free arrays — one server record
-// per node id and the two heaps' slots, each slot carrying its ordering key
-// inline — so a comparison reads two adjacent 16-byte slots instead of
-// chasing two pointers, the garbage collector never scans the queue, and a
-// queue is copied by copying the arrays (SyncFrom).
+// Layout: the whole queue is five pointer-free arrays — one server record
+// per node id, the two heaps' slots, each slot carrying its ordering key
+// inline, the unordered list's node ids and the zero set's words — so a
+// comparison reads two adjacent 16-byte slots instead of chasing two
+// pointers, the garbage collector never scans the queue, and a queue is
+// copied by copying the arrays (SyncFrom).
 type CentralQueue struct {
 	now float64
-	// servers is indexed by node id; pos < 0 marks a node the queue does
-	// not track. Node ids are dense per partition, so a slice lookup
+	// servers is indexed by node id; at == atNone marks a node the queue
+	// does not track. Node ids are dense per partition, so a slice lookup
 	// replaces the obvious map.
-	servers []server
-	count   int        // tracked servers
-	running serverHeap // key: runEnd + queued
-	idle    serverHeap // key: queued
+	servers   []server
+	count     int        // tracked servers
+	running   serverHeap // key: runEnd + queued
+	idle      serverHeap // key: queued, > 0
+	unordered []int32    // idle with queued > 0, not in the idle heap yet
+	zero      zeroSet    // idle with queued == 0
 }
 
 // server is one node's waiting-time state plus where its slot sits. Its
@@ -74,14 +95,24 @@ type CentralQueue struct {
 type server struct {
 	runEnd float64 // estimated completion instant of the running long task
 	queued float64 // summed estimates of queued long tasks
-	pos    int32   // index of the server's slot in its heap; < 0 = untracked
-	inRun  bool    // which heap: running (true) or idle
+	pos    int32   // index of the server's slot in its heap or in unordered
+	at     uint8   // the structure the server is in: atNone … atZero
 }
 
+// Where a server is: the zero value is untracked.
+const (
+	atNone      uint8 = iota
+	atRunning         // the running heap
+	atIdle            // the idle heap
+	atUnordered       // the unordered list
+	atZero            // the zero set
+)
+
 // key returns the ordering key for the heap the server occupies. Every
-// mutation of runEnd, queued or inRun re-seats the server's slot with it.
+// mutation of runEnd or queued re-seats the server's slot, if it has one,
+// with it.
 func (s *server) key() float64 {
-	if s.inRun {
+	if s.at == atRunning {
 		return s.runEnd + s.queued
 	}
 	return s.queued
@@ -113,21 +144,26 @@ func NewCentralQueue(nodeIDs []int) *CentralQueue {
 }
 
 // grow extends the id space to n node ids, the new ones untracked, and
-// reserves room for n slots in each heap. A server sits in one heap at a
-// time, so until the id space grows again no push and no SyncFrom from a
-// queue this size reallocates — a mirror following a truth whose running
-// heap fills up over a run would otherwise regrow by append's 1.25× on
-// refresh after refresh.
+// reserves room for n members in each heap and the zero set. A server is in
+// one structure at a time, so until the id space grows again no push and no
+// SyncFrom from a queue this size reallocates them — a mirror following a
+// truth whose running heap fills up over a run would otherwise regrow by
+// append's 1.25× on refresh after refresh. The unordered list grows as it
+// fills: it holds about the assignments not yet started, far fewer than n,
+// and reserving n for it in every mirror cost 0.5–0.7 MB of peak RSS on the
+// multisched_stale command.
 func (q *CentralQueue) grow(n int) {
 	if n <= len(q.servers) {
 		return
 	}
-	q.servers = slices.Grow(q.servers, n-len(q.servers))
-	for len(q.servers) < n {
-		q.servers = append(q.servers, server{pos: -1})
-	}
+	q.servers = append(q.servers, make([]server, n-len(q.servers))...)
 	q.running = slices.Grow(q.running, n-len(q.running))
 	q.idle = slices.Grow(q.idle, n-len(q.idle))
+	words := (n + 63) / 64
+	q.zero.words = slices.Grow(q.zero.words, words-len(q.zero.words))
+	for len(q.zero.words) < words {
+		q.zero.words = append(q.zero.words, 0)
+	}
 }
 
 // Len returns the number of servers tracked.
@@ -135,18 +171,10 @@ func (q *CentralQueue) Len() int { return q.count }
 
 // lookup returns the tracked server for nodeID, or nil.
 func (q *CentralQueue) lookup(nodeID int) *server {
-	if nodeID < 0 || nodeID >= len(q.servers) || q.servers[nodeID].pos < 0 {
+	if nodeID < 0 || nodeID >= len(q.servers) || q.servers[nodeID].at == atNone {
 		return nil
 	}
 	return &q.servers[nodeID]
-}
-
-// heapOf returns the heap s's slot sits in.
-func (q *CentralQueue) heapOf(s *server) *serverHeap {
-	if s.inRun {
-		return &q.running
-	}
-	return &q.idle
 }
 
 // advance moves the queue's clock to now; the clock never runs backwards.
@@ -158,7 +186,7 @@ func (q *CentralQueue) advance(now float64) {
 	}
 }
 
-// settle migrates expired running roots to the idle heap — their tasks
+// settle migrates expired running roots to the idle servers — their tasks
 // should have finished by their estimate, so their waiting no longer decays
 // — until the running root is unexpired. Only a caller about to look at the
 // roots (best) needs it; see the type comment.
@@ -172,8 +200,65 @@ func (q *CentralQueue) settle() {
 			break
 		}
 		q.running.remove(q.servers, 0)
-		s.inRun = false
-		q.idle.push(q.servers, slot{key: s.queued, node: node})
+		q.place(int(node), false)
+	}
+}
+
+// place files the tracked server nodeID, which is in no structure, in the
+// running heap if running, else by its queued sum: the zero set or the
+// unordered list.
+//
+//hawk:hotpath
+func (q *CentralQueue) place(nodeID int, running bool) {
+	s := &q.servers[nodeID]
+	switch {
+	case running:
+		s.at = atRunning
+		q.running.push(q.servers, slot{key: s.runEnd + s.queued, node: int32(nodeID)})
+	case s.queued == 0:
+		s.at = atZero
+		q.zero.add(nodeID)
+	default:
+		s.at, s.pos = atUnordered, int32(len(q.unordered))
+		q.unordered = append(q.unordered, int32(nodeID))
+	}
+}
+
+// unplace takes the tracked server nodeID out of the structure it is in.
+//
+//hawk:hotpath
+func (q *CentralQueue) unplace(nodeID int) {
+	s := &q.servers[nodeID]
+	switch s.at {
+	case atRunning:
+		q.running.remove(q.servers, int(s.pos))
+	case atIdle:
+		q.idle.remove(q.servers, int(s.pos))
+	case atUnordered:
+		last := q.unordered[len(q.unordered)-1]
+		q.unordered[s.pos] = last
+		q.servers[last].pos = s.pos
+		q.unordered = q.unordered[:len(q.unordered)-1]
+	case atZero:
+		q.zero.remove(nodeID)
+	}
+}
+
+// reseat moves the tracked server nodeID to where it belongs after its
+// queued sum changed: within its heap, or between the zero set and the
+// rest. An unordered server with work queued stays where it is.
+//
+//hawk:hotpath
+func (q *CentralQueue) reseat(nodeID int) {
+	s := &q.servers[nodeID]
+	switch {
+	case s.at == atRunning:
+		q.running.fix(q.servers, int(s.pos), s.key())
+	case s.at == atZero || s.queued == 0:
+		q.unplace(nodeID)
+		q.place(nodeID, false)
+	case s.at == atIdle:
+		q.idle.fix(q.servers, int(s.pos), s.queued)
 	}
 }
 
@@ -182,6 +267,15 @@ func (q *CentralQueue) settle() {
 //
 //hawk:hotpath
 func (q *CentralQueue) best() int {
+	if q.zero.n > 0 {
+		return q.zero.min()
+	}
+	for _, node := range q.unordered {
+		s := &q.servers[node]
+		s.at = atIdle
+		q.idle.push(q.servers, slot{key: s.queued, node: node})
+	}
+	q.unordered = q.unordered[:0]
 	switch {
 	case len(q.running) == 0:
 		return int(q.idle[0].node)
@@ -215,7 +309,7 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 	s := &q.servers[nodeID]
 	waiting = s.waiting(q.now)
 	s.queued += estDuration
-	q.heapOf(s).fix(q.servers, int(s.pos), s.key())
+	q.reseat(nodeID)
 	return nodeID, waiting
 }
 
@@ -234,14 +328,14 @@ func (q *CentralQueue) AddLoad(nodeID int, now, estDuration float64) {
 	}
 	q.advance(now)
 	s.queued += estDuration
-	q.heapOf(s).fix(q.servers, int(s.pos), s.key())
+	q.reseat(nodeID)
 }
 
 // SyncFrom makes this queue a copy of src: same clock, same tracked
 // servers, same per-server waiting state. This is the snapshot primitive of
 // the multi-scheduler model — how a scheduler's mirror is created and how
 // its stale copy catches up to the shared authoritative queue — and it is
-// three array copies: nothing in the representation points anywhere, and a
+// five array copies: nothing in the representation points anywhere, and a
 // copy of a heap's slots is the same heap, so there is nothing to rebuild.
 // The mirror's decisions match what any other arrangement of the same
 // servers would give (see serverHeap). It allocates only when src's id
@@ -255,6 +349,9 @@ func (q *CentralQueue) SyncFrom(src *CentralQueue) {
 	q.servers = append(q.servers[:0], src.servers...)
 	q.running = append(q.running[:0], src.running...)
 	q.idle = append(q.idle[:0], src.idle...)
+	q.unordered = append(q.unordered[:0], src.unordered...)
+	q.zero.words = append(q.zero.words[:0], src.zero.words...)
+	q.zero.lo, q.zero.n = src.zero.lo, src.zero.n
 }
 
 // TaskStarted records that a previously assigned task began executing on
@@ -296,16 +393,14 @@ func (q *CentralQueue) TaskFinished(nodeID int, now float64) {
 	q.moveTo(nodeID, false, q.now)
 }
 
-// moveTo places the tracked server in the requested heap with the new
+// moveTo re-files the tracked server as running or idle with the new
 // runEnd.
 //
 //hawk:hotpath
 func (q *CentralQueue) moveTo(nodeID int, running bool, runEnd float64) {
-	s := &q.servers[nodeID]
-	q.heapOf(s).remove(q.servers, int(s.pos))
-	s.runEnd = runEnd
-	s.inRun = running && runEnd > q.now
-	q.heapOf(s).push(q.servers, slot{key: s.key(), node: int32(nodeID)})
+	q.unplace(nodeID)
+	q.servers[nodeID].runEnd = runEnd
+	q.place(nodeID, running && runEnd > q.now)
 }
 
 // Remove stops tracking nodeID — the node left the cluster (failure or
@@ -318,8 +413,8 @@ func (q *CentralQueue) Remove(nodeID int) bool {
 	if s == nil {
 		return false
 	}
-	q.heapOf(s).remove(q.servers, int(s.pos))
-	s.pos = -1
+	q.unplace(nodeID)
+	s.at = atNone
 	q.count--
 	return true
 }
@@ -335,7 +430,7 @@ func (q *CentralQueue) Add(nodeID int, now float64) bool {
 	q.advance(now)
 	q.grow(nodeID + 1)
 	q.servers[nodeID] = server{runEnd: q.now}
-	q.idle.push(q.servers, slot{node: int32(nodeID)})
+	q.place(nodeID, false)
 	q.count++
 	return true
 }
@@ -368,7 +463,7 @@ func (q *CentralQueue) Waitings(now float64) []float64 {
 	q.advance(now)
 	out := make([]float64, 0, q.count)
 	for i := range q.servers {
-		if s := &q.servers[i]; s.pos >= 0 {
+		if s := &q.servers[i]; s.at != atNone {
 			out = append(out, s.waiting(q.now))
 		}
 	}
@@ -486,4 +581,38 @@ func (h serverHeap) down(srv []server, i int, s slot) {
 	}
 	h[i] = s
 	srv[s.node].pos = int32(i)
+}
+
+// zeroSet is a set of node ids as a bitset: bit id%64 of words[id/64].
+// Membership changes are a bit flip; min scans from lo, a word index below
+// which no bit is set, and moves lo up past the words it finds empty, so
+// the scans of a run cost at most one visit per word per add below lo.
+type zeroSet struct {
+	words []uint64
+	lo    int // no member in words[:lo]
+	n     int // members
+}
+
+//hawk:hotpath
+func (z *zeroSet) add(id int) {
+	w := id >> 6
+	z.words[w] |= 1 << (id & 63)
+	z.n++
+	z.lo = min(z.lo, w)
+}
+
+//hawk:hotpath
+func (z *zeroSet) remove(id int) {
+	z.words[id>>6] &^= 1 << (id & 63)
+	z.n--
+}
+
+// min returns the smallest member; the set must not be empty.
+//
+//hawk:hotpath
+func (z *zeroSet) min() int {
+	for z.words[z.lo] == 0 {
+		z.lo++
+	}
+	return z.lo<<6 + bits.TrailingZeros64(z.words[z.lo])
 }

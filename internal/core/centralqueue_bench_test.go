@@ -210,7 +210,7 @@ func BenchmarkCentralQueueStaleMirror(b *testing.B) {
 }
 
 // BenchmarkCentralQueueSyncFrom is one snapshot refresh: a warmed mirror
-// catching up to a 90 %-busy truth. MB/s counts the bytes of the three
+// catching up to a 90 %-busy truth. MB/s counts the bytes of the four
 // arrays copied.
 func BenchmarkCentralQueueSyncFrom(b *testing.B) {
 	for _, size := range cqBenchSizes {
@@ -218,7 +218,8 @@ func BenchmarkCentralQueueSyncFrom(b *testing.B) {
 			truth := newCQCycler(size.n).q
 			mirror := NewCentralQueue(nil)
 			mirror.SyncFrom(truth)
-			b.SetBytes(int64(len(truth.servers))*24 + int64(truth.Len())*16)
+			slots := len(truth.running) + len(truth.idle)
+			b.SetBytes(int64(len(truth.servers))*24 + int64(slots)*16 + int64(len(truth.zero.words))*8)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {

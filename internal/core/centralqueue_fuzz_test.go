@@ -167,37 +167,69 @@ func runCentralQueueOps(t *testing.T, data []byte) {
 }
 
 // checkCentralQueue verifies the representation: both slot arrays are
-// heaps under slot.less, every slot's key is its server's current key, and
-// pos/inRun lead from each tracked server back to its own slot.
+// heaps under slot.less, every slot's key is its server's current key,
+// pos and at lead from each tracked server back to its own slot or list
+// entry, and each structure holds what it should — running servers in the
+// running heap, idle ones with work queued in the idle heap or the
+// unordered list, idle ones with nothing queued in the zero set, whose
+// lower bound and count hold — with every tracked server in exactly one.
 func checkCentralQueue(t *testing.T, q *CentralQueue) {
 	t.Helper()
 	for _, h := range []struct {
-		heap  serverHeap
-		inRun bool
-	}{{q.running, true}, {q.idle, false}} {
+		heap serverHeap
+		at   uint8
+	}{{q.running, atRunning}, {q.idle, atIdle}} {
 		for i, sl := range h.heap {
 			s := q.servers[sl.node]
-			if int(s.pos) != i || s.inRun != h.inRun {
-				t.Fatalf("slot %d (inRun=%v) holds node %d, whose record says pos=%d inRun=%v",
-					i, h.inRun, sl.node, s.pos, s.inRun)
+			if int(s.pos) != i || s.at != h.at {
+				t.Fatalf("slot %d (at=%d) holds node %d, whose record says pos=%d at=%d",
+					i, h.at, sl.node, s.pos, s.at)
 			}
 			if math.Float64bits(sl.key) != math.Float64bits(s.key()) {
 				t.Fatalf("node %d: slot key %v, server key %v", sl.node, sl.key, s.key())
 			}
 			if i > 0 && sl.less(h.heap[(i-1)/2]) {
-				t.Fatalf("heap order broken at slot %d (inRun=%v)", i, h.inRun)
+				t.Fatalf("heap order broken at slot %d (at=%d)", i, h.at)
+			}
+			if h.at == atIdle && s.queued == 0 {
+				t.Fatalf("node %d is idle with nothing queued but sits in the idle heap", sl.node)
 			}
 		}
 	}
-	tracked := 0
-	for _, s := range q.servers {
-		if s.pos >= 0 {
-			tracked++
+	for i, node := range q.unordered {
+		if s := q.servers[node]; int(s.pos) != i || s.at != atUnordered || s.queued == 0 {
+			t.Fatalf("unordered entry %d is node %d, whose record says pos=%d at=%d queued=%v",
+				i, node, s.pos, s.at, s.queued)
 		}
 	}
-	if tracked != q.count || tracked != len(q.running)+len(q.idle) {
-		t.Fatalf("count %d, tracked records %d, slots %d+%d",
-			q.count, tracked, len(q.running), len(q.idle))
+	tracked, members := 0, 0
+	for id, s := range q.servers {
+		if s.at != atNone {
+			tracked++
+		}
+		bit := q.zero.words[id>>6]&(1<<(id&63)) != 0
+		if bit != (s.at == atZero) {
+			t.Fatalf("node %d: zero-set bit %v, at %d", id, bit, s.at)
+		}
+		if bit {
+			members++
+			if s.queued != 0 {
+				t.Fatalf("node %d in the zero set has queued=%v", id, s.queued)
+			}
+		}
+	}
+	for w := range q.zero.words[:q.zero.lo] {
+		if q.zero.words[w] != 0 {
+			t.Fatalf("zero-set word %d has bits below the lower bound %d", w, q.zero.lo)
+		}
+	}
+	if members != q.zero.n || len(q.zero.words)*64 < len(q.servers) {
+		t.Fatalf("zero set counts %d members, holds %d; %d words for %d ids",
+			q.zero.n, members, len(q.zero.words), len(q.servers))
+	}
+	if tracked != q.count || tracked != len(q.running)+len(q.idle)+len(q.unordered)+members {
+		t.Fatalf("count %d, tracked records %d, slots %d+%d, unordered %d, zero set %d",
+			q.count, tracked, len(q.running), len(q.idle), len(q.unordered), members)
 	}
 }
 

@@ -105,8 +105,8 @@ func TestCentralQueueSettlesOnObservation(t *testing.T) {
 	unsettled := func(q *CentralQueue, after string) {
 		t.Helper()
 		for id := range 3 {
-			if s := q.servers[id]; !s.inRun || s.runEnd > now {
-				t.Fatalf("after %s: node %d inRun=%v runEnd=%v, want it left expired in the running heap", after, id, s.inRun, s.runEnd)
+			if s := q.servers[id]; s.at != atRunning || s.runEnd > now {
+				t.Fatalf("after %s: node %d at=%d runEnd=%v, want it left expired in the running heap", after, id, s.at, s.runEnd)
 			}
 			if w := q.Waiting(id, now); w != 5 {
 				t.Fatalf("after %s: Waiting(%d) = %v, want its queued 5", after, id, w)

@@ -7,6 +7,12 @@
 // keeps it that way: seeded rand.New(rand.NewSource(...)) streams are the
 // only randomness allowed here — never the global math/rand functions.
 //
+// A Source's generator is a concrete type (stream.go), stream-identical to
+// rand.NewSource(seed): New(seed) yields, call for call, the values
+// rand.New(rand.NewSource(seed)) would. The distribution helpers go through
+// a rand.Rand wrapped around it; the samplers draw straight from it, without
+// an interface call or a division per draw.
+//
 // A product that meets an addition is written float64(x*y). The Go spec
 // lets a compiler fuse x*y + z into one multiply-add, which rounds once
 // where the source rounds twice, and gc does so on arm64; an explicit
@@ -26,7 +32,9 @@ import (
 // reproduction needs. It is not safe for concurrent use; create one Source
 // per goroutine.
 type Source struct {
-	rng *rand.Rand
+	stream stream
+	rng    *rand.Rand // wraps &stream
+	draw   draw       // intn's cached divisor state
 
 	// Scratch state reused by SampleWithoutReplacementInto so steady-state
 	// sampling performs zero heap allocations. The buffers are private to
@@ -47,7 +55,10 @@ type Source struct {
 
 // New returns a Source seeded with seed. Equal seeds yield equal streams.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.stream.seed(seed)
+	s.rng = rand.New(&s.stream)
+	return s
 }
 
 // Fork derives an independent child source. The child stream is a pure
@@ -148,7 +159,7 @@ func (s *Source) SampleWithoutReplacementInto(dst []int, n, k int) []int {
 		s.gen = 1
 	}
 	for added := 0; added < k; {
-		v := s.rng.Intn(n)
+		v := s.intn(n)
 		if s.stamp[v] == s.gen {
 			continue
 		}

@@ -143,11 +143,13 @@ func (s *simulation) failNode(id int32, now float64) {
 			s.resendProbe(r.jidx)
 		}
 	}
-	for _, e := range n.queue[n.head:] {
+	if n.hasFront {
+		s.reroute(n.front)
+	}
+	for _, e := range n.rest[n.head:] {
 		s.reroute(e)
 	}
-	n.queue = n.queue[:0]
-	n.head = 0
+	n.clearQueue()
 }
 
 // reroute sends a queue entry whose node is dead — failed under it, or

@@ -29,11 +29,11 @@ func TestHotStructSizes(t *testing.T) {
 			t.Errorf("%v carries a pointer; it must stay pointer-free", typ)
 		}
 	}
-	// The arena elements are not copied per event, but node size scales
-	// with cluster size (170k nodes in the Figure 6 sweep) — keep it to
-	// one cache line per pair.
-	if got := unsafe.Sizeof(node{}); got > 40 {
-		t.Errorf("sizeof(node) = %d, want <= 40", got)
+	// A node holds a one-entry queue inline, so the common queue
+	// operations read one node and no backing array: exactly one cache
+	// line, which the page-aligned arena keeps each node on.
+	if got := unsafe.Sizeof(node{}); got != 64 {
+		t.Errorf("sizeof(node) = %d, want 64", got)
 	}
 }
 

@@ -61,18 +61,27 @@ func (e entry) long() bool { return e.flags&entryLong != 0 }
 // Nodes live in the simulation's dense []node arena (index = node id), so a
 // 170k-node cluster is one allocation of sequentially laid-out state, not
 // 170k heap objects; methods take the owning simulation explicitly.
+//
+// A queue of one entry lives inside the node, in front; a longer one lives
+// in rest[head:], and the two never hold entries at once. Most queues hold
+// at most one entry, so most enqueues, pops and victim checks touch the
+// node's own 64 bytes — one cache line, pinned by TestHotStructSizes — and
+// never the backing array rest points at. A queue that grows past one entry
+// moves front into rest, so popping a longer queue reads each entry from
+// rest once, where it was written, and never copies it into the node.
 type node struct {
-	// The FIFO queue's live entries are queue[head:]. Popping advances
-	// head instead of reslicing from the front, and the slice is rewound
-	// to its start whenever the queue drains — so the backing array's
-	// capacity is reused for the node's lifetime and steady-state
-	// enqueues never allocate. (Reslicing queue[1:] looks free but
-	// strands the popped prefix: the array can never be re-used from the
-	// front again, forcing a fresh allocation each time the window slides
-	// past the capacity.)
-	queue []entry
-	head  int32
-	id    int32
+	front entry
+	// rest[head:] is the queue when it is not front. Popping advances head
+	// instead of reslicing from the front, and rest is rewound to its start
+	// whenever it drains — so the backing array's capacity is reused for
+	// the node's lifetime and steady-state enqueues never allocate.
+	// (Reslicing rest[1:] looks free but strands the popped prefix: the
+	// array can never be re-used from the front again, forcing a fresh
+	// allocation each time the window slides past the capacity.)
+	rest     []entry
+	head     int32
+	id       int32
+	hasFront bool // the queue is front alone; rest holds nothing
 	// busy is true while the slot is occupied: executing a task or
 	// holding the request/response round-trip of a probe at the head of
 	// the queue.
@@ -86,23 +95,37 @@ type node struct {
 // queueLen returns the number of live queued entries.
 //
 //hawk:hotpath
-func (n *node) queueLen() int { return len(n.queue) - int(n.head) }
+func (n *node) queueLen() int {
+	if n.hasFront {
+		return 1
+	}
+	return len(n.rest) - int(n.head)
+}
 
 // enqueue appends an entry and starts it immediately if the node is idle.
 //
 //hawk:hotpath
 func (n *node) enqueue(s *simulation, e entry) {
-	if n.head > 0 && len(n.queue) == cap(n.queue) {
-		// About to grow: compact live entries to the front first, so the
-		// stranded [0:head) prefix is not copied into (and retained by) a
-		// larger array. This keeps a queue that never fully drains — a
-		// node under sustained overload — at memory proportional to its
-		// peak depth rather than its total throughput.
-		live := copy(n.queue, n.queue[n.head:])
-		n.queue = n.queue[:live]
-		n.head = 0
+	switch {
+	case n.hasFront:
+		n.rest = append(n.rest, n.front, e)
+		n.hasFront = false
+	case len(n.rest) == 0:
+		n.front, n.hasFront = e, true
+	default:
+		if n.head > 0 && len(n.rest) == cap(n.rest) {
+			// About to grow: compact live entries to the front first, so
+			// the stranded [0:head) prefix is not copied into (and retained
+			// by) a larger array. This keeps a queue that never fully
+			// drains — a node under sustained overload — at memory
+			// proportional to its peak depth rather than its total
+			// throughput.
+			live := copy(n.rest, n.rest[n.head:])
+			n.rest = n.rest[:live]
+			n.head = 0
+		}
+		n.rest = append(n.rest, e)
 	}
-	n.queue = append(n.queue, e)
 	n.advance(s)
 }
 
@@ -117,9 +140,43 @@ func (n *node) enqueueFront(s *simulation, es []entry) {
 	if n.queueLen() != 0 {
 		panic("sim: steal by a node with a non-empty queue")
 	}
-	n.queue = append(n.queue[:0], es...)
-	n.head = 0
+	if len(es) == 1 {
+		n.front, n.hasFront = es[0], true
+	} else {
+		n.rest = append(n.rest[:0], es...)
+		n.head = 0
+	}
 	n.advance(s)
+}
+
+// pop removes and returns the queue's first entry; the queue must not be
+// empty.
+//
+//hawk:hotpath
+func (n *node) pop() entry {
+	if n.hasFront {
+		n.hasFront = false
+		return n.front
+	}
+	e := n.rest[n.head]
+	n.head++
+	n.rewind()
+	return e
+}
+
+// rewind restarts rest at its backing array's top once it has drained, so
+// the array is reusable from the top.
+//
+//hawk:hotpath
+func (n *node) rewind() {
+	if int(n.head) == len(n.rest) {
+		n.rest, n.head = n.rest[:0], 0
+	}
+}
+
+// clearQueue empties the queue, keeping rest's backing array.
+func (n *node) clearQueue() {
+	n.rest, n.head, n.hasFront = n.rest[:0], 0, false
 }
 
 // advance starts the head-of-queue entry if the slot is free.
@@ -129,12 +186,7 @@ func (n *node) advance(s *simulation) {
 	if n.busy || n.queueLen() == 0 {
 		return
 	}
-	head := n.queue[n.head]
-	n.head++
-	if int(n.head) == len(n.queue) {
-		// Drained: rewind so the backing array is reusable from the top.
-		n.queue, n.head = n.queue[:0], 0
-	}
+	head := n.pop()
 	n.busy = true
 	n.runningLong = head.long()
 	s.nodeBecameBusy(n.id)
@@ -284,13 +336,17 @@ func (n *node) finishSlot(s *simulation) {
 
 // appendQueueLongFlags appends, head-first, which queued entries belong to
 // long jobs onto buf and returns it, for the eligible-group computation.
-// The long bit is read straight from the packed entry flags — one linear
-// scan of the queue's backing array, no job-state dereference per entry.
-// Callers pass a reused scratch buffer (see simulation.stealFlags).
+// The long bit is read straight from the packed entry flags — front, or one
+// linear scan of rest, no job-state dereference per entry. Callers pass a
+// reused scratch buffer (see simulation.stealFlags).
 //
 //hawk:hotpath
 func (n *node) appendQueueLongFlags(buf []bool) []bool {
-	for _, e := range n.queue[n.head:] {
+	if n.hasFront {
+		buf = append(buf, n.front.long())
+		return buf
+	}
+	for _, e := range n.rest[n.head:] {
 		buf = append(buf, e.long())
 	}
 	return buf
@@ -305,9 +361,18 @@ func (n *node) appendQueueLongFlags(buf []bool) []bool {
 //
 //hawk:hotpath
 func (n *node) appendStealRange(buf []entry, start, end int) []entry {
-	live := n.queue[n.head:]
+	if n.hasFront {
+		if start == end {
+			return buf
+		}
+		n.hasFront = false
+		buf = append(buf, n.front)
+		return buf
+	}
+	live := n.rest[n.head:]
 	buf = append(buf, live[start:end]...)
-	n.queue = append(n.queue[:int(n.head)+start], live[end:]...)
+	n.rest = append(n.rest[:int(n.head)+start], live[end:]...)
+	n.rewind()
 	return buf
 }
 
@@ -319,7 +384,12 @@ func (n *node) appendStealIndices(buf []entry, idx []int) []entry {
 	if len(idx) == 0 {
 		return buf
 	}
-	live := n.queue[n.head:]
+	if n.hasFront {
+		n.hasFront = false
+		buf = append(buf, n.front)
+		return buf
+	}
+	live := n.rest[n.head:]
 	kept := live[:0]
 	next := 0
 	for i, e := range live {
@@ -330,6 +400,7 @@ func (n *node) appendStealIndices(buf []entry, idx []int) []entry {
 		}
 		kept = append(kept, e)
 	}
-	n.queue = n.queue[:int(n.head)+len(kept)]
+	n.rest = n.rest[:int(n.head)+len(kept)]
+	n.rewind()
 	return buf
 }

@@ -52,11 +52,12 @@ func newRungSim(tb testing.TB, nodes int, pol string) *simulation {
 
 // enqueueRung is a Sparrow cluster of busy nodes, each holding a queue at
 // its steady depth. One op is one entry leaving the head of a random node's
-// queue (what advance does to the queue when the slot frees: two integer
-// operations on the line the append is about to touch) and one enqueue onto
-// its tail, so every path of enqueue is taken at its steady-state frequency:
-// the plain append, the compaction that precedes an append into a full array
-// whose head has moved, and the append after a drain rewound the queue.
+// queue (what advance does to the queue when the slot frees: pop) and one
+// enqueue onto its tail, so every path of enqueue is taken at its
+// steady-state frequency: into an empty queue's front, front and the entry
+// together into rest, the plain append to rest, the compaction that precedes
+// an append into a full array whose head has moved, and the append after a
+// drain rewound rest.
 type enqueueRung struct {
 	s     *simulation
 	order []int32 // node ids, uniform with replacement; a power of two long
@@ -70,7 +71,7 @@ func newEnqueueRung(tb testing.TB, nodes int) *enqueueRung {
 		n := &r.s.nodes[i]
 		n.busy = true
 		for range int(rng.ExpFloat64() * 3.8) { // floor of an exponential: geometric, mean 3.3
-			n.queue = append(n.queue, entry{tidx: -1})
+			n.enqueue(r.s, entry{tidx: -1}) // busy: queues, starts nothing
 		}
 	}
 	for i := range r.order {
@@ -88,10 +89,7 @@ func (r *enqueueRung) op() {
 	n := &r.s.nodes[r.order[r.i&(len(r.order)-1)]]
 	r.i++
 	if n.queueLen() > 0 {
-		n.head++
-		if int(n.head) == len(n.queue) {
-			n.queue, n.head = n.queue[:0], 0
-		}
+		n.pop()
 	}
 	n.enqueue(r.s, entry{tidx: -1})
 }
@@ -146,7 +144,7 @@ func newReplyRung(tb testing.TB, nodes int) *replyRung {
 		n.busy = true
 		job := int32(i % len(s.jobs))
 		for range int(rng.ExpFloat64() * 3.8) { // and one more from refill
-			n.queue = append(n.queue, entry{jidx: job, tidx: -1})
+			n.enqueue(s, entry{jidx: job, tidx: -1})
 		}
 		r.batch[i] = replyTarget{node: n.id, job: job}
 	}
@@ -218,7 +216,7 @@ func newStealRung(tb testing.TB, nodes int) *stealRung {
 	for id := range s.nodes {
 		if int32(id) < s.shortOnly {
 			r.thieves = append(r.thieves, int32(id))
-			s.nodes[id].queue = make([]entry, 0, 4) // the deepest group there is to steal
+			s.nodes[id].rest = make([]entry, 0, 4) // the deepest group there is to steal
 			continue
 		}
 		if rng.Float64() >= 0.91 {
@@ -240,7 +238,7 @@ func newStealRung(tb testing.TB, nodes int) *stealRung {
 			if rng.Float64() < 0.19 {
 				e = entry{flags: entryTask | entryLong} // a long job's centrally placed task
 			}
-			n.queue = append(n.queue, e)
+			n.enqueue(s, e)
 		}
 	}
 	rng.Shuffle(len(r.thieves), func(i, j int) { r.thieves[i], r.thieves[j] = r.thieves[j], r.thieves[i] })
@@ -267,11 +265,13 @@ func (r *stealRung) reset() {
 	s := r.s
 	for _, id := range r.thieves {
 		n := &s.nodes[id]
-		n.queue, n.head, n.busy = n.queue[:0], 0, false
+		n.clearQueue()
+		n.busy = false
 	}
 	for id := int(s.shortOnly); id < len(s.nodes); id++ {
 		n, staged := &s.nodes[id], &r.staged[id]
-		n.queue, n.head = append(n.queue[:0], staged.queue...), 0
+		n.front, n.hasFront = staged.front, staged.hasFront
+		n.rest, n.head = append(n.rest[:0], staged.rest...), 0
 		n.busy, n.runningLong = staged.busy, staged.runningLong
 	}
 	for s.eng.Step() {
