@@ -50,10 +50,10 @@ import (
 // MinWaiting — first run settle, which migrates expired running roots to
 // the idle heap until the running root R is unexpired. TaskStarted,
 // TaskFinished, AddLoad, Add and Remove re-seat one server by its own
-// record, Waiting and Waitings read records, and SyncFrom copies whatever
+// record, Waiting and Waitings read records, and a snapshot copies whatever
 // stands, so none of them migrates anybody else's: a mirror that hears
 // only its own tasks between two snapshots (§4.10) pays nothing for the
-// expiries a SyncFrom is about to overwrite. The answers are those of a
+// expiries the next snapshot is about to replace. The answers are those of a
 // queue that migrated on every call. R is the same server either way: the
 // unexpired minimum of a superset that contains it. A server X that such a
 // queue would hold idle and this one still holds in the running heap has
@@ -75,7 +75,16 @@ import (
 // inline, the unordered list's node ids and the zero set's words — so a
 // comparison reads two adjacent 16-byte slots instead of chasing two
 // pointers, the garbage collector never scans the queue, and a queue is
-// copied by copying the arrays (SyncFrom).
+// copied by copying the arrays.
+//
+// Snapshots are lazy (Snapshot): a mirror records which state of its source
+// it must show, and copies the arrays only when it is first read. Until
+// then the source logs each server's record before changing it, and the
+// mirror holds its own mutating calls; materializing copies the source as
+// it stands, rewinds the logged servers to their records at the snapshot,
+// and replays the held calls. Most snapshots of a multi-scheduler run are
+// replaced by the next before anybody reads them, and cost neither the
+// copy nor the calls.
 type CentralQueue struct {
 	now float64
 	// servers is indexed by node id; at == atNone marks a node the queue
@@ -87,16 +96,33 @@ type CentralQueue struct {
 	idle      serverHeap // key: queued, > 0
 	unordered []int32    // idle with queued > 0, not in the idle heap yet
 	zero      zeroSet    // idle with queued == 0
+
+	// The source side of lazy snapshots: while readers is non-empty, every
+	// change to a server's record or structure first appends the record as
+	// it stood to log, whose first entry is at position logBase.
+	readers []*CentralQueue
+	log     []change
+	logBase int
+
+	// The mirror side: a queue Snapshot made and nobody has read since
+	// mirrors src as of src's log position from (its now and count are the
+	// snapshot's already), and holds its own mutating calls in ops.
+	src  *CentralQueue
+	from int
+	ops  []heldOp
 }
 
 // server is one node's waiting-time state plus where its slot sits. Its
-// size and pointer-freeness are pinned by TestCentralQueueLayout: SyncFrom
-// copies one per node id on every snapshot refresh.
+// size and pointer-freeness are pinned by TestCentralQueueLayout: a
+// materialized snapshot copies one per node id.
 type server struct {
 	runEnd float64 // estimated completion instant of the running long task
 	queued float64 // summed estimates of queued long tasks
 	pos    int32   // index of the server's slot in its heap or in unordered
 	at     uint8   // the structure the server is in: atNone … atZero
+	// restored is set while materialize rewinds the record, so each server
+	// is rewound once, to its oldest logged record; false otherwise.
+	restored bool
 }
 
 // Where a server is: the zero value is untracked.
@@ -129,7 +155,8 @@ func (s *server) waiting(now float64) float64 {
 
 // NewCentralQueue builds a queue over the given node ids, all initially
 // idle (zero waiting time): four allocations regardless of cluster size.
-// NewCentralQueue(nil) is an empty queue ready to be a SyncFrom target.
+// NewCentralQueue(nil) is an empty queue ready to be a mirror (Snapshot,
+// SyncFrom).
 func NewCentralQueue(nodeIDs []int) *CentralQueue {
 	maxID := -1
 	for _, id := range nodeIDs {
@@ -146,7 +173,7 @@ func NewCentralQueue(nodeIDs []int) *CentralQueue {
 // grow extends the id space to n node ids, the new ones untracked, and
 // reserves room for n members in each heap and the zero set. A server is in
 // one structure at a time, so until the id space grows again no push and no
-// SyncFrom from a queue this size reallocates them — a mirror following a
+// snapshot of a queue this size reallocates them — a mirror following a
 // truth whose running heap fills up over a run would otherwise regrow by
 // append's 1.25× on refresh after refresh. The unordered list grows as it
 // fills: it holds about the assignments not yet started, far fewer than n,
@@ -199,6 +226,7 @@ func (q *CentralQueue) settle() {
 		if s.runEnd > q.now {
 			break
 		}
+		q.note(int(node))
 		q.running.remove(q.servers, 0)
 		q.place(int(node), false)
 	}
@@ -300,12 +328,14 @@ func (q *CentralQueue) best() int {
 //
 //hawk:hotpath
 func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting float64) {
+	q.load()
 	if q.count == 0 {
 		panic("core: Assign on empty CentralQueue")
 	}
 	q.advance(now)
 	q.settle()
 	nodeID = q.best()
+	q.note(nodeID)
 	s := &q.servers[nodeID]
 	waiting = s.waiting(q.now)
 	s.queued += estDuration
@@ -322,29 +352,233 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 //
 //hawk:hotpath
 func (q *CentralQueue) AddLoad(nodeID int, now, estDuration float64) {
+	if q.src != nil {
+		q.hold(heldOp{kind: heldAddLoad, node: int32(nodeID), now: now, est: estDuration})
+		return
+	}
 	s := q.lookup(nodeID)
 	if s == nil {
 		return
 	}
+	q.note(nodeID)
 	q.advance(now)
 	s.queued += estDuration
 	q.reseat(nodeID)
 }
 
 // SyncFrom makes this queue a copy of src: same clock, same tracked
-// servers, same per-server waiting state. This is the snapshot primitive of
-// the multi-scheduler model — how a scheduler's mirror is created and how
-// its stale copy catches up to the shared authoritative queue — and it is
+// servers, same per-server waiting state. It is Snapshot followed at once by
+// the copy a first read would make, so the two queues share nothing
+// afterwards: the form for a mirror read where src cannot be (liverun reads
+// its mirrors without the cluster lock that guards the truth). The copy is
 // five array copies: nothing in the representation points anywhere, and a
 // copy of a heap's slots is the same heap, so there is nothing to rebuild.
 // The mirror's decisions match what any other arrangement of the same
 // servers would give (see serverHeap). It allocates only when src's id
-// space is larger than any this queue has held, and the two queues share no
-// memory afterwards.
+// space is larger than any this queue has held.
 //
 //hawk:hotpath
 func (q *CentralQueue) SyncFrom(src *CentralQueue) {
+	q.Snapshot(src)
+	q.load()
+}
+
+// Snapshot makes this queue a mirror of src as src stands now — the
+// snapshot primitive of the multi-scheduler model (§4.10), how a
+// scheduler's mirror is born and how its stale copy catches up — without
+// copying anything. It records src's clock, count and change-log position
+// and registers as an unread reader of src, which from then on logs each
+// server's record before changing it. The mirror's own TaskStarted,
+// TaskFinished and AddLoad calls are held, not applied; its first read
+// (Assign, MinWaiting, Waiting, Waitings, Add or Remove; Len answers from
+// the snapshot's count) materializes it: src's arrays are copied, every
+// server src changed since is rewound to its record at the snapshot, and
+// the held calls are replayed. A snapshot that the next Snapshot replaces
+// before any read costs neither the copy nor the calls. src keeps its log
+// within logCap by materializing its oldest reader, so a mirror nobody
+// reads again (a failed scheduler's) pins no memory for long, and a mirror
+// holds at most heldCap calls.
+//
+//hawk:hotpath
+func (q *CentralQueue) Snapshot(src *CentralQueue) {
+	src.load()
+	for len(q.readers) > 0 {
+		// Mirrors of this queue read it as it stands before the overwrite.
+		q.readers[len(q.readers)-1].materialize()
+	}
+	if q.src != src {
+		if q.src != nil {
+			q.src.release(q)
+		}
+		q.src = src
+		src.readers = append(src.readers, q)
+	}
+	q.from = src.logBase + len(src.log)
 	q.now, q.count = src.now, src.count
+	q.ops = q.ops[:0]
+	src.trim()
+}
+
+// change is a server's record as it stood before the source changed it: the
+// entry of the change log that lets a mirror rewind the server. Size and
+// pointer-freeness pinned by TestCentralQueueLayout.
+type change struct {
+	runEnd float64
+	queued float64
+	node   int32
+	at     uint8
+}
+
+// heldOp is a mutating call an unread mirror received, held for replay.
+type heldOp struct {
+	now, est, run float64
+	node          int32
+	kind          uint8
+}
+
+// The kinds of held call.
+const (
+	heldStarted uint8 = iota
+	heldFinished
+	heldAddLoad
+)
+
+// hold appends a call to an unread mirror's held calls, materializing the
+// mirror (which replays them) once there are heldCap.
+//
+//hawk:hotpath
+func (q *CentralQueue) hold(op heldOp) {
+	q.ops = append(q.ops, op)
+	if len(q.ops) >= heldCap {
+		q.materialize()
+	}
+}
+
+// load materializes the queue if it is an unread mirror; every read calls
+// it first.
+//
+//hawk:hotpath
+func (q *CentralQueue) load() {
+	if q.src != nil {
+		q.materialize()
+	}
+}
+
+// note logs nodeID's record before a change to it, if anybody reads the
+// log; the server must be tracked or, for Add, in the id space.
+//
+//hawk:hotpath
+func (q *CentralQueue) note(nodeID int) {
+	if len(q.readers) > 0 {
+		q.record(nodeID)
+	}
+}
+
+// record appends nodeID's record to the change log and keeps the log within
+// logCap. A reader the cap materializes copies this queue's arrays, which
+// are consistent here: every caller logs before it changes anything.
+//
+//hawk:hotpath
+func (q *CentralQueue) record(nodeID int) {
+	s := &q.servers[nodeID]
+	q.log = append(q.log, change{runEnd: s.runEnd, queued: s.queued, node: int32(nodeID), at: s.at})
+	if len(q.log) > q.logCap() {
+		q.shed()
+	}
+}
+
+// logCap is the most change-log entries the unread readers may pin: an
+// eighth of the id space plus a floor, 2 131 entries (51 KB) at 15 000
+// nodes. On the seed-4 multisched_stale command it forces 8 of the 672
+// materializations. With a quarter and no heldCap that run's peak RSS was
+// about 0.6 MB above the eager copies'; with both caps it is 0.25 MB.
+func (q *CentralQueue) logCap() int { return len(q.servers)/8 + 256 }
+
+// heldCap is the most calls an unread mirror holds before it materializes.
+// Only a scheduler with tasks in flight that has placed nothing for a while
+// gets near it (4 of the 672 materializations on that command).
+const heldCap = 256
+
+// shed materializes the oldest unread readers until the entries the rest
+// still need fit within logCap, and drops the entries nobody needs.
+//
+//hawk:hotpath
+func (q *CentralQueue) shed() {
+	for len(q.readers) > 0 {
+		r := q.oldest()
+		if q.logBase+len(q.log)-r.from <= q.logCap() {
+			q.dropBefore(r.from)
+			return
+		}
+		r.materialize()
+	}
+}
+
+// oldest returns the unread reader with the earliest log position.
+//
+//hawk:hotpath
+func (q *CentralQueue) oldest() *CentralQueue {
+	r := q.readers[0]
+	for _, o := range q.readers[1:] {
+		if o.from < r.from {
+			r = o
+		}
+	}
+	return r
+}
+
+// release unregisters reader r and trims the log.
+//
+//hawk:hotpath
+func (q *CentralQueue) release(r *CentralQueue) {
+	i := slices.Index(q.readers, r)
+	last := len(q.readers) - 1
+	q.readers[i] = q.readers[last]
+	q.readers[last] = nil
+	q.readers = q.readers[:last]
+	q.trim()
+}
+
+// trim empties the log when nobody reads it, and otherwise drops the entries
+// older than every reader's position once they are half the log, so the
+// copying stays amortized.
+//
+//hawk:hotpath
+func (q *CentralQueue) trim() {
+	if len(q.readers) == 0 {
+		q.logBase += len(q.log)
+		q.log = q.log[:0]
+		return
+	}
+	if from := q.oldest().from; from-q.logBase > len(q.log)/2 {
+		q.dropBefore(from)
+	}
+}
+
+// dropBefore drops the log entries before position pos.
+//
+//hawk:hotpath
+func (q *CentralQueue) dropBefore(pos int) {
+	q.log = q.log[:copy(q.log, q.log[pos-q.logBase:])]
+	q.logBase = pos
+}
+
+// materialize turns an unread mirror into the queue an eager copy taken at
+// the snapshot would be now: it copies src's arrays as they stand, rewinds
+// each server src has logged since the snapshot to its oldest logged record
+// — taking it out of its structure and filing it by the snapshot's clock —
+// and replays the held calls. The answers are exact because they depend
+// only on the records and the clock, never on the arrangement (serverHeap):
+// a record rewound is the snapshot's record, and filing it running exactly
+// when runEnd > now is where the snapshot's queue had it, or would have had
+// it after a settle. That is why settle logs the servers it migrates: their
+// records do not change, but a mirror reading at an earlier clock must find
+// one that was still running at the snapshot in the running heap, not the
+// zero set, where best() would wrongly prefer it.
+//
+//hawk:hotpath
+func (q *CentralQueue) materialize() {
+	src := q.src
 	q.grow(len(src.servers))
 	q.servers = append(q.servers[:0], src.servers...)
 	q.running = append(q.running[:0], src.running...)
@@ -352,6 +586,34 @@ func (q *CentralQueue) SyncFrom(src *CentralQueue) {
 	q.unordered = append(q.unordered[:0], src.unordered...)
 	q.zero.words = append(q.zero.words[:0], src.zero.words...)
 	q.zero.lo, q.zero.n = src.zero.lo, src.zero.n
+	window := src.log[q.from-src.logBase:]
+	for _, c := range window {
+		s := &q.servers[c.node]
+		if s.restored {
+			continue
+		}
+		q.unplace(int(c.node))
+		*s = server{runEnd: c.runEnd, queued: c.queued, restored: true}
+		if c.at != atNone {
+			q.place(int(c.node), c.runEnd > q.now)
+		}
+	}
+	for _, c := range window {
+		q.servers[c.node].restored = false
+	}
+	q.src = nil
+	src.release(q)
+	for _, op := range q.ops {
+		switch op.kind {
+		case heldStarted:
+			q.TaskStarted(int(op.node), op.now, op.est, op.run)
+		case heldFinished:
+			q.TaskFinished(int(op.node), op.now)
+		case heldAddLoad:
+			q.AddLoad(int(op.node), op.now, op.est)
+		}
+	}
+	q.ops = q.ops[:0]
 }
 
 // TaskStarted records that a previously assigned task began executing on
@@ -369,10 +631,15 @@ func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration flo
 	if q == nil {
 		return
 	}
+	if q.src != nil {
+		q.hold(heldOp{kind: heldStarted, node: int32(nodeID), now: now, est: estDuration, run: runDuration})
+		return
+	}
 	s := q.lookup(nodeID)
 	if s == nil {
 		return // node not tracked (e.g. outside the general partition)
 	}
+	q.note(nodeID)
 	q.advance(now)
 	s.queued -= estDuration
 	if s.queued < 0 {
@@ -386,9 +653,17 @@ func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration flo
 //
 //hawk:hotpath
 func (q *CentralQueue) TaskFinished(nodeID int, now float64) {
-	if q == nil || q.lookup(nodeID) == nil {
+	if q == nil {
 		return
 	}
+	if q.src != nil {
+		q.hold(heldOp{kind: heldFinished, node: int32(nodeID), now: now})
+		return
+	}
+	if q.lookup(nodeID) == nil {
+		return
+	}
+	q.note(nodeID)
 	q.advance(now)
 	q.moveTo(nodeID, false, q.now)
 }
@@ -409,10 +684,12 @@ func (q *CentralQueue) moveTo(nodeID int, running bool, runEnd float64) {
 // reports whether the node was tracked. Rare-path: membership transitions,
 // not assignment.
 func (q *CentralQueue) Remove(nodeID int) bool {
+	q.load()
 	s := q.lookup(nodeID)
 	if s == nil {
 		return false
 	}
+	q.note(nodeID)
 	q.unplace(nodeID)
 	s.at = atNone
 	q.count--
@@ -424,11 +701,13 @@ func (q *CentralQueue) Remove(nodeID int) bool {
 // It reports whether the node was newly added (false if already tracked).
 // A node id the queue has seen before costs no allocation.
 func (q *CentralQueue) Add(nodeID int, now float64) bool {
+	q.load()
 	if nodeID < 0 || q.lookup(nodeID) != nil {
 		return false
 	}
 	q.advance(now)
 	q.grow(nodeID + 1)
+	q.note(nodeID)
 	q.servers[nodeID] = server{runEnd: q.now}
 	q.place(nodeID, false)
 	q.count++
@@ -438,6 +717,7 @@ func (q *CentralQueue) Add(nodeID int, now float64) bool {
 // MinWaiting returns the smallest waiting time across servers at instant
 // now: the queueing delay the next assigned task would see.
 func (q *CentralQueue) MinWaiting(now float64) float64 {
+	q.load()
 	if q.count == 0 {
 		return 0
 	}
@@ -449,6 +729,7 @@ func (q *CentralQueue) MinWaiting(now float64) float64 {
 // Waiting returns the waiting time of a specific server at instant now, or
 // -1 if the server is not tracked.
 func (q *CentralQueue) Waiting(nodeID int, now float64) float64 {
+	q.load()
 	s := q.lookup(nodeID)
 	if s == nil {
 		return -1
@@ -460,6 +741,7 @@ func (q *CentralQueue) Waiting(nodeID int, now float64) float64 {
 // Waitings returns the waiting time of every tracked server at instant now,
 // in unspecified order. Intended for tests and introspection.
 func (q *CentralQueue) Waitings(now float64) []float64 {
+	q.load()
 	q.advance(now)
 	out := make([]float64, 0, q.count)
 	for i := range q.servers {
@@ -500,8 +782,9 @@ func (a slot) less(b slot) bool {
 // Only the root is ever observed (best, settle); every other access is by
 // node id through pos. Since less is a strict total order the root is the
 // same server in every valid arrangement of the same members, so scheduling
-// decisions do not depend on the arrangement — which is why SyncFrom may
-// copy a heap as it stands and why the sift order is free to differ from
+// decisions do not depend on the arrangement — which is why a snapshot may
+// copy a heap as it stands, and rewind servers in it by taking them out and
+// putting them back, and why the sift order is free to differ from
 // container/heap's.
 type serverHeap []slot
 

@@ -40,6 +40,9 @@ type cqCycler struct {
 	ends    []slot
 	ests    []float64
 	nodes   []int
+	// reader, when set, is snapshotted before each timed phase and never
+	// read, so the queue logs every change it makes in the phase.
+	reader *CentralQueue
 }
 
 func newCQCycler(n int) *cqCycler {
@@ -75,24 +78,38 @@ func (c *cqCycler) cycle() (finished, assign, started time.Duration) {
 		c.running.remove(c.pos, 0)
 		c.ests[i] = c.rng.ExpFloat64() * 1000
 	}
+	c.pin()
 	t0 := time.Now()
 	for _, t := range c.ends {
 		c.now = t.key
 		c.q.TaskFinished(int(t.node), c.now)
 	}
-	t1 := time.Now()
+	finished = time.Since(t0)
+	c.pin()
+	t0 = time.Now()
 	for i, est := range c.ests {
 		c.nodes[i], _ = c.q.Assign(c.now, est)
 	}
-	t2 := time.Now()
+	assign = time.Since(t0)
+	c.pin()
+	t0 = time.Now()
 	for i, est := range c.ests {
 		c.q.TaskStarted(c.nodes[i], c.now, est, est)
 	}
-	t3 := time.Now()
+	started = time.Since(t0)
 	for i, est := range c.ests {
 		c.running.push(c.pos, slot{key: c.now + est, node: int32(c.nodes[i])})
 	}
-	return t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)
+	return finished, assign, started
+}
+
+// pin re-takes the unread reader's snapshot, if there is a reader, which
+// empties the log: a phase logs one change per call, at most 256, inside
+// logCap at every size, so no phase materializes the reader.
+func (c *cqCycler) pin() {
+	if c.reader != nil {
+		c.reader.Snapshot(c.q)
+	}
 }
 
 // benchCQ reports ns/op at each cluster size for the driver mk builds: step
@@ -139,6 +156,26 @@ func BenchmarkCentralQueueFinished(b *testing.B) {
 
 func BenchmarkCentralQueueCycle(b *testing.B) {
 	benchCQPhase(b, func(f, a, s time.Duration) time.Duration { return f + a + s })
+}
+
+// benchCQLogged is benchCQPhase on a source an unread snapshot follows, as
+// the truth of a multi-scheduler run is between two refreshes: every call
+// logs the record it changes. The difference from the plain rung is the
+// price of a log entry.
+func benchCQLogged(b *testing.B, pick func(finished, assign, started time.Duration) time.Duration) {
+	benchCQ(b, func(n int) func() (time.Duration, int) {
+		c := newCQCycler(n)
+		c.reader = NewCentralQueue(nil)
+		return func() (time.Duration, int) { return pick(c.cycle()), len(c.ends) }
+	})
+}
+
+func BenchmarkCentralQueueStartedLogged(b *testing.B) {
+	benchCQLogged(b, func(_, _, started time.Duration) time.Duration { return started })
+}
+
+func BenchmarkCentralQueueFinishedLogged(b *testing.B) {
+	benchCQLogged(b, func(finished, _, _ time.Duration) time.Duration { return finished })
 }
 
 // The four rungs above drive one queue whose only expiring server is the
@@ -229,6 +266,37 @@ func BenchmarkCentralQueueSyncFrom(b *testing.B) {
 	}
 }
 
+// unread runs one refresh interval nobody reads: the mirror's Snapshot,
+// the truth's cycle, and the mirror's share of it, which the mirror holds.
+// A cycle logs 3 changes per task of its batch, inside logCap at every
+// size, so the mirror stays unread.
+// It returns the time spent in Snapshot and the held calls; the next
+// interval's Snapshot drops them and the truth's log. One op is one
+// interval.
+func (m *cqStaleMirror) unread() (spent time.Duration, calls int) {
+	c := m.truth
+	t0 := time.Now()
+	m.mirror.Snapshot(c.q)
+	spent = time.Since(t0)
+	c.cycle()
+	t0 = time.Now()
+	for i := 0; i < len(c.ends); i += cqStaleHeard {
+		m.mirror.TaskFinished(int(c.ends[i].node), c.ends[i].key)
+	}
+	for i := 0; i < len(c.ends); i += cqStaleHeard {
+		m.mirror.TaskStarted(c.nodes[i], c.now, c.ests[i], c.ests[i])
+	}
+	return spent + time.Since(t0), 1
+}
+
+// BenchmarkCentralQueueSnapshot is the interval about three in four
+// refreshes of multisched_stale are: a snapshot replaced by the next one
+// before its scheduler places anything. ns per interval; before snapshots
+// were lazy this was a SyncFrom plus the mirror's calls applied.
+func BenchmarkCentralQueueSnapshot(b *testing.B) {
+	benchCQ(b, func(n int) func() (time.Duration, int) { return newCQStaleMirror(n).unread })
+}
+
 // TestCentralQueueZeroAlloc pins the queue's steady state at zero
 // allocations per operation, the runtime half of the //hawk:hotpath
 // annotations in centralqueue.go (hawklint's hotalloc analyzer proves the
@@ -242,6 +310,8 @@ func TestCentralQueueZeroAlloc(t *testing.T) {
 	mirror := NewCentralQueue(nil)
 	mirror.SyncFrom(q)
 	stale := newCQStaleMirror(1000)
+	unread := newCQStaleMirror(1000)
+	lazy := NewCentralQueue(nil)
 	now := c.now
 	for _, tc := range []struct {
 		name string
@@ -256,6 +326,17 @@ func TestCentralQueueZeroAlloc(t *testing.T) {
 		{"AddLoad", func() { q.AddLoad(7, now, 1) }},
 		{"SyncFrom into a warmed mirror", func() { mirror.SyncFrom(q) }},
 		{"stale-mirror sync interval", func() { stale.interval() }},
+		{"unread snapshot interval", func() { unread.unread() }},
+		{"snapshot, own calls, source calls, read", func() {
+			lazy.Snapshot(q)
+			now += 0.5
+			lazy.TaskFinished(5, now)
+			lazy.TaskStarted(5, now, 2, 2)
+			id, _ := q.Assign(now, 3)
+			q.TaskStarted(id, now, 3, 4)
+			lazy.AddLoad(9, now, 1)
+			lazy.Assign(now, 2)
+		}},
 		{"Remove then Add", func() {
 			if !q.Remove(17) || !q.Add(17, now) {
 				t.Fatal("node 17 was not tracked")

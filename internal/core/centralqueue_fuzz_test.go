@@ -15,7 +15,11 @@ import (
 // mirrors, as a multi-scheduler run has them — applied to both
 // implementations in lock step; every value either one returns must match
 // bit for bit, and after every operation the slot arrays must be valid
-// heaps with a consistent position index.
+// heaps with a consistent position index. Snapshot makes a queue a lazy
+// mirror of another while the oracle copies eagerly (its SyncFrom), so
+// every read of a lazy mirror — the first materializing it, with whatever
+// the source has changed and the mirror has held since — is held to the
+// eager copy's answer.
 
 // The opcodes of the byte encoding (opcode byte % cqOps). Each operation
 // reads its operands from the bytes that follow; a stream that runs out of
@@ -31,6 +35,7 @@ const (
 	cqMin             // queue: MinWaiting
 	cqWaiting         // queue, node
 	cqClock           // delta: move the caller's clock, backwards if bit 7
+	cqSnapshot        // queue, source offset: lazy Snapshot of another queue
 	cqOps
 )
 
@@ -146,11 +151,29 @@ func runCentralQueueOps(t *testing.T, data []byte) {
 		case cqWaiting:
 			node := int(s.next()) % span
 			same(step, "Waiting", p.q.Waiting(node, now), p.o.Waiting(node, now))
+		case cqSnapshot:
+			// Any other queue is a source: the truth, as the engines
+			// have it, or a mirror, lazy or not, which may itself have
+			// lazy readers when it is overwritten.
+			var k int
+			for k = range pairs {
+				if pairs[k] == p {
+					break
+				}
+			}
+			src := pairs[(k+1+int(s.next()%2))%3]
+			p.q.Snapshot(src.q)
+			p.o.SyncFrom(src.o)
 		}
+		// Len answers a lazy mirror from the snapshot's count; the
+		// representation is checked only where one has been built, so a
+		// mirror stays lazy until one of its reads.
 		if got, want := p.q.Len(), p.o.Len(); got != want {
 			t.Fatalf("op %d (opcode %d): Len %d, oracle %d", step, op, got, want)
 		}
-		checkCentralQueue(t, p.q)
+		if p.q.src == nil {
+			checkCentralQueue(t, p.q)
+		}
 	}
 	// Every server's final state, observed and buried alike.
 	for k, p := range pairs {
@@ -231,6 +254,25 @@ func checkCentralQueue(t *testing.T, q *CentralQueue) {
 		t.Fatalf("count %d, tracked records %d, slots %d+%d, unordered %d, zero set %d",
 			q.count, tracked, len(q.running), len(q.idle), len(q.unordered), members)
 	}
+	for id, s := range q.servers {
+		if s.restored {
+			t.Fatalf("node %d is still marked restored", id)
+		}
+	}
+	// The change log: kept only while an unread reader needs it, within
+	// logCap, and holding every reader's window.
+	if len(q.readers) == 0 && len(q.log) != 0 {
+		t.Fatalf("%d log entries with no reader", len(q.log))
+	}
+	if len(q.log) > q.logCap() {
+		t.Fatalf("log holds %d entries, cap %d", len(q.log), q.logCap())
+	}
+	for _, r := range q.readers {
+		if r.src != q || r.from < q.logBase || r.from > q.logBase+len(q.log) {
+			t.Fatalf("reader at %d (source ok: %v) outside the log [%d, %d]",
+				r.from, r.src == q, q.logBase, q.logBase+len(q.log))
+		}
+	}
 }
 
 // cqSeeds are the hand-written streams: the table test replays them and
@@ -291,6 +333,48 @@ var cqSeeds = map[string][]byte{
 		cqClock, 9, cqAddLoad, 0, 3, 2, cqFinished, 0, 4, cqStarted, 0, 4, 0, 6, cqAddLoad, 0, 0, 1,
 		cqSync, 1, cqAssign, 1, 1, cqAssign, 1, 1, cqAssign, 1, 1, cqMin, 1,
 		cqClock, 2, cqSync, 2, cqMin, 2, cqAssign, 2, 3, cqMin, 0, cqAssign, 0, 1},
+	// Lazy mirrors. Mirror 1 snapshots the truth with nodes 0-2 running,
+	// holds its own start and finish while the truth settles expired roots,
+	// restarts, loads, removes and adds servers, then reads at the
+	// snapshot's clock. Mirror 2 snapshots mirror 1 while it is still
+	// unread, mirror 1 is overwritten by a second snapshot of the truth with
+	// mirror 2 still unread, and the truth snapshots mirror 2 while both
+	// mirrors follow it.
+	"lazy snapshots": {4, 0,
+		cqAddLoad, 0, 3, 2, cqStarted, 0, 0, 0, 3, cqStarted, 0, 1, 0, 5, cqStarted, 0, 2, 0, 1,
+		cqSnapshot, 1, 1, cqStarted, 1, 3, 2, 2, cqClock, 4,
+		cqMin, 0, cqAssign, 0, 2, cqRemove, 0, 4, cqAdd, 0, 9, cqStarted, 0, 3, 2, 7, cqFinished, 1, 3,
+		cqSnapshot, 2, 1, cqClock, 0x84, cqMin, 1, cqAssign, 1, 1,
+		cqSnapshot, 1, 1, cqAddLoad, 1, 0, 1, cqSnapshot, 0, 1, cqAssign, 0, 3,
+		cqClock, 6, cqWaiting, 2, 1, cqAssign, 2, 2, cqMin, 1, cqAssign, 1, 1},
+	"unread past the log cap": unreadPastCapSeed(),
+}
+
+// unreadPastCapSeed snapshots both mirrors, has each hold a call, and then
+// changes the truth more often than its log cap allows (4 servers: 256
+// entries) before either mirror is read: starts on every server, settles
+// that migrate expired roots, assignments. The cap materializes the oldest
+// reader in the middle of those calls, settle's loop among them. Mirror 2
+// then snapshots the truth again and holds more calls than heldCap while
+// the truth keeps changing. The reads at the end must still see the
+// snapshots.
+func unreadPastCapSeed() []byte {
+	b := []byte{3, 0, cqSnapshot, 1, 1, cqSnapshot, 2, 0,
+		cqStarted, 1, 2, 0, 5, cqAddLoad, 2, 3, 2, cqFinished, 1, 2}
+	for i := range 300 {
+		b = append(b, cqStarted, 0, byte(i%4), 0, byte(1+i%7), cqClock, 3)
+		if i%5 == 4 {
+			b = append(b, cqMin, 0, cqAssign, 0, byte(i%3))
+		}
+	}
+	b = append(b, cqSnapshot, 2, 0)
+	for i := range heldCap + 10 {
+		b = append(b, cqStarted, 2, byte(i%4), 1, byte(i%5), cqClock, 1)
+		if i%10 == 0 {
+			b = append(b, cqAssign, 0, 2, cqFinished, 0, byte(i%4))
+		}
+	}
+	return append(b, cqClock, 0x8f, cqMin, 1, cqAssign, 1, 1, cqWaiting, 2, 3, cqMin, 2, cqAssign, 2, 2)
 }
 
 func TestCentralQueueVsOracle(t *testing.T) {
@@ -320,11 +404,12 @@ func FuzzCentralQueueVsOracle(f *testing.F) {
 	f.Fuzz(runCentralQueueOps)
 }
 
-// TestCentralQueueLayout pins the size and pointer-freeness of slot and
-// server, the way internal/sim's TestHotStructSizes pins simEvent and
-// entry: SyncFrom copies one server record and one slot per tracked node on
-// every snapshot refresh, every sift step moves a slot, and the arrays stay
-// opaque to the garbage collector only while both hold no pointer.
+// TestCentralQueueLayout pins the size and pointer-freeness of slot,
+// server and change, the way internal/sim's TestHotStructSizes pins
+// simEvent and entry: a materialized snapshot copies one server record and
+// one slot per tracked node, every sift step moves a slot, the source logs
+// a change per server change while a snapshot is unread, and the arrays
+// stay opaque to the garbage collector only while they hold no pointer.
 func TestCentralQueueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 16 {
 		t.Errorf("sizeof(slot) = %d, want 16", got)
@@ -332,7 +417,10 @@ func TestCentralQueueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(server{}); got != 24 {
 		t.Errorf("sizeof(server) = %d, want 24", got)
 	}
-	for _, v := range []any{slot{}, server{}} {
+	if got := unsafe.Sizeof(change{}); got != 24 {
+		t.Errorf("sizeof(change) = %d, want 24", got)
+	}
+	for _, v := range []any{slot{}, server{}, change{}} {
 		if typ := reflect.TypeOf(v); !pointerFree(typ) {
 			t.Errorf("%v carries a pointer; it must stay pointer-free", typ)
 		}

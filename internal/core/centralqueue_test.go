@@ -268,3 +268,100 @@ func TestCentralQueueFuzzOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotRewindsSettledServer pins settle's log entry. At the
+// snapshot (t=0) node 0 runs until t=2 and node 1 has 0.5 queued; the
+// source's MinWaiting(3) then migrates node 0, unchanged, from the running
+// heap to the zero set. A mirror reading at t=1 must see node 0 still
+// running (waiting 1) and answer node 1's 0.5: had settle not logged node
+// 0, the mirror's copy would hold it in the zero set and answer 1.
+func TestSnapshotRewindsSettledServer(t *testing.T) {
+	q := NewCentralQueue([]int{0, 1})
+	q.TaskStarted(0, 0, 0, 2)
+	q.AddLoad(1, 0, 0.5)
+	mirror := NewCentralQueue(nil)
+	mirror.Snapshot(q)
+	if w := q.MinWaiting(3); w != 0 {
+		t.Fatalf("source MinWaiting(3) = %v, want 0", w)
+	}
+	if w := mirror.MinWaiting(1); w != 0.5 {
+		t.Fatalf("mirror MinWaiting(1) = %v, want 0.5", w)
+	}
+	if id, w := mirror.Assign(1, 1); id != 1 || w != 0.5 {
+		t.Fatalf("mirror Assign(1) = node %d waiting %v, want node 1 waiting 0.5", id, w)
+	}
+}
+
+// TestSnapshotUnreadCopiesNothing: a snapshot the next one replaces before
+// any read copies no array and replays none of the calls it held, and the
+// source keeps a log only while a reader is unread.
+func TestSnapshotUnreadCopiesNothing(t *testing.T) {
+	q := NewCentralQueue([]int{0, 1, 2})
+	mirror := NewCentralQueue(nil)
+	mirror.Snapshot(q)
+	id, _ := q.Assign(0, 4)
+	q.TaskStarted(id, 0, 4, 4)
+	mirror.TaskStarted(2, 0, 1, 1)
+	mirror.TaskFinished(2, 1)
+	if len(q.log) != 2 || len(mirror.ops) != 2 {
+		t.Fatalf("%d log entries and %d held calls, want 2 and 2", len(q.log), len(mirror.ops))
+	}
+	mirror.Snapshot(q)
+	if len(mirror.servers) != 0 || len(mirror.ops) != 0 || len(q.log) != 0 || mirror.Len() != 3 {
+		t.Fatalf("after the second snapshot: %d records copied, %d calls held, %d log entries, Len %d",
+			len(mirror.servers), len(mirror.ops), len(q.log), mirror.Len())
+	}
+	if w := mirror.Waiting(id, 1); w != 3 {
+		t.Fatalf("mirror Waiting(%d, 1) = %v, want 3", id, w)
+	}
+	if len(q.readers) != 0 || len(q.log) != 0 {
+		t.Fatalf("after the read: %d readers, %d log entries, want none", len(q.readers), len(q.log))
+	}
+}
+
+// TestSnapshotLogCap: a mirror nobody reads (a failed scheduler's) pins at
+// most logCap entries of its source's log. The source materializes it when
+// the log would pass the cap, and its answers are still those of a copy
+// taken eagerly at the snapshot.
+func TestSnapshotLogCap(t *testing.T) {
+	ids := make([]int, 100)
+	for i := range ids {
+		ids[i] = i
+	}
+	q := NewCentralQueue(ids)
+	now := 0.0
+	for range 50 {
+		id, _ := q.Assign(now, 10)
+		q.TaskStarted(id, now, 10, 10)
+	}
+	lazy, eager := NewCentralQueue(nil), NewCentralQueue(nil)
+	lazy.Snapshot(q)
+	eager.SyncFrom(q)
+	lazy.TaskFinished(3, 1)
+	eager.TaskFinished(3, 1)
+	for range 200 {
+		now += 0.5
+		id, _ := q.Assign(now, 3)
+		q.TaskStarted(id, now, 3, 3)
+		if len(q.log) > q.logCap() {
+			t.Fatalf("log holds %d entries, cap %d", len(q.log), q.logCap())
+		}
+	}
+	if lazy.src != nil || len(q.readers) != 0 || len(q.log) != 0 {
+		t.Fatalf("unread mirror not materialized by the cap: src set %v, %d readers, %d log entries",
+			lazy.src != nil, len(q.readers), len(q.log))
+	}
+	checkCentralQueue(t, lazy)
+	for node := range ids {
+		if got, want := lazy.Waiting(node, 2), eager.Waiting(node, 2); got != want {
+			t.Fatalf("Waiting(%d) = %v, eager copy %v", node, got, want)
+		}
+	}
+	for range 20 {
+		gotID, gotW := lazy.Assign(2, 1)
+		wantID, wantW := eager.Assign(2, 1)
+		if gotID != wantID || gotW != wantW {
+			t.Fatalf("Assign: node %d waiting %v, eager copy node %d waiting %v", gotID, gotW, wantID, wantW)
+		}
+	}
+}

@@ -142,10 +142,11 @@ func NewJobCSVSink(w io.Writer) (*JobCSVSink, error) {
 	return s, nil
 }
 
-// CreateJobCSVSink creates path and starts a CSV stream on it; Close also
-// closes the file.
+// CreateJobCSVSink creates path, replacing an existing file
+// (workload.CreateFile), and starts a CSV stream on it; Close also closes
+// the file.
 func CreateJobCSVSink(path string) (*JobCSVSink, error) {
-	f, err := os.Create(path)
+	f, err := workload.CreateFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -178,10 +179,11 @@ func (s *JobCSVSink) Close() error {
 	return err
 }
 
-// writeFile creates path, has write fill it, and closes it. A failed write
-// or close removes the file, so a failed save leaves nothing half written.
+// writeFile creates path, replacing an existing file (workload.CreateFile),
+// has write fill it, and closes it. A failed write or close removes the
+// file, so a failed save leaves nothing half written.
 func writeFile(path string, write func(io.Writer) error) (err error) {
-	f, err := os.Create(path)
+	f, err := workload.CreateFile(path)
 	if err != nil {
 		return err
 	}

@@ -325,3 +325,44 @@ func TestJobCSVSinkZeroAllocs(t *testing.T) {
 		t.Errorf("JobCSVSink.Sink allocated %v times per job, want 0", allocs)
 	}
 }
+
+// The report writers replace an existing output file rather than truncate
+// it in place (workload.CreateFile): a hard link to the old file keeps the
+// old bytes while the path gets the new report.
+func TestSavesReplaceExistingFiles(t *testing.T) {
+	dir := t.TempDir()
+	r := retainedReport(syntheticJobs(4))
+	for name, save := range map[string]func(path string) error{
+		"SaveReportJSON": func(path string) error { return SaveReportJSON(path, r) },
+		"SaveResultsCSV": func(path string) error { return SaveResultsCSV(path, r) },
+		"CreateJobCSVSink": func(path string) error {
+			sink, err := CreateJobCSVSink(path)
+			if err != nil {
+				return err
+			}
+			for _, j := range r.Jobs {
+				if err := sink.Sink(j); err != nil {
+					return err
+				}
+			}
+			return sink.Close()
+		},
+	} {
+		path, link := filepath.Join(dir, name+".out"), filepath.Join(dir, name+".old")
+		if err := os.WriteFile(path, []byte("old\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Link(path, link); err != nil {
+			t.Fatal(err)
+		}
+		if err := save(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if old, err := os.ReadFile(link); err != nil || string(old) != "old\n" {
+			t.Errorf("%s: the old file's link holds %q (err %v): it was written in place", name, old, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || len(got) <= len("old\n") {
+			t.Errorf("%s: the path holds %q (err %v), want the new report", name, got, err)
+		}
+	}
+}
