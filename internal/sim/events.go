@@ -148,20 +148,26 @@ func (s *simulation) dispatch(now float64, ev simEvent) {
 	case evSubmit:
 		s.submitNext(ev.ref)
 	case evProbeArrive:
-		e := entry{flags: longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: -1, enq: now}
+		e := entry{flags: longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: -1}
 		if s.dyn != nil && !s.view.Alive(int(ev.ref)) {
 			s.reroute(e) // the destination failed while the probe was in flight
 			return
 		}
+		if s.arrived != nil {
+			e = s.arrived(e, now)
+		}
 		s.nodes[ev.ref].enqueue(s, e)
 	case evTaskArrive:
-		e := entry{flags: entryTask | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, sched: ev.sched, enq: now}
+		e := entry{flags: entryTask | longFlag(s.jobs[ev.jidx].long), jidx: ev.jidx, tidx: ev.aux, sched: ev.sched}
 		if ev.flags&evfSpec != 0 {
 			e.flags |= entrySpec
 		}
 		if s.dyn != nil && !s.view.Alive(int(ev.ref)) {
 			s.reroute(e) // the destination failed while the task was in flight
 			return
+		}
+		if s.arrived != nil {
+			e = s.arrived(e, now)
 		}
 		s.nodes[ev.ref].enqueue(s, e)
 	case evProbeReply:

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,8 +178,8 @@ func goldenTrace() *workload.Trace {
 }
 
 // runPinned is Run with the per-entry wait recorder installed: the pinned
-// report carries every queue entry's wait in arrival order, as the goldens
-// were generated with. Any other run leaves the recorder nil.
+// report carries every queue entry's wait in the order the entries started,
+// as the goldens were generated with. Any other run leaves the hooks nil.
 func runPinned(trace *workload.Trace, cfg policy.Config) (*pinnedReport, error) {
 	return runPinnedSim(newSimulation(trace, cfg))
 }
@@ -187,18 +188,114 @@ func runPinnedSim(s *simulation, err error) (*pinnedReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	var waits [2][]float64
-	s.entryWaits = &waits
+	r := newWaitRecorder()
+	s.arrived, s.started = r.arrived, r.started
 	res, err := s.run()
 	if err != nil {
 		return nil, err
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	return &pinnedReport{
 		Report:             res,
 		UtilizationSamples: res.Utilization.Samples(),
-		ShortEntryWaits:    waits[0],
-		LongEntryWaits:     waits[1],
+		ShortEntryWaits:    r.waits[0],
+		LongEntryWaits:     r.waits[1],
 	}, nil
+}
+
+// waitRecorder measures how long each queue entry waited at nodes before
+// its slot opened, split by job class (short first, long second). An entry
+// carries no arrival time, so the recorder keys arrivals itself: a task by
+// (jidx, tidx, task and speculation flags), a probe by a serial number it
+// stamps into the probe's tidx, which no probe path reads. Steals copy
+// entries, so a key survives them; a task re-sent after a failure arrives
+// again under its old key and overwrites the stale arrival.
+type waitRecorder struct {
+	probes  int32
+	arrival map[waitKey]float64
+	waits   [2][]float64
+	// err is the first entry that started without a recorded arrival.
+	err error
+}
+
+type waitKey struct {
+	jidx, tidx int32
+	flags      entryFlags
+}
+
+func newWaitRecorder() *waitRecorder {
+	return &waitRecorder{arrival: map[waitKey]float64{}}
+}
+
+func waitKeyOf(e entry) waitKey {
+	return waitKey{jidx: e.jidx, tidx: e.tidx, flags: e.flags & (entryTask | entrySpec)}
+}
+
+func (r *waitRecorder) arrived(e entry, now float64) entry {
+	if e.flags&entryTask == 0 {
+		e.tidx = r.probes
+		r.probes++
+	}
+	r.arrival[waitKeyOf(e)] = now
+	return e
+}
+
+func (r *waitRecorder) started(e entry, now float64) {
+	k := waitKeyOf(e)
+	at, ok := r.arrival[k]
+	if !ok {
+		if r.err == nil {
+			r.err = fmt.Errorf("wait recorder: entry %+v started at %g with no recorded arrival", e, now)
+		}
+		return
+	}
+	delete(r.arrival, k)
+	c := 0
+	if e.long() {
+		c = 1
+	}
+	r.waits[c] = append(r.waits[c], now-at)
+}
+
+// The recorder is the golden waits' only source of arrival times, so an
+// entry that starts without an arrival it recorded — a key it never stored,
+// or one a second start already consumed — must fail the run rather than
+// record a wait it cannot know.
+func TestWaitRecorderRejectsUnrecordedStart(t *testing.T) {
+	r := newWaitRecorder()
+	task := entry{jidx: 2, tidx: 5, flags: entryTask | entryLong}
+	probe := r.arrived(entry{jidx: 2, tidx: -1}, 1)
+	if probe.tidx != 0 {
+		t.Fatalf("first probe stamped tidx %d, want serial 0", probe.tidx)
+	}
+	r.arrived(task, 1.5)
+	r.started(probe, 3)
+	r.started(task, 4)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.waits[0][0] != 2 || r.waits[1][0] != 2.5 {
+		t.Fatalf("waits = %v, want [[2] [2.5]]", r.waits)
+	}
+	// A speculative duplicate of the same task is a different entry.
+	r.started(entry{jidx: 2, tidx: 5, flags: entryTask | entrySpec}, 5)
+	if r.err == nil {
+		t.Fatal("a speculative duplicate started with no recorded arrival and the recorder accepted it")
+	}
+	r = newWaitRecorder()
+	r.started(task, 4)
+	if r.err == nil {
+		t.Fatal("a task started with no recorded arrival and the recorder accepted it")
+	}
+	r = newWaitRecorder()
+	probe = r.arrived(entry{jidx: 2, tidx: -1}, 1)
+	r.started(probe, 3)
+	r.started(probe, 3)
+	if r.err == nil {
+		t.Fatal("a probe started twice on one arrival and the recorder accepted it")
+	}
 }
 
 func marshalPinned(t *testing.T, res *pinnedReport) []byte {

@@ -34,17 +34,21 @@ func longFlag(long bool) entryFlags {
 	return 0
 }
 
-// entry is one element of a node's FIFO queue: 24 pointer-free bytes (a
-// float64, two int32 indices, and the packed flags), down from 32 with a
-// *jobState pointer. Queue scans and steals copy entries around, so the
-// size and pointer-freeness both matter. A task's duration is not stored:
-// tidx indexes the owning job's duration slice, which also identifies the
-// exact task to re-assign if the node holding this entry fails.
+// entry is one element of a node's FIFO queue: 12 pointer-free bytes (two
+// int32 indices, the packed flags and the placing scheduler). Queue scans
+// and steals copy entries around, so the size and pointer-freeness both
+// matter.
+// A task's duration is not stored: tidx indexes the owning job's duration
+// slice, which also identifies the exact task to re-assign if the node
+// holding this entry fails. No simulation path reads when an entry arrived;
+// a test that wants queue waits installs the arrived/started hooks.
 // TestHotStructSizes pins both.
 type entry struct {
-	enq   float64 // time the entry first arrived at a node (survives stealing)
-	jidx  int32   // index into simulation.jobs
-	tidx  int32   // task entries: task index within the job; -1 for probes
+	jidx int32 // index into simulation.jobs
+	// tidx is a task entry's task index within the job. Probe paths branch
+	// on flags and never read it: it is -1 for probes unless an arrived
+	// hook has stamped its own number there.
+	tidx  int32
 	flags entryFlags
 	// sched is the scheduler that placed a task entry (multi-scheduler
 	// model): the node reports the task's start and completion back to that
@@ -90,6 +94,9 @@ type node struct {
 	// belongs to a long job. The stealing policy's Figure 3 cases branch
 	// on it.
 	runningLong bool
+	// The fields above fill 56 bytes; the padding keeps a node one whole
+	// cache line, so a page-aligned arena never splits one across two.
+	_ [8]byte
 }
 
 // queueLen returns the number of live queued entries.
@@ -190,7 +197,9 @@ func (n *node) advance(s *simulation) {
 	n.busy = true
 	n.runningLong = head.long()
 	s.nodeBecameBusy(n.id)
-	s.observeWait(head, s.eng.Now())
+	if s.started != nil {
+		s.started(head, s.eng.Now())
+	}
 	if head.flags&entryTask != 0 {
 		dur := s.jobs[head.jidx].durations[head.tidx]
 		if s.speeds != nil {

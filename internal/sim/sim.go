@@ -152,10 +152,14 @@ type simulation struct {
 	// sinkErr is the first error returned by cfg.JobSink, reported after
 	// the run drains.
 	sinkErr error
-	// entryWaits, when a test installs it, collects every queue entry's
-	// wait in arrival order, short-class entries first and long second
-	// (observeWait). Nil on every other run.
-	entryWaits *[2][]float64
+	// arrived and started, when a test installs them, observe every queue
+	// entry as it arrives at a node (dispatch) and as its slot opens
+	// (advance); arrived returns the entry to enqueue, so it may stamp a
+	// probe's unread tidx. Steals copy entries, so a stamp survives them.
+	// Nil on every other run: the simulation itself never reads when an
+	// entry arrived.
+	arrived func(e entry, now float64) entry
+	started func(e entry, now float64)
 	// feasMargin is the scenario's worst-case concurrent failures, taken
 	// off every probe pool when submit holds a job to the feasibility rule.
 	feasMargin int
@@ -693,20 +697,6 @@ func (s *simulation) jobCompleted(idx int32, now float64) {
 		s.res.Jobs = append(s.res.Jobs, jr)
 	}
 	s.maybeFreeJob(idx)
-}
-
-// observeWait records how long a queue entry waited at nodes before its
-// slot opened, split by job class, when a test has installed entryWaits.
-//
-//hawk:hotpath
-func (s *simulation) observeWait(e entry, now float64) {
-	if w := s.entryWaits; w != nil {
-		c := 0
-		if e.long() {
-			c = 1
-		}
-		w[c] = append(w[c], now-e.enq)
-	}
 }
 
 //hawk:hotpath
