@@ -30,6 +30,7 @@ import (
 	"os"
 
 	"repro/hawk"
+	"repro/internal/cliflags"
 )
 
 var (
@@ -55,7 +56,7 @@ func main() {
 		// Nothing needs the whole trace, so the generated workload drains
 		// straight into -out: a million-job recording holds only the jobs in
 		// flight.
-		src, err = generatedSource()
+		src, err = cliflags.Workload(*workloadFlag, *jobsFlag, *iaFlag, *seedFlag)
 	} else if t, cutoff, err = obtainTrace(); err == nil {
 		src = hawk.NewTraceSource(t)
 	}
@@ -85,7 +86,7 @@ func obtainTrace() (*hawk.Trace, float64, error) {
 		t, err = hawk.LoadTraceFile(*inFlag)
 	} else {
 		var src hawk.Source
-		if src, err = generatedSource(); err == nil {
+		if src, err = cliflags.Workload(*workloadFlag, *jobsFlag, *iaFlag, *seedFlag); err == nil {
 			t, err = hawk.MaterializeSource(src)
 		}
 	}
@@ -105,27 +106,6 @@ func obtainTrace() (*hawk.Trace, float64, error) {
 		t.Cutoff = cutoff
 	}
 	return t, cutoff, nil
-}
-
-// generatedSource is the -workload source, generated job by job.
-func generatedSource() (hawk.Source, error) {
-	if *workloadFlag == "motivation" {
-		return hawk.NewTraceSource(hawk.MotivationWorkload(*seedFlag)), nil
-	}
-	spec, err := hawk.SpecByName(*workloadFlag)
-	if err != nil {
-		return nil, err
-	}
-	ia := *iaFlag
-	if ia <= 0 {
-		// The rate hawksim and hawkexp generate this workload at.
-		ia = spec.CalibratedInterArrival()
-	}
-	return hawk.NewGeneratorSource(spec, hawk.GenConfig{
-		NumJobs:          *jobsFlag,
-		MeanInterArrival: ia,
-		Seed:             *seedFlag,
-	}), nil
 }
 
 func printStats(t *hawk.Trace, cutoff float64) {

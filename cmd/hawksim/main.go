@@ -173,22 +173,7 @@ func openWorkload() (hawk.Source, error) {
 		}
 		return src, nil
 	}
-	if *workloadFlag == "motivation" {
-		return hawk.NewTraceSource(hawk.MotivationWorkload(*seedFlag)), nil
-	}
-	spec, err := hawk.SpecByName(*workloadFlag)
-	if err != nil {
-		return nil, err
-	}
-	ia := *iaFlag
-	if ia <= 0 {
-		ia = spec.CalibratedInterArrival()
-	}
-	return hawk.NewGeneratorSource(spec, hawk.GenConfig{
-		NumJobs:          *jobsFlag,
-		MeanInterArrival: ia,
-		Seed:             *seedFlag,
-	}), nil
+	return cliflags.Workload(*workloadFlag, *jobsFlag, *iaFlag, *seedFlag)
 }
 
 // closeSource closes a source that holds a file.

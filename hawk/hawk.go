@@ -111,8 +111,8 @@ type (
 	// spec; a config without one carries no fault state at all.
 	FaultSpec = policy.FaultSpec
 	// StragglerEvent is one scripted slowdown of a FaultSpec: at time At,
-	// Count random nodes (or the specific Node) run Factor times slower,
-	// stretching their in-flight and future tasks; Factor 1 recovers.
+	// Count random live nodes run Factor times slower, stretching their
+	// in-flight and future tasks; Factor 1 recovers.
 	StragglerEvent = policy.StragglerEvent
 )
 
@@ -152,8 +152,10 @@ func Simulate(trace *Trace, cfg Config) (*Report, error) { return sim.Run(trace,
 // one submit event at a time and finished job state is recycled, so the
 // engine holds O(in-flight jobs + cluster size) however long the trace, and
 // the report depends on the job stream alone, not on what kind of source
-// yields it. Combine with Config.DiscardJobReports (and optionally a
-// NewJobCSVSink) to keep the report itself O(1) too.
+// yields it. Each job is held as it is pulled to the rules Simulate checks
+// up front, the trace order included, with Simulate's messages. Combine
+// with Config.DiscardJobReports (and optionally a NewJobCSVSink) to keep
+// the report itself O(1) too.
 func SimulateSource(src Source, cfg Config) (*Report, error) { return sim.RunSource(src, cfg) }
 
 // RunLive runs the goroutine-per-node live prototype (§3.8, §4.10): real
@@ -228,8 +230,9 @@ var (
 // cutoff, partition fraction and sizes, then one record per job) — and one
 // way in, OpenTrace, which reads that format and nothing else.
 var (
-	// NewTraceSource adapts a Trace to a Source (sorting an index view,
-	// not the trace, when submit times are out of order).
+	// NewTraceSource adapts a Trace to a Source, yielding its jobs as they
+	// stand: a Trace keeps the order of a trace file (submit times never
+	// fall, ids strictly ascend), and a run refuses one that does not.
 	NewTraceSource = workload.NewTraceSource
 	// NewGeneratorSource streams the synthetic workload Generate(spec,
 	// cfg) would produce, job for job, in O(in-flight) memory.

@@ -1,8 +1,9 @@
-// Package cliflags is the one definition of what hawksim and hawkexp share
-// on the command line: the scenario flags (multi-scheduler model, cluster
-// churn, heterogeneity, gray failures) with the assembly of their values
-// into a hawk.Config, and the pprof profile plumbing. The flags' -h text is
-// their reference documentation.
+// Package cliflags is the one definition of what the commands share on the
+// command line: the scenario flags of hawksim and hawkexp (multi-scheduler
+// model, cluster churn, heterogeneity, gray failures) with the assembly of
+// their values into a hawk.Config, the pprof profile plumbing, and the
+// generated workload hawksim and hawkgen name with -workload. The flags' -h
+// text is their reference documentation.
 package cliflags
 
 import (
@@ -124,6 +125,25 @@ func (s *Scenario) Apply(cfg *hawk.Config) error {
 		cfg.Faults = &f
 	}
 	return nil
+}
+
+// Workload is the generated workload name stands for, as a source:
+// "motivation" is Figure 1's fixed scenario, any other name a spec
+// (hawk.SpecByName) generated job by job. Its jobs arrive at mean
+// inter-arrival time ia, or at the spec's calibrated rate, the one hawkexp
+// uses, when ia is 0 or less.
+func Workload(name string, jobs int, ia float64, seed int64) (hawk.Source, error) {
+	if name == "motivation" {
+		return hawk.NewTraceSource(hawk.MotivationWorkload(seed)), nil
+	}
+	spec, err := hawk.SpecByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if ia <= 0 {
+		ia = spec.CalibratedInterArrival()
+	}
+	return hawk.NewGeneratorSource(spec, hawk.GenConfig{NumJobs: jobs, MeanInterArrival: ia, Seed: seed}), nil
 }
 
 // StartProfiles starts a CPU profile to cpuPath and arranges a heap profile

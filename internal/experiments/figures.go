@@ -80,12 +80,10 @@ func Fig4(sc Scale) ([]Fig4Data, error) {
 type Fig5Point struct {
 	RatioPoint
 	// Figure 5c metrics.
-	FracShortImproved  float64 // fraction of short jobs with Hawk <= Sparrow
-	FracLongImproved   float64
-	AvgRatioShort      float64 // mean Hawk runtime / mean Sparrow runtime
-	AvgRatioLong       float64
-	FracShortBy50      float64 // fraction of short jobs improved by > 50%
-	HawkStealSuccesses int64
+	FracShortImproved float64 // fraction of short jobs with Hawk <= Sparrow
+	FracLongImproved  float64
+	AvgRatioShort     float64 // mean Hawk runtime / mean Sparrow runtime
+	AvgRatioLong      float64
 }
 
 // Fig5 sweeps cluster size on the Google trace, comparing Hawk to Sparrow
@@ -110,8 +108,6 @@ func Fig5(sc Scale) ([]Fig5Point, error) {
 		p.FracLongImproved = longCmp.FractionImprovedOrEqual
 		p.AvgRatioShort = shortCmp.MeanRuntimeRatio
 		p.AvgRatioLong = longCmp.MeanRuntimeRatio
-		p.FracShortBy50 = shortCmp.FractionImprovedBy50
-		p.HawkStealSuccesses = rh.StealSuccesses
 		points = append(points, p)
 	}
 	return points, nil

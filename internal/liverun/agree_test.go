@@ -1,6 +1,9 @@
 package liverun
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -174,4 +177,49 @@ func duringOutage(r *policy.Report) int {
 		}
 	}
 	return n
+}
+
+// Nothing re-sorts a workload: an in-memory trace keeps the order of a
+// hawk-trace file, and the simulator, the live engine and Materialize each
+// refuse a trace that breaks it with the message the file reader gives for
+// the same records.
+func TestOutOfOrderTraceRefusedEverywhere(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *workload.Trace
+		want string
+	}{
+		{"submit time falls", msTrace(500, job(1, 0.02, 10), job(2, 0.01, 10)), "submit time 0.01 out of order (previous 0.02)"},
+		{"id descends", msTrace(500, job(2, 0.01, 10), job(1, 0.02, 10)), "job id 1 after job id 2 (ids must ascend)"},
+	} {
+		var b strings.Builder
+		fmt.Fprintf(&b, "#hawk-trace v=1 name=%q cutoff=%g frac=%g jobs=%d\n", c.tr.Name, c.tr.Cutoff, c.tr.ShortPartitionFraction, c.tr.Len())
+		for _, j := range c.tr.Jobs {
+			fmt.Fprintf(&b, "%d,%g,%d", j.ID, j.SubmitTime, j.NumTasks())
+			for _, d := range j.Durations {
+				fmt.Fprintf(&b, ",%g", d)
+			}
+			b.WriteByte('\n')
+		}
+		path := filepath.Join(t.TempDir(), "t.trace")
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, reader := workload.LoadFile(path)
+		if reader == nil || !strings.Contains(reader.Error(), c.want) {
+			t.Fatalf("%s: the reader says %v, want %q", c.name, reader, c.want)
+		}
+		for consumer, run := range map[string]func() error{
+			"sim.Run":     func() error { _, err := sim.Run(c.tr, fastConfig("hawk")); return err },
+			"liverun.Run": func() error { _, err := Run(c.tr, fastConfig("hawk")); return err },
+			"workload.Materialize": func() error {
+				_, err := workload.Materialize(workload.NewTraceSource(c.tr))
+				return err
+			},
+		} {
+			if err := run(); fmt.Sprint(err) != reader.Error() {
+				t.Errorf("%s: %s says %v, the reader %v", c.name, consumer, err, reader)
+			}
+		}
+	}
 }

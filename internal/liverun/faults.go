@@ -116,16 +116,11 @@ func (c *cluster) runStragglers() {
 				return
 			}
 		}
-		var ids []int
-		if ev.Count > 0 {
-			c.mu.Lock()
-			f.mu.Lock()
-			ids = c.view.SampleAllInto(nil, f.src, ev.Count)
-			f.mu.Unlock()
-			c.mu.Unlock()
-		} else {
-			ids = []int{ev.Node}
-		}
+		c.mu.Lock()
+		f.mu.Lock()
+		ids := c.view.SampleAllInto(nil, f.src, ev.Count)
+		f.mu.Unlock()
+		c.mu.Unlock()
 		for _, id := range ids {
 			c.nodes[id].setSlow(ev.Factor)
 		}

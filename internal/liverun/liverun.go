@@ -16,7 +16,6 @@ package liverun
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -29,7 +28,8 @@ import (
 // scenario has stranded work no later event can release, which it reports as
 // the simulator's deadlock diagnosis. Durations in the trace are interpreted
 // as seconds of real execution (sleep) time; callers scale traces down first
-// (the paper scales the Google sample by 1000x).
+// (the paper scales the Google sample by 1000x). Jobs are submitted in trace
+// order, which Trace.Validate holds to the workload order before the run.
 func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	cfg, err := cfg.Normalize(trace)
 	if err != nil {
@@ -64,16 +64,13 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 	}
 	cls := core.Classifier{Cutoff: cfg.Cutoff}
 
-	jobs := append([]*workload.Job(nil), trace.Jobs...)
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].SubmitTime < jobs[j].SubmitTime })
-
-	c := newCluster(cfg, pol, len(jobs))
+	c := newCluster(cfg, pol, len(trace.Jobs))
 	defer c.stopAll()
 
 	start := time.Now()
-	results := make([]policy.JobReport, len(jobs))
+	results := make([]policy.JobReport, len(trace.Jobs))
 
-	for i, j := range jobs {
+	for i, j := range trace.Jobs {
 		// Pace submissions by the trace's submit times in real time.
 		target := start.Add(time.Duration(j.SubmitTime * float64(time.Second)))
 		if d := time.Until(target); d > 0 {

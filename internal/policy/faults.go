@@ -28,8 +28,8 @@ import (
 // attempt of an in-flight timeout into a few bits of event state.
 const MaxFaultRetries = 30
 
-// StragglerEvent scripts one mid-run node slowdown: at time At the target
-// node(s) start executing Factor times slower than their configured speed.
+// StragglerEvent scripts one mid-run slowdown: at time At, Count random live
+// nodes start executing Factor times slower than their configured speed.
 // A node's task in flight when the event fires stretches accordingly;
 // Factor 1 restores full speed for subsequent tasks (an in-flight task does
 // not shrink retroactively). A straggling node is slow, not dead: it keeps
@@ -38,11 +38,8 @@ const MaxFaultRetries = 30
 type StragglerEvent struct {
 	// At is the event time in seconds from the start of the run.
 	At float64 `json:"at"`
-	// Node is the explicit target when Count is zero.
-	Node int `json:"node,omitempty"`
-	// Count, when positive, targets that many random live nodes instead of
-	// the explicit Node; the picks draw from the fault plane's dedicated
-	// seeded stream.
+	// Count is how many random live nodes slow down (at least 1); the
+	// picks draw from the fault plane's dedicated seeded stream.
 	Count int `json:"count,omitempty"`
 	// Factor is the slowdown multiplier applied to task execution time
 	// (>= 1; exactly 1 ends a slowdown).
@@ -186,11 +183,8 @@ func (f FaultSpec) normalize(numNodes int) (FaultSpec, error) {
 		if !(ev.Factor >= 1) || math.IsInf(ev.Factor, 1) {
 			return f, fmt.Errorf("config: straggler event %d: Factor must be finite and at least 1, got %g", i, ev.Factor)
 		}
-		if ev.Count < 0 {
-			return f, fmt.Errorf("config: straggler event %d: Count must be non-negative, got %d", i, ev.Count)
-		}
-		if ev.Count == 0 && (ev.Node < 0 || ev.Node >= numNodes) {
-			return f, fmt.Errorf("config: straggler event %d: node %d outside [0, %d)", i, ev.Node, numNodes)
+		if ev.Count < 1 {
+			return f, fmt.Errorf("config: straggler event %d: Count must be at least 1, got %d", i, ev.Count)
 		}
 		if ev.Count > numNodes {
 			return f, fmt.Errorf("config: straggler event %d: Count %d exceeds %d nodes", i, ev.Count, numNodes)

@@ -257,8 +257,8 @@ func (s *simulation) submitNext(pos int32) {
 			s.failRun(fmt.Errorf("workload: %w", err)) //hawk:allow fatal-abort path, runs at most once per run
 			return
 		}
-		if nxt.SubmitTime < job.SubmitTime {
-			s.failRun(fmt.Errorf("sim: source %q: job %d out of order: submit %g after %g", s.meta.Name, nxt.ID, nxt.SubmitTime, job.SubmitTime)) //hawk:allow fatal-abort path, runs at most once per run
+		if err := s.order.Check(s.meta.Name, nxt); err != nil {
+			s.failRun(err)
 			return
 		}
 		s.pending = nxt

@@ -397,14 +397,10 @@ func (s *simulation) dupTakesOver(jidx, task int32) bool {
 // straggleTick handles evStraggle: scripted straggler event idx fires.
 func (s *simulation) straggleTick(idx int, now float64) {
 	ev := s.flt.spec.Stragglers[idx]
-	if ev.Count > 0 {
-		s.flt.ids = s.view.SampleAllInto(s.flt.ids[:0], s.flt.src, ev.Count)
-		for _, id := range s.flt.ids {
-			s.straggleNode(int32(id), ev.Factor, now)
-		}
-		return
+	s.flt.ids = s.view.SampleAllInto(s.flt.ids[:0], s.flt.src, ev.Count)
+	for _, id := range s.flt.ids {
+		s.straggleNode(int32(id), ev.Factor, now)
 	}
-	s.straggleNode(int32(ev.Node), ev.Factor, now)
 }
 
 // straggleNode applies one slowdown: future tasks on the node execute

@@ -130,45 +130,3 @@ func TestArenaBoundedOnEveryRun(t *testing.T) {
 			len(res.Jobs), tr.Len(), len(s.jobs), tr.Len()/8)
 	}
 }
-
-// An unsorted trace must schedule identically to its time-sorted form: the
-// submitOrder permutation exists precisely so lazy chaining reproduces the
-// eager heap's (submit time, trace position) ordering.
-func TestUnsortedTraceMatchesSorted(t *testing.T) {
-	sorted := workload.Generate(workload.Google(), workload.GenConfig{
-		NumJobs: 120, MeanInterArrival: 0.5, Seed: 21,
-	})
-	// Scramble deterministically, keeping the same *workload.Job values.
-	shuffled := &workload.Trace{
-		Name:                   sorted.Name,
-		Jobs:                   append([]*workload.Job(nil), sorted.Jobs...),
-		Cutoff:                 sorted.Cutoff,
-		ShortPartitionFraction: sorted.ShortPartitionFraction,
-	}
-	for i := range shuffled.Jobs {
-		j := (i*7 + 3) % len(shuffled.Jobs)
-		shuffled.Jobs[i], shuffled.Jobs[j] = shuffled.Jobs[j], shuffled.Jobs[i]
-	}
-
-	cfg := policy.Config{NumNodes: 400, Policy: "hawk", Seed: 5}
-	a, err := Run(sorted, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(shuffled, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Makespan != b.Makespan || a.StealSuccesses != b.StealSuccesses || a.Events != b.Events {
-		t.Fatalf("unsorted trace diverged: makespan %v vs %v, steals %d vs %d, events %d vs %d",
-			a.Makespan, b.Makespan, a.StealSuccesses, b.StealSuccesses, a.Events, b.Events)
-	}
-	if len(a.Jobs) != len(b.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(a.Jobs), len(b.Jobs))
-	}
-	for i := range a.Jobs {
-		if a.Jobs[i] != b.Jobs[i] {
-			t.Fatalf("job report %d differs: %+v vs %+v", i, a.Jobs[i], b.Jobs[i])
-		}
-	}
-}

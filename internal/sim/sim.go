@@ -227,6 +227,10 @@ type simulation struct {
 	// waits holds every piece of work that cannot be placed right now, one
 	// FIFO per reason (see waitlist.go).
 	waits policy.Waitlist[waiting]
+
+	// order holds every pulled job to the workload order (submit times
+	// never fall, ids ascend), whatever kind of source yields it.
+	order workload.JobOrder
 }
 
 // Run simulates the trace under the configuration, executing the policy
@@ -244,14 +248,13 @@ func Run(trace *workload.Trace, cfg policy.Config) (*policy.Report, error) {
 
 // RunSource simulates a workload: jobs are pulled from src one submit event
 // at a time, so together with job-slot recycling what the engine holds is
-// O(in-flight jobs + slots) regardless of trace length. The source must
-// yield jobs in non-decreasing submit-time order and its Meta.NumJobs must be
-// exact; the first job out of order fails the run. Each job is held to the
-// per-job rule as it is pulled (workload.CheckJob, the rule Run checks up
-// front), and the first to break it fails the run with Run's message; unique
-// job ids are a whole-trace rule, which only Run checks. Every job is then
-// admitted by the feasibility rule (policy.CheckFeasibility) before it is
-// routed, and the first it rejects fails the run with the rule's message.
+// O(in-flight jobs + slots) regardless of trace length. Its Meta.NumJobs must
+// be exact. Each job is held as it is pulled to the rules Run checks up
+// front: the per-job rule (workload.CheckJob) and the workload order
+// (workload.JobOrder: submit times never fall, ids strictly ascend). The
+// first job to break either fails the run with Run's message. Every job is
+// then admitted by the feasibility rule (policy.CheckFeasibility) before it
+// is routed, and the first it rejects fails the run with the rule's message.
 // Runs are deterministic for a given (job stream, config) pair, whatever
 // kind of source yields the stream.
 func RunSource(src workload.Source, cfg policy.Config) (*policy.Report, error) {
@@ -409,6 +412,9 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 		}
 		if err := workload.CheckJob(j); err != nil {
 			return nil, fmt.Errorf("workload: %w", err)
+		}
+		if err := s.order.Check(meta.Name, j); err != nil {
+			return nil, err
 		}
 		s.pending = j
 		s.submitted = 1

@@ -80,18 +80,14 @@ func TestStreamedFileMatchesMaterialized(t *testing.T) {
 // deadlock diagnosis depending on when the failures landed. Nor does it
 // depend on what the source knows up front: Meta documents 0 as "bound
 // unknown", and a source of the user's own that says so used to skip the rule
-// altogether and end in a bare "sim: deadlock".
+// altogether and end in a bare "sim: deadlock". The id rows renumber jobs
+// out of the workload order, which every form refuses with the file
+// reader's message: a streamed run used to accept the duplicate, and Run the
+// descending id.
 func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 	gcfg := workload.GenConfig{NumJobs: 50, MeanInterArrival: 2, Seed: 1}
 	tr := workload.Generate(workload.Google(), gcfg)
 	widest := tr.Meta().MaxTasks
-	dir := t.TempDir()
-	files := []string{filepath.Join(dir, "g.trace"), filepath.Join(dir, "g.trace.gz")}
-	for _, path := range files {
-		if err := workload.SaveSource(path, workload.NewTraceSource(tr)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	fail := func(at float64, n int) policy.ChurnEvent {
 		return policy.ChurnEvent{At: at, Kind: policy.ChurnFail, Count: n}
 	}
@@ -102,35 +98,47 @@ func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 		name   string
 		nodes  int
 		churn  []policy.ChurnEvent
+		ids    map[int]int // position -> job id, where it is not the position
 		reject string
 	}{
-		{"job wider than a static pool", widest - 1, nil, "probe pool; cap tasks first"},
-		{"failures leave fewer nodes than the widest job", widest + 10, []policy.ChurnEvent{fail(10, 20)}, "surviving worst-case churn (20 concurrent failures)"},
-		{"the same failures after the last completion", widest + 10, []policy.ChurnEvent{fail(100000, 20)}, "surviving worst-case churn (20 concurrent failures)"},
-		{"staggered failures inside the margin", widest + 10, []policy.ChurnEvent{fail(10, 5), heal(20, 5), fail(30, 5), heal(40, 5)}, ""},
-		{"plain run", widest + 10, nil, ""},
+		{"job wider than a static pool", widest - 1, nil, nil, "probe pool; cap tasks first"},
+		{"failures leave fewer nodes than the widest job", widest + 10, []policy.ChurnEvent{fail(10, 20)}, nil, "surviving worst-case churn (20 concurrent failures)"},
+		{"the same failures after the last completion", widest + 10, []policy.ChurnEvent{fail(100000, 20)}, nil, "surviving worst-case churn (20 concurrent failures)"},
+		{"staggered failures inside the margin", widest + 10, []policy.ChurnEvent{fail(10, 5), heal(20, 5), fail(30, 5), heal(40, 5)}, nil, ""},
+		{"plain run", widest + 10, nil, nil, ""},
+		{"duplicate id", widest + 10, nil, map[int]int{10: 9}, `trace "google": job id 9 after job id 9 (ids must ascend)`},
+		{"descending id", widest + 10, nil, map[int]int{9: 10, 10: 9}, `trace "google": job id 9 after job id 10 (ids must ascend)`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := policy.Config{NumNodes: c.nodes, Policy: "sparrow", Seed: 1}
 			if c.churn != nil {
 				cfg.Churn = &policy.ChurnSpec{Events: c.churn}
 			}
-			want, wantErr := Run(tr, cfg)
+			rowTr := tr.Scale(1, 1)
+			for i, j := range rowTr.Jobs {
+				if id, ok := c.ids[i]; ok {
+					j.ID = id
+				}
+			}
+			want, wantErr := Run(rowTr, cfg)
 			if (wantErr == nil) != (c.reject == "") || wantErr != nil && !strings.Contains(wantErr.Error(), c.reject) {
 				t.Fatalf("Run(trace): error %v, want one containing %q", wantErr, c.reject)
 			}
 			forms := map[string]workload.Source{
-				"TraceSource":     workload.NewTraceSource(tr),
-				"GeneratorSource": workload.NewGeneratorSource(workload.Google(), gcfg),
-				"bounds unknown":  unknownBounds{workload.NewTraceSource(tr)},
+				"TraceSource":     workload.NewTraceSource(rowTr),
+				"GeneratorSource": &renumbered{GeneratorSource: workload.NewGeneratorSource(workload.Google(), gcfg), ids: c.ids},
+				"bounds unknown":  unknownBounds{workload.NewTraceSource(rowTr)},
 			}
-			for _, path := range files {
+			// Written by hand: the trace writer refuses the id rows' order.
+			for _, name := range []string{"g.trace", "g.trace.gz"} {
+				path := filepath.Join(t.TempDir(), name)
+				writeTraceFile(t, path, rowTr)
 				src, err := workload.OpenSource(path)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer src.Close()
-				forms[filepath.Base(path)] = src
+				forms[name] = src
 			}
 			for form, src := range forms {
 				got, err := RunSource(src, cfg)
@@ -142,6 +150,55 @@ func TestFeasibilityVerdictIgnoresWorkloadForm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// renumbered is a GeneratorSource whose jobs at the positions in ids take
+// those ids instead of their position.
+type renumbered struct {
+	*workload.GeneratorSource
+	ids map[int]int
+	pos int
+}
+
+func (r *renumbered) Next() (*workload.Job, bool) {
+	j, ok := r.GeneratorSource.Next()
+	if id, re := r.ids[r.pos]; ok && re {
+		j.ID = id
+	}
+	r.pos++
+	return j, ok
+}
+
+// writeTraceFile writes tr to path in the hawk-trace format, gzipped by a
+// ".gz" suffix, in whatever order its jobs stand.
+func writeTraceFile(t *testing.T, path string, tr *workload.Trace) {
+	t.Helper()
+	m := tr.Meta()
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "#hawk-trace v=1 name=%q cutoff=%g frac=%g jobs=%d maxtasks=%d tasks=%d\n",
+		m.Name, m.Cutoff, m.ShortPartitionFraction, m.NumJobs, m.MaxTasks, m.TotalTasks)
+	for _, j := range tr.Jobs {
+		fmt.Fprintf(&b, "%d,%g,%d", j.ID, j.SubmitTime, j.NumTasks())
+		for _, d := range j.Durations {
+			fmt.Fprintf(&b, ",%g", d)
+		}
+		b.WriteByte('\n')
+	}
+	body := b.Bytes()
+	if strings.HasSuffix(path, ".gz") {
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		if _, err := zw.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		body = z.Bytes()
+	}
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

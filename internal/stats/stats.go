@@ -173,8 +173,6 @@ type PairedComparison struct {
 	// FractionImprovedOrEqual is the fraction of jobs with candidate
 	// runtime <= baseline runtime.
 	FractionImprovedOrEqual float64
-	// FractionImprovedBy50 is the fraction of jobs improved by more than 50%.
-	FractionImprovedBy50 float64
 	// MeanRuntimeRatio is mean(candidate) / mean(baseline).
 	MeanRuntimeRatio float64
 }
@@ -190,7 +188,7 @@ func ComparePaired(candidate, baseline map[int]float64) PairedComparison {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var better, muchBetter, total int
+	var better, total int
 	var candSum, baseSum float64
 	for _, id := range ids {
 		c := candidate[id]
@@ -204,20 +202,15 @@ func ComparePaired(candidate, baseline map[int]float64) PairedComparison {
 		if c <= b {
 			better++
 		}
-		if c < 0.5*b {
-			muchBetter++
-		}
 	}
 	if total == 0 || baseSum == 0 {
 		return PairedComparison{
 			FractionImprovedOrEqual: math.NaN(),
-			FractionImprovedBy50:    math.NaN(),
 			MeanRuntimeRatio:        math.NaN(),
 		}
 	}
 	return PairedComparison{
 		FractionImprovedOrEqual: float64(better) / float64(total),
-		FractionImprovedBy50:    float64(muchBetter) / float64(total),
 		MeanRuntimeRatio:        candSum / baseSum,
 	}
 }

@@ -201,10 +201,6 @@ func TestComparePaired(t *testing.T) {
 	if math.Abs(cmp.FractionImprovedOrEqual-0.75) > 1e-9 {
 		t.Errorf("FractionImprovedOrEqual = %v", cmp.FractionImprovedOrEqual)
 	}
-	// Jobs 1 (10 < 10) no; 10 < 0.5*20 = 10 is false; job 4: 9 < 50 yes.
-	if math.Abs(cmp.FractionImprovedBy50-0.25) > 1e-9 {
-		t.Errorf("FractionImprovedBy50 = %v", cmp.FractionImprovedBy50)
-	}
 	wantRatio := (10.0 + 50 + 100 + 9) / (20.0 + 50 + 80 + 100)
 	if math.Abs(cmp.MeanRuntimeRatio-wantRatio) > 1e-9 {
 		t.Errorf("MeanRuntimeRatio = %v, want %v", cmp.MeanRuntimeRatio, wantRatio)

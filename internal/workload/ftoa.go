@@ -19,6 +19,8 @@ import (
 // goes to strconv itself, so the bytes are strconv's by construction there;
 // FuzzAppendFloat and TestAppendFloatMatchesStrconv hold the rest to it.
 // It allocates only when dst lacks the capacity.
+//
+//hawk:hotpath
 func AppendFloat(dst []byte, f float64, format byte) []byte {
 	u := math.Float64bits(f)
 	be := int(u>>52) & 0x7FF
@@ -93,7 +95,8 @@ func AppendFloat(dst []byte, f float64, format byte) []byte {
 			x = -x
 		}
 		// Two digits: the table's range keeps x within -48…80.
-		return append(dst, digitPairs[2*x], digitPairs[2*x+1])
+		dst = append(dst, digitPairs[2*x], digitPairs[2*x+1])
+		return dst
 	}
 	switch {
 	case dp <= 0:

@@ -148,7 +148,7 @@ func oracleDecode(input string) ([]*Job, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	var jobs []*Job
-	var last lastJob
+	var order JobOrder
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -167,7 +167,7 @@ func oracleDecode(input string) ([]*Job, error) {
 		if err := oracleParseJobFields(rec, j); err != nil {
 			return jobs, err
 		}
-		if err := sortedCheck(m.Name, j, &last); err != nil {
+		if err := order.Check(m.Name, j); err != nil {
 			return jobs, err
 		}
 		if m.MaxTasks > 0 && len(j.Durations) > m.MaxTasks {

@@ -165,7 +165,9 @@ type GenConfig struct {
 }
 
 // Generate synthesizes a trace from the spec. Generation is deterministic
-// for a given (spec, config) pair.
+// for a given (spec, config) pair. Jobs are drawn in id order and their
+// Poisson arrivals assigned cumulatively in that order, so the trace comes
+// out in submission order.
 func Generate(spec Spec, cfg GenConfig) *Trace {
 	src := randdist.New(cfg.Seed)
 	jobs := make([]*Job, 0, cfg.NumJobs)
@@ -174,14 +176,12 @@ func Generate(spec Spec, cfg GenConfig) *Trace {
 		jobs = append(jobs, genJob(i, cs, src))
 	}
 	rescaleArrivals(jobs, cfg.MeanInterArrival, src.Fork())
-	t := &Trace{
+	return &Trace{
 		Name:                   spec.Name,
 		Jobs:                   jobs,
 		Cutoff:                 spec.Cutoff,
 		ShortPartitionFraction: spec.ShortPartitionFraction,
 	}
-	t.SortBySubmitTime()
-	return t
 }
 
 func pickCluster(clusters []ClusterSpec, u float64) ClusterSpec {
@@ -284,15 +284,13 @@ func MotivationWorkload(seed int64) *Trace {
 		jobs = append(jobs, j)
 	}
 	rescaleArrivals(jobs, 50, src.Fork())
-	t := &Trace{
+	return &Trace{
 		Name: "motivation",
 		Jobs: jobs,
 		// Any cutoff between 100 s and 20000 s separates the two classes.
 		Cutoff:                 1000,
 		ShortPartitionFraction: 0.10,
 	}
-	t.SortBySubmitTime()
-	return t
 }
 
 func constantDurations(n int, d float64) []float64 {

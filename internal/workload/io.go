@@ -23,6 +23,8 @@ import (
 // the recycled job, so a quote there is a decode error.
 
 // appendJobRecord appends j's record, newline included, to buf.
+//
+//hawk:hotpath
 func appendJobRecord(buf []byte, j *Job) []byte {
 	buf = strconv.AppendInt(buf, int64(j.ID), 10)
 	buf = append(buf, ',')

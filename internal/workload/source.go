@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Meta carries the trace-level facts a simulation must know before the
 // first job is decoded: the scheduling defaults (long/short cutoff and
@@ -103,47 +100,31 @@ func (t *Trace) Meta() Meta {
 }
 
 // TraceSource adapts an in-memory Trace to the Source interface. It yields
-// the trace's jobs in submission order, sorting an index permutation
-// internally when the trace is unsorted, without reordering the trace. Jobs
-// stay owned by the Trace; a TraceSource does not recycle them.
+// the trace's jobs as they stand, which is submission order for a valid
+// trace (Trace.Validate); jobs stay owned by the Trace, and a TraceSource
+// does not recycle them.
 type TraceSource struct {
-	t     *Trace
-	order []int32 // nil when t.Jobs is already sorted
-	next  int
-	meta  Meta
+	t    *Trace
+	next int
+	meta Meta
 }
 
 // NewTraceSource returns a Source view of t. The trace is not copied or
-// mutated; yielding is O(1) per job after an O(n log n) setup when the
-// trace is unsorted.
+// mutated; yielding is O(1) per job.
 func NewTraceSource(t *Trace) *TraceSource {
-	s := &TraceSource{t: t, meta: t.Meta()}
-	if !sort.SliceIsSorted(t.Jobs, func(a, b int) bool { return t.Jobs[a].SubmitTime < t.Jobs[b].SubmitTime }) {
-		s.order = make([]int32, len(t.Jobs))
-		for i := range s.order {
-			s.order[i] = int32(i)
-		}
-		sort.SliceStable(s.order, func(a, b int) bool {
-			return t.Jobs[s.order[a]].SubmitTime < t.Jobs[s.order[b]].SubmitTime
-		})
-	}
-	return s
+	return &TraceSource{t: t, meta: t.Meta()}
 }
 
 // Meta returns the trace metadata.
 func (s *TraceSource) Meta() Meta { return s.meta }
 
-// Next yields the next job by submission order.
+// Next yields the trace's next job.
 func (s *TraceSource) Next() (*Job, bool) {
 	if s.next >= len(s.t.Jobs) {
 		return nil, false
 	}
-	i := s.next
 	s.next++
-	if s.order != nil {
-		i = int(s.order[i])
-	}
-	return s.t.Jobs[i], true
+	return s.t.Jobs[s.next-1], true
 }
 
 // Materialize drains src into an in-memory Trace, validating the result.
@@ -175,28 +156,30 @@ func Materialize(src Source) (*Trace, error) {
 
 var _ Source = (*TraceSource)(nil)
 
-// lastJob is what sortedCheck remembers of the previous job of a stream.
-type lastJob struct {
+// JobOrder holds a stream of jobs to the order of a hawk-trace file, the
+// order every workload keeps: submit times never decrease, and job ids
+// strictly ascend, which makes them unique without a set. It checks in O(1)
+// and without buffering. The trace reader, the trace writer, Trace.Validate
+// and the simulator's pull loop each run their jobs through one, so every
+// form of a workload gets the same verdict and the same message. The zero
+// value is ready: it expects the first job of a stream.
+type JobOrder struct {
 	id     int
 	submit float64
 	seen   bool
 }
 
-// sortedCheck holds the next job of a stream to the order a hawk-trace file
-// keeps, in O(1) and without buffering: submit times never decrease, and job
-// ids strictly ascend, which makes them unique without a set (Trace.Validate
-// keeps its set for in-memory traces, whose ids may come in any order). The
-// trace reader and the trace writer both apply it, so the writer writes no
-// order the reader refuses. On success it records j in last.
-func sortedCheck(name string, j *Job, last *lastJob) error {
-	if last.seen {
-		if j.SubmitTime < last.submit {
-			return fmt.Errorf("workload: trace %q: job %d submit time %g out of order (previous %g)", name, j.ID, j.SubmitTime, last.submit)
+// Check holds j, the next job of trace name, to the order, and on success
+// records it as the previous job.
+func (o *JobOrder) Check(name string, j *Job) error {
+	if o.seen {
+		if j.SubmitTime < o.submit {
+			return fmt.Errorf("workload: trace %q: job %d submit time %g out of order (previous %g)", name, j.ID, j.SubmitTime, o.submit)
 		}
-		if j.ID <= last.id {
-			return fmt.Errorf("workload: trace %q: job id %d after job id %d (ids must ascend)", name, j.ID, last.id)
+		if j.ID <= o.id {
+			return fmt.Errorf("workload: trace %q: job id %d after job id %d (ids must ascend)", name, j.ID, o.id)
 		}
 	}
-	*last = lastJob{id: j.ID, submit: j.SubmitTime, seen: true}
+	*o = JobOrder{id: j.ID, submit: j.SubmitTime, seen: true}
 	return nil
 }

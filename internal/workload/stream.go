@@ -10,11 +10,10 @@ import "repro/internal/randdist"
 // Next then re-runs the draws (pass two) from a fresh source with the same
 // seed, producing each job on demand.
 //
-// Because Generate assigns Poisson arrivals cumulatively in id order (they
-// are non-decreasing) and sorts stably, its emitted order is id order —
-// the same order pass two produces — so a GeneratorSource is byte-for-byte
-// equivalent to Generate: same jobs, same order, same submit times. The
-// equivalence suite pins this.
+// Generate and pass two both build jobs in id order and assign Poisson
+// arrivals cumulatively in that order (they never fall), so a
+// GeneratorSource is byte-for-byte equivalent to Generate: same jobs, same
+// order, same submit times. The equivalence suite pins this.
 //
 // GeneratorSource implements Recycler: jobs handed back through Recycle
 // are reused by later Next calls, Durations backing arrays included, so a

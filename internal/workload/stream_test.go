@@ -118,35 +118,6 @@ func TestGeneratorSourceReset(t *testing.T) {
 	}
 }
 
-// An unsorted trace must come out of the adapter in stable submission
-// order while the trace itself stays untouched.
-func TestTraceSourceUnsorted(t *testing.T) {
-	tr := &Trace{Name: "t", Cutoff: 10, ShortPartitionFraction: 0.1, Jobs: []*Job{
-		{ID: 0, SubmitTime: 5, Durations: []float64{1}},
-		{ID: 1, SubmitTime: 2, Durations: []float64{1}},
-		{ID: 2, SubmitTime: 2, Durations: []float64{1}},
-		{ID: 3, SubmitTime: 0, Durations: []float64{1}},
-	}}
-	src := NewTraceSource(tr)
-	var ids []int
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		ids = append(ids, j.ID)
-	}
-	want := []int{3, 1, 2, 0} // stable: 1 before 2 at the tie
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("order = %v, want %v", ids, want)
-		}
-	}
-	if tr.Jobs[0].ID != 0 {
-		t.Fatal("adapter reordered the underlying trace")
-	}
-}
-
 func TestTraceSourceSortedNoOrder(t *testing.T) {
 	tr := Generate(Google(), genCfg(50))
 	src := NewTraceSource(tr)

@@ -20,10 +20,11 @@ import (
 //	#hawk-trace v=1 name="google" cutoff=1129 frac=0.17 jobs=50000 maxtasks=4113 tasks=1352384
 //	0,1.93,12,104.2,98.7,...
 //
-// Records must be in non-decreasing submit-time order — the writer
-// enforces it, the reader verifies it — so a reader can feed the simulator
-// directly without buffering, knowing the cutoff, the job count and the size
-// bounds before the first record is decoded. A file without the header is
+// Records keep the order of every workload (JobOrder: submit times never
+// fall, ids ascend) — the writer enforces it, the reader verifies it — so a
+// reader can feed the simulator directly without buffering, knowing the
+// cutoff, the job count and the size bounds before the first record is
+// decoded. A file without the header is
 // refused; records from an outside tool read in behind the minimal one,
 // "#hawk-trace v=1 cutoff=C frac=F jobs=N" (name=, maxtasks= and tasks= are
 // optional).
@@ -55,7 +56,7 @@ func WriteSource(w io.Writer, src Source) error {
 		return err
 	}
 	rec, count := make([]byte, 0, 1024), 0
-	var last lastJob
+	var order JobOrder
 	recycler, _ := src.(Recycler)
 	for {
 		j, ok := src.Next()
@@ -68,7 +69,7 @@ func WriteSource(w io.Writer, src Source) error {
 		if m.MaxTasks > 0 && len(j.Durations) > m.MaxTasks {
 			return fmt.Errorf("workload: trace %q: job %d has %d tasks, meta promised at most %d", m.Name, j.ID, len(j.Durations), m.MaxTasks)
 		}
-		if err := sortedCheck(m.Name, j, &last); err != nil {
+		if err := order.Check(m.Name, j); err != nil {
 			return err
 		}
 		rec = appendJobRecord(rec[:0], j)
@@ -175,7 +176,7 @@ type FileSource struct {
 	long   []byte   // a record longer than r's buffer, assembled
 	fields [][]byte // the current record cut at commas
 	meta   Meta
-	last   lastJob // what the order check remembers of the previous record
+	order  JobOrder // the order check, holding the previous record
 	n      int
 	err    error
 	done   bool
@@ -350,7 +351,7 @@ func (s *FileSource) Next() (*Job, bool) {
 		s.fail(fmt.Errorf("workload: trace %q: job %d: %w", s.meta.Name, s.n, err))
 		return nil, false
 	}
-	if err := sortedCheck(s.meta.Name, j, &s.last); err != nil {
+	if err := s.order.Check(s.meta.Name, j); err != nil {
 		s.fail(err)
 		return nil, false
 	}

@@ -30,7 +30,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/randdist"
 )
@@ -74,8 +73,10 @@ func (j *Job) TaskSeconds() float64 {
 	return sum
 }
 
-// Trace is an ordered sequence of jobs plus the metadata the scheduler
-// experiments need.
+// Trace is a sequence of jobs in submission order plus the metadata the
+// scheduler experiments need. Its jobs keep the order of a hawk-trace file:
+// submit times never fall and ids strictly ascend (Validate); every
+// producer here emits that order, and nothing re-sorts a trace.
 type Trace struct {
 	Name string
 	Jobs []*Job
@@ -92,40 +93,30 @@ type Trace struct {
 // Len returns the number of jobs.
 func (t *Trace) Len() int { return len(t.Jobs) }
 
-// SortBySubmitTime orders jobs by submission time (stable, preserving id
-// order for ties), as the simulator requires.
-func (t *Trace) SortBySubmitTime() {
-	sort.SliceStable(t.Jobs, func(i, j int) bool {
-		return t.Jobs[i].SubmitTime < t.Jobs[j].SubmitTime
-	})
-}
-
-// MakespanLowerBound returns the last submission time, a lower bound on the
-// simulated horizon.
+// MakespanLowerBound returns the last job's submission time, a lower bound
+// on the simulated horizon (0 for an empty trace). A valid trace is in
+// submission order, so that is its latest submission.
 func (t *Trace) MakespanLowerBound() float64 {
-	last := 0.0
-	for _, j := range t.Jobs {
-		if j.SubmitTime > last {
-			last = j.SubmitTime
-		}
+	if len(t.Jobs) == 0 {
+		return 0
 	}
-	return last
+	return t.Jobs[len(t.Jobs)-1].SubmitTime
 }
 
-// Validate checks structural invariants: finite non-negative submit times
-// and durations, at least one task per job, unique ids.
+// Validate checks structural invariants: every job holds to CheckJob, and
+// the jobs come in the order of a hawk-trace file (JobOrder: submit times
+// never fall, ids strictly ascend).
 func (t *Trace) Validate() error {
-	seen := make(map[int]struct{}, len(t.Jobs))
+	var order JobOrder
 	for _, j := range t.Jobs {
 		if j == nil {
 			return fmt.Errorf("workload: trace %q contains nil job", t.Name)
 		}
-		if _, dup := seen[j.ID]; dup {
-			return fmt.Errorf("workload: duplicate job id %d", j.ID)
-		}
-		seen[j.ID] = struct{}{}
 		if err := CheckJob(j); err != nil {
 			return fmt.Errorf("workload: %w", err)
+		}
+		if err := order.Check(t.Name, j); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -285,7 +276,6 @@ func rescaleArrivals(jobs []*Job, targetMeanInterArrival float64, src *randdist.
 func (t *Trace) WithArrivals(meanInterArrival float64, seed int64) *Trace {
 	out := t.Scale(1, 1)
 	rescaleArrivals(out.Jobs, meanInterArrival, randdist.New(seed))
-	out.SortBySubmitTime()
 	return out
 }
 

@@ -32,8 +32,16 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
+	if got := good.MakespanLowerBound(); got != 5 {
+		t.Fatalf("MakespanLowerBound = %v, want the last submit 5", got)
+	}
+	if got := (&Trace{}).MakespanLowerBound(); got != 0 {
+		t.Fatalf("empty trace: MakespanLowerBound = %v, want 0", got)
+	}
 	cases := []*Trace{
 		{Jobs: []*Job{job(1, 0, 10), job(1, 1, 10)}}, // duplicate id
+		{Jobs: []*Job{job(2, 0, 10), job(1, 1, 10)}}, // descending id
+		{Jobs: []*Job{job(1, 5, 10), job(2, 1, 10)}}, // submit time falls
 		{Jobs: []*Job{job(1, -1, 10)}},               // negative submit
 		{Jobs: []*Job{{ID: 1}}},                      // no tasks
 		{Jobs: []*Job{job(1, 0, -5)}},                // negative duration
@@ -43,20 +51,6 @@ func TestValidate(t *testing.T) {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("case %d: invalid trace accepted", i)
 		}
-	}
-}
-
-func TestSortBySubmitTime(t *testing.T) {
-	tr := &Trace{Jobs: []*Job{job(1, 5, 1), job(2, 3, 1), job(3, 4, 1)}}
-	tr.SortBySubmitTime()
-	want := []int{2, 3, 1}
-	for i, j := range tr.Jobs {
-		if j.ID != want[i] {
-			t.Fatalf("sorted order %v at %d, want %v", j.ID, i, want[i])
-		}
-	}
-	if tr.MakespanLowerBound() != 5 {
-		t.Fatalf("MakespanLowerBound = %v", tr.MakespanLowerBound())
 	}
 }
 
